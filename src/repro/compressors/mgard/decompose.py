@@ -98,33 +98,17 @@ def _correction(
     factors: dict[int, TridiagFactors],
     adapter=None,
     ctx=None,
+    lead: int = 0,
 ) -> np.ndarray:
+    """Global correction of ``mc``; ``lead`` counts leading batch axes
+    (grid dim ``d`` is array axis ``d + lead``)."""
     corr = mc
     dims = hierarchy.active_dims(level)
     for d in dims:
         lvl = hierarchy.dim_level(d, level)
-        corr = restrict(mass_apply(corr, lvl, d), lvl, d)
+        corr = restrict(mass_apply(corr, lvl, d + lead), lvl, d + lead)
     for d in dims:
-        corr = factors[d].solve_along(corr, axis=d, adapter=adapter, ctx=ctx)
-    return corr
-
-
-def _correction_batched(
-    mc: np.ndarray,
-    hierarchy: Hierarchy,
-    level: int,
-    factors: dict[int, TridiagFactors],
-    adapter=None,
-    ctx=None,
-) -> np.ndarray:
-    """:func:`_correction` over a leading batch axis (ops at ``d + 1``)."""
-    corr = mc
-    dims = hierarchy.active_dims(level)
-    for d in dims:
-        lvl = hierarchy.dim_level(d, level)
-        corr = restrict(mass_apply(corr, lvl, d + 1), lvl, d + 1)
-    for d in dims:
-        corr = factors[d].solve_along(corr, axis=d + 1, adapter=adapter,
+        corr = factors[d].solve_along(corr, axis=d + lead, adapter=adapter,
                                       ctx=ctx)
     return corr
 
@@ -186,55 +170,10 @@ def decompose_batched(
         else:
             level_coeffs = mc.reshape(nbatch, -1)[:, fine_idx]
         coeffs.append(level_coeffs)
-        corr = _correction_batched(mc, hierarchy, level, factors, adapter,
-                                   ctx=ctx)
+        corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx,
+                           lead=1)
         current = current[(slice(None),) + selector] + corr
     return coeffs, current
-
-
-def recompose_batched(
-    coeffs: list[np.ndarray],
-    coarsest: np.ndarray,
-    hierarchy: Hierarchy,
-    adapter=None,
-    factors_per_level: list[dict[int, TridiagFactors]] | None = None,
-    ctx=None,
-) -> np.ndarray:
-    """Exact inverse of :func:`decompose_batched` (see its lane-identity
-    argument; with ``ctx`` the result aliases context memory)."""
-    if len(coeffs) != hierarchy.total_levels:
-        raise ValueError(
-            f"{len(coeffs)} coefficient levels != {hierarchy.total_levels}"
-        )
-    nbatch = coarsest.shape[0]
-    current = np.asarray(coarsest, dtype=np.float64).copy()
-    for level in range(hierarchy.total_levels - 1, -1, -1):
-        dims = hierarchy.active_dims(level)
-        factors = (
-            factors_per_level[level]
-            if factors_per_level is not None
-            else level_factors(hierarchy, level)
-        )
-        shape = (nbatch,) + hierarchy.shape_at(level)
-        selector, fine_idx = _level_geometry(hierarchy, level, ctx)
-        if ctx is not None:
-            mc = ctx.buffer(f"recompose.mc.{level}", shape, np.float64)
-            mc[...] = 0.0
-            new = ctx.buffer(f"recompose.new.{level}", shape, np.float64)
-            new[...] = 0.0
-        else:
-            mc = np.zeros(shape, dtype=np.float64)
-            new = np.zeros(shape, dtype=np.float64)
-        mc.reshape(nbatch, -1)[:, fine_idx] = coeffs[level]
-        corr = _correction_batched(mc, hierarchy, level, factors, adapter,
-                                   ctx=ctx)
-        coarse_vals = current - corr
-        new[(slice(None),) + selector] = coarse_vals
-        for d in dims:
-            lerp_fill(new, hierarchy.dim_level(d, level), d + 1)
-        new += mc
-        current = new
-    return current
 
 
 def decompose(
@@ -295,6 +234,70 @@ def decompose(
     return coeffs, current
 
 
+def _zeroed(ctx, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Zero-filled float64 grid; a persistent context buffer with ``ctx``."""
+    if ctx is None:
+        return np.zeros(shape, dtype=np.float64)
+    grid = ctx.buffer(name, shape, np.float64)
+    grid[...] = 0.0
+    return grid
+
+
+def recompose_levels(
+    coeffs: list[np.ndarray],
+    current: np.ndarray,
+    hierarchy: Hierarchy,
+    start: int,
+    stop: int = 0,
+    adapter=None,
+    factors_per_level: list[dict[int, TridiagFactors]] | None = None,
+    ctx=None,
+) -> np.ndarray:
+    """Run recomposition levels ``start, start-1, ..., stop``.
+
+    ``current`` is the grid entering level ``start`` (``shape_at(start
+    + 1)``, optionally behind one leading batch axis) and is only read;
+    the result is the grid leaving level ``stop``.  :func:`recompose` is
+    the whole range from the coarsest approximation; a caller that keeps
+    the grid leaving a level whose coarser coefficients are final can
+    resume from it instead of recomposing them again (the progressive
+    writer does).  With ``ctx`` the result aliases the context's
+    ``recompose.new.<stop>`` buffer, which stays intact until level
+    ``stop`` runs again through the same context.
+
+    A level whose coefficients are all ``+0.0`` issues no mass / restrict
+    / solve launches: the correction of zeros is exactly ``+0.0``
+    (products and sums of ``+0.0`` under positive weights), so ``current
+    - corr`` is ``current`` bit for bit and ``new += mc`` only turns
+    ``-0.0`` into ``+0.0``, which ``new += 0.0`` does as well.  ``-0.0``
+    coefficients take the full path: adding them would keep a ``-0.0``.
+    """
+    lead = current.ndim - len(hierarchy.shape)
+    for level in range(start, stop - 1, -1):
+        level_coeffs = np.asarray(coeffs[level], dtype=np.float64)
+        shape = current.shape[:lead] + hierarchy.shape_at(level)
+        selector, fine_idx = _level_geometry(hierarchy, level, ctx)
+        new = _zeroed(ctx, f"recompose.new.{level}", shape)
+        mc: np.ndarray | float = 0.0
+        if level_coeffs.view(np.int64).any():   # any bit set: not all +0.0
+            factors = (
+                factors_per_level[level]
+                if factors_per_level is not None
+                else level_factors(hierarchy, level)
+            )
+            mc = _zeroed(ctx, f"recompose.mc.{level}", shape)
+            mc.reshape(shape[:lead] + (-1,))[..., fine_idx] = level_coeffs
+            current = current - _correction(
+                mc, hierarchy, level, factors, adapter, ctx=ctx, lead=lead
+            )
+        new[(Ellipsis,) + selector] = current
+        for d in hierarchy.active_dims(level):
+            lerp_fill(new, hierarchy.dim_level(d, level), d + lead)
+        new += mc
+        current = new
+    return current
+
+
 def recompose(
     coeffs: list[np.ndarray],
     coarsest: np.ndarray,
@@ -303,7 +306,9 @@ def recompose(
     factors_per_level: list[dict[int, TridiagFactors]] | None = None,
     ctx=None,
 ) -> np.ndarray:
-    """Exact inverse of :func:`decompose`.
+    """Exact inverse of :func:`decompose` (and of :func:`decompose_batched`
+    when ``coarsest`` and the coefficient planes carry a leading batch
+    axis; see its lane-identity argument).
 
     With ``ctx`` the per-level grids come from persistent context
     buffers; the returned array then aliases context memory (callers
@@ -313,30 +318,12 @@ def recompose(
         raise ValueError(
             f"{len(coeffs)} coefficient levels != {hierarchy.total_levels}"
         )
-    current = np.asarray(coarsest, dtype=np.float64).copy()
-    for level in range(hierarchy.total_levels - 1, -1, -1):
-        dims = hierarchy.active_dims(level)
-        factors = (
-            factors_per_level[level]
-            if factors_per_level is not None
-            else level_factors(hierarchy, level)
-        )
-        shape = hierarchy.shape_at(level)
-        selector, fine_idx = _level_geometry(hierarchy, level, ctx)
-        if ctx is not None:
-            mc = ctx.buffer(f"recompose.mc.{level}", shape, np.float64)
-            mc[...] = 0.0
-            new = ctx.buffer(f"recompose.new.{level}", shape, np.float64)
-            new[...] = 0.0
-        else:
-            mc = np.zeros(shape, dtype=np.float64)
-            new = np.zeros(shape, dtype=np.float64)
-        mc.reshape(-1)[fine_idx] = coeffs[level]
-        corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx)
-        coarse_vals = current - corr
-        new[selector] = coarse_vals
-        for d in dims:
-            lerp_fill(new, hierarchy.dim_level(d, level), d)
-        new += mc
-        current = new
-    return current
+    return recompose_levels(
+        coeffs, np.asarray(coarsest, dtype=np.float64).copy(), hierarchy,
+        hierarchy.total_levels - 1, adapter=adapter,
+        factors_per_level=factors_per_level, ctx=ctx,
+    )
+
+
+#: One arithmetic for both: the batch axis is read off ``coarsest.ndim``.
+recompose_batched = recompose

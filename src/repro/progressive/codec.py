@@ -26,6 +26,7 @@ byte-identical to ``MGARDX(config).decompress(compress(data))``.
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Any
 
@@ -42,14 +43,7 @@ from repro.progressive.segments import (
     split_planes,
 )
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
-
-
-def _span(name: str, **args: Any) -> Any:
-    """Progressive stage span (shared NULL_SPAN when tracing is off)."""
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "progressive", args)
+from repro.trace.tracer import TRACER as _TRACER, span
 
 
 class ProgressiveMGARD:
@@ -152,11 +146,16 @@ class ProgressiveMGARD:
             raise ValueError(
                 f"progressive MGARD supports 1-4 dims, got {data.ndim}"
             )
+        if data.size == 0:
+            raise ValueError(
+                f"progressive MGARD needs a non-empty array, got shape "
+                f"{data.shape}"
+            )
         abs_eb = self.config.absolute_bound(data)
         ctx, hierarchy, factors = self._context(data.shape, data.dtype)
         try:
-            with _span("progressive.refactor", nbytes=int(data.nbytes),
-                       levels=hierarchy.total_levels):
+            with span("progressive.refactor", cat="progressive",
+                      nbytes=int(data.nbytes), levels=hierarchy.total_levels):
                 coeffs, coarsest = decompose(
                     data, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
@@ -177,10 +176,26 @@ class ProgressiveMGARD:
         self, data: np.ndarray, abs_eb: float, bins: np.ndarray,
         qgroups: list, hierarchy: Any, factors: Any, ctx: Any,
     ) -> tuple[SegmentIndex, list[bytes]]:
-        """Split codes into segments, measuring each prefix's error."""
+        """Split codes into segments, measuring each prefix's error.
+
+        Emission is coarsest-first, so when a group starts every coarser
+        group is final: ``done`` carries their recomposed grid, and a
+        segment costs one level correction (its own group's) plus the
+        prolongation through the still-zero finer levels, which
+        :func:`recompose_levels` runs without correction launches.  The
+        levels and their arithmetic are the reader's, so the measured
+        error is still the error a reader achieves.
+        """
+        from repro.compressors.mgard.decompose import recompose_levels
+        from repro.compressors.mgard.quantize import dequantize_levels
+
         ngroups = len(qgroups)
+        coarsest_shape = hierarchy.shape_at(hierarchy.total_levels)
+        kw = {"adapter": self.adapter, "factors_per_level": factors, "ctx": ctx}
         data64 = data.astype(np.float64)
         qhat = [np.zeros_like(q) for q in qgroups]
+        groups = [np.zeros(q.size) for q in qgroups]  # qhat, dequantized
+        done: np.ndarray | None = None
         segments: list[bytes] = []
         records: list[SegmentRecord] = []
         offset = 0
@@ -194,15 +209,26 @@ class ProgressiveMGARD:
                 seg = encode_segment(
                     g, shift, plane, self._huffman, self.dict_size
                 )
-                qhat[mi] = qhat[mi] + (plane.astype(np.int64) << np.int64(shift))
-                recon = self._reconstruct(
-                    qhat, bins, hierarchy, factors, ctx, data.dtype
+                qhat[mi] += plane << np.int64(shift)
+                (groups[mi],) = dequantize_levels(
+                    [qhat[mi]], bins[mi : mi + 1], adapter=self.adapter
                 )
-                err = (
-                    float(np.max(np.abs(recon.astype(np.float64) - data64)))
-                    if data.size
-                    else 0.0
-                )
+                if done is None:  # first group: the coarsest approximation
+                    grid = groups[mi].reshape(coarsest_shape)
+                else:
+                    grid = recompose_levels(
+                        groups, done, hierarchy, mi, mi, **kw
+                    )
+                # Rounded to the stored dtype, as the reader's result is.
+                recon = recompose_levels(
+                    groups, grid, hierarchy, mi - 1, **kw
+                ).astype(data.dtype, copy=False)
+                err = float(np.max(np.abs(recon.astype(np.float64) - data64)))
+                if not math.isfinite(err):
+                    raise ValueError(
+                        "progressive MGARD needs finite data (measured "
+                        f"prefix error is {err})"
+                    )
                 records.append(SegmentRecord(
                     seq=len(records), group=g, shift=int(shift),
                     offset=offset, nbytes=len(seg), crc=zlib.crc32(seg),
@@ -210,6 +236,7 @@ class ProgressiveMGARD:
                 ))
                 segments.append(seg)
                 offset += len(seg)
+            done = grid
         index = SegmentIndex(
             dtype=data.dtype.str, shape=tuple(data.shape), ngroups=ngroups,
             abs_eb=float(abs_eb), kappa=self.kappa, s=self.s,
@@ -260,12 +287,12 @@ class ProgressiveMGARD:
                     f"decomposes into {len(sizes)}"
                 )
             qhat = [np.zeros(n, dtype=np.int64) for n in sizes]
-            with _span("progressive.reconstruct", segments=len(segments)):
+            with span("progressive.reconstruct", cat="progressive",
+                      segments=len(segments)):
                 for rec, blob in zip(index.records, segments):
-                    rec.check_crc(bytes(blob))
-                    group, shift, plane = decode_segment(
-                        bytes(blob), self._huffman
-                    )
+                    view = memoryview(blob)
+                    rec.check_crc(view)
+                    group, shift, plane = decode_segment(view, self._huffman)
                     if group != rec.group or shift != rec.shift:
                         raise MalformedIndexError(
                             f"segment {rec.seq} decodes as group {group} "
@@ -277,7 +304,7 @@ class ProgressiveMGARD:
                             f"segment {rec.seq} carries {plane.size} codes, "
                             f"group {group} holds {sizes[mi]}"
                         )
-                    qhat[mi] = qhat[mi] + (plane << np.int64(shift))
+                    qhat[mi] += plane << np.int64(shift)
                 bins = np.asarray(index.bins, dtype=np.float64)
                 return self._reconstruct(
                     qhat, bins, hierarchy, factors, ctx, dtype

@@ -30,9 +30,10 @@ from repro.progressive.archive import (
     read_archive_prefix,
     slice_segments,
 )
-from repro.progressive.codec import ProgressiveMGARD, _span
+from repro.progressive.codec import ProgressiveMGARD
 from repro.progressive.segments import SegmentIndex, SegmentRecord
 from repro.trace.metrics import REGISTRY as _METRICS
+from repro.trace.tracer import span
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ class ProgressiveRetriever:
                     path, eps, resolution, strict
                 )
             else:
-                with _span("progressive.fetch", source="file"):
+                with span("progressive.fetch", cat="progressive",
+                          source="file"):
                     index, plan, segments = read_archive_prefix(
                         path, eps=eps, resolution=resolution, strict=strict
                     )
@@ -103,8 +105,8 @@ class ProgressiveRetriever:
             "hpdr_progressive_bytes_fetched_total",
             "segment bytes fetched by bounded retrievals",
         ).inc(report.bytes_fetched, source=kind)
-        with _span("progressive.reconstruct", segments=len(segments),
-                   nbytes=report.bytes_fetched):
+        with span("progressive.reconstruct", cat="progressive",
+                  segments=len(segments), nbytes=report.bytes_fetched):
             array = self.codec.reconstruct(index, segments)
         return array, report
 
@@ -113,10 +115,11 @@ class ProgressiveRetriever:
         self, blob: Any, eps: float | None, resolution: int | None,
         strict: bool,
     ) -> tuple[str, SegmentIndex, list[SegmentRecord], list[bytes]]:
-        with _span("progressive.plan", source="blob"):
+        with span("progressive.plan", cat="progressive", source="blob"):
             index, base = parse_archive_index(blob)
             plan = index.plan(eps=eps, resolution=resolution, strict=strict)
-        with _span("progressive.fetch", source="blob", segments=len(plan)):
+        with span("progressive.fetch", cat="progressive", source="blob",
+                  segments=len(plan)):
             segments = slice_segments(blob, base, plan)
         return "blob", index, plan, segments
 
@@ -128,10 +131,11 @@ class ProgressiveRetriever:
         from repro.progressive.store import read_store_index, read_store_segments
 
         reader = BPReader(path)
-        with _span("progressive.plan", source="store"):
+        with span("progressive.plan", cat="progressive", source="store"):
             index = read_store_index(reader)
             plan = index.plan(eps=eps, resolution=resolution, strict=strict)
-        with _span("progressive.fetch", source="store", segments=len(plan)):
+        with span("progressive.fetch", cat="progressive", source="store",
+                  segments=len(plan)):
             segments = read_store_segments(reader, plan)
         return "store", index, plan, segments
 

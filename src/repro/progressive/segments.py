@@ -118,7 +118,9 @@ def encode_segment(
     return header + payload + outliers.astype(np.int64).tobytes()
 
 
-def decode_segment(blob: bytes, huffman: Any) -> tuple[int, int, np.ndarray]:
+def decode_segment(
+    blob: bytes | memoryview, huffman: Any
+) -> tuple[int, int, np.ndarray]:
     """Invert :func:`encode_segment` -> ``(group, shift, plane)``.
 
     Raises :class:`TruncatedSegmentError` when the bytes end before the
@@ -143,7 +145,7 @@ def decode_segment(blob: bytes, huffman: Any) -> tuple[int, int, np.ndarray]:
         raise TruncatedSegmentError(
             f"segment truncated: {len(blob)} < {need} bytes"
         )
-    payload = bytes(blob[_SEG_HEADER.size : _SEG_HEADER.size + plen])
+    payload = memoryview(blob)[_SEG_HEADER.size : _SEG_HEADER.size + plen]
     outliers = np.frombuffer(
         blob, dtype=np.int64, count=nout, offset=_SEG_HEADER.size + plen
     ).copy()
@@ -193,7 +195,7 @@ class SegmentRecord:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedIndexError(f"bad segment record: {exc}") from exc
 
-    def check_crc(self, blob: bytes) -> None:
+    def check_crc(self, blob: bytes | memoryview) -> None:
         """Verify segment bytes against this record (typed errors)."""
         if len(blob) != self.nbytes:
             raise TruncatedSegmentError(
