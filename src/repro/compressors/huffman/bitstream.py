@@ -1,10 +1,14 @@
 """Vectorized bit packing and window gathering.
 
-Encoding packs each symbol's variable-length code into 64-bit words in
-one word-parallel pass: every code is left-aligned into a 64-bit field,
+Encoding packs variable-length codes into 64-bit words in one
+word-parallel pass: every code is left-aligned into a 64-bit field,
 split into its (at most two) destination words with shifts, and
 scattered with a segmented bitwise-OR — no per-bit loop, the CPU analog
 of the paper's "each key encodes independently" Locality parallelism.
+Adjacent codes of a contiguous stream concatenate into one longer code,
+so the Huffman coder first merges them pairwise (:func:`merge_codes`)
+until a group would no longer fit one field (:func:`codes_per_field`)
+and packs a fraction of the items, to the same bytes.
 
 Decoding gathers ``width``-bit windows at arbitrary bit offsets (used by
 the chunk-parallel Huffman decoder, which advances one symbol per
@@ -17,7 +21,7 @@ import numpy as np
 
 from repro.util import hot_path
 
-#: Slack bytes appended by :func:`pad_payload` so any in-range offset can
+#: Zero bytes a decoder appends to a payload so any in-range offset can
 #: safely load 4 bytes.
 PAYLOAD_SLACK = 4
 
@@ -37,6 +41,57 @@ def _or_scatter(words: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     words[idx[starts]] |= merged
 
 
+def codes_per_field(max_length: int, chunk: int) -> int:
+    """How many adjacent codes :func:`merge_codes` may join into one.
+
+    The largest power of two (codes merge pairwise) whose group still
+    fits :func:`pack_bits`' 64-bit field when every code has
+    ``max_length`` bits, and that divides ``chunk`` — so no group
+    straddles a chunk and the chunk bit offsets are group offsets.
+    """
+    group = 1
+    while 2 * group * max_length <= 64 and chunk % (2 * group) == 0:
+        group *= 2
+    return group
+
+
+@hot_path(reason="Huffman serialize stage: m keys become m/group pack items")
+def merge_codes(enc: np.ndarray, group: int, ctx) -> tuple[np.ndarray, np.ndarray]:
+    """Join every ``group`` adjacent codes into one ``(code, length)``.
+
+    ``enc`` holds one ``(code << 8) | length`` per key (``uint32``; its
+    size a multiple of ``group``, a power of two).  A pair merges as
+    ``(c0 << l1) | c1`` with length ``l0 + l1`` — the bits the two codes
+    would occupy back to back — so a zero-length entry must carry a zero
+    code.  Returns ``uint64`` codes and ``int64`` lengths, ready for
+    :func:`pack_bits`, in context scratch whose dtypes do not depend on
+    ``group`` (it varies with the data under one context).
+    """
+    assert group > 0 and group & (group - 1) == 0 and enc.size % group == 0
+    codes = lens = enc
+    size, g = enc.size, 1
+    while True:
+        last = g == group
+        # Two 16-bit codes fit 32 bits; from four on the shift needs 64.
+        cdt = np.uint64 if last or g > 2 else np.uint32
+        suffix = "" if last else str(g)
+        into_c = ctx.scratch(f"enc.codes{suffix}", size, cdt)
+        into_l = ctx.scratch(
+            f"enc.lens{suffix}", size, np.int64 if last else np.uint32
+        )
+        if g == 1:
+            np.right_shift(enc, 8, out=into_c)
+            np.bitwise_and(enc, 0xFF, out=into_l)
+        else:
+            np.left_shift(codes[0::2], lens[1::2], out=into_c, dtype=cdt)
+            into_c |= codes[1::2]
+            np.add(lens[0::2], lens[1::2], out=into_l)
+        if last:
+            return into_c, into_l
+        codes, lens = into_c, into_l
+        size, g = size // 2, g * 2
+
+
 @hot_path(reason="Huffman serialize stage; zero-alloc when ctx is given")
 def pack_bits(
     codes: np.ndarray,
@@ -52,8 +107,9 @@ def pack_bits(
     codes:
         Right-aligned code values (unsigned), one per symbol occurrence.
     lengths:
-        Bit length of each code (0 allowed: writes nothing).  Codes must
-        fit in 56 bits so the two-word split below always covers them.
+        Bit length of each code, 0..64 (0 writes nothing): a code is
+        left-aligned in one 64-bit field and the two-word split below
+        covers any field at any bit offset.
     offsets:
         Starting bit offset of each code; default = exclusive prefix sum
         of ``lengths`` (contiguous stream).  Non-overlapping codes are
@@ -129,39 +185,18 @@ def pack_bits(
     return words.view(np.uint8)[:nbytes]
 
 
-@hot_path(reason="per-decode payload staging; zero-alloc when ctx is given")
-def pad_payload(packed: np.ndarray, ctx=None) -> np.ndarray:
-    """Append :data:`PAYLOAD_SLACK` zero bytes for window gathering.
-
-    Decoders call this once and pass ``prepadded=True`` to
-    :func:`gather_windows`, hoisting the copy out of their symbol loop.
-    """
-    packed = np.asarray(packed, dtype=np.uint8)
-    if ctx is not None:
-        padded = ctx.scratch("gather.padded", packed.size + PAYLOAD_SLACK, np.uint8)
-    else:
-        # hpdrlint: disable=HPL001 — documented ctx=None fallback path
-        padded = np.empty(packed.size + PAYLOAD_SLACK, dtype=np.uint8)
-    padded[: packed.size] = packed
-    padded[packed.size :] = 0
-    return padded
-
-
 @hot_path(reason="per-symbol window loads of the chunk-parallel decoder")
 def gather_windows(
     packed: np.ndarray,
     bit_offsets: np.ndarray,
     width: int,
-    prepadded: bool = False,
 ) -> np.ndarray:
     """Extract ``width``-bit big-endian windows at arbitrary bit offsets.
 
     ``packed`` is the byte stream from :func:`pack_bits`.  Windows
     extending past the stream read as zero bits (the decoder's final
     symbols).  ``width`` must be ≤ 24 so a 4-byte load always covers the
-    window after sub-byte shifting.  With ``prepadded=True`` the input
-    is assumed to already carry :data:`PAYLOAD_SLACK` trailing zero
-    bytes (see :func:`pad_payload`) and no copy is made.
+    window after sub-byte shifting.
     """
     if not 1 <= width <= 24:
         raise ValueError(f"width must be in [1, 24], got {width}")
@@ -169,15 +204,10 @@ def gather_windows(
     offs = np.asarray(bit_offsets, dtype=np.int64)
     if offs.size and offs.min() < 0:
         raise ValueError("negative bit offset")
-    if prepadded:
-        padded = packed
-        payload_size = packed.size - PAYLOAD_SLACK
-    else:
-        # hpdrlint: disable=HPL001 — cold path; hot decoders pre-pad once
-        padded = np.concatenate([packed, np.zeros(PAYLOAD_SLACK, dtype=np.uint8)])
-        payload_size = packed.size
+    # hpdrlint: disable=HPL001 — cold path; the decoder precomputes windows
+    padded = np.concatenate([packed, np.zeros(PAYLOAD_SLACK, dtype=np.uint8)])
     byte_idx = offs >> 3
-    np.minimum(byte_idx, payload_size, out=byte_idx)  # clamp past-end reads
+    np.minimum(byte_idx, packed.size, out=byte_idx)  # clamp past-end reads
     # hpdrlint: disable=HPL001 — widening cast feeding the gather below
     shift = (offs & 7).astype(np.uint32)
     # The widening gathers build the window batch, which is fresh output

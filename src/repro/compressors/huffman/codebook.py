@@ -58,43 +58,33 @@ def huffman_code_lengths(freqs: np.ndarray) -> np.ndarray:
     # Two-queue O(n log n) construction: leaves sorted by frequency feed
     # one queue, merged internal nodes the other; both queues stay
     # sorted, so the two global minima are always at the queue heads.
+    # The loop runs over Python ints in flat lists: NumPy scalars here
+    # cost more than the arithmetic.
     order = nonzero[np.argsort(freqs[nonzero], kind="stable")]
     n = order.size
-    leaf_w = freqs[order]
-    # Node ids: 0..n-1 = leaves (in sorted order), n.. = internal.
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    internal_w: list[int] = []
+    # Node ids: 0..n-1 = leaves (in sorted order), n.. = internal, one
+    # per merge, so ``weight[n:next_id]`` is the internal queue.
+    weight = freqs[order].tolist()
+    parent = [0] * (2 * n - 1)
     li = 0  # next leaf
-    ii = 0  # next unconsumed internal node
-    next_id = n
-
-    def _pop_min() -> int:
-        nonlocal li, ii
-        take_leaf = li < n and (
-            ii >= len(internal_w) or int(leaf_w[li]) <= internal_w[ii]
-        )
-        if take_leaf:
-            node = li
-            li += 1
-            return node
-        node = n + ii
-        ii += 1
-        return node
-
-    def _weight_of(node: int) -> int:
-        return int(leaf_w[node]) if node < n else internal_w[node - n]
-
-    while (n - li) + (len(internal_w) - ii) > 1:
-        a = _pop_min()
-        b = _pop_min()
-        parent[a] = next_id
-        parent[b] = next_id
-        internal_w.append(_weight_of(a) + _weight_of(b))
-        next_id += 1
+    ii = n  # next unconsumed internal node
+    for next_id in range(n, 2 * n - 1):
+        merged = 0
+        for _ in range(2):
+            # On a tie the leaf goes first.
+            if li < n and (ii >= next_id or weight[li] <= weight[ii]):
+                node = li
+                li += 1
+            else:
+                node = ii
+                ii += 1
+            parent[node] = next_id
+            merged += weight[node]
+        weight.append(merged)
 
     # Depths: the root is the last internal node; parents always have
     # larger ids, so one reverse pass resolves every depth.
-    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
     lengths[order] = depth[:n]
@@ -104,28 +94,29 @@ def huffman_code_lengths(freqs: np.ndarray) -> np.ndarray:
 def _limit_lengths(lengths: np.ndarray, max_len: int) -> np.ndarray:
     """Clamp overlong codes and repair the Kraft sum (zlib-style)."""
     lengths = lengths.astype(np.int64)
-    used = lengths > 0
-    if not used.any():
-        return lengths.astype(np.uint8)
     over = lengths > max_len
     if not over.any():
         return lengths.astype(np.uint8)
     lengths[over] = max_len
-    # Kraft sum in units of 2^-max_len.
-    kraft = int(np.sum(2 ** (max_len - lengths[used])))
+    # Kraft sum in units of 2^-max_len.  Clamping oversubscribed it; to
+    # reduce it, codes shorter than max_len must get longer.
+    kraft = int(np.sum(2 ** (max_len - lengths[lengths > 0])))
     budget = 1 << max_len
-    # While oversubscribed, demote (lengthen is impossible at max) —
-    # promote shortest-coded symbols to one bit longer? No: to *reduce*
-    # the sum we must lengthen codes that are shorter than max_len.
-    while kraft > budget:
-        candidates = np.flatnonzero(used & (lengths < max_len))
-        if candidates.size == 0:  # pragma: no cover - cannot happen for n<=2^max_len
-            raise RuntimeError("cannot satisfy Kraft inequality")
-        # Lengthening the currently longest sub-max code frees the most
-        # relative budget per ratio point lost.
-        pick = candidates[np.argmax(lengths[candidates])]
-        kraft -= 2 ** (max_len - lengths[pick] - 1)
-        lengths[pick] += 1
+    # Lengthening the currently longest sub-max code frees the most
+    # relative budget per ratio point lost; once lengthened it is the
+    # longest again, so each symbol (lowest first among equals) is
+    # taken as far as needed before the next one is touched.
+    shorter = np.flatnonzero((lengths > 0) & (lengths < max_len))
+    shorter = shorter[np.argsort(-lengths[shorter], kind="stable")]
+    for sym, length in zip(shorter.tolist(), lengths[shorter].tolist()):
+        while kraft > budget and length < max_len:
+            kraft -= 1 << (max_len - length - 1)
+            length += 1
+        lengths[sym] = length
+        if kraft <= budget:
+            break
+    else:  # pragma: no cover - cannot happen for n <= 2^max_len
+        raise RuntimeError("cannot satisfy Kraft inequality")
     return lengths.astype(np.uint8)
 
 

@@ -32,6 +32,7 @@ parallel path decode bit-exactly on the serial adapter and vice versa.
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 from typing import Sequence
 
@@ -40,7 +41,12 @@ import numpy as np
 from repro.core.abstractions import global_pipeline, locality
 from repro.core.context import ContextCache
 from repro.core.functor import FnDomain, LocalityFunctor
-from repro.compressors.huffman.bitstream import PAYLOAD_SLACK, pack_bits, pad_payload
+from repro.compressors.huffman.bitstream import (
+    PAYLOAD_SLACK,
+    codes_per_field,
+    merge_codes,
+    pack_bits,
+)
 from repro.compressors.huffman.codebook import (
     MAX_CODE_LENGTH,
     Codebook,
@@ -48,24 +54,19 @@ from repro.compressors.huffman.codebook import (
 )
 from repro.compressors.huffman.histogram import histogram
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.trace.tracer import TRACER as _TRACER, span
 from repro.util import hot_path, stream_errors
 
 _MAGIC = b"HUFX"
 _PAR_MAGIC = b"HUFP"
 _VERSION = 1
 
+#: Which ``int32`` half of a native ``int64`` holds its low 32 bits.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
 
-def _span(name: str, **args):
-    """Huffman stage span (shared NULL_SPAN when tracing is off).
-
-    Never used inside ``@hot_path`` functions — span construction
-    allocates, and the hot paths must stay allocation-free even under
-    tracing; hot stages are wrapped at their call sites instead.
-    """
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "huffman", args)
+#: Decode steps moved per transposing copy of the decoder's step-major
+#: output into a chunk-major result (64 rows keep both sides in cache).
+_TRANSPOSE_STEPS = 64
 
 
 def _count_bytes(nbytes_in: int, nbytes_out: int) -> None:
@@ -275,9 +276,10 @@ class HuffmanX:
         flat = keys.reshape(-1)
         n = flat.size
 
-        with _span("huffman.histogram", symbols=num_symbols, keys=n):
+        with span("huffman.histogram", cat="huffman", symbols=num_symbols,
+                  keys=n):
             freqs = histogram(flat, num_symbols, adapter=adapter)
-        with _span("huffman.codebook", symbols=num_symbols):
+        with span("huffman.codebook", cat="huffman", symbols=num_symbols):
             book = build_codebook(freqs)
 
         if n == 0:
@@ -298,7 +300,7 @@ class HuffmanX:
                 padded = flat
 
             # encode: Locality over chunks — each key independent.
-            with _span("huffman.encode", keys=n, chunk=chunk):
+            with span("huffman.encode", cat="huffman", keys=n, chunk=chunk):
                 enc = locality(
                     padded,
                     _EncodeFunctor(
@@ -314,22 +316,19 @@ class HuffmanX:
                     ctx=ctx,
                 )  # (nchunks, chunk) uint32, (code << 8) | length
             flat_enc = enc.reshape(-1)
-            lens = ctx.scratch("enc.lens", m, np.int64)
-            np.copyto(lens, flat_enc)
-            lens &= 0xFF
-            lens[n:] = 0  # padding tail writes no bits
-            codes = ctx.scratch("enc.codes", m, np.uint64)
-            np.copyto(codes, flat_enc)
-            codes >>= np.uint64(8)
+            flat_enc[n:] = 0  # padding tail writes no bits
+            group = codes_per_field(book.max_length, chunk)
+            assert group * book.max_length <= 64
+            codes, lens = merge_codes(flat_enc, group, ctx)
 
             # serialize: Global pipeline — prefix-sum bit offsets.
             def _offsets(lengths: np.ndarray) -> np.ndarray:
-                off = ctx.scratch("enc.offsets", m, np.int64)
+                off = ctx.scratch("enc.offsets", lengths.size, np.int64)
                 np.cumsum(lengths, out=off)
                 np.subtract(off, lengths, out=off)
                 return off
 
-            with _span("huffman.serialize", keys=n):
+            with span("huffman.serialize", cat="huffman", keys=n):
                 offsets = global_pipeline(
                     lens,
                     FnDomain(
@@ -337,7 +336,7 @@ class HuffmanX:
                     ),
                     adapter=adapter,
                 )
-                chunk_offsets = offsets[::chunk].astype(np.uint64)
+                chunk_offsets = offsets[:: chunk // group].astype(np.uint64)
                 assert chunk_offsets.size == nchunks
                 total_bits = int(offsets[-1] + lens[-1])
                 payload = pack_bits(
@@ -421,8 +420,8 @@ class HuffmanX:
         # histogram: one offset bincount for the whole batch (DEM), then
         # remove the edge-padding tail's contribution per item — counts
         # match the per-item histogram exactly (integer arithmetic).
-        with _span("huffman.histogram", symbols=num_symbols,
-                   keys=n, batch=nbatch):
+        with span("huffman.histogram", cat="huffman", symbols=num_symbols,
+                  keys=n, batch=nbatch):
             bases = np.arange(nbatch, dtype=np.int64) * num_symbols
             staged2d += bases[:, None]
 
@@ -441,11 +440,13 @@ class HuffmanX:
                 pad_keys = staged2d[:, n - 1] - bases
                 freqs2d[np.arange(nbatch, dtype=np.int64), pad_keys] -= m - n
 
-        with _span("huffman.codebook", symbols=num_symbols, batch=nbatch):
+        with span("huffman.codebook", cat="huffman", symbols=num_symbols,
+                  batch=nbatch):
             books = [build_codebook(freqs2d[i]) for i in range(nbatch)]
 
         # encode: one Locality launch through the concatenated tables.
-        with _span("huffman.encode", keys=n, chunk=chunk, batch=nbatch):
+        with span("huffman.encode", cat="huffman", keys=n, chunk=chunk,
+                  batch=nbatch):
             all_codes = np.concatenate([b.codes for b in books])
             all_lengths = np.concatenate([b.lengths for b in books])
             enc = locality(
@@ -460,15 +461,13 @@ class HuffmanX:
                 reassemble=False,
                 ctx=ctx,
             )
-        flat_enc = enc.reshape(-1)
-        lens = ctx.scratch("batch.enc.lens", nbatch * m, np.int64)
-        np.copyto(lens, flat_enc)
-        lens &= 0xFF
-        lens2d = lens.reshape(nbatch, m)
-        lens2d[:, n:] = 0  # padding tails write no bits
-        codes = ctx.scratch("batch.enc.codes", nbatch * m, np.uint64)
-        np.copyto(codes, flat_enc)
-        codes >>= np.uint64(8)
+        enc.reshape(nbatch, m)[:, n:] = 0  # padding tails write no bits
+        longest = max(b.max_length for b in books)
+        group = codes_per_field(longest, chunk)
+        assert group * longest <= 64
+        codes, lens = merge_codes(enc.reshape(-1), group, ctx)
+        mg = m // group  # pack items per batch item
+        lens2d = lens.reshape(nbatch, mg)
 
         # serialize: one 2-D prefix-sum pass (DEM), then a single
         # pack_bits over per-item word-aligned bit ranges.  Item i's
@@ -476,26 +475,25 @@ class HuffmanX:
         # word-aligned item end (their high spill at the boundary is
         # zero), so each item's byte slice equals its solo pack.
         def _offsets(lengths: np.ndarray) -> np.ndarray:
-            off = ctx.scratch("batch.enc.offsets", nbatch * m, np.int64)
-            off2d = off.reshape(nbatch, m)
-            np.cumsum(lengths.reshape(nbatch, m), axis=1, out=off2d)
-            np.subtract(off2d, lengths.reshape(nbatch, m), out=off2d)
+            off = ctx.scratch("enc.offsets", lengths.size, np.int64)
+            off2d = off.reshape(nbatch, mg)
+            np.cumsum(lengths.reshape(nbatch, mg), axis=1, out=off2d)
+            np.subtract(off2d, lengths.reshape(nbatch, mg), out=off2d)
             return off
 
-        with _span("huffman.serialize", keys=n, batch=nbatch):
+        with span("huffman.serialize", cat="huffman", keys=n, batch=nbatch):
             offsets = global_pipeline(
                 lens,
                 FnDomain(_offsets, name="huffman.serialize",
                          bytes_per_element=16.0),
                 adapter=adapter,
             )
-            off2d = offsets.reshape(nbatch, m)
+            off2d = offsets.reshape(nbatch, mg)
             totals = off2d[:, -1] + lens2d[:, -1]  # bits per item
             nwords = (totals + 63) >> 6
             wbase = np.concatenate([[0], np.cumsum(nwords)[:-1]])
-            goff = ctx.scratch("batch.pack.offsets", nbatch * m, np.int64)
-            goff2d = goff.reshape(nbatch, m)
-            np.add(off2d, (wbase << 6)[:, None], out=goff2d)
+            goff = ctx.scratch("enc.pack_offsets", nbatch * mg, np.int64)
+            np.add(off2d, (wbase << 6)[:, None], out=goff.reshape(nbatch, mg))
             total_bits = int(wbase[-1] * 64 + totals[-1])
             packed = pack_bits(
                 codes, lens, total_bits=total_bits, offsets=goff, ctx=ctx
@@ -505,7 +503,7 @@ class HuffmanX:
         for i, book in enumerate(books):
             start = int(wbase[i]) * 8
             nbytes = (int(totals[i]) + 7) >> 3
-            chunk_offsets = off2d[i, ::chunk].astype(np.uint64)
+            chunk_offsets = off2d[i, :: chunk // group].astype(np.uint64)
             blobs.append(
                 self._serialize(
                     shape, dtype, num_symbols, n, book, chunk_offsets,
@@ -520,18 +518,23 @@ class HuffmanX:
         The streams must agree on shape, dtype, alphabet and chunking
         (their codebooks and payloads may differ); otherwise
         ``ValueError`` and callers fall back per stream.  Results match
-        :meth:`decompress_keys` exactly: the vectorized symbol loop runs
-        the same per-lane arithmetic, just across all streams' chunks at
-        once.
+        :meth:`decompress_keys` exactly: both run the same decode loop,
+        one stream's chunks being the lanes of one, all streams' chunks
+        the lanes of the other.
         """
         blobs = list(blobs)
         if not blobs:
             return []
         if len(blobs) == 1:
             return [self.decompress_keys(blobs[0])]
-        return self._decompress_keys_batch(blobs, tag="batch")
+        return self._decompress_keys(blobs, tag="batch")
 
-    def _decompress_keys_batch(self, blobs, tag) -> list[np.ndarray]:
+    @stream_errors
+    def decompress_keys(self, blob: bytes) -> np.ndarray:
+        """Invert :meth:`compress_keys`; returns the original key array."""
+        return self._decompress_keys([blob], tag=None)[0]
+
+    def _decompress_keys(self, blobs, tag) -> list[np.ndarray]:
         parsed = [self._deserialize(b) for b in blobs]
         shape, dtype, num_symbols, n = parsed[0][:4]
         chunk_size = parsed[0][7]
@@ -561,16 +564,18 @@ class HuffmanX:
 
         ctx = self._key_context(shape, dtype, num_symbols, tag, pin=True)
         try:
-            with _span("huffman.decode", keys=n, chunks=nchunks,
-                       batch=len(parsed)):
-                return self._decode_chunks_batch(
+            # Span wraps the call site, not the @hot_path body, so the
+            # decode loop stays allocation-free under tracing too.
+            with span("huffman.decode", cat="huffman", keys=n,
+                      chunks=nchunks, batch=len(parsed)):
+                return self._decode_chunks(
                     ctx, parsed, chunk_size, nchunks, rem, n, shape, dtype
                 )
         finally:
             self.cache.release(ctx)
 
-    @hot_path(reason="fused batch decode loop; zero-alloc via batch.dec.*")
-    def _decode_chunks_batch(
+    @hot_path(reason="vectorized symbol loop; zero-alloc via dec.* scratch")
+    def _decode_chunks(
         self, ctx, parsed, chunk_size, nchunks, rem, n, shape, dtype
     ) -> list[np.ndarray]:
         nbatch = len(parsed)
@@ -582,8 +587,9 @@ class HuffmanX:
         width = max(1, max(b.max_length for b in books))
         tsize = 1 << width
 
-        # Per-item combined (length << 32) | symbol tables, side by side.
-        comb = ctx.scratch("batch.dec.comb", nbatch * tsize, np.int64)
+        # Per-stream combined (length << 32) | symbol tables, side by
+        # side: one gather per decoded symbol instead of two.
+        comb = ctx.scratch("dec.comb", nbatch * tsize, np.int64)
         comb2d = comb.reshape(nbatch, tsize)
         for i, book in enumerate(books):
             sym_table, len_table, _ = book.decode_table(width)
@@ -591,88 +597,87 @@ class HuffmanX:
             comb2d[i] <<= 32
             comb2d[i] |= sym_table
 
-        # Concatenate padded payloads (each keeps its own 4 slack zero
-        # bytes, so per-item windows read exactly what a solo decode
-        # reads) and precompute the 32-bit window at every byte.
-        starts = ctx.scratch("batch.dec.starts", nbatch, np.int64)
-        for i, p in enumerate(payloads):
-            starts[i] = p.size + PAYLOAD_SLACK
-        np.cumsum(starts, out=starts)
-        total = int(starts[-1])
-        for i in range(nbatch - 1, 0, -1):  # inclusive -> exclusive sums
-            starts[i] = starts[i - 1]
-        starts[0] = 0
-        conc = ctx.scratch("batch.dec.payload", total, np.uint8)
-        for i, p in enumerate(payloads):
-            s = int(starts[i])
-            conc[s : s + p.size] = p
-            conc[s + p.size : s + p.size + PAYLOAD_SLACK] = 0
-        nwin = total - PAYLOAD_SLACK + 1
-        win = ctx.scratch("batch.dec.win", nwin, np.int64)
+        # Concatenate the payloads, each followed by its own slack zero
+        # bytes (so a stream's windows read exactly what they read when
+        # it is decoded alone), and precompute the 32-bit big-endian
+        # window starting at every byte: the loop then needs one int64
+        # gather where four byte-gathers plus widening shifts would run
+        # per step.
+        starts = [0]
+        for p in payloads:
+            starts.append(starts[-1] + p.size + PAYLOAD_SLACK)
+        conc = ctx.scratch("dec.payload", starts[-1], np.uint8)
+        for at, p in zip(starts, payloads):
+            conc[at : at + p.size] = p
+            conc[at + p.size : at + p.size + PAYLOAD_SLACK] = 0
+        nwin = starts[-1] - PAYLOAD_SLACK + 1
+        win = ctx.scratch("dec.win", nwin, np.int64)
         np.copyto(win, conc[:nwin])
         for byte in range(1, 4):
             win <<= 8
             win |= conc[byte : byte + nwin]
 
-        # Row layout is chunk-major (row = c*nbatch + i): every item's
-        # short last chunk lands in the final nbatch rows, so the tail
-        # slice of the per-item decoder generalizes to ``[:-nbatch]``.
-        rows = nchunks * nbatch
-        out = ctx.scratch("batch.dec.out", rows * chunk_size, np.int64)
-        out2d = out.reshape(rows, chunk_size)
-        pos = ctx.scratch("batch.dec.pos", rows, np.int64)
+        # Lanes are chunk-major (lane = c*nbatch + i): every stream's
+        # short last chunk is among the final nbatch lanes, so "still
+        # active" is one slice.  ``pos`` is a lane's bit position in
+        # the concatenated payload; ``out`` is step-major, so each
+        # step's gather lands in its final, contiguous row.
+        lanes = nchunks * nbatch
+        pos = ctx.scratch("dec.pos", lanes, np.int64)
         pos2d = pos.reshape(nchunks, nbatch)
         for i, p in enumerate(parsed):
             np.copyto(pos2d[:, i], p[5], casting="unsafe")
-        byte_base = ctx.scratch("batch.dec.bbase", rows, np.int64)
-        np.copyto(byte_base.reshape(nchunks, nbatch), starts[None, :])
-        comb_base = ctx.scratch("batch.dec.cbase", rows, np.int64)
-        idx = ctx.scratch("batch.dec.idx", nbatch, np.int64)
-        idx.fill(tsize)
-        np.cumsum(idx, out=idx)
-        idx -= tsize  # [0, tsize, 2*tsize, ...] without an arange alloc
-        np.copyto(comb_base.reshape(nchunks, nbatch), idx[None, :])
+            pos2d[:, i] += 8 * starts[i]
+        entries = ctx.scratch("dec.out", chunk_size * lanes, np.int64)
+        out = entries.reshape(chunk_size, lanes)
+        b, s, w = (ctx.scratch(f"dec.scr{i}", lanes, np.int64) for i in range(3))
+        table = None  # one stream: window values index ``comb`` directly
+        if nbatch > 1:
+            table = ctx.scratch("dec.table", lanes, np.int64)
+            table2d = table.reshape(nchunks, nbatch)
+            for i in range(nbatch):
+                table2d[:, i] = i * tsize
 
         wshift = 32 - width
-        wmask = (1 << width) - 1
-        scr = [
-            ctx.scratch(f"batch.dec.scr{i}", rows, np.int64) for i in range(3)
-        ]
-        full = (pos, out2d, byte_base, comb_base, *scr)
-        tail = (
-            tuple(a[:-nbatch] for a in (pos, out2d, byte_base, comb_base, *scr))
-            if nchunks > 1
-            else full
-        )
-
+        wmask = tsize - 1
         for step in range(chunk_size):
-            if step < rem:
-                p, o, bb, cb, b, s, w = full
-            elif nchunks == 1:
-                break
-            else:
-                p, o, bb, cb, b, s, w = tail
-            np.right_shift(p, 3, out=b)
-            np.add(b, bb, out=b)
-            np.take(win, b, out=w, mode="clip")
-            np.bitwise_and(p, 7, out=s)
+            if step == rem:
+                # Only the last chunk of each stream can run short.
+                if nchunks == 1:
+                    break
+                pos, b, s, w = (a[:-nbatch] for a in (pos, b, s, w))
+                out = out[:, :-nbatch]
+                table = None if table is None else table[:-nbatch]
+            row = out[step]
+            np.right_shift(pos, 3, out=b)
+            win.take(b, out=w, mode="clip")
+            np.bitwise_and(pos, 7, out=s)
             np.subtract(wshift, s, out=s)
             np.right_shift(w, s, out=w)
             np.bitwise_and(w, wmask, out=w)
-            np.add(w, cb, out=w)
-            np.take(comb, w, out=b)
-            np.right_shift(b, 32, out=s)
-            np.add(p, s, out=p)
-            np.bitwise_and(b, 0xFFFFFFFF, out=b)
-            o[:, step] = b
+            if table is not None:
+                np.add(w, table, out=w)
+            comb.take(w, out=row, mode="clip")
+            np.right_shift(row, 32, out=s)
+            np.add(pos, s, out=pos)
 
-        out3d = out2d.reshape(nchunks, nbatch, chunk_size)
-        # Results must leave context memory (poisoned on eviction).
-        # hpdrlint: disable=HPL001 — results handed to the caller
-        return [
-            out3d[:, i, :].reshape(-1)[:n].astype(dtype).reshape(shape)
-            for i in range(nbatch)
+        # The symbols are the low int32 halves of the gathered entries.
+        # Results must leave context memory (the context may be evicted
+        # and poisoned after release): one allocation per stream, filled
+        # chunk-major a block of steps at a time so the transposing cast
+        # works within the cache.
+        low = entries.view(np.int32).reshape(chunk_size, nchunks, nbatch, 2)[
+            ..., _LOW_HALF
         ]
+        results = []
+        for i in range(nbatch):
+            # hpdrlint: disable=HPL001 — result handed to the caller
+            keys = np.empty((nchunks, chunk_size), dtype=dtype)
+            for j in range(0, chunk_size, _TRANSPOSE_STEPS):
+                block = slice(j, j + _TRANSPOSE_STEPS)
+                keys[:, block] = low[block, :, i].T
+            results.append(keys.reshape(-1)[:n].reshape(shape))
+        return results
 
     def _effective_chunk(self, n: int) -> int:
         """Chunk size actually used for ``n`` symbols.
@@ -688,112 +693,6 @@ class HuffmanX:
         target = max(1.0, (2.0 * n) ** 0.5)
         chunk = 1 << max(0, round(float(np.log2(target))))
         return max(1, min(self.chunk_size, max(256, chunk)))
-
-    @stream_errors
-    def decompress_keys(self, blob: bytes) -> np.ndarray:
-        """Invert :meth:`compress_keys`; returns the original key array."""
-        return self._decompress_keys(blob, tag=None)
-
-    def _decompress_keys(self, blob: bytes, tag) -> np.ndarray:
-        (
-            shape,
-            dtype,
-            num_symbols,
-            n,
-            book,
-            chunk_offsets,
-            payload,
-            chunk_size,
-        ) = self._deserialize(blob)
-        if n == 0:
-            return np.zeros(shape, dtype=dtype)
-
-        nchunks = chunk_offsets.size
-        rem = n - (nchunks - 1) * chunk_size
-        if not 1 <= rem <= chunk_size:
-            raise ValueError(
-                f"corrupt stream: {n} symbols cannot fill {nchunks} chunks "
-                f"of {chunk_size}"
-            )
-
-        ctx = self._key_context(shape, dtype, num_symbols, tag, pin=True)
-        try:
-            # Span wraps the call site, not the @hot_path body, so the
-            # decode loop stays allocation-free under tracing too.
-            with _span("huffman.decode", keys=n, chunks=nchunks):
-                return self._decode_chunks(
-                    ctx, book, chunk_offsets, payload, chunk_size, nchunks,
-                    rem, n, shape, dtype,
-                )
-        finally:
-            self.cache.release(ctx)
-
-    @hot_path(reason="vectorized symbol loop; zero-alloc via dec.* scratch")
-    def _decode_chunks(
-        self, ctx, book, chunk_offsets, payload, chunk_size, nchunks, rem,
-        n, shape, dtype,
-    ) -> np.ndarray:
-        width = max(1, book.max_length)
-        sym_table, len_table, width = book.decode_table(width)
-        out = ctx.buffer("dec.out", (nchunks, chunk_size), np.int64)
-        pos = ctx.buffer("dec.pos", (nchunks,), np.int64)
-        np.copyto(pos, chunk_offsets, casting="unsafe")
-
-        # Combined (length << 32) | symbol table: one gather per decoded
-        # symbol instead of two.
-        comb = ctx.scratch("dec.comb", 1 << width, np.int64)
-        np.copyto(comb, len_table)
-        comb <<= 32
-        comb |= sym_table
-
-        # Precompute the 32-bit big-endian window starting at every
-        # payload byte: the inner loop then needs one int64 gather where
-        # four byte-gathers plus widening shifts used to run per step.
-        padded = pad_payload(payload, ctx=ctx)
-        nwin = payload.size + 1
-        win = ctx.scratch("dec.win", nwin, np.int64)
-        np.copyto(win, padded[:nwin])
-        for byte in range(1, 4):
-            win <<= 8
-            win |= padded[byte : byte + nwin]
-
-        wshift = 32 - width
-        wmask = (1 << width) - 1
-        scr = [
-            ctx.buffer(f"dec.scr{i}", (nchunks,), np.int64) for i in range(3)
-        ]
-        full = (pos, out, *scr)
-        tail = (
-            tuple(a[:-1] for a in (pos, out, *scr)) if nchunks > 1 else full
-        )
-
-        # One symbol per step across all still-active chunks; only the
-        # last chunk can run short, so "active" is a cheap slice.  Every
-        # operand below lives in context scratch: the loop allocates
-        # nothing.
-        for step in range(chunk_size):
-            if step < rem:
-                p, o, b, s, w = full
-            elif nchunks == 1:
-                break
-            else:
-                p, o, b, s, w = tail
-            np.right_shift(p, 3, out=b)
-            np.take(win, b, out=w, mode="clip")
-            np.bitwise_and(p, 7, out=s)
-            np.subtract(wshift, s, out=s)
-            np.right_shift(w, s, out=w)
-            np.bitwise_and(w, wmask, out=w)
-            np.take(comb, w, out=b)
-            np.right_shift(b, 32, out=s)
-            np.add(p, s, out=p)
-            np.bitwise_and(b, 0xFFFFFFFF, out=b)
-            o[:, step] = b
-        # The result must leave context memory (the context may be
-        # evicted and poisoned after release) — this is the one
-        # allocation a decode call is allowed.
-        # hpdrlint: disable=HPL001 — result handed to the caller
-        return out.reshape(-1)[:n].astype(dtype).reshape(shape)
 
     # ------------------------------------------------------------------
     # Byte-level lossless API (arbitrary arrays/buffers)
@@ -874,7 +773,7 @@ class HuffmanX:
             off += length
 
         parts = _map_tasks(
-            self.adapter, lambda t: self._decompress_keys(t[1], tag=t[0]), segments
+            self.adapter, lambda t: self._decompress_keys([t[1]], tag=t[0])[0], segments
         )
         if not parts:
             return np.zeros(0, dtype=np.uint8)
@@ -1017,7 +916,7 @@ class HuffmanX:
             split.append(segments)
 
         def _one_index(i: int) -> list[np.ndarray]:
-            return self._decompress_keys_batch(
+            return self._decompress_keys(
                 [segments[i] for segments in split], tag=("batch", i)
             )
 

@@ -34,18 +34,11 @@ from repro.compressors.mgard.quantize import (
     to_symbols,
 )
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.trace.tracer import TRACER as _TRACER, span
 from repro.util import stream_errors
 
 _MAGIC = b"MGRX"
 _VERSION = 1
-
-
-def _span(name: str, **args):
-    """MGARD stage span (shared NULL_SPAN when tracing is off)."""
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "mgard", args)
 
 
 class MGARDX:
@@ -176,8 +169,8 @@ class MGARDX:
             data.shape, data.dtype, coords, pin=True
         )
         try:
-            with _span("mgard.decompose", nbytes=int(data.nbytes),
-                       levels=hierarchy.total_levels):
+            with span("mgard.decompose", cat="mgard",
+                      nbytes=int(data.nbytes), levels=hierarchy.total_levels):
                 coeffs, coarsest = decompose(
                     data, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
@@ -218,7 +211,7 @@ class MGARDX:
         ).inc(int(nbytes_out), codec="mgard")
 
     def _encode(self, data, abs_eb, kappa, hierarchy, groups, bins) -> bytes:
-        with _span("mgard.quantize", levels=len(groups)):
+        with span("mgard.quantize", cat="mgard", levels=len(groups)):
             qgroups = quantize_levels(groups, bins, adapter=self.adapter)
             qflat = (
                 np.concatenate([q.reshape(-1) for q in qgroups])
@@ -227,7 +220,7 @@ class MGARDX:
             )
             symbols, outliers = to_symbols(qflat, self.dict_size)
 
-        with _span("mgard.encode", symbols=int(symbols.size)):
+        with span("mgard.encode", cat="mgard", symbols=int(symbols.size)):
             if self.config.lossless == "huffman":
                 payload = self._huffman.compress_keys(
                     symbols.astype(np.int64), self.dict_size
@@ -235,7 +228,7 @@ class MGARDX:
             else:
                 payload = symbols.astype(np.int32).tobytes()
 
-        with _span("mgard.serialize", payload=len(payload)):
+        with span("mgard.serialize", cat="mgard", payload=len(payload)):
             return self._serialize_stream(
                 data.dtype, data.shape, abs_eb, kappa, bins, outliers, payload
             )
@@ -299,14 +292,15 @@ class MGARDX:
             tuple(shape), dtype, coords, pin=True
         )
         try:
-            with _span("mgard.decode", payload=len(payload)):
+            with span("mgard.decode", cat="mgard", payload=len(payload)):
                 if lossless:
                     symbols = self._huffman.decompress_keys(payload)
                 else:
                     symbols = np.frombuffer(payload, dtype=np.int32).astype(np.int64)
                 qflat = from_symbols(symbols, outliers)
 
-            with _span("mgard.dequantize", symbols=int(qflat.size)):
+            with span("mgard.dequantize", cat="mgard",
+                      symbols=int(qflat.size)):
                 # Split the flat stream back into per-level groups.
                 sizes = [hierarchy.num_coefficients(l) for l in range(hierarchy.total_levels)]
                 sizes.append(int(np.prod(hierarchy.shape_at(hierarchy.total_levels))))
@@ -318,7 +312,8 @@ class MGARDX:
                 qgroups = [qflat[bounds[i] : bounds[i + 1]] for i in range(len(sizes))]
                 groups = dequantize_levels(qgroups, bins, adapter=self.adapter)
 
-            with _span("mgard.recompose", levels=hierarchy.total_levels):
+            with span("mgard.recompose", cat="mgard",
+                      levels=hierarchy.total_levels):
                 coeffs = groups[:-1]
                 coarsest = groups[-1].reshape(hierarchy.shape_at(hierarchy.total_levels))
                 out = recompose(
@@ -377,15 +372,17 @@ class MGARDX:
             stack = np.empty((nbatch,) + first.shape, dtype=np.float64)
             for i, d in enumerate(datas):
                 stack[i] = d
-            with _span("mgard.decompose", nbytes=int(first.nbytes) * nbatch,
-                       levels=hierarchy.total_levels, batch=nbatch):
+            with span("mgard.decompose", cat="mgard",
+                      nbytes=int(first.nbytes) * nbatch,
+                      levels=hierarchy.total_levels, batch=nbatch):
                 coeffs, coarsest = decompose_batched(
                     stack, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
                 )
             groups = coeffs + [coarsest.reshape(nbatch, -1)]
 
-            with _span("mgard.quantize", levels=len(groups), batch=nbatch):
+            with span("mgard.quantize", cat="mgard", levels=len(groups),
+                      batch=nbatch):
                 bins2d = np.stack([
                     level_bins(eb, len(groups), self.kappa, s=self.s)
                     for eb in ebs
@@ -406,7 +403,7 @@ class MGARDX:
                 symbols = np.where(fits, z + 1, 0)
                 outliers = [qflat[i][~fits[i]] for i in range(nbatch)]
 
-            with _span("mgard.encode", symbols=int(symbols.size)):
+            with span("mgard.encode", cat="mgard", symbols=int(symbols.size)):
                 if self.config.lossless == "huffman":
                     payloads = self._huffman.compress_keys_batch(
                         [symbols[i] for i in range(nbatch)], self.dict_size
@@ -455,7 +452,7 @@ class MGARDX:
             shape, dtype, coords, pin=True, tag="mgard.batch"
         )
         try:
-            with _span("mgard.decode", batch=nbatch):
+            with span("mgard.decode", cat="mgard", batch=nbatch):
                 if lossless:
                     rows = self._huffman.decompress_keys_batch(
                         [p[5] for p in parsed]
@@ -469,7 +466,7 @@ class MGARDX:
                     from_symbols(row, p[4]) for row, p in zip(rows, parsed)
                 ]
 
-            with _span("mgard.dequantize", batch=nbatch):
+            with span("mgard.dequantize", cat="mgard", batch=nbatch):
                 sizes = [
                     hierarchy.num_coefficients(l)
                     for l in range(hierarchy.total_levels)
@@ -496,8 +493,8 @@ class MGARDX:
                     for i in range(len(sizes))
                 ]
 
-            with _span("mgard.recompose", levels=hierarchy.total_levels,
-                       batch=nbatch):
+            with span("mgard.recompose", cat="mgard",
+                      levels=hierarchy.total_levels, batch=nbatch):
                 coeffs = groups[:-1]
                 coarsest = groups[-1].reshape(
                     (nbatch,) + hierarchy.shape_at(hierarchy.total_levels)

@@ -125,9 +125,9 @@ def decompose_batched(
     Lane ``i`` of every result is bit-identical to ``decompose(stack[i],
     ...)``: each 1-D operator pass runs along ``d + 1`` (the batch axis
     leads), which broadcasts the exact per-item arithmetic across lanes
-    — elementwise lerp/mass kernels, per-output-element ``np.add.at``
-    accumulation order, and per-vector Thomas sweeps are all independent
-    of how many lanes ride along.  Returns per-level ``(N, size)``
+    — elementwise lerp/mass kernels, the restriction's left-then-right
+    slice updates, and per-vector Thomas sweeps are all independent of
+    how many lanes ride along.  Returns per-level ``(N, size)``
     coefficient planes and the ``(N,) + coarse_shape`` approximation.
     """
     if tuple(stack.shape[1:]) != hierarchy.shape:

@@ -15,28 +15,37 @@ every call is part of the allocation overhead the paper eliminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class DimLevel:
-    """Geometry of one (dimension, level) pair, fine side."""
+    """Geometry of one (dimension, level) pair, fine side.
+
+    The grid keeps the even indices plus the last node, so every index
+    set the 1-D operators touch is an arithmetic progression: with
+    ``nf`` fine-only nodes, those sit at ``1:2*nf:2``, their left and
+    right coarse neighbours at ``0:2*nf:2`` and ``2:2*nf+1:2`` (coarse
+    positions ``0:nf`` and ``1:nf+1``), and the coarse nodes at ``0::2``
+    plus, for even ``n``, the appended last node, which no fine-only
+    node neighbours.  The operators index with these slices directly.
+    """
 
     n: int                      # fine size
     n_coarse: int               # coarse size
     coords: np.ndarray          # fine coordinates, shape (n,)
+    h: np.ndarray               # node spacing diff(coords), shape (n - 1,)
     coarse_idx: np.ndarray      # indices (into fine) of coarse nodes
     fine_idx: np.ndarray        # indices of fine-only nodes
-    left_idx: np.ndarray        # per fine-only node: left coarse neighbor (fine index)
-    right_idx: np.ndarray       # per fine-only node: right coarse neighbor (fine index)
     wl: np.ndarray              # lerp weight of the left neighbor
     wr: np.ndarray              # lerp weight of the right neighbor
-    #: per fine-only node: position of its coarse neighbors in the
-    #: coarse grid (for the restriction scatter).
-    left_coarse_pos: np.ndarray = field(default=None)
-    right_coarse_pos: np.ndarray = field(default=None)
+
+    @property
+    def nf(self) -> int:
+        """Number of fine-only nodes."""
+        return (self.n - 1) // 2
 
 
 class DimHierarchy:
@@ -80,42 +89,24 @@ class DimHierarchy:
 
 def _build_level(coords: np.ndarray) -> DimLevel:
     n = coords.size
+    nf = (n - 1) // 2
     evens = np.arange(0, n, 2)
-    if (n - 1) % 2 == 0:
-        coarse_idx = evens
-    else:
-        coarse_idx = np.concatenate([evens, [n - 1]])
-    in_coarse = np.zeros(n, dtype=bool)
-    in_coarse[coarse_idx] = True
-    fine_idx = np.flatnonzero(~in_coarse)
+    coarse_idx = evens if n % 2 else np.concatenate([evens, [n - 1]])
 
-    # Neighbors: fine nodes are odd indices strictly inside the grid, so
-    # left = idx-1 (even, coarse) and right = idx+1 (coarse: either even
-    # or the appended last node).
-    left_idx = fine_idx - 1
-    right_idx = fine_idx + 1
-
-    xl = coords[left_idx]
-    xr = coords[right_idx]
-    xf = coords[fine_idx]
-    h = xr - xl
-    wr = (xf - xl) / h
+    xl = coords[0 : 2 * nf : 2]
+    xr = coords[2 : 2 * nf + 1 : 2]
+    xf = coords[1 : 2 * nf : 2]
+    wr = (xf - xl) / (xr - xl)
     wl = 1.0 - wr
-
-    coarse_pos_of = np.full(n, -1, dtype=np.int64)
-    coarse_pos_of[coarse_idx] = np.arange(coarse_idx.size)
     return DimLevel(
         n=n,
         n_coarse=coarse_idx.size,
         coords=coords,
+        h=np.diff(coords),
         coarse_idx=coarse_idx,
-        fine_idx=fine_idx,
-        left_idx=left_idx,
-        right_idx=right_idx,
+        fine_idx=np.arange(1, 2 * nf, 2),
         wl=wl,
         wr=wr,
-        left_coarse_pos=coarse_pos_of[left_idx],
-        right_coarse_pos=coarse_pos_of[right_idx],
     )
 
 

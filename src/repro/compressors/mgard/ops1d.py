@@ -47,26 +47,33 @@ def lerp_fill(u: np.ndarray, level: DimLevel, axis: int) -> None:
     """In place: fine-only nodes ← lerp of coarse neighbors, along axis."""
     v = _axis_first(u, axis)
     nd = v.ndim
-    wl = _bshape(level.wl, nd)
-    wr = _bshape(level.wr, nd)
-    v[level.fine_idx] = wl * v[level.left_idx] + wr * v[level.right_idx]
+    stop = 2 * level.nf
+    t = _bshape(level.wl, nd) * v[0:stop:2]
+    t += _bshape(level.wr, nd) * v[2 : stop + 1 : 2]
+    v[1:stop:2] = t
 
 
 def mass_apply(u: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
     """Fine-grid mass matrix along ``axis`` (non-uniform spacing).
 
     Row i: ``(h_{i-1}(u_{i-1} + 2u_i) + h_i(2u_i + u_{i+1})) / 6`` with
-    single-sided boundary rows.
+    single-sided boundary rows.  ``u`` is a float64 working grid: the
+    interior rows accumulate in place in the result, which rounds
+    exactly where the expression does only when no cast intervenes.
     """
     v = _axis_first(u, axis)
     nd = v.ndim
-    h = np.diff(level.coords)
-    hL = _bshape(h, nd)             # h_i between node i and i+1
+    hL = _bshape(level.h, nd)       # h_i between node i and i+1
     y = np.empty_like(v)
-    # interior rows 1..n-2
-    y[1:-1] = (
-        hL[:-1] * (v[:-2] + 2.0 * v[1:-1]) + hL[1:] * (2.0 * v[1:-1] + v[2:])
-    ) / 6.0
+    # interior rows 1..n-2; 2u_i is shared by both brackets
+    mid = y[1:-1]
+    twice = 2.0 * v[1:-1]
+    np.add(v[:-2], twice, out=mid)
+    np.multiply(hL[:-1], mid, out=mid)
+    twice += v[2:]
+    np.multiply(hL[1:], twice, out=twice)
+    mid += twice
+    mid /= 6.0
     y[0] = hL[0] * (2.0 * v[0] + v[1]) / 6.0
     y[-1] = hL[-1] * (v[-2] + 2.0 * v[-1]) / 6.0
     return np.moveaxis(y, 0, axis)
@@ -75,15 +82,24 @@ def mass_apply(u: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
 def restrict(y: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
     """Interpolation transpose P^T along ``axis``: fine → coarse size.
 
-    ``b_j = y[coarse_j] + Σ_f wl_f·y_f [f's left neighbor is j]
-                        + Σ_f wr_f·y_f [f's right neighbor is j]``.
+    ``b_j = y[coarse_j] + wl_j·y_f(j) + wr_{j-1}·y_f(j-1)``, the left
+    contributions added before the right ones; each coarse node has at
+    most one fine-only neighbour on either side, so two slice updates
+    are the whole scatter.
     """
     v = _axis_first(y, axis)
     nd = v.ndim
-    b = v[level.coarse_idx].copy()
-    yf = v[level.fine_idx]
-    np.add.at(b, level.left_coarse_pos, _bshape(level.wl, nd) * yf)
-    np.add.at(b, level.right_coarse_pos, _bshape(level.wr, nd) * yf)
+    nf = level.nf
+    # Allocated in y's own axis order, so the result stays C-contiguous
+    # for the next dimension's pass.
+    b = np.empty((level.n_coarse,) + v.shape[1:], dtype=v.dtype)
+    evens = v[0::2]
+    b[: evens.shape[0]] = evens
+    if level.n % 2 == 0:
+        b[-1] = v[-1]               # the appended last node
+    yf = v[1 : 2 * nf : 2]
+    b[0:nf] += _bshape(level.wl, nd) * yf
+    b[1 : nf + 1] += _bshape(level.wr, nd) * yf
     return np.moveaxis(b, 0, axis)
 
 
@@ -96,13 +112,12 @@ def prolong(b: np.ndarray, level: DimLevel, axis: int, out_dtype=None) -> np.nda
     :func:`lerp_fill` on views instead).
     """
     v = _axis_first(b, axis)
-    nd = v.ndim
     out = np.zeros((level.n,) + v.shape[1:], dtype=out_dtype or b.dtype)
-    out[level.coarse_idx] = v
-    out[level.fine_idx] = (
-        _bshape(level.wl, nd) * out[level.left_idx]
-        + _bshape(level.wr, nd) * out[level.right_idx]
-    )
+    evens = out[0::2]
+    evens[...] = v[: evens.shape[0]]
+    if level.n % 2 == 0:
+        out[-1] = v[-1]
+    lerp_fill(out, level, 0)
     return np.moveaxis(out, 0, axis)
 
 
@@ -147,10 +162,17 @@ class _ThomasFunctor(IterativeFunctor):
 
 @dataclass
 class TridiagFactors:
-    """LU factorization of a coarse-grid mass matrix."""
+    """LU factorization of a coarse-grid mass matrix.
+
+    The sweep kernel (with its forward multipliers ``c / dprime``) is
+    built once with the factors, not on every solve.
+    """
 
     dprime: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._sweeps = _ThomasFunctor(self.dprime, self.c)
 
     @classmethod
     def from_coords(cls, coords: np.ndarray) -> "TridiagFactors":
@@ -190,10 +212,9 @@ class TridiagFactors:
         if self.dprime.size == 1:
             out = b / self.dprime[0]
             return out
-        functor = _ThomasFunctor(self.dprime, self.c)
         return iterative(
             b.astype(np.float64, copy=False),
-            functor,
+            self._sweeps,
             axis=axis,
             group_size=group_size,
             adapter=adapter,

@@ -27,14 +27,32 @@ class TestDimHierarchy:
             assert d.size_at(5) == n
 
     def test_fine_nodes_have_interior_neighbors(self):
-        for n in (9, 10, 33, 100):
+        """The slices the 1-D operators index with: fine-only nodes at
+        ``1:2*nf:2``, coarse nodes at the evens plus the last node."""
+        for n in (3, 4, 9, 10, 33, 100):
             lvl = DimHierarchy(n).level(0)
-            assert np.all(lvl.left_idx >= 0)
-            assert np.all(lvl.right_idx < n)
-            in_coarse = np.zeros(n, dtype=bool)
-            in_coarse[lvl.coarse_idx] = True
-            assert np.all(in_coarse[lvl.left_idx])
-            assert np.all(in_coarse[lvl.right_idx])
+            assert lvl.nf == (n - 1) // 2
+            assert np.array_equal(lvl.fine_idx, np.arange(n)[1 : 2 * lvl.nf : 2])
+            evens = np.arange(0, n, 2)
+            assert np.array_equal(lvl.coarse_idx[: evens.size], evens)
+            assert lvl.n_coarse == lvl.coarse_idx.size == n - lvl.nf
+            # Both neighbours of every fine-only node are coarse, at
+            # coarse positions 0:nf (left) and 1:nf+1 (right).
+            assert np.array_equal(lvl.coarse_idx[0 : lvl.nf], lvl.fine_idx - 1)
+            assert np.array_equal(lvl.coarse_idx[1 : lvl.nf + 1], lvl.fine_idx + 1)
+
+    def test_appended_last_node_has_no_fine_neighbour(self):
+        for n in (4, 10, 100):
+            lvl = DimHierarchy(n).level(0)
+            assert lvl.coarse_idx[-1] == n - 1 and lvl.coarse_idx[-2] == n - 2
+            assert lvl.fine_idx[-1] == n - 3
+            assert lvl.n_coarse == lvl.nf + 2       # one past right's 1:nf+1
+
+    def test_spacing_is_stored_per_level(self):
+        coords = np.array([0.0, 0.1, 0.5, 0.6, 2.0, 2.5])
+        d = DimHierarchy(6, coords)
+        for lvl in d.levels:
+            assert np.array_equal(lvl.h, np.diff(lvl.coords))
 
     def test_lerp_weights_sum_to_one(self):
         lvl = DimHierarchy(21).level(0)
