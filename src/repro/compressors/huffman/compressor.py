@@ -53,8 +53,7 @@ from repro.compressors.huffman.codebook import (
     build_codebook,
 )
 from repro.compressors.huffman.histogram import histogram
-from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import TRACER as _TRACER, span
+from repro.trace.tracer import count_bytes, span
 from repro.util import hot_path, stream_errors
 
 _MAGIC = b"HUFX"
@@ -68,18 +67,6 @@ _LOW_HALF = 0 if sys.byteorder == "little" else 1
 #: output into a chunk-major result (64 rows keep both sides in cache).
 _TRANSPOSE_STEPS = 64
 
-
-def _count_bytes(nbytes_in: int, nbytes_out: int) -> None:
-    """Byte-level API volume counters (key-level calls are not counted
-    here so MGARD's nested Huffman usage is attributed to mgard only)."""
-    if not _TRACER.enabled:
-        return
-    _METRICS.counter("hpdr_bytes_in_total", "bytes fed to compress()").inc(
-        int(nbytes_in), codec="huffman"
-    )
-    _METRICS.counter("hpdr_bytes_out_total", "compressed bytes produced").inc(
-        int(nbytes_out), codec="huffman"
-    )
 
 #: Minimum bytes per parallel segment — below this the per-segment
 #: codebook/container overhead outweighs the thread-level speedup.
@@ -723,7 +710,9 @@ class HuffmanX:
         nseg = self._num_segments(keys.size)
         if nseg <= 1:
             blob = header + self.compress_keys(keys, 256)
-            _count_bytes(keys.size, len(blob))
+            # Byte API only: key-level calls stay uncounted, so MGARD's
+            # nested Huffman volume is attributed to mgard alone.
+            count_bytes("huffman", keys.size, len(blob))
             return blob
 
         seg = -(-keys.size // nseg)
@@ -747,7 +736,7 @@ class HuffmanX:
             + b"".join(parts)
         )
         blob = header + body
-        _count_bytes(keys.size, len(blob))
+        count_bytes("huffman", keys.size, len(blob))
         return blob
 
     @stream_errors
@@ -824,7 +813,7 @@ class HuffmanX:
                 for body in self.compress_keys_batch(keys_list, 256)
             ]
             for b in blobs:
-                _count_bytes(nbytes, len(b))
+                count_bytes("huffman", nbytes, len(b))
             return blobs
 
         seg = -(-nbytes // nseg)
@@ -854,7 +843,7 @@ class HuffmanX:
                 + b"".join(parts)
             )
             blobs.append(header + body)
-            _count_bytes(nbytes, len(blobs[-1]))
+            count_bytes("huffman", nbytes, len(blobs[-1]))
         return blobs
 
     @stream_errors

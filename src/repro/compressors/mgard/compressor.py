@@ -33,8 +33,7 @@ from repro.compressors.mgard.quantize import (
     quantize_levels,
     to_symbols,
 )
-from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import TRACER as _TRACER, span
+from repro.trace.tracer import count_bytes, span
 from repro.util import stream_errors
 
 _MAGIC = b"MGRX"
@@ -182,12 +181,12 @@ class MGARDX:
                 bins = level_bins(abs_eb, len(groups), kappa, s=self.s)
                 blob = self._encode(data, abs_eb, kappa, hierarchy, groups, bins)
                 if not self.verify:
-                    self._count_bytes(data.nbytes, len(blob))
+                    count_bytes("mgard", data.nbytes, len(blob))
                     return blob
                 back = self.decompress(blob)
                 err = float(np.max(np.abs(back.astype(np.float64) - data.astype(np.float64)))) if data.size else 0.0
                 if err <= abs_eb:
-                    self._count_bytes(data.nbytes, len(blob))
+                    count_bytes("mgard", data.nbytes, len(blob))
                     return blob
                 # Scale κ by the measured overshoot (with margin): the error
                 # is linear in the bin sizes, so this converges in one or
@@ -198,17 +197,6 @@ class MGARDX:
             )
         finally:
             self.cache.release(ctx)
-
-    @staticmethod
-    def _count_bytes(nbytes_in: int, nbytes_out: int) -> None:
-        if not _TRACER.enabled:
-            return
-        _METRICS.counter("hpdr_bytes_in_total", "bytes fed to compress()").inc(
-            int(nbytes_in), codec="mgard"
-        )
-        _METRICS.counter(
-            "hpdr_bytes_out_total", "compressed bytes produced"
-        ).inc(int(nbytes_out), codec="mgard")
 
     def _encode(self, data, abs_eb, kappa, hierarchy, groups, bins) -> bytes:
         with span("mgard.quantize", cat="mgard", levels=len(groups)):
@@ -420,7 +408,7 @@ class MGARDX:
                     first.dtype, first.shape, ebs[i], self.kappa,
                     bins2d[i], outliers[i], payloads[i],
                 )
-                self._count_bytes(first.nbytes, len(blob))
+                count_bytes("mgard", first.nbytes, len(blob))
                 blobs.append(blob)
             return blobs
         finally:

@@ -103,25 +103,32 @@ def to_symbols(q: np.ndarray, dict_size: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if dict_size < 2:
         raise ValueError(f"dict_size must be >= 2, got {dict_size}")
-    q = q.astype(np.int64)
-    z = (q << 1) ^ (q >> 63)  # zigzag: 0,-1,1,-2,2… → 0,1,2,3,4…
-    fits = z < dict_size - 1
-    symbols = np.where(fits, z + 1, 0)
-    outliers = q[~fits]
-    return symbols, outliers
+    z = q.astype(np.int64)  # the one working copy: zigzag, then symbols
+    sign = z >> 63
+    z <<= 1
+    z ^= sign               # zigzag: 0,-1,1,-2,2… → 0,1,2,3,4…
+    escaped = z >= dict_size - 1
+    z += 1
+    if not escaped.any():
+        return z, np.empty(0, dtype=np.int64)
+    z[escaped] = 0
+    return z, q[escaped].astype(np.int64, copy=False)
 
 
 def from_symbols(symbols: np.ndarray, outliers: np.ndarray) -> np.ndarray:
     """Invert :func:`to_symbols`."""
-    symbols = symbols.astype(np.int64)
-    escaped = symbols == 0
-    n_escaped = int(escaped.sum())
+    q = symbols.astype(np.int64)
+    n_escaped = q.size - np.count_nonzero(q)
     if n_escaped != outliers.size:
         raise ValueError(
             f"{n_escaped} escape markers but {outliers.size} outliers"
         )
-    z = symbols - 1
-    q = (z >> 1) ^ -(z & 1)  # zigzag inverse
+    escaped = q == 0 if n_escaped else None
+    q -= 1
+    sign = q & 1
+    np.negative(sign, out=sign)
+    q >>= 1
+    q ^= sign               # zigzag inverse
     if n_escaped:
         q[escaped] = outliers
     return q

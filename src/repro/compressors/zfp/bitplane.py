@@ -13,6 +13,20 @@ Negabinary width follows zfp's ``intprec``: 32 bits for FP32 blocks and
 Per-block layout (bit granularity, zero-padded to whole bytes):
 
     [1 bit nonzero flag][e_bits biased emax][bitplane bits ...]
+
+Coefficients arrive coefficient-major, ``(block_size, nblocks)``; the
+stream nests the other way, plane after plane of ``block_size`` bits.
+That bit-matrix transpose runs on words, never on one byte per bit: the
+bytes of equal significance of eight coefficients form one ``uint64``
+(an 8x8 bit matrix, row = coefficient, column = plane), three masked
+swaps flip it across its anti-diagonal, and its bytes are then eight
+consecutive planes of that coefficient group; the flip is its own
+inverse, so decoding runs the same swaps.  Only the ``ceil(nplanes/8)``
+byte lanes holding kept planes are touched, and one two-word shift over
+the record makes room for the header.  A 1-D block (half a byte per
+plane) goes as eight rows — its four values, then the four shifted up
+one bit — so every second flipped byte is stream.  DESIGN.md §3.1
+argues the exactness.
 """
 
 from __future__ import annotations
@@ -25,51 +39,123 @@ from repro.util import hot_path
 #: bitplane count (zfp intprec) per source dtype.
 INTPREC = {np.dtype(np.float32): 32, np.dtype(np.float64): 64}
 
+#: unsigned type as wide as the planes; stream words are big-endian.
+_UINT = {32: np.dtype("<u4"), 64: np.dtype("<u8")}
+_U64 = _UINT[64]
+_BE64 = np.dtype(">u8")
+#: the negabinary mask ...1010, per width.
+_NBMASK = {w: t.type(0xAAAAAAAAAAAAAAAA & ((1 << w) - 1)) for w, t in _UINT.items()}
 
-def _nbmask(width: int) -> np.uint64:
-    if width == 64:
-        return np.uint64(0xAAAAAAAAAAAAAAAA)
-    return np.uint64(0xAAAAAAAAAAAAAAAA) & np.uint64((1 << width) - 1)
-
-
-def _wmask(width: int) -> np.uint64:
-    return np.uint64(0xFFFFFFFFFFFFFFFF) if width == 64 else np.uint64((1 << width) - 1)
+#: The swaps that flip an 8x8 bit matrix (byte r of a word = row r)
+#: across its anti-diagonal: cells in 2x2 tiles, 2x2 in 4x4, 4x4 in 8x8.
+_FLIP = (
+    (np.uint64(9), np.uint64(0x0055005500550055)),
+    (np.uint64(18), np.uint64(0x0000333300003333)),
+    (np.uint64(36), np.uint64(0x000000000F0F0F0F)),
+)
 
 
 @hot_path(reason="runs over every coefficient on the zfp encode path")
 def to_negabinary(x: np.ndarray, width: int = 64) -> np.ndarray:
-    """Two's complement → negabinary, modulo ``2^width`` (invertible)."""
-    mask = _nbmask(width)
-    u = x.astype(np.int64, copy=False).view(np.uint64) & _wmask(width)
-    return ((u + mask) ^ mask) & _wmask(width)
+    """Two's complement → negabinary, modulo ``2^width`` (invertible):
+    a ``uint32`` / ``uint64`` array, whose cast and arithmetic wrap so."""
+    # hpdrlint: disable=HPL001 — result handed to the caller
+    u = np.asarray(x, dtype=np.int64).astype(_UINT[width], order="C")
+    mask = _NBMASK[width]
+    u += mask
+    u ^= mask
+    return u
+
+
+def _from_negabinary(u: np.ndarray) -> np.ndarray:
+    """Negabinary → two's complement in place; the signed view of ``u``."""
+    mask = _NBMASK[8 * u.itemsize]
+    u ^= mask
+    u -= mask
+    return u.view(f"<i{u.itemsize}")
 
 
 @hot_path(reason="runs over every coefficient on the zfp decode path")
 def from_negabinary(u: np.ndarray, width: int = 64) -> np.ndarray:
     """Inverse of :func:`to_negabinary`, sign-extended to int64."""
-    mask = _nbmask(width)
-    w = ((u.astype(np.uint64, copy=False) ^ mask) - mask) & _wmask(width)
-    x = w.view(np.int64)
-    if width < 64:
-        sign = np.uint64(1) << np.uint64(width - 1)
-        x = np.where(
-            (w & sign) != 0,
-            (w | ~_wmask(width)).view(np.int64),
-            x,
-        )
+    # hpdrlint: disable=HPL001 — result handed to the caller
+    x = _from_negabinary(np.asarray(u).astype(_UINT[width]))
     return x.astype(np.int64, copy=False)
 
 
-def _plane_budget(maxbits: int, e_bits: int) -> int:
-    return max(0, maxbits - 1 - e_bits)
+def _flip8x8(words: np.ndarray) -> None:
+    """Anti-diagonal flip of every 8x8 bit matrix in ``words``, in place."""
+    t = np.empty_like(words)
+    for shift, mask in _FLIP:
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
 
 
-def _window_bits(nplanes: int, width: int) -> int:
-    """Smallest byte-aligned window ≥ ``nplanes`` (for packbits I/O)."""
-    for w in (16, 32, 64):
-        if nplanes <= w <= width:
-            return w
-    return width
+def _bytes(a: np.ndarray) -> np.ndarray:
+    """``a.shape + (itemsize,)`` byte view, least significant byte first."""
+    return a.view(np.uint8).reshape(a.shape + (a.itemsize,))
+
+
+def _lanes(values: np.ndarray, nlanes: int) -> np.ndarray:
+    """Byte view ``(lane, group, block, row)`` of ``(8 * groups, nblocks)``
+    unsigned ``values``: each value's ``nlanes`` most significant bytes,
+    most significant first (lane ``l`` holds planes ``8l .. 8l+7``)."""
+    rows, n = values.shape
+    top = values.itemsize
+    by = _bytes(values).reshape(rows // 8, 8, n, top)
+    return by[..., top - nlanes:top][..., ::-1].transpose(3, 0, 2, 1)
+
+
+def _copy_lanes(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` a lane at a time: left in the copy, the lane
+    axis (a few bytes, unit stride) becomes NumPy's inner loop."""
+    for lane in range(dst.shape[0]):
+        dst[lane] = src[lane]
+
+
+class _Layout:
+    """Where the bits of one ``maxbits``-bit record go."""
+
+    def __init__(self, maxbits: int, block_size: int, dtype: np.dtype) -> None:
+        self.width = INTPREC[dtype]
+        self.e_bits = E_BITS[dtype]
+        self.bias = E_BIAS[dtype]
+        self.head = 1 + self.e_bits
+        plane_bits = max(0, maxbits - self.head)
+        nplanes = min(self.width, -(-plane_bits // block_size))
+        #: payload bits kept: whole planes, the last maybe cut short.
+        self.paybits = min(plane_bits, nplanes * block_size)
+        self.nlanes = -(-nplanes // 8)
+        #: matrix rows (a 1-D block twice); every ``step``-th byte is stream.
+        self.rows = max(block_size, 8)
+        self.step = self.rows // block_size
+        self.nwords = -(-maxbits // 64)
+        self.nbytes = -(-maxbits // 8)
+        #: stream bytes the kept lanes expand to (may overshoot the record).
+        self.lane_bytes = self.nlanes * block_size
+        self.stream_words = max(self.nwords, -(-self.lane_bytes // 8))
+
+    def stream(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """A zeroed big-endian payload buffer, ``(n, stream_words)``, and
+        its ``(block, lane, plane, group)`` byte view over the lanes."""
+        buf = np.zeros((n, self.stream_words), dtype=_BE64)
+        by = buf.view(np.uint8)[:, :self.lane_bytes]
+        return buf, by.reshape(n, self.nlanes, 8 // self.step, self.rows // 8)
+
+    def planes(self, words: np.ndarray) -> np.ndarray:
+        """Bytes of flipped ``(lane, group, block)`` words, as in :meth:`stream`."""
+        return _bytes(words).transpose(2, 0, 3, 1)[:, :, ::self.step]
+
+    def truncate(self, pay: np.ndarray) -> None:
+        """Zero the bits of native payload words past ``paybits``."""
+        last, used = divmod(self.paybits, 64)
+        if last < pay.shape[1]:
+            pay[:, last] &= np.uint64(0xFFFFFFFFFFFFFFFF ^ ((1 << (64 - used)) - 1))
+            pay[:, last + 1:] = 0
 
 
 def encode_blocks(
@@ -78,51 +164,42 @@ def encode_blocks(
     maxbits: int,
     dtype: np.dtype,
 ) -> np.ndarray:
-    """Encode a coefficient batch ``(nblocks, block_size)`` at fixed rate.
+    """Encode a coefficient batch ``(block_size, nblocks)`` at fixed rate.
 
     Returns ``(nblocks, ceil(maxbits/8))`` uint8 — one fixed-size record
     per block.  All-zero blocks emit flag 0 and zero padding.
     """
     dtype = np.dtype(dtype)
-    e_bits = E_BITS[dtype]
-    bias = E_BIAS[dtype]
-    width = INTPREC[dtype]
-    if maxbits < 1 + e_bits:
+    bs, n = coeffs.shape
+    lay = _Layout(maxbits, bs, dtype)
+    if maxbits < lay.head:
         raise ValueError(
-            f"maxbits={maxbits} cannot fit the {1 + e_bits}-bit block header"
+            f"maxbits={maxbits} cannot fit the {lay.head}-bit block header"
         )
-    nblocks, bs = coeffs.shape
-    neg = to_negabinary(coeffs, width)
+    nonzero = np.bitwise_or.reduce(coeffs, axis=0) != 0
+    neg = to_negabinary(coeffs, lay.width)
+    # Zero blocks carry no exponent either: their record is all zero bits.
+    header = (emax.astype(np.int64) + lay.bias).astype(np.uint64)
+    header &= np.uint64((1 << lay.e_bits) - 1)
+    header |= np.uint64(1 << lay.e_bits)
+    header *= nonzero
 
-    nonzero = np.any(coeffs != 0, axis=1)
-    ebiased = (emax.astype(np.int64) + bias).astype(np.uint64)
-
-    bits = np.zeros((nblocks, maxbits), dtype=np.uint8)
-    bits[:, 0] = nonzero
-    for i in range(e_bits):  # exponent, MSB first
-        shift = np.uint64(e_bits - 1 - i)
-        bits[:, 1 + i] = ((ebiased >> shift) & np.uint64(1)).astype(np.uint8)
-
-    plane_bits = _plane_budget(maxbits, e_bits)
-    nplanes = min(width, -(-plane_bits // bs)) if plane_bits else 0
-    if nplanes:
-        # Keep only the top w >= nplanes bits of each value and let
-        # np.unpackbits explode them: unpacked bit p of the window is
-        # negabinary bit width-1-p, i.e. exactly bitplane p.  This runs
-        # byte-at-a-time in C instead of materializing a
-        # (nblocks, nplanes, bs) uint64 broadcast.
-        w = _window_bits(nplanes, width)
-        win = (neg >> np.uint64(width - w)).astype(f">u{w // 8}", order="C")
-        unpacked = np.unpackbits(
-            win.view(np.uint8).reshape(nblocks, bs * (w // 8)), axis=1
-        )
-        planes = unpacked.reshape(nblocks, bs, w).transpose(0, 2, 1)[:, :nplanes, :]
-        flat = planes.reshape(nblocks, nplanes * bs)[:, :plane_bits]
-        bits[:, 1 + e_bits : 1 + e_bits + flat.shape[1]] = flat
-    # Zero blocks carry no payload (their planes are zero anyway, but
-    # masking keeps the stream canonical for byte-equality tests).
-    bits[~nonzero, 1:] = 0
-    return np.packbits(bits, axis=1)
+    buf, stream = lay.stream(n)
+    if lay.nlanes:
+        if bs == 4:
+            neg = np.concatenate([neg, neg << neg.dtype.type(1)])
+        words = np.empty((lay.nlanes, lay.rows // 8, n), dtype=_U64)
+        _copy_lanes(_bytes(words), _lanes(neg, lay.nlanes))
+        _flip8x8(words)
+        stream[...] = lay.planes(words)
+    pay = buf[:, :lay.nwords].astype(_U64)
+    lay.truncate(pay)
+    # One two-word shift makes room for the header in front.
+    rec = pay >> np.uint64(lay.head)
+    rec[:, 1:] |= pay[:, :-1] << np.uint64(64 - lay.head)
+    rec[:, 0] |= header << np.uint64(64 - lay.head)
+    out = rec.astype(_BE64).view(np.uint8)
+    return np.ascontiguousarray(out[:, :lay.nbytes])
 
 
 def decode_blocks(
@@ -133,42 +210,34 @@ def decode_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert :func:`encode_blocks`.
 
-    Returns ``(coeffs, emax)``; truncated low planes reconstruct as zero
-    bits (negabinary rounds toward small magnitudes).
+    Returns ``(coeffs, emax)`` with ``coeffs`` coefficient-major
+    ``(block_size, nblocks)``, signed and as wide as the planes (int32
+    for FP32 blocks); truncated low planes reconstruct as zero bits
+    (negabinary rounds toward small magnitudes).
     """
     dtype = np.dtype(dtype)
-    e_bits = E_BITS[dtype]
-    bias = E_BIAS[dtype]
-    width = INTPREC[dtype]
-    nblocks = records.shape[0]
-    bits = np.unpackbits(records, axis=1)[:, :maxbits]
+    lay = _Layout(maxbits, block_size, dtype)
+    n = records.shape[0]
+    buf = np.zeros((n, lay.nwords + 1), dtype=_BE64)
+    buf.view(np.uint8)[:, :lay.nbytes] = records
+    rec = buf.astype(_U64)
+    header = rec[:, 0] >> np.uint64(64 - lay.head)
+    nonzero = (header >> np.uint64(lay.e_bits)) != 0
+    emax = (header & np.uint64((1 << lay.e_bits) - 1)).astype(np.int64) - lay.bias
+    emax[~nonzero] = -lay.bias
 
-    nonzero = bits[:, 0].astype(bool)
-    ebiased = np.zeros(nblocks, dtype=np.uint64)
-    for i in range(e_bits):
-        ebiased = (ebiased << np.uint64(1)) | bits[:, 1 + i].astype(np.uint64)
-    emax = ebiased.astype(np.int64) - bias
-
-    plane_bits = _plane_budget(maxbits, e_bits)
-    nplanes = min(width, -(-plane_bits // block_size)) if plane_bits else 0
-    neg = np.zeros((nblocks, block_size), dtype=np.uint64)
-    if nplanes:
-        payload = np.zeros((nblocks, nplanes * block_size), dtype=np.uint8)
-        avail = min(plane_bits, nplanes * block_size)
-        payload[:, :avail] = bits[:, 1 + e_bits : 1 + e_bits + avail]
-        planes = payload.reshape(nblocks, nplanes, block_size)
-        # Inverse of the encode-side window trick: lay bitplane p at
-        # window bit p, packbits back into byte-aligned values, then
-        # shift up to the negabinary position (see encode_blocks).
-        w = _window_bits(nplanes, width)
-        arranged = np.zeros((nblocks, block_size, w), dtype=np.uint8)
-        arranged[:, :, :nplanes] = planes.transpose(0, 2, 1)
-        packed = np.packbits(arranged.reshape(nblocks, block_size * w), axis=1)
-        vals = packed.reshape(nblocks, block_size, w // 8).view(f">u{w // 8}")
-        neg = vals.reshape(nblocks, block_size).astype(np.uint64) << np.uint64(
-            width - w
-        )
-    coeffs = from_negabinary(neg, width)
-    coeffs[~nonzero] = 0
-    emax[~nonzero] = -bias
-    return coeffs, emax.astype(np.int32)
+    pay = rec[:, :-1] << np.uint64(lay.head)
+    pay |= rec[:, 1:] >> np.uint64(64 - lay.head)
+    lay.truncate(pay)
+    pay *= nonzero[:, None]     # a zero block's payload is never read
+    neg = np.zeros((lay.rows, n), dtype=_UINT[lay.width])
+    if lay.nlanes:
+        buf, stream = lay.stream(n)
+        buf[:, :lay.nwords] = pay
+        words = np.zeros((lay.nlanes, lay.rows // 8, n), dtype=_U64)
+        lay.planes(words)[...] = stream
+        _flip8x8(words)
+        _copy_lanes(_lanes(neg, lay.nlanes), _bytes(words))
+    if block_size == 4:
+        neg = neg[:4] | (neg[4:] >> neg.dtype.type(1))
+    return _from_negabinary(neg), emax.astype(np.int32)

@@ -25,30 +25,43 @@ from repro.compressors.zfp.fixedpoint import (
     to_fixed_point,
 )
 from repro.compressors.zfp.transform import fwd_transform, inv_transform
-from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.trace.tracer import count_bytes, span
 from repro.util import stream_errors
 
 _MAGIC = b"ZFPX"
 _VERSION = 1
+_HEADER = struct.Struct("<4sBBBdI")
 
 
-def _span(name: str, **args):
-    """ZFP stage span (shared NULL_SPAN when tracing is off)."""
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "zfp", args)
+def check_input(dtype: np.dtype, ndim: int, who: str = "ZFP-X") -> None:
+    if dtype not in INTPREC:
+        raise TypeError(f"{who} supports float32/float64, got {dtype}")
+    if not 1 <= ndim <= 4:
+        raise ValueError(f"{who} supports 1-4 dimensions, got {ndim}")
 
 
-def _count_bytes(nbytes_in: int, nbytes_out: int) -> None:
-    if not _TRACER.enabled:
-        return
-    _METRICS.counter("hpdr_bytes_in_total", "bytes fed to compress()").inc(
-        int(nbytes_in), codec="zfp"
-    )
-    _METRICS.counter("hpdr_bytes_out_total", "compressed bytes produced").inc(
-        int(nbytes_out), codec="zfp"
-    )
+def record_bits(rate: float, ndim: int, dtype) -> int:
+    """Bits per block record at ``rate`` bits per value (header at least)."""
+    return max(int(round(rate * 4**ndim)), 1 + E_BITS[np.dtype(dtype)])
+
+
+def pack_header(magic: bytes, dtype: np.dtype, shape, rate: float, maxbits: int) -> bytes:
+    """Stream header shared by the fixed-rate codecs (ZFP-X, embedded)."""
+    return _HEADER.pack(
+        magic, _VERSION, int(dtype == np.float64), len(shape), rate, maxbits
+    ) + struct.pack(f"<{len(shape)}q", *shape)
+
+
+def unpack_header(blob, magic: bytes, who: str = "ZFP-X"):
+    """``(dtype, shape, maxbits, offset of the records)`` of a stream."""
+    got, version, is64, ndim, _rate, maxbits = _HEADER.unpack_from(blob, 0)
+    if got != magic:
+        raise ValueError(f"not a {who} stream (bad magic)")
+    if version != _VERSION:
+        raise ValueError(f"unsupported {who} version {version}")
+    shape = struct.unpack_from(f"<{ndim}q", blob, _HEADER.size)
+    dtype = np.dtype(np.float64 if is64 else np.float32)
+    return dtype, shape, maxbits, _HEADER.size + 8 * ndim
 
 
 def rate_for_error_bound(error_bound: float, dtype=np.float32, ndim: int = 3) -> float:
@@ -72,51 +85,63 @@ def rate_for_error_bound(error_bound: float, dtype=np.float32, ndim: int = 3) ->
     return planes + (1 + E_BITS[dtype]) / bs
 
 
-class _ZfpEncodeFunctor(LocalityFunctor):
+def analyze(batch: np.ndarray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-major floats ``(n, 4, ..)`` to sequency-ordered ``(coeffs,
+    emax)``, coefficient-major ``(4**ndim, n)`` like every kernel between
+    here and the records: one transpose each way."""
+    n = batch.shape[0]
+    with span("zfp.align", cat="zfp", blocks=n):
+        flat = np.ascontiguousarray(batch.reshape(n, -1).T)
+        emax = block_exponents(flat)
+        iblocks = to_fixed_point(flat, emax)
+    with span("zfp.transform", cat="zfp", blocks=n):
+        return fwd_transform(iblocks, ndim), emax
+
+
+def synthesize(coeffs: np.ndarray, emax: np.ndarray, ndim: int, dtype) -> np.ndarray:
+    """Invert :func:`analyze`: coefficients back to blocks ``(n, 4, ..)``."""
+    n = coeffs.shape[1]
+    with span("zfp.transform", cat="zfp", blocks=n):
+        iblocks = inv_transform(coeffs, ndim)
+    with span("zfp.align", cat="zfp", blocks=n):
+        flat = from_fixed_point(iblocks, emax, dtype)
+        return np.ascontiguousarray(flat.T).reshape((n,) + (4,) * ndim)
+
+
+class _ZfpFunctor(LocalityFunctor):
+    """One Locality launch over a block batch."""
+
+    bytes_per_element = 7.5
+
+    def __init__(self, ndim: int, maxbits: int, dtype: np.dtype) -> None:
+        self._ndim = ndim
+        self._maxbits = maxbits
+        self._dtype = np.dtype(dtype)
+
+
+class _ZfpEncodeFunctor(_ZfpFunctor):
     """Locality stage: align → fixed point → transform → bitplanes."""
 
     name = "zfp.encode"
-    bytes_per_element = 7.5
-
-    def __init__(self, ndim: int, maxbits: int, dtype: np.dtype) -> None:
-        self._ndim = ndim
-        self._maxbits = maxbits
-        self._dtype = np.dtype(dtype)
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
-        n = blocks.shape[0]
-        with _span("zfp.align", blocks=n):
-            flat = blocks.reshape(n, -1).astype(self._dtype)
-            emax = block_exponents(flat)
-            iblocks = to_fixed_point(flat, emax)
-        with _span("zfp.transform", blocks=n):
-            coeffs = fwd_transform(iblocks, self._ndim)
-        with _span("zfp.bitplane", blocks=n):
+        coeffs, emax = analyze(blocks, self._ndim)
+        with span("zfp.bitplane", cat="zfp", blocks=blocks.shape[0]):
             return encode_blocks(coeffs, emax, self._maxbits, self._dtype)
 
 
-class _ZfpDecodeFunctor(LocalityFunctor):
+class _ZfpDecodeFunctor(_ZfpFunctor):
     """Locality stage: bitplanes → inverse transform → floats."""
 
     name = "zfp.decode"
-    bytes_per_element = 7.5
-
-    def __init__(self, ndim: int, maxbits: int, dtype: np.dtype) -> None:
-        self._ndim = ndim
-        self._maxbits = maxbits
-        self._dtype = np.dtype(dtype)
 
     def apply(self, records: np.ndarray) -> np.ndarray:
-        bs = 4**self._ndim
         n = records.shape[0]
-        with _span("zfp.bitplane", blocks=n):
-            coeffs, emax = decode_blocks(records.reshape(n, -1),
-                                         self._maxbits, bs, self._dtype)
-        with _span("zfp.transform", blocks=n):
-            iblocks = inv_transform(coeffs, self._ndim)
-        with _span("zfp.align", blocks=n):
-            flat = from_fixed_point(iblocks, emax, self._dtype)
-            return flat.reshape((n,) + (4,) * self._ndim)
+        with span("zfp.bitplane", cat="zfp", blocks=n):
+            coeffs, emax = decode_blocks(
+                records.reshape(n, -1), self._maxbits, 4**self._ndim, self._dtype
+            )
+        return synthesize(coeffs, emax, self._ndim, self._dtype)
 
 
 class ZFPX:
@@ -157,20 +182,17 @@ class ZFPX:
         """
         return ()
 
-    def _maxbits(self, ndim: int, dtype: np.dtype) -> int:
-        bs = 4**ndim
-        want = int(round(self.rate * bs))
-        return max(want, 1 + E_BITS[np.dtype(dtype)])
+    def _launch(self, functor: _ZfpFunctor, batch: np.ndarray) -> np.ndarray:
+        if self.adapter is not None:
+            return self.adapter.execute_group_batch(functor, batch)
+        return functor.apply(batch)
 
     def compress(self, data: np.ndarray) -> bytes:
         data = np.ascontiguousarray(data)
         dtype = np.dtype(data.dtype)
-        if dtype not in INTPREC:
-            raise TypeError(f"ZFP-X supports float32/float64, got {dtype}")
         ndim = data.ndim
-        if not 1 <= ndim <= 4:
-            raise ValueError(f"ZFP-X supports 1-4 dimensions, got {ndim}")
-        maxbits = self._maxbits(ndim, dtype)
+        check_input(dtype, ndim)
+        maxbits = record_bits(self.rate, ndim, dtype)
 
         ctx = self.cache.get(("zfp", data.shape, dtype.str, maxbits), pin=True)
         try:
@@ -185,43 +207,22 @@ class ZFPX:
             )
         finally:
             self.cache.release(ctx)
-        with _span("zfp.serialize", nblocks=int(records.shape[0])):
-            header = struct.pack(
-                "<4sBBBdI",
-                _MAGIC,
-                _VERSION,
-                1 if dtype == np.float64 else 0,
-                ndim,
-                self.rate,
-                maxbits,
-            ) + struct.pack(f"<{ndim}q", *data.shape)
+        with span("zfp.serialize", cat="zfp", nblocks=int(records.shape[0])):
+            header = pack_header(_MAGIC, dtype, data.shape, self.rate, maxbits)
             blob = header + records.tobytes()
-        _count_bytes(data.nbytes, len(blob))
+        count_bytes("zfp", data.nbytes, len(blob))
         return blob
 
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        magic, version, is64, ndim, rate, maxbits = struct.unpack_from("<4sBBBdI", blob, 0)
-        if magic != _MAGIC:
-            raise ValueError("not a ZFP-X stream (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported ZFP-X version {version}")
-        off = struct.calcsize("<4sBBBdI")
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
-        dtype = np.dtype(np.float64 if is64 else np.float32)
+        dtype, shape, maxbits, off = unpack_header(blob, _MAGIC)
         rec_bytes = -(-maxbits // 8)
-        grid_shape = tuple(-(-n // 4) for n in shape)
+        grid_shape = block_grid(shape, (4,) * len(shape))
         nblocks = int(np.prod(grid_shape))
         records = np.frombuffer(
             blob, dtype=np.uint8, count=nblocks * rec_bytes, offset=off
         ).reshape(nblocks, rec_bytes)
-
-        decoder = _ZfpDecodeFunctor(ndim, maxbits, dtype)
-        if self.adapter is not None:
-            blocks = self.adapter.execute_group_batch(decoder, records)
-        else:
-            blocks = decoder.apply(records)
+        blocks = self._launch(_ZfpDecodeFunctor(len(shape), maxbits, dtype), records)
         return unblockize(blocks, grid_shape, tuple(shape))
 
     # -- vectorized batch entry points ------------------------------------
@@ -245,12 +246,9 @@ class ZFPX:
             return []
         first = arrays[0]
         dtype = np.dtype(first.dtype)
-        if dtype not in INTPREC:
-            raise TypeError(f"ZFP-X supports float32/float64, got {dtype}")
         shape = first.shape
         ndim = first.ndim
-        if not 1 <= ndim <= 4:
-            raise ValueError(f"ZFP-X supports 1-4 dimensions, got {ndim}")
+        check_input(dtype, ndim)
         for a in arrays[1:]:
             if a.shape != shape or a.dtype != dtype:
                 raise ValueError(
@@ -260,7 +258,7 @@ class ZFPX:
         if len(arrays) == 1:
             return [self.compress(first)]
 
-        maxbits = self._maxbits(ndim, dtype)
+        maxbits = record_bits(self.rate, ndim, dtype)
         block_shape = (4,) * ndim
         grid_shape = block_grid(shape, block_shape)
         nblocks = int(np.prod(grid_shape))
@@ -274,32 +272,20 @@ class ZFPX:
             batch = ctx.scratch("batch", n * nblocks * bs, dtype).reshape(
                 (n * nblocks,) + block_shape
             )
-            with _span("zfp.blockize", arrays=n, blocks=n * nblocks):
+            with span("zfp.blockize", cat="zfp", arrays=n, blocks=n * nblocks):
                 for i, a in enumerate(arrays):
                     blockize(
                         a, block_shape, pad_mode="edge",
                         out=batch[i * nblocks:(i + 1) * nblocks],
                     )
-            functor = _ZfpEncodeFunctor(ndim, maxbits, dtype)
-            if self.adapter is not None:
-                records = self.adapter.execute_group_batch(functor, batch)
-            else:
-                records = functor.apply(batch)
+            records = self._launch(_ZfpEncodeFunctor(ndim, maxbits, dtype), batch)
         finally:
             self.cache.release(ctx)
-        with _span("zfp.serialize", nblocks=n * nblocks, arrays=n):
-            header = struct.pack(
-                "<4sBBBdI",
-                _MAGIC,
-                _VERSION,
-                1 if dtype == np.float64 else 0,
-                ndim,
-                self.rate,
-                maxbits,
-            ) + struct.pack(f"<{ndim}q", *shape)
+        with span("zfp.serialize", cat="zfp", nblocks=n * nblocks, arrays=n):
+            header = pack_header(_MAGIC, dtype, shape, self.rate, maxbits)
             per_array = records.reshape(n, nblocks, -1)
             blobs = [header + per_array[i].tobytes() for i in range(n)]
-        _count_bytes(n * first.nbytes, sum(len(b) for b in blobs))
+        count_bytes("zfp", n * first.nbytes, sum(len(b) for b in blobs))
         return blobs
 
     @stream_errors
@@ -316,25 +302,15 @@ class ZFPX:
             return []
         if len(blobs) == 1:
             return [self.decompress(blobs[0])]
-        magic, version, is64, ndim, _rate, maxbits = struct.unpack_from(
-            "<4sBBBdI", blobs[0], 0
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a ZFP-X stream (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported ZFP-X version {version}")
-        off = struct.calcsize("<4sBBBdI")
-        shape = struct.unpack_from(f"<{ndim}q", blobs[0], off)
-        off += 8 * ndim
+        dtype, shape, maxbits, off = unpack_header(blobs[0], _MAGIC)
         header = blobs[0][:off]
         for b in blobs[1:]:
             if bytes(b[:off]) != header:
                 raise ValueError(
                     "decompress_batch requires uniform stream headers"
                 )
-        dtype = np.dtype(np.float64 if is64 else np.float32)
         rec_bytes = -(-maxbits // 8)
-        grid_shape = tuple(-(-s // 4) for s in shape)
+        grid_shape = block_grid(shape, (4,) * len(shape))
         nblocks = int(np.prod(grid_shape))
         n = len(blobs)
 
@@ -342,20 +318,15 @@ class ZFPX:
             ("zfp.batch", tuple(shape), dtype.str, maxbits), pin=True
         )
         try:
-            records = ctx.scratch(
-                "records", n * nblocks * rec_bytes, np.uint8
-            ).reshape(n * nblocks, rec_bytes)
-            with _span("zfp.gather", arrays=n, blocks=n * nblocks):
+            size = nblocks * rec_bytes
+            records = ctx.scratch("records", n * size, np.uint8).reshape(n, size)
+            with span("zfp.gather", cat="zfp", arrays=n, blocks=n * nblocks):
                 for i, b in enumerate(blobs):
-                    records[i * nblocks:(i + 1) * nblocks] = np.frombuffer(
-                        b, dtype=np.uint8, count=nblocks * rec_bytes,
-                        offset=off,
-                    ).reshape(nblocks, rec_bytes)
-            decoder = _ZfpDecodeFunctor(ndim, maxbits, dtype)
-            if self.adapter is not None:
-                blocks = self.adapter.execute_group_batch(decoder, records)
-            else:
-                blocks = decoder.apply(records)
+                    records[i] = np.frombuffer(b, np.uint8, size, off)
+            blocks = self._launch(
+                _ZfpDecodeFunctor(len(shape), maxbits, dtype),
+                records.reshape(n * nblocks, rec_bytes),
+            )
         finally:
             self.cache.release(ctx)
         return [
@@ -372,7 +343,5 @@ class ZFPX:
     def expected_ratio(self, ndim: int, dtype=np.float32) -> float:
         """Nominal ratio from the rate alone (ignores headers/padding)."""
         bits_per_value = np.dtype(dtype).itemsize * 8
-        maxbits = self._maxbits(ndim, dtype)
-        bs = 4**ndim
-        stored_bits = 8 * (-(-maxbits // 8))
-        return bits_per_value * bs / stored_bits
+        stored_bits = 8 * (-(-record_bits(self.rate, ndim, dtype) // 8))
+        return bits_per_value * 4**ndim / stored_bits

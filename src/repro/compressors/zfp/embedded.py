@@ -16,24 +16,22 @@ arrays; the vectorized coder remains the default elsewhere.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from repro.core.abstractions import blockize, unblockize
 from repro.compressors.zfp.bitplane import INTPREC, from_negabinary, to_negabinary
-from repro.compressors.zfp.fixedpoint import (
-    E_BIAS,
-    E_BITS,
-    block_exponents,
-    from_fixed_point,
-    to_fixed_point,
+from repro.compressors.zfp.compressor import (
+    analyze,
+    check_input,
+    pack_header,
+    record_bits,
+    synthesize,
+    unpack_header,
 )
-from repro.compressors.zfp.transform import fwd_transform, inv_transform
+from repro.compressors.zfp.fixedpoint import E_BIAS, E_BITS
 from repro.util import stream_errors
 
 _MAGIC = b"ZFPE"
-_VERSION = 1
 
 
 class BitWriter:
@@ -184,35 +182,26 @@ class ZFPEmbedded:
         self.rate = float(rate)
         self.adapter = adapter
 
-    def _maxbits(self, ndim: int, dtype: np.dtype) -> int:
-        bs = 4**ndim
-        return max(int(round(self.rate * bs)), 1 + E_BITS[np.dtype(dtype)])
-
     def compress(self, data: np.ndarray) -> bytes:
         data = np.ascontiguousarray(data)
         dtype = np.dtype(data.dtype)
-        if dtype not in INTPREC:
-            raise TypeError(f"supports float32/float64, got {dtype}")
         ndim = data.ndim
-        if not 1 <= ndim <= 4:
-            raise ValueError(f"supports 1-4 dims, got {ndim}")
-        bs = 4**ndim
+        check_input(dtype, ndim, "ZFP-embedded")
         e_bits = E_BITS[dtype]
         bias = E_BIAS[dtype]
         width = INTPREC[dtype]
-        maxbits = self._maxbits(ndim, dtype)
+        maxbits = record_bits(self.rate, ndim, dtype)
 
         batch, grid = blockize(data, (4,) * ndim, pad_mode="edge")
-        flat = batch.reshape(batch.shape[0], -1).astype(dtype)
-        emax = block_exponents(flat)
-        coeffs = fwd_transform(to_fixed_point(flat, emax), ndim)
-        neg = to_negabinary(coeffs, width)
+        coeffs, emax = analyze(batch, ndim)
+        # The coder walks one block at a time: rows of the transpose.
+        neg = to_negabinary(coeffs, width).T
 
         records = []
         rec_bytes = (maxbits + 7) // 8
         for b in range(neg.shape[0]):
             w = BitWriter()
-            nonzero = bool(np.any(coeffs[b] != 0))
+            nonzero = bool(np.any(coeffs[:, b] != 0))
             w.write_bit(1 if nonzero else 0)
             if nonzero:
                 w.write_bits(int(emax[b]) + bias, e_bits)
@@ -222,25 +211,13 @@ class ZFPEmbedded:
                 w._bits.extend(inner._bits)
             records.append(w.tobytes(pad_to_bits=rec_bytes * 8))
 
-        header = struct.pack(
-            "<4sBBBdI", _MAGIC, _VERSION, 1 if dtype == np.float64 else 0,
-            ndim, self.rate, maxbits,
-        ) + struct.pack(f"<{ndim}q", *data.shape)
+        header = pack_header(_MAGIC, dtype, data.shape, self.rate, maxbits)
         return header + b"".join(records)
 
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        magic, version, is64, ndim, rate, maxbits = struct.unpack_from(
-            "<4sBBBdI", blob, 0
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a ZFP-embedded stream (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        off = struct.calcsize("<4sBBBdI")
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
-        dtype = np.dtype(np.float64 if is64 else np.float32)
+        dtype, shape, maxbits, off = unpack_header(blob, _MAGIC, "ZFP-embedded")
+        ndim = len(shape)
         e_bits = E_BITS[dtype]
         bias = E_BIAS[dtype]
         width = INTPREC[dtype]
@@ -259,11 +236,8 @@ class ZFPEmbedded:
                 neg[b] = decode_block_embedded(
                     r, maxbits - 1 - e_bits, width, bs
                 )
-        coeffs = from_negabinary(neg, width)
-        iblocks = inv_transform(coeffs, ndim)
-        flat = from_fixed_point(iblocks, emax, dtype)
-        return unblockize(flat.reshape((nblocks,) + (4,) * ndim), grid,
-                          tuple(shape))
+        coeffs = from_negabinary(neg.T, width)
+        return unblockize(synthesize(coeffs, emax, ndim, dtype), grid, tuple(shape))
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)

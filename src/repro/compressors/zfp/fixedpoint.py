@@ -4,6 +4,10 @@ Each 4^d block aligns all values to the block's maximum exponent and
 converts to two's-complement fixed point with ``q`` integer bits of
 headroom (q = 30 for FP32 / 62 for FP64, mirroring zfp), guaranteeing
 the subsequent integer lifting transform cannot overflow.
+
+Like every ZFP kernel these work on coefficient-major batches,
+``(4**ndim, nblocks)``: a per-block quantity is a reduction over rows
+and a per-block scale broadcasts along the contiguous axis.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ E_BIAS = {np.dtype(np.float32): 127, np.dtype(np.float64): 1023}
 def block_exponents(blocks: np.ndarray) -> np.ndarray:
     """Per-block maximum exponent ``emax`` with ``max|v| < 2^emax``.
 
-    ``blocks`` is ``(nblocks, block_size)`` float.  All-zero blocks get
+    ``blocks`` is ``(block_size, nblocks)`` float.  All-zero blocks get
     the minimum representable exponent (they encode as a zero flag).
     """
-    absmax = np.max(np.abs(blocks), axis=1)
-    emax = np.zeros(blocks.shape[0], dtype=np.int32)
+    absmax = np.max(np.abs(blocks), axis=0)
+    emax = np.zeros(blocks.shape[1], dtype=np.int32)
     nz = absmax > 0
     # frexp: absmax = m * 2^e with m in [0.5, 1)  =>  absmax < 2^e.
     _, e = np.frexp(absmax[nz])
@@ -49,7 +53,10 @@ def to_fixed_point(blocks: np.ndarray, emax: np.ndarray) -> np.ndarray:
     # the minimum exponent, where the scale value is irrelevant (0 · s).
     exp = np.minimum(q - emax, 1023)
     scale = np.ldexp(np.ones_like(emax, dtype=np.float64), exp)
-    return (blocks.astype(np.float64) * scale[:, None]).astype(np.int64)
+    # One pass: the product is formed in float64 and truncated on store.
+    out = np.empty(blocks.shape, dtype=np.int64)
+    np.multiply(blocks, scale, out=out, dtype=np.float64, casting="unsafe")
+    return out
 
 
 def from_fixed_point(
@@ -60,4 +67,6 @@ def from_fixed_point(
     q = Q_BITS[dtype]
     exp = np.maximum(emax - q, -1074)
     scale = np.ldexp(np.ones_like(emax, dtype=np.float64), exp)
-    return (iblocks.astype(np.float64) * scale[:, None]).astype(dtype)
+    out = np.empty(iblocks.shape, dtype=dtype)
+    np.multiply(iblocks, scale, out=out, dtype=np.float64, casting="unsafe")
+    return out

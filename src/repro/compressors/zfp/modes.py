@@ -24,14 +24,8 @@ import numpy as np
 
 from repro.core.abstractions import blockize, unblockize
 from repro.compressors.zfp.bitplane import INTPREC, decode_blocks, encode_blocks
-from repro.compressors.zfp.fixedpoint import (
-    E_BITS,
-    Q_BITS,
-    block_exponents,
-    from_fixed_point,
-    to_fixed_point,
-)
-from repro.compressors.zfp.transform import fwd_transform, inv_transform
+from repro.compressors.zfp.compressor import ZFPX, analyze, check_input, synthesize
+from repro.compressors.zfp.fixedpoint import E_BITS, Q_BITS
 from repro.util import stream_errors
 
 _MAGIC = b"ZFPA"
@@ -77,30 +71,24 @@ class ZFPAccuracy:
     def compress(self, data: np.ndarray) -> bytes:
         data = np.ascontiguousarray(data)
         dtype = np.dtype(data.dtype)
-        if dtype not in INTPREC:
-            raise TypeError(f"fix-accuracy supports float32/float64, got {dtype}")
         ndim = data.ndim
-        if not 1 <= ndim <= 4:
-            raise ValueError(f"supports 1-4 dims, got {ndim}")
+        check_input(dtype, ndim, "fix-accuracy")
         bs = 4**ndim
         e_bits = E_BITS[dtype]
 
         batch, grid = blockize(data, (4,) * ndim, pad_mode="edge")
-        flat = batch.reshape(batch.shape[0], -1).astype(dtype)
-        emax = block_exponents(flat)
-        iblocks = to_fixed_point(flat, emax)
-        coeffs = fwd_transform(iblocks, ndim)
+        coeffs, emax = analyze(batch, ndim)
 
         kept = planes_for_tolerance(emax, self.tolerance, ndim, dtype)
         # All-zero blocks need no planes.
-        kept[~np.any(coeffs != 0, axis=1)] = 0
+        kept[~np.any(coeffs != 0, axis=0)] = 0
 
-        nblocks = coeffs.shape[0]
+        nblocks = coeffs.shape[1]
         records: list[bytes | None] = [None] * nblocks
         for k in np.unique(kept):
             idx = np.flatnonzero(kept == k)
             maxbits = 1 + e_bits + int(k) * bs
-            recs = encode_blocks(coeffs[idx], emax[idx], maxbits, dtype)
+            recs = encode_blocks(coeffs[:, idx], emax[idx], maxbits, dtype)
             for j, block_id in enumerate(idx):
                 records[block_id] = recs[j].tobytes()
 
@@ -135,7 +123,7 @@ class ZFPAccuracy:
         rec_bytes = (1 + e_bits + kept * bs + 7) // 8
         offsets = np.concatenate([[0], np.cumsum(rec_bytes)]) + off
 
-        coeffs = np.zeros((nblocks, bs), dtype=np.int64)
+        coeffs = np.zeros((bs, nblocks), dtype=np.int64)
         emax = np.full(nblocks, 0, dtype=np.int32)
         for k in np.unique(kept):
             idx = np.flatnonzero(kept == k)
@@ -147,13 +135,10 @@ class ZFPAccuracy:
                 for i in idx
             ])
             c, e = decode_blocks(recs, maxbits, bs, dtype)
-            coeffs[idx] = c
+            coeffs[:, idx] = c
             emax[idx] = e
 
-        iblocks = inv_transform(coeffs, ndim)
-        flat = from_fixed_point(iblocks, emax, dtype)
-        batch = flat.reshape((nblocks,) + (4,) * ndim)
-        return unblockize(batch, grid, tuple(shape))
+        return unblockize(synthesize(coeffs, emax, ndim, dtype), grid, tuple(shape))
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)
@@ -176,9 +161,7 @@ class ZFPPrecision:
         self.precision = int(precision)
         self.adapter = adapter
 
-    def _as_rate(self, ndim: int, dtype: np.dtype) -> "ZFPX":
-        from repro.compressors.zfp.compressor import ZFPX
-
+    def _as_rate(self, ndim: int, dtype: np.dtype) -> ZFPX:
         dtype = np.dtype(dtype)
         bs = 4**ndim
         precision = min(self.precision, INTPREC[dtype])
@@ -189,8 +172,6 @@ class ZFPPrecision:
         return self._as_rate(np.ndim(data), np.asarray(data).dtype).compress(data)
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        from repro.compressors.zfp.compressor import ZFPX
-
         return ZFPX(adapter=self.adapter).decompress(blob)
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:

@@ -9,12 +9,19 @@ lifted near-orthogonal basis
             (-2  6 -6  2)
 
 implemented exactly as zfp's ``fwd_lift``/``inv_lift`` integer lifting
-steps, which are perfectly invertible in two's-complement arithmetic
-(arithmetic right shifts).  Vectorized over all blocks at once.
+steps (arithmetic right shifts on two's-complement int64).
+
+Blocks are held coefficient-major, ``(4**ndim, nblocks)`` int64: row
+``c`` is position ``c`` (C order) of every block.  Viewed as
+``(4,)*ndim + (nblocks,)``, the four samples a lifting step combines
+along a block axis are four basic slices, so a step is a few in-place
+array operations over runs of ``nblocks`` contiguous values; nothing is
+moved, copied or stacked.  DESIGN.md §3.1 says why that is exact and
+why float32 blocks need int64 too.
 
 Coefficients are reordered by total sequency (sum of per-dimension
-frequencies) so low-frequency — high-magnitude — coefficients serialize
-into earlier bitplane positions.
+frequencies), low frequencies first, so the large ones serialize into
+earlier bitplane positions; here that is a row permutation.
 """
 
 from __future__ import annotations
@@ -24,44 +31,24 @@ from functools import lru_cache
 import numpy as np
 
 
-def fwd_lift(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Forward lifting along one length-4 axis of an int64 array."""
-    v = np.moveaxis(v, axis, -1)
-    if v.shape[-1] != 4:
-        raise ValueError(f"lifting axis must have length 4, got {v.shape[-1]}")
-    x = v[..., 0].copy()
-    y = v[..., 1].copy()
-    z = v[..., 2].copy()
-    w = v[..., 3].copy()
-
+def fwd_lift(x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+    """Forward lifting, in place, of the four samples along a block axis."""
     x += w; x >>= 1; w -= x
     z += y; z >>= 1; y -= z
     x += z; x >>= 1; z -= x
     w += y; w >>= 1; y -= w
-    w += y >> 1; y -= w >> 1
-
-    out = np.stack([x, y, z, w], axis=-1)
-    return np.moveaxis(out, -1, axis)
+    t = y >> 1; w += t
+    np.right_shift(w, 1, out=t); y -= t
 
 
-def inv_lift(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exact inverse of :func:`fwd_lift`."""
-    v = np.moveaxis(v, axis, -1)
-    if v.shape[-1] != 4:
-        raise ValueError(f"lifting axis must have length 4, got {v.shape[-1]}")
-    x = v[..., 0].copy()
-    y = v[..., 1].copy()
-    z = v[..., 2].copy()
-    w = v[..., 3].copy()
-
-    y += w >> 1; w -= y >> 1
+def inv_lift(x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+    """Exact inverse of :func:`fwd_lift`, in place."""
+    t = w >> 1; y += t
+    np.right_shift(y, 1, out=t); w -= t
     y += w; w <<= 1; w -= y
     z += x; x <<= 1; x -= z
     y += z; z <<= 1; z -= y
     w += x; x <<= 1; x -= w
-
-    out = np.stack([x, y, z, w], axis=-1)
-    return np.moveaxis(out, -1, axis)
 
 
 @lru_cache(maxsize=8)
@@ -80,26 +67,36 @@ def sequency_order(ndim: int) -> np.ndarray:
     return np.lexsort((flat, total)).astype(np.intp)
 
 
-def fwd_transform(iblocks: np.ndarray, ndim: int) -> np.ndarray:
-    """Forward transform of a block batch ``(nblocks, 4**ndim)``.
+def _axis_samples(blocks: np.ndarray, ndim: int) -> list[list[np.ndarray]]:
+    """Per block axis, its four slices of a C-contiguous batch (a copy
+    would swallow the in-place lifting)."""
+    if blocks.ndim != 2 or blocks.shape[0] != 4**ndim:
+        raise ValueError(
+            f"expected a ({4**ndim}, nblocks) batch, got {blocks.shape}"
+        )
+    if not blocks.flags.c_contiguous:
+        raise ValueError("the block batch must be C-contiguous")
+    v = blocks.reshape((4,) * ndim + (-1,))
+    return [[v[(slice(None),) * axis + (i,)] for i in range(4)]
+            for axis in range(ndim)]
 
-    Returns coefficients in sequency order, same shape.
+
+def fwd_transform(iblocks: np.ndarray, ndim: int) -> np.ndarray:
+    """Forward transform of a block batch ``(4**ndim, nblocks)`` int64.
+
+    Lifts ``iblocks`` in place (it holds no meaningful values
+    afterwards) and returns the coefficients in sequency order, same
+    shape, as a new array.
     """
-    n = iblocks.shape[0]
-    v = iblocks.reshape((n,) + (4,) * ndim).astype(np.int64)
-    for axis in range(1, ndim + 1):
-        v = fwd_lift(v, axis=axis)
-    flat = v.reshape(n, 4**ndim)
-    return flat[:, sequency_order(ndim)]
+    for samples in _axis_samples(iblocks, ndim):
+        fwd_lift(*samples)
+    return iblocks[sequency_order(ndim)]
 
 
 def inv_transform(coeffs: np.ndarray, ndim: int) -> np.ndarray:
-    """Inverse of :func:`fwd_transform`."""
-    n = coeffs.shape[0]
-    perm = sequency_order(ndim)
-    unperm = np.empty_like(perm)
-    unperm[perm] = np.arange(perm.size, dtype=np.intp)
-    v = coeffs[:, unperm].reshape((n,) + (4,) * ndim).astype(np.int64)
-    for axis in range(ndim, 0, -1):
-        v = inv_lift(v, axis=axis)
-    return v.reshape(n, 4**ndim)
+    """Inverse of :func:`fwd_transform`: a new int64 batch, ``coeffs`` intact."""
+    iblocks = np.empty(coeffs.shape, dtype=np.int64)
+    iblocks[sequency_order(ndim)] = coeffs
+    for samples in reversed(_axis_samples(iblocks, ndim)):
+        inv_lift(*samples)
+    return iblocks

@@ -268,6 +268,21 @@ def span(name: str, cat: str = "host", **args):
     return Span(TRACER, name, cat, args)
 
 
+def count_bytes(codec: str, nbytes_in: int, nbytes_out: int) -> None:
+    """Add one ``compress()`` call to the per-codec volume counters
+    (one attribute test when tracing is off)."""
+    if not TRACER.enabled:
+        return
+    from repro.trace.metrics import REGISTRY  # metrics never imports us
+
+    REGISTRY.counter("hpdr_bytes_in_total", "bytes fed to compress()").inc(
+        int(nbytes_in), codec=codec
+    )
+    REGISTRY.counter("hpdr_bytes_out_total", "compressed bytes produced").inc(
+        int(nbytes_out), codec=codec
+    )
+
+
 def traced(name: str | None = None, cat: str = "host"):
     """Decorator form: trace every call of the wrapped function.
 

@@ -1,8 +1,8 @@
 """Reference kernels: the bodies the fast kernels replaced (tests only).
 
 Each function here is the slow, obviously-right formulation the source
-tree used before the key coder and the multilevel operators were
-rewritten around fewer array passes.  ``test_kernel_oracles.py`` asserts
+tree used before the key coder, the multilevel operators and the ZFP
+block kernels were rewritten around fewer array passes.  ``test_kernel_oracles.py`` asserts
 the fast kernels equal them bit for bit; nothing in ``src/`` imports
 this module.
 """
@@ -152,3 +152,210 @@ def reference_prolong(b: np.ndarray, level, axis: int) -> np.ndarray:
         + _bshape(level.wr, v.ndim) * out[right_idx]
     )
     return np.moveaxis(out, 0, axis)
+
+
+# ---------------------------------------------------------------------------
+# MGARD: zigzag symbols through ``where`` and a boolean gather
+# ---------------------------------------------------------------------------
+def reference_to_symbols(q: np.ndarray, dict_size: int):
+    q = q.astype(np.int64)
+    z = (q << 1) ^ (q >> 63)
+    fits = z < dict_size - 1
+    return np.where(fits, z + 1, 0), q[~fits]
+
+
+def reference_from_symbols(symbols: np.ndarray, outliers: np.ndarray) -> np.ndarray:
+    symbols = symbols.astype(np.int64)
+    escaped = symbols == 0
+    z = symbols - 1
+    q = (z >> 1) ^ -(z & 1)
+    q[escaped] = outliers
+    return q
+
+
+# ---------------------------------------------------------------------------
+# ZFP: block-major lifting, one byte per bit in the plane coder
+# ---------------------------------------------------------------------------
+_ZFP = {  # dtype -> (negabinary width, exponent bits, exponent bias, q)
+    np.dtype(np.float32): (32, 8, 127, 30),
+    np.dtype(np.float64): (64, 11, 1023, 62),
+}
+
+
+def reference_block_exponents(blocks: np.ndarray) -> np.ndarray:
+    """Block-major ``(nblocks, block_size)`` floats to ``emax``."""
+    bias = _ZFP[np.dtype(blocks.dtype)][2]
+    absmax = np.max(np.abs(blocks), axis=1)
+    emax = np.zeros(blocks.shape[0], dtype=np.int32)
+    nz = absmax > 0
+    _, e = np.frexp(absmax[nz])
+    emax[nz] = e
+    emax[~nz] = -bias
+    return np.clip(emax, -bias + 1, bias)
+
+
+def reference_to_fixed_point(blocks: np.ndarray, emax: np.ndarray) -> np.ndarray:
+    q = _ZFP[np.dtype(blocks.dtype)][3]
+    exp = np.minimum(q - emax, 1023)
+    scale = np.ldexp(np.ones_like(emax, dtype=np.float64), exp)
+    return (blocks.astype(np.float64) * scale[:, None]).astype(np.int64)
+
+
+def reference_from_fixed_point(iblocks, emax, dtype) -> np.ndarray:
+    q = _ZFP[np.dtype(dtype)][3]
+    exp = np.maximum(emax - q, -1074)
+    scale = np.ldexp(np.ones_like(emax, dtype=np.float64), exp)
+    return (iblocks.astype(np.float64) * scale[:, None]).astype(dtype)
+
+
+def reference_fwd_lift(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Forward lifting along one length-4 axis of an int64 array."""
+    v = np.moveaxis(v, axis, -1)
+    x = v[..., 0].copy()
+    y = v[..., 1].copy()
+    z = v[..., 2].copy()
+    w = v[..., 3].copy()
+
+    x += w; x >>= 1; w -= x
+    z += y; z >>= 1; y -= z
+    x += z; x >>= 1; z -= x
+    w += y; w >>= 1; y -= w
+    w += y >> 1; y -= w >> 1
+
+    out = np.stack([x, y, z, w], axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def reference_inv_lift(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    v = np.moveaxis(v, axis, -1)
+    x = v[..., 0].copy()
+    y = v[..., 1].copy()
+    z = v[..., 2].copy()
+    w = v[..., 3].copy()
+
+    y += w >> 1; w -= y >> 1
+    y += w; w <<= 1; w -= y
+    z += x; x <<= 1; x -= z
+    y += z; z <<= 1; z -= y
+    w += x; x <<= 1; x -= w
+
+    out = np.stack([x, y, z, w], axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def reference_fwd_transform(iblocks: np.ndarray, ndim: int) -> np.ndarray:
+    """Block-major ``(nblocks, 4**ndim)`` in, sequency order out."""
+    from repro.compressors.zfp.transform import sequency_order
+
+    n = iblocks.shape[0]
+    v = iblocks.reshape((n,) + (4,) * ndim).astype(np.int64)
+    for axis in range(1, ndim + 1):
+        v = reference_fwd_lift(v, axis=axis)
+    return v.reshape(n, 4**ndim)[:, sequency_order(ndim)]
+
+
+def reference_inv_transform(coeffs: np.ndarray, ndim: int) -> np.ndarray:
+    from repro.compressors.zfp.transform import sequency_order
+
+    n = coeffs.shape[0]
+    perm = sequency_order(ndim)
+    unperm = np.empty_like(perm)
+    unperm[perm] = np.arange(perm.size, dtype=np.intp)
+    v = coeffs[:, unperm].reshape((n,) + (4,) * ndim).astype(np.int64)
+    for axis in range(ndim, 0, -1):
+        v = reference_inv_lift(v, axis=axis)
+    return v.reshape(n, 4**ndim)
+
+
+_NB = 0xAAAAAAAAAAAAAAAA
+
+
+def reference_to_negabinary(x: np.ndarray, width: int) -> np.ndarray:
+    wmask = np.uint64((1 << width) - 1)
+    mask = np.uint64(_NB) & wmask
+    u = x.astype(np.int64, copy=False).view(np.uint64) & wmask
+    return ((u + mask) ^ mask) & wmask
+
+
+def reference_from_negabinary(u: np.ndarray, width: int) -> np.ndarray:
+    wmask = np.uint64((1 << width) - 1)
+    mask = np.uint64(_NB) & wmask
+    w = ((u.astype(np.uint64, copy=False) ^ mask) - mask) & wmask
+    x = w.view(np.int64)
+    if width < 64:
+        sign = np.uint64(1) << np.uint64(width - 1)
+        x = np.where((w & sign) != 0, (w | ~wmask).view(np.int64), x)
+    return x.astype(np.int64, copy=False)
+
+
+def _window_bits(nplanes: int, width: int) -> int:
+    """Smallest byte-aligned window >= ``nplanes`` (for packbits I/O)."""
+    for w in (16, 32, 64):
+        if nplanes <= w <= width:
+            return w
+    return width
+
+
+def reference_encode_blocks(coeffs, emax, maxbits: int, dtype) -> np.ndarray:
+    """Block-major ``(nblocks, block_size)`` coefficients to records,
+    through a ``(nblocks, maxbits)`` array holding one bit per byte."""
+    width, e_bits, bias, _ = _ZFP[np.dtype(dtype)]
+    nblocks, bs = coeffs.shape
+    neg = reference_to_negabinary(coeffs, width)
+
+    nonzero = np.any(coeffs != 0, axis=1)
+    ebiased = (emax.astype(np.int64) + bias).astype(np.uint64)
+
+    bits = np.zeros((nblocks, maxbits), dtype=np.uint8)
+    bits[:, 0] = nonzero
+    for i in range(e_bits):  # exponent, MSB first
+        shift = np.uint64(e_bits - 1 - i)
+        bits[:, 1 + i] = ((ebiased >> shift) & np.uint64(1)).astype(np.uint8)
+
+    plane_bits = max(0, maxbits - 1 - e_bits)
+    nplanes = min(width, -(-plane_bits // bs)) if plane_bits else 0
+    if nplanes:
+        w = _window_bits(nplanes, width)
+        win = (neg >> np.uint64(width - w)).astype(f">u{w // 8}", order="C")
+        unpacked = np.unpackbits(
+            win.view(np.uint8).reshape(nblocks, bs * (w // 8)), axis=1
+        )
+        planes = unpacked.reshape(nblocks, bs, w).transpose(0, 2, 1)[:, :nplanes, :]
+        flat = planes.reshape(nblocks, nplanes * bs)[:, :plane_bits]
+        bits[:, 1 + e_bits : 1 + e_bits + flat.shape[1]] = flat
+    bits[~nonzero, 1:] = 0
+    return np.packbits(bits, axis=1)
+
+
+def reference_decode_blocks(records, maxbits: int, block_size: int, dtype):
+    """Records to block-major ``(coeffs, emax)``."""
+    width, e_bits, bias, _ = _ZFP[np.dtype(dtype)]
+    nblocks = records.shape[0]
+    bits = np.unpackbits(records, axis=1)[:, :maxbits]
+
+    nonzero = bits[:, 0].astype(bool)
+    ebiased = np.zeros(nblocks, dtype=np.uint64)
+    for i in range(e_bits):
+        ebiased = (ebiased << np.uint64(1)) | bits[:, 1 + i].astype(np.uint64)
+    emax = ebiased.astype(np.int64) - bias
+
+    plane_bits = max(0, maxbits - 1 - e_bits)
+    nplanes = min(width, -(-plane_bits // block_size)) if plane_bits else 0
+    neg = np.zeros((nblocks, block_size), dtype=np.uint64)
+    if nplanes:
+        payload = np.zeros((nblocks, nplanes * block_size), dtype=np.uint8)
+        avail = min(plane_bits, nplanes * block_size)
+        payload[:, :avail] = bits[:, 1 + e_bits : 1 + e_bits + avail]
+        planes = payload.reshape(nblocks, nplanes, block_size)
+        w = _window_bits(nplanes, width)
+        arranged = np.zeros((nblocks, block_size, w), dtype=np.uint8)
+        arranged[:, :, :nplanes] = planes.transpose(0, 2, 1)
+        packed = np.packbits(arranged.reshape(nblocks, block_size * w), axis=1)
+        vals = packed.reshape(nblocks, block_size, w // 8).view(f">u{w // 8}")
+        neg = vals.reshape(nblocks, block_size).astype(np.uint64) << np.uint64(
+            width - w
+        )
+    coeffs = reference_from_negabinary(neg, width)
+    coeffs[~nonzero] = 0
+    emax[~nonzero] = -bias
+    return coeffs, emax.astype(np.int32)

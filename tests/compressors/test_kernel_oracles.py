@@ -1,11 +1,14 @@
 """The fast kernels equal the reference kernels bit for bit.
 
 The key coder packs word-sized groups of codes and builds its code
-lengths over Python lists; the multilevel operators index with slices.
-``_reference_kernels`` keeps what they replaced: a one-node-at-a-time
-tree merge and Kraft repair, a bit-by-bit packer, and operators that
-gather and scatter through looked-up index arrays.  Equality is on raw
-bytes, so the sign of every zero is part of the contract.
+lengths over Python lists; the multilevel operators index with slices;
+the ZFP kernels lift coefficient-major batches in place and transpose
+bits inside 64-bit words.  ``_reference_kernels`` keeps what they
+replaced: a one-node-at-a-time tree merge and Kraft repair, a
+bit-by-bit packer, operators that gather and scatter through looked-up
+index arrays, and block-major lifting with a plane coder that holds one
+bit per byte.  Equality is on raw bytes, so the sign of every zero is
+part of the contract.
 """
 
 import numpy as np
@@ -24,15 +27,33 @@ from repro.compressors.huffman.codebook import (
 )
 from repro.compressors.mgard.hierarchy import DimHierarchy
 from repro.compressors.mgard.ops1d import lerp_fill, mass_apply, prolong, restrict
+from repro.compressors.mgard.quantize import from_symbols, to_symbols
+from repro.compressors.zfp.bitplane import INTPREC, decode_blocks, encode_blocks
+from repro.compressors.zfp.fixedpoint import (
+    E_BITS,
+    block_exponents,
+    from_fixed_point,
+    to_fixed_point,
+)
+from repro.compressors.zfp.transform import fwd_transform, inv_transform
 from repro.core.context import ContextCache
 
 from ._reference_kernels import (
+    reference_block_exponents,
+    reference_decode_blocks,
+    reference_encode_blocks,
+    reference_from_fixed_point,
+    reference_from_symbols,
+    reference_fwd_transform,
+    reference_inv_transform,
     reference_lerp_fill,
     reference_limit_lengths,
     reference_mass_apply,
     reference_pack_bits,
     reference_prolong,
     reference_restrict,
+    reference_to_fixed_point,
+    reference_to_symbols,
     reference_tree_depths,
 )
 
@@ -243,3 +264,170 @@ def test_operators_leave_their_input_alone():
     restrict(mass_apply(u, level, 1), level, 1)
     prolong(_coarse(level, u, 1), level, 1)
     assert u.tobytes() == before
+
+
+# ---------------------------------------------------------------------------
+# Quantization codes to Huffman symbols
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("spread, dtype", [
+    (3, np.int64),          # nothing escapes: the gather is skipped
+    (400, np.int64),        # a few per cent escape
+    (400, np.int32),        # narrower codes widen to int64 symbols
+    (1 << 40, np.int64),    # everything but the zeros escapes
+])
+def test_symbol_mapping_matches_the_where_and_gather_form(spread, dtype):
+    rng = np.random.default_rng(spread % 1000)
+    q = np.round(rng.normal(size=5000) * spread).astype(dtype)
+    q[::7] = 0
+    before = q.copy()
+    want_s, want_o = reference_to_symbols(q, 256)
+    got_s, got_o = to_symbols(q, 256)
+    assert np.array_equal(q, before)
+    for got, want in ((got_s, want_s), (got_o, want_o)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert (want_o.size == 0) == (spread == 3)
+    back = from_symbols(got_s, got_o)
+    assert back.dtype == np.int64
+    assert back.tobytes() == reference_from_symbols(want_s, want_o).tobytes()
+    assert np.array_equal(back, q) and np.array_equal(got_s, want_s)
+    with pytest.raises(ValueError, match="escape markers"):
+        from_symbols(got_s, np.zeros(got_o.size + 1, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# ZFP block kernels
+# ---------------------------------------------------------------------------
+def _just_under_two(dtype):
+    return np.nextafter(np.array(2.0, dtype), np.array(0.0, dtype))
+
+
+def _zfp_blocks(family: str, dtype, n: int, bs: int, rng) -> np.ndarray:
+    """``(n, bs)`` block-major floats of one family."""
+    info = np.finfo(dtype)
+    sign = np.where(np.arange(n * bs).reshape(n, bs) % 2, -1.0, 1.0)
+    if family == "smooth":
+        out = np.cumsum(rng.normal(size=(n, bs)), axis=1)
+    elif family == "magnitudes":     # every block its own exponent
+        out = rng.normal(size=(n, bs)) * np.ldexp(
+            1.0, rng.integers(info.minexp + 40, info.maxexp - 40, size=(n, 1))
+        )
+    elif family == "alternating":    # +-1.9999999: worst case for lifting
+        out = sign * float(_just_under_two(dtype))
+    elif family == "huge":           # |x| >= 2^maxexp-1: emax is clipped
+        out = sign * float(info.max) * rng.uniform(0.5, 1.0, size=(n, bs))
+    elif family == "denormal":
+        out = sign * float(info.smallest_subnormal) * rng.integers(
+            0, 1 << 20, size=(n, bs)
+        )
+    elif family == "zero":
+        out = np.zeros((n, bs))
+    else:                            # zero blocks, and zeros inside blocks
+        out = rng.normal(size=(n, bs))
+        out[rng.random((n, bs)) < 0.6] = 0.0
+        out[::2] = 0.0
+    return out.astype(dtype)
+
+
+ZFP_FAMILIES = ("smooth", "magnitudes", "alternating", "huge", "denormal",
+                "zero", "mixed-zero")
+
+
+@st.composite
+def zfp_cases(draw):
+    dtype = np.dtype(draw(st.sampled_from(["f4", "f8"])))
+    ndim = draw(st.integers(1, 4))
+    bs = 4**ndim
+    head = 1 + E_BITS[dtype]
+    full = head + INTPREC[dtype] * bs
+    maxbits = draw(st.one_of(
+        st.integers(head, full + 80),                 # any cut, past full too
+        st.integers(head, head + 2 * bs),             # the first two planes
+        st.sampled_from([32, 64, 73, 128, 640, full - 1, full, full + 1]),
+    ))
+    family = draw(st.sampled_from(ZFP_FAMILIES))
+    n = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    blocks = _zfp_blocks(family, dtype, n, bs, np.random.default_rng(seed))
+    return dtype, ndim, max(maxbits, head), blocks, seed
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def _assert_zfp_matches(dtype, ndim, maxbits, blocks, seed):
+    """Every stage of encode and decode, new layout against old."""
+    bs = 4**ndim
+    emax = reference_block_exponents(blocks)
+    assert np.array_equal(block_exponents(blocks.T), emax)
+
+    want_fixed = reference_to_fixed_point(blocks, emax)
+    fixed = to_fixed_point(blocks.T, emax)
+    assert fixed.dtype == np.int64 and _same(fixed.T, want_fixed)
+
+    want_coeffs = reference_fwd_transform(want_fixed, ndim)
+    coeffs = fwd_transform(fixed, ndim)
+    assert coeffs.dtype == np.int64 and _same(coeffs.T, want_coeffs)
+
+    want_records = reference_encode_blocks(want_coeffs, emax, maxbits, dtype)
+    records = encode_blocks(coeffs, emax, maxbits, dtype)
+    assert records.dtype == np.uint8 and _same(records, want_records)
+
+    # Decode what was written, and bytes no encoder wrote (set flags on
+    # zero payloads, payloads behind a clear flag, padding bits set).
+    noise = np.random.default_rng(seed).integers(
+        0, 256, size=records.shape, dtype=np.uint8
+    )
+    for recs in (records, noise):
+        want_c, want_e = reference_decode_blocks(recs, maxbits, bs, dtype)
+        got_c, got_e = decode_blocks(recs, maxbits, bs, dtype)
+        assert got_e.dtype == want_e.dtype and np.array_equal(got_e, want_e)
+        assert np.array_equal(got_c.T, want_c)
+        want_back = reference_inv_transform(want_c, ndim)
+        back = inv_transform(got_c, ndim)
+        assert back.dtype == np.int64 and _same(back.T, want_back)
+        with np.errstate(over="ignore"):
+            want_out = reference_from_fixed_point(want_back, want_e, dtype)
+            out = from_fixed_point(back, got_e, dtype)
+        assert out.dtype == dtype and _same(out.T, want_out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=zfp_cases())
+def test_zfp_kernels_match_the_block_major_byte_per_bit_kernels(case):
+    _assert_zfp_matches(*case)
+
+
+@pytest.mark.parametrize("maxbits", [9, 32, 73, 137, 521, 640, 2057])
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ZFP_FAMILIES)
+def test_zfp_float32_families_at_fixed_budgets(family, ndim, maxbits):
+    rng = np.random.default_rng(maxbits + ndim)
+    blocks = _zfp_blocks(family, np.dtype("f4"), 5, 4**ndim, rng)
+    _assert_zfp_matches(np.dtype("f4"), ndim, maxbits, blocks, maxbits)
+
+
+def test_zfp_working_integers_need_more_than_32_bits():
+    """Why the float32 path keeps int64: at the top of the exponent
+    range the clipped ``emax`` puts fixed-point values next to 2^31, so
+    the first lifting sum wraps in int32; and inverse lifting of
+    truncated coefficients leaves the forward transform's range."""
+    f4 = np.dtype("f4")
+    rng = np.random.default_rng(0)
+    huge = _zfp_blocks("huge", f4, 4, 64, rng)
+    fixed = to_fixed_point(huge.T, block_exponents(huge.T))
+    assert np.abs(fixed).max() >= 2**30      # past the q = 30 headroom
+    narrow = fwd_transform(fixed.astype(np.int32), 3)   # lifts as int32
+    assert not np.array_equal(narrow, fwd_transform(fixed, 3))
+
+    alternating = _zfp_blocks("alternating", f4, 4, 64, rng)
+    emax = block_exponents(alternating.T)
+    coeffs = fwd_transform(to_fixed_point(alternating.T, emax), 3)
+    for maxbits in (32, 73):
+        cut, _ = decode_blocks(encode_blocks(coeffs, emax, maxbits, f4), maxbits, 64, f4)
+        as64 = inv_transform(cut, 3)
+        wrapped = inv_transform(cut, 3).astype(np.int32).astype(np.int64)
+        assert np.abs(as64).max() >= 2**31 and not np.array_equal(as64, wrapped)

@@ -1,11 +1,11 @@
-"""Golden digests for the Huffman-X and MGARD-X streams.
+"""Golden digests for the Huffman-X, MGARD-X and ZFP streams.
 
 ``codec_digests.json`` holds one SHA-256 per case over every stream the
 case produces (length-prefixed) and every array decoded back from them.
-The key coder and the multilevel operators may be rewritten for speed;
-these digests are what "changing no stream byte and no reconstructed
-bit" means.  Inputs are built from integers only (no libm), so the
-digests do not depend on the platform's ``sin``/``exp``.
+The key coder, the multilevel operators and the ZFP block kernels may
+be rewritten for speed; these digests are what "changing no stream byte
+and no reconstructed bit" means.  Inputs are built from integers only
+(no libm), so the digests do not depend on the platform's ``sin``/``exp``.
 
 Regenerate (only when a stream change is intended, and say so in
 CHANGES.md)::
@@ -26,6 +26,7 @@ from repro import Config
 from repro.adapters import get_adapter
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.mgard import MGARDX
+from repro.compressors.zfp import ZFPX, ZFPAccuracy, ZFPEmbedded, ZFPPrecision
 from repro.core.config import ErrorMode
 
 DIGESTS = Path(__file__).with_name("codec_digests.json")
@@ -116,8 +117,94 @@ def _mgrx(data, mode: ErrorMode, coords=None) -> str:
     return _sha(blobs, backs)
 
 
-def _cases() -> dict:
+#: ZFP block shapes: 1-D to 4-D, none a multiple of 4 except the
+#: benchmark's two (64^3 direct, 32x32 served tiles).
+ZFP_SHAPES = {**SHAPES, "tile": (32, 32), "4d": (6, 5, 9, 7)}
+#: 10 is the benchmark's rate, 5.3 leaves a partial last plane, 32
+#: keeps all but a header's worth of an f4 block's bits.
+ZFP_RATES = (2, 5.3, 8, 10, 16, 32)
+
+
+def _zfp_special(dtype: str) -> np.ndarray:
+    """Blocks a narrower working integer gets wrong: values at the top
+    of the exponent range, alternating signs just under a power of two,
+    denormals, zero blocks and blocks that are zero but for one value."""
+    info = np.finfo(dtype)
+    sign = np.where(np.indices((8, 8)).sum(axis=0) % 2, -1.0, 1.0)
+    tiles = [
+        sign * float(info.max),
+        sign * np.nextafter(np.array(2.0, dtype), np.array(0.0, dtype)),
+        sign * float(info.smallest_subnormal) * 5,
+        np.zeros((8, 8)),
+        np.pad([[float(info.tiny)]], ((3, 4), (2, 5))),
+        sign * np.ldexp(1.0, np.arange(64).reshape(8, 8) - 30),
+    ]
+    return np.concatenate(tiles, axis=1).astype(dtype)
+
+
+def _zfpx(data, rates=ZFP_RATES) -> str:
+    """Fixed rate at every rate; the openmp adapter must agree."""
+    blobs, backs = [], []
+    threaded = get_adapter("openmp", num_threads=2)
+    for rate in rates:
+        blob = ZFPX(rate=rate).compress(data)
+        assert ZFPX(rate=rate, adapter=threaded).compress(data) == blob
+        blobs.append(blob)
+        backs.append(ZFPX().decompress(blob))
+        assert np.array_equal(ZFPX(adapter=threaded).decompress(blob), backs[-1])
+    return _sha(blobs, backs)
+
+
+def _zfpx_batch(data) -> str:
+    """One launch over three same-shape inputs (the serving path)."""
+    codec = ZFPX(rate=8)
+    batch = [data, data[::-1].copy(), np.zeros_like(data)]
+    blobs = codec.compress_batch(batch)
+    assert blobs == [codec.compress(a) for a in batch]
+    return _sha(blobs, codec.decompress_batch(blobs))
+
+
+def _zfp_modes(data) -> str:
+    """Fix-accuracy at three tolerances, fix-precision at three depths."""
+    top = float(np.abs(data.astype(np.float64)).max()) or 1.0
+    codecs = [ZFPAccuracy(tolerance=top * t) for t in (2.0**-4, 2.0**-11, 2.0**-20)]
+    codecs += [ZFPPrecision(p) for p in (3, 13, 40)]
+    blobs = [c.compress(data) for c in codecs]
+    return _sha(blobs, [c.decompress(b) for c, b in zip(codecs, blobs)])
+
+
+def _zfpe(data) -> str:
+    """The embedded (group-testing) coder, a per-block Python loop."""
+    blobs = [ZFPEmbedded(rate=r).compress(data) for r in (3, 9.5)]
+    return _sha(blobs, [ZFPEmbedded().decompress(b) for b in blobs])
+
+
+def _zfp_cases() -> dict:
     cases = {}
+    for dtype in ("f4", "f8"):
+        for sname, shape in ZFP_SHAPES.items():
+            field = _field(shape, dtype)
+            cases[f"zfpx-{dtype}-{sname}"] = (_zfpx, (field,), {})
+            if sname != "64c":
+                cases[f"zfp-modes-{dtype}-{sname}"] = (_zfp_modes, (field,), {})
+        special = _zfp_special(dtype)
+        cases[f"zfpx-{dtype}-special"] = (_zfpx, (special,), {})
+        cases[f"zfpx-{dtype}-special-1d"] = (_zfpx, (special.ravel(),), {})
+        cases[f"zfp-modes-{dtype}-special"] = (_zfp_modes, (special,), {})
+        cases[f"zfpe-{dtype}-special"] = (_zfpe, (special[:, 4:28],), {})
+        cases[f"zfpx-{dtype}-zero"] = (_zfpx, (np.zeros((9, 6), dtype),), {})
+        for sname in ("tile", "odd3d"):
+            cases[f"zfpx-batch-{dtype}-{sname}"] = (
+                _zfpx_batch, (_field(ZFP_SHAPES[sname], dtype),), {}
+            )
+        for sname, shape in (("1d", (37,)), ("tiny", (5, 7)), ("3d", (9, 6, 5)),
+                             ("4d", (5, 4, 6, 5))):
+            cases[f"zfpe-{dtype}-{sname}"] = (_zfpe, (_field(shape, dtype),), {})
+    return cases
+
+
+def _cases() -> dict:
+    cases = _zfp_cases()
     for dtype in ("f4", "f8"):
         for sname, shape in SHAPES.items():
             field = _field(shape, dtype)
@@ -169,6 +256,9 @@ def _digest(name: str) -> str:
     return fn(*args, **kwargs)
 
 
+# The ZFP "special" blocks sit at the top of the exponent range and
+# decode to +-inf: that overflow is part of the pinned behaviour.
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_codec_stream_unchanged(name):
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))

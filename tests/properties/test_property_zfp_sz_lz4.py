@@ -32,12 +32,12 @@ def test_negabinary_bijective(x, width):
 
 
 @given(
-    ib=arrays(dtype=np.int64, shape=st.tuples(st.integers(1, 20), st.just(16)),
+    ib=arrays(dtype=np.int64, shape=st.tuples(st.just(16), st.integers(1, 20)),
               elements=st.integers(-(2**28), 2**28)),
 )
 @settings(max_examples=50, deadline=None)
 def test_transform_near_inverse(ib):
-    back = inv_transform(fwd_transform(ib, 2), 2)
+    back = inv_transform(fwd_transform(ib.copy(), 2), 2)
     assert np.abs(back - ib).max() <= 16  # bounded lifting shift loss
 
 
