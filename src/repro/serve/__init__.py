@@ -26,14 +26,19 @@ from repro.serve.errors import (
     ServiceOverloaded,
     ShardOverloaded,
 )
-from repro.serve.loadgen import ServiceClient, default_payloads, percentile, run_blast
+from repro.serve.loadgen import ServiceClient, default_payloads, run_blast
 from repro.serve.net import (
     BlastClient,
     ProtocolError,
     RemoteRequestError,
     serve_tcp,
 )
-from repro.serve.service import ReductionService, ServiceConfig, ServiceStats
+from repro.serve.service import (
+    ReductionService,
+    ServiceConfig,
+    ServiceStats,
+    percentile,
+)
 from repro.serve.spec import (
     OPS,
     SERVABLE_CODECS,

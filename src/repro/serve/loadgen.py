@@ -26,16 +26,8 @@ from typing import Awaitable, Callable, Sequence
 import numpy as np
 
 from repro.serve.errors import ServiceOverloaded
+from repro.serve.service import percentile
 from repro.serve.spec import CodecSpec
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile (0..100) over ``values``; 0.0 when empty."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[idx]
 
 
 class ServiceClient:

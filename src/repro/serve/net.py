@@ -1,4 +1,4 @@
-"""Minimal length-prefixed TCP transport for HPDR-Serve — zero-copy.
+"""Minimal length-prefixed TCP transport for HPDR-Serve.
 
 Frame layout (little-endian)::
 
@@ -12,20 +12,44 @@ a JSON parser.  Arrays travel as raw C-order bytes described by
 ``dtype``/``shape`` in the header — the same portable layout the codecs
 already guarantee byte-stability for.
 
-The payload path never copies bodies between socket, batcher, and
-worker:
+What is constant across requests is built once per connection, and a
+frame costs one transport write, one pass through one parser and one
+dictionary lookup:
 
-* **receive** — each connection owns a :class:`FrameAssembler`, an
-  incremental parser over one preallocated ``bytearray``; complete
-  frames come back as ``memoryview`` windows into that buffer, and
-  array payloads reach the service as ``np.frombuffer`` aliases of the
-  same bytes (valid until the next ``feed``, which the sequential
-  per-connection discipline guarantees happens only after the
-  response);
-* **send** — :func:`_encode_payload` returns ``memoryview`` windows
-  (``memoryview(arr).cast("B")`` for arrays) and
-  :func:`_write_frame` hands them to the transport as-is
-  (scatter-gather: no ``tobytes()``/``bytes()`` staging copy);
+* **send** — :func:`_write_frame` joins preamble, header and a body of
+  up to ``RECV_CHUNK`` bytes into one buffer and hands the transport
+  that: one ``send`` per frame for one copy of the body.  A larger
+  body is not worth copying and follows as its own write of the
+  caller's ``memoryview`` (``memoryview(arr).cast("B")`` for arrays —
+  no ``tobytes()`` staging).  The header bytes of a request are encoded
+  once per ``(op, spec, form, dtype, shape)`` and those of an ok
+  response once per ``(form, dtype, shape)``;
+* **receive** — both ends read through :func:`_receive` into a
+  :class:`FrameAssembler`, the only frame parser in this module.  The
+  bytes of a frame are copied, not aliased, on their way in: the event
+  loop's ``recv`` makes a ``bytes``, ``StreamReader`` appends it to its
+  own buffer and cuts it out again for ``read()``, and ``feed`` copies
+  it into the assembler's reused ``bytearray`` — three copies of
+  at most ``RECV_CHUNK`` bytes each, kept because ``StreamReader`` also
+  provides the read-side flow control and EOF handling (receiving
+  straight into the assembler from an ``asyncio.BufferedProtocol`` was
+  measured and did not win often enough to carry its own flow-control
+  code; see CHANGES.md, PR 18).  From the assembler on nothing is
+  copied on the server: the payload is a ``memoryview`` window of the
+  buffer and arrays reach the service as ``np.frombuffer`` aliases of
+  it, valid until the next ``feed`` — which the sequential
+  per-connection discipline puts after the response.  The client
+  copies each reply body once more, out of the buffer, because the
+  caller owns what :meth:`BlastClient.request` returns;
+* **headers** — the assembler looks the raw header bytes up in a
+  bounded table before any JSON is parsed: identical bytes resolve to
+  the same read-only :class:`_Header` and, for a request, the
+  :class:`CodecSpec` already validated from it.  A header that does
+  not parse, whose spec does not validate or that names a
+  shared-memory window is never kept.  Every table holds at most
+  ``INTERN_MAX_ENTRIES`` headers of at most ``INTERN_MAX_HEADER_BYTES``
+  each and belongs to one connection, so a peer can neither grow one
+  nor reach another peer's;
 * **local clients** — an optional shared-memory channel
   (:mod:`repro.serve.shm`) replaces the request body with a
   ``{"name", "offset", "nbytes"}`` header reference into a client-owned
@@ -69,8 +93,19 @@ _PREAMBLE = struct.Struct("<4sBIQ")
 MAX_HEADER_BYTES = 1 << 20
 MAX_PAYLOAD_BYTES = 1 << 32
 
-#: socket read size feeding each connection's FrameAssembler.
+#: socket read size feeding each connection's FrameAssembler; also the
+#: largest body copied next to its head so that the frame is one write.
 RECV_CHUNK = 1 << 16
+
+#: bounds of every header interning table, encode and parse side: a
+#: table never holds more entries than this and never a header longer
+#: than this, so a peer cannot grow one by varying what it sends.
+INTERN_MAX_ENTRIES = 128
+INTERN_MAX_HEADER_BYTES = 512
+
+#: the form key of an opaque byte payload (see :func:`_encode_payload`).
+_BLOB = ("blob",)
+_PING = b'{"op":"ping"}'
 
 
 class RemoteRequestError(ServeError):
@@ -81,11 +116,58 @@ class RemoteRequestError(ServeError):
         super().__init__(f"remote {kind}: {message}")
 
 
-class FrameAssembler:
-    """Incremental frame parser over one preallocated receive buffer.
+def _intern(table: dict, key, value, header_bytes: int) -> None:
+    """Bounded insert into an interning table.
 
-    ``feed`` appends socket chunks into a reusable ``bytearray``
-    (growing geometrically, compacting consumed bytes in place);
+    A full table is emptied rather than left closed: traffic that
+    repeats its headers refills it in one request each, while a peer
+    that never repeats one holds at most ``INTERN_MAX_ENTRIES``.
+    """
+    if header_bytes > INTERN_MAX_HEADER_BYTES:
+        return
+    if len(table) >= INTERN_MAX_ENTRIES:
+        table.clear()
+    table[key] = value
+
+
+class _Header(dict):
+    """A parsed frame header.  ``spec`` is the validated
+    :class:`CodecSpec` of a request header, else None.  One instance
+    answers every frame carrying the same header bytes: read-only."""
+
+    spec: CodecSpec | None = None
+
+
+def _parse_header(raw: bytes) -> tuple[_Header, bool]:
+    """Decode one header; the flag says whether it may be interned.
+
+    Not interned: a header naming a shared-memory window (the reference
+    is per request) and one whose spec does not validate — the handler
+    validates that one again and answers with the typed error, every
+    time it arrives.
+    """
+    try:
+        parsed = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"unparseable frame header: {exc}") from exc
+    if not isinstance(parsed, dict):
+        raise ProtocolError("frame header must be a JSON object")
+    header = _Header(parsed)
+    keep = "shm" not in header
+    if "spec" in header:
+        try:
+            header.spec = CodecSpec(**header["spec"])
+        except (TypeError, ValueError):
+            keep = False
+    return header, keep
+
+
+class FrameAssembler:
+    """Incremental frame parser over one reused receive buffer.
+
+    ``feed`` appends socket chunks into a reusable ``bytearray`` (one
+    page to begin with, growing geometrically to the largest frame the
+    connection has carried, compacting consumed bytes in place);
     ``next_frame`` returns ``(header, payload_view)`` where
     ``payload_view`` is a zero-copy ``memoryview`` window into the
     buffer.  A returned view stays valid until the next ``feed`` —
@@ -93,13 +175,19 @@ class FrameAssembler:
     before reading more bytes.  Preamble validation runs as soon as the
     preamble arrives, so an invalid peer is rejected without buffering
     its announced payload.
+
+    Headers are interned per assembler: the bytes of a header seen
+    before on this connection resolve to the same parsed
+    :class:`_Header` with one dictionary lookup, without running the
+    JSON parser or the spec's validation again.
     """
 
-    def __init__(self, capacity: int = RECV_CHUNK) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         self._buf = bytearray(max(int(capacity), _PREAMBLE.size))
         self._view = memoryview(self._buf)
         self._start = 0  # read offset of the unparsed region
         self._end = 0    # write offset
+        self._headers: dict[bytes, _Header] = {}
 
     @property
     def pending(self) -> int:
@@ -131,9 +219,9 @@ class FrameAssembler:
         self._view[self._end : self._end + n] = data
         self._end += n
 
-    def next_frame(self) -> tuple[dict, memoryview] | None:
+    def next_frame(self) -> tuple[_Header, memoryview] | None:
         """Parse one complete frame, or None until more bytes arrive."""
-        if self.pending < _PREAMBLE.size:
+        if self._end - self._start < _PREAMBLE.size:
             return None
         magic, version, hlen, plen = _PREAMBLE.unpack_from(self._buf, self._start)
         if magic != _MAGIC:
@@ -144,74 +232,93 @@ class FrameAssembler:
             raise ProtocolError(f"header too large: {hlen} bytes")
         if plen > MAX_PAYLOAD_BYTES:
             raise ProtocolError(f"payload too large: {plen} bytes")
-        total = _PREAMBLE.size + hlen + plen
-        if self.pending < total:
+        body = self._start + _PREAMBLE.size + hlen
+        if self._end < body + plen:
             return None
-        hoff = self._start + _PREAMBLE.size
-        try:
-            header = json.loads(bytes(self._view[hoff : hoff + hlen]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"unparseable frame header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise ProtocolError("frame header must be a JSON object")
-        payload = self._view[hoff + hlen : hoff + hlen + plen]
-        self._start += total
-        return header, payload
+        raw = bytes(self._view[body - hlen : body])
+        header = self._headers.get(raw)
+        if header is None:
+            header, keep = _parse_header(raw)
+            if keep:
+                _intern(self._headers, raw, header, hlen)
+        self._start = body + plen
+        return header, self._view[body : body + plen]
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes] | None:
-    """Read one frame (client side); None on clean EOF at a boundary."""
-    try:
-        preamble = await reader.readexactly(_PREAMBLE.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+async def _receive(reader: asyncio.StreamReader,
+                   assembler: FrameAssembler) -> tuple[_Header, memoryview] | None:
+    """The next frame of a connection — the one receive path, server and
+    client; None on clean EOF at a frame boundary."""
+    while True:
+        frame = assembler.next_frame()
+        if frame is not None:
+            return frame
+        data = await reader.read(RECV_CHUNK)
+        if not data:
+            if assembler.pending:
+                raise ProtocolError("connection closed mid-frame")
             return None
-        raise ProtocolError("connection closed mid-frame") from exc
-    magic, version, hlen, plen = _PREAMBLE.unpack(preamble)
-    if magic != _MAGIC:
-        raise ProtocolError(f"bad magic {magic!r} (expected {_MAGIC!r})")
-    if version != _VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    if hlen > MAX_HEADER_BYTES:
-        raise ProtocolError(f"header too large: {hlen} bytes")
-    if plen > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(f"payload too large: {plen} bytes")
-    try:
-        raw_header = await reader.readexactly(hlen)
-        payload = await reader.readexactly(plen)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    try:
-        header = json.loads(raw_header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"unparseable frame header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError("frame header must be a JSON object")
-    return header, payload
+        assembler.feed(data)
 
 
-def _write_frame(writer: asyncio.StreamWriter, header: dict, payload) -> None:
-    """Scatter-gather frame write: the payload view goes to the
-    transport as-is, with no staging concatenation or ``bytes()`` copy."""
-    raw_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    writer.write(_PREAMBLE.pack(_MAGIC, _VERSION, len(raw_header), len(payload)))
-    writer.write(raw_header)
-    if len(payload):
+def _encode_header(header: dict) -> bytes:
+    return json.dumps(header, separators=(",", ":")).encode("utf-8")
+
+
+def _write_frame(writer: asyncio.StreamWriter, header: dict | bytes, payload) -> None:
+    """One frame, one transport write: preamble, header (a dict, or
+    bytes :func:`_encode_header` made earlier) and a body of up to
+    ``RECV_CHUNK`` bytes leave as one buffer.  A larger body is not
+    worth copying and follows as its own zero-copy view."""
+    raw = header if isinstance(header, bytes) else _encode_header(header)
+    size = len(payload)
+    preamble = _PREAMBLE.pack(_MAGIC, _VERSION, len(raw), size)
+    if size <= RECV_CHUNK:
+        writer.write(b"".join((preamble, raw, payload)))
+    else:
+        writer.write(preamble + raw)
         writer.write(payload)
 
 
-def _encode_payload(op: str, payload: Any) -> tuple[dict, Any]:
-    """Split a request/response payload into header metadata + a
-    zero-copy byte view (the caller keeps ``payload`` alive until the
-    view is consumed)."""
+def _encode_payload(payload: Any) -> tuple[tuple, memoryview]:
+    """Split a request/response payload into its form — ``("blob",)``
+    or ``("array", dtype, shape)``, hashable, what a header is interned
+    by — and a zero-copy byte view (the caller keeps ``payload`` alive
+    until the view is consumed)."""
     if isinstance(payload, (bytes, bytearray, memoryview)):
         view = payload if isinstance(payload, memoryview) else memoryview(payload)
-        return {"form": "blob"}, view.cast("B")
+        return _BLOB, view.cast("B")
     arr = np.ascontiguousarray(payload)
-    return (
-        {"form": "array", "dtype": arr.dtype.str, "shape": list(arr.shape)},
-        memoryview(arr).cast("B"),
-    )
+    return ("array", arr.dtype.str, arr.shape), memoryview(arr).cast("B")
+
+
+def _form_fields(form: tuple) -> dict:
+    """The header fields describing a payload of ``form``."""
+    if form == _BLOB:
+        return {"form": "blob"}
+    return {"form": "array", "dtype": form[1], "shape": list(form[2])}
+
+
+def _request_head(heads: dict, op: str, spec: CodecSpec, form: tuple) -> bytes:
+    """The encoded header of a request, from the connection's table
+    ``heads`` once it has been sent before.  Specs that compare equal
+    share an entry, as they share a batch and a codec in the service."""
+    key = (op, spec, form)
+    head = heads.get(key)
+    if head is None:
+        head = _encode_header({"op": op, "spec": dataclasses.asdict(spec),
+                               **_form_fields(form)})
+        _intern(heads, key, head, len(head))
+    return head
+
+
+def _response_head(heads: dict, form: tuple) -> bytes:
+    """The encoded header of an ok response carrying a ``form`` payload."""
+    head = heads.get(form)
+    if head is None:
+        head = _encode_header({"status": "ok", **_form_fields(form)})
+        _intern(heads, form, head, len(head))
+    return head
 
 
 def _decode_payload(header: dict, raw, shm: ShmRegistry | None = None) -> Any:
@@ -252,17 +359,12 @@ async def _handle_connection(service, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
     assembler = FrameAssembler()
     shm = ShmRegistry()
+    heads: dict[tuple, bytes] = {}  # this connection's response heads
     try:
         while True:
-            frame = assembler.next_frame()
+            frame = await _receive(reader, assembler)
             if frame is None:
-                data = await reader.read(RECV_CHUNK)
-                if not data:
-                    if assembler.pending:
-                        raise ProtocolError("connection closed mid-frame")
-                    break
-                assembler.feed(data)
-                continue
+                break
             header, raw = frame
             try:
                 op = header["op"]
@@ -272,7 +374,9 @@ async def _handle_connection(service, reader: asyncio.StreamReader,
                     # cluster health checker's one round-trip).
                     value = b""
                 else:
-                    spec = CodecSpec(**header["spec"])
+                    spec = header.spec
+                    if spec is None:  # absent or invalid: raise what is wrong with it
+                        spec = CodecSpec(**header["spec"])
                     payload = _decode_payload(header, raw, shm=shm)
                     value = await service.submit(op, spec, payload)
             except asyncio.CancelledError:
@@ -294,8 +398,8 @@ async def _handle_connection(service, reader: asyncio.StreamReader,
                     "message": str(exc),
                 }, b"")
             else:
-                meta, out = _encode_payload(op, value)
-                _write_frame(writer, {"status": "ok", **meta}, out)
+                form, out = _encode_payload(value)
+                _write_frame(writer, _response_head(heads, form), out)
                 del value, out
             # Drop payload references eagerly: a shared-memory window (or
             # an array aliasing it) left bound in this frame would keep
@@ -303,7 +407,7 @@ async def _handle_connection(service, reader: asyncio.StreamReader,
             del header, raw, frame
             payload = None
             await writer.drain()
-    except (ProtocolError, ConnectionResetError):
+    except (ProtocolError, ConnectionError):
         pass  # drop the misbehaving/vanished connection
     finally:
         shm.close()
@@ -344,6 +448,8 @@ class BlastClient:
         self._reader = reader
         self._writer = writer
         self._arena = arena
+        self._assembler = FrameAssembler()
+        self._heads: dict[tuple, bytes] = {}  # this connection's request heads
 
     @classmethod
     async def connect(cls, host: str, port: int,
@@ -353,33 +459,36 @@ class BlastClient:
         arena = ShmArena(shm_bytes) if use_shm else None
         return cls(reader, writer, arena)
 
-    async def request(self, op: str, spec: CodecSpec, payload: Any) -> Any:
-        meta, raw = _encode_payload(op, payload)
-        header = {"op": op, "spec": dataclasses.asdict(spec), **meta}
-        if self._arena is not None:
-            header["shm"] = self._arena.stage(raw)
-            _write_frame(self._writer, header, b"")
-        else:
-            _write_frame(self._writer, header, raw)
+    async def _exchange(self, head: dict | bytes, body) -> tuple[_Header, memoryview]:
+        """Send one frame and return the ok reply to it (a view into the
+        receive buffer, valid until the next exchange)."""
+        _write_frame(self._writer, head, body)
         await self._writer.drain()
-        frame = await _read_frame(self._reader)
+        frame = await _receive(self._reader, self._assembler)
         if frame is None:
             raise ProtocolError("server closed the connection mid-request")
-        resp, out = frame
-        if resp.get("status") != "ok":
-            _raise_remote(resp)
-        return _decode_payload(resp, out)
+        if frame[0].get("status") != "ok":
+            _raise_remote(frame[0])
+        return frame
+
+    async def request(self, op: str, spec: CodecSpec, payload: Any) -> Any:
+        form, raw = _encode_payload(payload)
+        if self._arena is not None:
+            # The window reference differs per request: not interned.
+            head: dict | bytes = {"op": op, "spec": dataclasses.asdict(spec),
+                                  **_form_fields(form),
+                                  "shm": self._arena.stage(raw)}
+            raw = b""
+        else:
+            head = _request_head(self._heads, op, spec, form)
+        resp, out = await self._exchange(head, raw)
+        # The caller owns what it gets back: one copy out of the receive
+        # buffer, which the next reply overwrites.
+        return _decode_payload(resp, bytes(out))
 
     async def ping(self) -> None:
         """One liveness round-trip (no spec, no payload, no codec work)."""
-        _write_frame(self._writer, {"op": "ping"}, b"")
-        await self._writer.drain()
-        frame = await _read_frame(self._reader)
-        if frame is None:
-            raise ProtocolError("server closed the connection mid-request")
-        resp, _ = frame
-        if resp.get("status") != "ok":
-            _raise_remote(resp)
+        await self._exchange(_PING, b"")
 
     async def compress(self, spec: CodecSpec, data: np.ndarray) -> bytes:
         return await self.request("compress", spec, data)
@@ -403,5 +512,5 @@ class BlastClient:
         self._writer.close()
         try:
             await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        except ConnectionError:  # pragma: no cover
             pass

@@ -46,7 +46,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -63,18 +63,12 @@ from repro.serve.worker import (
     _run_payloads_in_process,
 )
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.trace.tracer import TRACER as _TRACER, span
 
 #: histogram buckets for batch sizes (requests per flush).
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 #: histogram buckets for request latency (seconds).
 _LATENCY_BUCKETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0)
-
-
-def _span(name: str, **args: Any) -> Any:
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "serve", args)
 
 
 @dataclass
@@ -131,6 +125,15 @@ class ServiceConfig:
             )
 
 
+def percentile(values: Collection[float], pct: float) -> float:
+    """Nearest-rank percentile (0..100) over ``values``; 0.0 when empty."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    idx = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
+    return ordered[idx]
+
+
 class ServiceStats:
     """Always-on operational counters + latency reservoir."""
 
@@ -150,11 +153,7 @@ class ServiceStats:
 
     def latency_percentile(self, pct: float) -> float:
         """Percentile (0..100) over the retained latency reservoir."""
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        idx = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
+        return percentile(self._latencies, pct)
 
     @property
     def mean_batch_size(self) -> float:
@@ -460,8 +459,8 @@ class ReductionService:
                 "requests per flushed batch",
                 buckets=_BATCH_BUCKETS,
             ).observe(len(flush.items), reason=flush.reason)
-            with _span("serve.flush", reason=flush.reason,
-                       n=len(flush.items), nbytes=flush.nbytes):
+            with span("serve.flush", cat="serve", reason=flush.reason,
+                      n=len(flush.items), nbytes=flush.nbytes):
                 pass
         if self._pool is not None:
             first = flush.items[0]
@@ -557,7 +556,7 @@ class ReductionService:
             self._pool = None
         self._closed = True
         if _TRACER.enabled:
-            with _span("serve.drain",
-                       answered=self.stats.completed + self.stats.errors,
-                       seconds=round(time.perf_counter() - t0, 6)):
+            with span("serve.drain", cat="serve",
+                      answered=self.stats.completed + self.stats.errors,
+                      seconds=round(time.perf_counter() - t0, 6)):
                 pass

@@ -46,16 +46,10 @@ from repro.resilience.errors import ResilienceExhausted
 from repro.resilience.policy import RetryPolicy, retry_call
 from repro.serve.batcher import Flush
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.trace.tracer import span
 
 #: outcome tags a worker attaches to each request of a batch.
 OK, ERR = "ok", "err"
-
-
-def _span(name: str, **args: Any) -> Any:
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "serve", args)
 
 
 def _apply(codec: Any, op: str, payload: Any) -> Any:
@@ -124,8 +118,9 @@ class Worker:
         if not items:
             return []
         first = items[0]
-        with _span(
+        with span(
             "serve.batch",
+            cat="serve",
             worker=self.wid,
             codec=first.spec.name,
             op=first.op,
@@ -218,7 +213,7 @@ class Worker:
             "hpdr_degradations_total",
             "devices demoted to their fallback adapter",
         ).inc(family="serve")
-        with _span("serve.degrade", worker=self.wid, site=site):
+        with span("serve.degrade", cat="serve", worker=self.wid, site=site):
             try:
                 fallback = ctx.object(
                     "fallback_codec",

@@ -1,23 +1,31 @@
-"""Zero-copy framing: scatter-gather writes vs the contiguous reference.
+"""Framing: one write per frame, one parser, interned headers.
 
-The transport rewrite replaced one staged ``bytes`` concatenation per
-frame with three scatter-gather writes and an incremental
-:class:`~repro.serve.net.FrameAssembler` over a preallocated receive
-buffer.  This suite pins the wire contract the rewrite must preserve:
+A frame leaves as one transport write (two when the body is too large
+to be worth copying next to its head) and is read back by the one
+incremental :class:`~repro.serve.net.FrameAssembler`, on the server and
+in :class:`~repro.serve.net.BlastClient` alike.  Header bytes seen
+before resolve through bounded interning tables.  This suite pins what
+that must preserve:
 
-1. the scatter-gather writer emits **byte-for-byte** the stream the
-   contiguous encoder produced (hypothesis-fuzzed headers/payloads);
-2. the assembler recovers every frame identically no matter how the
-   byte stream is chunked (fuzzed cut points and a deterministic
-   split matrix);
+1. the frame writer emits **byte-for-byte** the stream the contiguous
+   reference encoder produces (hypothesis-fuzzed headers/payloads), in
+   one write up to ``RECV_CHUNK`` body bytes;
+2. the assembler — and the client on top of it — recovers every frame
+   identically no matter how the byte stream is chunked (fuzzed cut
+   points, a deterministic split matrix, a reply dribbled by a stub
+   server);
 3. malformed preambles are rejected *eagerly* — before the announced
    payload is ever buffered;
 4. the receive buffer reaches a zero-alloc steady state under a stream
-   of same-sized frames.
+   of same-sized frames;
+5. no interning table passes its bound, a cached header is never
+   mutated, and a header that does not validate is never cached.
 """
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import json
 
 import numpy as np
@@ -25,32 +33,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import BlastClient, CodecSpec, serve_tcp
 from repro.serve.errors import ProtocolError
 from repro.serve.net import (
     _MAGIC,
     _PREAMBLE,
     _VERSION,
+    INTERN_MAX_ENTRIES,
+    INTERN_MAX_HEADER_BYTES,
     MAX_HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
+    RECV_CHUNK,
     FrameAssembler,
     _decode_payload,
+    _encode_header,
     _encode_payload,
+    _form_fields,
+    _request_head,
+    _response_head,
     _write_frame,
 )
+from repro.serve.shm import ShmArena, ShmRegistry
+
+
+def _frame(raw_header: bytes, payload: bytes = b"") -> bytes:
+    return _PREAMBLE.pack(_MAGIC, _VERSION, len(raw_header), len(payload)) \
+        + raw_header + payload
 
 
 def contiguous_frame(header: dict, payload: bytes) -> bytes:
     """Reference encoder: the old single-buffer framing."""
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return (
-        _PREAMBLE.pack(_MAGIC, _VERSION, len(raw), len(payload))
-        + raw
-        + payload
-    )
+    return _frame(json.dumps(header, separators=(",", ":")).encode("utf-8"), payload)
 
 
 class _CollectingWriter:
-    """Transport stub capturing scatter-gather write() calls."""
+    """Transport stub capturing write() calls."""
 
     def __init__(self) -> None:
         self.chunks: list[bytes] = []
@@ -73,11 +90,29 @@ _PAYLOADS = st.binary(max_size=2048)
 
 
 @settings(max_examples=120, deadline=None)
-@given(header=_HEADERS, payload=_PAYLOADS)
-def test_scatter_gather_matches_contiguous_encoding(header, payload):
+@given(header=_HEADERS, payload=_PAYLOADS, encoded=st.booleans())
+def test_scatter_gather_matches_contiguous_encoding(header, payload, encoded):
+    """One write holds the whole frame, whether the header comes as a
+    dict or as the bytes an interning table kept."""
     writer = _CollectingWriter()
-    _write_frame(writer, header, payload)
-    assert b"".join(writer.chunks) == contiguous_frame(header, payload)
+    _write_frame(writer, _encode_header(header) if encoded else header, payload)
+    assert writer.chunks == [contiguous_frame(header, payload)]
+
+
+def test_large_body_leaves_as_its_own_zero_copy_write():
+    """Up to RECV_CHUNK the body is copied next to its head; beyond it
+    the transport is handed the caller's view, uncopied."""
+    header = {"status": "ok", "form": "blob"}
+    for size, writes in ((RECV_CHUNK, 1), (RECV_CHUNK + 1, 2)):
+        body = memoryview(bytes(size))
+        seen = []
+        writer = _CollectingWriter()
+        writer.write = seen.append
+        _write_frame(writer, header, body)
+        assert len(seen) == writes
+        assert b"".join(seen) == contiguous_frame(header, bytes(body))
+        if writes == 2:
+            assert seen[1] is body
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,11 +200,14 @@ def test_assembler_buffer_reaches_zero_alloc_steady_state():
 
 
 def test_encode_decode_are_zero_copy():
-    """Array payloads alias their buffers in both directions."""
+    """Array payloads alias their buffers in both directions; the only
+    copy on the send side is the one that makes the frame one write."""
     arr = np.arange(48, dtype=np.float32).reshape(6, 8)
-    meta, view = _encode_payload("compress", arr)
-    assert meta["form"] == "array"
+    form, view = _encode_payload(arr)
+    assert form == ("array", "<f4", (6, 8))
     assert np.shares_memory(np.frombuffer(view, dtype=np.float32), arr)
+    meta = _form_fields(form)
+    assert meta == {"form": "array", "dtype": "<f4", "shape": [6, 8]}
 
     raw = memoryview(bytearray(view))  # simulated receive window
     back = _decode_payload(meta, raw)
@@ -177,10 +215,10 @@ def test_encode_decode_are_zero_copy():
     assert np.shares_memory(back, np.frombuffer(raw, dtype=np.uint8))
 
     blob = b"compressed-bytes"
-    meta, view = _encode_payload("decompress", blob)
-    assert meta["form"] == "blob"
+    form, view = _encode_payload(blob)
+    assert _form_fields(form) == {"form": "blob"}
     assert bytes(view) == blob
-    assert _decode_payload(meta, view) is view  # no copy on the way out
+    assert _decode_payload(_form_fields(form), view) is view  # no copy on the way out
 
 
 def test_decode_rejects_unknown_form_and_unexpected_shm():
@@ -192,3 +230,248 @@ def test_decode_rejects_unknown_form_and_unexpected_shm():
             b"",
             shm=None,
         )
+
+
+# -- header interning ---------------------------------------------------------
+_SPEC = CodecSpec("zfp-x", rate=8.0)
+_SPEC_FIELDS = dataclasses.asdict(_SPEC)
+
+_VALID_HEADERS = st.one_of(
+    _HEADERS,
+    st.builds(lambda op, shape: {"op": op, "spec": _SPEC_FIELDS, "form": "array",
+                                 "dtype": "<f4", "shape": shape},
+              st.sampled_from(["compress", "decompress", "retrieve"]),
+              st.lists(st.integers(0, 10 ** 9), max_size=6)),
+    # longer than an interned header may be
+    st.builds(lambda n: {"op": "compress", "spec": _SPEC_FIELDS, "pad": "x" * n},
+              st.integers(INTERN_MAX_HEADER_BYTES - 150, INTERN_MAX_HEADER_BYTES + 50)),
+    # a spec that does not validate, a reference into shared memory
+    st.builds(lambda name: {"op": "compress", "spec": {"name": name}}, st.text(max_size=8)),
+    st.builds(lambda off: {"op": "compress", "spec": _SPEC_FIELDS, "form": "blob",
+                           "shm": {"name": "seg", "offset": off, "nbytes": 1}},
+              st.integers(0, 10 ** 6)),
+)
+_MALFORMED_HEADERS = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([b"[1,2]", b"7", b"null", b'"op"', b"{", b'{"op":}', b"\xff\xfe"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(heads=st.lists(st.one_of(_VALID_HEADERS, _MALFORMED_HEADERS),
+                      min_size=4, max_size=16),
+       copies=st.integers(INTERN_MAX_ENTRIES // 4 + 1, INTERN_MAX_ENTRIES))
+def test_parse_table_never_passes_its_bound(heads, copies):
+    """However many distinct headers a peer sends — valid, oversized,
+    malformed — the table holds at most INTERN_MAX_ENTRIES of at most
+    INTERN_MAX_HEADER_BYTES each, and only headers that parsed, whose
+    spec validated and that name no shared-memory window."""
+    assembler = FrameAssembler()
+    table = assembler._headers
+    for i in range(copies):  # each drawn header in ``copies`` distinct spellings
+        for head in heads:
+            raw = _encode_header({**head, "#": i}) if isinstance(head, dict) else head
+            try:
+                assembler.feed(_frame(raw))
+                header, _ = assembler.next_frame()
+            except ProtocolError:
+                assert raw not in table
+                # The connection is dropped there; the table's history is
+                # what this test is about, so it moves to the next one.
+                assembler = FrameAssembler()
+                assembler._headers = table
+            else:
+                assert header == json.loads(raw)
+            assert len(table) <= INTERN_MAX_ENTRIES
+    for raw, header in table.items():
+        assert len(raw) <= INTERN_MAX_HEADER_BYTES
+        assert "shm" not in header
+        assert ("spec" in header) == (header.spec is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=st.lists(
+    st.tuples(st.sampled_from(["compress", "decompress", "retrieve"]),
+              st.builds(CodecSpec, st.sampled_from(["zfp-x", "mgard-x", "lz4"]),
+                        rate=st.integers(1, 64).map(float)),
+              st.one_of(st.just(("blob",)),
+                        st.lists(st.integers(0, 10 ** 12), max_size=40)
+                        .map(lambda shape: ("array", "<f8", tuple(shape))))),
+    min_size=2, max_size=8),
+    copies=st.integers(INTERN_MAX_ENTRIES // 2 + 1, INTERN_MAX_ENTRIES))
+def test_encode_tables_never_pass_their_bound(keys, copies):
+    """Request and response heads: hit or miss the bytes are those of a
+    fresh encode, and neither table outgrows the bounds."""
+    requests, responses = {}, {}
+    for i in range(copies):  # each drawn form under ``copies`` leading extents
+        for op, spec, form in keys:
+            if form != ("blob",):
+                form = form[:2] + ((i,) + form[2],)
+            meta = _form_fields(form)
+            assert _request_head(requests, op, spec, form) == _encode_header(
+                {"op": op, "spec": dataclasses.asdict(spec), **meta})
+            assert _response_head(responses, form) == _encode_header(
+                {"status": "ok", **meta})
+            for table in (requests, responses):
+                assert len(table) <= INTERN_MAX_ENTRIES
+    for table in (requests, responses):
+        assert all(len(head) <= INTERN_MAX_HEADER_BYTES for head in table.values())
+
+
+def test_same_header_bytes_decode_independently():
+    """Two payloads under one header, then the same fields with an shm
+    reference: each decodes to its own data and the interned header is
+    handed out unchanged."""
+    fields = {"op": "compress", "spec": _SPEC_FIELDS,
+              "form": "array", "dtype": "<f4", "shape": [4, 4]}
+    raw = _encode_header(fields)
+    a = np.arange(16, dtype=np.float32).reshape(4, 4)
+    b = a[::-1].copy() * 3
+    arena, registry = ShmArena(), ShmRegistry()
+    try:
+        assembler = FrameAssembler()
+        assembler.feed(_frame(raw, a.tobytes()) + _frame(raw, b.tobytes()))
+        h1, p1 = assembler.next_frame()
+        got_a = _decode_payload(h1, p1).copy()
+        h2, p2 = assembler.next_frame()
+        got_b = _decode_payload(h2, p2).copy()
+        assert h2 is h1 and h1.spec == _SPEC
+        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+
+        c = a + 100
+        via_shm = _encode_header({**fields, "shm": arena.stage(c.tobytes())})
+        assembler.feed(_frame(via_shm))
+        h3, p3 = assembler.next_frame()
+        assert len(p3) == 0 and h3 is not h1 and via_shm not in assembler._headers
+        got_c = _decode_payload(h3, p3, shm=registry)
+        assert np.array_equal(got_c, c)
+        del got_c
+
+        assembler.feed(_frame(raw, a.tobytes()))
+        h4, p4 = assembler.next_frame()
+        assert h4 is h1 and dict(h4) == fields  # no "shm" leaked into the cached dict
+        assert np.array_equal(_decode_payload(h4, p4), a)
+    finally:
+        registry.close()
+        arena.close()
+
+
+class _Echo:
+    """A service whose reply is a copy of the request payload."""
+
+    async def submit(self, op, spec, payload):
+        if isinstance(payload, memoryview):
+            return bytes(payload)
+        return np.array(payload, copy=True)
+
+
+async def _read_raw_frame(reader: asyncio.StreamReader) -> bytes:
+    preamble = await reader.readexactly(_PREAMBLE.size)
+    _, _, hlen, plen = _PREAMBLE.unpack(preamble)
+    return preamble + await reader.readexactly(hlen + plen)
+
+
+def test_invalid_spec_is_answered_with_the_same_error_every_time():
+    """A header whose spec does not validate is never cached as a
+    success: its second arrival draws the same typed error reply, and
+    the connection goes on serving valid requests."""
+    bad = {"op": "compress", "spec": {**_SPEC_FIELDS, "name": "no-such-codec"},
+           "form": "blob"}
+    good = {"op": "compress", "spec": _SPEC_FIELDS, "form": "blob"}
+
+    async def run():
+        server = await serve_tcp(_Echo())
+        try:
+            reader, writer = await asyncio.open_connection(
+                *server.sockets[0].getsockname()[:2])
+            replies = []
+            for header in (bad, bad, good, bad):
+                _write_frame(writer, header, b"abc")
+                await writer.drain()
+                replies.append(await _read_raw_frame(reader))
+            writer.close()
+            return replies
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    first, second, ok, third = asyncio.run(asyncio.wait_for(run(), 30))
+    assert first == second == third
+    hlen = _PREAMBLE.unpack_from(first)[2]
+    err = json.loads(first[_PREAMBLE.size:_PREAMBLE.size + hlen])
+    assert err["status"] == "err" and err["kind"] == "ValueError"
+    assert "no-such-codec" in err["message"]
+    assert ok.endswith(b"abc") and b'"status":"ok"' in ok
+
+
+def test_client_recovers_replies_at_arbitrary_chunk_splits(monkeypatch):
+    """Client-side twin of the assembler split test: a stub server
+    dribbles its reply one byte at a time, then cut in two at every
+    offset, and BlastClient returns the same array each time."""
+    want = (np.arange(24, dtype=np.float32) - 7).reshape(2, 3, 4)
+    reply = contiguous_frame(
+        {"status": "ok", "form": "array", "dtype": "<f4", "shape": [2, 3, 4]},
+        want.tobytes())
+    plans = [[reply[i:i + 1] for i in range(len(reply))]]
+    plans += [[reply[:cut], reply[cut:]] for cut in range(1, len(reply))]
+
+    fed: list[int] = []
+    feed = FrameAssembler.feed
+    monkeypatch.setattr(FrameAssembler, "feed",
+                        lambda self, data: (fed.append(len(data)), feed(self, data))[1])
+
+    async def dribble(reader, writer):
+        try:
+            for pieces in plans:
+                await _read_raw_frame(reader)
+                for piece in pieces:
+                    writer.write(piece)
+                    await writer.drain()
+                    for _ in range(3):  # the client reads this piece before the next leaves
+                        await asyncio.sleep(0)
+        finally:
+            writer.close()
+
+    async def run():
+        server = await asyncio.start_server(dribble, "127.0.0.1", 0)
+        try:
+            client = await BlastClient.connect(*server.sockets[0].getsockname()[:2])
+            got = [await client.decompress(_SPEC, b"stream") for _ in plans]
+            await client.close()
+            return got
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    got = asyncio.run(asyncio.wait_for(run(), 60))
+    assert len(got) == len(plans)
+    for back in got:
+        assert back.dtype == want.dtype and np.array_equal(back, want)
+    # The splits really reached the client's assembler as splits.
+    assert fed.count(1) >= len(reply) and len(fed) >= 2 * len(plans)
+
+
+def test_reply_stays_valid_after_the_next_request():
+    """The caller owns what ``request`` returns: a later reply on the
+    same connection lands in the same receive buffer and must not show
+    through an earlier result."""
+    first = np.arange(256, dtype=np.float32).reshape(16, 16)
+    second = -first[::-1].copy()
+
+    async def run():
+        server = await serve_tcp(_Echo())
+        try:
+            client = await BlastClient.connect(*server.sockets[0].getsockname()[:2])
+            a = await client.compress(_SPEC, first)
+            blob = await client.compress(_SPEC, b"opaque-bytes")
+            b = await client.compress(_SPEC, second)
+            await client.ping()
+            await client.close()
+            return a, blob, b
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    a, blob, b = asyncio.run(asyncio.wait_for(run(), 30))
+    assert np.array_equal(a, first) and np.array_equal(b, second)
+    assert blob == b"opaque-bytes"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import socket
 import struct
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.serve import (
     run_blast,
     serve_tcp,
 )
+from repro.serve.net import _write_frame
 
 
 def _served(cfg=None):
@@ -157,6 +160,50 @@ def test_malformed_frame_drops_connection_only():
             await svc.close()
 
     asyncio.run(run())
+
+
+def test_client_vanishing_mid_reply_is_dropped_quietly():
+    """The peer half-closes after its request, then dies while the
+    reply is still being written: the send fails with EPIPE, which
+    ``drain()`` re-raises as BrokenPipeError.  That is a vanished
+    connection like any other — the handler ends without an unhandled
+    exception reaching the loop, and the service is left drained."""
+    spec = CodecSpec("lz4")
+    data = np.zeros((1024, 1024), dtype=np.float32)  # a 4 MB reply from a tiny stream
+    blob = spec.build().compress(data)
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        unhandled: list[dict] = []
+        loop.set_exception_handler(lambda _, context: unhandled.append(context))
+        svc, server, host, port = await _served()()
+        try:
+            # A small receive window, so the reply cannot all be sent.
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await loop.sock_connect(sock, (host, port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            _write_frame(writer, {"op": "decompress", "spec": dataclasses.asdict(spec),
+                                  "form": "blob"}, blob)
+            writer.write_eof()
+            await reader.readexactly(17)  # the reply has started...
+            await asyncio.sleep(0.05)     # ...and stalled against the window
+            handlers = [t for t in asyncio.all_tasks() if "handler" in repr(t.get_coro())]
+            assert len(handlers) == 1 and not handlers[0].done()
+            writer.transport.abort()      # unread bytes: the kernel answers with RST
+            await asyncio.wait_for(handlers[0], 10)
+            assert handlers[0].exception() is None
+            await asyncio.sleep(0)
+            return svc.inflight, unhandled
+        finally:
+            server.close()
+            await server.wait_closed()
+            await svc.close()
+
+    inflight, unhandled = asyncio.run(asyncio.wait_for(run(), 30))
+    assert inflight == 0
+    assert unhandled == []
 
 
 def test_run_blast_in_process_and_tcp_agree_on_verification():
