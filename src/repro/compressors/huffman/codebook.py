@@ -200,7 +200,7 @@ class Codebook:
         # length table with an oversubscribed Kraft sum) falls back to
         # the per-symbol loop with the old clipping semantics.
         if covered <= size and np.array_equal(
-            lo, np.r_[0, np.cumsum(runs)[:-1]]
+            lo, np.cumsum(runs) - runs
         ):
             sym_table[:covered] = np.repeat(syms, runs)
             len_table[:covered] = np.repeat(lens, runs)

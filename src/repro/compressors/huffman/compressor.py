@@ -63,6 +63,10 @@ _VERSION = 1
 #: Which ``int32`` half of a native ``int64`` holds its low 32 bits.
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
 
+#: The decoder keeps a window per payload *bit* while the payload has
+#: at most this many bytes per decode step (DESIGN.md §3.1 has the sweep).
+_PER_BIT_BYTES_PER_STEP = 50
+
 #: Decode steps moved per transposing copy of the decoder's step-major
 #: output into a chunk-major result (64 rows keep both sides in cache).
 _TRANSPOSE_STEPS = 64
@@ -543,10 +547,14 @@ class HuffmanX:
                 f"corrupt stream: {n} symbols cannot fill {nchunks} chunks "
                 f"of {chunk_size}"
             )
-        for p in parsed[1:]:
+        for p in parsed:
             if p[5].size != nchunks:
                 raise ValueError(
                     "decompress_keys_batch requires uniform chunk counts"
+                )
+            if int(p[5].max()) > 8 * p[6].size:
+                raise ValueError(
+                    "corrupt stream: chunk offset past the payload"
                 )
 
         ctx = self._key_context(shape, dtype, num_symbols, tag, pin=True)
@@ -598,7 +606,21 @@ class HuffmanX:
             conc[at : at + p.size] = p
             conc[at + p.size : at + p.size + PAYLOAD_SLACK] = 0
         nwin = starts[-1] - PAYLOAD_SLACK + 1
-        win = ctx.scratch("dec.win", nwin, np.int64)
+        # A short payload gets a window per *bit* below; its byte
+        # windows are dead once that table is built, so they borrow
+        # (as uint32: four bytes fill one) the output rows the loop
+        # has yet to write instead of holding ``dec.win`` beside it.
+        per_bit = starts[-1] <= _PER_BIT_BYTES_PER_STEP * chunk_size
+        lanes = nchunks * nbatch
+        room = ctx.scratch(
+            "dec.out",
+            max(chunk_size * lanes, (nwin + 1) // 2 if per_bit else 0),
+            np.int64,
+        )
+        if per_bit:
+            win = room.view(np.uint32)[:nwin]
+        else:
+            win = ctx.scratch("dec.win", nwin, np.int64)
         np.copyto(win, conc[:nwin])
         for byte in range(1, 4):
             win <<= 8
@@ -609,13 +631,12 @@ class HuffmanX:
         # active" is one slice.  ``pos`` is a lane's bit position in
         # the concatenated payload; ``out`` is step-major, so each
         # step's gather lands in its final, contiguous row.
-        lanes = nchunks * nbatch
         pos = ctx.scratch("dec.pos", lanes, np.int64)
         pos2d = pos.reshape(nchunks, nbatch)
         for i, p in enumerate(parsed):
             np.copyto(pos2d[:, i], p[5], casting="unsafe")
             pos2d[:, i] += 8 * starts[i]
-        entries = ctx.scratch("dec.out", chunk_size * lanes, np.int64)
+        entries = room[: chunk_size * lanes]
         out = entries.reshape(chunk_size, lanes)
         b, s, w = (ctx.scratch(f"dec.scr{i}", lanes, np.int64) for i in range(3))
         table = None  # one stream: window values index ``comb`` directly
@@ -627,24 +648,44 @@ class HuffmanX:
 
         wshift = 32 - width
         wmask = tsize - 1
+        idx = w     # what indexes ``comb``
+        if per_bit:
+            # The ``width``-bit window at every bit: eight phase shifts
+            # of the byte windows (the uint16 store keeps the low 16
+            # bits, the mask the low ``width``), so a step gathers its
+            # window by ``pos`` alone.  A position clipped past the end
+            # reads the last stream's zero slack through either source.
+            bits = ctx.scratch("dec.bits", 8 * nwin, np.uint16, exact=True)
+            bits2d = bits.reshape(nwin, 8)
+            for phase in range(8):
+                np.right_shift(win, wshift - phase, out=bits2d[:, phase],
+                               casting="unsafe")
+            np.bitwise_and(bits, wmask, out=bits)
+            win = bits
+            idx = w = ctx.scratch("dec.bitw", lanes, np.uint16)
+            if table is not None:
+                idx = b
         for step in range(chunk_size):
             if step == rem:
                 # Only the last chunk of each stream can run short.
                 if nchunks == 1:
                     break
-                pos, b, s, w = (a[:-nbatch] for a in (pos, b, s, w))
+                pos, b, s, w, idx = (a[:-nbatch] for a in (pos, b, s, w, idx))
                 out = out[:, :-nbatch]
                 table = None if table is None else table[:-nbatch]
             row = out[step]
-            np.right_shift(pos, 3, out=b)
-            win.take(b, out=w, mode="clip")
-            np.bitwise_and(pos, 7, out=s)
-            np.subtract(wshift, s, out=s)
-            np.right_shift(w, s, out=w)
-            np.bitwise_and(w, wmask, out=w)
+            if per_bit:
+                win.take(pos, out=w, mode="clip")
+            else:
+                np.right_shift(pos, 3, out=b)
+                win.take(b, out=w, mode="clip")
+                np.bitwise_and(pos, 7, out=s)
+                np.subtract(wshift, s, out=s)
+                np.right_shift(w, s, out=w)
+                np.bitwise_and(w, wmask, out=w)
             if table is not None:
-                np.add(w, table, out=w)
-            comb.take(w, out=row, mode="clip")
+                np.add(w, table, out=idx)
+            comb.take(idx, out=row, mode="clip")
             np.right_shift(row, 32, out=s)
             np.add(pos, s, out=pos)
 
@@ -674,15 +715,20 @@ class HuffmanX:
         minimized around ``chunk ≈ sqrt(n)``.  The floor of 256 keeps
         the 8-byte-per-chunk offset table small relative to the payload
         on low-entropy streams; ``self.chunk_size`` stays the upper
-        bound.  The stream records the choice, so decoders need no
-        knowledge of this heuristic.
+        bound.  Below ~32 K symbols the floor is what a decoder pays:
+        256 steps over 16-64 lanes are all call overhead, which is why
+        :meth:`_decode_chunks` gathers such a stream's windows from a
+        per-bit table (four array calls a step instead of ten).  The
+        stream records the choice, so decoders need no knowledge of
+        this heuristic.
         """
         target = max(1.0, (2.0 * n) ** 0.5)
         chunk = 1 << max(0, round(float(np.log2(target))))
         return max(1, min(self.chunk_size, max(256, chunk)))
 
     # ------------------------------------------------------------------
-    # Byte-level lossless API (arbitrary arrays/buffers)
+    # Byte-level lossless API (arbitrary arrays/buffers), single-shot
+    # and batched (serve fast path)
     # ------------------------------------------------------------------
     def _num_segments(self, nbytes: int) -> int:
         width = 1 if self.adapter is None else self.adapter.parallel_width()
@@ -698,79 +744,63 @@ class HuffmanX:
         own reduction context (``HUFP`` container); the result decodes
         bit-exactly on every adapter.
         """
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            arr = np.frombuffer(bytes(data), dtype=np.uint8)
-            meta = ("|u1", (arr.size,))
-        else:
-            arr = np.ascontiguousarray(data)
-            meta = (arr.dtype.str, arr.shape)
-        keys = arr.reshape(-1).view(np.uint8)
-        header = _pack_meta(meta[0], meta[1])
-
+        keys, meta = _as_keys(data)
         nseg = self._num_segments(keys.size)
         if nseg <= 1:
-            blob = header + self.compress_keys(keys, 256)
-            # Byte API only: key-level calls stay uncounted, so MGARD's
-            # nested Huffman volume is attributed to mgard alone.
-            count_bytes("huffman", keys.size, len(blob))
-            return blob
+            body = self.compress_keys(keys, 256)
+        else:
+            (body,) = self._compress_segments([keys], nseg, batch=False)
+        blob = _pack_meta(*meta) + body
+        # Byte API only: key-level calls stay uncounted, so MGARD's
+        # nested Huffman volume is attributed to mgard alone.
+        count_bytes("huffman", keys.size, len(blob))
+        return blob
 
-        seg = -(-keys.size // nseg)
+    def _compress_segments(self, keys_list, nseg: int, batch: bool) -> list[bytes]:
+        """One ``HUFP`` body per input: segment ``i`` of every input is
+        coded in one task (a key batch when ``batch``) with its own
+        reduction context, tasks running concurrently on the adapter."""
+        nbytes = keys_list[0].size
+        seg = -(-nbytes // nseg)
         seg = -(-seg // self.chunk_size) * self.chunk_size  # chunk-aligned
-        bounds = list(range(0, keys.size, seg)) + [keys.size]
+        bounds = list(range(0, nbytes, seg)) + [nbytes]
         nseg = len(bounds) - 1
 
-        def _one(i: int) -> bytes:
-            part = keys[bounds[i] : bounds[i + 1]]
-            ctx = self._key_context(part.shape, part.dtype, 256, tag=i, pin=True)
+        def _one_index(i: int) -> list[bytes]:
+            parts = [k[bounds[i] : bounds[i + 1]] for k in keys_list]
+            ctx = self._key_context(
+                parts[0].shape, parts[0].dtype, 256,
+                tag=("batch", i) if batch else i, pin=True,
+            )
             try:
-                return self._compress_keys(part, 256, ctx, None)
+                if batch:
+                    return self._compress_keys_batch(parts, 256, ctx, None)
+                return [self._compress_keys(parts[0], 256, ctx, None)]
             finally:
                 self.cache.release(ctx)
 
-        parts = _map_tasks(self.adapter, _one, range(nseg))
-        body = (
-            _PAR_MAGIC
-            + struct.pack("<BI", _VERSION, nseg)
-            + struct.pack(f"<{nseg}Q", *(len(p) for p in parts))
-            + b"".join(parts)
-        )
-        blob = header + body
-        count_bytes("huffman", keys.size, len(blob))
-        return blob
+        by_index = _map_tasks(self.adapter, _one_index, range(nseg))
+        bodies = []
+        for j in range(len(keys_list)):
+            parts = [by_index[i][j] for i in range(nseg)]
+            bodies.append(
+                _PAR_MAGIC
+                + struct.pack("<BI", _VERSION, nseg)
+                + struct.pack(f"<{nseg}Q", *(len(p) for p in parts))
+                + b"".join(parts)
+            )
+        return bodies
 
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
         dtype_str, shape, used = _unpack_meta(blob)
         body = blob[used:]
         if body[:4] == _PAR_MAGIC:
-            keys = self._decompress_segments(body)
+            (keys,) = self._decompress_segments([body], batch=False)
         else:
             keys = self.decompress_keys(body)
         return keys.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
 
-    def _decompress_segments(self, body: bytes) -> np.ndarray:
-        version, nseg = struct.unpack_from("<BI", body, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported Huffman-X version {version}")
-        off = 4 + struct.calcsize("<BI")
-        seg_lens = struct.unpack_from(f"<{nseg}Q", body, off)
-        off += 8 * nseg
-        segments = []
-        for i, length in enumerate(seg_lens):
-            segments.append((i, body[off : off + length]))
-            off += length
-
-        parts = _map_tasks(
-            self.adapter, lambda t: self._decompress_keys([t[1]], tag=t[0])[0], segments
-        )
-        if not parts:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate([p.reshape(-1) for p in parts])
-
-    # ------------------------------------------------------------------
-    # Byte-level batched API (serve fast path)
-    # ------------------------------------------------------------------
     def compress_batch(self, arrays: Sequence) -> list[bytes]:
         """Compress N uniform-(shape, dtype) inputs, one launch per stage.
 
@@ -786,15 +816,7 @@ class HuffmanX:
             return []
         if len(datas) == 1:
             return [self.compress(datas[0])]
-        prepared = []
-        for data in datas:
-            if isinstance(data, (bytes, bytearray, memoryview)):
-                arr = np.frombuffer(bytes(data), dtype=np.uint8)
-                meta = ("|u1", (arr.size,))
-            else:
-                arr = np.ascontiguousarray(data)
-                meta = (arr.dtype.str, arr.shape)
-            prepared.append((arr.reshape(-1).view(np.uint8), meta))
+        prepared = [_as_keys(data) for data in datas]
         meta = prepared[0][1]
         for _, m in prepared[1:]:
             if m != meta:
@@ -804,46 +826,15 @@ class HuffmanX:
                 )
         keys_list = [p[0] for p in prepared]
         nbytes = keys_list[0].size
-        header = _pack_meta(meta[0], meta[1])
-
+        header = _pack_meta(*meta)
         nseg = self._num_segments(nbytes)
         if nseg <= 1:
-            blobs = [
-                header + body
-                for body in self.compress_keys_batch(keys_list, 256)
-            ]
-            for b in blobs:
-                count_bytes("huffman", nbytes, len(b))
-            return blobs
-
-        seg = -(-nbytes // nseg)
-        seg = -(-seg // self.chunk_size) * self.chunk_size  # chunk-aligned
-        bounds = list(range(0, nbytes, seg)) + [nbytes]
-        nseg = len(bounds) - 1
-
-        def _one_index(i: int) -> list[bytes]:
-            parts = [k[bounds[i] : bounds[i + 1]] for k in keys_list]
-            ctx = self._key_context(
-                parts[0].shape, parts[0].dtype, 256, tag=("batch", i),
-                pin=True,
-            )
-            try:
-                return self._compress_keys_batch(parts, 256, ctx, None)
-            finally:
-                self.cache.release(ctx)
-
-        by_index = _map_tasks(self.adapter, _one_index, range(nseg))
-        blobs = []
-        for j in range(len(datas)):
-            parts = [by_index[i][j] for i in range(nseg)]
-            body = (
-                _PAR_MAGIC
-                + struct.pack("<BI", _VERSION, nseg)
-                + struct.pack(f"<{nseg}Q", *(len(p) for p in parts))
-                + b"".join(parts)
-            )
-            blobs.append(header + body)
-            count_bytes("huffman", nbytes, len(blobs[-1]))
+            bodies = self.compress_keys_batch(keys_list, 256)
+        else:
+            bodies = self._compress_segments(keys_list, nseg, batch=True)
+        blobs = [header + body for body in bodies]
+        for b in blobs:
+            count_bytes("huffman", nbytes, len(b))
         return blobs
 
     @stream_errors
@@ -875,14 +866,16 @@ class HuffmanX:
         if not pars[0]:
             keys_list = self.decompress_keys_batch(bodies)
         else:
-            keys_list = self._decompress_segments_batch(bodies)
+            keys_list = self._decompress_segments(bodies, batch=True)
         return [
             k.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
             for k in keys_list
         ]
 
-    def _decompress_segments_batch(self, bodies: list) -> list[np.ndarray]:
-        """Batch-decode ``HUFP`` containers, segment index by index."""
+    def _decompress_segments(self, bodies: list, batch: bool) -> list[np.ndarray]:
+        """Decode ``HUFP`` containers segment index by index (the tags
+        mirror :meth:`_compress_segments`, so a decode finds the
+        context its encode built)."""
         split = []
         nseg0 = None
         for body in bodies:
@@ -906,7 +899,8 @@ class HuffmanX:
 
         def _one_index(i: int) -> list[np.ndarray]:
             return self._decompress_keys(
-                [segments[i] for segments in split], tag=("batch", i)
+                [segments[i] for segments in split],
+                tag=("batch", i) if batch else i,
             )
 
         by_index = _map_tasks(self.adapter, _one_index, range(nseg0))
@@ -1008,6 +1002,15 @@ class HuffmanX:
             tuple(shape), dtype, num_symbols, n, book, chunk_offsets, payload,
             chunk_size,
         )
+
+
+def _as_keys(data) -> tuple[np.ndarray, tuple[str, tuple[int, ...]]]:
+    """Any input as flat uint8 keys plus its ``(dtype string, shape)``."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        arr = np.frombuffer(bytes(data), dtype=np.uint8)
+        return arr, ("|u1", (arr.size,))
+    arr = np.ascontiguousarray(data)
+    return arr.reshape(-1).view(np.uint8), (arr.dtype.str, arr.shape)
 
 
 def _pack_meta(dtype_str: str, shape: tuple[int, ...]) -> bytes:

@@ -9,6 +9,7 @@ multi-GPU scalability results.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Sequence
 
@@ -19,10 +20,8 @@ from repro.core.context import ContextCache
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.mgard.decompose import (
     decompose,
-    decompose_batched,
     level_factors,
     recompose,
-    recompose_batched,
 )
 from repro.compressors.mgard.hierarchy import Hierarchy
 from repro.compressors.mgard.quantize import (
@@ -154,14 +153,33 @@ class MGARDX:
             out.append(c)
         return tuple(out)
 
-    # ------------------------------------------------------------------
-    def compress(self, data: np.ndarray, coords=None) -> bytes:
-        data = np.ascontiguousarray(data)
+    def _absolute_bound(self, data: np.ndarray) -> float:
+        """The absolute bound for ``data``, or the reason it cannot be
+        compressed, before any byte is written: quantizing NaN or inf
+        yields escape markers without outliers, a stream
+        :meth:`decompress` refuses."""
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"MGARD-X supports float32/float64, got {data.dtype}")
         if data.ndim < 1 or data.ndim > 4:
             raise ValueError(f"MGARD-X supports 1-4 dims, got {data.ndim}")
+        if data.size == 0:
+            raise ValueError(
+                f"MGARD-X needs a non-empty array, got shape {data.shape}"
+            )
         abs_eb = self.config.absolute_bound(data)
+        if self.config.error_mode is ErrorMode.REL:
+            # The range is already taken: NaN or inf in, NaN or inf out.
+            finite = math.isfinite(abs_eb)
+        else:
+            finite = bool(np.isfinite(data).all())
+        if not finite:
+            raise ValueError("MGARD-X needs finite data, got NaN or inf")
+        return abs_eb
+
+    # ------------------------------------------------------------------
+    def compress(self, data: np.ndarray, coords=None) -> bytes:
+        data = np.ascontiguousarray(data)
+        abs_eb = self._absolute_bound(data)
         coords = self._check_coords(coords, data.shape)
 
         ctx, hierarchy, factors = self._context(
@@ -324,7 +342,7 @@ class MGARDX:
         quantization bins and codebooks stay per-item (they are
         data-dependent), while decomposition, quantization and the
         nested Huffman stages run once over a leading batch axis (see
-        :func:`~repro.compressors.mgard.decompose.decompose_batched` for
+        :func:`~repro.compressors.mgard.decompose.decompose` for
         the lane-identity argument).  Raises ``ValueError`` for
         non-uniform batches so callers can fall back per item.
         """
@@ -334,12 +352,6 @@ class MGARDX:
         if len(datas) == 1:
             return [self.compress(datas[0], coords=coords)]
         first = datas[0]
-        if first.dtype not in (np.float32, np.float64):
-            raise TypeError(
-                f"MGARD-X supports float32/float64, got {first.dtype}"
-            )
-        if first.ndim < 1 or first.ndim > 4:
-            raise ValueError(f"MGARD-X supports 1-4 dims, got {first.ndim}")
         for d in datas[1:]:
             if d.shape != first.shape or d.dtype != first.dtype:
                 raise ValueError(
@@ -351,7 +363,7 @@ class MGARDX:
             # error measurements — inherently per-item control flow.
             return [self.compress(d, coords=coords) for d in datas]
         nbatch = len(datas)
-        ebs = [self.config.absolute_bound(d) for d in datas]
+        ebs = [self._absolute_bound(d) for d in datas]
         coords = self._check_coords(coords, first.shape)
         ctx, hierarchy, factors = self._context(
             first.shape, first.dtype, coords, pin=True, tag="mgard.batch"
@@ -363,7 +375,7 @@ class MGARDX:
             with span("mgard.decompose", cat="mgard",
                       nbytes=int(first.nbytes) * nbatch,
                       levels=hierarchy.total_levels, batch=nbatch):
-                coeffs, coarsest = decompose_batched(
+                coeffs, coarsest = decompose(
                     stack, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
                 )
@@ -487,7 +499,7 @@ class MGARDX:
                 coarsest = groups[-1].reshape(
                     (nbatch,) + hierarchy.shape_at(hierarchy.total_levels)
                 )
-                out = recompose_batched(
+                out = recompose(
                     coeffs, coarsest, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
                 )

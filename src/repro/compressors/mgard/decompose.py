@@ -113,69 +113,6 @@ def _correction(
     return corr
 
 
-def decompose_batched(
-    stack: np.ndarray,
-    hierarchy: Hierarchy,
-    adapter=None,
-    factors_per_level: list[dict[int, TridiagFactors]] | None = None,
-    ctx=None,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`decompose` over a ``(N,) + shape`` stack, one launch per stage.
-
-    Lane ``i`` of every result is bit-identical to ``decompose(stack[i],
-    ...)``: each 1-D operator pass runs along ``d + 1`` (the batch axis
-    leads), which broadcasts the exact per-item arithmetic across lanes
-    — elementwise lerp/mass kernels, the restriction's left-then-right
-    slice updates, and per-vector Thomas sweeps are all independent of
-    how many lanes ride along.  Returns per-level ``(N, size)``
-    coefficient planes and the ``(N,) + coarse_shape`` approximation.
-    """
-    if tuple(stack.shape[1:]) != hierarchy.shape:
-        raise ValueError(
-            f"stack item shape {stack.shape[1:]} != hierarchy "
-            f"{hierarchy.shape}"
-        )
-    nbatch = stack.shape[0]
-    current = np.asarray(stack, dtype=np.float64).copy()
-    coeffs: list[np.ndarray] = []
-    for level in range(hierarchy.total_levels):
-        dims = hierarchy.active_dims(level)
-        factors = (
-            factors_per_level[level]
-            if factors_per_level is not None
-            else level_factors(hierarchy, level)
-        )
-        shape = (nbatch,) + hierarchy.shape_at(level)
-        if ctx is not None:
-            approx = ctx.buffer(f"decompose.approx.{level}", shape, np.float64)
-            np.copyto(approx, current)
-            mc = ctx.buffer(f"decompose.mc.{level}", shape, np.float64)
-        else:
-            approx = current.copy()
-            mc = None
-        for d in dims:
-            lerp_fill(approx, hierarchy.dim_level(d, level), d + 1)
-        if mc is None:
-            mc = current - approx
-        else:
-            np.subtract(current, approx, out=mc)
-        selector, fine_idx = _level_geometry(hierarchy, level, ctx)
-        if ctx is not None:
-            level_coeffs = ctx.buffer(
-                f"decompose.coeffs.{level}", (nbatch, fine_idx.size),
-                np.float64,
-            )
-            np.take(mc.reshape(nbatch, -1), fine_idx, axis=1,
-                    out=level_coeffs)
-        else:
-            level_coeffs = mc.reshape(nbatch, -1)[:, fine_idx]
-        coeffs.append(level_coeffs)
-        corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx,
-                           lead=1)
-        current = current[(slice(None),) + selector] + corr
-    return coeffs, current
-
-
 def decompose(
     data: np.ndarray,
     hierarchy: Hierarchy,
@@ -194,9 +131,20 @@ def decompose(
     nothing through the context.  Returned coefficient arrays then alias
     context memory and are valid until the next decomposition through
     the same context.
+
+    ``data`` may be a ``(N,) + shape`` stack (the batch axis is read off
+    ``data.ndim``); coefficient planes are then ``(N, size)`` and lane
+    ``i`` of every result is bit-identical to ``decompose(data[i],
+    ...)``: each 1-D operator pass runs along ``d + 1``, which
+    broadcasts the exact per-item arithmetic across lanes — elementwise
+    lerp/mass kernels, the restriction's left-then-right slice updates,
+    and per-vector Thomas sweeps are all independent of how many lanes
+    ride along.
     """
-    if tuple(data.shape) != hierarchy.shape:
+    lead = data.ndim - len(hierarchy.shape)
+    if lead not in (0, 1) or tuple(data.shape[lead:]) != hierarchy.shape:
         raise ValueError(f"data shape {data.shape} != hierarchy {hierarchy.shape}")
+    batch = data.shape[:lead]
     current = np.asarray(data, dtype=np.float64).copy()
     coeffs: list[np.ndarray] = []
     for level in range(hierarchy.total_levels):
@@ -206,7 +154,7 @@ def decompose(
             if factors_per_level is not None
             else level_factors(hierarchy, level)
         )
-        shape = hierarchy.shape_at(level)
+        shape = batch + hierarchy.shape_at(level)
         if ctx is not None:
             approx = ctx.buffer(f"decompose.approx.{level}", shape, np.float64)
             np.copyto(approx, current)
@@ -215,23 +163,30 @@ def decompose(
             approx = current.copy()
             mc = None
         for d in dims:
-            lerp_fill(approx, hierarchy.dim_level(d, level), d)
+            lerp_fill(approx, hierarchy.dim_level(d, level), d + lead)
         if mc is None:
             mc = current - approx
         else:
             np.subtract(current, approx, out=mc)
         selector, fine_idx = _level_geometry(hierarchy, level, ctx)
+        flat_mc = mc.reshape(batch + (-1,))
         if ctx is not None:
             level_coeffs = ctx.buffer(
-                f"decompose.coeffs.{level}", (fine_idx.size,), np.float64
+                f"decompose.coeffs.{level}", batch + (fine_idx.size,),
+                np.float64,
             )
-            np.take(mc.reshape(-1), fine_idx, out=level_coeffs)
+            np.take(flat_mc, fine_idx, axis=-1, out=level_coeffs)
         else:
-            level_coeffs = mc.reshape(-1)[fine_idx]
+            level_coeffs = flat_mc[..., fine_idx]
         coeffs.append(level_coeffs)
-        corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx)
-        current = current[selector] + corr
+        corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx,
+                           lead=lead)
+        current = current[(Ellipsis,) + selector] + corr
     return coeffs, current
+
+
+#: One arithmetic for both: the batch axis is read off ``data.ndim``.
+decompose_batched = decompose
 
 
 def _zeroed(ctx, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -306,9 +261,9 @@ def recompose(
     factors_per_level: list[dict[int, TridiagFactors]] | None = None,
     ctx=None,
 ) -> np.ndarray:
-    """Exact inverse of :func:`decompose` (and of :func:`decompose_batched`
-    when ``coarsest`` and the coefficient planes carry a leading batch
-    axis; see its lane-identity argument).
+    """Exact inverse of :func:`decompose` (also when ``coarsest`` and the
+    coefficient planes carry a leading batch axis; see its lane-identity
+    argument).
 
     With ``ctx`` the per-level grids come from persistent context
     buffers; the returned array then aliases context memory (callers

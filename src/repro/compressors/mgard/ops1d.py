@@ -25,16 +25,12 @@ import numpy as np
 from repro.compressors.mgard.hierarchy import DimLevel
 from repro.core.abstractions import iterative
 from repro.core.functor import IterativeFunctor
-from repro.util import hot_path
+from repro.util import hot_path, move_axis
 
 
 def interp_weights(level: DimLevel) -> tuple[np.ndarray, np.ndarray]:
     """Lerp weights (wl, wr) of each fine-only node's coarse neighbors."""
     return level.wl, level.wr
-
-
-def _axis_first(u: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(u, axis, 0)
 
 
 def _bshape(w: np.ndarray, ndim: int) -> np.ndarray:
@@ -45,7 +41,7 @@ def _bshape(w: np.ndarray, ndim: int) -> np.ndarray:
 @hot_path(reason="per-level lerp kernel of Algorithm 1 (every axis pass)")
 def lerp_fill(u: np.ndarray, level: DimLevel, axis: int) -> None:
     """In place: fine-only nodes ← lerp of coarse neighbors, along axis."""
-    v = _axis_first(u, axis)
+    v = move_axis(u, axis, 0)
     nd = v.ndim
     stop = 2 * level.nf
     t = _bshape(level.wl, nd) * v[0:stop:2]
@@ -61,7 +57,7 @@ def mass_apply(u: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
     interior rows accumulate in place in the result, which rounds
     exactly where the expression does only when no cast intervenes.
     """
-    v = _axis_first(u, axis)
+    v = move_axis(u, axis, 0)
     nd = v.ndim
     hL = _bshape(level.h, nd)       # h_i between node i and i+1
     y = np.empty_like(v)
@@ -76,7 +72,7 @@ def mass_apply(u: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
     mid /= 6.0
     y[0] = hL[0] * (2.0 * v[0] + v[1]) / 6.0
     y[-1] = hL[-1] * (v[-2] + 2.0 * v[-1]) / 6.0
-    return np.moveaxis(y, 0, axis)
+    return move_axis(y, 0, axis)
 
 
 def restrict(y: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
@@ -87,7 +83,7 @@ def restrict(y: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
     most one fine-only neighbour on either side, so two slice updates
     are the whole scatter.
     """
-    v = _axis_first(y, axis)
+    v = move_axis(y, axis, 0)
     nd = v.ndim
     nf = level.nf
     # Allocated in y's own axis order, so the result stays C-contiguous
@@ -100,7 +96,7 @@ def restrict(y: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
     yf = v[1 : 2 * nf : 2]
     b[0:nf] += _bshape(level.wl, nd) * yf
     b[1 : nf + 1] += _bshape(level.wr, nd) * yf
-    return np.moveaxis(b, 0, axis)
+    return move_axis(b, 0, axis)
 
 
 def prolong(b: np.ndarray, level: DimLevel, axis: int, out_dtype=None) -> np.ndarray:
@@ -111,14 +107,14 @@ def prolong(b: np.ndarray, level: DimLevel, axis: int, out_dtype=None) -> np.nda
     the fine grid is expressed explicitly; decompose/recompose use
     :func:`lerp_fill` on views instead).
     """
-    v = _axis_first(b, axis)
+    v = move_axis(b, axis, 0)
     out = np.zeros((level.n,) + v.shape[1:], dtype=out_dtype or b.dtype)
     evens = out[0::2]
     evens[...] = v[: evens.shape[0]]
     if level.n % 2 == 0:
         out[-1] = v[-1]
     lerp_fill(out, level, 0)
-    return np.moveaxis(out, 0, axis)
+    return move_axis(out, 0, axis)
 
 
 class _ThomasFunctor(IterativeFunctor):

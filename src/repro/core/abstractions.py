@@ -32,6 +32,7 @@ from repro.core.functor import (
     IterativeFunctor,
     LocalityFunctor,
 )
+from repro.util import move_axis
 
 
 class Abstraction(enum.Enum):
@@ -290,7 +291,7 @@ def iterative(
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     adapter = adapter if adapter is not None else _default_adapter()
-    moved = np.moveaxis(data, axis, -1)
+    moved = move_axis(data, axis, -1)
     lead_shape = moved.shape[:-1]
     n = moved.shape[-1]
     nvec = int(np.prod(lead_shape)) if lead_shape else 1
@@ -318,7 +319,7 @@ def iterative(
     groups = vectors.reshape(ngroups, group_size, n)
     out = adapter.execute_group_batch(_GroupedIterative(functor), groups)
     out = out.reshape(padded_n, n)[:nvec]
-    return np.moveaxis(out.reshape(*lead_shape, n), -1, axis)
+    return move_axis(out.reshape(*lead_shape, n), -1, axis)
 
 
 def map_and_process(

@@ -157,14 +157,18 @@ class ReductionContext:
         name: str,
         size: int,
         dtype: np.dtype | type = np.uint8,
+        exact: bool = False,
     ) -> np.ndarray:
         """Return a 1-D view of ``size`` elements over persistent capacity.
 
         Unlike :meth:`buffer`, the underlying allocation only *grows*
         (geometrically, to the next power of two), so repeated calls
         with fluctuating data-dependent sizes stop allocating once the
-        high-water mark is reached.  The returned view is uninitialized;
-        callers must overwrite it fully.
+        high-water mark is reached.  ``exact`` grows to ``size`` itself:
+        for a table many times its input, where rounding up would be
+        most of the context (each new high-water mark reallocates).
+        The returned view is uninitialized; callers must overwrite it
+        fully.
         """
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
@@ -174,7 +178,10 @@ class ReductionContext:
             buf = self._buffers.get(name)
             if buf is not None and buf.dtype == dtype and buf.size >= size:
                 return buf[:size]
-            capacity = 1 << max(0, int(size - 1).bit_length()) if size else 1
+            if exact:
+                capacity = max(size, 1)
+            else:
+                capacity = 1 << max(0, int(size - 1).bit_length()) if size else 1
             freed = buf.nbytes if buf is not None else 0
             if buf is not None and buf.dtype != dtype:
                 # Capacity growth is the designed steady-state ramp;

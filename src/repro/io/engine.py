@@ -17,15 +17,8 @@ import numpy as np
 
 from repro.io.bp import BPFile
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.trace.tracer import TRACER as _TRACER, span
 from repro.util import atomic_write_json
-
-
-def _span(name: str, **args):
-    """I/O step span (shared NULL_SPAN when tracing is off)."""
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "io", args)
 
 
 class BPWriter:
@@ -64,8 +57,8 @@ class BPWriter:
             raise RuntimeError("writer already closed")
         key = f"{name}@{rank}"
         agg = self._agg_of(rank)
-        with _span("io.put", var=name, rank=rank, nbytes=int(data.nbytes),
-                   operator=operator):
+        with span("io.put", cat="io", var=name, rank=rank,
+                  nbytes=int(data.nbytes), operator=operator):
             self._files[agg].put(
                 key, data, operator=operator, compressor=compressor
             )
@@ -78,8 +71,8 @@ class BPWriter:
             raise RuntimeError("writer already closed")
         key = f"{name}@{rank}"
         agg = self._agg_of(rank)
-        with _span("io.put_reduced", var=name, rank=rank,
-                   nbytes=len(payload), operator=operator):
+        with span("io.put_reduced", cat="io", var=name, rank=rank,
+                  nbytes=len(payload), operator=operator):
             self._files[agg].put_reduced(key, payload, shape, dtype, operator)
         self._index[key] = {"subfile": agg, "rank": rank, "name": name}
 
@@ -106,9 +99,9 @@ class BPWriter:
         # fetch one variable with a single ranged read (progressive
         # retrieval never loads subfile bytes it does not need).
         for i, bp in enumerate(self._files):
-            for key, span in bp.payload_spans().items():
-                self._index[key]["span"] = list(span)
-        with _span("io.flush", subfiles=self.num_aggregators):
+            for key, extent in bp.payload_spans().items():
+                self._index[key]["span"] = list(extent)
+        with span("io.flush", cat="io", subfiles=self.num_aggregators):
             # Subfiles first, index last, each via fsync-and-rename: the
             # index only ever names subfiles that were durably written,
             # and a kill mid-flush leaves no torn file behind.
@@ -171,7 +164,7 @@ class BPReader:
         entry = self._index["variables"].get(key)
         if entry is None:
             raise KeyError(f"no variable {key!r} in {self.path}")
-        with _span("io.get", var=name, rank=rank) as sp:
+        with span("io.get", cat="io", var=name, rank=rank) as sp:
             data = self._subfile(entry["subfile"]).get(key, compressor=compressor)
             sp.set(nbytes=int(data.nbytes))
         if selection is None:
@@ -196,11 +189,12 @@ class BPReader:
         entry = self._index["variables"].get(key)
         if entry is None:
             raise KeyError(f"no variable {key!r} in {self.path}")
-        span = entry.get("span")
-        if span is None:
+        extent = entry.get("span")
+        if extent is None:
             return bytes(self._subfile(entry["subfile"]).variables[key].payload)
-        offset, nbytes = int(span[0]), int(span[1])
-        with _span("io.read_payload", var=name, rank=rank, nbytes=nbytes):
+        offset, nbytes = int(extent[0]), int(extent[1])
+        with span("io.read_payload", cat="io", var=name, rank=rank,
+                  nbytes=nbytes):
             with open(self.path / f"data.{entry['subfile']}", "rb") as f:
                 f.seek(offset)
                 payload = f.read(nbytes)

@@ -38,6 +38,23 @@ def hot_path(fn=None, *, reason: str | None = None):
     return mark if fn is None else mark(fn)
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_order(ndim: int, source: int, destination: int) -> tuple[int, ...]:
+    for axis in (source, destination):
+        if not -ndim <= axis < ndim:
+            raise ValueError(f"axis {axis} is out of bounds for {ndim} dimensions")
+    order = [a for a in range(ndim) if a != source % ndim]
+    order.insert(destination % ndim, source % ndim)
+    return tuple(order)
+
+
+def move_axis(a, source: int, destination: int):
+    """``np.moveaxis`` for one axis, as a view through a cached
+    permutation: the 1-D kernels move an axis several times per call,
+    and ``np.moveaxis`` rebuilds the order in Python each time."""
+    return a.transpose(_axis_order(a.ndim, source, destination))
+
+
 def atomic_write_bytes(path, data: bytes, fsync: bool = True) -> int:
     """Write ``data`` to ``path`` atomically (tmp + fsync + rename).
 

@@ -102,6 +102,42 @@ def test_roundtrip_byte_identity_through_cluster():
     _run(run())
 
 
+def test_mixed_roster_tiles_match_the_direct_codec_under_the_sanitizer(monkeypatch):
+    """The benchmark's ``cluster_mixed`` in miniature: every roster entry
+    on a 64x64 tile through a 4-shard cluster, each stream and each
+    decoded array equal to the serial codec's, shadow-checked."""
+    from repro.adapters import get_adapter
+    from repro.data import gaussian_random_field
+
+    smooth = gaussian_random_field((64, 64), -2.0, seed=19, dtype=np.float32)
+    stepped = np.round(smooth * 4).astype(np.float32)
+    want = []
+    for spec in mixed_specs(16):
+        data = stepped if spec.name in ("huffman-x", "lz4") else smooth
+        codec = spec.build(adapter=get_adapter("serial"))
+        blob = codec.compress(data)
+        want.append((spec, data, blob, codec.decompress(blob)))
+    monkeypatch.setenv("HPDR_SAN", "1")
+
+    async def run():
+        config = ClusterConfig(
+            shards=4, backend="task", shard_max_pending=64,
+            service=ServiceConfig(
+                limits=BatchLimits(max_batch=16, max_latency_s=0.002),
+                workers=1, adapter="serial", tune="off"),
+        )
+        async with ClusterService(config) as cs:
+            for spec, data, blob, back in want:
+                for _ in range(2):      # cold context, then warm
+                    got = await cs.compress(spec, data)
+                    assert bytes(got) == blob, spec
+                    decoded = np.asarray(await cs.decompress(spec, got))
+                    assert decoded.dtype == back.dtype, spec
+                    assert decoded.tobytes() == back.tobytes(), spec
+
+    _run(run())
+
+
 # -- backpressure -----------------------------------------------------------
 def test_shard_overloaded_is_typed_and_counted():
     async def run():

@@ -11,11 +11,15 @@ bit per byte.  Equality is on raw bytes, so the sign of every zero is
 part of the contract.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.compressors.huffman import HuffmanX
+from repro.compressors.huffman import compressor as huffman_codec
 from repro.compressors.huffman.bitstream import (
     codes_per_field,
     merge_codes,
@@ -37,6 +41,7 @@ from repro.compressors.zfp.fixedpoint import (
 )
 from repro.compressors.zfp.transform import fwd_transform, inv_transform
 from repro.core.context import ContextCache
+from repro.util import CorruptStreamError
 
 from ._reference_kernels import (
     reference_block_exponents,
@@ -194,6 +199,147 @@ def test_pack_bits_takes_codes_up_to_64_bits():
     want = reference_pack_bits(codes, lengths)
     got = pack_bits(np.array(codes, dtype=np.uint64), np.array(lengths))
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Decoder window sources
+# ---------------------------------------------------------------------------
+def _through_both_sources(decode):
+    """``decode(codec)`` with every payload on the per-byte windows,
+    then with every payload on the per-bit table."""
+    outcomes = []
+    for limit in (0, 1 << 40):
+        with mock.patch.object(huffman_codec, "_PER_BIT_BYTES_PER_STEP", limit):
+            codec = HuffmanX()
+            try:
+                outcomes.append(decode(codec))
+            except CorruptStreamError as exc:
+                outcomes.append(str(exc))
+            taken = {name for ctx in codec.cache.contexts()
+                     for name in ("dec.win", "dec.bits") if name in ctx}
+            assert taken <= {"dec.bits" if limit else "dec.win"}
+    return outcomes
+
+
+def _same_outcome(byte_windows, bit_table) -> bool:
+    if isinstance(byte_windows, str) or isinstance(bit_table, str):
+        return byte_windows == bit_table
+    return len(byte_windows) == len(bit_table) and all(
+        a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        for a, b in zip(byte_windows, bit_table)
+    )
+
+
+@st.composite
+def key_streams(draw):
+    """Key arrays whose longest code is ``depth`` bits (Fibonacci counts
+    give a ``depth``-deep tree from under 4,200 keys), one to three of
+    them, in chunks of 16..1024 with a short or a full last chunk."""
+    depth = draw(st.integers(1, 16))
+    chunk_size = draw(st.sampled_from([16, 64, 300, 1024]))
+    keys = np.repeat(np.arange(depth + 1), _fibonacci(depth + 1))
+    extra = draw(st.integers(0, 2 * chunk_size))
+    if draw(st.booleans()):     # a full last chunk
+        extra += -(keys.size + extra) % min(chunk_size, 256)
+    keys = np.concatenate([keys, np.full(extra, depth)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = [rng.permutation(keys)]
+    if draw(st.booleans()):
+        # Other codebooks, one of them shallower: the shared table
+        # width is the batch's longest code.
+        batch += [depth - batch[0], rng.integers(0, 2, size=keys.size)]
+    return depth, chunk_size, batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=key_streams(), byte_api=st.booleans(), payload=st.sampled_from(
+    ["as written", "random", "ones"]))
+def test_both_window_sources_decode_the_same_symbols(stream, byte_api, payload):
+    depth, chunk_size, batch = stream
+    writer = HuffmanX(chunk_size=chunk_size)
+    if byte_api:
+        batch = [k.astype(np.uint8) for k in batch]
+        blobs = [writer.compress(batch[0])] if len(batch) == 1 else \
+            writer.compress_batch(batch)
+    else:
+        blobs = [writer.compress_keys(batch[0], depth + 1)] if len(batch) == 1 \
+            else writer.compress_keys_batch(batch, depth + 1)
+    if payload != "as written":
+        # The payload is the tail of a HUFX stream: any bytes there must
+        # decode to the same symbols (or the same typed error) through
+        # either source, running off the end included.
+        rng = np.random.default_rng(depth * 1000 + chunk_size)
+        for i, blob in enumerate(blobs):
+            size = writer._deserialize(blob[blob.index(b"HUFX"):])[6].size
+            tail = (rng.integers(0, 256, size=size) if payload == "random"
+                    else np.full(size, 255)).astype(np.uint8).tobytes()
+            blobs[i] = blob[: len(blob) - size] + tail
+
+    def decode(codec):
+        if byte_api:
+            return [codec.decompress(blobs[0])] if len(blobs) == 1 else \
+                codec.decompress_batch(blobs)
+        return [codec.decompress_keys(blobs[0])] if len(blobs) == 1 else \
+            codec.decompress_keys_batch(blobs)
+
+    byte_windows, bit_table = _through_both_sources(decode)
+    assert _same_outcome(byte_windows, bit_table)
+    if payload == "as written":
+        assert _same_outcome(bit_table, batch)
+
+
+@pytest.mark.parametrize("slack", [-1, 0, 1])
+def test_window_source_switches_on_payload_bytes_per_step(slack):
+    """Four equally frequent symbols cost two bits each: ``n`` keys are
+    ``n / 4`` payload bytes (+ 4 of slack), so at 16 steps the shipped
+    constant puts the switch at a payload of 50 * 16 - 4 bytes."""
+    limit = huffman_codec._PER_BIT_BYTES_PER_STEP * 16
+    n = 4 * (limit - 4 + slack)
+    keys = np.random.default_rng(slack + 1).permutation(np.arange(n) % 4)
+    codec = HuffmanX(chunk_size=16)
+    blob = codec.compress_keys(keys, 4)
+    assert codec._deserialize(blob)[6].size + 4 == limit + slack
+    assert np.array_equal(codec.decompress_keys(blob), keys)
+    (ctx,) = codec.cache.contexts()
+    assert ("dec.bits" in ctx) == (slack <= 0) == ("dec.win" not in ctx)
+    byte_windows, bit_table = _through_both_sources(
+        lambda c: [c.decompress_keys(blob)])
+    assert _same_outcome(byte_windows, bit_table)
+    assert np.array_equal(bit_table[0], keys)
+
+
+def test_decoder_refuses_a_chunk_offset_past_the_payload():
+    """Positions never start negative or past the end, so what either
+    window source reads there cannot differ."""
+    codec = HuffmanX()
+    keys = np.arange(3000) % 7
+    blob = bytearray(codec.compress_keys(keys, 7))
+    parsed = codec._deserialize(bytes(blob))
+    at = len(blob) - parsed[6].size - 8      # the last chunk's offset
+    for bad in (8 * parsed[6].size + 1, 1 << 63):
+        blob[at : at + 8] = int(bad).to_bytes(8, "little")
+        with pytest.raises(CorruptStreamError, match="past the payload"):
+            codec.decompress_keys(bytes(blob))
+
+
+def test_tile_decodes_stop_allocating_whatever_the_payload_length():
+    """16 KB of bytes at five entropies: one context, five payload
+    lengths.  After one pass every scratch, the exactly sized per-bit
+    table included, has seen its high-water mark."""
+    rng = np.random.default_rng(16)
+    codec = HuffmanX()
+    tiles = [rng.integers(0, k, size=(64, 64, 4)).astype(np.uint8)
+             for k in (2, 7, 40, 130, 256)]
+    blobs = [codec.compress(t) for t in tiles]
+    assert len({len(b) for b in blobs}) == len(blobs)
+    for blob in blobs:
+        codec.decompress(blob)
+    assert any("dec.bits" in ctx for ctx in codec.cache.contexts())
+    before = codec.cache.alloc_events
+    for _ in range(3):
+        for tile, blob in zip(tiles, blobs):
+            assert np.array_equal(codec.decompress(blob), tile)
+    assert codec.cache.alloc_events == before
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             MGARDX(dict_size=1 << 17)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", [ErrorMode.REL, ErrorMode.ABS])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
+    def test_refuses_what_it_could_not_read_back(self, bad, mode, dtype):
+        """NaN, inf and empty input used to become an ``MGRX`` stream
+        the reader rejects (escape markers without outliers) or one of
+        two NumPy messages; now one ``ValueError`` before any work."""
+        data = np.linspace(0.0, 1.0, 81, dtype=dtype).reshape(9, 9)
+        good = data.copy()
+        if bad is None:
+            data = data[:0]
+        else:
+            data[4, 5] = bad
+        codec = MGARDX(Config(error_bound=1e-2, error_mode=mode))
+        match = "non-empty" if bad is None else "finite"
+        with pytest.raises(ValueError, match=match):
+            codec.compress(data)
+        if bad is not None:
+            with pytest.raises(ValueError, match=match):
+                codec.compress_batch([good, data])
+        # The refusal leaves the codec usable.
+        assert np.abs(codec.decompress(codec.compress(good)) - good).max() <= 1e-2
+
 
 class TestSymbolMapping:
     def test_zigzag_roundtrip(self, rng):

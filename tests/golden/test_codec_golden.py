@@ -24,6 +24,7 @@ import pytest
 
 from repro import Config
 from repro.adapters import get_adapter
+from repro.compressors.baselines.lz4 import LZ4
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.mgard import MGARDX
 from repro.compressors.zfp import ZFPX, ZFPAccuracy, ZFPEmbedded, ZFPPrecision
@@ -179,6 +180,23 @@ def _zfpe(data) -> str:
     return _sha(blobs, [ZFPEmbedded().decompress(b) for b in blobs])
 
 
+def _lz4x() -> str:
+    """LZ4X: no sequence, literal-only, long runs (self-overlapping
+    matches, length continuation bytes), short-period matches, an
+    incompressible block, and the benchmark's stepped 64x64 tile."""
+    rng = np.random.default_rng(44)
+    tile = np.round(_field((64, 64), "f4") / 16.0).astype("f4")
+    inputs = [
+        b"", b"a", b"abcde", bytes(5000), b"abc" * 700,
+        rng.integers(0, 256, size=3000).astype(np.uint8).tobytes(),
+        rng.integers(0, 4, size=6000).astype(np.uint8).tobytes(),
+        tile,
+    ]
+    codec = LZ4()
+    blobs = [codec.compress(x) for x in inputs]
+    return _sha(blobs, [codec.decompress(b) for b in blobs])
+
+
 def _zfp_cases() -> dict:
     cases = {}
     for dtype in ("f4", "f8"):
@@ -242,6 +260,7 @@ def _cases() -> dict:
     cases["hufx-keys-chunk300-bell"] = (
         _hufx_keys, (_bell_keys(100_003, 4096, "i8"), 4096), {"chunk_size": 300}
     )
+    cases["lz4x-blocks"] = (_lz4x, (), {})
     cases["hufx-bytes-chunk300"] = (
         _hufx_bytes, (_field((40, 41, 7), "f8"),), {"chunk_size": 300}
     )

@@ -89,6 +89,33 @@ def test_remote_errors_are_typed():
     asyncio.run(run())
 
 
+@pytest.mark.parametrize("error_mode", ["rel", "abs"])
+def test_non_finite_tile_is_a_typed_refusal_not_a_bad_stream(error_mode):
+    """MGARD-X refuses NaN before writing a byte: the client sees the
+    codec's ``ValueError``, never a stream whose decompress would fail."""
+    spec = CodecSpec("mgard-x", error_bound=1e-3, error_mode=error_mode)
+    good = np.linspace(0, 1, 256, dtype=np.float32).reshape(16, 16)
+    poisoned = good.copy()
+    poisoned[3, 7] = np.nan
+
+    async def run():
+        svc, server, host, port = await _served()()
+        try:
+            client = await BlastClient.connect(host, port)
+            with pytest.raises(RemoteRequestError) as exc:
+                await client.compress(spec, poisoned)
+            assert exc.value.kind == "ValueError" and "finite" in str(exc.value)
+            blob = await client.compress(spec, good)
+            assert blob == spec.build().compress(good)
+            await client.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+            await svc.close()
+
+    asyncio.run(run())
+
+
 @pytest.mark.timing_sensitive
 def test_remote_overload_maps_to_service_overloaded(monkeypatch):
     import threading
