@@ -12,7 +12,7 @@ This package is imported lazily by the adapters layer: when
 production paths.
 """
 
-from repro.check.cmm import CMMWatch, assert_steady_state
+from repro.check.cmm import CMMWatch, assert_steady_state, check_not_poisoned
 from repro.check.errors import (
     ContextThrashError,
     HaloRaceError,
@@ -41,6 +41,7 @@ __all__ = [
     "SteadyStateLeakError",
     "UseAfterEvictError",
     "assert_steady_state",
+    "check_not_poisoned",
     "format_findings",
     "lint_paths",
     "lint_source",

@@ -1,29 +1,35 @@
-"""CMM misuse checks: steady-state leaks and context-key thrash.
+"""CMM misuse checks: steady-state leaks, context-key thrash, stale views.
 
 The Context Memory Model's contract (paper III-B) is that after warm-up
-a same-shaped workload performs *zero* runtime memory management.  Two
-ways code quietly breaks that contract:
+a workload performs *zero* runtime memory management: every
+``ctx.buffer()``/``ctx.scratch()`` finds its block in the cache's
+:class:`~repro.core.context.BlockPool`.  Ways code quietly breaks that
+contract:
 
-* **SAN-LEAK** — the byte/event accounting of a :class:`ContextCache`
-  keeps growing across repeated same-shaped calls: some allocation is
-  not routed through a stably-named ``ctx.buffer()``/``ctx.scratch()``,
-  so every call re-allocates.
+* **SAN-LEAK** — the pool keeps allocating across repeated calls
+  (``alloc_events`` grows): a fresh buffer name per call, or a size
+  that climbs, so no block that came back fits the next request.
 * **SAN-CTX** — one buffer name is rebound over and over with a new
   shape or dtype inside the *same* context: the context key does not
-  capture everything that varies, so the "cache" thrashes instead of
-  caching (each rebind is a hidden realloc + poison of old views).
+  capture everything that varies, so each call swaps blocks (or views)
+  under whoever still holds the old one.
+* **SAN-EVICT** — a view is read after its context was evicted, or
+  (``HPDR_SAN=1``) after the release that ended its lease:
+  :func:`check_not_poisoned` turns the poison it reads into the error.
 
 :func:`assert_steady_state` drives a workload callable through warm-up
-and measurement reps against both rules; :class:`CMMWatch` is the
-underlying before/after differ for custom call patterns.
+and measurement reps against the first two rules; :class:`CMMWatch` is
+the underlying before/after differ for custom call patterns.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable
 
+import numpy as np
+
 from repro.check.errors import ContextThrashError, SteadyStateLeakError
-from repro.core.context import ContextCache
+from repro.core.context import POISON_BYTE, ContextCache, UseAfterEvictError
 
 #: A buffer rebinding this many times within one context is thrash, not
 #: a one-off transition (first bind is not a rebind; one rebind can be
@@ -87,14 +93,35 @@ class CMMWatch:
                 key=lambda c: -c.alloc_count,
             )
             detail = ", ".join(
-                f"{c.key!r} ({c.alloc_count} allocs, {c.nbytes}B)"
+                f"{c.key!r} ({c.alloc_count} allocs, holds {c.nbytes}B)"
                 for c in grown[:4]
             )
             raise SteadyStateLeakError(
-                f"{what} performed {self.new_events} allocation events "
+                f"{what} made the pool allocate {self.new_events} blocks "
                 f"(+{self.new_bytes}B) after warm-up — not a zero-alloc "
                 f"steady state; live contexts: {detail or 'none'}"
             )
+
+
+def check_not_poisoned(view: np.ndarray, what: str = "view") -> None:
+    """Raise :class:`UseAfterEvictError` if ``view`` reads all poison.
+
+    A non-empty context view that is NaN throughout (floats) or ``0xA5``
+    in every byte was poisoned under its holder: its context was
+    evicted, or — under ``HPDR_SAN=1`` — released.
+    """
+    if view.size == 0:
+        return
+    if view.dtype.kind in "fc":      # as ``_poison`` fills them
+        stale = bool(np.isnan(view).all())
+    else:
+        stale = bool((np.ascontiguousarray(view).view(np.uint8) == POISON_BYTE).all())
+    if stale:
+        raise UseAfterEvictError(
+            f"{what} reads poison throughout — it was kept past the "
+            f"release (or eviction) that ended its context's hold on the "
+            f"block; take views inside the pin/release region"
+        )
 
 
 def assert_steady_state(

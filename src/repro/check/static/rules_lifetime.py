@@ -41,7 +41,7 @@ RULES: dict[str, str] = {
 }
 
 _BUFFER_METHODS = {"buffer", "scratch"}
-_DERIVE_METHODS = {"buffer", "scratch", "object", "get_object"}
+_DERIVE_METHODS = {"buffer", "scratch", "object"}
 _VIEW_METHODS = {"view", "reshape", "ravel", "transpose", "astype"}
 _RELEASE_METHODS = {"release", "evict"}
 _CLEAR_METHODS = {"clear"}

@@ -655,7 +655,7 @@ class HuffmanX:
             # bits, the mask the low ``width``), so a step gathers its
             # window by ``pos`` alone.  A position clipped past the end
             # reads the last stream's zero slack through either source.
-            bits = ctx.scratch("dec.bits", 8 * nwin, np.uint16, exact=True)
+            bits = ctx.scratch("dec.bits", 8 * nwin, np.uint16)
             bits2d = bits.reshape(nwin, 8)
             for phase in range(8):
                 np.right_shift(win, wshift - phase, out=bits2d[:, phase],

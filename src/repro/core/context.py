@@ -5,40 +5,65 @@ iteration) would otherwise re-allocate their working buffers on every
 call; on dense multi-GPU nodes those allocations serialize inside the
 shared runtime and destroy scalability.  The CMM caches *reduction
 contexts* in a hash map keyed by the data characteristics
-(shape/dtype/config): all allocations associated with a context persist
-across calls, so the steady state performs **zero** runtime memory
-management.
+(shape/dtype/config) so the steady state performs **zero** runtime
+memory management.
 
-Two layers are provided:
+A context *knows* things and *borrows* memory:
 
-* :class:`ReductionContext` — a named bag of persistent NumPy buffers
-  plus arbitrary cached objects (grid hierarchies, Huffman codebooks).
-  Fixed-shape working sets use :meth:`ReductionContext.buffer`;
-  data-dependent sizes (bitstreams, outlier lists) use
-  :meth:`ReductionContext.scratch`, which keeps a geometrically grown
-  capacity buffer so the steady state stops allocating even when sizes
-  fluctuate slightly between calls.
-* :class:`ContextCache` — the hash map with hit/miss statistics and an
-  LRU eviction bound, plus optional hooks invoked on every real
-  allocation/free so the simulator can charge runtime-lock time for
-  misses only.  The cache also keeps byte-accurate running totals
-  (``alloc_events``, ``alloc_bytes_total``, ``free_bytes_total``) used
-  by the zero-alloc steady-state tests.
+* **Metadata** — ``ctx.object()``: grid hierarchies, tridiagonal
+  factors, level geometry, codebooks.  Exact to the key, built once,
+  owned by the context until it is evicted.
+* **Memory** — ``ctx.buffer()`` / ``ctx.scratch()`` return views over
+  uint8 blocks drawn from one :class:`BlockPool` per
+  :class:`ContextCache` (free lists by power-of-two capacity class from
+  :data:`MIN_BLOCK` up, LIFO so the next borrower gets the block that
+  is still warm).  A context never allocates; only the pool does.  What
+  the context keeps about a buffer is its name, its last shape/dtype
+  and the most bytes it ever needed — enough to borrow the right block
+  next time and to notice a rebind.
 
-Eviction is *loud*: an evicted context is invalidated — its buffers are
-poisoned (floats become NaN, integer bytes become ``0xA5``) and any
-further :meth:`ReductionContext.buffer` / :meth:`~ReductionContext.scratch`
-call raises :class:`UseAfterEvictError`.  Stale views held by a caller
-across an eviction therefore read poison instead of silently aliasing
-recycled memory (the pre-sanitizer behaviour left them reachable and
-plausible-looking).  Reductions that must survive cache pressure pin
-their context for the duration of the call (``get(key, pin=True)`` +
-:meth:`ContextCache.release`); pinned contexts are skipped by the LRU
-eviction scan.
+How long a block stays with its context depends on its size:
+
+* Blocks of :data:`LEASE_FLOOR` (64 KB) and up are **leased for the
+  call**: ``ContextCache.release`` hands them back when the context's
+  pin count returns to zero.  *Release is the end of a buffer's life* —
+  a view must not outlive the ``get(key, pin=True)`` … ``release``
+  region (lint rules HPL201/HPL202).  Memory held is therefore the
+  high-water mark of concurrently pinned calls, not the sum over every
+  context ever built, and neighbouring shapes share the same few
+  capacity classes.  An unpinned ``get()`` user never reaches a
+  release, so it keeps what it borrowed until eviction.
+* Smaller blocks **stay with the context** until it is evicted, then
+  return to the pool for the next context to pick up.  A 2 ms tile call
+  touches ~50 small buffers; looking each up in the pool on every call
+  costs more than holding them does (a few dozen names, 16-330 KB per
+  context on ``archive_rw``).
+
+Either way a shape seen again — or a neighbouring one — finds its blocks
+in the pool: once the pool has reached the workload's high-water mark,
+nothing allocates, however many contexts the LRU evicts and rebuilds.
+
+:class:`ContextCache` is the hash map with hit/miss statistics, an LRU
+bound and pinning.  Byte accounting is exact and lives on the pool:
+``alloc_bytes_total - free_bytes_total == live_bytes`` at all times,
+where ``live_bytes`` is every block (borrowed or pooled) plus the
+``ndarray`` bytes of cached objects.  ``alloc_events`` counts block
+allocations only — the thing a steady state must not do.
+
+Misuse is *loud*.  An evicted context is invalidated: what it still
+holds is poisoned (floats become NaN, integer bytes ``0xA5``) and any
+further ``buffer``/``scratch``/``object`` call raises
+:class:`UseAfterEvictError`.  Under ``HPDR_SAN=1`` a leased block is
+also poisoned as it is *released*, so a view kept past its call reads
+poison straight away instead of whatever the next borrower writes.
+Reductions that must survive cache pressure pin their context for the
+duration of the call; pinned contexts are skipped by the LRU scan.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
@@ -53,15 +78,24 @@ from repro.trace.tracer import TRACER as _TRACER
 #: unlikely to decode into plausible keys/offsets.
 POISON_BYTE = 0xA5
 
+#: Blocks this large go back to the pool at ``release``; smaller ones
+#: stay with their context until eviction (see the module docstring).
+LEASE_FLOOR = 64 * 1024
+
+#: Smallest block the pool makes.  Below a page a finer class saves no
+#: memory worth having and only multiplies the free lists a rebuilt
+#: context has to find its two dozen small buffers on.
+MIN_BLOCK = 4096
+
 
 class UseAfterEvictError(RuntimeError):
     """A buffer/scratch/object request hit an evicted context.
 
     Sanitizer rule ``SAN-EVICT``: the caller held a
     :class:`ReductionContext` (or a view of its memory) across a cache
-    eviction.  Re-fetch the context from the cache — and pin it
-    (``cache.get(key, pin=True)``) if it must survive cache pressure
-    for the duration of a call.
+    eviction or past the release that ended its lease.  Re-fetch the
+    context from the cache — and pin it (``cache.get(key, pin=True)``)
+    for as long as its buffers are in use.
     """
 
     rule = "SAN-EVICT"
@@ -72,84 +106,191 @@ class UseAfterEvictError(RuntimeError):
 
 def _poison(buf: np.ndarray) -> None:
     """Overwrite a buffer with an unmistakable poison pattern."""
-    if np.issubdtype(buf.dtype, np.floating):
+    if buf.dtype.kind in "fc":
         buf.fill(np.nan)
-    elif np.issubdtype(buf.dtype, np.complexfloating):
-        buf.fill(complex(np.nan, np.nan))
     else:
-        # Context buffers come from np.empty and are C-contiguous.
+        # Context buffers are C-contiguous views of a uint8 block.
         buf.view(np.uint8).fill(POISON_BYTE)
 
 
-class ReductionContext:
-    """Persistent buffers and derived objects for one reduction setup."""
+def _array_bytes(value: Any) -> int:
+    """``ndarray`` bytes held by a cached object (arrays, and
+    tuples/lists of them); anything else counts as zero."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(_array_bytes(v) for v in value)
+    return 0
+
+
+class BlockPool:
+    """The one allocator behind a :class:`ContextCache`.
+
+    Hands out uint8 blocks of power-of-two capacity, takes them back on
+    free lists by capacity, and keeps the byte-accurate totals and the
+    ``on_alloc``/``on_free`` hooks (the simulator charges runtime-lock
+    time there): ``on_alloc`` fires when a block is really allocated —
+    never for one found on a free list — and ``on_free`` when
+    :meth:`drain` drops one.  Array bytes of cached objects pass through
+    :meth:`charge`/:meth:`refund` so the totals cover everything held.
+    """
 
     def __init__(
         self,
-        key: Hashable,
         on_alloc: Callable[[int], None] | None = None,
         on_free: Callable[[int], None] | None = None,
     ) -> None:
+        self.on_alloc = on_alloc
+        self.on_free = on_free
+        #: poison blocks as they are released (``HPDR_SAN=1``), not
+        #: only what an evicted context still holds.
+        self.poison_on_release = os.environ.get("HPDR_SAN", "") not in ("", "0")
+        self.alloc_events = 0
+        self.alloc_bytes_total = 0
+        self.free_bytes_total = 0
+        self.pooled_bytes = 0
+        self._free: dict[int, list[np.ndarray]] = {}
+        self._lock = threading.RLock()
+
+    def lease(self, nbytes: int) -> tuple[np.ndarray, bool]:
+        """A block of at least ``nbytes``, and whether it is fresh
+        (allocated just now rather than taken off a free list)."""
+        capacity = 1 << (max(nbytes, MIN_BLOCK) - 1).bit_length()
+        with self._lock:
+            stack = self._free.get(capacity)
+            if stack:
+                self.pooled_bytes -= capacity
+                return stack.pop(), False
+            self.alloc_events += 1
+            self.charge(capacity)
+            return np.empty(capacity, dtype=np.uint8), True
+
+    def give_back(self, block: np.ndarray) -> None:
+        with self._lock:
+            self._free.setdefault(block.size, []).append(block)
+            self.pooled_bytes += block.size
+
+    def charge(self, nbytes: int) -> None:
+        with self._lock:
+            self.alloc_bytes_total += nbytes
+            if self.on_alloc is not None:
+                self.on_alloc(nbytes)
+        if _TRACER.enabled:
+            _METRICS.counter(
+                "hpdr_cmm_alloc_bytes_total", "bytes allocated through contexts"
+            ).inc(nbytes)
+
+    def refund(self, nbytes: int) -> None:
+        with self._lock:
+            self.free_bytes_total += nbytes
+            if self.on_free is not None:
+                self.on_free(nbytes)
+        if _TRACER.enabled:
+            _METRICS.counter(
+                "hpdr_cmm_free_bytes_total", "context bytes released"
+            ).inc(nbytes)
+
+    def drain(self) -> None:
+        """Drop every pooled block (the only place memory is freed)."""
+        with self._lock:
+            for capacity, stack in self._free.items():
+                for _ in stack:
+                    self.refund(capacity)
+            self._free.clear()
+            self.pooled_bytes = 0
+
+
+class ReductionContext:
+    """Cached objects and borrowed buffers for one reduction setup."""
+
+    def __init__(self, key: Hashable, pool: BlockPool | None = None) -> None:
         self.key = key
-        self._buffers: dict[str, np.ndarray] = {}
+        self._pool = pool if pool is not None else BlockPool()
+        # name -> the view handed out (buffer: shaped; scratch: the
+        # whole capacity, 1-D) and the block under it.
+        self._views: dict[str, np.ndarray] = {}
+        self._blocks: dict[str, np.ndarray] = {}
+        #: names whose block goes back to the pool at release, in the
+        #: order they were borrowed (a dict as an ordered set).
+        self._leased: dict[str, None] = {}
+        #: name -> (spec, need): the (shape, dtype) of the last
+        #: ``buffer`` binding or the dtype of the last ``scratch``, and
+        #: the most bytes ever asked for.  Outlives the lease, so the
+        #: next call sees a rebind and borrows the right block at once.
+        self._known: dict[str, tuple[Any, int]] = {}
         self._objects: dict[str, Any] = {}
+        self._object_bytes = 0
+        #: real allocations the pool made on this context's behalf.
         self.alloc_count = 0
-        self.alloc_bytes = 0
         #: per-buffer-name count of shape/dtype rebinds — a buffer that
-        #: keeps reallocating under one name means the context key does
-        #: not capture the data characteristics (sanitizer rule SAN-CTX).
+        #: keeps changing under one name means the context key does not
+        #: capture the data characteristics (sanitizer rule SAN-CTX).
         self.rebinds: dict[str, int] = {}
         self._evicted = False
         self._pins = 0
-        self._on_alloc = on_alloc
-        self._on_free = on_free
         # Functors executing on a thread-pool adapter may request
-        # per-thread scratch concurrently; the map itself must stay
+        # per-thread scratch concurrently; the maps must stay
         # consistent (the returned arrays are the caller's to serialize).
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    def _account(
-        self,
-        new_nbytes: int,
-        freed_nbytes: int,
-        per_call_hook: Callable[[int], None] | None = None,
-    ) -> None:
-        self.alloc_count += 1
-        self.alloc_bytes += new_nbytes
-        if freed_nbytes and self._on_free is not None:
-            self._on_free(freed_nbytes)
-        if self._on_alloc is not None:
-            self._on_alloc(new_nbytes)
-        if per_call_hook is not None:
-            per_call_hook(new_nbytes)
+    def _bind(self, name: str, nbytes: int, spec: Any) -> np.ndarray:
+        """The block under ``name``, swapped for a larger one if it
+        cannot hold ``nbytes``; a changed ``spec`` counts as a rebind.
+
+        A name borrows the most it has ever needed, so a call whose
+        requests under one name grow (a shadow pass over part of a
+        batch, then the batch) takes the final block straight away
+        from the second call on.
+        """
+        was, need = self._known.get(name, (spec, 0))
+        if was != spec:
+            self.rebinds[name] = self.rebinds.get(name, 0) + 1
+        nbytes = max(nbytes, need)
+        self._known[name] = (spec, nbytes)
+        block = self._blocks.get(name)
+        if block is not None and block.size >= nbytes:
+            return block
+        if block is not None:
+            self._unbind(name)
+        block, fresh = self._pool.lease(nbytes)
+        if fresh:
+            self.alloc_count += 1
+        self._blocks[name] = block
+        if block.size >= LEASE_FLOOR:
+            self._leased[name] = None
+        return block
+
+    def _unbind(self, name: str, poison: bool = False) -> None:
+        view = self._views.pop(name, None)
+        if poison and view is not None:
+            _poison(view)
+        self._pool.give_back(self._blocks.pop(name))
 
     def buffer(
         self,
         name: str,
         shape: tuple[int, ...],
         dtype: np.dtype | type = np.float64,
-        on_alloc: Callable[[int], None] | None = None,
     ) -> np.ndarray:
-        """Return the named buffer, allocating it on first use.
+        """Return the named buffer, borrowing its block on first use.
 
-        Subsequent calls with the same name return the same memory; a
-        shape/dtype change (data characteristics changed under the same
-        key) reallocates, which counts as a new allocation (and frees
-        the old buffer for byte accounting).
+        Until the block goes back (release or eviction, by size) calls
+        with the same name return the same memory; a shape/dtype change
+        (data characteristics changed under the same key) is a rebind,
+        and borrows a larger block when the held one is too small.
         """
         dtype = np.dtype(dtype)
+        shape = tuple(shape)
         with self._lock:
             self._check_live(f"buffer {name!r}")
-            buf = self._buffers.get(name)
-            if buf is not None and buf.shape == tuple(shape) and buf.dtype == dtype:
+            buf = self._views.get(name)
+            if buf is not None and buf.shape == shape and buf.dtype == dtype:
                 return buf
-            freed = buf.nbytes if buf is not None else 0
-            if buf is not None:
-                self.rebinds[name] = self.rebinds.get(name, 0) + 1
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[name] = buf
-            self._account(buf.nbytes, freed, on_alloc)
+            nbytes = int(math.prod(shape)) * dtype.itemsize
+            block = self._bind(name, nbytes, (shape, dtype))
+            buf = block[:nbytes].view(dtype).reshape(shape)
+            self._views[name] = buf
             return buf
 
     def scratch(
@@ -157,16 +298,12 @@ class ReductionContext:
         name: str,
         size: int,
         dtype: np.dtype | type = np.uint8,
-        exact: bool = False,
     ) -> np.ndarray:
-        """Return a 1-D view of ``size`` elements over persistent capacity.
+        """Return a 1-D view of ``size`` elements over borrowed capacity.
 
-        Unlike :meth:`buffer`, the underlying allocation only *grows*
-        (geometrically, to the next power of two), so repeated calls
-        with fluctuating data-dependent sizes stop allocating once the
-        high-water mark is reached.  ``exact`` grows to ``size`` itself:
-        for a table many times its input, where rounding up would be
-        most of the context (each new high-water mark reallocates).
+        Unlike :meth:`buffer`, a held block only *grows* (to the next
+        power of two), so repeated calls with fluctuating data-dependent
+        sizes stop swapping blocks once the high-water mark is reached.
         The returned view is uninitialized; callers must overwrite it
         fully.
         """
@@ -175,36 +312,26 @@ class ReductionContext:
         dtype = np.dtype(dtype)
         with self._lock:
             self._check_live(f"scratch {name!r}")
-            buf = self._buffers.get(name)
+            buf = self._views.get(name)
             if buf is not None and buf.dtype == dtype and buf.size >= size:
                 return buf[:size]
-            if exact:
-                capacity = max(size, 1)
-            else:
-                capacity = 1 << max(0, int(size - 1).bit_length()) if size else 1
-            freed = buf.nbytes if buf is not None else 0
-            if buf is not None and buf.dtype != dtype:
-                # Capacity growth is the designed steady-state ramp;
-                # a dtype flip under the same name is a rebind.
-                self.rebinds[name] = self.rebinds.get(name, 0) + 1
-            buf = np.empty(capacity, dtype=dtype)
-            self._buffers[name] = buf
-            self._account(buf.nbytes, freed)
+            # Capacity growth is the designed steady-state ramp; a
+            # dtype flip under the same name is a rebind.
+            block = self._bind(name, max(size, 1) * dtype.itemsize, dtype)
+            whole = block.size - block.size % dtype.itemsize
+            buf = self._views[name] = block[:whole].view(dtype)
             return buf[:size]
-
-    def set_object(self, name: str, value: Any) -> Any:
-        self._objects[name] = value
-        return value
-
-    def get_object(self, name: str, default: Any = None) -> Any:
-        return self._objects.get(name, default)
 
     def object(self, name: str, builder: Callable[[], Any]) -> Any:
         """Return the cached object, building it on first use."""
         with self._lock:
             self._check_live(f"object {name!r}")
             if name not in self._objects:
-                self._objects[name] = builder()
+                value = self._objects[name] = builder()
+                nbytes = _array_bytes(value)
+                if nbytes:
+                    self._object_bytes += nbytes
+                    self._pool.charge(nbytes)
             return self._objects[name]
 
     # ------------------------------------------------------------------
@@ -224,28 +351,46 @@ class ReductionContext:
     def pinned(self) -> bool:
         return self._pins > 0
 
+    def end_leases(self) -> None:
+        """Hand every block of :data:`LEASE_FLOOR` and up back to the
+        pool (poisoned first under ``HPDR_SAN=1``).  Called by
+        :meth:`ContextCache.release` when the last pin drops."""
+        with self._lock:
+            for name in self._leased:
+                self._unbind(name, poison=self._pool.poison_on_release)
+            self._leased.clear()
+
     def invalidate(self) -> None:
-        """Poison every buffer and mark the context dead.
+        """Poison what the context still holds, return it to the pool
+        and mark the context dead.
 
         Called by :class:`ContextCache` on eviction/:meth:`~ContextCache.clear`
-        so stale caller-held views read NaN/``0xA5`` instead of silently
-        aliasing memory the cache considers freed.  Idempotent.
+        so stale caller-held views read NaN/``0xA5``.  A context whose
+        calls all released holds only its small buffers by now.
+        Idempotent.
         """
         with self._lock:
             if self._evicted:
                 return
             self._evicted = True
-            for buf in self._buffers.values():
-                _poison(buf)
-            self._buffers.clear()
+            for name in list(self._blocks):
+                self._unbind(name, poison=True)
+            self._leased.clear()
+            if self._object_bytes:
+                self._pool.refund(self._object_bytes)
+            self._object_bytes = 0
             self._objects.clear()
 
     @property
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._buffers.values())
+        """Bytes held right now: borrowed blocks plus array objects."""
+        with self._lock:
+            return sum(b.size for b in self._blocks.values()) + self._object_bytes
 
     def __contains__(self, name: str) -> bool:
-        return name in self._buffers or name in self._objects
+        """Has this context bound a buffer, or cached an object, by
+        that name (whether or not the block is with it right now)."""
+        return name in self._known or name in self._objects
 
 
 class ContextCache:
@@ -255,23 +400,24 @@ class ContextCache:
     ----------
     capacity:
         Maximum number of live contexts; least-recently-used contexts
-        are evicted beyond it (their device memory is "freed").
+        are evicted beyond it (their metadata is dropped, their blocks
+        return to the pool).
     on_alloc / on_free:
-        Optional hooks called with a byte count whenever context memory
-        is allocated/released — the simulator charges runtime-lock time
-        here, so cache *hits* cost nothing, reproducing the CMM effect.
-        ``on_alloc`` fires for every buffer/scratch allocation inside a
-        cached context; ``on_free`` fires when a buffer is replaced,
-        when a context is evicted, and on :meth:`clear`, so the byte
-        totals balance exactly over a context's lifetime.
+        Optional hooks called with a byte count whenever the cache's
+        :class:`BlockPool` takes memory from, or gives it back to, the
+        allocator — the simulator charges runtime-lock time here, so
+        cache *hits* and pool hits cost nothing, reproducing the CMM
+        effect.  The byte totals balance exactly:
+        ``alloc_bytes_total - free_bytes_total == live_bytes``.
 
     :meth:`get` is thread-safe; per-thread reduction paths may share one
-    cache.  Eviction *invalidates*: the victim's buffers are poisoned
-    and later use raises :class:`UseAfterEvictError`, so stale views are
-    caught loudly instead of reading recycled memory.  In-flight
-    reductions protect themselves by pinning (``get(key, pin=True)`` /
-    :meth:`release`): pinned contexts are never chosen as victims (the
-    cache temporarily exceeds ``capacity`` if every context is pinned).
+    cache.  Eviction *invalidates*: what the victim still holds is
+    poisoned and later use raises :class:`UseAfterEvictError`.
+    In-flight reductions protect themselves by pinning
+    (``get(key, pin=True)`` / :meth:`release`): pinned contexts are
+    never chosen as victims (the cache temporarily exceeds ``capacity``
+    if every context is pinned), and the release that drops the last
+    pin ends the call's leases.
     """
 
     def __init__(
@@ -283,65 +429,47 @@ class ContextCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.pool = BlockPool(on_alloc, on_free)
         self._map: OrderedDict[Hashable, ReductionContext] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.on_alloc = on_alloc
-        self.on_free = on_free
-        self.alloc_events = 0
-        self.alloc_bytes_total = 0
-        self.free_bytes_total = 0
         self._lock = threading.RLock()
 
-    # -- hook plumbing ---------------------------------------------------
-    def _context_alloc(self, nbytes: int) -> None:
-        self.alloc_events += 1
-        self.alloc_bytes_total += nbytes
-        if self.on_alloc is not None:
-            self.on_alloc(nbytes)
-        if _TRACER.enabled:
-            _METRICS.counter(
-                "hpdr_cmm_alloc_bytes_total", "bytes allocated through contexts"
-            ).inc(nbytes)
+    alloc_events = property(lambda self: self.pool.alloc_events)
+    alloc_bytes_total = property(lambda self: self.pool.alloc_bytes_total)
+    free_bytes_total = property(lambda self: self.pool.free_bytes_total)
 
-    def _context_free(self, nbytes: int) -> None:
-        self.free_bytes_total += nbytes
-        if self.on_free is not None:
-            self.on_free(nbytes)
-        if _TRACER.enabled:
-            _METRICS.counter(
-                "hpdr_cmm_free_bytes_total", "context bytes released"
-            ).inc(nbytes)
-
-    def _observe_pinned(self) -> None:
-        """Refresh the bytes-pinned gauge (tracing-enabled runs only).
+    def _observe_held(self) -> None:
+        """Refresh the bytes-pinned and bytes-pooled gauges
+        (tracing-enabled runs only).
 
         Called with ``self._lock`` held wherever a pin count changes;
-        the gauge aggregates across every live cache in the process.
+        the gauges aggregate across every live cache in the process.
         """
         pinned = sum(c.nbytes for c in self._map.values() if c.pinned)
+        cache = hex(id(self))
         _METRICS.gauge(
             "hpdr_cmm_bytes_pinned", "bytes held by pinned contexts"
-        ).set(pinned, cache=hex(id(self)))
+        ).set(pinned, cache=cache)
+        _METRICS.gauge(
+            "hpdr_cmm_pool_bytes", "bytes idle on the block pool's free lists"
+        ).set(self.pool.pooled_bytes, cache=cache)
 
     def get(self, key: Hashable, pin: bool = False) -> ReductionContext:
         """Return the context for ``key``, creating it on a miss.
 
         ``pin=True`` additionally increments the context's pin count so
         LRU eviction skips it until a matching :meth:`release`; callers
-        that hold a context (or views of its buffers) across operations
-        that may touch the cache — nested codecs, parallel segments —
-        pin for the duration and release in a ``finally``.
+        that use a context's buffers pin for the duration and release in
+        a ``finally`` — the release is what returns the leased blocks.
         """
         with self._lock:
             ctx = self._map.get(key)
             found = ctx is not None
             if ctx is None:
                 self.misses += 1
-                ctx = ReductionContext(
-                    key, on_alloc=self._context_alloc, on_free=self._context_free
-                )
+                ctx = ReductionContext(key, self.pool)
                 self._map[key] = ctx
                 # Shield the newcomer during the eviction scan — it must
                 # never become its own victim (e.g. when every older
@@ -359,17 +487,20 @@ class ContextCache:
                 _METRICS.counter(
                     "hpdr_cmm_lookups_total", "context cache lookups"
                 ).inc(outcome="hit" if found else "miss")
-                self._observe_pinned()
+                self._observe_held()
             return ctx
 
     def release(self, ctx: ReductionContext) -> None:
-        """Drop one pin taken by ``get(key, pin=True)``."""
+        """Drop one pin taken by ``get(key, pin=True)``; the outermost
+        release hands the context's leased blocks back to the pool."""
         with self._lock:
             if ctx._pins > 0:
                 ctx._pins -= 1
+                if ctx._pins == 0:
+                    ctx.end_leases()
             self._evict_over_capacity()
             if _TRACER.enabled:
-                self._observe_pinned()
+                self._observe_held()
 
     def _evict_over_capacity(self) -> None:
         while len(self._map) > self.capacity:
@@ -386,11 +517,7 @@ class ContextCache:
                 _METRICS.counter(
                     "hpdr_cmm_evictions_total", "contexts evicted (LRU)"
                 ).inc()
-            self._context_free(evicted.nbytes)
             evicted.invalidate()
-
-    def buffer_hook(self) -> Callable[[int], None] | None:
-        return self.on_alloc
 
     def contexts(self) -> list[ReductionContext]:
         """Live (non-evicted) contexts, LRU-first."""
@@ -398,11 +525,12 @@ class ContextCache:
             return list(self._map.values())
 
     def clear(self) -> None:
+        """Invalidate every context and free the pool."""
         with self._lock:
             for ctx in self._map.values():
-                self._context_free(ctx.nbytes)
                 ctx.invalidate()
             self._map.clear()
+            self.pool.drain()
 
     @property
     def hit_rate(self) -> float:
@@ -411,9 +539,13 @@ class ContextCache:
 
     @property
     def live_bytes(self) -> int:
-        """Bytes currently held by live (non-evicted) contexts."""
+        """Everything CMM holds: blocks borrowed by live contexts, their
+        array-valued objects, and blocks idle in the pool."""
         with self._lock:
-            return sum(ctx.nbytes for ctx in self._map.values())
+            return (
+                sum(ctx.nbytes for ctx in self._map.values())
+                + self.pool.pooled_bytes
+            )
 
     def __len__(self) -> int:
         return len(self._map)

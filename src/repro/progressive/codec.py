@@ -97,7 +97,10 @@ class ProgressiveMGARD:
         from repro.compressors.mgard.decompose import level_factors
         from repro.compressors.mgard.hierarchy import Hierarchy
 
-        key = ("progressive",) + self.config.cache_key(shape, np.dtype(dtype))
+        # Hierarchy, factors and geometry depend on the grid alone (bins
+        # travel in the index), so writer and reader share one context
+        # whatever their configs.
+        key = ("progressive", tuple(shape), np.dtype(dtype).str)
         ctx = self.cache.get(key, pin=True)
         hierarchy = ctx.object("hierarchy", lambda: Hierarchy(shape, None))
         factors = ctx.object(

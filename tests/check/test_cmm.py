@@ -15,7 +15,7 @@ from repro.check import (
     UseAfterEvictError,
     assert_steady_state,
 )
-from repro.core.context import ContextCache
+from repro.core.context import LEASE_FLOOR, MIN_BLOCK, ContextCache
 
 
 class TestSteadyStateLeak:
@@ -100,10 +100,21 @@ class TestCMMWatch:
         watch = CMMWatch(cache)
         cache.get("a").buffer("x", (32,), np.uint8)
         assert watch.new_events == 1
-        assert watch.new_bytes == 32
+        assert watch.new_bytes == MIN_BLOCK     # what the pool allocated
         watch.mark()
         assert watch.new_events == 0
         watch.check_leak()  # must not raise after re-mark
+        # A lease that comes back from the pool is not an event: the
+        # watch sees allocations, not borrowings.
+        ctx = cache.get("b", pin=True)
+        ctx.buffer("big", (LEASE_FLOOR,), np.uint8)
+        cache.release(ctx)
+        watch.mark()
+        other = cache.get("c", pin=True)
+        other.buffer("also big", (LEASE_FLOOR - 100,), np.uint8)
+        cache.release(other)
+        assert watch.new_events == 0
+        watch.check_leak()
 
     def test_use_after_evict_still_raises_under_watch(self):
         # SAN-EVICT belongs to the context layer but is part of the same

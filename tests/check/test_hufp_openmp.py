@@ -65,11 +65,26 @@ def test_cross_thread_count_decode(rng, nbytes):
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_segmented_steady_state_under_sanitizer(rng, threads):
-    # Per-segment contexts must reach the zero-alloc steady state even
-    # while the sanitizer re-executes every GEM batch.
+def test_segmented_steady_state_under_sanitizer(
+    rng, threads, segments_finish_together
+):
+    # Segment tasks lease their blocks from one pool while the sanitizer
+    # re-executes every GEM batch.  The most the pool can be asked for
+    # is every task holding a whole call's blocks at once — threads x
+    # one call — and how close a given run gets is the scheduler's
+    # business.  So warm-up drives that concurrency; after it the
+    # steady state is flat whatever the overlap.
     from repro.check import assert_steady_state
 
     codec = HuffmanX(adapter=_san_openmp(threads))
     data = _payload(rng, 3 * SEG)
-    assert_steady_state(lambda: codec.compress(data), codec.cache)
+    nseg = min(threads, 3)
+
+    alone = HuffmanX(adapter=_san_openmp(1))
+    alone.compress(data[: len(data) // nseg])
+    one_call = alone.cache.alloc_events
+
+    with segments_finish_together(nseg):
+        codec.compress(data)
+    assert one_call < codec.cache.alloc_events <= nseg * one_call
+    assert_steady_state(lambda: codec.compress(data), codec.cache, warmup=0)

@@ -324,8 +324,10 @@ def test_decoder_refuses_a_chunk_offset_past_the_payload():
 
 def test_tile_decodes_stop_allocating_whatever_the_payload_length():
     """16 KB of bytes at five entropies: one context, five payload
-    lengths.  After one pass every scratch, the exactly sized per-bit
-    table included, has seen its high-water mark."""
+    lengths.  After one pass every scratch name knows its high-water
+    mark and the pool holds a block for it — the per-bit table
+    included (16 bytes per payload byte: leased per call once the
+    payload passes 4 KB)."""
     rng = np.random.default_rng(16)
     codec = HuffmanX()
     tiles = [rng.integers(0, k, size=(64, 64, 4)).astype(np.uint8)

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Config, ErrorMode, HuffmanX, MGARDX, ZFPX
-from repro.core.context import POISON_BYTE, ContextCache, UseAfterEvictError
+from repro.core.context import (
+    LEASE_FLOOR,
+    POISON_BYTE,
+    ContextCache,
+    UseAfterEvictError,
+)
 
 
 def _steady_state_events(codec, data):
@@ -33,14 +38,17 @@ class TestZeroAllocSteadyState:
         data = rng.normal(size=(32, 32, 32)).astype(np.float32)
         assert _steady_state_events(HuffmanX(), data) == 0
 
-    def test_huffman_openmp_segments(self, rng):
+    def test_huffman_openmp_segments(self, rng, segments_finish_together):
         from repro.adapters import get_adapter
 
         # Large enough for the HUFP chunk-parallel container (threads
-        # pinned so it triggers on any host): the per-segment contexts
-        # must also reach steady state.
+        # pinned so it triggers on any host).  Four segment tasks lease
+        # from one pool; warmed up at full overlap, they find every
+        # block there however the scheduler interleaves them later.
         data = rng.integers(0, 256, size=400_000).astype(np.uint8)
         codec = HuffmanX(adapter=get_adapter("openmp", num_threads=4))
+        with segments_finish_together(4):
+            codec.decompress(codec.compress(data))
         assert _steady_state_events(codec, data) == 0
 
     def test_mgard(self, rng):
@@ -54,32 +62,41 @@ class TestZeroAllocSteadyState:
 
     def test_alloc_count_stops_increasing(self, rng):
         # The per-context counter (not just the cache aggregate) must
-        # flatline too: same context, zero new buffer/scratch entries.
+        # flatline too: the blocks a call leases (80 KB of keys is over
+        # the lease floor) come back from the pool, not the allocator.
         keys = rng.integers(0, 64, size=10_000).astype(np.int64)
         h = HuffmanX()
         h.compress_keys(keys, 64)
         h.compress_keys(keys, 64)
         ctx = h._key_context(keys.shape, keys.dtype, 64, tag=None)
         before = ctx.alloc_count
+        assert before > 0
         h.compress_keys(keys, 64)
         assert ctx.alloc_count == before
+        # ... and between calls the context keeps only its small ones.
+        assert ctx._blocks
+        assert all(b.size < LEASE_FLOOR for b in ctx._blocks.values())
+        assert h.cache.pool.pooled_bytes >= keys.nbytes
 
 
 class TestEvictionSafety:
     def test_eviction_poisons_buffers_and_invalidates_context(self):
-        # Satellite fix: eviction used to leave buffers reachable from
-        # caller-held views — silently stale.  Now it is loud: floats
-        # read NaN, ints read 0xA5, and further context use raises.
+        # Eviction is loud: what the victim still holds — its small
+        # buffers, and any lease an unpinned user never released —
+        # reads NaN / 0xA5, and further context use raises.
         cache = ContextCache(capacity=1)
         ctx = cache.get("a")
         buf = ctx.buffer("x", (128,), np.float64)
         ints = ctx.buffer("y", (16,), np.int64)
+        big = ctx.buffer("z", (LEASE_FLOOR,), np.float32)
         buf[:] = 7.0
+        big[:] = 7.0
         cache.get("b")  # evicts "a" mid-run
         assert "a" not in cache
         assert cache.evictions == 1
         assert ctx.evicted
         assert np.all(np.isnan(buf))
+        assert np.all(np.isnan(big))
         assert np.all(ints.view(np.uint8) == POISON_BYTE)
         with pytest.raises(UseAfterEvictError):
             ctx.buffer("x", (128,), np.float64)
@@ -87,6 +104,22 @@ class TestEvictionSafety:
             ctx.scratch("s", 8)
         with pytest.raises(UseAfterEvictError):
             ctx.object("o", lambda: 1)
+        # Nothing was freed: the victim's blocks are the pool's now.
+        assert cache.free_bytes_total == 0
+        assert cache.pool.pooled_bytes == cache.live_bytes > big.nbytes
+
+    def test_released_leases_leave_eviction_nothing_large_to_poison(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("HPDR_SAN", raising=False)  # it poisons at release
+        cache = ContextCache(capacity=1)
+        ctx = cache.get("a", pin=True)
+        big = ctx.buffer("z", (LEASE_FLOOR,), np.float32)
+        big[:] = 7.0
+        cache.release(ctx)
+        cache.get("b")
+        assert ctx.evicted
+        assert np.all(big == 7.0)   # handed back at release, untouched since
 
     def test_pinned_context_survives_eviction_pressure(self):
         cache = ContextCache(capacity=1)
@@ -135,34 +168,59 @@ class TestEvictionSafety:
         assert cache.evictions >= 3
 
 
+_KEYS = st.integers(0, 5)
+_OPS = st.one_of(
+    st.tuples(st.just("get"), _KEYS, st.booleans()),
+    st.tuples(st.just("buffer"), _KEYS, st.integers(1, 3 * LEASE_FLOOR)),
+    st.tuples(st.just("scratch"), _KEYS, st.integers(0, 3 * LEASE_FLOOR)),
+    st.tuples(st.just("object"), _KEYS, st.integers(0, 4096)),
+    st.tuples(st.just("release"), _KEYS, st.none()),
+    st.tuples(st.just("clear"), st.none(), st.none()),
+)
+
+
 class TestByteAccounting:
     @settings(deadline=None, max_examples=60)
-    @given(
-        ops=st.lists(
-            st.tuples(st.integers(0, 5), st.integers(1, 2048)),
-            min_size=1,
-            max_size=40,
-        ),
-        capacity=st.integers(1, 4),
-    )
+    @given(ops=st.lists(_OPS, min_size=1, max_size=60),
+           capacity=st.integers(1, 4))
     def test_alloc_and_free_totals_balance(self, ops, capacity):
-        """Every allocated byte is eventually freed exactly once:
-        replacement, eviction and clear() keep the totals balanced, and
-        the external hooks observe the same byte counts."""
+        """Over any get/pin/buffer/scratch/object/release/evict/clear
+        sequence, ``alloc - free == live`` holds after every step: live
+        is blocks with contexts + blocks in the pool + array objects,
+        counted independently of the totals.  The external hooks see
+        the same bytes, and ``clear()`` frees all of them."""
         hook = {"alloc": 0, "free": 0}
         cache = ContextCache(
             capacity=capacity,
             on_alloc=lambda nb: hook.__setitem__("alloc", hook["alloc"] + nb),
             on_free=lambda nb: hook.__setitem__("free", hook["free"] + nb),
         )
-        for key, size in ops:
-            ctx = cache.get(key)
-            ctx.scratch("s", size, np.uint8)  # grow-only capacity
-            ctx.buffer("b", (size,), np.float32)  # realloc on size change
-        live = cache.live_bytes
-        assert cache.alloc_bytes_total - cache.free_bytes_total == live
+        pinned = {}     # key -> [ctx, ...] with a pin outstanding
+        for op, key, arg in ops:
+            if op == "get":
+                ctx = cache.get(key, pin=arg)   # may evict (capacity <= 4)
+                if arg:
+                    pinned.setdefault(key, []).append(ctx)
+            elif op == "release":
+                if pinned.get(key):
+                    ctx = pinned[key].pop()
+                    cache.release(ctx)
+                    if not ctx.pinned:  # the outermost release ends the leases
+                        assert all(b.size < LEASE_FLOOR
+                                   for b in ctx._blocks.values())
+            elif op == "clear":
+                cache.clear()
+                pinned.clear()
+            elif op == "buffer":
+                cache.get(key).buffer("b", (arg,), np.uint8)
+            elif op == "scratch":
+                cache.get(key).scratch("s", arg, np.uint16)
+            else:
+                cache.get(key).object("o", lambda: [np.zeros(arg, np.uint8)])
+            assert cache.alloc_bytes_total - cache.free_bytes_total == cache.live_bytes
         cache.clear()
         assert cache.live_bytes == 0
+        assert cache.pool.pooled_bytes == 0
         assert cache.free_bytes_total == cache.alloc_bytes_total
         assert hook["alloc"] == cache.alloc_bytes_total
         assert hook["free"] == cache.free_bytes_total

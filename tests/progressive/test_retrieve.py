@@ -121,3 +121,28 @@ def test_bytes_fetched_counter_always_on():
     before = counter.value(source="blob")
     _, report = ProgressiveRetriever().retrieve(archive_bytes(index, segments))
     assert counter.value(source="blob") == before + report.bytes_fetched
+
+
+def test_reader_and_writer_share_one_context():
+    """Hierarchy, factors and level geometry depend on the grid alone
+    (bins travel in the index), so a reader finds what the writer built
+    whatever bound the writer was configured with.  Keyed on the
+    writer's Config, every retrieve rebuilt them and pushed one more
+    entry through the LRU."""
+    from repro.core.context import ContextCache
+
+    cache = ContextCache()
+    data = default_progressive_datasets()[2][1]
+    writer = ProgressiveMGARD(Config(error_bound=3e-3), context_cache=cache)
+    index, segments = writer.refactor(data)
+    reader = ProgressiveRetriever(context_cache=cache)
+    lookups = cache.hits, cache.misses
+    back, _ = reader.retrieve(archive_bytes(index, segments))
+    assert back.shape == data.shape
+    progressive = [c for c in cache.contexts() if c.key[0] == "progressive"]
+    assert [c.key for c in progressive] == [
+        ("progressive", data.shape, data.dtype.str)]
+    # The retrieve's own context lookup hit; whatever it missed is the
+    # nested Huffman decode's, which is keyed on stream lengths.
+    assert cache.hits > lookups[0]
+    assert "hierarchy" in progressive[0] and "factors" in progressive[0]
