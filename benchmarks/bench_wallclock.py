@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--reps", type=int, default=5,
                     help="timing repetitions (min is reported)")
     ap.add_argument("--threads", type=int, default=None,
-                    help="openmp adapter thread count")
+                    help="openmp adapter thread count of the --trace run")
     ap.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                     help=f"output JSON path (default {DEFAULT_OUT})")
     ap.add_argument("--trace", type=pathlib.Path, default=None,
@@ -43,14 +43,14 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     reps = 1 if args.smoke else args.reps
-    record = measure_all(reps=reps, threads=args.threads)
+    record = measure_all(reps=reps)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
 
     cur = record["current"]
     print(f"nyx {record['shape']} float32, {record['megabytes']} MB, "
           f"min of {reps} rep(s)\n")
     print(f"{'codec':<16} {'comp MB/s':>10} {'dec MB/s':>10} {'ratio':>7}")
-    for name in ("huffman", "huffman_openmp", "mgard", "zfp"):
+    for name in ("huffman", "mgard", "zfp"):
         r = cur[name]
         print(f"{name:<16} {r['compress_MBps']:>10.2f} "
               f"{r['decompress_MBps']:>10.2f} {r['ratio']:>7.2f}")

@@ -64,7 +64,7 @@ SERVE_COMMITTED = REPO_ROOT / "BENCH_serve.json"
 CLUSTER_COMMITTED = REPO_ROOT / "BENCH_cluster.json"
 TUNE_COMMITTED = REPO_ROOT / "BENCH_tune.json"
 
-_CODECS = ("huffman", "huffman_openmp", "mgard", "zfp")
+_CODECS = ("huffman", "mgard", "zfp")
 _METRICS = ("compress_MBps", "decompress_MBps")
 
 #: serve-grid cells whose throughput is gated against the committed

@@ -63,15 +63,6 @@ class DeviceAdapter(abc.ABC):
         """Block until all backend work completes (no-op off-device)."""
 
     # -- task-level parallelism -------------------------------------------
-    def parallel_width(self) -> int:
-        """Concurrent independent tasks this backend can run (1 = serial).
-
-        Compressors use this to decide whether splitting work into
-        independent segments (e.g. the Huffman ``HUFP`` container) can
-        pay off.
-        """
-        return 1
-
     def map_tasks(self, fn, items) -> list:
         """Run ``fn`` over ``items``, preserving order.
 

@@ -84,9 +84,6 @@ class OpenMPAdapter(DeviceAdapter):
         self._record(functor, "GEM", int(batch.size))
         return out
 
-    def parallel_width(self) -> int:
-        return self.num_threads
-
     def map_tasks(self, fn, items) -> list:
         items = list(items)
         if self._pool is None or len(items) <= 1:

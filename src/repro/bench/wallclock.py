@@ -131,18 +131,12 @@ def measure_mgard_stages(data: np.ndarray, reps: int = 3) -> dict:
     return {k: round(v, 5) for k, v in stages.items()}
 
 
-def measure_all(reps: int = 3, threads: int | None = None) -> dict:
+def measure_all(reps: int = 3) -> dict:
     """The full wall-clock record written to ``BENCH_wallclock.json``."""
-    from repro.adapters import get_adapter
-
     data = bench_data()
     current: dict = {}
     for name in ("huffman", "mgard", "zfp"):
         current[name] = measure_codec(name, data, reps=reps)
-    # Threads pinned (default 4) so the HUFP chunk-parallel container is
-    # what gets measured even on hosts reporting a single core.
-    omp = get_adapter("openmp", num_threads=threads or 4)
-    current["huffman_openmp"] = measure_codec("huffman", data, reps=reps, adapter=omp)
     current["mgard_stages"] = measure_mgard_stages(data, reps=reps)
     return {
         "dataset": BENCH_DATASET,

@@ -119,9 +119,6 @@ class SanitizingAdapter(DeviceAdapter):
     def name(self) -> str:
         return f"san({self.inner.name})"
 
-    def parallel_width(self) -> int:
-        return self.inner.parallel_width()
-
     def map_tasks(self, fn, items) -> list:
         return self.inner.map_tasks(fn, items)
 

@@ -20,20 +20,12 @@ offsets, and the bitstream word buffer — lives in a
 :class:`~repro.core.context.ReductionContext` keyed by the input
 characteristics, so repeated reductions of same-shaped data reuse the
 same memory (CMM, paper Section III-B).
-
-The byte-level API additionally supports a chunk-parallel container
-(``HUFP``): on a multi-threaded adapter the input is split into
-independently coded segments compressed concurrently (NumPy releases
-the GIL), each with its own reduction context so the CMM wiring stays
-race-free.  The container is adapter-agnostic — bytes produced by the
-parallel path decode bit-exactly on the serial adapter and vice versa.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +49,6 @@ from repro.trace.tracer import count_bytes, span
 from repro.util import hot_path, stream_errors
 
 _MAGIC = b"HUFX"
-_PAR_MAGIC = b"HUFP"
 _VERSION = 1
 
 #: Which ``int32`` half of a native ``int64`` holds its low 32 bits.
@@ -70,11 +61,6 @@ _PER_BIT_BYTES_PER_STEP = 50
 #: Decode steps moved per transposing copy of the decoder's step-major
 #: output into a chunk-major result (64 rows keep both sides in cache).
 _TRANSPOSE_STEPS = 64
-
-
-#: Minimum bytes per parallel segment — below this the per-segment
-#: codebook/container overhead outweighs the thread-level speedup.
-_MIN_SEGMENT_BYTES = 1 << 16
 
 
 def _rle_encode(lengths: np.ndarray) -> bytes:
@@ -128,12 +114,12 @@ class _EncodeFunctor(LocalityFunctor):
 
     The codebook is fused into a single lookup table so each key costs
     one gather; callers split the planes back out with shift/mask.  An
-    optional reduction context supplies persistent output scratch so the
-    steady state allocates nothing.  ``per_thread`` scopes that scratch
-    by pool-thread identity — required only when an adapter fans one
-    context's batch out across threads; a context used by one caller at
-    a time (serial path, HUFP segments) keeps a single deterministic
-    buffer so which pool thread runs it never triggers an allocation.
+    optional reduction context supplies persistent output scratch to an
+    apply handed the whole launch (``ngroups`` chunks), so the steady
+    state allocates nothing.  An apply handed part of it — an adapter
+    fanning the launch out across threads, the sanitizer's shadow pass —
+    writes to memory of its own: concurrent applies share nothing, and
+    what a context holds never depends on which thread ran which part.
     """
 
     name = "huffman.encode"
@@ -145,39 +131,26 @@ class _EncodeFunctor(LocalityFunctor):
         codes: np.ndarray,
         lengths: np.ndarray,
         ctx=None,
-        per_thread: bool = False,
+        ngroups: int = 0,
     ) -> None:
         self._lut = (codes.astype(np.uint32) << np.uint32(8)) | lengths.astype(
             np.uint32
         )
         self._ctx = ctx
-        self._per_thread = per_thread
+        self._ngroups = ngroups
 
     @hot_path(reason="Locality encode stage; one gather per key")
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         flat = blocks.reshape(-1)
-        if self._ctx is not None:
-            name = (
-                f"enc.out:{threading.get_ident()}"
-                if self._per_thread
-                else "enc.out"
-            )
-            out = self._ctx.scratch(name, flat.size, np.uint32)
+        if self._ctx is not None and blocks.shape[0] == self._ngroups:
+            out = self._ctx.scratch("enc.out", flat.size, np.uint32)
         else:
-            # hpdrlint: disable=HPL001 — documented ctx=None fallback path
+            # hpdrlint: disable=HPL001 — part of a launch, or no context
             out = np.empty(flat.size, dtype=np.uint32)
         # Key range was validated by the histogram stage; "clip" skips a
         # second bounds-check pass.
         np.take(self._lut, flat, out=out, mode="clip")
         return out.reshape(blocks.shape)
-
-
-def _map_tasks(adapter, fn, items):
-    """Run ``fn`` over ``items`` via the adapter's task pool (serial
-    fallback when no adapter is bound)."""
-    if adapter is None:
-        return [fn(x) for x in items]
-    return adapter.map_tasks(fn, items)
 
 
 class HuffmanX:
@@ -186,9 +159,8 @@ class HuffmanX:
     Parameters
     ----------
     adapter:
-        Device adapter (defaults to serial).  Multi-threaded adapters
-        additionally parallelize the byte-level API across independent
-        segments (``HUFP`` container).
+        Device adapter (defaults to serial).  It schedules the stages;
+        the stream does not depend on it.
     chunk_size:
         Symbols per encoding chunk — the Locality block size and the
         decode-parallelism grain.
@@ -214,8 +186,8 @@ class HuffmanX:
     def tunable_knobs(cls) -> tuple:
         """Tunable-knob declarations (see ``codec_knob_declarations``).
 
-        ``chunk_size`` is serialized into the HUFP container, so it is
-        declared ``stream_affecting``: the auto-tuner may propose other
+        ``chunk_size`` is recorded in every stream, so it is declared
+        ``stream_affecting``: the auto-tuner may propose other
         values, but its byte-identity guard rejects every one — the
         declaration documents the constraint and exercises the guard.
         """
@@ -235,7 +207,7 @@ class HuffmanX:
         ctx = self._key_context(keys.shape, keys.dtype, num_symbols, tag=None,
                                 pin=True)
         try:
-            return self._compress_keys(keys, num_symbols, ctx, self.adapter)
+            return self._compress_keys(keys, num_symbols, ctx)
         finally:
             self.cache.release(ctx)
 
@@ -246,8 +218,8 @@ class HuffmanX:
         disjoint), so decompressing what was just compressed reuses the
         compression context instead of opening a second one.  ``pin``
         holds the context safe from LRU eviction while a call is in
-        flight (many concurrent HUFP segments can exceed the cache
-        capacity); callers release in a ``finally``.
+        flight (concurrent callers can exceed the cache capacity);
+        callers release in a ``finally``.
         """
         n = int(np.prod(shape)) if shape else 1
         return self.cache.get(
@@ -262,7 +234,8 @@ class HuffmanX:
             pin=pin,
         )
 
-    def _compress_keys(self, keys: np.ndarray, num_symbols: int, ctx, adapter) -> bytes:
+    def _compress_keys(self, keys: np.ndarray, num_symbols: int, ctx) -> bytes:
+        adapter = self.adapter
         shape = keys.shape
         flat = keys.reshape(-1)
         n = flat.size
@@ -295,10 +268,7 @@ class HuffmanX:
                 enc = locality(
                     padded,
                     _EncodeFunctor(
-                        book.codes,
-                        book.lengths,
-                        ctx=ctx,
-                        per_thread=adapter is not None,
+                        book.codes, book.lengths, ctx=ctx, ngroups=nchunks
                     ),
                     block_shape=(chunk,),
                     adapter=adapter,
@@ -375,15 +345,14 @@ class HuffmanX:
         ctx = self._key_context(shape, dtype, num_symbols, tag="batch",
                                 pin=True)
         try:
-            return self._compress_keys_batch(
-                keys_list, num_symbols, ctx, self.adapter
-            )
+            return self._compress_keys_batch(keys_list, num_symbols, ctx)
         finally:
             self.cache.release(ctx)
 
     def _compress_keys_batch(
-        self, keys_list, num_symbols: int, ctx, adapter
+        self, keys_list, num_symbols: int, ctx
     ) -> list[bytes]:
+        adapter = self.adapter
         shape, dtype = keys_list[0].shape, keys_list[0].dtype
         nbatch = len(keys_list)
         n = keys_list[0].size
@@ -443,8 +412,7 @@ class HuffmanX:
             enc = locality(
                 staged,
                 _EncodeFunctor(
-                    all_codes, all_lengths, ctx=ctx,
-                    per_thread=adapter is not None,
+                    all_codes, all_lengths, ctx=ctx, ngroups=nbatch * nchunks
                 ),
                 block_shape=(chunk,),
                 adapter=adapter,
@@ -730,86 +698,31 @@ class HuffmanX:
     # Byte-level lossless API (arbitrary arrays/buffers), single-shot
     # and batched (serve fast path)
     # ------------------------------------------------------------------
-    def _num_segments(self, nbytes: int) -> int:
-        width = 1 if self.adapter is None else self.adapter.parallel_width()
-        if width <= 1:
-            return 1
-        return max(1, min(width, nbytes // _MIN_SEGMENT_BYTES))
-
     def compress(self, data: np.ndarray | bytes) -> bytes:
-        """Losslessly compress arbitrary data as a uint8 symbol stream.
-
-        On a multi-threaded adapter, large inputs are split into
-        chunk-aligned segments compressed concurrently, each with its
-        own reduction context (``HUFP`` container); the result decodes
-        bit-exactly on every adapter.
-        """
+        """Losslessly compress arbitrary data as a uint8 symbol stream."""
         keys, meta = _as_keys(data)
-        nseg = self._num_segments(keys.size)
-        if nseg <= 1:
-            body = self.compress_keys(keys, 256)
-        else:
-            (body,) = self._compress_segments([keys], nseg, batch=False)
-        blob = _pack_meta(*meta) + body
+        blob = _pack_meta(*meta) + self.compress_keys(keys, 256)
         # Byte API only: key-level calls stay uncounted, so MGARD's
         # nested Huffman volume is attributed to mgard alone.
         count_bytes("huffman", keys.size, len(blob))
         return blob
 
-    def _compress_segments(self, keys_list, nseg: int, batch: bool) -> list[bytes]:
-        """One ``HUFP`` body per input: segment ``i`` of every input is
-        coded in one task (a key batch when ``batch``) with its own
-        reduction context, tasks running concurrently on the adapter."""
-        nbytes = keys_list[0].size
-        seg = -(-nbytes // nseg)
-        seg = -(-seg // self.chunk_size) * self.chunk_size  # chunk-aligned
-        bounds = list(range(0, nbytes, seg)) + [nbytes]
-        nseg = len(bounds) - 1
-
-        def _one_index(i: int) -> list[bytes]:
-            parts = [k[bounds[i] : bounds[i + 1]] for k in keys_list]
-            ctx = self._key_context(
-                parts[0].shape, parts[0].dtype, 256,
-                tag=("batch", i) if batch else i, pin=True,
-            )
-            try:
-                if batch:
-                    return self._compress_keys_batch(parts, 256, ctx, None)
-                return [self._compress_keys(parts[0], 256, ctx, None)]
-            finally:
-                self.cache.release(ctx)
-
-        by_index = _map_tasks(self.adapter, _one_index, range(nseg))
-        bodies = []
-        for j in range(len(keys_list)):
-            parts = [by_index[i][j] for i in range(nseg)]
-            bodies.append(
-                _PAR_MAGIC
-                + struct.pack("<BI", _VERSION, nseg)
-                + struct.pack(f"<{nseg}Q", *(len(p) for p in parts))
-                + b"".join(parts)
-            )
-        return bodies
-
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
         dtype_str, shape, used = _unpack_meta(blob)
         body = blob[used:]
-        if body[:4] == _PAR_MAGIC:
-            (keys,) = self._decompress_segments([body], batch=False)
-        else:
+        if body[:4] == _MAGIC:
             keys = self.decompress_keys(body)
+        else:
+            keys = self._decompress_segments(body)
         return keys.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
 
     def compress_batch(self, arrays: Sequence) -> list[bytes]:
         """Compress N uniform-(shape, dtype) inputs, one launch per stage.
 
-        Byte-identical to per-item :meth:`compress` — the container
-        choice (``HUFX`` vs chunk-parallel ``HUFP``) depends only on the
-        uniform input size, and each segment index is key-batch
-        compressed across all N inputs.  Raises ``ValueError`` for
-        non-uniform batches (the serve worker then falls back to
-        per-item execution).
+        Byte-identical to per-item :meth:`compress`.  Raises
+        ``ValueError`` for non-uniform batches (the serve worker then
+        falls back to per-item execution).
         """
         datas = list(arrays)
         if not datas:
@@ -825,25 +738,20 @@ class HuffmanX:
                     f"{m} vs {meta}"
                 )
         keys_list = [p[0] for p in prepared]
-        nbytes = keys_list[0].size
         header = _pack_meta(*meta)
-        nseg = self._num_segments(nbytes)
-        if nseg <= 1:
-            bodies = self.compress_keys_batch(keys_list, 256)
-        else:
-            bodies = self._compress_segments(keys_list, nseg, batch=True)
-        blobs = [header + body for body in bodies]
+        blobs = [header + body
+                 for body in self.compress_keys_batch(keys_list, 256)]
         for b in blobs:
-            count_bytes("huffman", nbytes, len(b))
+            count_bytes("huffman", keys_list[0].size, len(b))
         return blobs
 
     @stream_errors
     def decompress_batch(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
         """Invert :meth:`compress_batch` with one fused decode per stage.
 
-        Requires uniform stream metadata and container layout (what a
-        uniform :meth:`compress_batch` produces); ``ValueError``
-        otherwise, and callers fall back per stream.
+        Requires uniform stream metadata (what a uniform
+        :meth:`compress_batch` produces); ``ValueError`` otherwise, and
+        callers fall back per stream.
         """
         blobs = list(blobs)
         if not blobs:
@@ -858,59 +766,35 @@ class HuffmanX:
                     "decompress_batch requires uniform stream headers"
                 )
         bodies = [b[m[2]:] for b, m in zip(blobs, metas)]
-        pars = [body[:4] == _PAR_MAGIC for body in bodies]
-        if any(pars) and not all(pars):
-            raise ValueError(
-                "decompress_batch requires uniform container layout"
-            )
-        if not pars[0]:
-            keys_list = self.decompress_keys_batch(bodies)
-        else:
-            keys_list = self._decompress_segments(bodies, batch=True)
+        if any(body[:4] != _MAGIC for body in bodies):
+            return [self.decompress(b) for b in blobs]  # legacy container
         return [
             k.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
-            for k in keys_list
+            for k in self.decompress_keys_batch(bodies)
         ]
 
-    def _decompress_segments(self, bodies: list, batch: bool) -> list[np.ndarray]:
-        """Decode ``HUFP`` containers segment index by index (the tags
-        mirror :meth:`_compress_segments`, so a decode finds the
-        context its encode built)."""
-        split = []
-        nseg0 = None
-        for body in bodies:
-            version, nseg = struct.unpack_from("<BI", body, 4)
-            if version != _VERSION:
-                raise ValueError(f"unsupported Huffman-X version {version}")
-            if nseg0 is None:
-                nseg0 = nseg
-            elif nseg != nseg0:
-                raise ValueError(
-                    "decompress_batch requires uniform segment counts"
-                )
-            off = 4 + struct.calcsize("<BI")
-            seg_lens = struct.unpack_from(f"<{nseg}Q", body, off)
-            off += 8 * nseg
-            segments = []
-            for length in seg_lens:
-                segments.append(body[off : off + length])
-                off += length
-            split.append(segments)
-
-        def _one_index(i: int) -> list[np.ndarray]:
-            return self._decompress_keys(
-                [segments[i] for segments in split],
-                tag=("batch", i) if batch else i,
-            )
-
-        by_index = _map_tasks(self.adapter, _one_index, range(nseg0))
-        if not by_index:
-            return [np.zeros(0, dtype=np.uint8) for _ in bodies]
-        return [
-            np.concatenate([by_index[i][j].reshape(-1)
-                            for i in range(nseg0)])
-            for j in range(len(bodies))
-        ]
+    def _decompress_segments(self, body: bytes) -> np.ndarray:
+        """Read the legacy ``HUFP`` body: a table of ``HUFX`` streams
+        coding consecutive ranges of one input.  Nothing writes it any
+        more; blobs stored by earlier versions stay readable."""
+        if body[:4] != b"HUFP":
+            raise ValueError("not a Huffman-X stream (bad magic)")
+        version, nseg = struct.unpack_from("<BI", body, 4)
+        if version != _VERSION:
+            raise ValueError(f"unsupported Huffman-X version {version}")
+        off = 4 + struct.calcsize("<BI")
+        if not 1 <= nseg <= (len(body) - off) // 8:
+            raise ValueError(f"corrupt stream: segment count {nseg}")
+        seg_lens = struct.unpack_from(f"<{nseg}Q", body, off)
+        off += 8 * nseg
+        if sum(seg_lens) != len(body) - off:
+            raise ValueError("corrupt stream: segment lengths do not fill it")
+        parts = []
+        for length in seg_lens:
+            segment = body[off : off + length]
+            parts.append(self.decompress_keys(segment).reshape(-1))
+            off += length
+        return np.concatenate(parts)
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)
@@ -963,7 +847,7 @@ class HuffmanX:
         Streams are self-describing: the returned ``chunk_size`` is the
         *stream's* chunking, deliberately **not** written back to
         ``self.chunk_size`` — decoding a foreign stream must not change
-        how this instance encodes (nor race the segment-parallel path).
+        how this instance encodes.
         """
         if blob[:4] != _MAGIC:
             raise ValueError("not a Huffman-X stream (bad magic)")

@@ -16,7 +16,7 @@ demotion safe: every backend produces bit-identical streams, so a
 campaign that lost a device finishes with identical bytes, only slower.
 
 Both wrappers satisfy the full :class:`~repro.adapters.base.DeviceAdapter`
-contract (``parallel_width``, ``map_tasks``, ``synchronize``), so any
+contract (``map_tasks``, ``synchronize``), so any
 compressor runs on them unmodified.
 """
 
@@ -45,9 +45,6 @@ class _DelegatingAdapter(DeviceAdapter):
 
     def synchronize(self) -> None:
         self.inner.synchronize()
-
-    def parallel_width(self) -> int:
-        return self.inner.parallel_width()
 
     def map_tasks(self, fn, items) -> list:
         return self.inner.map_tasks(fn, items)
@@ -173,11 +170,8 @@ class ResilientAdapter(_DelegatingAdapter):
             lambda a: a.execute_domain(functor, data),
         )
 
-    # Route task mapping and width through the *active* adapter so a
-    # demoted device also stops fanning tasks out to a dead pool.
-    def parallel_width(self) -> int:
-        return self._active().parallel_width()
-
+    # Route task mapping through the *active* adapter so a demoted
+    # device also stops fanning tasks out to a dead pool.
     def map_tasks(self, fn, items) -> list:
         return self._active().map_tasks(fn, items)
 

@@ -1,8 +1,8 @@
 """HPDR-Trace: unified runtime tracing & metrics for real executions.
 
 The simulator (:mod:`repro.machine`) always had first-class traces; the
-real hot paths — zero-alloc codecs, the HUFP chunk-parallel decoder,
-the CMM cache, thread-pool adapters, the I/O engines — were opaque.
+real hot paths — zero-alloc codecs, the CMM cache, thread-pool
+adapters, the I/O engines — were opaque.
 This package instruments them all through one API:
 
 * :func:`span` / :func:`traced` — record a named, timed interval::

@@ -13,7 +13,7 @@ Like the tracer, metrics are disabled by default and the disabled hot
 path is one flag check: instrumentation sites call
 :func:`repro.trace.tracer.enabled` (one switch controls both layers)
 before touching a metric.  All mutators are lock-protected — pool
-threads (OpenMP adapter, HUFP segments) update counters concurrently
+threads (OpenMP adapter) update counters concurrently
 and the totals must be exact, which the threads-1/2/4 tests pin.
 """
 

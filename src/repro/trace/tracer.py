@@ -16,8 +16,7 @@ Design constraints, in priority order:
    the caller's argument dict.  The zero-alloc steady-state tests and
    the committed wall-clock record hold with tracing off.
 2. **Thread safety.**  Spans close on arbitrary pool threads (the
-   OpenMP adapter, HUFP segments); completed events append under a
-   lock.  Nesting depth is tracked per thread so exporters can
+   OpenMP adapter); completed events append under a lock.  Nesting depth is tracked per thread so exporters can
    reconstruct the call tree without re-sorting.
 3. **No repro-internal imports.**  Everything above this module
    (adapters, codecs, the CMM) may import it; it imports nothing of

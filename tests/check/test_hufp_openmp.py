@@ -1,22 +1,29 @@
-"""HUFP chunk-parallel byte-path decode under the sanitizer.
+"""The Huffman-X byte path on forced thread counts, and the legacy reader.
 
-Exercises the segment-count boundaries (the container splits at
-``_MIN_SEGMENT_BYTES`` = 64 KiB granularity) across thread counts, with
-every adapter wrapped in :class:`SanitizingAdapter` — the exact
-configuration where a halo race or context misuse between concurrent
-segments would surface.
+``HUFP`` was a second byte container: above 128 KiB a multi-threaded
+adapter split the input into up to ``threads`` segments of at least
+64 KiB (``SEG``), each a ``HUFX`` stream of its own.  Nothing writes it
+any more.  The sizes where the writer used to change its segment count
+now pin the opposite property — the blob is the serial blob whatever the
+thread count — with every adapter wrapped in :class:`SanitizingAdapter`;
+the container itself survives as input, so the reader's checks are
+pinned against hostile headers.
 """
+
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import HuffmanX
 from repro.adapters import get_adapter
-from repro.check import SanitizingAdapter
-from repro.compressors.huffman.compressor import _MIN_SEGMENT_BYTES, _PAR_MAGIC
+from repro.check import SanitizingAdapter, assert_steady_state
+from repro.compressors.huffman.compressor import _pack_meta
+from repro.util import CorruptStreamError
 
-SEG = _MIN_SEGMENT_BYTES
-#: ±1 around every segment-count transition up to 4 segments.
+SEG = 1 << 16
+#: ±1 around every former segment-count transition up to 4 segments.
 BOUNDARY_SIZES = [
     SEG - 1, SEG, SEG + 1,
     2 * SEG - 1, 2 * SEG, 2 * SEG + 1,
@@ -39,52 +46,92 @@ def test_roundtrip_at_segment_boundaries(rng, threads, nbytes):
     codec = HuffmanX(adapter=_san_openmp(threads))
     data = _payload(rng, nbytes)
     blob = codec.compress(data)
-    out = codec.decompress(blob)
-    assert out.tobytes() == data
-
-    body_is_parallel = _PAR_MAGIC in blob[:64]
-    expected_segments = max(1, min(threads, nbytes // SEG))
-    assert body_is_parallel == (expected_segments > 1)
+    assert blob == HuffmanX().compress(data)
+    assert codec.decompress(blob).tobytes() == data
 
 
 @pytest.mark.parametrize("nbytes", [2 * SEG - 1, 2 * SEG, 2 * SEG + 1])
 def test_cross_thread_count_decode(rng, nbytes):
-    # A stream written with N threads must decode bit-exactly with any
-    # other thread count (and serially): the container is adapter-
-    # agnostic by contract.
     data = _payload(rng, nbytes)
-    blobs = {
-        t: HuffmanX(adapter=_san_openmp(t)).compress(data) for t in (1, 2, 4)
-    }
+    (blob,) = {HuffmanX(adapter=_san_openmp(t)).compress(data) for t in (1, 2, 4)}
     readers = [
         HuffmanX(adapter=_san_openmp(t)) for t in (1, 2, 4)
     ] + [HuffmanX(adapter=SanitizingAdapter(get_adapter("serial")))]
-    for blob in blobs.values():
-        for reader in readers:
-            assert reader.decompress(blob).tobytes() == data
+    for reader in readers:
+        assert reader.decompress(blob).tobytes() == data
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_segmented_steady_state_under_sanitizer(
-    rng, threads, segments_finish_together
-):
-    # Segment tasks lease their blocks from one pool while the sanitizer
-    # re-executes every GEM batch.  The most the pool can be asked for
-    # is every task holding a whole call's blocks at once — threads x
-    # one call — and how close a given run gets is the scheduler's
-    # business.  So warm-up drives that concurrency; after it the
-    # steady state is flat whatever the overlap.
-    from repro.check import assert_steady_state
-
+def test_steady_state_under_sanitizer(rng, threads):
+    # The sanitizer re-executes every GEM batch against the same context.
     codec = HuffmanX(adapter=_san_openmp(threads))
     data = _payload(rng, 3 * SEG)
-    nseg = min(threads, 3)
+    assert_steady_state(lambda: codec.compress(data), codec.cache)
 
-    alone = HuffmanX(adapter=_san_openmp(1))
-    alone.compress(data[: len(data) // nseg])
-    one_call = alone.cache.alloc_events
 
-    with segments_finish_together(nseg):
-        codec.compress(data)
-    assert one_call < codec.cache.alloc_events <= nseg * one_call
-    assert_steady_state(lambda: codec.compress(data), codec.cache, warmup=0)
+# ----------------------------------------------------------------------
+# Legacy reader
+# ----------------------------------------------------------------------
+def _parts(segments) -> list[bytes]:
+    return [HuffmanX().compress_keys(s, 256) for s in segments]
+
+
+def _hufp(segments, count=None, lengths=None) -> bytes:
+    """A ``HUFP`` blob over ``segments``; ``count``/``lengths`` lie."""
+    parts = _parts(segments)
+    count = len(parts) if count is None else count
+    lengths = [len(p) for p in parts] if lengths is None else lengths
+    return b"".join([
+        _pack_meta("|u1", (sum(s.size for s in segments),)),
+        b"HUFP", struct.pack("<BI", 1, count),
+        struct.pack(f"<{len(lengths)}Q", *lengths), *parts,
+    ])
+
+
+@pytest.fixture(scope="module")
+def halves():
+    keys = np.random.default_rng(7).integers(0, 17, size=6000).astype(np.uint8)
+    return [keys[:4096], keys[4096:]]
+
+
+def test_legacy_container_decodes_single_and_batched(halves):
+    blob = _hufp(halves)
+    want = np.concatenate(halves)
+    for codec in (HuffmanX(), HuffmanX(adapter=_san_openmp(2))):
+        assert np.array_equal(codec.decompress(blob), want)
+        # A batch holding a legacy body goes down the per-stream path.
+        mixed = [blob, codec.compress(want)]
+        assert all(np.array_equal(out, want)
+                   for out in codec.decompress_batch(mixed))
+
+
+TABLE = len(_pack_meta("|u1", (0,))) + 4 + 5    # offset of the length table
+#: name -> blob from the two segments and their true coded lengths (a, b)
+HOSTILE = {
+    "count-0": lambda h, a, b: _hufp(h, count=0),
+    "count-1": lambda h, a, b: _hufp(h, count=1),
+    "count-max": lambda h, a, b: _hufp(h, count=2**32 - 1),
+    "length-huge-first": lambda h, a, b: _hufp(h, lengths=[2**60, b]),
+    "length-huge-last": lambda h, a, b: _hufp(h, lengths=[a, 2**60]),
+    "length-short-by-8": lambda h, a, b: _hufp(h, lengths=[a, b - 8]),
+    "cut-in-table": lambda h, a, b: _hufp(h)[: TABLE + 12],
+    "cut-in-last-segment": lambda h, a, b: _hufp(h)[:-5],
+    "version-2": lambda h, a, b: _hufp(h).replace(b"HUFP\x01", b"HUFP\x02"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_legacy_reader_rejects_hostile_header(halves, case):
+    blob = HOSTILE[case](halves, *map(len, _parts(halves)))
+    codec = HuffmanX()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            codec.decompress(blob)
+        with pytest.raises(CorruptStreamError):
+            codec.decompress_batch([blob, blob])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Nothing is sized from a declared count or length.
+    assert peak < 1 << 20

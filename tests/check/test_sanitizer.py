@@ -137,7 +137,7 @@ class TestTransparency:
     def test_delegation(self, sanitizing_adapter):
         inner = sanitizing_adapter.inner
         assert sanitizing_adapter.family == inner.family
-        assert sanitizing_adapter.parallel_width() == inner.parallel_width()
+        assert sanitizing_adapter.map_tasks(abs, [-1, 2]) == [1, 2]
         assert sanitizing_adapter.name == f"san({inner.name})"
         assert sanitizing_adapter.trace is inner.trace
 

@@ -108,38 +108,3 @@ def sanitizing_adapter(request):
 
     kwargs = {"num_threads": 2} if request.param == "openmp" else {}
     return SanitizingAdapter(get_adapter(request.param, **kwargs))
-
-
-@pytest.fixture
-def segments_finish_together(monkeypatch):
-    """``with segments_finish_together(n):`` — Huffman-X segment tasks
-    wait for each other before they release their contexts.
-
-    Segment tasks lease their blocks from one pool, so what the pool is
-    asked for depends on how far the scheduler lets them overlap: at
-    most ``n`` whole calls at once.  Inside the block every segmented
-    compress/decompress reaches exactly that maximum, which makes it
-    the warm-up after which a steady state is flat on any host.
-    """
-    import contextlib
-    import threading
-
-    from repro import HuffmanX
-
-    @contextlib.contextmanager
-    def together(n: int):
-        barrier = threading.Barrier(n)
-
-        def held(real):
-            def call(*args, **kwargs):
-                out = real(*args, **kwargs)
-                barrier.wait(timeout=60)    # leases still in hand
-                return out
-            return call
-
-        with monkeypatch.context() as patch:
-            for name in ("_compress_keys", "_decode_chunks"):
-                patch.setattr(HuffmanX, name, held(getattr(HuffmanX, name)))
-            yield
-
-    return together

@@ -38,17 +38,13 @@ class TestZeroAllocSteadyState:
         data = rng.normal(size=(32, 32, 32)).astype(np.float32)
         assert _steady_state_events(HuffmanX(), data) == 0
 
-    def test_huffman_openmp_segments(self, rng, segments_finish_together):
+    def test_huffman_openmp(self, rng):
         from repro.adapters import get_adapter
 
-        # Large enough for the HUFP chunk-parallel container (threads
-        # pinned so it triggers on any host).  Four segment tasks lease
-        # from one pool; warmed up at full overlap, they find every
-        # block there however the scheduler interleaves them later.
+        # Threads pinned: the encode launch is split four ways whatever
+        # the host reports.
         data = rng.integers(0, 256, size=400_000).astype(np.uint8)
         codec = HuffmanX(adapter=get_adapter("openmp", num_threads=4))
-        with segments_finish_together(4):
-            codec.decompress(codec.compress(data))
         assert _steady_state_events(codec, data) == 0
 
     def test_mgard(self, rng):

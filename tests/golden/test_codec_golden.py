@@ -1,4 +1,4 @@
-"""Golden digests for the Huffman-X, MGARD-X and ZFP streams.
+"""Golden digests for the codec streams and the containers around them.
 
 ``codec_digests.json`` holds one SHA-256 per case over every stream the
 case produces (length-prefixed) and every array decoded back from them.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +26,19 @@ import pytest
 
 from repro import Config
 from repro.adapters import get_adapter
+from repro.cli import main as cli_main
 from repro.compressors.baselines.lz4 import LZ4
+from repro.compressors.baselines.sz import SZ
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.mgard import MGARDX
+from repro.compressors.mgard.refactor import MGARDRefactor, RefactoredData
 from repro.compressors.zfp import ZFPX, ZFPAccuracy, ZFPEmbedded, ZFPPrecision
 from repro.core.config import ErrorMode
+from repro.core.pipeline import chunked_compress, chunked_decompress
+from repro.core.streaming import StreamingCompressor, StreamingDecompressor
+from repro.io.bp import BPFile
+from repro.progressive.archive import make_retrieve_request, parse_retrieve_request
+from repro.resilience.checkpoint import CheckpointManager
 
 DIGESTS = Path(__file__).with_name("codec_digests.json")
 
@@ -98,11 +108,19 @@ def _hufx_keys(keys, num_symbols: int, **kwargs) -> str:
 
 
 def _hufp(data) -> str:
-    """Two independently coded segments (``HUFP``), decoded on both adapters."""
+    """Two independently coded segments (``HUFP``, a container no writer
+    produces any more), decoded on both adapters."""
+    keys = data.reshape(-1).view(np.uint8)
+    half = -(-keys.size // 2 // 1024) * 1024    # chunk-aligned, as written
+    parts = [HuffmanX().compress_keys(k, 256) for k in (keys[:half], keys[half:])]
+    dts = data.dtype.str.encode("ascii")
+    blob = b"".join([
+        struct.pack("<BH", len(dts), data.ndim), dts,
+        struct.pack(f"<{data.ndim}q", *data.shape),
+        b"HUFP", struct.pack("<BI", 1, 2),
+        struct.pack("<2Q", *map(len, parts)), *parts,
+    ])
     par = HuffmanX(adapter=get_adapter("openmp", num_threads=2))
-    blob = par.compress(data)
-    assert b"HUFP" in blob[:64]
-    assert int.from_bytes(blob[blob.index(b"HUFP") + 5:][:4], "little") == 2
     return _sha([blob], [par.decompress(blob), HuffmanX().decompress(blob)])
 
 
@@ -197,6 +215,92 @@ def _lz4x() -> str:
     return _sha(blobs, [codec.decompress(b) for b in blobs])
 
 
+def _cusz(data) -> str:
+    codec = SZ(Config(error_bound=1e-3, error_mode=ErrorMode.REL))
+    blob = codec.compress(data)
+    return _sha([blob], [codec.decompress(blob)])
+
+
+def _mgrf(data) -> str:
+    """Refactored hierarchy: full retrieval and the coarsest two levels."""
+    driver = MGARDRefactor()
+    blob = driver.refactor(data).tobytes()
+    back = RefactoredData.frombytes(blob)
+    return _sha([blob], [driver.retrieve(back), driver.retrieve(back, 2)])
+
+
+def _hpdc(data) -> str:
+    """Chunks of 8 rows, the last one short."""
+    blob = chunked_compress(ZFPX(rate=8), data, 8)
+    return _sha([blob], [chunked_decompress(ZFPX(), blob)])
+
+
+def _hpst(data) -> str:
+    stream = StreamingCompressor(HuffmanX())
+    stream.extend([data[:16], data[16:], data[:1]])
+    blob = stream.finalize()
+    return _sha([blob], list(StreamingDecompressor(HuffmanX(), blob)))
+
+
+def _bp5x(data) -> str:
+    """One raw and one reduced variable."""
+    bp = BPFile()
+    bp.put("raw", data[0])
+    bp.put("packed", data, operator="huffman-x")
+    blob = bp.tobytes()
+    back = BPFile.frombytes(blob)
+    return _sha([blob], [back.get("raw"), back.get("packed")])
+
+
+def _hpck(payload: bytes) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        manager = CheckpointManager(tmp)
+        manager.write_chunk(3, payload)
+        blob = manager.chunk_path(3).read_bytes()
+        assert manager.read_chunk(3) == payload
+    return _sha([blob], [])
+
+
+def _hprq(archive: bytes) -> str:
+    blobs = [
+        make_retrieve_request(archive, eps=2.0**-10),
+        make_retrieve_request(archive, resolution=2),
+        make_retrieve_request(archive),
+    ]
+    assert [parse_retrieve_request(b) for b in blobs] == [
+        (2.0**-10, None, archive), (None, 2, archive), (None, None, archive)
+    ]
+    return _sha(blobs, [])
+
+
+def _hpdr(data) -> str:
+    """The CLI's envelope around a ZFP-X stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        np.save(tmp / "in.npy", data)
+        cli_main(["compress", str(tmp / "in.npy"), str(tmp / "out.hpdr"),
+                  "--method", "zfp-x", "--rate", "8"])
+        cli_main(["decompress", str(tmp / "out.hpdr"), str(tmp / "back.npy")])
+        blob = (tmp / "out.hpdr").read_bytes()
+        return _sha([blob], [np.load(tmp / "back.npy")])
+
+
+def _container_cases() -> dict:
+    """One stream per container format around the codecs."""
+    f4, f8 = (_field(SHAPES["odd3d"], dtype) for dtype in ("f4", "f8"))
+    payload = f4.tobytes()[:999]
+    return {
+        "cusz-f4-odd3d": (_cusz, (f4,), {}),
+        "mgrf-f8-odd3d": (_mgrf, (f8,), {}),
+        "hpdc-f4-odd3d": (_hpdc, (f4,), {}),
+        "hpst-f4-odd3d": (_hpst, (f4,), {}),
+        "bp5x-f8-odd3d": (_bp5x, (f8,), {}),
+        "hpck-999": (_hpck, (payload,), {}),
+        "hprq-999": (_hprq, (payload,), {}),
+        "hpdr-f4-odd3d": (_hpdr, (f4,), {}),
+    }
+
+
 def _zfp_cases() -> dict:
     cases = {}
     for dtype in ("f4", "f8"):
@@ -222,7 +326,7 @@ def _zfp_cases() -> dict:
 
 
 def _cases() -> dict:
-    cases = _zfp_cases()
+    cases = {**_zfp_cases(), **_container_cases()}
     for dtype in ("f4", "f8"):
         for sname, shape in SHAPES.items():
             field = _field(shape, dtype)

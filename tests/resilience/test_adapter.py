@@ -132,7 +132,6 @@ def test_open_breaker_pre_demotes():
 
 def test_wrappers_satisfy_adapter_contract():
     chain = resilient_adapter(plan=FaultPlan(seed=1), sleep=lambda s: None)
-    assert chain.parallel_width() >= 1
     assert chain.map_tasks(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
     chain.synchronize()
     assert "resilient" in chain.name

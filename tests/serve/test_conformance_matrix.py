@@ -27,6 +27,13 @@ def test_service_matrix(adapter, threads):
     )
 
 
+def test_service_matrix_on_fields_wider_than_a_tile():
+    """256 KB per request: a pool that let its width into the stream
+    (as the segmented Huffman-X container did) diverges here."""
+    check_service("openmp", codecs=("huffman-x",), batch_sizes=(1, 7),
+                  shape=(256, 256), threads=2)
+
+
 def test_service_matrix_detects_divergence(monkeypatch):
     """The differential harness must actually bite."""
     from repro.testing import AdapterConformanceError

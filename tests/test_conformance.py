@@ -13,6 +13,12 @@ def test_all_builtin_adapters_conform(family):
     check_adapter(get_adapter(family))
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_openmp_conforms_at_forced_width(width):
+    """Whatever the host reports: a stream never depends on the width."""
+    check_adapter(get_adapter("openmp", num_threads=width))
+
+
 def test_broken_adapter_detected_reordering():
     class Reorders(SerialAdapter):
         def execute_group_batch(self, functor, batch):
