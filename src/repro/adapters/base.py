@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -125,6 +125,39 @@ class DeviceAdapter(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name}>"
+
+
+class _DelegatingAdapter(DeviceAdapter):
+    """An adapter in front of another adapter.
+
+    The whole interface forwards to ``inner`` — both execution models,
+    task mapping, synchronisation, and (through ``spec`` and ``trace``)
+    the simulated timing record — so a wrapper overrides only the calls
+    it intercepts.  The one delegation base of the sanitizing, faulty
+    and resilient adapters.
+    """
+
+    def __init__(self, inner: DeviceAdapter) -> None:
+        self.inner = inner
+
+    spec = property(lambda self: self.inner.spec)
+    trace = property(lambda self: self.inner.trace)
+
+    def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
+        return self.inner.execute_group_batch(functor, batch)
+
+    def execute_domain(self, functor: DomainFunctor, data: Any) -> Any:
+        return self.inner.execute_domain(functor, data)
+
+    def synchronize(self) -> None:
+        self.inner.synchronize()
+
+    def map_tasks(self, fn, items) -> list:
+        return self.inner.map_tasks(fn, items)
+
+    @property
+    def name(self) -> str:
+        return f"{self.family}({self.inner.name})"
 
 
 def _n_elements(data: Any) -> int:

@@ -104,30 +104,25 @@ def measure_mgard_stages(data: np.ndarray, reps: int = 3) -> dict:
         qflat = np.concatenate([q.reshape(-1) for q in qgroups])
         return to_symbols(qflat, c.dict_size)
 
-    symbols, _ = _quantize()
+    symbols, outliers = _quantize()
     keys = symbols.astype(np.int64)
 
     def _encode():
         return c._huffman.compress_keys(keys, c.dict_size)
 
-    _encode()  # warm-up
+    payload = _encode()  # warm-up
 
     def _serialize():
-        return c._encode(data, abs_eb, c.kappa, hierarchy, groups, bins)
-
-    _serialize()
+        return c._serialize_stream(
+            data.dtype, data.shape, abs_eb, c.kappa, bins, outliers, payload
+        )
 
     stages = {
         "decompose_s": _best_seconds(_decompose, reps),
         "quantize_s": _best_seconds(_quantize, reps),
         "encode_s": _best_seconds(_encode, reps),
+        "serialize_s": _best_seconds(_serialize, reps),
     }
-    # _encode runs quantize + encode + container assembly; the leftover
-    # is pure serialization overhead.
-    total_encode_path = _best_seconds(_serialize, reps)
-    stages["serialize_s"] = max(
-        0.0, total_encode_path - stages["quantize_s"] - stages["encode_s"]
-    )
     return {k: round(v, 5) for k, v in stages.items()}
 
 

@@ -35,9 +35,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.adapters.base import DeviceAdapter
+from repro.adapters.base import DeviceAdapter, _DelegatingAdapter
 from repro.check.errors import HaloRaceError, ScratchAliasError
-from repro.core.functor import DomainFunctor
 from repro.trace.tracer import Span, TRACER as _TRACER
 
 #: Families the shadow machinery understands (real CPU concurrency).
@@ -72,7 +71,7 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a, b))
 
 
-class SanitizingAdapter(DeviceAdapter):
+class SanitizingAdapter(_DelegatingAdapter):
     """Shadow-memory sanitizer around a serial/openmp adapter.
 
     Parameters
@@ -95,21 +94,16 @@ class SanitizingAdapter(DeviceAdapter):
             )
         if max_shadow_groups < 1:
             raise ValueError("max_shadow_groups must be >= 1")
-        self.inner = inner
+        super().__init__(inner)
         self.family = inner.family
         self.max_shadow_groups = max_shadow_groups
         #: GEM batches checked so far (so tests can assert coverage).
         self.checked_batches = 0
 
     # -- transparent delegation ------------------------------------------
-    @property
-    def spec(self) -> Any:
-        return self.inner.spec
-
-    @property
-    def trace(self) -> Any:
-        return self.inner.trace
-
+    # DEM stages run whole-domain with global sync between them —
+    # sequential on every backend, so there is nothing to race: only
+    # GEM is intercepted, the rest is the delegation base's forwarding.
     def __getattr__(self, name: str) -> Any:
         # Anything not overridden (num_threads, close, strict, …)
         # behaves exactly like the wrapped adapter.
@@ -118,23 +112,6 @@ class SanitizingAdapter(DeviceAdapter):
     @property
     def name(self) -> str:
         return f"san({self.inner.name})"
-
-    def map_tasks(self, fn, items) -> list:
-        return self.inner.map_tasks(fn, items)
-
-    def synchronize(self) -> None:
-        self.inner.synchronize()
-
-    def execute_domain(self, functor: DomainFunctor, data: Any) -> Any:
-        # DEM stages run whole-domain with global sync between them —
-        # sequential on every backend, so there is nothing to race.
-        return self.inner.execute_domain(functor, data)
-
-    def simulated_time(self) -> float:
-        return self.inner.simulated_time()
-
-    def reset_trace(self) -> None:
-        self.inner.reset_trace()
 
     # -- the sanitized execution path ------------------------------------
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:

@@ -35,15 +35,15 @@ class MGARDGPU(MGARDX):
         super().__init__(config=config, adapter=adapter,
                          context_cache=ContextCache(capacity=1), **kwargs)
 
-    def compress(self, data: np.ndarray) -> bytes:
+    def compress(self, data: np.ndarray, coords=None) -> bytes:
         try:
-            return super().compress(data)
+            return super().compress(data, coords=coords)
         finally:
             # Release-version behaviour: nothing persists across calls.
             self.cache.clear()
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes, coords=None) -> np.ndarray:
         try:
-            return super().decompress(blob)
+            return super().decompress(blob, coords=coords)
         finally:
             self.cache.clear()

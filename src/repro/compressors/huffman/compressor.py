@@ -44,9 +44,8 @@ from repro.compressors.huffman.codebook import (
     Codebook,
     build_codebook,
 )
-from repro.compressors.huffman.histogram import histogram
 from repro.trace.tracer import count_bytes, span
-from repro.util import hot_path, stream_errors
+from repro.util import hot_path, read_chunk_index, stream_errors
 
 _MAGIC = b"HUFX"
 _VERSION = 1
@@ -197,22 +196,16 @@ class HuffmanX:
         )
 
     # ------------------------------------------------------------------
-    # Key-level API (alphabet supplied by the caller)
+    # Key-level API (alphabet supplied by the caller).  Single-shot is a
+    # batch of one: one encode body and one decode body, each one launch
+    # per stage over however many same-shaped streams they are handed.
     # ------------------------------------------------------------------
     def compress_keys(self, keys: np.ndarray, num_symbols: int) -> bytes:
         """Compress an integer key array with values in [0, num_symbols)."""
-        keys = np.ascontiguousarray(keys)
-        if not np.issubdtype(keys.dtype, np.integer):
-            raise TypeError(f"keys must be integers, got {keys.dtype}")
-        ctx = self._key_context(keys.shape, keys.dtype, num_symbols, tag=None,
-                                pin=True)
-        try:
-            return self._compress_keys(keys, num_symbols, ctx)
-        finally:
-            self.cache.release(ctx)
+        return self.compress_keys_batch([keys], num_symbols)[0]
 
-    def _key_context(self, shape, dtype, num_symbols: int, tag, pin=False):
-        """CMM context for one key-stream shape.
+    def _key_context(self, shape, dtype, num_symbols: int, pin=False):
+        """CMM context for one key-stream shape, whatever the batch width.
 
         The key matches between encode and decode (buffer names are
         disjoint), so decompressing what was just compressed reuses the
@@ -225,7 +218,6 @@ class HuffmanX:
         return self.cache.get(
             (
                 "huffman",
-                tag,
                 tuple(shape),
                 np.dtype(dtype).str,
                 int(num_symbols),
@@ -234,89 +226,12 @@ class HuffmanX:
             pin=pin,
         )
 
-    def _compress_keys(self, keys: np.ndarray, num_symbols: int, ctx) -> bytes:
-        adapter = self.adapter
-        shape = keys.shape
-        flat = keys.reshape(-1)
-        n = flat.size
-
-        with span("huffman.histogram", cat="huffman", symbols=num_symbols,
-                  keys=n):
-            freqs = histogram(flat, num_symbols, adapter=adapter)
-        with span("huffman.codebook", cat="huffman", symbols=num_symbols):
-            book = build_codebook(freqs)
-
-        if n == 0:
-            payload = np.zeros(0, dtype=np.uint8)
-            chunk_offsets = np.zeros(0, dtype=np.uint64)
-            chunk = self.chunk_size
-        else:
-            chunk = self._effective_chunk(n)
-            nchunks = -(-n // chunk)
-            m = nchunks * chunk
-            if m != n:
-                # Edge-pad to a whole number of chunks in persistent
-                # scratch; the padding tail writes no bits (length 0).
-                padded = ctx.scratch("enc.keys_padded", m, flat.dtype)
-                padded[:n] = flat
-                padded[n:] = flat[-1]
-            else:
-                padded = flat
-
-            # encode: Locality over chunks — each key independent.
-            with span("huffman.encode", cat="huffman", keys=n, chunk=chunk):
-                enc = locality(
-                    padded,
-                    _EncodeFunctor(
-                        book.codes, book.lengths, ctx=ctx, ngroups=nchunks
-                    ),
-                    block_shape=(chunk,),
-                    adapter=adapter,
-                    pad_mode="edge",
-                    reassemble=False,
-                    ctx=ctx,
-                )  # (nchunks, chunk) uint32, (code << 8) | length
-            flat_enc = enc.reshape(-1)
-            flat_enc[n:] = 0  # padding tail writes no bits
-            group = codes_per_field(book.max_length, chunk)
-            assert group * book.max_length <= 64
-            codes, lens = merge_codes(flat_enc, group, ctx)
-
-            # serialize: Global pipeline — prefix-sum bit offsets.
-            def _offsets(lengths: np.ndarray) -> np.ndarray:
-                off = ctx.scratch("enc.offsets", lengths.size, np.int64)
-                np.cumsum(lengths, out=off)
-                np.subtract(off, lengths, out=off)
-                return off
-
-            with span("huffman.serialize", cat="huffman", keys=n):
-                offsets = global_pipeline(
-                    lens,
-                    FnDomain(
-                        _offsets, name="huffman.serialize", bytes_per_element=16.0
-                    ),
-                    adapter=adapter,
-                )
-                chunk_offsets = offsets[:: chunk // group].astype(np.uint64)
-                assert chunk_offsets.size == nchunks
-                total_bits = int(offsets[-1] + lens[-1])
-                payload = pack_bits(
-                    codes, lens, total_bits=total_bits, offsets=offsets, ctx=ctx
-                )
-
-        return self._serialize(
-            shape, keys.dtype, num_symbols, n, book, chunk_offsets, payload, chunk
-        )
-
-    # ------------------------------------------------------------------
-    # Batched key-level API (uniform shape/dtype, one launch per stage)
-    # ------------------------------------------------------------------
     def compress_keys_batch(
         self, keys_list: Sequence[np.ndarray], num_symbols: int
     ) -> list[bytes]:
         """Compress N same-shape/same-dtype key arrays in one launch per stage.
 
-        Byte-identical to calling :meth:`compress_keys` per array.  The
+        A batch of N is byte-identical to N batches of one.  The
         codebooks stay per-item (they are data-dependent), but every
         array stage fuses across the batch: one offset-bincount histogram,
         one Locality encode gather over per-item lookup tables laid side
@@ -331,27 +246,30 @@ class HuffmanX:
         first = keys_list[0]
         if not np.issubdtype(first.dtype, np.integer):
             raise TypeError(f"keys must be integers, got {first.dtype}")
-        shape, dtype = first.shape, first.dtype
         for k in keys_list[1:]:
-            if k.shape != shape or k.dtype != dtype:
+            if k.shape != first.shape or k.dtype != first.dtype:
                 raise ValueError(
                     "compress_keys_batch requires uniform shape/dtype, got "
-                    f"{k.shape}/{k.dtype} vs {shape}/{dtype}"
+                    f"{k.shape}/{k.dtype} vs {first.shape}/{first.dtype}"
                 )
-        n = first.size
-        if len(keys_list) == 1 or n == 0:
-            return [self.compress_keys(k, num_symbols) for k in keys_list]
-
-        ctx = self._key_context(shape, dtype, num_symbols, tag="batch",
-                                pin=True)
+        if num_symbols < 1:
+            raise ValueError(f"num_symbols must be >= 1, got {num_symbols}")
+        if first.size == 0:
+            # Nothing to launch: an all-zero histogram and an empty payload.
+            book = build_codebook(np.zeros(num_symbols, dtype=np.int64))
+            empty = self._serialize(
+                first.shape, first.dtype, num_symbols, 0, book,
+                np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint8),
+                self.chunk_size,
+            )
+            return [empty] * len(keys_list)
+        ctx = self._key_context(first.shape, first.dtype, num_symbols, pin=True)
         try:
-            return self._compress_keys_batch(keys_list, num_symbols, ctx)
+            return self._compress_keys(keys_list, num_symbols, ctx)
         finally:
             self.cache.release(ctx)
 
-    def _compress_keys_batch(
-        self, keys_list, num_symbols: int, ctx
-    ) -> list[bytes]:
+    def _compress_keys(self, keys_list, num_symbols: int, ctx) -> list[bytes]:
         adapter = self.adapter
         shape, dtype = keys_list[0].shape, keys_list[0].dtype
         nbatch = len(keys_list)
@@ -360,73 +278,80 @@ class HuffmanX:
         nchunks = -(-n // chunk)
         m = nchunks * chunk
 
-        # Stage every item's padded keys side by side, offset by
-        # i*num_symbols: gathers through the concatenated per-item
-        # lookup tables below then index the right item's table.
-        staged = ctx.scratch("batch.enc.keys", nbatch * m, np.int64)
-        staged2d = staged.reshape(nbatch, m)
-        for i, k in enumerate(keys_list):
-            flat = k.reshape(-1)
-            np.copyto(staged2d[i, :n], flat, casting="unsafe")
-            staged2d[i, n:] = staged2d[i, n - 1]
-        lo = staged2d.min(axis=1)
-        hi = staged2d.max(axis=1)
-        if int(lo.min()) < 0 or int(hi.max()) >= num_symbols:
+        lo = min(int(k.min()) for k in keys_list)
+        hi = max(int(k.max()) for k in keys_list)
+        if lo < 0 or hi >= num_symbols:
             raise ValueError(
-                f"keys outside [0, {num_symbols}): range "
-                f"[{int(lo.min())}, {int(hi.max())}]"
+                f"keys outside [0, {num_symbols}): range [{lo}, {hi}]"
             )
 
-        # histogram: one offset bincount for the whole batch (DEM), then
-        # remove the edge-padding tail's contribution per item — counts
-        # match the per-item histogram exactly (integer arithmetic).
+        # Item i's keys index item i's lookup table, and the tables lie
+        # side by side: key k of item i is staged as i*num_symbols + k,
+        # edge-padded to a whole number of chunks (the padding tail
+        # writes no bits).  A batch of one has one table at base 0, so
+        # the caller's keys index it as they are — no widening copy
+        # (8 MB of int64 for a 1 MB byte input), only the padding.
+        flat = keys_list[0].reshape(-1)
+        if nbatch > 1:
+            staged = ctx.scratch("enc.keys", nbatch * m, np.int64)
+        elif m != n:
+            staged = ctx.scratch("enc.keys_padded", m, dtype)
+        else:
+            staged = flat
+        staged2d = staged.reshape(nbatch, m)
+        if staged is not flat:
+            for i, k in enumerate(keys_list):
+                np.add(k.reshape(-1), i * num_symbols, out=staged2d[i, :n],
+                       dtype=staged.dtype, casting="unsafe")
+            staged2d[:, n:] = staged2d[:, n - 1 : n]
+
+        # histogram: one bincount for the whole batch (DEM), then remove
+        # the edge-padding tail's contribution per item — counts match
+        # the unpadded histogram exactly (integer arithmetic).
         with span("huffman.histogram", cat="huffman", symbols=num_symbols,
                   keys=n, batch=nbatch):
-            bases = np.arange(nbatch, dtype=np.int64) * num_symbols
-            staged2d += bases[:, None]
 
             def _counts(flat_keys: np.ndarray) -> np.ndarray:
                 return np.bincount(
                     flat_keys, minlength=nbatch * num_symbols
                 ).astype(np.int64)
 
-            freqs2d = global_pipeline(
+            freqs = global_pipeline(
                 staged,
                 FnDomain(_counts, name="huffman.histogram",
-                         bytes_per_element=12.0),
+                         bytes_per_element=staged.itemsize + 4),
                 adapter=adapter,
-            ).reshape(nbatch, num_symbols)
-            if m != n:
-                pad_keys = staged2d[:, n - 1] - bases
-                freqs2d[np.arange(nbatch, dtype=np.int64), pad_keys] -= m - n
+            )
+            freqs[staged2d[:, -1]] -= m - n
 
         with span("huffman.codebook", cat="huffman", symbols=num_symbols,
                   batch=nbatch):
-            books = [build_codebook(freqs2d[i]) for i in range(nbatch)]
+            books = [
+                build_codebook(f) for f in freqs.reshape(nbatch, num_symbols)
+            ]
 
         # encode: one Locality launch through the concatenated tables.
         with span("huffman.encode", cat="huffman", keys=n, chunk=chunk,
                   batch=nbatch):
-            all_codes = np.concatenate([b.codes for b in books])
-            all_lengths = np.concatenate([b.lengths for b in books])
             enc = locality(
                 staged,
                 _EncodeFunctor(
-                    all_codes, all_lengths, ctx=ctx, ngroups=nbatch * nchunks
+                    np.concatenate([b.codes for b in books]),
+                    np.concatenate([b.lengths for b in books]),
+                    ctx=ctx, ngroups=nbatch * nchunks,
                 ),
                 block_shape=(chunk,),
                 adapter=adapter,
                 pad_mode="edge",
                 reassemble=False,
                 ctx=ctx,
-            )
+            )  # (nbatch * nchunks, chunk) uint32, (code << 8) | length
         enc.reshape(nbatch, m)[:, n:] = 0  # padding tails write no bits
         longest = max(b.max_length for b in books)
         group = codes_per_field(longest, chunk)
         assert group * longest <= 64
         codes, lens = merge_codes(enc.reshape(-1), group, ctx)
         mg = m // group  # pack items per batch item
-        lens2d = lens.reshape(nbatch, mg)
 
         # serialize: one 2-D prefix-sum pass (DEM), then a single
         # pack_bits over per-item word-aligned bit ranges.  Item i's
@@ -448,53 +373,46 @@ class HuffmanX:
                 adapter=adapter,
             )
             off2d = offsets.reshape(nbatch, mg)
-            totals = off2d[:, -1] + lens2d[:, -1]  # bits per item
+            totals = off2d[:, -1] + lens.reshape(nbatch, mg)[:, -1]  # bits per item
+            chunk_offsets = off2d[:, :: chunk // group].astype(np.uint64)
+            assert chunk_offsets.shape == (nbatch, nchunks)
             nwords = (totals + 63) >> 6
             wbase = np.concatenate([[0], np.cumsum(nwords)[:-1]])
-            goff = ctx.scratch("enc.pack_offsets", nbatch * mg, np.int64)
-            np.add(off2d, (wbase << 6)[:, None], out=goff.reshape(nbatch, mg))
-            total_bits = int(wbase[-1] * 64 + totals[-1])
+            off2d += (wbase << 6)[:, None]
             packed = pack_bits(
-                codes, lens, total_bits=total_bits, offsets=goff, ctx=ctx
+                codes, lens, total_bits=int(wbase[-1] * 64 + totals[-1]),
+                offsets=offsets, ctx=ctx,
             )
 
         blobs = []
         for i, book in enumerate(books):
             start = int(wbase[i]) * 8
             nbytes = (int(totals[i]) + 7) >> 3
-            chunk_offsets = off2d[i, :: chunk // group].astype(np.uint64)
             blobs.append(
                 self._serialize(
-                    shape, dtype, num_symbols, n, book, chunk_offsets,
+                    shape, dtype, num_symbols, n, book, chunk_offsets[i],
                     packed[start : start + nbytes], chunk,
                 )
             )
         return blobs
+
+    @stream_errors
+    def decompress_keys(self, blob: bytes) -> np.ndarray:
+        """Invert :meth:`compress_keys`; returns the original key array."""
+        return self.decompress_keys_batch([blob])[0]
 
     def decompress_keys_batch(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
         """Decompress N uniform ``HUFX`` streams with one fused decode loop.
 
         The streams must agree on shape, dtype, alphabet and chunking
         (their codebooks and payloads may differ); otherwise
-        ``ValueError`` and callers fall back per stream.  Results match
-        :meth:`decompress_keys` exactly: both run the same decode loop,
-        one stream's chunks being the lanes of one, all streams' chunks
-        the lanes of the other.
+        ``ValueError`` and callers fall back per stream.  One stream's
+        chunks are the lanes of a batch of one, all streams' chunks the
+        lanes of a wider one: the results are the same arrays.
         """
-        blobs = list(blobs)
-        if not blobs:
-            return []
-        if len(blobs) == 1:
-            return [self.decompress_keys(blobs[0])]
-        return self._decompress_keys(blobs, tag="batch")
-
-    @stream_errors
-    def decompress_keys(self, blob: bytes) -> np.ndarray:
-        """Invert :meth:`compress_keys`; returns the original key array."""
-        return self._decompress_keys([blob], tag=None)[0]
-
-    def _decompress_keys(self, blobs, tag) -> list[np.ndarray]:
         parsed = [self._deserialize(b) for b in blobs]
+        if not parsed:
+            return []
         shape, dtype, num_symbols, n = parsed[0][:4]
         chunk_size = parsed[0][7]
         for p in parsed[1:]:
@@ -525,7 +443,7 @@ class HuffmanX:
                     "corrupt stream: chunk offset past the payload"
                 )
 
-        ctx = self._key_context(shape, dtype, num_symbols, tag, pin=True)
+        ctx = self._key_context(shape, dtype, num_symbols, pin=True)
         try:
             # Span wraps the call site, not the @hot_path body, so the
             # decode loop stays allocation-free under tracing too.
@@ -695,41 +613,25 @@ class HuffmanX:
         return max(1, min(self.chunk_size, max(256, chunk)))
 
     # ------------------------------------------------------------------
-    # Byte-level lossless API (arbitrary arrays/buffers), single-shot
-    # and batched (serve fast path)
+    # Byte-level lossless API (arbitrary arrays/buffers)
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray | bytes) -> bytes:
         """Losslessly compress arbitrary data as a uint8 symbol stream."""
-        keys, meta = _as_keys(data)
-        blob = _pack_meta(*meta) + self.compress_keys(keys, 256)
-        # Byte API only: key-level calls stay uncounted, so MGARD's
-        # nested Huffman volume is attributed to mgard alone.
-        count_bytes("huffman", keys.size, len(blob))
-        return blob
+        return self.compress_batch([data])[0]
 
-    @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        dtype_str, shape, used = _unpack_meta(blob)
-        body = blob[used:]
-        if body[:4] == _MAGIC:
-            keys = self.decompress_keys(body)
-        else:
-            keys = self._decompress_segments(body)
-        return keys.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
+        return self.decompress_batch([blob])[0]
 
     def compress_batch(self, arrays: Sequence) -> list[bytes]:
         """Compress N uniform-(shape, dtype) inputs, one launch per stage.
 
-        Byte-identical to per-item :meth:`compress`.  Raises
+        A batch of N is byte-identical to N batches of one.  Raises
         ``ValueError`` for non-uniform batches (the serve worker then
         falls back to per-item execution).
         """
-        datas = list(arrays)
-        if not datas:
+        prepared = [_as_keys(data) for data in arrays]
+        if not prepared:
             return []
-        if len(datas) == 1:
-            return [self.compress(datas[0])]
-        prepared = [_as_keys(data) for data in datas]
         meta = prepared[0][1]
         for _, m in prepared[1:]:
             if m != meta:
@@ -741,6 +643,8 @@ class HuffmanX:
         header = _pack_meta(*meta)
         blobs = [header + body
                  for body in self.compress_keys_batch(keys_list, 256)]
+        # Byte API only: key-level calls stay uncounted, so MGARD's
+        # nested Huffman volume is attributed to mgard alone.
         for b in blobs:
             count_bytes("huffman", keys_list[0].size, len(b))
         return blobs
@@ -753,48 +657,44 @@ class HuffmanX:
         :meth:`compress_batch` produces); ``ValueError`` otherwise, and
         callers fall back per stream.
         """
-        blobs = list(blobs)
-        if not blobs:
-            return []
-        if len(blobs) == 1:
-            return [self.decompress(blobs[0])]
         metas = [_unpack_meta(b) for b in blobs]
-        dtype_str, shape, used = metas[0]
+        if not metas:
+            return []
+        dtype_str, shape, _ = metas[0]
         for m in metas[1:]:
             if m[:2] != (dtype_str, shape):
                 raise ValueError(
                     "decompress_batch requires uniform stream headers"
                 )
         bodies = [b[m[2]:] for b, m in zip(blobs, metas)]
-        if any(body[:4] != _MAGIC for body in bodies):
-            return [self.decompress(b) for b in blobs]  # legacy container
+        if all(body[:4] == _MAGIC for body in bodies):
+            keys_list = self.decompress_keys_batch(bodies)
+        else:   # a legacy container among them: stream by stream
+            keys_list = [self._decompress_segments(body) for body in bodies]
         return [
             k.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
-            for k in self.decompress_keys_batch(bodies)
+            for k in keys_list
         ]
 
     def _decompress_segments(self, body: bytes) -> np.ndarray:
         """Read the legacy ``HUFP`` body: a table of ``HUFX`` streams
-        coding consecutive ranges of one input.  Nothing writes it any
-        more; blobs stored by earlier versions stay readable."""
+        coding consecutive ranges of one input (a bare ``HUFX`` body is
+        its own only segment).  Nothing writes ``HUFP`` any more; blobs
+        stored by earlier versions stay readable."""
+        if body[:4] == _MAGIC:
+            return self.decompress_keys(body).reshape(-1)
         if body[:4] != b"HUFP":
             raise ValueError("not a Huffman-X stream (bad magic)")
         version, nseg = struct.unpack_from("<BI", body, 4)
         if version != _VERSION:
             raise ValueError(f"unsupported Huffman-X version {version}")
-        off = 4 + struct.calcsize("<BI")
-        if not 1 <= nseg <= (len(body) - off) // 8:
-            raise ValueError(f"corrupt stream: segment count {nseg}")
-        seg_lens = struct.unpack_from(f"<{nseg}Q", body, off)
-        off += 8 * nseg
-        if sum(seg_lens) != len(body) - off:
+        index = read_chunk_index(body, 4 + struct.calcsize("<BI"), nseg)
+        if not index or sum(index[-1]) != len(body):
             raise ValueError("corrupt stream: segment lengths do not fill it")
-        parts = []
-        for length in seg_lens:
-            segment = body[off : off + length]
-            parts.append(self.decompress_keys(segment).reshape(-1))
-            off += length
-        return np.concatenate(parts)
+        return np.concatenate([
+            self.decompress_keys(body[off : off + length]).reshape(-1)
+            for off, length in index
+        ])
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import Config, ErrorMode
+from repro.core.config import Config
 from repro.core.context import ContextCache
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.mgard.decompose import (
@@ -37,6 +37,11 @@ from repro.util import stream_errors
 
 _MAGIC = b"MGRX"
 _VERSION = 1
+
+#: Largest ``|value| / bin`` a stream is written for.  Past float64's
+#: mantissa the coefficients cannot resolve a bin, and a little further
+#: the quantized code overflows int64 — refused, not written as garbage.
+_MAX_CODE = 2.0**52
 
 
 class MGARDX:
@@ -106,14 +111,16 @@ class MGARDX:
         dtype: np.dtype,
         coords: tuple[np.ndarray, ...] | None = None,
         pin: bool = False,
-        tag: str = "mgard",
     ):
+        """One context per shape/dtype/grid/config, whatever the batch
+        width: hierarchy and factors are exact to the key, and working
+        memory grows to the widest launch the context has run."""
         coords_key = (
             None
             if coords is None
             else tuple(hash(c.tobytes()) for c in coords)
         )
-        key = (tag, coords_key) + self.config.cache_key(shape, dtype)
+        key = ("mgard", coords_key) + self.config.cache_key(shape, dtype)
         # ``pin`` protects the context while the nested Huffman coder
         # opens its own contexts in the shared cache (a tight-capacity
         # cache would otherwise evict — and poison — ours mid-call).
@@ -153,11 +160,11 @@ class MGARDX:
             out.append(c)
         return tuple(out)
 
-    def _absolute_bound(self, data: np.ndarray) -> float:
-        """The absolute bound for ``data``, or the reason it cannot be
-        compressed, before any byte is written: quantizing NaN or inf
-        yields escape markers without outliers, a stream
-        :meth:`decompress` refuses."""
+    def _absolute_bound(self, data: np.ndarray) -> tuple[float, float]:
+        """``(absolute bound, largest magnitude)`` of ``data``, or the
+        reason it cannot be compressed, before any byte is written:
+        quantizing NaN or inf yields escape markers without outliers, a
+        stream :meth:`decompress` refuses."""
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"MGARD-X supports float32/float64, got {data.dtype}")
         if data.ndim < 1 or data.ndim > 4:
@@ -166,83 +173,130 @@ class MGARDX:
             raise ValueError(
                 f"MGARD-X needs a non-empty array, got shape {data.shape}"
             )
+        # NaN and inf both survive min/max, and a relative bound takes
+        # the range: two finite numbers vouch for the whole array.
+        peak = max(abs(float(data.min())), abs(float(data.max())))
         abs_eb = self.config.absolute_bound(data)
-        if self.config.error_mode is ErrorMode.REL:
-            # The range is already taken: NaN or inf in, NaN or inf out.
-            finite = math.isfinite(abs_eb)
-        else:
-            finite = bool(np.isfinite(data).all())
-        if not finite:
+        if not (math.isfinite(peak) and math.isfinite(abs_eb)):
             raise ValueError("MGARD-X needs finite data, got NaN or inf")
-        return abs_eb
+        return abs_eb, peak
 
     # ------------------------------------------------------------------
+    # Single-shot is a batch of one: one compress body, one decompress
+    # body, each one launch per pipeline stage over a leading batch axis
+    # ------------------------------------------------------------------
     def compress(self, data: np.ndarray, coords=None) -> bytes:
-        data = np.ascontiguousarray(data)
-        abs_eb = self._absolute_bound(data)
-        coords = self._check_coords(coords, data.shape)
+        return self.compress_batch([data], coords=coords)[0]
 
+    def compress_batch(self, arrays: Sequence[np.ndarray], coords=None) -> list[bytes]:
+        """Compress N uniform-(shape, dtype) arrays, one launch per stage.
+
+        A batch of N is byte-identical to N batches of one: the error
+        bounds, quantization bins and codebooks stay per-item (they are
+        data-dependent), while decomposition, quantization and the
+        nested Huffman stages run once over a leading batch axis (see
+        :func:`~repro.compressors.mgard.decompose.decompose` for
+        the lane-identity argument).  Raises ``ValueError`` for
+        non-uniform batches so callers can fall back per item.
+        """
+        # ``asarray``, not ``ascontiguousarray``: a 0-d input stays 0-d and
+        # is refused, not promoted to one value of shape (1,).
+        datas = [np.asarray(a, order="C") for a in arrays]
+        for d in datas[1:]:
+            if d.shape != datas[0].shape or d.dtype != datas[0].dtype:
+                raise ValueError(
+                    "compress_batch requires uniform shape/dtype, got "
+                    f"{d.shape}/{d.dtype} vs {datas[0].shape}/{datas[0].dtype}"
+                )
+        if self.verify:
+            # The verify loop re-derives κ per item from round-trip
+            # error measurements — inherently per-item control flow.
+            blobs = [self._compress_verified(d, coords) for d in datas]
+        else:
+            blobs = self._compress(datas, coords, self.kappa) if datas else []
+        for d, blob in zip(datas, blobs):
+            count_bytes("mgard", d.nbytes, len(blob))
+        return blobs
+
+    def _compress_verified(self, data: np.ndarray, coords) -> bytes:
+        """Compress one array, tightening κ until the round trip meets
+        the bound."""
+        abs_eb = self.config.absolute_bound(data)
+        kappa = self.kappa
+        for attempt in range(6):
+            (blob,) = self._compress([data], coords, kappa)
+            err = self.max_error(data, blob, coords=coords)
+            if err <= abs_eb:
+                return blob
+            # Scale κ by the measured overshoot (with margin): the error
+            # is linear in the bin sizes, so this converges in one or
+            # two rounds even from a wildly loose starting κ.
+            kappa *= 2.0 * err / abs_eb
+        raise RuntimeError(
+            f"could not satisfy error bound {abs_eb} after tightening"
+        )
+
+    def _compress(self, datas: list[np.ndarray], coords, kappa: float) -> list[bytes]:
+        first, nbatch = datas[0], len(datas)
+        ebs, peaks = zip(*(self._absolute_bound(d) for d in datas))
+        coords = self._check_coords(coords, first.shape)
         ctx, hierarchy, factors = self._context(
-            data.shape, data.dtype, coords, pin=True
+            first.shape, first.dtype, coords, pin=True
         )
         try:
             with span("mgard.decompose", cat="mgard",
-                      nbytes=int(data.nbytes), levels=hierarchy.total_levels):
+                      nbytes=int(first.nbytes) * nbatch,
+                      levels=hierarchy.total_levels, batch=nbatch):
                 coeffs, coarsest = decompose(
-                    data, hierarchy, adapter=self.adapter,
+                    datas, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
                 )
-            groups = coeffs + [coarsest.reshape(-1)]
+            groups = coeffs + [coarsest.reshape(nbatch, -1)]
 
-            kappa = self.kappa
-            for attempt in range(6):
-                bins = level_bins(abs_eb, len(groups), kappa, s=self.s)
-                blob = self._encode(data, abs_eb, kappa, hierarchy, groups, bins)
-                if not self.verify:
-                    count_bytes("mgard", data.nbytes, len(blob))
-                    return blob
-                back = self.decompress(blob)
-                err = float(np.max(np.abs(back.astype(np.float64) - data.astype(np.float64)))) if data.size else 0.0
-                if err <= abs_eb:
-                    count_bytes("mgard", data.nbytes, len(blob))
-                    return blob
-                # Scale κ by the measured overshoot (with margin): the error
-                # is linear in the bin sizes, so this converges in one or
-                # two rounds even from a wildly loose starting κ.
-                kappa *= 2.0 * err / abs_eb
-            raise RuntimeError(
-                f"could not satisfy error bound {abs_eb} after tightening"
-            )
+            with span("mgard.quantize", cat="mgard", levels=len(groups),
+                      batch=nbatch):
+                bins = np.stack([
+                    level_bins(eb, len(groups), kappa, s=self.s) for eb in ebs
+                ])
+                for peak, lane_bins in zip(peaks, bins):
+                    if peak >= lane_bins.min() * _MAX_CODE:
+                        raise ValueError(
+                            f"error bound too tight for data of magnitude "
+                            f"{peak:g}: a bin of {lane_bins.min():g} asks "
+                            f"for more than float64's 52-bit mantissa holds"
+                        )
+                qgroups = quantize_levels(groups, bins, adapter=self.adapter)
+                symbols, outliers = to_symbols(
+                    np.concatenate(qgroups, axis=1), self.dict_size
+                )
+
+            with span("mgard.encode", cat="mgard", symbols=int(symbols.size)):
+                if self.config.lossless == "huffman":
+                    payloads = self._huffman.compress_keys_batch(
+                        list(symbols), self.dict_size
+                    )
+                else:
+                    payloads = [
+                        row.astype(np.int32).tobytes() for row in symbols
+                    ]
+
+            with span("mgard.serialize", cat="mgard", batch=nbatch):
+                return [
+                    self._serialize_stream(
+                        first.dtype, first.shape, eb, kappa, lane_bins,
+                        lane_outliers, payload,
+                    )
+                    for eb, lane_bins, lane_outliers, payload in zip(
+                        ebs, bins, outliers, payloads
+                    )
+                ]
         finally:
             self.cache.release(ctx)
-
-    def _encode(self, data, abs_eb, kappa, hierarchy, groups, bins) -> bytes:
-        with span("mgard.quantize", cat="mgard", levels=len(groups)):
-            qgroups = quantize_levels(groups, bins, adapter=self.adapter)
-            qflat = (
-                np.concatenate([q.reshape(-1) for q in qgroups])
-                if qgroups
-                else np.zeros(0, dtype=np.int64)
-            )
-            symbols, outliers = to_symbols(qflat, self.dict_size)
-
-        with span("mgard.encode", cat="mgard", symbols=int(symbols.size)):
-            if self.config.lossless == "huffman":
-                payload = self._huffman.compress_keys(
-                    symbols.astype(np.int64), self.dict_size
-                )
-            else:
-                payload = symbols.astype(np.int32).tobytes()
-
-        with span("mgard.serialize", cat="mgard", payload=len(payload)):
-            return self._serialize_stream(
-                data.dtype, data.shape, abs_eb, kappa, bins, outliers, payload
-            )
 
     def _serialize_stream(
         self, dtype, shape, abs_eb, kappa, bins, outliers, payload: bytes
     ) -> bytes:
-        """Assemble one ``MGRX`` stream (shared by both encode paths)."""
+        """Assemble one ``MGRX`` stream."""
         dts = np.dtype(dtype).str.encode("ascii")
         header = (
             _MAGIC
@@ -289,142 +343,8 @@ class MGARDX:
         payload = blob[off : off + payload_len]
         return lossless, dtype, tuple(shape), bins, outliers, payload
 
-    @stream_errors
     def decompress(self, blob: bytes, coords=None) -> np.ndarray:
-        lossless, dtype, shape, bins, outliers, payload = self._parse_stream(blob)
-
-        coords = self._check_coords(coords, tuple(shape))
-        ctx, hierarchy, factors = self._context(
-            tuple(shape), dtype, coords, pin=True
-        )
-        try:
-            with span("mgard.decode", cat="mgard", payload=len(payload)):
-                if lossless:
-                    symbols = self._huffman.decompress_keys(payload)
-                else:
-                    symbols = np.frombuffer(payload, dtype=np.int32).astype(np.int64)
-                qflat = from_symbols(symbols, outliers)
-
-            with span("mgard.dequantize", cat="mgard",
-                      symbols=int(qflat.size)):
-                # Split the flat stream back into per-level groups.
-                sizes = [hierarchy.num_coefficients(l) for l in range(hierarchy.total_levels)]
-                sizes.append(int(np.prod(hierarchy.shape_at(hierarchy.total_levels))))
-                bounds = np.cumsum([0] + sizes)
-                if bounds[-1] != qflat.size:
-                    raise ValueError(
-                        f"stream length {qflat.size} != expected {bounds[-1]}"
-                    )
-                qgroups = [qflat[bounds[i] : bounds[i + 1]] for i in range(len(sizes))]
-                groups = dequantize_levels(qgroups, bins, adapter=self.adapter)
-
-            with span("mgard.recompose", cat="mgard",
-                      levels=hierarchy.total_levels):
-                coeffs = groups[:-1]
-                coarsest = groups[-1].reshape(hierarchy.shape_at(hierarchy.total_levels))
-                out = recompose(
-                    coeffs, coarsest, hierarchy, adapter=self.adapter,
-                    factors_per_level=factors, ctx=ctx,
-                )
-                # recompose's result aliases context memory;
-                # astype(copy=True) hands the caller an independent array.
-                return out.astype(dtype, copy=True)
-        finally:
-            self.cache.release(ctx)
-
-    # ------------------------------------------------------------------
-    # Batched API (serve fast path): one launch per pipeline stage
-    # ------------------------------------------------------------------
-    def compress_batch(self, arrays: Sequence[np.ndarray], coords=None) -> list[bytes]:
-        """Compress N uniform-(shape, dtype) arrays, one launch per stage.
-
-        Byte-identical to per-item :meth:`compress`: the error bounds,
-        quantization bins and codebooks stay per-item (they are
-        data-dependent), while decomposition, quantization and the
-        nested Huffman stages run once over a leading batch axis (see
-        :func:`~repro.compressors.mgard.decompose.decompose` for
-        the lane-identity argument).  Raises ``ValueError`` for
-        non-uniform batches so callers can fall back per item.
-        """
-        datas = [np.ascontiguousarray(a) for a in arrays]
-        if not datas:
-            return []
-        if len(datas) == 1:
-            return [self.compress(datas[0], coords=coords)]
-        first = datas[0]
-        for d in datas[1:]:
-            if d.shape != first.shape or d.dtype != first.dtype:
-                raise ValueError(
-                    "compress_batch requires uniform shape/dtype, got "
-                    f"{d.shape}/{d.dtype} vs {first.shape}/{first.dtype}"
-                )
-        if self.verify:
-            # The verify loop re-derives κ per item from round-trip
-            # error measurements — inherently per-item control flow.
-            return [self.compress(d, coords=coords) for d in datas]
-        nbatch = len(datas)
-        ebs = [self._absolute_bound(d) for d in datas]
-        coords = self._check_coords(coords, first.shape)
-        ctx, hierarchy, factors = self._context(
-            first.shape, first.dtype, coords, pin=True, tag="mgard.batch"
-        )
-        try:
-            stack = np.empty((nbatch,) + first.shape, dtype=np.float64)
-            for i, d in enumerate(datas):
-                stack[i] = d
-            with span("mgard.decompose", cat="mgard",
-                      nbytes=int(first.nbytes) * nbatch,
-                      levels=hierarchy.total_levels, batch=nbatch):
-                coeffs, coarsest = decompose(
-                    stack, hierarchy, adapter=self.adapter,
-                    factors_per_level=factors, ctx=ctx,
-                )
-            groups = coeffs + [coarsest.reshape(nbatch, -1)]
-
-            with span("mgard.quantize", cat="mgard", levels=len(groups),
-                      batch=nbatch):
-                bins2d = np.stack([
-                    level_bins(eb, len(groups), self.kappa, s=self.s)
-                    for eb in ebs
-                ])
-                qflat = (
-                    np.concatenate(
-                        [
-                            np.round(g / bins2d[:, l][:, None]).astype(np.int64)
-                            for l, g in enumerate(groups)
-                        ],
-                        axis=1,
-                    )
-                    if groups
-                    else np.zeros((nbatch, 0), dtype=np.int64)
-                )
-                z = (qflat << 1) ^ (qflat >> 63)  # zigzag, per lane
-                fits = z < self.dict_size - 1
-                symbols = np.where(fits, z + 1, 0)
-                outliers = [qflat[i][~fits[i]] for i in range(nbatch)]
-
-            with span("mgard.encode", cat="mgard", symbols=int(symbols.size)):
-                if self.config.lossless == "huffman":
-                    payloads = self._huffman.compress_keys_batch(
-                        [symbols[i] for i in range(nbatch)], self.dict_size
-                    )
-                else:
-                    payloads = [
-                        symbols[i].astype(np.int32).tobytes()
-                        for i in range(nbatch)
-                    ]
-
-            blobs = []
-            for i in range(nbatch):
-                blob = self._serialize_stream(
-                    first.dtype, first.shape, ebs[i], self.kappa,
-                    bins2d[i], outliers[i], payloads[i],
-                )
-                count_bytes("mgard", first.nbytes, len(blob))
-                blobs.append(blob)
-            return blobs
-        finally:
-            self.cache.release(ctx)
+        return self.decompress_batch([blob], coords=coords)[0]
 
     @stream_errors
     def decompress_batch(self, blobs: Sequence[bytes], coords=None) -> list[np.ndarray]:
@@ -434,12 +354,9 @@ class MGARDX:
         what a uniform :meth:`compress_batch` produces; ``ValueError``
         otherwise and callers fall back per stream.
         """
-        blobs = list(blobs)
-        if not blobs:
-            return []
-        if len(blobs) == 1:
-            return [self.decompress(blobs[0], coords=coords)]
         parsed = [self._parse_stream(b) for b in blobs]
+        if not parsed:
+            return []
         lossless, dtype, shape = parsed[0][:3]
         for p in parsed[1:]:
             if p[:3] != (lossless, dtype, shape):
@@ -448,62 +365,53 @@ class MGARDX:
                 )
         nbatch = len(parsed)
         coords = self._check_coords(coords, shape)
-        ctx, hierarchy, factors = self._context(
-            shape, dtype, coords, pin=True, tag="mgard.batch"
-        )
+        ctx, hierarchy, factors = self._context(shape, dtype, coords, pin=True)
         try:
+            sizes = [
+                hierarchy.num_coefficients(l)
+                for l in range(hierarchy.total_levels)
+            ]
+            sizes.append(math.prod(hierarchy.shape_at(hierarchy.total_levels)))
+            bounds = np.cumsum([0] + sizes)
+
             with span("mgard.decode", cat="mgard", batch=nbatch):
                 if lossless:
                     rows = self._huffman.decompress_keys_batch(
                         [p[5] for p in parsed]
                     )
                 else:
-                    rows = [
-                        np.frombuffer(p[5], dtype=np.int32).astype(np.int64)
-                        for p in parsed
-                    ]
-                qrows = [
-                    from_symbols(row, p[4]) for row, p in zip(rows, parsed)
-                ]
+                    rows = [np.frombuffer(p[5], dtype=np.int32) for p in parsed]
+                for row in rows:
+                    if row.size != bounds[-1]:
+                        raise ValueError(
+                            f"stream length {row.size} != expected {bounds[-1]}"
+                        )
+                qflat = from_symbols(rows, [p[4] for p in parsed])
 
-            with span("mgard.dequantize", cat="mgard", batch=nbatch):
-                sizes = [
-                    hierarchy.num_coefficients(l)
-                    for l in range(hierarchy.total_levels)
-                ]
-                sizes.append(
-                    int(np.prod(hierarchy.shape_at(hierarchy.total_levels)))
-                )
-                bounds = np.cumsum([0] + sizes)
-                for q in qrows:
-                    if bounds[-1] != q.size:
-                        raise ValueError(
-                            f"stream length {q.size} != expected {bounds[-1]}"
-                        )
-                for p in parsed:
-                    if p[3].size != len(sizes):
-                        raise ValueError(
-                            f"{len(sizes)} groups but {p[3].size} bins"
-                        )
-                qflat = np.stack(qrows)
-                bins2d = np.stack([p[3] for p in parsed])
-                groups = [
-                    qflat[:, bounds[i] : bounds[i + 1]].astype(np.float64)
-                    * bins2d[:, i][:, None]
+            with span("mgard.dequantize", cat="mgard", symbols=int(qflat.size),
+                      batch=nbatch):
+                # Split the flat streams back into per-level groups.
+                qgroups = [
+                    qflat[:, bounds[i] : bounds[i + 1]]
                     for i in range(len(sizes))
                 ]
+                groups = dequantize_levels(
+                    qgroups, np.stack([p[3] for p in parsed]),
+                    adapter=self.adapter,
+                )
 
             with span("mgard.recompose", cat="mgard",
                       levels=hierarchy.total_levels, batch=nbatch):
-                coeffs = groups[:-1]
                 coarsest = groups[-1].reshape(
                     (nbatch,) + hierarchy.shape_at(hierarchy.total_levels)
                 )
                 out = recompose(
-                    coeffs, coarsest, hierarchy, adapter=self.adapter,
+                    groups[:-1], coarsest, hierarchy, adapter=self.adapter,
                     factors_per_level=factors, ctx=ctx,
                 )
-                return [out[i].astype(dtype, copy=True) for i in range(nbatch)]
+                # recompose's result aliases context memory;
+                # astype(copy=True) hands the caller independent arrays.
+                return [lane.astype(dtype, copy=True) for lane in out]
         finally:
             self.cache.release(ctx)
 
@@ -511,6 +419,6 @@ class MGARDX:
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)
 
-    def max_error(self, data: np.ndarray, blob: bytes) -> float:
-        back = self.decompress(blob)
+    def max_error(self, data: np.ndarray, blob: bytes, coords=None) -> float:
+        back = self.decompress(blob, coords=coords)
         return float(np.max(np.abs(back.astype(np.float64) - data.astype(np.float64))))

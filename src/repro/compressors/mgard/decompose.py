@@ -20,6 +20,8 @@ trip is exact to floating-point roundoff.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.compressors.mgard.hierarchy import Hierarchy
@@ -113,6 +115,19 @@ def _correction(
     return corr
 
 
+def _grid(ctx, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialised float64 working grid; context memory with ``ctx``.
+
+    Borrowed as *scratch*: the leading batch axis is a launch width that
+    varies from call to call under one context, and scratch capacity only
+    grows to the widest launch seen — a width change is neither a rebind
+    (SAN-CTX) nor, past the high-water mark, an allocation.
+    """
+    if ctx is None:
+        return np.empty(shape, dtype=np.float64)
+    return ctx.scratch(name, math.prod(shape), np.float64).reshape(shape)
+
+
 def decompose(
     data: np.ndarray,
     hierarchy: Hierarchy,
@@ -132,8 +147,9 @@ def decompose(
     context memory and are valid until the next decomposition through
     the same context.
 
-    ``data`` may be a ``(N,) + shape`` stack (the batch axis is read off
-    ``data.ndim``); coefficient planes are then ``(N, size)`` and lane
+    ``data`` may be a ``(N,) + shape`` stack, or a sequence of ``N``
+    same-shaped arrays (the batch axis is read off the number of
+    dimensions); coefficient planes are then ``(N, size)`` and lane
     ``i`` of every result is bit-identical to ``decompose(data[i],
     ...)``: each 1-D operator pass runs along ``d + 1``, which
     broadcasts the exact per-item arithmetic across lanes — elementwise
@@ -141,11 +157,13 @@ def decompose(
     and per-vector Thomas sweeps are all independent of how many lanes
     ride along.
     """
-    lead = data.ndim - len(hierarchy.shape)
-    if lead not in (0, 1) or tuple(data.shape[lead:]) != hierarchy.shape:
-        raise ValueError(f"data shape {data.shape} != hierarchy {hierarchy.shape}")
-    batch = data.shape[:lead]
-    current = np.asarray(data, dtype=np.float64).copy()
+    current = np.array(data, dtype=np.float64)   # the one working copy
+    lead = current.ndim - len(hierarchy.shape)
+    if lead not in (0, 1) or current.shape[lead:] != hierarchy.shape:
+        raise ValueError(
+            f"data shape {current.shape} != hierarchy {hierarchy.shape}"
+        )
+    batch = current.shape[:lead]
     coeffs: list[np.ndarray] = []
     for level in range(hierarchy.total_levels):
         dims = hierarchy.active_dims(level)
@@ -155,29 +173,17 @@ def decompose(
             else level_factors(hierarchy, level)
         )
         shape = batch + hierarchy.shape_at(level)
-        if ctx is not None:
-            approx = ctx.buffer(f"decompose.approx.{level}", shape, np.float64)
-            np.copyto(approx, current)
-            mc = ctx.buffer(f"decompose.mc.{level}", shape, np.float64)
-        else:
-            approx = current.copy()
-            mc = None
+        approx = _grid(ctx, f"decompose.approx.{level}", shape)
+        np.copyto(approx, current)
         for d in dims:
             lerp_fill(approx, hierarchy.dim_level(d, level), d + lead)
-        if mc is None:
-            mc = current - approx
-        else:
-            np.subtract(current, approx, out=mc)
+        mc = _grid(ctx, f"decompose.mc.{level}", shape)
+        np.subtract(current, approx, out=mc)
         selector, fine_idx = _level_geometry(hierarchy, level, ctx)
-        flat_mc = mc.reshape(batch + (-1,))
-        if ctx is not None:
-            level_coeffs = ctx.buffer(
-                f"decompose.coeffs.{level}", batch + (fine_idx.size,),
-                np.float64,
-            )
-            np.take(flat_mc, fine_idx, axis=-1, out=level_coeffs)
-        else:
-            level_coeffs = flat_mc[..., fine_idx]
+        level_coeffs = _grid(
+            ctx, f"decompose.coeffs.{level}", batch + (fine_idx.size,)
+        )
+        np.take(mc.reshape(batch + (-1,)), fine_idx, axis=-1, out=level_coeffs)
         coeffs.append(level_coeffs)
         corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx,
                            lead=lead)
@@ -185,15 +191,9 @@ def decompose(
     return coeffs, current
 
 
-#: One arithmetic for both: the batch axis is read off ``data.ndim``.
-decompose_batched = decompose
-
-
 def _zeroed(ctx, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Zero-filled float64 grid; a persistent context buffer with ``ctx``."""
-    if ctx is None:
-        return np.zeros(shape, dtype=np.float64)
-    grid = ctx.buffer(name, shape, np.float64)
+    """Zero-filled :func:`_grid`."""
+    grid = _grid(ctx, name, shape)
     grid[...] = 0.0
     return grid
 
@@ -278,7 +278,3 @@ def recompose(
         hierarchy.total_levels - 1, adapter=adapter,
         factors_per_level=factors_per_level, ctx=ctx,
     )
-
-
-#: One arithmetic for both: the batch axis is read off ``coarsest.ndim``.
-recompose_batched = recompose

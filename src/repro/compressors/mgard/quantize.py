@@ -66,12 +66,17 @@ def quantize_levels(
     bins: np.ndarray,
     adapter=None,
 ) -> list[np.ndarray]:
-    """Quantize each coefficient group with its own bin (Map&Process)."""
-    if len(groups) != bins.size:
-        raise ValueError(f"{len(groups)} groups but {bins.size} bins")
+    """Quantize each coefficient group with its own bin (Map&Process).
+
+    Groups may carry a leading batch axis — ``(N, size)`` planes with
+    ``(N, L)`` bins, one row of bins per lane: lane ``i`` is quantized
+    exactly as ``quantize_levels`` would quantize it alone.
+    """
+    if len(groups) != bins.shape[-1]:
+        raise ValueError(f"{len(groups)} groups but {bins.shape[-1]} bins")
 
     def _q(group: np.ndarray, i: int) -> np.ndarray:
-        return np.round(group / bins[i]).astype(np.int64)
+        return np.round(group / bins[..., i : i + 1]).astype(np.int64)
 
     return map_and_process(groups, lambda g: list(g), _q, adapter=adapter)
 
@@ -81,12 +86,13 @@ def dequantize_levels(
     bins: np.ndarray,
     adapter=None,
 ) -> list[np.ndarray]:
-    """Invert :func:`quantize_levels` (to bin centers)."""
-    if len(qgroups) != bins.size:
-        raise ValueError(f"{len(qgroups)} groups but {bins.size} bins")
+    """Invert :func:`quantize_levels` (to bin centers), with or without
+    its leading batch axis."""
+    if len(qgroups) != bins.shape[-1]:
+        raise ValueError(f"{len(qgroups)} groups but {bins.shape[-1]} bins")
 
     def _dq(group: np.ndarray, i: int) -> np.ndarray:
-        return group.astype(np.float64) * bins[i]
+        return group.astype(np.float64) * bins[..., i : i + 1]
 
     return map_and_process(qgroups, lambda g: list(g), _dq, adapter=adapter)
 
@@ -94,12 +100,15 @@ def dequantize_levels(
 # ----------------------------------------------------------------------
 # Zigzag symbol mapping with escape/outlier channel
 # ----------------------------------------------------------------------
-def to_symbols(q: np.ndarray, dict_size: int) -> tuple[np.ndarray, np.ndarray]:
+def to_symbols(
+    q: np.ndarray, dict_size: int
+) -> tuple[np.ndarray, np.ndarray | list[np.ndarray]]:
     """Map signed quantization codes to Huffman symbols.
 
     Symbol 0 is the escape marker; zigzag values ``z < dict_size - 1``
     map to ``z + 1``.  Returns ``(symbols, outliers)`` where outliers
-    are the escaped raw codes in stream order.
+    are the escaped raw codes in stream order — for ``(N, size)`` lanes
+    a list of ``N`` arrays, each lane's own.
     """
     if dict_size < 2:
         raise ValueError(f"dict_size must be >= 2, got {dict_size}")
@@ -109,20 +118,28 @@ def to_symbols(q: np.ndarray, dict_size: int) -> tuple[np.ndarray, np.ndarray]:
     z ^= sign               # zigzag: 0,-1,1,-2,2… → 0,1,2,3,4…
     escaped = z >= dict_size - 1
     z += 1
-    if not escaped.any():
-        return z, np.empty(0, dtype=np.int64)
-    z[escaped] = 0
-    return z, q[escaped].astype(np.int64, copy=False)
+    if escaped.any():
+        z[escaped] = 0
+        outliers = q[escaped].astype(np.int64, copy=False)
+    else:
+        outliers = np.empty(0, dtype=np.int64)
+    if q.ndim == 1:
+        return z, outliers
+    per_lane = [np.count_nonzero(lane) for lane in escaped]
+    return z, np.split(outliers, np.cumsum(per_lane)[:-1])
 
 
-def from_symbols(symbols: np.ndarray, outliers: np.ndarray) -> np.ndarray:
-    """Invert :func:`to_symbols`."""
-    q = symbols.astype(np.int64)
-    n_escaped = q.size - np.count_nonzero(q)
-    if n_escaped != outliers.size:
-        raise ValueError(
-            f"{n_escaped} escape markers but {outliers.size} outliers"
-        )
+def from_symbols(symbols, outliers) -> np.ndarray:
+    """Invert :func:`to_symbols`; ``N`` symbol rows with a list of ``N``
+    outlier arrays come back as one ``(N, size)`` plane."""
+    q = np.array(symbols, dtype=np.int64)   # the one working copy
+    lanes = [outliers] if q.ndim == 1 else outliers
+    n_escaped = 0
+    for row, lane in zip(np.atleast_2d(q), lanes, strict=True):
+        n = row.size - np.count_nonzero(row)
+        if n != lane.size:
+            raise ValueError(f"{n} escape markers but {lane.size} outliers")
+        n_escaped += n
     escaped = q == 0 if n_escaped else None
     q -= 1
     sign = q & 1
@@ -130,5 +147,5 @@ def from_symbols(symbols: np.ndarray, outliers: np.ndarray) -> np.ndarray:
     q >>= 1
     q ^= sign               # zigzag inverse
     if n_escaped:
-        q[escaped] = outliers
+        q[escaped] = np.concatenate(lanes)
     return q

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.abstractions import block_grid, blockize, locality, unblockize
+from repro.core.abstractions import block_grid, blockize, unblockize
 from repro.core.context import ContextCache
 from repro.core.functor import LocalityFunctor
 from repro.compressors.zfp.bitplane import INTPREC, decode_blocks, encode_blocks
@@ -187,52 +187,20 @@ class ZFPX:
             return self.adapter.execute_group_batch(functor, batch)
         return functor.apply(batch)
 
+    # -- single-shot is a batch of one ------------------------------------
     def compress(self, data: np.ndarray) -> bytes:
-        data = np.ascontiguousarray(data)
-        dtype = np.dtype(data.dtype)
-        ndim = data.ndim
-        check_input(dtype, ndim)
-        maxbits = record_bits(self.rate, ndim, dtype)
+        return self.compress_batch([data])[0]
 
-        ctx = self.cache.get(("zfp", data.shape, dtype.str, maxbits), pin=True)
-        try:
-            records = locality(
-                data,
-                _ZfpEncodeFunctor(ndim, maxbits, dtype),
-                block_shape=(4,) * ndim,
-                adapter=self.adapter,
-                pad_mode="edge",
-                reassemble=False,
-                ctx=ctx,
-            )
-        finally:
-            self.cache.release(ctx)
-        with span("zfp.serialize", cat="zfp", nblocks=int(records.shape[0])):
-            header = pack_header(_MAGIC, dtype, data.shape, self.rate, maxbits)
-            blob = header + records.tobytes()
-        count_bytes("zfp", data.nbytes, len(blob))
-        return blob
-
-    @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        dtype, shape, maxbits, off = unpack_header(blob, _MAGIC)
-        rec_bytes = -(-maxbits // 8)
-        grid_shape = block_grid(shape, (4,) * len(shape))
-        nblocks = int(np.prod(grid_shape))
-        records = np.frombuffer(
-            blob, dtype=np.uint8, count=nblocks * rec_bytes, offset=off
-        ).reshape(nblocks, rec_bytes)
-        blocks = self._launch(_ZfpDecodeFunctor(len(shape), maxbits, dtype), records)
-        return unblockize(blocks, grid_shape, tuple(shape))
+        return self.decompress_batch([blob])[0]
 
-    # -- vectorized batch entry points ------------------------------------
     def compress_batch(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
         """Compress N same-shape/same-dtype arrays in one GEM launch.
 
-        Byte-identical to calling :meth:`compress` per array: ZFP blocks
+        A batch of N is byte-identical to N batches of one: ZFP blocks
         encode independently with per-block exponents, so concatenating
         every array's blocks into one batch and slicing the records back
-        out reproduces each single-shot stream exactly (the serving
+        out reproduces each array's own stream exactly (the serving
         conformance suite pins this).  The win is amortization — one
         adapter launch and one vectorized bitplane pass over
         ``N x nblocks`` blocks instead of N launches over ``nblocks``.
@@ -241,7 +209,9 @@ class ZFPX:
         (callers such as :class:`repro.serve.worker.Worker` then fall
         back to per-array execution).
         """
-        arrays = [np.ascontiguousarray(a) for a in arrays]
+        # ``asarray``, not ``ascontiguousarray``: a 0-d input stays 0-d and
+        # is refused, not promoted to one value of shape (1,).
+        arrays = [np.asarray(a, order="C") for a in arrays]
         if not arrays:
             return []
         first = arrays[0]
@@ -255,21 +225,18 @@ class ZFPX:
                     "compress_batch requires uniform shape/dtype, got "
                     f"{a.shape}/{a.dtype} vs {shape}/{dtype}"
                 )
-        if len(arrays) == 1:
-            return [self.compress(first)]
 
         maxbits = record_bits(self.rate, ndim, dtype)
         block_shape = (4,) * ndim
         grid_shape = block_grid(shape, block_shape)
         nblocks = int(np.prod(grid_shape))
-        bs = 4**ndim
         n = len(arrays)
         # The batch staging lives in scratch (capacity only grows), so a
         # fluctuating batch size N reaches a zero-alloc steady state
         # instead of rebinding an exact-shape buffer every flush.
-        ctx = self.cache.get(("zfp.batch", shape, dtype.str, maxbits), pin=True)
+        ctx = self.cache.get(("zfp", shape, dtype.str, maxbits), pin=True)
         try:
-            batch = ctx.scratch("batch", n * nblocks * bs, dtype).reshape(
+            batch = ctx.scratch("batch", n * nblocks * 4**ndim, dtype).reshape(
                 (n * nblocks,) + block_shape
             )
             with span("zfp.blockize", cat="zfp", arrays=n, blocks=n * nblocks):
@@ -294,14 +261,11 @@ class ZFPX:
 
         Every stream must carry a byte-identical header (same shape,
         dtype and rate); otherwise ``ValueError`` and callers fall back
-        to per-stream :meth:`decompress`.  Results match the single-shot
-        path exactly.
+        per stream.
         """
         blobs = list(blobs)
         if not blobs:
             return []
-        if len(blobs) == 1:
-            return [self.decompress(blobs[0])]
         dtype, shape, maxbits, off = unpack_header(blobs[0], _MAGIC)
         header = blobs[0][:off]
         for b in blobs[1:]:
@@ -314,9 +278,7 @@ class ZFPX:
         nblocks = int(np.prod(grid_shape))
         n = len(blobs)
 
-        ctx = self.cache.get(
-            ("zfp.batch", tuple(shape), dtype.str, maxbits), pin=True
-        )
+        ctx = self.cache.get(("zfp", tuple(shape), dtype.str, maxbits), pin=True)
         try:
             size = nblocks * rec_bytes
             records = ctx.scratch("records", n * size, np.uint8).reshape(n, size)

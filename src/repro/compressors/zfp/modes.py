@@ -17,7 +17,6 @@ near-orthogonal transform and the negabinary bitplane coder.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -69,7 +68,7 @@ class ZFPAccuracy:
 
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray) -> bytes:
-        data = np.ascontiguousarray(data)
+        data = np.asarray(data, order="C")   # a 0-d input stays 0-d: refused
         dtype = np.dtype(data.dtype)
         ndim = data.ndim
         check_input(dtype, ndim, "fix-accuracy")

@@ -24,7 +24,7 @@ interplay of Fig. 14.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +32,11 @@ from repro.machine.device import SimDevice
 from repro.machine.engine import Task, TaskKind, Trace
 from repro.perf.models import KernelModel
 from repro.trace.metrics import REGISTRY as _METRICS
-from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER, _NullSpan
+from repro.trace.tracer import TRACER as _TRACER, span
+from repro.util import read_chunk_index, stream_errors
 
 #: metadata embedded/extracted per chunk (bytes) — rides the DMA engines.
 META_BYTES = 4096
-
-
-def _pipeline_span(name: str, **args: object) -> Span | _NullSpan:
-    """Span for a pipeline build/run step (shared NULL_SPAN when off)."""
-    if not _TRACER.enabled:
-        return NULL_SPAN
-    return Span(_TRACER, name, "pipeline", args)
 
 
 def _record_pipeline_metrics(trace: Trace, direction: str) -> None:
@@ -284,13 +278,13 @@ class ReductionPipeline:
         if ratio <= 0:
             raise ValueError(f"ratio must be positive, got {ratio}")
         dev = self.device
-        with _pipeline_span(
+        with span(
             "pipeline.build_compression",
+            cat="pipeline",
             chunks=len(chunk_sizes),
             queues=self.num_queues,
         ):
             queues = dev.create_queues(self.num_queues)
-            h2d_tasks: list[Task] = []
             serialize_tasks: list[Task] = []
 
             for i, chunk in enumerate(chunk_sizes):
@@ -306,14 +300,13 @@ class ReductionPipeline:
                 self._alloc_tasks(q, chunk, ratio)
                 if self.staging_copies:
                     dev.host_copy(chunk, q, label=f"stage_in[{i}]")
-                t_h2d = dev.h2d(chunk, q, deps=deps, label=f"h2d[{i}]")
-                t_k = self._submit_kernel(q, chunk, f"reduce[{i}]")
+                dev.h2d(chunk, q, deps=deps, label=f"h2d[{i}]")
+                self._submit_kernel(q, chunk, f"reduce[{i}]")
                 self._maybe_retry_kernel(q, chunk, f"reduce[{i}]")
-                t_d2h = dev.d2h(out_bytes, q, label=f"out[{i}]")
+                dev.d2h(out_bytes, q, label=f"out[{i}]")
                 t_ser = dev.serialize(META_BYTES, q, label=f"ser[{i}]")
                 if self.staging_copies:
                     dev.host_copy(out_bytes, q, label=f"stage_out[{i}]")
-                h2d_tasks.append(t_h2d)
                 serialize_tasks.append(t_ser)
 
     def run_compression(
@@ -323,7 +316,8 @@ class ReductionPipeline:
     ) -> PipelineResult:
         """Simulate compressing chunks of the given sizes (bytes)."""
         self.build_compression(chunk_sizes, ratio)
-        with _pipeline_span("pipeline.run_compression", chunks=len(chunk_sizes)):
+        with span("pipeline.run_compression", cat="pipeline",
+                  chunks=len(chunk_sizes)):
             trace = self.device.sim.run()
         _record_pipeline_metrics(trace, direction="compress")
         return PipelineResult(
@@ -343,8 +337,9 @@ class ReductionPipeline:
         if not chunk_sizes:
             raise ValueError("need at least one chunk")
         dev = self.device
-        with _pipeline_span(
+        with span(
             "pipeline.build_reconstruction",
+            cat="pipeline",
             chunks=len(chunk_sizes),
             queues=self.num_queues,
         ):
@@ -367,10 +362,10 @@ class ReductionPipeline:
                 self._alloc_tasks(q, chunk, ratio)
                 if self.staging_copies:
                     dev.host_copy(in_bytes, q, label=f"stage_in[{i}]")
-                t_h2d = dev.h2d(in_bytes, q, deps=deps, label=f"h2d[{i}]")
+                dev.h2d(in_bytes, q, deps=deps, label=f"h2d[{i}]")
                 t_deser = dev.deserialize(META_BYTES, q, label=f"deser[{i}]")
                 deser_tasks.append(t_deser)
-                t_k = self._submit_kernel(q, chunk, f"recon[{i}]")
+                self._submit_kernel(q, chunk, f"recon[{i}]")
                 self._maybe_retry_kernel(q, chunk, f"recon[{i}]")
                 # Output copy launch: reversed order lets the *next*
                 # chunk's deserialization win scheduler ties on the
@@ -393,7 +388,8 @@ class ReductionPipeline:
     ) -> PipelineResult:
         """Simulate reconstructing chunks (sizes are *decompressed* bytes)."""
         self.build_reconstruction(chunk_sizes, ratio)
-        with _pipeline_span("pipeline.run_reconstruction", chunks=len(chunk_sizes)):
+        with span("pipeline.run_reconstruction", cat="pipeline",
+                  chunks=len(chunk_sizes)):
             trace = self.device.sim.run()
         _record_pipeline_metrics(trace, direction="reconstruct")
         return PipelineResult(
@@ -425,28 +421,23 @@ def chunked_compress(compressor, data: np.ndarray, chunk_elems: int) -> bytes:
     for start in range(0, n0, chunk_elems):
         piece = data[start : start + chunk_elems]
         blobs.append(compressor.compress(piece))
-    header = _CHUNK_MAGIC + struct.pack("<I", len(blobs))
-    for b in blobs:
-        header += struct.pack("<Q", len(b))
-    return header + b"".join(blobs)
+    index = struct.pack(f"<I{len(blobs)}Q", len(blobs), *map(len, blobs))
+    return _CHUNK_MAGIC + index + b"".join(blobs)
 
 
+@stream_errors
 def chunked_decompress(compressor, blob: bytes) -> np.ndarray:
     """Invert :func:`chunked_compress` (concatenates along axis 0)."""
     if blob[:4] != _CHUNK_MAGIC:
         raise ValueError("not a chunked HPDR stream")
     (nchunks,) = struct.unpack_from("<I", blob, 4)
-    off = 8
-    sizes = []
-    for _ in range(nchunks):
-        (s,) = struct.unpack_from("<Q", blob, off)
-        sizes.append(s)
-        off += 8
-    pieces = []
-    for s in sizes:
-        pieces.append(compressor.decompress(blob[off : off + s]))
-        off += s
-    return np.concatenate(pieces, axis=0)
+    return np.concatenate(
+        [
+            compressor.decompress(blob[off : off + size])
+            for off, size in read_chunk_index(blob, 8, nchunks)
+        ],
+        axis=0,
+    )
 
 
 def chunk_sizes_for(total_bytes: int, chunk_bytes: int) -> list[int]:

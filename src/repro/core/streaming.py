@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.util import stream_errors
+from repro.util import read_chunk_index, stream_errors
 
 _MAGIC = b"HPST"
 _VERSION = 1
@@ -98,19 +98,7 @@ class StreamingDecompressor:
         version, nchunks = struct.unpack_from("<BI", blob, 4)
         if version != _VERSION:
             raise ValueError(f"unsupported stream version {version}")
-        off = 4 + struct.calcsize("<BI")
-        sizes = []
-        for _ in range(nchunks):
-            (s,) = struct.unpack_from("<Q", blob, off)
-            sizes.append(s)
-            off += 8
-        offsets = []
-        for s in sizes:
-            if off + s > len(blob):
-                raise ValueError("truncated stream container")
-            offsets.append((off, s))
-            off += s
-        return offsets
+        return read_chunk_index(blob, 4 + struct.calcsize("<BI"), nchunks)
 
     def __len__(self) -> int:
         return len(self._offsets)

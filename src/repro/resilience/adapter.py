@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adapters.base import DeviceAdapter
+from repro.adapters.base import DeviceAdapter, _DelegatingAdapter
 from repro.resilience.errors import (
     AdapterTimeoutFault,
     DeviceBatchFault,
@@ -34,24 +34,6 @@ from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, retry_call
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import Span, TRACER as _TRACER
-
-
-class _DelegatingAdapter(DeviceAdapter):
-    """Shared delegation plumbing for adapter wrappers."""
-
-    def __init__(self, inner: DeviceAdapter) -> None:
-        super().__init__(inner.spec)
-        self.inner = inner
-
-    def synchronize(self) -> None:
-        self.inner.synchronize()
-
-    def map_tasks(self, fn, items) -> list:
-        return self.inner.map_tasks(fn, items)
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}({self.inner.name})"
 
 
 class FaultyAdapter(_DelegatingAdapter):

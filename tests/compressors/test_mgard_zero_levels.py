@@ -13,7 +13,6 @@ from repro.compressors.mgard.decompose import (
     decompose,
     level_factors,
     recompose,
-    recompose_batched,
     recompose_levels,
 )
 from repro.compressors.mgard.hierarchy import Hierarchy
@@ -112,7 +111,7 @@ def test_batched_lanes_with_mixed_zero_levels_match_single_shot(
     h = lanes[0][0]
     stacked = [np.stack([lane[1][level] for lane in lanes])
                for level in range(h.total_levels)]
-    out = recompose_batched(stacked, np.stack([lane[2] for lane in lanes]), h)
+    out = recompose(stacked, np.stack([lane[2] for lane in lanes]), h)
     for i, (_, coeffs, coarsest) in enumerate(lanes):
         assert out[i].tobytes() == recompose(coeffs, coarsest, h).tobytes()
 

@@ -1,5 +1,8 @@
 """Fig. 9 pipeline DAG: overlap, buffer anti-dependencies, ordering."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.core.pipeline import (
 from repro.machine.device import SimDevice
 from repro.machine.engine import Simulator, TaskKind
 from repro.perf.models import kernel_model
+from repro.util import CorruptStreamError
 
 GB = int(1e9)
 MB = int(1e6)
@@ -152,8 +156,29 @@ class TestChunkedFunctional:
         with pytest.raises(ValueError):
             chunk_sizes_for(4, 0)
 
-    def test_bad_magic_rejected(self):
+    def test_bad_magic_rejected(self, rng):
         from repro import LZ4
 
         with pytest.raises(ValueError):
             chunked_decompress(LZ4(), b"XXXX1234")
+        # ... and so is an index that lies: a typed error, nothing sized
+        # from the declared count or lengths.
+        data = rng.integers(0, 4, size=(22, 8)).astype(np.int64)
+        b = chunked_compress(LZ4(), data, chunk_elems=11)   # two chunks
+        table = 8
+        malformed = {
+            "count-2**31": b[:4] + struct.pack("<I", 2**31) + b[8:],
+            "length-2**60": b[:table] + struct.pack("<Q", 2**60) + b[table + 8:],
+            "cut-in-table": b[: table + 12],
+            "cut-in-last-chunk": b[:-5],
+        }
+        for case, blob in malformed.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptStreamError):
+                    chunked_decompress(LZ4(), blob)
+                    pytest.fail(f"{case} was accepted")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, case

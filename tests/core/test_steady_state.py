@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Config, ErrorMode, HuffmanX, MGARDX, ZFPX
+from repro.check.cmm import assert_steady_state
 from repro.core.context import (
     LEASE_FLOOR,
     POISON_BYTE,
@@ -64,7 +65,7 @@ class TestZeroAllocSteadyState:
         h = HuffmanX()
         h.compress_keys(keys, 64)
         h.compress_keys(keys, 64)
-        ctx = h._key_context(keys.shape, keys.dtype, 64, tag=None)
+        ctx = h._key_context(keys.shape, keys.dtype, 64)
         before = ctx.alloc_count
         assert before > 0
         h.compress_keys(keys, 64)
@@ -73,6 +74,39 @@ class TestZeroAllocSteadyState:
         assert ctx._blocks
         assert all(b.size < LEASE_FLOOR for b in ctx._blocks.values())
         assert h.cache.pool.pooled_bytes >= keys.nbytes
+
+
+class TestLaunchWidth:
+    """Single-shot is a batch of one: a codec keeps one context per
+    shape/dtype/params, and the batch count is a launch width under it —
+    not a rebind (SAN-CTX), and past the widest launch seen not an
+    allocation either (SAN-LEAK)."""
+
+    @pytest.mark.parametrize("build, contexts", [
+        (lambda: MGARDX(Config(error_bound=1e-3, error_mode=ErrorMode.REL)), 2),
+        (lambda: ZFPX(rate=10), 1),
+        (lambda: HuffmanX(), 1),
+    ], ids=["mgard", "zfp", "huffman"])
+    def test_alternating_batch_counts_reach_steady_state(
+        self, rng, build, contexts
+    ):
+        codec = build()
+        fields = [rng.normal(size=(24, 24, 24)).astype(np.float32)
+                  for _ in range(8)]
+
+        def one_pass():
+            for n in (1, 3, 8):
+                blobs = codec.compress_batch(fields[:n])
+                backs = codec.decompress_batch(blobs)
+                assert len(backs) == n
+
+        one_pass()                      # ... the first pass at 8 included
+        before = codec.cache.alloc_events
+        one_pass()
+        assert codec.cache.alloc_events == before
+        assert_steady_state(one_pass, codec.cache, warmup=0)
+        # MGARD-X's second context is its nested key coder's.
+        assert len(codec.cache) == contexts
 
 
 class TestEvictionSafety:

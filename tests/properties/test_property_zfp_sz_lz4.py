@@ -1,14 +1,21 @@
 """Property-based tests: ZFP, SZ and LZ4 invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import LZ4, SZ, ZFPX, Config, ErrorMode
 from repro.compressors.baselines.sz import lorenzo_forward, lorenzo_inverse
 from repro.compressors.zfp.bitplane import from_negabinary, to_negabinary
+from repro.compressors.zfp.modes import ZFPAccuracy
 from repro.compressors.zfp.transform import fwd_transform, inv_transform
+from tests.properties.test_property_mgard import (
+    cast_slack,
+    field_batches,
+    max_abs_error,
+)
 
 finite32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -50,6 +57,48 @@ def test_zfp_fixed_rate_size_depends_only_on_shape(data, rate):
     assert len(blob) == len(zeros)
     back = z.decompress(blob)
     assert back.shape == data.shape and back.dtype == data.dtype
+
+
+#: ``to_fixed_point`` scales a block by ``2^(62 - emax)`` in one float64
+#: multiply and clamps that exponent at 1023: float64 blocks whose peak
+#: is under 2^-961 keep fewer bits than the tolerance may need.
+ZFP_F64_FLUSH = 2.0**-960
+
+
+@given(fields=field_batches(min_side=1),
+       eb=st.floats(min_value=1e-4, max_value=1.0))
+@settings(max_examples=80, deadline=None)
+def test_zfp_accuracy_tolerance_holds(fields, eb):
+    """Fix-accuracy mode meets its absolute tolerance on denormal,
+    constant and extreme-range fields of both widths."""
+    for data in fields:
+        tolerance = eb * (float(np.abs(data).max()) or 1.0)
+        # Pinned below: a float64 tolerance in the flushed range.
+        assume(data.dtype == np.float32 or tolerance >= ZFP_F64_FLUSH)
+        z = ZFPAccuracy(tolerance=tolerance)
+        back = z.decompress(z.compress(data))
+        assert max_abs_error(data, back) <= tolerance + cast_slack(data)
+
+
+@pytest.mark.xfail(strict=True, reason="float64 values under 2^-961 are "
+                   "flushed by the clamped block scale (ROADMAP item 1)")
+def test_zfp_accuracy_tolerance_holds_near_the_smallest_float64():
+    data = np.array([2.0825816890386755e-308])      # hypothesis' minimal input
+    z = ZFPAccuracy(tolerance=0.5 * float(data[0]))
+    assert max_abs_error(data, z.decompress(z.compress(data))) <= z.tolerance
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ZFPX(rate=8), lambda: ZFPAccuracy(tolerance=1e-3),
+], ids=["zfp-x", "zfp-accuracy"])
+@pytest.mark.parametrize("bad", [
+    np.float32(1.5),                            # 0-d
+    np.zeros((0,), dtype=np.float32),           # empty
+    np.zeros((3, 0), dtype=np.float64),
+], ids=["0-d", "empty-1d", "empty-2d"])
+def test_zero_d_and_empty_inputs_are_refused(build, bad):
+    with pytest.raises((ValueError, TypeError)):
+        build().compress(bad)
 
 
 @given(

@@ -1,5 +1,8 @@
 """Streaming (in-situ) compression API."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,28 @@ def test_corrupt_container_rejected(steps):
         StreamingDecompressor(ZFPX(rate=8), blob[: len(blob) // 2])
     with pytest.raises(CorruptStreamError):
         StreamingDecompressor(ZFPX(rate=8), b"XXXX" + blob[4:])
+    # An index that lies is a typed error too, and nothing is sized from
+    # the count or the lengths it declares.
+    sc = StreamingCompressor(ZFPX(rate=8))
+    sc.extend(steps[:2])
+    b = sc.finalize()
+    table = 4 + struct.calcsize("<BI")
+    malformed = {
+        "count-2**31": b[:5] + struct.pack("<I", 2**31) + b[table:],
+        "length-2**60": b[:table] + struct.pack("<Q", 2**60) + b[table + 8:],
+        "cut-in-table": b[: table + 12],
+        "cut-in-last-chunk": b[:-5],
+    }
+    for case, bad in malformed.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                StreamingDecompressor(ZFPX(rate=8), bad)
+                pytest.fail(f"{case} was accepted")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, case
 
 
 def test_empty_stream():
