@@ -62,6 +62,13 @@ class DeviceAdapter(abc.ABC):
     def synchronize(self) -> None:
         """Block until all backend work completes (no-op off-device)."""
 
+    def close(self) -> None:
+        """Release execution resources (thread pools); idempotent.
+
+        A no-op for backends that own none, so callers close whatever
+        adapter they were handed without asking what it is.
+        """
+
     # -- task-level parallelism -------------------------------------------
     def map_tasks(self, fn, items) -> list:
         """Run ``fn`` over ``items``, preserving order.
@@ -131,10 +138,10 @@ class _DelegatingAdapter(DeviceAdapter):
     """An adapter in front of another adapter.
 
     The whole interface forwards to ``inner`` — both execution models,
-    task mapping, synchronisation, and (through ``spec`` and ``trace``)
-    the simulated timing record — so a wrapper overrides only the calls
-    it intercepts.  The one delegation base of the sanitizing, faulty
-    and resilient adapters.
+    task mapping, synchronisation, ``close``, and (through ``spec`` and
+    ``trace``) the simulated timing record — so a wrapper overrides only
+    the calls it intercepts.  The one delegation base of the sanitizing,
+    faulty and resilient adapters.
     """
 
     def __init__(self, inner: DeviceAdapter) -> None:
@@ -151,6 +158,9 @@ class _DelegatingAdapter(DeviceAdapter):
 
     def synchronize(self) -> None:
         self.inner.synchronize()
+
+    def close(self) -> None:
+        self.inner.close()
 
     def map_tasks(self, fn, items) -> list:
         return self.inner.map_tasks(fn, items)

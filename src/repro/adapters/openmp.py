@@ -8,6 +8,13 @@ cores with working data shared through DRAM.
 
 In Python, "cores" are a thread pool: NumPy array kernels release the
 GIL, so chunks genuinely run concurrently on multi-core hosts.
+
+Table II's premise is that a group carries a core's worth of work.  A
+launch that does not — most launches on fields of a megabyte or less —
+costs more to hand to the pool than to run, so a launch fans out into
+``min(threads, groups, nbytes // FANOUT_FLOOR)`` chunks and runs on the
+caller's thread when that is one.  The stream never shows which: chunk
+boundaries are group boundaries either way.
 """
 
 from __future__ import annotations
@@ -38,6 +45,15 @@ def _observe_queue_depth(depth: int, kind: str) -> None:
 class OpenMPAdapter(DeviceAdapter):
     family = "openmp"
 
+    #: Bytes a chunk must carry before a launch is handed to the pool.
+    #: A hand-off costs the same whatever the chunk holds (queue, wake-up,
+    #: result gather, concatenate) while kernel time grows with bytes, so
+    #: the rule is a byte floor: a launch fans out into as many chunks as
+    #: it has whole floors, and runs on the caller's thread below two.
+    #: Set from the unpinned two-CPU sweep in DESIGN.md section 3.1
+    #: ("What a hand-off costs"); a constant, not a knob.
+    FANOUT_FLOOR = 1 << 20
+
     def __init__(
         self,
         spec: ProcessorSpec | None = None,
@@ -61,12 +77,14 @@ class OpenMPAdapter(DeviceAdapter):
         ngroups = batch.shape[0] if batch.ndim >= 1 else 0
         if ngroups == 0:
             return batch
-        if self._pool is None or ngroups == 1:
+        nchunks = min(
+            self.num_threads, ngroups, batch.nbytes // max(1, self.FANOUT_FLOOR)
+        )
+        if nchunks <= 1 or self._pool is None:
             with self.gem_span(functor, batch):
                 out = functor.apply(batch)
             self._record(functor, "GEM", int(batch.size))
             return out
-        nchunks = min(self.num_threads, ngroups)
         with self.gem_span(functor, batch).set(chunks=nchunks):
             if _TRACER.enabled:
                 _observe_queue_depth(nchunks, kind="gem")

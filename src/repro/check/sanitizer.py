@@ -105,7 +105,7 @@ class SanitizingAdapter(_DelegatingAdapter):
     # sequential on every backend, so there is nothing to race: only
     # GEM is intercepted, the rest is the delegation base's forwarding.
     def __getattr__(self, name: str) -> Any:
-        # Anything not overridden (num_threads, close, strict, …)
+        # Anything not overridden (num_threads, strict, …)
         # behaves exactly like the wrapped adapter.
         return getattr(self.inner, name)
 

@@ -396,11 +396,11 @@ class HuffmanX:
             )
         return blobs
 
-    @stream_errors
     def decompress_keys(self, blob: bytes) -> np.ndarray:
         """Invert :meth:`compress_keys`; returns the original key array."""
         return self.decompress_keys_batch([blob])[0]
 
+    @stream_errors
     def decompress_keys_batch(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
         """Decompress N uniform ``HUFX`` streams with one fused decode loop.
 

@@ -38,8 +38,8 @@ from repro.progressive.errors import MalformedIndexError
 from repro.progressive.segments import (
     SegmentIndex,
     SegmentRecord,
-    decode_segment,
-    encode_segment,
+    decode_segments,
+    encode_segments,
     split_planes,
 )
 from repro.trace.metrics import REGISTRY as _METRICS
@@ -140,7 +140,7 @@ class ProgressiveMGARD:
         from repro.compressors.mgard.decompose import decompose
         from repro.compressors.mgard.quantize import level_bins, quantize_levels
 
-        data = np.ascontiguousarray(data)
+        data = np.asarray(data, order="C")  # ascontiguousarray promotes 0-d
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(
                 f"progressive MGARD supports float32/float64, got {data.dtype}"
@@ -206,12 +206,12 @@ class ProgressiveMGARD:
         # MGARD group index ngroups-1-g), planes coarsest-first within.
         for g in range(ngroups):
             mi = ngroups - 1 - g
-            for shift, plane in split_planes(
+            planes = split_planes(
                 qgroups[mi], self.bits_per_plane, self.max_planes
-            ):
-                seg = encode_segment(
-                    g, shift, plane, self._huffman, self.dict_size
-                )
+            )
+            # One key-coder launch per stage for the whole group.
+            coded = encode_segments(g, planes, self._huffman, self.dict_size)
+            for (shift, plane), seg in zip(planes, coded):
                 qhat[mi] += plane << np.int64(shift)
                 (groups[mi],) = dequantize_levels(
                     [qhat[mi]], bins[mi : mi + 1], adapter=self.adapter
@@ -292,10 +292,13 @@ class ProgressiveMGARD:
             qhat = [np.zeros(n, dtype=np.int64) for n in sizes]
             with span("progressive.reconstruct", cat="progressive",
                       segments=len(segments)):
-                for rec, blob in zip(index.records, segments):
-                    view = memoryview(blob)
+                views = [memoryview(blob) for blob in segments]
+                for rec, view in zip(index.records, views):
                     rec.check_crc(view)
-                    group, shift, plane = decode_segment(view, self._huffman)
+                # Checked bytes only: each group's planes decode fused.
+                for rec, (group, shift, plane) in zip(
+                    index.records, decode_segments(views, self._huffman)
+                ):
                     if group != rec.group or shift != rec.shift:
                         raise MalformedIndexError(
                             f"segment {rec.seq} decodes as group {group} "

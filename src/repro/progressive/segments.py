@@ -7,6 +7,10 @@ codes.  Each segment is independently decodable (its own Huffman
 payload + outlier side channel behind a self-describing header) and is
 pinned by a :class:`SegmentRecord` — byte range, resolution group,
 cumulative error bound, CRC32 — inside a :class:`SegmentIndex`.
+Independent on disk, not in flight: the planes of one group share size,
+alphabet and chunking, so :func:`encode_segments` codes them, and
+:func:`decode_segments` decodes them, with one key-coder launch per
+stage; each segment's bytes are what they are when it is coded alone.
 
 Plane arithmetic
 ----------------
@@ -29,6 +33,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any
 
 import numpy as np
@@ -102,63 +107,138 @@ def merge_planes(planes: list[tuple[int, np.ndarray]]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Segment payload (independently decodable)
 # ----------------------------------------------------------------------
+def encode_segments(
+    group: int,
+    planes: list[tuple[int, np.ndarray]],
+    huffman: Any,
+    dict_size: int,
+) -> list[bytes]:
+    """Serialize one group's ``(shift, plane)`` residual planes.
+
+    The planes of a resolution group share size, dtype, alphabet and
+    chunking, so their symbols go through the key coder as **one**
+    launch per stage (``compress_keys_batch``): a group costs what its
+    largest plane costs to launch, not one hand-off per plane.  A batch
+    of N is byte-identical to N batches of one, so each returned
+    segment is the self-describing blob it would be if coded alone.
+    """
+    from repro.compressors.mgard.quantize import to_symbols
+
+    coded = [
+        to_symbols(np.ascontiguousarray(plane, dtype=np.int64), dict_size)
+        for _shift, plane in planes
+    ]
+    payloads = huffman.compress_keys_batch(
+        [symbols for symbols, _outliers in coded], dict_size
+    )
+    segments = []
+    for (shift, plane), (_symbols, outliers), payload in zip(
+        planes, coded, payloads
+    ):
+        header = _SEG_HEADER.pack(
+            _SEG_MAGIC, _SEG_VERSION, group, shift, plane.size,
+            outliers.size, len(payload),
+        )
+        segments.append(header + payload + outliers.tobytes())
+    return segments
+
+
 def encode_segment(
     group: int, shift: int, plane: np.ndarray, huffman: Any, dict_size: int
 ) -> bytes:
-    """Serialize one residual plane as a self-describing segment."""
-    from repro.compressors.mgard.quantize import to_symbols
-
-    plane = np.ascontiguousarray(plane, dtype=np.int64)
-    symbols, outliers = to_symbols(plane, dict_size)
-    payload = huffman.compress_keys(symbols.astype(np.int64), dict_size)
-    header = _SEG_HEADER.pack(
-        _SEG_MAGIC, _SEG_VERSION, group, shift, plane.size,
-        outliers.size, len(payload),
-    )
-    return header + payload + outliers.astype(np.int64).tobytes()
+    """Serialize one residual plane: :func:`encode_segments` of one."""
+    return encode_segments(group, [(shift, plane)], huffman, dict_size)[0]
 
 
-def decode_segment(
-    blob: bytes | memoryview, huffman: Any
-) -> tuple[int, int, np.ndarray]:
-    """Invert :func:`encode_segment` -> ``(group, shift, plane)``.
-
-    Raises :class:`TruncatedSegmentError` when the bytes end before the
-    lengths the header announces, :class:`MalformedIndexError` on a bad
-    magic/version.
-    """
-    from repro.compressors.mgard.quantize import from_symbols
-
+def _parse_segment(
+    seq: int, blob: bytes | memoryview
+) -> tuple[int, int, int, memoryview, np.ndarray]:
+    """Header and length checks -> (group, shift, count, payload, outliers)."""
     if len(blob) < _SEG_HEADER.size:
         raise TruncatedSegmentError(
-            f"segment header truncated: {len(blob)} < {_SEG_HEADER.size} bytes"
+            f"segment {seq} header truncated: {len(blob)} < "
+            f"{_SEG_HEADER.size} bytes"
         )
     magic, version, group, shift, count, nout, plen = _SEG_HEADER.unpack_from(
         blob, 0
     )
     if magic != _SEG_MAGIC:
-        raise MalformedIndexError(f"bad segment magic {bytes(magic)!r}")
+        raise MalformedIndexError(
+            f"segment {seq}: bad segment magic {bytes(magic)!r}"
+        )
     if version != _SEG_VERSION:
-        raise MalformedIndexError(f"unsupported segment version {version}")
+        raise MalformedIndexError(
+            f"segment {seq}: unsupported segment version {version}"
+        )
     need = _SEG_HEADER.size + plen + 8 * nout
     if len(blob) < need:
         raise TruncatedSegmentError(
-            f"segment truncated: {len(blob)} < {need} bytes"
+            f"segment {seq} truncated: {len(blob)} < {need} bytes"
         )
     payload = memoryview(blob)[_SEG_HEADER.size : _SEG_HEADER.size + plen]
     outliers = np.frombuffer(
         blob, dtype=np.int64, count=nout, offset=_SEG_HEADER.size + plen
-    ).copy()
-    try:
-        symbols = huffman.decompress_keys(payload)
-        plane = from_symbols(symbols, outliers)
-    except ValueError as exc:
-        raise TruncatedSegmentError(f"segment payload corrupt: {exc}") from exc
-    if plane.size != count:
-        raise TruncatedSegmentError(
-            f"segment decoded {plane.size} codes, header says {count}"
-        )
-    return int(group), int(shift), plane
+    )
+    return int(group), int(shift), int(count), payload, outliers
+
+
+def decode_segments(
+    blobs: list[bytes | memoryview], huffman: Any
+) -> list[tuple[int, int, np.ndarray]]:
+    """Invert :func:`encode_segments` -> ``[(group, shift, plane), ...]``.
+
+    Each run of consecutive same-group segments decodes with one
+    ``decompress_keys_batch`` call — one fused step loop whose lanes are
+    every plane's chunks.  A run the key coder will not fuse (a corrupt
+    member, or members that disagree on size, alphabet or chunking) is
+    decoded one segment at a time instead, so the error names the
+    segment at fault and segments that are valid alone decode as they
+    would alone.
+
+    Errors name the segment by its position in ``blobs`` (its ``seq``
+    when ``blobs`` is a stream prefix): :class:`TruncatedSegmentError`
+    when the bytes end before the lengths the header announces or the
+    payload does not decode, :class:`MalformedIndexError` on a bad
+    magic/version.
+    """
+    from repro.compressors.mgard.quantize import from_symbols
+
+    parsed = [_parse_segment(seq, blob) for seq, blob in enumerate(blobs)]
+    out: list[tuple[int, int, np.ndarray]] = []
+    for _group, members in groupby(parsed, key=lambda header: header[0]):
+        run = list(members)
+        try:
+            decoded = huffman.decompress_keys_batch(
+                [payload for *_, payload, _outliers in run]
+            )
+        except ValueError:
+            decoded = [None] * len(run)     # one at a time, below
+        for (group, shift, count, payload, outliers), symbols in zip(
+            run, decoded
+        ):
+            seq = len(out)
+            try:
+                if symbols is None:
+                    symbols = huffman.decompress_keys(payload)
+                plane = from_symbols(symbols, outliers)
+            except ValueError as exc:
+                raise TruncatedSegmentError(
+                    f"segment {seq} payload corrupt: {exc}"
+                ) from exc
+            if plane.size != count:
+                raise TruncatedSegmentError(
+                    f"segment {seq} decoded {plane.size} codes, header "
+                    f"says {count}"
+                )
+            out.append((group, shift, plane))
+    return out
+
+
+def decode_segment(
+    blob: bytes | memoryview, huffman: Any
+) -> tuple[int, int, np.ndarray]:
+    """Decode one segment: :func:`decode_segments` of one."""
+    return decode_segments([blob], huffman)[0]
 
 
 # ----------------------------------------------------------------------

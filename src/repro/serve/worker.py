@@ -227,10 +227,8 @@ class Worker:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release adapter resources (thread pools) and poison the cache."""
-        for adapter in (self.adapter, self.fallback_adapter):
-            close = getattr(adapter, "close", None)
-            if close is not None:
-                close()
+        self.adapter.close()
+        self.fallback_adapter.close()
         self.cache.clear()
 
 

@@ -35,7 +35,8 @@ def check_adapter(adapter, rng: np.random.Generator | None = None) -> None:
     """Run the full conformance suite against ``adapter``.
 
     Raises :class:`AdapterConformanceError` on the first violation;
-    returns ``None`` when the backend conforms.
+    returns ``None`` when the backend conforms.  The adapter is closed
+    when the suite returns.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     _check_gem_identity(adapter, rng)
@@ -47,6 +48,19 @@ def check_adapter(adapter, rng: np.random.Generator | None = None) -> None:
     _check_dem_stages(adapter)
     _check_reference_agreement(adapter, rng)
     _check_real_kernels(adapter, rng)
+    _check_close(adapter)
+
+
+def _check_close(adapter) -> None:
+    """Last, because it gives the backend's resources back: every
+    adapter has ``close()``, and closing twice is closing once."""
+    try:
+        adapter.close()
+        adapter.close()
+    except Exception as exc:
+        raise AdapterConformanceError(
+            f"close() must be idempotent and never raise, got {exc!r}"
+        ) from exc
 
 
 def _check_gem_identity(adapter, rng) -> None:

@@ -121,6 +121,7 @@ def test_adapter_name():
 def test_openmp_many_groups_chunked(rng):
     """More groups than threads: results must stitch back in order."""
     a = OpenMPAdapter(num_threads=4)
+    a.FANOUT_FLOOR = 0      # 800 bytes would run inline as shipped
     batch = np.arange(100, dtype=float).reshape(100, 1)
     out = a.execute_group_batch(FnLocality(lambda b: b * 2, "dbl"), batch)
     assert np.array_equal(out, batch * 2)

@@ -101,6 +101,16 @@ def strict_serial_adapter():
     return get_adapter("serial", strict=True)
 
 
+def fanning_openmp(num_threads: int):
+    """``openmp`` with its fan-out floor at 0: every launch of two
+    groups or more is really split ``num_threads`` ways, where the
+    adapter as shipped runs test-sized launches inline."""
+    adapter = get_adapter("openmp", num_threads=num_threads)
+    # Under HPDR_SAN=1 get_adapter hands out the sanitizer's wrapper.
+    getattr(adapter, "inner", adapter).FANOUT_FLOOR = 0
+    return adapter
+
+
 @pytest.fixture(params=["serial", "openmp"])
 def sanitizing_adapter(request):
     """HPDR-San shadow-checked adapter (tsan mode) over both CPU backends."""

@@ -40,12 +40,12 @@ class TestZeroAllocSteadyState:
         assert _steady_state_events(HuffmanX(), data) == 0
 
     def test_huffman_openmp(self, rng):
-        from repro.adapters import get_adapter
+        from tests.conftest import fanning_openmp
 
-        # Threads pinned: the encode launch is split four ways whatever
-        # the host reports.
+        # Threads pinned and the fan-out floor at 0: the encode launch
+        # is split four ways whatever the host reports.
         data = rng.integers(0, 256, size=400_000).astype(np.uint8)
-        codec = HuffmanX(adapter=get_adapter("openmp", num_threads=4))
+        codec = HuffmanX(adapter=fanning_openmp(4))
         assert _steady_state_events(codec, data) == 0
 
     def test_mgard(self, rng):

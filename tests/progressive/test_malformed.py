@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import struct
+import tracemalloc
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import Config, ProgressiveMGARD, ProgressiveRetriever
+from repro import Config, HuffmanX, ProgressiveMGARD, ProgressiveRetriever
 from repro.progressive import (
     ARCHIVE_MAGIC,
     archive_bytes,
@@ -19,6 +23,7 @@ from repro.progressive import (
     SegmentIndex,
     TruncatedSegmentError,
 )
+from repro.progressive.segments import decode_segment, encode_segment
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +166,92 @@ def test_store_missing_segment_rejected(tmp_path, stream):
     reader = BPReader(tmp_path / "s.bp")
     with pytest.raises(MalformedIndexError):
         read_store_segments(reader, got.records[:3])
+
+
+# ----------------------------------------------------------------------
+# Fused decode: a group's planes share one key-coder launch, so one
+# hostile segment sits in a launch with honest neighbours.  Every case
+# below is CRC-valid (the index is re-pinned to the forged bytes).
+# ----------------------------------------------------------------------
+_HSEG = struct.Struct("<4sBBHIIQ")     # magic ver group shift count nout plen
+_VICTIM = 10                           # second plane of the finest group
+
+
+def _forge(index, segments, seq, blob):
+    """The stream with segment ``seq`` replaced and its record, and the
+    offsets behind it, re-pinned so the CRC and length checks pass."""
+    records, offset = [], 0
+    for rec in index.records:
+        nbytes = len(blob) if rec.seq == seq else rec.nbytes
+        crc = zlib.crc32(blob) if rec.seq == seq else rec.crc
+        records.append(replace(rec, offset=offset, nbytes=nbytes, crc=crc))
+        offset += nbytes
+    forged = replace(index, records=records)
+    forged.validate()
+    return forged, segments[:seq] + [blob] + segments[seq + 1:]
+
+
+def _recode(segment, huffman=None, dict_size=4096, keep=None, **header):
+    """Re-encode ``segment``'s own plane (its first ``keep`` codes) with
+    another coder or alphabet, then overwrite HSEG header fields."""
+    group, shift, plane = decode_segment(segment, HuffmanX())
+    blob = bytearray(encode_segment(
+        group, shift, plane[:keep], huffman or HuffmanX(), dict_size
+    ))
+    fields = dict(zip(
+        ("magic", "version", "group", "shift", "count", "nout", "plen"),
+        _HSEG.unpack_from(blob, 0),
+    ))
+    fields.update(header)
+    _HSEG.pack_into(blob, 0, *fields.values())
+    return bytes(blob)
+
+
+def _corrupt_code_lengths(segment):
+    """A well-framed payload whose code-length table names no codebook."""
+    blob = bytearray(segment)
+    blob[_HSEG.size + 48] ^= 0xFF      # inside the RLE length table
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("forge, error", [
+    # HUFX stream and HSEG count agree on a size the group does not have.
+    (lambda seg: _recode(seg, keep=100), MalformedIndexError),
+    # HSEG count alone lies: the key stream decodes to another size.
+    (lambda seg: _recode(seg, count=17), TruncatedSegmentError),
+    # Group or shift contradicts the index record.
+    (lambda seg: _recode(seg, group=4), MalformedIndexError),
+    (lambda seg: _recode(seg, shift=3), MalformedIndexError),
+    # A payload no decoder accepts, between two honest segments.
+    (_corrupt_code_lengths, TruncatedSegmentError),
+], ids=["plane-size", "count", "group", "shift", "payload"])
+def test_hostile_segment_in_a_fused_run_is_named(stream, forge, error):
+    _data, index, segments = stream
+    forged, blobs = _forge(index, segments, _VICTIM, forge(segments[_VICTIM]))
+    codec = ProgressiveMGARD()
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=f"segment {_VICTIM}\\b"):
+            codec.reconstruct(forged, blobs)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("recode", [
+    lambda seg: _recode(seg, huffman=HuffmanX(chunk_size=128)),
+    lambda seg: _recode(seg, dict_size=512),
+], ids=["chunking", "alphabet"])
+def test_run_the_key_coder_will_not_fuse_decodes_segment_by_segment(stream, recode):
+    """A neighbour coded with other chunking or another alphabet cannot
+    share a launch; alone it is a valid segment of the same plane, so
+    the stream reconstructs to the same array — never to a wrong one."""
+    _data, index, segments = stream
+    forged, blobs = _forge(index, segments, _VICTIM, recode(segments[_VICTIM]))
+    assert blobs[_VICTIM] != segments[_VICTIM]
+    codec = ProgressiveMGARD()
+    assert (
+        codec.reconstruct(forged, blobs).tobytes()
+        == codec.reconstruct(index, segments).tobytes()
+    )

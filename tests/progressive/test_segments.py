@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HuffmanX
+from repro.adapters import get_adapter
 from repro.progressive import merge_planes, split_planes
 from repro.progressive.errors import MalformedIndexError, TruncatedSegmentError
 from repro.progressive.segments import (
     decode_segment,
+    decode_segments,
     encode_segment,
+    encode_segments,
     plane_shifts,
     SegmentRecord,
 )
+from tests.conftest import fanning_openmp
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +113,48 @@ def test_segment_bad_magic_raises():
     blob = encode_segment(0, 0, np.arange(8, dtype=np.int64), huffman, 4096)
     with pytest.raises(MalformedIndexError):
         decode_segment(b"XXXX" + blob[4:], huffman)
+
+
+@given(
+    groups=st.lists(
+        st.tuples(st.integers(1, 5000), st.integers(1, 3)),
+        min_size=1, max_size=2,
+    ),
+    outliers=st.booleans(),
+    family=st.sampled_from(["serial", "openmp"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_group_launch_is_its_segments_one_by_one(groups, outliers, family, seed):
+    """A group coded in one key-coder launch is byte for byte the
+    segments coded alone, and a fused decode is the per-segment decode."""
+    rng = np.random.default_rng(seed)
+    # Floor at 0: the group's one encode launch is really split in two.
+    adapter = fanning_openmp(2) if family == "openmp" else get_adapter("serial")
+    huffman = HuffmanX(adapter=adapter)
+    try:
+        dict_size, span = (64, 5000) if outliers else (4096, 1000)
+        blobs, want = [], []
+        for g, (size, nplanes) in enumerate(groups):
+            planes = [
+                (8 * (nplanes - 1 - p),
+                 rng.integers(-span, span, size=size, dtype=np.int64))
+                for p in range(nplanes)
+            ]
+            coded = encode_segments(g, planes, huffman, dict_size)
+            assert coded == [
+                encode_segment(g, shift, plane, huffman, dict_size)
+                for shift, plane in planes
+            ]
+            blobs += coded
+            want += [(g, shift, plane) for shift, plane in planes]
+        fused = decode_segments(blobs, huffman)
+        alone = [decode_segment(blob, huffman) for blob in blobs]
+        for got in (fused, alone):
+            assert [t[:2] for t in got] == [t[:2] for t in want]
+            assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, want))
+    finally:
+        adapter.close()
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.progressive.segments import decode_segment
 
 
 class _CountingAdapter(SerialAdapter):
-    """Serial adapter that counts GEM launches by functor name."""
+    """Serial adapter that counts GEM and DEM launches by functor name."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -25,6 +25,10 @@ class _CountingAdapter(SerialAdapter):
     def execute_group_batch(self, functor, batch):
         self.launches[functor.name] += 1
         return super().execute_group_batch(functor, batch)
+
+    def execute_domain(self, functor, data):
+        self.launches[functor.name] += 1
+        return super().execute_domain(functor, data)
 
 
 def test_refactor_solves_at_most_one_correction_level_per_segment(rng):
@@ -45,11 +49,17 @@ def test_refactor_solves_at_most_one_correction_level_per_segment(rng):
         Config(error_bound=1e-4), adapter=adapter, bits_per_plane=4,
         max_planes=4,
     )
-    _index, segments = codec.refactor(data)
+    index, segments = codec.refactor(data)
     budget = decompose_solves + len(segments) * len(shape)
     assert adapter.launches["mgard.tridiag"] <= budget
     # ... and the budget is far below what full recompositions would cost.
     assert budget < len(segments) * decompose_solves / 2
+    # The key coder is launched per resolution group, not per segment: a
+    # group's planes share one histogram, one encode gather, one
+    # serialize pass.
+    assert len(segments) > index.ngroups
+    for stage in ("huffman.histogram", "huffman.encode", "huffman.serialize"):
+        assert adapter.launches[stage] <= index.ngroups
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -63,9 +73,11 @@ def test_non_finite_input_is_refused(bad, mode, rng):
         codec.refactor(data)
 
 
-@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+@pytest.mark.parametrize("shape", [(0,), (3, 0), ()])
 def test_empty_input_is_refused(shape):
-    with pytest.raises(ValueError, match="non-empty"):
+    # () is 0-d: one value, refused for its rank, not promoted to (1,).
+    why = "non-empty" if shape else "1-4 dims"
+    with pytest.raises(ValueError, match=why):
         ProgressiveMGARD().refactor(np.zeros(shape, dtype=np.float32))
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.adapters import get_adapter
 from repro.adapters.serial import SerialAdapter
 from repro.testing import AdapterConformanceError, check_adapter
+from tests.conftest import fanning_openmp
 
 
 @pytest.mark.parametrize("family", ["serial", "openmp", "cuda", "hip", "sycl"])
@@ -15,8 +16,12 @@ def test_all_builtin_adapters_conform(family):
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_openmp_conforms_at_forced_width(width):
-    """Whatever the host reports: a stream never depends on the width."""
+    """Whatever the host reports: a stream never depends on the width —
+    with the fan-out floor as shipped (the kit's launches run inline),
+    and with it at 0, so every launch of two groups or more is really
+    partitioned ``width`` ways."""
     check_adapter(get_adapter("openmp", num_threads=width))
+    check_adapter(fanning_openmp(width))
 
 
 def test_broken_adapter_detected_reordering():
