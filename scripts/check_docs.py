@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs freshness and link checker (CI: the ``docs`` job).
 
-Two enforcement passes, exit 1 on any finding:
+Three enforcement passes, exit 1 on any finding:
 
 1. **API coverage** — every public module directly under ``src/repro/``
    (subpackage or top-level ``.py``, underscore-prefixed names excluded)
@@ -15,6 +15,12 @@ Two enforcement passes, exit 1 on any finding:
 2. **Markdown links** — every relative link/image target in the repo's
    markdown files must exist on disk (anchors are stripped; external
    ``http(s)``/``mailto`` targets are skipped).
+3. **Named files** — every repo-relative ``*.py``/``*.json`` path named
+   in the CI workflows, the verify skill, ``README.md``, ``DESIGN.md``
+   and ``docs/*.md`` must exist on disk, so deleting a script cannot
+   leave a CI step or a how-to pointing at it.  A path is repo-relative
+   when it starts with a directory at the repo root; ``/tmp/...``,
+   globs and ``benchmarks/e2e/`` (owned by the benchmark) are skipped.
 
 Run locally:  python scripts/check_docs.py
 """
@@ -33,6 +39,15 @@ API_DOC = REPO / "docs" / "api.md"
 MARKDOWN_GLOBS = ["*.md", "docs/*.md"]
 
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+
+# Files whose prose and commands name repo files that must exist.
+NAMED_FILE_GLOBS = [".github/workflows/*.yml", ".claude/skills/verify/SKILL.md",
+                    "README.md", "DESIGN.md", "docs/*.md"]
+
+# dir/.../name.py|json, not preceded by a character that would make it
+# the tail of an absolute, home-relative, parent-relative or glob path.
+_NAMED_FILE_RE = re.compile(
+    r"(?<![\w/.~$*{}-])((?:[\w.-]+/)+[\w.-]+\.(?:py|json))\b")
 
 
 def public_modules() -> list[str]:
@@ -97,8 +112,25 @@ def check_links() -> list[str]:
     return problems
 
 
+def check_named_files(repo: Path = REPO) -> list[str]:
+    problems = []
+    root_dirs = {entry.name for entry in repo.iterdir() if entry.is_dir()}
+    for pattern in NAMED_FILE_GLOBS:
+        for doc in sorted(repo.glob(pattern)):
+            text = doc.read_text(encoding="utf-8")
+            for name in sorted(set(_NAMED_FILE_RE.findall(text))):
+                if (name.startswith("benchmarks/e2e/")
+                        or name.split("/", 1)[0] not in root_dirs
+                        or (repo / name).exists()):
+                    continue
+                problems.append(
+                    f"{doc.relative_to(repo)}: names '{name}', which does "
+                    f"not exist")
+    return problems
+
+
 def main() -> int:
-    problems = check_api_coverage() + check_links()
+    problems = check_api_coverage() + check_links() + check_named_files()
     for p in problems:
         print(f"DOCS: {p}")
     if problems:

@@ -26,6 +26,8 @@ import sys
 
 import numpy as np
 
+from repro.util import atomic_write_bytes
+
 _ENVELOPE_MAGIC = b"HPDR"
 
 
@@ -42,48 +44,18 @@ def _open_envelope(blob: bytes) -> tuple[str, bytes]:
     return method, blob[5 + mlen :]
 
 
-def _tuned_config(args, method: str, data):
-    """Resolve ``--tune`` into a knob configuration (None when off).
-
-    An explicit ``--adapter`` beats the tuner — the operator asked for
-    that device, and the tuned entry may have been learned on another.
-    """
-    mode = getattr(args, "tune", "off") or "off"
-    if mode == "off" or getattr(args, "adapter", None):
-        return None
-    from repro.tune import TuningCache, resolve_codec_config
-
-    cache = TuningCache(getattr(args, "tuning_cache", None))
-    return resolve_codec_config(mode, method, data, cache=cache)
-
-
-def _tuned_adapter(config):
-    """Device adapter a resolved tuning configuration names."""
-    from repro import get_adapter
-
-    kwargs = {}
-    if config.get("adapter") == "openmp" and config.get("threads"):
-        kwargs["num_threads"] = int(config["threads"])
-    return get_adapter(config.get("adapter", "serial"), **kwargs)
-
-
-def _build_compressor(method: str, args, adapter=None, tuned=None):
+def _build_compressor(method: str, args, adapter=None):
     """Build the compressor ``args`` describe.
 
     ``adapter`` overrides the CLI-selected device adapter — the campaign
     runner uses this to hand each rank its own resilient adapter chain
-    while reusing all method/bound plumbing.  ``tuned`` (a resolved
-    tuning configuration) picks the device when neither ``adapter`` nor
-    ``--adapter`` did.
+    while reusing all method/bound plumbing.
     """
     from repro import Config, ErrorMode, LZ4, MGARDX, SZ, ZFPX, get_adapter
-    from repro import rate_for_error_bound
 
     sanitize = bool(getattr(args, "sanitize", False))
     if adapter is not None:
         sanitize = False  # explicit override wins; no sanitizer re-wrap
-    elif tuned is not None and not sanitize:
-        adapter = _tuned_adapter(tuned)
     elif getattr(args, "adapter", None):
         kwargs = {}
         threads = getattr(args, "threads", None)
@@ -129,49 +101,16 @@ def _build_compressor(method: str, args, adapter=None, tuned=None):
     raise SystemExit(f"unknown method {method!r}")
 
 
-def _trace_begin(args) -> bool:
-    """Enable tracing when ``--trace``/``--metrics`` was requested."""
-    if not (getattr(args, "trace", None) or getattr(args, "metrics", False)):
-        return False
-    import repro.trace as trace
-
-    trace.enable(clear=True)
-    return True
-
-
-def _trace_end(args, tracing: bool) -> None:
-    """Export/print the requested observability artifacts."""
-    if not tracing:
-        return
-    import repro.trace as trace
-
-    out = getattr(args, "trace", None)
-    if out:
-        path = trace.export_chrome(out)
-        print(f"trace: {len(trace.events())} spans -> {path} "
-              f"(load in chrome://tracing or Perfetto)")
-    if getattr(args, "metrics", False):
-        print(trace.summary())
-
-
 def cmd_compress(args) -> int:
     data = np.load(args.input)
-    tuned = _tuned_config(args, args.method, data)
-    comp = _build_compressor(args.method, args, tuned=tuned)
-    tracing = _trace_begin(args)
+    comp = _build_compressor(args.method, args)
     payload = comp.compress(data)
     blob = _envelope(args.method, payload)
-    from repro.util import atomic_write_bytes
-
     atomic_write_bytes(args.output, blob)
     print(
         f"{args.input}: {data.nbytes/1e6:.2f} MB -> {len(blob)/1e6:.2f} MB "
         f"({data.nbytes/len(blob):.2f}x) via {args.method}"
     )
-    if tuned is not None:
-        knobs = " ".join(f"{k}={v}" for k, v in sorted(tuned.items()))
-        print(f"tuned ({args.tune}): {knobs}")
-    _trace_end(args, tracing)
     return 0
 
 
@@ -180,12 +119,10 @@ def cmd_decompress(args) -> int:
         blob = f.read()
     method, payload = _open_envelope(blob)
     comp = _build_compressor(method, args)
-    tracing = _trace_begin(args)
     data = comp.decompress(payload)
     np.save(args.output, np.asarray(data))
     print(f"{args.input} ({method}) -> {args.output} "
           f"{np.asarray(data).shape} {np.asarray(data).dtype}")
-    _trace_end(args, tracing)
     return 0
 
 
@@ -206,8 +143,6 @@ def cmd_refactor(args) -> int:
     data = np.load(args.input)
     r = MGARDRefactor(precision=args.precision)
     refactored = r.refactor(data)
-    from repro.util import atomic_write_bytes
-
     atomic_write_bytes(args.output, refactored.tobytes())
     print(f"{args.input}: {data.nbytes/1e6:.2f} MB -> "
           f"{refactored.total_bytes/1e6:.2f} MB in "
@@ -224,26 +159,18 @@ def _refactor_progressive(args) -> int:
     from repro.progressive import ProgressiveMGARD, archive_bytes, write_store
 
     data = np.load(args.input)
-    tuned = _tuned_config(args, "mgard-x", data)
     mode = ErrorMode.ABS if args.mode == "abs" else ErrorMode.REL
     codec = ProgressiveMGARD(
         Config(error_bound=args.eb, error_mode=mode),
-        adapter=_tuned_adapter(tuned) if tuned is not None else None,
         bits_per_plane=args.bits_per_plane,
         max_planes=args.max_planes,
     )
-    if tuned is not None:
-        knobs = " ".join(f"{k}={v}" for k, v in sorted(tuned.items()))
-        print(f"tuned ({args.tune}): {knobs}")
-    tracing = _trace_begin(args)
     index, segments = codec.refactor(data)
     if args.store == "bp":
         write_store(args.output, index, segments,
                     num_aggregators=args.aggregators)
         where = f"BP store {args.output} ({args.aggregators} aggregators)"
     else:
-        from repro.util import atomic_write_bytes
-
         atomic_write_bytes(args.output, archive_bytes(index, segments))
         where = f"HPGX archive {args.output}"
     print(f"{args.input}: {data.nbytes} B -> {index.total_bytes} B "
@@ -255,7 +182,6 @@ def _refactor_progressive(args) -> int:
         prefix = sum(r.nbytes for r in index.records[: rec.seq + 1])
         print(f"    seg {rec.seq:3d} (group {rec.group}): "
               f"{prefix:8d} B -> {rec.error_bound:.6e}")
-    _trace_end(args, tracing)
     return 0
 
 
@@ -297,7 +223,6 @@ def _retrieve_progressive(args) -> int:
     if args.levels is not None:
         raise SystemExit("--levels is for legacy streams; progressive "
                          "sources take --error-bound or --resolution")
-    tracing = _trace_begin(args)
     retriever = ProgressiveRetriever()
     try:
         data, report = retriever.retrieve(
@@ -314,7 +239,6 @@ def _retrieve_progressive(args) -> int:
           f"{report.total_segments} segments, {report.bytes_fetched}/"
           f"{report.total_bytes} B ({report.fraction_fetched:.1%}), "
           f"achieved error {report.error_bound:.6e}")
-    _trace_end(args, tracing)
     return 0
 
 
@@ -324,7 +248,6 @@ def cmd_campaign(args) -> int:
 
     data = np.load(args.input)
     plan = FaultPlan.load(args.faults) if args.faults else None
-    tracing = _trace_begin(args)
     runner = CampaignRunner(
         data,
         args.outdir,
@@ -341,7 +264,6 @@ def cmd_campaign(args) -> int:
     except CampaignKilled as exc:
         print(f"campaign killed: {exc.completed_chunks} chunks checkpointed "
               f"in {args.outdir}; rerun with --resume to continue")
-        _trace_end(args, tracing)
         return 3
     print(
         f"{args.input}: {result.total_chunks} chunks on {args.ranks} ranks "
@@ -350,7 +272,6 @@ def cmd_campaign(args) -> int:
         f"{result.faults_injected} faults, {result.retries} retries)"
     )
     print(f"output: {result.output_path}  sha256={result.output_digest[:16]}…")
-    _trace_end(args, tracing)
     return 0
 
 
@@ -386,28 +307,55 @@ def cmd_faultplan(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Run the HPDR-Serve micro-batching service on a TCP socket."""
+def _service_config(args, *, pool: bool = False, **fields):
+    """The ``ServiceConfig`` the service flags of serve/cluster/blast describe.
+
+    ``pool`` honours ``--processes`` (worker processes instead of
+    threads); ``fields`` are the settings only some commands expose.
+    """
+    from repro.serve import BatchLimits, ServiceConfig
+
+    limits = {"max_batch": args.max_batch,
+              "max_latency_s": args.max_latency_ms / 1e3}
+    if hasattr(args, "max_bytes"):
+        limits["max_bytes"] = args.max_bytes
+    processes = args.processes if pool else None
+    return ServiceConfig(
+        limits=BatchLimits(**limits),
+        workers=processes or args.workers,
+        adapter=args.adapter or "serial",
+        threads=args.threads,
+        process=bool(processes),
+        tune=args.tune,
+        tuning_cache=args.tuning_cache,
+        **fields,
+    )
+
+
+def _cluster_config(args, **fields):
+    """The ``ClusterConfig`` the cluster flags of cluster/blast describe."""
+    from repro.cluster import ClusterConfig
+
+    return ClusterConfig(
+        shards=args.shards,
+        replicas=args.replicas,
+        backend=args.backend,
+        shard_max_pending=args.shard_max_pending,
+        **fields,
+    )
+
+
+def _serve_until_signal(args, make_service, banner) -> dict:
+    """Serve on ``--host``/``--port`` until SIGINT/SIGTERM, then drain.
+
+    ``make_service`` builds the (unstarted) service inside the loop;
+    ``banner(svc, host, port)`` is the startup line.  Returns the
+    drained service's stats snapshot.
+    """
     import asyncio
     import signal
 
-    from repro.serve import BatchLimits, ReductionService, ServiceConfig, serve_tcp
-
-    tracing = _trace_begin(args)
-    cfg = ServiceConfig(
-        limits=BatchLimits(
-            max_batch=args.max_batch,
-            max_bytes=args.max_bytes,
-            max_latency_s=args.max_latency_ms / 1e3,
-        ),
-        max_pending=args.max_pending,
-        workers=args.processes if args.processes else args.workers,
-        adapter=args.adapter or "serial",
-        threads=args.threads,
-        process=bool(args.processes),
-        tune=args.tune,
-        tuning_cache=args.tuning_cache,
-    )
+    from repro.serve import serve_tcp
 
     async def run() -> dict:
         stop = asyncio.Event()
@@ -417,96 +365,64 @@ def cmd_serve(args) -> int:
             loop.add_signal_handler(signal.SIGTERM, stop.set)
         except NotImplementedError:  # pragma: no cover - non-Unix loops
             pass
-        async with ReductionService(cfg) as svc:
-            tuned_cfg = svc.config
-            if tuned_cfg is not cfg:
-                print(f"tuned ({cfg.tune}): adapter={tuned_cfg.adapter} "
-                      f"max_batch={tuned_cfg.limits.max_batch} "
-                      f"deadline={tuned_cfg.limits.max_latency_s * 1e3:g}ms",
-                      flush=True)
+        async with make_service() as svc:
             server = await serve_tcp(svc, args.host, args.port)
             host, port = server.sockets[0].getsockname()[:2]
-            print(
-                f"serving on {host}:{port} adapter={cfg.adapter} "
-                f"workers={cfg.workers}"
-                f"{' (processes)' if cfg.process else ''} "
-                f"max_batch={cfg.limits.max_batch} "
-                f"deadline={cfg.limits.max_latency_s * 1e3:g}ms "
-                f"max_pending={cfg.max_pending}; Ctrl-C drains and exits",
-                flush=True,
-            )
+            print(f"{banner(svc, host, port)}; Ctrl-C drains and exits",
+                  flush=True)
             await stop.wait()
             print("draining…", flush=True)
             server.close()
             await server.wait_closed()
         return svc.stats.snapshot()
 
-    snapshot = asyncio.run(run())
+    return asyncio.run(run())
+
+
+def cmd_serve(args) -> int:
+    """Run the HPDR-Serve micro-batching service on a TCP socket."""
+    from repro.serve import ReductionService
+
+    cfg = _service_config(args, pool=True, max_pending=args.max_pending)
+
+    def banner(svc, host, port) -> str:
+        tuned = svc.config
+        if tuned is not cfg:
+            print(f"tuned ({cfg.tune}): adapter={tuned.adapter} "
+                  f"max_batch={tuned.limits.max_batch} "
+                  f"deadline={tuned.limits.max_latency_s * 1e3:g}ms",
+                  flush=True)
+        return (
+            f"serving on {host}:{port} adapter={cfg.adapter} "
+            f"workers={cfg.workers}{' (processes)' if cfg.process else ''} "
+            f"max_batch={cfg.limits.max_batch} "
+            f"deadline={cfg.limits.max_latency_s * 1e3:g}ms "
+            f"max_pending={cfg.max_pending}"
+        )
+
+    snapshot = _serve_until_signal(args, lambda: ReductionService(cfg), banner)
     print("drained: " + " ".join(f"{k}={v}" for k, v in snapshot.items()))
-    _trace_end(args, tracing)
     return 0
 
 
 def cmd_cluster(args) -> int:
     """Run the sharded cluster behind its consistent-hash router (TCP)."""
-    import asyncio
-    import signal
+    from repro.cluster import ClusterService
 
-    from repro.cluster import ClusterConfig, ClusterService
-    from repro.serve import BatchLimits, ServiceConfig, serve_tcp
-
-    tracing = _trace_begin(args)
-    cfg = ClusterConfig(
-        shards=args.shards,
-        replicas=args.replicas,
-        backend=args.backend,
-        service=ServiceConfig(
-            limits=BatchLimits(
-                max_batch=args.max_batch,
-                max_latency_s=args.max_latency_ms / 1e3,
-            ),
-            max_pending=args.max_pending,
-            workers=args.workers,
-            adapter=args.adapter or "serial",
-            threads=args.threads,
-            tune=args.tune,
-            tuning_cache=args.tuning_cache,
-        ),
-        shard_max_pending=args.shard_max_pending,
-        vnodes=args.vnodes,
+    cfg = _cluster_config(
+        args, vnodes=args.vnodes,
+        service=_service_config(args, max_pending=args.max_pending),
     )
-
-    async def run() -> dict:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGINT, stop.set)
-            loop.add_signal_handler(signal.SIGTERM, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-Unix loops
-            pass
-        async with ClusterService(cfg) as cluster:
-            server = await serve_tcp(cluster, args.host, args.port)
-            host, port = server.sockets[0].getsockname()[:2]
-            print(
-                f"cluster on {host}:{port} shards={cfg.shards} "
-                f"replicas={cfg.replicas} backend={cfg.backend} "
-                f"per-shard-limit={cfg.per_shard_limit}; "
-                f"Ctrl-C drains and exits",
-                flush=True,
-            )
-            await stop.wait()
-            print("draining…", flush=True)
-            server.close()
-            await server.wait_closed()
-        return cluster.stats.snapshot()
-
-    snapshot = asyncio.run(run())
+    snapshot = _serve_until_signal(
+        args, lambda: ClusterService(cfg), lambda _svc, host, port: (
+            f"cluster on {host}:{port} shards={cfg.shards} "
+            f"replicas={cfg.replicas} backend={cfg.backend} "
+            f"per-shard-limit={cfg.per_shard_limit}"))
     per_shard = snapshot.pop("per_shard", {})
     print("drained: " + " ".join(f"{k}={v}" for k, v in snapshot.items()))
     if per_shard:
         print("per-shard: "
               + " ".join(f"{k}={v}" for k, v in sorted(per_shard.items())))
-    _trace_end(args, tracing)
     return 0
 
 
@@ -516,11 +432,9 @@ def cmd_blast(args) -> int:
     import contextlib
 
     from repro.serve import (
-        BatchLimits,
         BlastClient,
         CodecSpec,
         ReductionService,
-        ServiceConfig,
         default_payloads,
         run_blast,
         serve_tcp,
@@ -549,42 +463,14 @@ def cmd_blast(args) -> int:
         kill_task = None
         host, port = args.host, args.port
         if args.cluster:
-            from repro.cluster import ClusterConfig, ClusterService
+            from repro.cluster import ClusterService
 
-            cluster_cfg = ClusterConfig(
-                shards=args.shards,
-                replicas=args.replicas,
-                backend=args.backend,
-                service=ServiceConfig(
-                    limits=BatchLimits(
-                        max_batch=args.max_batch,
-                        max_latency_s=args.max_latency_ms / 1e3,
-                    ),
-                    workers=args.workers,
-                    adapter=args.adapter or "serial",
-                    threads=args.threads,
-                    tune=args.tune,
-                    tuning_cache=args.tuning_cache,
-                ),
-                shard_max_pending=args.shard_max_pending,
-            )
-            svc = cluster = await ClusterService(cluster_cfg).start()
-            server = await serve_tcp(svc, "127.0.0.1", 0)
-            host, port = server.sockets[0].getsockname()[:2]
+            svc = cluster = await ClusterService(
+                _cluster_config(args, service=_service_config(args))).start()
         elif args.selfhost:
-            cfg = ServiceConfig(
-                limits=BatchLimits(
-                    max_batch=args.max_batch,
-                    max_latency_s=args.max_latency_ms / 1e3,
-                ),
-                workers=args.processes if args.processes else args.workers,
-                adapter=args.adapter or "serial",
-                threads=args.threads,
-                process=bool(args.processes),
-                tune=args.tune,
-                tuning_cache=args.tuning_cache,
-            )
-            svc = await ReductionService(cfg).start()
+            svc = await ReductionService(
+                _service_config(args, pool=True)).start()
+        if svc is not None:
             server = await serve_tcp(svc, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
         if args.kill_one and cluster is not None:
@@ -643,36 +529,20 @@ def cmd_blast(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    """Run the tuning campaign over the synthetic-dataset matrix."""
-    from repro.tune import TuningCache, tune_matrix, tune_service
+    """Learn (and persist) the service micro-batch entry under load."""
+    from repro.tune import TuningCache, tune_service
 
     cache = TuningCache(args.tuning_cache)
     print(f"tuning cache: {cache.path}")
-    tracing = _trace_begin(args)
-    reports = tune_matrix(
-        cache,
-        quick=args.quick,
-        seed=args.seed,
-        budget=args.budget,
-        progress=lambda line: print(f"  {line}", flush=True),
-    )
-    if args.serve:
-        report = tune_service(
-            cache,
-            seed=args.seed,
-            budget=args.budget,
-            clients=args.clients,
-        )
-        print(f"  service: {report.speedup:.2f}x "
-              f"({report.evaluations} evals, "
-              f"{report.rejected} rejected by the byte guard)")
-        reports[str(report.key)] = report
-    print(f"\nlearned table ({len(reports)} keys tuned this run):")
+    report = tune_service(cache, seed=args.seed, budget=args.budget,
+                          clients=args.clients)
+    print(f"  service: {report.speedup:.2f}x ({report.evaluations} evals, "
+          f"{report.rejected} rejected by the byte guard)")
+    print("\nlearned table:")
     print(cache.table())
-    improved = sum(1 for r in reports.values() if r.improved)
-    print(f"\n{improved}/{len(reports)} keys beat the hand-tuned defaults; "
+    print(f"\nthe service entry "
+          f"{'beat' if report.improved else 'kept'} the hand-tuned defaults; "
           f"every persisted config is byte-identical to them")
-    _trace_end(args, tracing)
     return 0
 
 
@@ -688,15 +558,50 @@ def cmd_datasets(_args) -> int:
 
 
 def _add_tune_flags(sp, what: str) -> None:
-    """``--tune``/``--tuning-cache`` on every tuning-aware command."""
+    """``--tune``/``--tuning-cache`` on the commands that start a service."""
     sp.add_argument("--tune", default="off", choices=["auto", "off", "force"],
                     help=f"consult the tuning cache for {what}: auto uses a "
                          f"cached entry, force re-tunes first, off (default) "
                          f"uses hand-tuned defaults; tuned runs are "
                          f"byte-identical to defaults")
+    _add_tuning_cache_flag(sp)
+
+
+def _add_tuning_cache_flag(sp) -> None:
     sp.add_argument("--tuning-cache", default=None, metavar="PATH",
                     help="tuning-cache file (default: $HPDR_TUNE_CACHE or "
                          "~/.cache/hpdr/tuning.json)")
+
+
+def _observe_parent(after: str, viewer: str = "") -> argparse.ArgumentParser:
+    """Parent parser for ``--trace``/``--metrics``.
+
+    ``after`` says when the summary prints (the run, draining, …).
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--trace", default=None, metavar="OUT.json",
+                   help="record spans and write Chrome trace-event JSON"
+                        + viewer)
+    p.add_argument("--metrics", action="store_true",
+                   help=f"print the stage/metrics summary after {after}")
+    return p
+
+
+def _device_parent(adapter: str | None = None, threads: str | None = None,
+                   sanitize: str | None = None) -> argparse.ArgumentParser:
+    """Parent parser for ``--adapter`` [``--threads`` [``--sanitize``]].
+
+    Each argument is that flag's help text; a flag without one is left
+    off (``--adapter`` is always present).
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--adapter", default=None,
+                   choices=["serial", "openmp", "cuda", "hip"], help=adapter)
+    if threads is not None:
+        p.add_argument("--threads", type=int, default=None, help=threads)
+    if sanitize is not None:
+        p.add_argument("--sanitize", action="store_true", help=sanitize)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -705,8 +610,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="HPDR portable scientific data reduction",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    after_run = _observe_parent("the run")
+    after_drain = _observe_parent("draining")
+    omp_threads = "worker threads (openmp adapter)"
 
-    c = sub.add_parser("compress", help="compress a .npy array")
+    c = sub.add_parser("compress", help="compress a .npy array", parents=[
+        _device_parent(
+            threads=omp_threads,
+            sanitize="run under the HPDR-San shadow sanitizer (serial/openmp; "
+                     "slower, catches races and context misuse)"),
+        _observe_parent("the run", " (chrome://tracing / Perfetto)"),
+    ])
     c.add_argument("input")
     c.add_argument("output")
     c.add_argument("--method", default="mgard-x",
@@ -719,42 +633,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bits/value (zfp-x)")
     c.add_argument("--tolerance", type=float, default=None,
                    help="absolute tolerance (zfp-accuracy)")
-    c.add_argument("--adapter", default=None,
-                   choices=["serial", "openmp", "cuda", "hip"])
-    c.add_argument("--threads", type=int, default=None,
-                   help="worker threads (openmp adapter)")
-    c.add_argument("--sanitize", action="store_true",
-                   help="run under the HPDR-San shadow sanitizer "
-                        "(serial/openmp; slower, catches races and "
-                        "context misuse)")
-    c.add_argument("--trace", default=None, metavar="OUT.json",
-                   help="record spans and write Chrome trace-event JSON "
-                        "(chrome://tracing / Perfetto)")
-    c.add_argument("--metrics", action="store_true",
-                   help="print the stage/metrics summary after the run")
-    _add_tune_flags(c, "this codec/dtype/shape")
     c.set_defaults(func=cmd_compress)
 
-    d = sub.add_parser("decompress", help="decompress an .hpdr container")
+    d = sub.add_parser("decompress", help="decompress an .hpdr container",
+                       parents=[
+        _device_parent(threads=omp_threads,
+                       sanitize="run under the HPDR-San shadow sanitizer"),
+        after_run,
+    ])
     d.add_argument("input")
     d.add_argument("output")
-    d.add_argument("--adapter", default=None,
-                   choices=["serial", "openmp", "cuda", "hip"])
-    d.add_argument("--threads", type=int, default=None,
-                   help="worker threads (openmp adapter)")
-    d.add_argument("--sanitize", action="store_true",
-                   help="run under the HPDR-San shadow sanitizer")
-    d.add_argument("--trace", default=None, metavar="OUT.json",
-                   help="record spans and write Chrome trace-event JSON")
-    d.add_argument("--metrics", action="store_true",
-                   help="print the stage/metrics summary after the run")
     d.set_defaults(func=cmd_decompress, eb=1e-3, mode="rel", rate=None, tolerance=None)
 
     i = sub.add_parser("info", help="describe an .hpdr container")
     i.add_argument("input")
     i.set_defaults(func=cmd_info)
 
-    r = sub.add_parser("refactor", help="refactor into progressive substreams")
+    r = sub.add_parser("refactor", help="refactor into progressive substreams",
+                       parents=[after_run])
     r.add_argument("input")
     r.add_argument("output")
     r.add_argument("--precision", type=float, default=1e-6,
@@ -775,14 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "or BP store directory")
     r.add_argument("--aggregators", type=int, default=1,
                    help="(--progressive --store bp) aggregator subfiles")
-    r.add_argument("--trace", default=None, metavar="OUT.json",
-                   help="record spans and write Chrome trace-event JSON")
-    r.add_argument("--metrics", action="store_true",
-                   help="print the stage/metrics summary after the run")
-    _add_tune_flags(r, "the progressive refactor codec")
     r.set_defaults(func=cmd_refactor)
 
-    g = sub.add_parser("retrieve", help="retrieve a refactored prefix")
+    g = sub.add_parser("retrieve", help="retrieve a refactored prefix",
+                       parents=[after_run])
     g.add_argument("input",
                    help=".mgrf stream, HPGX archive, or BP store directory")
     g.add_argument("output")
@@ -793,15 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "this absolute error")
     g.add_argument("--resolution", type=int, default=None, metavar="L",
                    help="(progressive) fetch the first L resolution groups")
-    g.add_argument("--trace", default=None, metavar="OUT.json",
-                   help="record spans and write Chrome trace-event JSON")
-    g.add_argument("--metrics", action="store_true",
-                   help="print the stage/metrics summary after the run")
     g.set_defaults(func=cmd_retrieve)
 
     cp = sub.add_parser(
         "campaign",
         help="fault-tolerant chunked campaign with checkpoint/restart",
+        parents=[_device_parent(), after_run],
     )
     cp.add_argument("input", help="input .npy array (chunked along axis 0)")
     cp.add_argument("outdir", help="campaign directory (checkpoints + output)")
@@ -815,18 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulated MPI ranks (threads)")
     cp.add_argument("--chunk-elems", type=int, default=64,
                     help="elements along axis 0 per chunk")
-    cp.add_argument("--adapter", default=None,
-                    choices=["serial", "openmp", "cuda", "hip"])
     cp.add_argument("--faults", default=None, metavar="PLAN.json",
                     help="fault-plan JSON (see the faultplan command)")
     cp.add_argument("--resume", action="store_true",
                     help="resume from the directory's checkpoint")
     cp.add_argument("--checkpoint-every", type=int, default=4,
                     help="manifest save cadence in chunks")
-    cp.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="record spans and write Chrome trace-event JSON")
-    cp.add_argument("--metrics", action="store_true",
-                    help="print the stage/metrics summary after the run")
     cp.set_defaults(func=cmd_campaign, tolerance=None)
 
     fp = sub.add_parser("faultplan", help="write a fault-plan JSON")
@@ -839,10 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="campaign size for --system")
     fp.add_argument("--hours", type=float, default=12.0,
                     help="campaign wall time for --system")
-    fp.add_argument("--device-batch-rate", type=float, default=0.0)
-    fp.add_argument("--timeout-rate", type=float, default=0.0)
-    fp.add_argument("--corrupt-rate", type=float, default=0.0)
-    fp.add_argument("--transport-rate", type=float, default=0.0)
+    for kind in ("device-batch", "timeout", "corrupt", "transport"):
+        fp.add_argument(f"--{kind}-rate", type=float, default=0.0)
     fp.add_argument("--drop-rank", type=int, action="append",
                     help="rank to drop mid-run (repeatable)")
     fp.add_argument("--drop-after-chunks", type=int, default=1)
@@ -851,15 +732,12 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=cmd_faultplan)
 
     sv = sub.add_parser(
-        "serve", help="run the micro-batching reduction service (TCP)"
+        "serve", help="run the micro-batching reduction service (TCP)",
+        parents=[_device_parent(threads=omp_threads), after_drain],
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=0,
                     help="TCP port (0 = ephemeral, printed at startup)")
-    sv.add_argument("--adapter", default=None,
-                    choices=["serial", "openmp", "cuda", "hip"])
-    sv.add_argument("--threads", type=int, default=None,
-                    help="worker threads (openmp adapter)")
     sv.add_argument("--workers", type=int, default=1,
                     help="batch-execution workers (each with its own CMM cache)")
     sv.add_argument("--processes", type=int, default=None, metavar="N",
@@ -873,16 +751,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="flush a batch this long after its first request")
     sv.add_argument("--max-pending", type=int, default=256,
                     help="admission limit (beyond it requests are rejected)")
-    sv.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="record spans and write Chrome trace-event JSON")
-    sv.add_argument("--metrics", action="store_true",
-                    help="print the stage/metrics summary after draining")
     _add_tune_flags(sv, "service batch limits and adapter")
     sv.set_defaults(func=cmd_serve)
 
     cl = sub.add_parser(
         "cluster",
         help="run N service shards behind the consistent-hash router (TCP)",
+        parents=[
+            _device_parent(threads="worker threads per shard (openmp adapter)"),
+            after_drain,
+        ],
     )
     cl.add_argument("--host", default="127.0.0.1")
     cl.add_argument("--port", type=int, default=0,
@@ -894,10 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--backend", default="process",
                     choices=["task", "process"],
                     help="shard backend: in-loop tasks or real subprocesses")
-    cl.add_argument("--adapter", default=None,
-                    choices=["serial", "openmp", "cuda", "hip"])
-    cl.add_argument("--threads", type=int, default=None,
-                    help="worker threads per shard (openmp adapter)")
     cl.add_argument("--workers", type=int, default=1,
                     help="batch-execution workers per shard")
     cl.add_argument("--max-batch", type=int, default=16,
@@ -911,15 +785,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: --max-pending)")
     cl.add_argument("--vnodes", type=int, default=64,
                     help="virtual nodes per shard on the hash ring")
-    cl.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="record spans and write Chrome trace-event JSON")
-    cl.add_argument("--metrics", action="store_true",
-                    help="print the stage/metrics summary after draining")
     _add_tune_flags(cl, "per-shard batch limits and adapter")
     cl.set_defaults(func=cmd_cluster)
 
     bl = sub.add_parser(
-        "blast", help="closed-loop load generator for a served service"
+        "blast", help="closed-loop load generator for a served service",
+        parents=[_device_parent(adapter="(selfhost) service adapter",
+                                threads="(selfhost) openmp worker threads")],
     )
     bl.add_argument("--host", default="127.0.0.1")
     bl.add_argument("--port", type=int, default=None,
@@ -947,11 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check lossless round-trips for exact equality")
     bl.add_argument("--compress-only", action="store_true",
                     help="skip the decompress half of each round-trip")
-    bl.add_argument("--adapter", default=None,
-                    choices=["serial", "openmp", "cuda", "hip"],
-                    help="(selfhost) service adapter")
-    bl.add_argument("--threads", type=int, default=None,
-                    help="(selfhost) openmp worker threads")
     bl.add_argument("--workers", type=int, default=1,
                     help="(selfhost) service workers")
     bl.add_argument("--processes", type=int, default=None, metavar="N",
@@ -985,25 +852,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     tn = sub.add_parser(
         "tune",
-        help="run an auto-tuning campaign and persist the learned table",
+        help="tune the service micro-batch limits under load and persist "
+             "the learned entry",
+        parents=[_observe_parent("the campaign")],
     )
-    tn.add_argument("--tuning-cache", default=None, metavar="PATH",
-                    help="tuning-cache file (default: $HPDR_TUNE_CACHE or "
-                         "~/.cache/hpdr/tuning.json)")
-    tn.add_argument("--quick", action="store_true",
-                    help="small matrix datasets and budgets (CI smoke)")
+    _add_tuning_cache_flag(tn)
     tn.add_argument("--seed", type=int, default=0,
                     help="search seed (same seed => same proposal sequence)")
     tn.add_argument("--budget", type=int, default=None,
-                    help="max configurations evaluated per key")
-    tn.add_argument("--serve", action="store_true",
-                    help="also tune the service micro-batch limits")
+                    help="max configurations evaluated")
     tn.add_argument("--clients", type=int, default=16,
-                    help="(--serve) closed-loop clients in the probe blast")
-    tn.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="record spans and write Chrome trace-event JSON")
-    tn.add_argument("--metrics", action="store_true",
-                    help="print the stage/metrics summary after the campaign")
+                    help="closed-loop clients in the probe blast")
     tn.set_defaults(func=cmd_tune)
 
     ds = sub.add_parser("datasets", help="print the Table III inventory")
@@ -1013,7 +872,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    out = getattr(args, "trace", None)
+    metrics = getattr(args, "metrics", False)
+    if not (out or metrics):
+        return args.func(args)
+    # --trace/--metrics bracket the whole command, whichever it is.
+    import repro.trace as trace
+
+    trace.enable(clear=True)
+    status = args.func(args)
+    if out:
+        path = trace.export_chrome(out)
+        print(f"trace: {len(trace.events())} spans -> {path} "
+              f"(load in chrome://tracing or Perfetto)")
+    if metrics:
+        print(trace.summary())
+    return status
 
 
 if __name__ == "__main__":

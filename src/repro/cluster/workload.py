@@ -1,11 +1,12 @@
-"""Mixed codec workloads for cluster benches, soaks, and drills.
+"""Mixed codec workloads for cluster soaks and drills.
 
 The cluster shards by ``(codec, dtype, shape-class)`` — deliberately
 coarse, so one reduction configuration's traffic stays on one shard
 where the serve layer batches it.  The flip side: a *single-spec*
 workload exercises exactly one shard and measures nothing about the
-cluster.  Every cluster-level load path (``bench_cluster``, the blast
-``--codec mixed`` mode, the nightly soak) therefore drives a mixed
+cluster.  Every cluster-level load path (the blast ``--codec mixed``
+mode, the nightly soak, the end-to-end benchmark's ``cluster_mixed``
+workload) therefore drives a mixed
 workload built here: a deterministic roster of specs whose route keys
 are all distinct, so consistent hashing spreads them over the ring.
 

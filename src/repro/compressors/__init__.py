@@ -26,29 +26,4 @@ from repro.compressors.huffman import HuffmanX
 from repro.compressors.zfp import ZFPX
 from repro.compressors.mgard import MGARDX
 
-#: codec classes that declare tunable knobs (``tunable_knobs()``).
-_TUNABLE_CODECS = {
-    "mgard-x": MGARDX,
-    "zfp-x": ZFPX,
-    "huffman-x": HuffmanX,
-}
-
-
-def codec_knob_declarations(codec: str) -> tuple:
-    """A codec's tunable-knob declarations, as plain data.
-
-    Each declaration is a dict with ``name``/``values``/``default`` and
-    an optional ``stream_affecting`` flag; :mod:`repro.tune.knobs`
-    turns them into :class:`~repro.tune.knobs.Knob` objects.  Keeping
-    the declarations data-only means the compressor packages never
-    import the tuner (instrumented code must not depend on the code
-    that tunes it).  Codecs without a declaration tune only the shared
-    execution knobs.
-    """
-    cls = _TUNABLE_CODECS.get(codec)
-    if cls is None:
-        return ()
-    return cls.tunable_knobs()
-
-
-__all__ = ["HuffmanX", "ZFPX", "MGARDX", "codec_knob_declarations"]
+__all__ = ["HuffmanX", "ZFPX", "MGARDX"]

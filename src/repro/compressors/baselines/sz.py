@@ -10,8 +10,11 @@ what makes this NumPy implementation fast.
 The n-D first-order Lorenzo residual is the mixed first difference,
 whose inverse is an iterated prefix sum along each axis.
 
-Error bound: ``|x - 2eb·round(x/2eb)| ≤ eb`` holds exactly by
-construction, for any input.
+Error bound: the float64 reconstruction ``2eb·round(x/2eb)`` satisfies
+``|x - x̂| ≤ eb`` by construction, for any input.  The output is then
+cast to the input dtype, so what a float32 caller gets back is within
+``eb + ½ ulp(x̂)`` in float32 — a value that lands on the bound can be
+rounded across it (``tests/compressors/test_sz.py`` pins both sides).
 """
 
 from __future__ import annotations

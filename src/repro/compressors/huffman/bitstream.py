@@ -26,7 +26,7 @@ from repro.util import hot_path
 PAYLOAD_SLACK = 4
 
 
-@hot_path(reason="inner OR-combine of every pack_bits call (BENCH_wallclock)")
+@hot_path(reason="inner OR-combine of every pack_bits call")
 def _or_scatter(words: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     """``words[idx] |= vals`` with duplicate indices OR-combined.
 

@@ -181,20 +181,6 @@ class HuffmanX:
         self.chunk_size = chunk_size
         self.cache = context_cache if context_cache is not None else ContextCache()
 
-    @classmethod
-    def tunable_knobs(cls) -> tuple:
-        """Tunable-knob declarations (see ``codec_knob_declarations``).
-
-        ``chunk_size`` is recorded in every stream, so it is declared
-        ``stream_affecting``: the auto-tuner may propose other
-        values, but its byte-identity guard rejects every one — the
-        declaration documents the constraint and exercises the guard.
-        """
-        return (
-            {"name": "chunk_size", "values": (512, 1024, 2048, 4096),
-             "default": 1024, "stream_affecting": True},
-        )
-
     # ------------------------------------------------------------------
     # Key-level API (alphabet supplied by the caller).  Single-shot is a
     # batch of one: one encode body and one decode body, each one launch

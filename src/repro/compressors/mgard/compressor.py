@@ -91,19 +91,6 @@ class MGARDX:
         # CMM cache: its working buffers persist across calls too.
         self._huffman = HuffmanX(adapter=adapter, context_cache=self.cache)
 
-    @classmethod
-    def tunable_knobs(cls) -> tuple:
-        """Tunable-knob declarations (see ``codec_knob_declarations``).
-
-        ``dict_size`` shapes the embedded Huffman dictionary and is
-        serialized into the stream — ``stream_affecting``, so the
-        byte-identity guard pins it to the default.
-        """
-        return (
-            {"name": "dict_size", "values": (1024, 4096, 16384),
-             "default": 4096, "stream_affecting": True},
-        )
-
     # ------------------------------------------------------------------
     def _context(
         self,

@@ -172,16 +172,6 @@ class ZFPX:
         self.adapter = adapter
         self.cache = context_cache if context_cache is not None else ContextCache()
 
-    @classmethod
-    def tunable_knobs(cls) -> tuple:
-        """Tunable-knob declarations (see ``codec_knob_declarations``).
-
-        ZFP-X has no codec-private byte-neutral knobs (``rate`` is a
-        quality parameter, not a performance one), so it tunes only the
-        shared execution knobs.
-        """
-        return ()
-
     def _launch(self, functor: _ZfpFunctor, batch: np.ndarray) -> np.ndarray:
         if self.adapter is not None:
             return self.adapter.execute_group_batch(functor, batch)

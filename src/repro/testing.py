@@ -444,7 +444,7 @@ def check_tuner(
     space = KnobSpace((
         Knob("alpha", (1, 2, 4, 8), 4),
         Knob("beta", ("x", "y", "z"), "y"),
-        Knob("gamma", (0.5, 1.0, 2.0), 1.0, stream_affecting=True),
+        Knob("gamma", (0.5, 1.0, 2.0), 1.0),
     ))
 
     def cost(config: dict) -> float:

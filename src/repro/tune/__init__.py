@@ -3,9 +3,9 @@
 The paper's Algorithm 4 picks chunk sizes from *a-priori* roofline
 models Φ(C)/Θ(t); this package closes the loop with *observed*
 performance — in the spirit of DaCe's stateful-dataflow transformation
-search and HPVM's retargetable scheduling.  A reduction run is treated
-as a transformable configuration (device adapter, thread count, serve
-micro-batch limits, codec-declared knobs) searched by a deterministic,
+search and HPVM's retargetable scheduling.  A served reduction is
+treated as a transformable configuration (serve micro-batch limits,
+worker device adapter, thread count) searched by a deterministic,
 seedable strategy (:class:`CoordinateDescent` + ε-greedy over a
 discretized grid) against measurements from HPDR-Trace spans
 (:class:`MeasurementSink`) and wall-clock timing (:func:`measure_call`).
@@ -20,11 +20,14 @@ Two invariants make a learning component safe to ship:
   and atomically written; any corruption, truncation or schema drift
   loads as an empty cache (defaults everywhere), never an error.
 
-Consumers: ``repro compress/refactor --tune auto|off|force`` and the
-``repro tune`` campaign (CLI), :class:`~repro.serve.service.ReductionService`
-and every :class:`~repro.cluster.ClusterService` shard at startup
-(:func:`apply_service_tuning`), and ``benchmarks/bench_tune.py`` whose
-``BENCH_tune.json`` is gated by ``perf_gate.py --tune-min-speedup``.
+Consumers: the ``repro tune`` campaign (:func:`tune_service`), and
+:class:`~repro.serve.service.ReductionService` and every
+:class:`~repro.cluster.ClusterService` shard at startup
+(:func:`apply_service_tuning`, ``--tune auto|off|force`` on ``repro
+serve/cluster/blast``).  Only the service space is searched: a codec
+call has no byte-neutral knob the code cannot already choose from the
+launch size (DESIGN.md §3.1, "What the codec tuner found");
+``docs/tuning.md`` carries the one win that reproduces.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from repro.tune.knobs import (
     SERVICE_CODEC,
     TuningKey,
     backend_id,
-    execution_knobs,
-    knob_space_for,
     service_knob_space,
 )
 from repro.tune.measure import (
@@ -63,16 +64,9 @@ from repro.tune.search import (
 )
 from repro.tune.tuner import (
     AutoTuner,
-    MATRIX_CELLS,
-    TUNE_MODES,
     TuneReport,
     apply_service_tuning,
-    build_codec,
-    codec_runner,
-    matrix_datasets,
-    resolve_codec_config,
     service_runner,
-    tune_matrix,
     tune_service,
 )
 
@@ -84,11 +78,9 @@ __all__ = [
     "FakeClock",
     "Knob",
     "KnobSpace",
-    "MATRIX_CELLS",
     "Measurement",
     "MeasurementSink",
     "SERVICE_CODEC",
-    "TUNE_MODES",
     "TuneEntry",
     "TuneReport",
     "TuningCache",
@@ -97,20 +89,13 @@ __all__ = [
     "apply_service_tuning",
     "attributed_measure",
     "backend_id",
-    "build_codec",
-    "codec_runner",
     "config_key",
     "default_cache_path",
     "digest_bytes",
-    "execution_knobs",
-    "knob_space_for",
-    "matrix_datasets",
     "measure_call",
-    "resolve_codec_config",
     "run_search",
     "service_knob_space",
     "service_runner",
     "stage_share",
-    "tune_matrix",
     "tune_service",
 ]

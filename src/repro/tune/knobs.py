@@ -6,11 +6,10 @@ starts from (and falls back to).  A :class:`KnobSpace` is an ordered
 collection of knobs; it defines the configuration dictionaries every
 strategy proposes and every cache entry stores.
 
-Codecs declare their own knobs as plain data (``tunable_knobs()``
-returning ``(name, values, default)`` tuples) so the compressor
-packages never import this package; :func:`knob_space_for` merges those
-declarations with the execution knobs every codec shares (adapter
-family, thread count).
+The one shipped space is :func:`service_knob_space` (micro-batch limits
+and worker device).  There is no per-codec space: a codec call has no
+byte-neutral knob whose setting the code cannot already choose from the
+launch size (DESIGN.md §3.1, "What the codec tuner found").
 
 A :class:`TuningKey` identifies *what* a learned configuration applies
 to: ``(codec, dtype, shape-class, backend)``.  The backend component
@@ -28,19 +27,11 @@ from typing import Any, Iterator, Mapping, Sequence
 
 @dataclass(frozen=True)
 class Knob:
-    """One discrete tuning dimension.
-
-    ``stream_affecting`` marks knobs whose value is serialized into the
-    reduction stream (e.g. Huffman ``chunk_size``): the tuner may still
-    explore them, but the byte-identity guard rejects any non-default
-    value — they exist to *prove* the guard works, and to document
-    which parameters could never be auto-tuned safely.
-    """
+    """One discrete tuning dimension."""
 
     name: str
     values: tuple[Any, ...]
     default: Any
-    stream_affecting: bool = False
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -126,11 +117,10 @@ def backend_id() -> str:
 class TuningKey:
     """What a learned configuration applies to.
 
-    ``shape_class`` uses the serve-layer bucketing (rank, next-pow2
-    element count) — see :func:`repro.serve.spec.shape_class` — so one
-    entry covers the near-identical working sets that already share CMM
-    contexts.  Service-level entries (micro-batch limits) use the
-    reserved codec name ``__service__`` with a wildcard dtype/shape.
+    The four components are the cache file's key format.  The entries
+    this package writes are service-level (:meth:`for_service`): the
+    reserved codec name ``__service__`` with a wildcard dtype/shape and
+    the worker mode baked into ``backend``.
     """
 
     codec: str
@@ -156,18 +146,6 @@ class TuningKey:
         return cls(codec, dtype, shape_class, backend)
 
     @classmethod
-    def for_array(cls, codec: str, data: Any,
-                  backend: str | None = None) -> "TuningKey":
-        """Key for compressing ``data`` (an ndarray) with ``codec``."""
-        import numpy as np
-
-        from repro.serve.spec import shape_class
-
-        arr = np.asarray(data)
-        return cls(codec, arr.dtype.str, shape_class(arr.shape),
-                   backend if backend is not None else backend_id())
-
-    @classmethod
     def for_service(cls, *, process: bool = False,
                     backend: str | None = None) -> "TuningKey":
         """Service-level key (micro-batch limits, worker device)."""
@@ -181,41 +159,13 @@ SERVICE_CODEC = "__service__"
 
 
 # ---------------------------------------------------------------------------
-# Shared execution knobs + codec-declared knobs
+# The service knob space
 # ---------------------------------------------------------------------------
 def _thread_grid() -> tuple[int, ...]:
     """Thread-count candidates, capped at the machine's core count."""
     cores = os.cpu_count() or 1
     grid = tuple(t for t in (1, 2, 4, 8) if t <= cores)
     return grid if grid else (1,)
-
-
-def execution_knobs() -> tuple[Knob, ...]:
-    """Knobs every codec shares: which device family, how many threads.
-
-    Byte-neutral by the portability guarantee — every adapter produces
-    bit-identical streams, so these are the knobs the tuner can flip
-    freely without tripping the digest guard.
-    """
-    return (
-        Knob("adapter", ("serial", "openmp"), "serial"),
-        Knob("threads", _thread_grid(), 1),
-    )
-
-
-def knob_space_for(codec: str) -> KnobSpace:
-    """The search space for one codec: execution + declared knobs."""
-    from repro.compressors import codec_knob_declarations
-
-    knobs = list(execution_knobs())
-    for decl in codec_knob_declarations(codec):
-        knobs.append(Knob(
-            name=str(decl["name"]),
-            values=tuple(decl["values"]),
-            default=decl["default"],
-            stream_affecting=bool(decl.get("stream_affecting", False)),
-        ))
-    return KnobSpace(knobs)
 
 
 def service_knob_space() -> KnobSpace:

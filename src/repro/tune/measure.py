@@ -83,9 +83,9 @@ def measure_call(
 ) -> tuple[float, Any]:
     """Best-of-``reps`` seconds for ``fn()`` plus its last return value.
 
-    Minimum over repetitions is the standard noise-rejection estimator
-    (matching :mod:`repro.bench.wallclock`): system jitter only ever
-    adds time.  The clock is injectable for deterministic tests.
+    Minimum over repetitions is the standard noise-rejection estimator:
+    system jitter only ever adds time.  The clock is injectable for
+    deterministic tests.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

@@ -9,9 +9,8 @@ output digest differs from the default's is rejected (told an infinite
 cost, counted in ``hpdr_tune_rejected_total``) no matter how fast it
 ran.  Only byte-identical winners are persisted.
 
-:func:`tune_matrix` is the campaign behind ``repro tune``: it sweeps
-the synthetic-dataset matrix (NYX/XGC/E3SM × codecs), learns one entry
-per :class:`~repro.tune.knobs.TuningKey`, and persists the table.
+:func:`tune_service` is the campaign behind ``repro tune``: it searches
+the service knob space under closed-loop load and persists the winner.
 :func:`apply_service_tuning` is the serve/cluster startup hook: it
 resolves a service-level entry (micro-batch limits + worker device)
 from the cache and rewrites the :class:`~repro.serve.service.ServiceConfig`
@@ -26,18 +25,9 @@ from typing import Any, Callable
 
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.tune.cache import TuneEntry, TuningCache
-from repro.tune.knobs import (
-    KnobSpace,
-    TuningKey,
-    knob_space_for,
-    service_knob_space,
-)
-from repro.tune.measure import Measurement, digest_bytes, measure_call
+from repro.tune.knobs import KnobSpace, TuningKey, service_knob_space
+from repro.tune.measure import Measurement, digest_bytes
 from repro.tune.search import CoordinateDescent, config_key
-
-#: ``--tune`` modes accepted everywhere.
-TUNE_MODES = ("off", "auto", "force")
-
 
 @dataclass
 class TuneReport:
@@ -172,178 +162,6 @@ class AutoTuner:
 
 
 # ---------------------------------------------------------------------------
-# Codec runners + the synthetic-dataset campaign
-# ---------------------------------------------------------------------------
-def build_codec(codec: str, config: dict[str, Any]) -> Any:
-    """Instantiate ``codec`` as one configuration dict describes.
-
-    Shared execution knobs (``adapter``/``threads``) become the device
-    adapter; remaining keys are codec constructor kwargs (declared
-    knobs), so a config round-trips 1:1 into a codec instance.
-    """
-    from repro.adapters import get_adapter
-    from repro.serve.spec import CodecSpec
-
-    kwargs = dict(config)
-    family = kwargs.pop("adapter", "serial")
-    threads = kwargs.pop("threads", None)
-    adapter_kwargs: dict[str, Any] = {}
-    if family == "openmp" and threads is not None:
-        adapter_kwargs["num_threads"] = int(threads)
-    adapter = get_adapter(family, **adapter_kwargs)
-    spec_kwargs = {k: v for k, v in kwargs.items()
-                   if k in ("error_bound", "error_mode", "rate",
-                            "dict_size", "chunk_size")}
-    spec = CodecSpec(codec, **spec_kwargs)
-    return spec.build(adapter=adapter)
-
-
-def codec_runner(
-    codec: str,
-    data: Any,
-    *,
-    reps: int = 2,
-    clock: Callable[[], float] | None = None,
-) -> Callable[[dict[str, Any]], Measurement]:
-    """A runner compressing ``data`` under each proposed configuration.
-
-    The first compress warms the CMM contexts *and* provides the digest
-    bytes; timing then measures the steady state (what production runs
-    see), min-over-``reps``.
-    """
-
-    def run(config: dict[str, Any]) -> Measurement:
-        comp = build_codec(codec, config)
-        try:
-            blob = comp.compress(data)
-            seconds, _ = measure_call(
-                lambda: comp.compress(data), reps=reps, clock=clock
-            )
-            return Measurement(config=dict(config), seconds=seconds,
-                               digest=digest_bytes(blob))
-        finally:
-            close = getattr(getattr(comp, "adapter", None), "close", None)
-            if close is not None:
-                close()
-
-    return run
-
-
-def matrix_datasets(quick: bool = False) -> dict[str, Any]:
-    """The synthetic-dataset matrix (name -> array), Table III shapes."""
-    import numpy as np
-
-    from repro.data.synthetic import e3sm_like, nyx_like, xgc_like
-
-    if quick:
-        nyx = nyx_like((16, 16, 16), seed=1)
-        xgc = xgc_like((4, 8, 8, 8), seed=2)
-        e3sm = e3sm_like((4, 16, 16), seed=3)
-    else:
-        nyx = nyx_like((32, 32, 32), seed=1)
-        xgc = xgc_like((8, 12, 12, 12), seed=2)
-        e3sm = e3sm_like((8, 24, 24), seed=3)
-    # Low-entropy integer-valued floats: the lossless codec's natural
-    # diet (quantized keys), deterministic per seed.
-    ints = np.round(nyx * 4).astype(np.float32)
-    return {"nyx": nyx, "xgc": xgc, "e3sm": e3sm, "ints": ints}
-
-
-#: (dataset, codec) campaign cells for ``repro tune`` / bench_tune.
-MATRIX_CELLS: tuple[tuple[str, str], ...] = (
-    ("nyx", "mgard-x"),
-    ("nyx", "zfp-x"),
-    ("e3sm", "zfp-x"),
-    ("xgc", "sz"),
-    ("ints", "huffman-x"),
-)
-
-
-def tune_matrix(
-    cache: TuningCache,
-    *,
-    quick: bool = False,
-    seed: int = 0,
-    budget: int | None = None,
-    reps: int = 2,
-    cells: tuple[tuple[str, str], ...] = MATRIX_CELLS,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, TuneReport]:
-    """Run the tuning campaign over the synthetic-dataset matrix.
-
-    Returns one :class:`TuneReport` per cell, keyed by the tuning key's
-    string form; every winner is persisted into ``cache``.
-    """
-    datasets = matrix_datasets(quick=quick)
-    if budget is None:
-        budget = 6 if quick else 16
-    reports: dict[str, TuneReport] = {}
-    for dataset_name, codec in cells:
-        data = datasets[dataset_name]
-        key = TuningKey.for_array(codec, data)
-        space = knob_space_for(codec)
-        tuner = AutoTuner(space, seed=seed, budget=budget)
-        report = tuner.tune(
-            key,
-            codec_runner(codec, data, reps=reps),
-            cache=cache,
-            source=f"repro tune ({dataset_name})",
-        )
-        reports[str(key)] = report
-        if progress is not None:
-            progress(
-                f"{dataset_name}/{codec}: {report.speedup:.2f}x "
-                f"({report.evaluations} evals, {report.rejected} rejected "
-                f"by the byte guard)"
-            )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Config resolution (CLI --tune auto|off|force)
-# ---------------------------------------------------------------------------
-def resolve_codec_config(
-    mode: str,
-    codec: str,
-    data: Any,
-    *,
-    cache: TuningCache | None = None,
-    seed: int = 0,
-    budget: int | None = 8,
-) -> dict[str, Any]:
-    """The configuration ``--tune MODE`` selects for compressing ``data``.
-
-    ``off`` — grid defaults; ``auto`` — the cached entry when one
-    exists and still fits the current knob grid, defaults otherwise;
-    ``force`` — tune right now on the actual data (persisting the
-    winner) and use the result.
-    """
-    if mode not in TUNE_MODES:
-        raise ValueError(f"tune mode must be one of {TUNE_MODES}, got {mode!r}")
-    space = knob_space_for(codec)
-    if mode == "off":
-        return space.default_config()
-    if cache is None:
-        cache = TuningCache()
-    key = TuningKey.for_array(codec, data)
-    if mode == "force":
-        tuner = AutoTuner(space, seed=seed, budget=budget)
-        report = tuner.tune(key, codec_runner(codec, data),
-                            cache=cache, source="--tune force")
-        return dict(report.best_config)
-    entry = cache.get(key)
-    if entry is not None and space.contains(entry.config):
-        _METRICS.counter(
-            "hpdr_tune_cache_hits_total", "tuning-cache lookups that hit"
-        ).inc(codec=codec)
-        return dict(entry.config)
-    _METRICS.counter(
-        "hpdr_tune_cache_misses_total", "tuning-cache lookups that missed"
-    ).inc(codec=codec)
-    return space.default_config()
-
-
-# ---------------------------------------------------------------------------
 # Serve/cluster startup hook
 # ---------------------------------------------------------------------------
 def apply_service_tuning(cfg: Any) -> Any:
@@ -470,5 +288,5 @@ def tune_service(
         service_runner(clients=clients,
                        requests_per_client=requests_per_client),
         cache=cache,
-        source="repro tune --serve",
+        source="repro tune",
     )

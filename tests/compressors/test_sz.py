@@ -49,6 +49,21 @@ class TestSZCompressor:
         sz = SZ(Config(error_bound=1e-3, error_mode=ErrorMode.ABS))
         assert sz.max_error(data, sz.compress(data)) <= 1e-3
 
+    def test_float32_output_adds_half_an_ulp(self):
+        """The bound is ``eb`` in float64 and ``eb + ½ ulp`` after the cast
+        to float32: on this seeded field one value lands on the bound and
+        the cast rounds it across."""
+        eb = 1e-4
+        data = np.random.default_rng(1).normal(size=(64, 64)).astype(np.float32)
+        sz = SZ(Config(error_bound=eb, error_mode=ErrorMode.ABS))
+        back = sz.decompress(sz.compress(data))
+        assert back.dtype == np.float32
+        err = np.abs(back.astype(np.float64) - data.astype(np.float64))
+        assert err.max() > eb
+        assert np.all(err <= eb + np.spacing(np.abs(back)).astype(np.float64) / 2)
+        assert sz.max_error(data.astype(np.float64),
+                            sz.compress(data.astype(np.float64))) <= eb
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dtype_preserved(self, dtype, smooth_2d):
         data = smooth_2d.astype(dtype)

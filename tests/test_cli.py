@@ -110,3 +110,82 @@ def test_blast_requires_port_or_selfhost():
 def test_blast_bad_shape_rejected():
     with pytest.raises(SystemExit):
         main(["blast", "--selfhost", "--shape", "banana"])
+
+
+_TRACE = {"--trace", "--metrics"}
+_DEVICE = {"--adapter", "--threads"}
+_TUNE = {"--tune", "--tuning-cache"}
+_SERVICE = {"--workers", "--max-batch", "--max-latency-ms"}
+_SHARDS = {"--shards", "--replicas", "--backend", "--shard-max-pending"}
+
+#: every subcommand's options: shared flag groups come from parent
+#: parsers, so a group that goes missing from one command shows here.
+OPTION_SETS = {
+    "compress": _TRACE | _DEVICE | {"--sanitize", "--method", "--eb",
+                                    "--mode", "--rate", "--tolerance"},
+    "decompress": _TRACE | _DEVICE | {"--sanitize"},
+    "info": set(),
+    "refactor": _TRACE | {"--precision", "--progressive", "--eb", "--mode",
+                          "--bits-per-plane", "--max-planes", "--store",
+                          "--aggregators"},
+    "retrieve": _TRACE | {"--levels", "--error-bound", "--resolution"},
+    "campaign": _TRACE | {"--adapter", "--method", "--eb", "--mode", "--rate",
+                          "--ranks", "--chunk-elems", "--faults", "--resume",
+                          "--checkpoint-every"},
+    "faultplan": {"--seed", "--system", "--nodes", "--hours",
+                  "--device-batch-rate", "--timeout-rate", "--corrupt-rate",
+                  "--transport-rate", "--drop-rank", "--drop-after-chunks",
+                  "--kill-after-chunks"},
+    "serve": _TRACE | _DEVICE | _TUNE | _SERVICE | {
+        "--host", "--port", "--processes", "--max-bytes", "--max-pending"},
+    "cluster": _TRACE | _DEVICE | _TUNE | _SERVICE | _SHARDS | {
+        "--host", "--port", "--max-pending", "--vnodes"},
+    "blast": _DEVICE | _TUNE | _SERVICE | _SHARDS | {
+        "--host", "--port", "--selfhost", "--clients", "--requests",
+        "--codec", "--rate", "--eb", "--shape", "--seed", "--verify",
+        "--compress-only", "--processes", "--shm", "--cluster", "--kill-one",
+        "--kill-after-ms"},
+    "tune": _TRACE | {"--tuning-cache", "--seed", "--budget", "--clients"},
+    "datasets": set(),
+}
+
+
+def _subparsers():
+    import argparse
+
+    from repro.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_every_subcommand_is_listed():
+    assert set(_subparsers()) == set(OPTION_SETS)
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_SETS))
+def test_subcommand_option_set(command):
+    options = {opt for action in _subparsers()[command]._actions
+               for opt in action.option_strings}
+    assert options - {"-h", "--help"} == OPTION_SETS[command]
+
+
+@pytest.mark.parametrize("command", ["compress", "refactor"])
+def test_codec_commands_take_no_tune_flag(command, field_file, tmp_path,
+                                          capsys):
+    src, _ = field_file
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(src), str(tmp_path / "out"), "--tune", "auto"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_tune_writes_one_service_entry(tmp_path, capsys):
+    from repro.tune import SERVICE_CODEC, TuningCache, TuningKey
+
+    path = tmp_path / "tuning.json"
+    assert main(["tune", "--tuning-cache", str(path), "--budget", "2",
+                 "--clients", "4"]) == 0
+    (key,) = TuningCache(path).load()
+    assert TuningKey.parse(key).codec == SERVICE_CODEC

@@ -113,3 +113,42 @@ class TestPipelineEdges:
     def test_locality_functor_wrappers_cost(self):
         f = FnLocality(lambda b: b, "x", bytes_per_element=3.0)
         assert f.cost_bytes(10) == 30.0
+
+
+class TestCheckDocsNamedFiles:
+    """scripts/check_docs.py pass 3: a named repo file must exist."""
+
+    @staticmethod
+    def _check_docs():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "scripts" / "check_docs.py"
+        spec = importlib.util.spec_from_file_location("check_docs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_seeded_dangling_step_is_reported(self, tmp_path):
+        (tmp_path / "scripts").mkdir()
+        (tmp_path / "scripts" / "here.py").write_text("")
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / ".github" / "workflows").mkdir(parents=True)
+        (tmp_path / ".github" / "workflows" / "ci.yml").write_text(
+            "run: python scripts/here.py --out /tmp/scripts/fresh.json\n"
+            "run: python scripts/gone.py\n"
+        )
+        (tmp_path / "README.md").write_text(
+            "`benchmarks/e2e/run.py`, `benchmarks/bench_{a,b}.py`, "
+            "`scripts/*/x.py`, `out/plan.json`, `~/scripts/tuning.json`, "
+            "`../scripts/up.py` and `benchmarks/results/missing.json`\n"
+        )
+        assert self._check_docs().check_named_files(tmp_path) == [
+            ".github/workflows/ci.yml: names 'scripts/gone.py', which does "
+            "not exist",
+            "README.md: names 'benchmarks/results/missing.json', which does "
+            "not exist",
+        ]
+
+    def test_this_tree_names_only_files_it_has(self):
+        assert self._check_docs().check_named_files() == []

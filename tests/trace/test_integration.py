@@ -179,12 +179,14 @@ def test_cli_trace_and_metrics_flags(tmp_path):
     assert (tmp_path / "dec.json").exists()
 
 
-def test_bench_trace_run_writes_chrome_json(tmp_path):
-    from repro.bench.wallclock import trace_run
-
-    path = trace_run(tmp_path / "bench_trace.json")
-    events = load_chrome(path)
+def test_three_codecs_share_one_chrome_export(tmp_path, smooth_3d):
+    """One traced round-trip per codec, one export: every codec's
+    category is in the file (what CI archives from a traced run)."""
+    trace.enable(clear=True)
+    for name in ("huffman", "mgard", "zfp"):
+        codec = _codec(name)
+        data = smooth_3d if name != "huffman" else smooth_3d.view(np.uint8)
+        codec.decompress(codec.compress(data))
+    events = load_chrome(export_chrome(tmp_path / "codecs.json"))
     cats = {e.get("cat") for e in events if e["ph"] == "X"}
     assert {"mgard", "zfp", "huffman"} <= cats
-    # trace_run must restore the disabled state it found
-    assert not trace.enabled()

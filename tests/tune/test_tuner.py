@@ -1,4 +1,4 @@
-"""AutoTuner tests: byte-identity guard, persistence, config resolution.
+"""AutoTuner tests: byte-identity guard and persistence.
 
 Runners here are synthetic (FakeClock-backed cost surfaces), so every
 assertion about what the tuner accepts, rejects, and persists is exact.
@@ -14,17 +14,15 @@ from repro.tune import (
     Knob,
     KnobSpace,
     Measurement,
-    TuneEntry,
     TuningCache,
     TuningKey,
-    resolve_codec_config,
     service_knob_space,
 )
 
 SPACE = KnobSpace((
     Knob("threads", (1, 2, 4), 1),
     Knob("flavor", ("a", "b"), "a"),
-    Knob("chunk", (100, 200), 100, stream_affecting=True),
+    Knob("chunk", (100, 200), 100),
 ))
 
 KEY = TuningKey("fake", "<f4", (2, 256), "cpu-test")
@@ -110,79 +108,6 @@ def test_worse_everywhere_keeps_the_default(tmp_path):
     assert not report.improved
     assert report.speedup == pytest.approx(1.0)
     assert cache.get(KEY).config == SPACE.default_config()
-
-
-# ---------------------------------------------------------------------------
-# resolve_codec_config: the CLI --tune mode switch
-# ---------------------------------------------------------------------------
-def test_resolve_off_is_defaults_without_cache():
-    import numpy as np
-
-    data = np.zeros((8, 8), dtype=np.float32)
-    config = resolve_codec_config("off", "zfp-x", data)
-    from repro.tune import knob_space_for
-
-    assert config == knob_space_for("zfp-x").default_config()
-
-
-def test_resolve_rejects_unknown_mode():
-    import numpy as np
-
-    with pytest.raises(ValueError):
-        resolve_codec_config("sometimes", "zfp-x", np.zeros(4))
-
-
-def test_resolve_auto_hits_and_misses(tmp_path):
-    import numpy as np
-
-    from repro.tune import knob_space_for
-
-    data = np.zeros((8, 8), dtype=np.float32)
-    cache = TuningCache(tmp_path / "t.json")
-    space = knob_space_for("zfp-x")
-
-    miss_before = REGISTRY.counter(
-        "hpdr_tune_cache_misses_total").value(codec="zfp-x")
-    assert resolve_codec_config(
-        "auto", "zfp-x", data, cache=cache) == space.default_config()
-    assert REGISTRY.counter(
-        "hpdr_tune_cache_misses_total").value(codec="zfp-x") == miss_before + 1
-
-    tuned = dict(space.default_config(), adapter="openmp")
-    cache.put(TuningKey.for_array("zfp-x", data),
-              TuneEntry(config=tuned, cost_s=0.1))
-    hit_before = REGISTRY.counter(
-        "hpdr_tune_cache_hits_total").value(codec="zfp-x")
-    assert resolve_codec_config("auto", "zfp-x", data, cache=cache) == tuned
-    assert REGISTRY.counter(
-        "hpdr_tune_cache_hits_total").value(codec="zfp-x") == hit_before + 1
-
-
-def test_resolve_auto_ignores_off_grid_entry(tmp_path):
-    import numpy as np
-
-    from repro.tune import knob_space_for
-
-    data = np.zeros((8, 8), dtype=np.float32)
-    cache = TuningCache(tmp_path / "t.json")
-    cache.put(TuningKey.for_array("zfp-x", data),
-              TuneEntry(config={"adapter": "cuda", "threads": 9999},
-                        cost_s=0.1))
-    config = resolve_codec_config("auto", "zfp-x", data, cache=cache)
-    assert config == knob_space_for("zfp-x").default_config()
-
-
-def test_resolve_force_tunes_and_persists(tmp_path):
-    import numpy as np
-
-    data = np.linspace(0, 1, 512, dtype=np.float32).reshape(8, 8, 8)
-    cache = TuningCache(tmp_path / "t.json")
-    config = resolve_codec_config("force", "zfp-x", data,
-                                  cache=cache, budget=2)
-    key = TuningKey.for_array("zfp-x", data)
-    entry = cache.get(key)
-    assert entry is not None
-    assert entry.config == config
 
 
 # ---------------------------------------------------------------------------
