@@ -15,7 +15,6 @@ import numpy as np
 from repro import Config, ErrorMode, MGARDX, ZFPX, rate_for_error_bound
 from repro.bench.report import print_table
 from repro.core.adaptive import adaptive_schedule
-from repro.core.pipeline import chunked_compress
 from repro.perf.models import kernel_model
 
 from benchmarks.common import bench_dataset, save_table

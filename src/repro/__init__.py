@@ -31,31 +31,16 @@ Quickstart::
 """
 
 from repro.core.config import Config, ErrorMode
-from repro.core.context import ContextCache, ReductionContext
-from repro.core.abstractions import (
-    Abstraction,
-    global_pipeline,
-    iterative,
-    locality,
-    map_and_process,
-)
+from repro.core.context import ContextCache
 from repro.adapters import get_adapter, list_adapters
 from repro.compressors.mgard.compressor import MGARDX
 from repro.compressors.zfp.compressor import ZFPX, rate_for_error_bound
-from repro.compressors.zfp.modes import ZFPAccuracy, ZFPPrecision
-from repro.compressors.mgard.refactor import MGARDRefactor, RefactoredData
+from repro.compressors.zfp.modes import ZFPAccuracy
 from repro.core.streaming import StreamingCompressor, StreamingDecompressor
 from repro.compressors.huffman.compressor import HuffmanX
 from repro.compressors.baselines.sz import SZ
 from repro.compressors.baselines.lz4 import LZ4
-from repro.compressors.baselines.mgard_gpu import MGARDGPU
-from repro.compressors.baselines.zfp_cuda import ZFPCUDA
-from repro.progressive import (
-    ProgressiveMGARD,
-    ProgressiveRetriever,
-    RetrievalReport,
-    SegmentIndex,
-)
+from repro.progressive import ProgressiveMGARD, ProgressiveRetriever
 
 __version__ = "1.0.0"
 
@@ -63,31 +48,18 @@ __all__ = [
     "Config",
     "ErrorMode",
     "ContextCache",
-    "ReductionContext",
-    "Abstraction",
-    "locality",
-    "iterative",
-    "map_and_process",
-    "global_pipeline",
     "get_adapter",
     "list_adapters",
     "MGARDX",
     "ZFPX",
     "rate_for_error_bound",
     "ZFPAccuracy",
-    "ZFPPrecision",
-    "MGARDRefactor",
-    "RefactoredData",
     "StreamingCompressor",
     "StreamingDecompressor",
     "HuffmanX",
     "SZ",
     "LZ4",
-    "MGARDGPU",
-    "ZFPCUDA",
     "ProgressiveMGARD",
     "ProgressiveRetriever",
-    "RetrievalReport",
-    "SegmentIndex",
     "__version__",
 ]

@@ -8,8 +8,8 @@ from the shell:
     python -m repro compress field.npy field.hpdr --method mgard-x --eb 1e-3
     python -m repro decompress field.hpdr restored.npy
     python -m repro info field.hpdr
-    python -m repro refactor field.npy field.mgrf --precision 1e-6
-    python -m repro retrieve field.mgrf coarse.npy --levels 2
+    python -m repro refactor field.npy field.hpgx --eb 1e-4
+    python -m repro retrieve field.hpgx coarse.npy --error-bound 1e-2
     python -m repro faultplan plan.json --system frontier --nodes 1024
     python -m repro campaign field.npy out/ --ranks 8 --faults plan.json
     python -m repro campaign field.npy out/ --ranks 8 --resume
@@ -136,25 +136,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_refactor(args) -> int:
-    if getattr(args, "progressive", False):
-        return _refactor_progressive(args)
-    from repro.compressors.mgard.refactor import MGARDRefactor
-
-    data = np.load(args.input)
-    r = MGARDRefactor(precision=args.precision)
-    refactored = r.refactor(data)
-    atomic_write_bytes(args.output, refactored.tobytes())
-    print(f"{args.input}: {data.nbytes/1e6:.2f} MB -> "
-          f"{refactored.total_bytes/1e6:.2f} MB in "
-          f"{refactored.num_levels} substreams")
-    for k in range(1, refactored.num_levels + 1):
-        print(f"  prefix {k}: {refactored.prefix_bytes(k)/1e6:8.3f} MB, "
-              f"est. error {refactored.error_estimate(k):.3e}")
-    return 0
-
-
-def _refactor_progressive(args) -> int:
-    """``refactor --progressive``: write an HPGX archive or BP store."""
+    """Write an HPGX archive or BP store of progressive segments."""
     from repro import Config, ErrorMode
     from repro.progressive import ProgressiveMGARD, archive_bytes, write_store
 
@@ -186,49 +168,26 @@ def _refactor_progressive(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    """Bounded retrieval from an HPGX archive / BP store."""
     from pathlib import Path
 
+    from repro.progressive import ProgressiveError, ProgressiveRetriever
+
     src = Path(args.input)
-    if src.is_dir():
-        return _retrieve_progressive(args)
-    with open(args.input, "rb") as f:
-        head = f.read(4)
-    from repro.progressive import ARCHIVE_MAGIC
-
-    if head == ARCHIVE_MAGIC:
-        return _retrieve_progressive(args)
-    if args.error_bound is not None or args.resolution is not None:
-        raise SystemExit(
-            "--error-bound/--resolution need a progressive source "
-            "(HPGX archive or BP store); this input is a legacy "
-            "refactored stream — use --levels"
-        )
-    from repro.compressors.mgard.refactor import MGARDRefactor, RefactoredData
-
-    with open(args.input, "rb") as f:
-        refactored = RefactoredData.frombytes(f.read())
-    r = MGARDRefactor()
-    data = r.retrieve(refactored, num_levels=args.levels)
-    np.save(args.output, data)
-    touched = refactored.prefix_bytes(args.levels or refactored.num_levels)
-    print(f"retrieved {data.shape} from {touched/1e6:.3f} MB "
-          f"of {refactored.total_bytes/1e6:.3f} MB")
-    return 0
-
-
-def _retrieve_progressive(args) -> int:
-    """Bounded retrieval from an HPGX archive / BP store."""
-    from repro.progressive import BoundUnreachableError, ProgressiveRetriever
-
-    if args.levels is not None:
-        raise SystemExit("--levels is for legacy streams; progressive "
-                         "sources take --error-bound or --resolution")
-    retriever = ProgressiveRetriever()
+    if src.is_dir() and not (src / "index.json").exists():
+        raise SystemExit(f"retrieve: {src} is a directory without "
+                         f"index.json, not a BP store")
+    if src.is_file():
+        with open(src, "rb") as f:
+            if f.read(4) == b"MGRF":
+                raise SystemExit(
+                    "retrieve: MGRF streams are no longer readable; "
+                    "re-run `repro refactor` on the source array")
     try:
-        data, report = retriever.retrieve(
+        data, report = ProgressiveRetriever().retrieve(
             args.input, eps=args.error_bound, resolution=args.resolution
         )
-    except BoundUnreachableError as exc:
+    except ProgressiveError as exc:
         raise SystemExit(f"retrieve: {exc}")
     np.save(args.output, data)
     want = (f"eps={report.eps:g}" if report.eps is not None
@@ -653,38 +612,28 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[after_run])
     r.add_argument("input")
     r.add_argument("output")
-    r.add_argument("--precision", type=float, default=1e-6,
-                   help="(legacy stream) substream precision")
-    r.add_argument("--progressive", action="store_true",
-                   help="emit the segmented HPGX/BP form with a per-segment "
-                        "error-bound index (repro.progressive)")
     r.add_argument("--eb", type=float, default=1e-3,
-                   help="(--progressive) error bound of the full stream")
+                   help="error bound of the full stream")
     r.add_argument("--mode", default="rel", choices=["rel", "abs"],
-                   help="(--progressive) error-bound mode")
+                   help="error-bound mode")
     r.add_argument("--bits-per-plane", type=int, default=8,
-                   help="(--progressive) residual bitplane width")
+                   help="residual bitplane width")
     r.add_argument("--max-planes", type=int, default=3,
-                   help="(--progressive) max bitplanes per group")
+                   help="max bitplanes per group")
     r.add_argument("--store", default="blob", choices=["blob", "bp"],
-                   help="(--progressive) output form: single HPGX file "
-                        "or BP store directory")
+                   help="output form: single HPGX file or BP store directory")
     r.add_argument("--aggregators", type=int, default=1,
-                   help="(--progressive --store bp) aggregator subfiles")
+                   help="(--store bp) aggregator subfiles")
     r.set_defaults(func=cmd_refactor)
 
     g = sub.add_parser("retrieve", help="retrieve a refactored prefix",
                        parents=[after_run])
-    g.add_argument("input",
-                   help=".mgrf stream, HPGX archive, or BP store directory")
+    g.add_argument("input", help="HPGX archive or BP store directory")
     g.add_argument("output")
-    g.add_argument("--levels", type=int, default=None,
-                   help="(legacy stream) substream prefix length")
     g.add_argument("--error-bound", type=float, default=None, metavar="EPS",
-                   help="(progressive) fetch the minimal prefix achieving "
-                        "this absolute error")
+                   help="fetch the minimal prefix achieving this absolute error")
     g.add_argument("--resolution", type=int, default=None, metavar="L",
-                   help="(progressive) fetch the first L resolution groups")
+                   help="fetch the first L resolution groups")
     g.set_defaults(func=cmd_retrieve)
 
     cp = sub.add_parser(

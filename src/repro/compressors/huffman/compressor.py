@@ -190,12 +190,13 @@ class HuffmanX:
         """Compress an integer key array with values in [0, num_symbols)."""
         return self.compress_keys_batch([keys], num_symbols)[0]
 
-    def _key_context(self, shape, dtype, num_symbols: int, pin=False):
-        """CMM context for one key-stream shape, whatever the batch width.
+    def _key_context(self, shape, dtype, num_symbols: int):
+        """Pinned CMM context for one key-stream shape, whatever the
+        batch width.
 
         The key matches between encode and decode (buffer names are
         disjoint), so decompressing what was just compressed reuses the
-        compression context instead of opening a second one.  ``pin``
+        compression context instead of opening a second one.  The pin
         holds the context safe from LRU eviction while a call is in
         flight (concurrent callers can exceed the cache capacity);
         callers release in a ``finally``.
@@ -209,7 +210,7 @@ class HuffmanX:
                 int(num_symbols),
                 self._effective_chunk(n),
             ),
-            pin=pin,
+            pin=True,
         )
 
     def compress_keys_batch(
@@ -249,7 +250,7 @@ class HuffmanX:
                 self.chunk_size,
             )
             return [empty] * len(keys_list)
-        ctx = self._key_context(first.shape, first.dtype, num_symbols, pin=True)
+        ctx = self._key_context(first.shape, first.dtype, num_symbols)
         try:
             return self._compress_keys(keys_list, num_symbols, ctx)
         finally:
@@ -429,7 +430,7 @@ class HuffmanX:
                     "corrupt stream: chunk offset past the payload"
                 )
 
-        ctx = self._key_context(shape, dtype, num_symbols, pin=True)
+        ctx = self._key_context(shape, dtype, num_symbols)
         try:
             # Span wraps the call site, not the @hot_path body, so the
             # decode loop stays allocation-free under tracing too.

@@ -31,7 +31,6 @@ from repro.compressors.mgard.ops1d import (
 from repro.compressors.mgard.decompose import decompose, recompose
 from repro.compressors.mgard.quantize import quantize_levels, dequantize_levels
 from repro.compressors.mgard.compressor import MGARDX
-from repro.compressors.mgard.refactor import MGARDRefactor, RefactoredData
 
 __all__ = [
     "DimHierarchy",
@@ -46,6 +45,4 @@ __all__ = [
     "quantize_levels",
     "dequantize_levels",
     "MGARDX",
-    "MGARDRefactor",
-    "RefactoredData",
 ]

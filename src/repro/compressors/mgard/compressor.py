@@ -97,21 +97,21 @@ class MGARDX:
         shape: tuple[int, ...],
         dtype: np.dtype,
         coords: tuple[np.ndarray, ...] | None = None,
-        pin: bool = False,
     ):
-        """One context per shape/dtype/grid/config, whatever the batch
-        width: hierarchy and factors are exact to the key, and working
-        memory grows to the widest launch the context has run."""
+        """One pinned context per shape/dtype/grid/config, whatever the
+        batch width: hierarchy and factors are exact to the key, and
+        working memory grows to the widest launch the context has run.
+        Callers release it in a ``finally``."""
         coords_key = (
             None
             if coords is None
             else tuple(hash(c.tobytes()) for c in coords)
         )
         key = ("mgard", coords_key) + self.config.cache_key(shape, dtype)
-        # ``pin`` protects the context while the nested Huffman coder
+        # The pin protects the context while the nested Huffman coder
         # opens its own contexts in the shared cache (a tight-capacity
         # cache would otherwise evict — and poison — ours mid-call).
-        ctx = self.cache.get(key, pin=pin)
+        ctx = self.cache.get(key, pin=True)
         hierarchy = ctx.object("hierarchy", lambda: Hierarchy(shape, coords))
         factors = ctx.object(
             "factors",
@@ -228,7 +228,7 @@ class MGARDX:
         ebs, peaks = zip(*(self._absolute_bound(d) for d in datas))
         coords = self._check_coords(coords, first.shape)
         ctx, hierarchy, factors = self._context(
-            first.shape, first.dtype, coords, pin=True
+            first.shape, first.dtype, coords
         )
         try:
             with span("mgard.decompose", cat="mgard",
@@ -352,7 +352,7 @@ class MGARDX:
                 )
         nbatch = len(parsed)
         coords = self._check_coords(coords, shape)
-        ctx, hierarchy, factors = self._context(shape, dtype, coords, pin=True)
+        ctx, hierarchy, factors = self._context(shape, dtype, coords)
         try:
             sizes = [
                 hierarchy.num_coefficients(l)

@@ -15,25 +15,17 @@ device:
 * the reconstruction launch-order reversal (red edges): the next
   chunk's deserialization is issued before the current chunk's output
   copy on their shared DMA.
-
-Also provides the *functional* chunked compression path (real bytes,
-real compressors) used to study the chunk-size/compression-ratio
-interplay of Fig. 14.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.machine.device import SimDevice
 from repro.machine.engine import Task, TaskKind, Trace
 from repro.perf.models import KernelModel
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import TRACER as _TRACER, span
-from repro.util import read_chunk_index, stream_errors
 
 #: metadata embedded/extracted per chunk (bytes) — rides the DMA engines.
 META_BYTES = 4096
@@ -398,46 +390,6 @@ class ReductionPipeline:
             total_in_bytes=int(sum(max(1, int(c / ratio)) for c in chunk_sizes)),
             total_out_bytes=int(sum(chunk_sizes)),
         )
-
-
-# ----------------------------------------------------------------------
-# Functional chunked compression (real bytes)
-# ----------------------------------------------------------------------
-_CHUNK_MAGIC = b"HPDC"
-
-
-def chunked_compress(compressor, data: np.ndarray, chunk_elems: int) -> bytes:
-    """Compress ``data`` in chunks along axis 0 (real compression).
-
-    This is the functional counterpart of the pipeline: each chunk is an
-    independent stream, which is exactly why small chunks degrade
-    MGARD's ratio (less correlation per stream — Fig. 14).
-    """
-    if chunk_elems < 1:
-        raise ValueError(f"chunk_elems must be >= 1, got {chunk_elems}")
-    data = np.ascontiguousarray(data)
-    n0 = data.shape[0]
-    blobs = []
-    for start in range(0, n0, chunk_elems):
-        piece = data[start : start + chunk_elems]
-        blobs.append(compressor.compress(piece))
-    index = struct.pack(f"<I{len(blobs)}Q", len(blobs), *map(len, blobs))
-    return _CHUNK_MAGIC + index + b"".join(blobs)
-
-
-@stream_errors
-def chunked_decompress(compressor, blob: bytes) -> np.ndarray:
-    """Invert :func:`chunked_compress` (concatenates along axis 0)."""
-    if blob[:4] != _CHUNK_MAGIC:
-        raise ValueError("not a chunked HPDR stream")
-    (nchunks,) = struct.unpack_from("<I", blob, 4)
-    return np.concatenate(
-        [
-            compressor.decompress(blob[off : off + size])
-            for off, size in read_chunk_index(blob, 8, nchunks)
-        ],
-        axis=0,
-    )
 
 
 def chunk_sizes_for(total_bytes: int, chunk_bytes: int) -> list[int]:

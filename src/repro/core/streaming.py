@@ -24,6 +24,9 @@ from repro.util import read_chunk_index, stream_errors
 
 _MAGIC = b"HPST"
 _VERSION = 1
+#: the same chunk list without a version byte, as older releases wrote
+#: it (``HPDC | u32 count | u64 lengths | bodies``); read, never written.
+_LEGACY_MAGIC = b"HPDC"
 
 
 class StreamingCompressor:
@@ -93,6 +96,9 @@ class StreamingDecompressor:
     @staticmethod
     @stream_errors
     def _parse_index(blob: bytes) -> list[tuple[int, int]]:
+        if blob[:4] == _LEGACY_MAGIC:   # no version byte
+            (nchunks,) = struct.unpack_from("<I", blob, 4)
+            return read_chunk_index(blob, 8, nchunks)
         if blob[:4] != _MAGIC:
             raise ValueError("not an HPDR stream container (bad magic)")
         version, nchunks = struct.unpack_from("<BI", blob, 4)

@@ -157,8 +157,8 @@ class BPReader:
         """Read a variable; ``selection`` reads a hyperslab.
 
         For reduced variables the payload is reconstructed first and
-        then sliced (block-granular partial decode is the refactoring
-        path — see :class:`repro.compressors.mgard.refactor`).
+        then sliced (reading only a prefix of a field is the progressive
+        path — see :mod:`repro.progressive`).
         """
         key = f"{name}@{rank}"
         entry = self._index["variables"].get(key)

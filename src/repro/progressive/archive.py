@@ -58,12 +58,8 @@ def is_archive(blob: bytes) -> bool:
     return bytes(blob[:4]) == ARCHIVE_MAGIC
 
 
-def parse_archive_index(blob: Any) -> tuple[SegmentIndex, int]:
-    """Parse an HPGX header -> ``(index, segment_region_offset)``.
-
-    Only the header + index bytes are touched, so callers can hand in
-    a prefix of the file (at least ``header + index`` long).
-    """
+def _index_len(blob: Any) -> int:
+    """Check an HPGX header (the first 9 bytes) -> its index length."""
     if len(blob) < _ARCHIVE_HEADER.size:
         raise TruncatedSegmentError(
             f"archive header truncated: {len(blob)} bytes"
@@ -73,7 +69,16 @@ def parse_archive_index(blob: Any) -> tuple[SegmentIndex, int]:
         raise MalformedIndexError(f"not an HPGX archive (magic {bytes(magic)!r})")
     if version != _ARCHIVE_VERSION:
         raise MalformedIndexError(f"unsupported HPGX version {version}")
-    base = _ARCHIVE_HEADER.size + index_len
+    return index_len
+
+
+def parse_archive_index(blob: Any) -> tuple[SegmentIndex, int]:
+    """Parse an HPGX header -> ``(index, segment_region_offset)``.
+
+    Only the header + index bytes are touched, so callers can hand in
+    a prefix of the file (at least ``header + index`` long).
+    """
+    base = _ARCHIVE_HEADER.size + _index_len(blob)
     if len(blob) < base:
         raise TruncatedSegmentError(
             f"archive index truncated: {len(blob)} < {base} bytes"
@@ -114,33 +119,12 @@ def read_archive_prefix(
     """
     with open(path, "rb") as f:
         head = f.read(_ARCHIVE_HEADER.size)
-        if len(head) < _ARCHIVE_HEADER.size:
-            raise TruncatedSegmentError(
-                f"archive header truncated: {len(head)} bytes"
-            )
-        magic, version, index_len = _ARCHIVE_HEADER.unpack(head)
-        if magic != ARCHIVE_MAGIC:
-            raise MalformedIndexError(
-                f"not an HPGX archive (magic {bytes(magic)!r})"
-            )
-        if version != _ARCHIVE_VERSION:
-            raise MalformedIndexError(f"unsupported HPGX version {version}")
-        raw_index = f.read(index_len)
-        if len(raw_index) < index_len:
-            raise TruncatedSegmentError(
-                f"archive index truncated: {len(raw_index)} < {index_len}"
-            )
-        try:
-            index = SegmentIndex.from_json(json.loads(raw_index.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedIndexError(
-                f"unparseable archive index: {exc}"
-            ) from exc
+        index, base = parse_archive_index(head + f.read(_index_len(head)))
         plan = index.plan(eps=eps, resolution=resolution, strict=strict)
         if not plan:
             return index, plan, []
         span = plan[-1].offset + plan[-1].nbytes - plan[0].offset
-        f.seek(_ARCHIVE_HEADER.size + index_len + plan[0].offset)
+        f.seek(base + plan[0].offset)
         region = f.read(span)
     if len(region) < span:
         raise TruncatedSegmentError(

@@ -88,7 +88,6 @@ class ServiceConfig:
     adapter: str = "serial"
     threads: int | None = None
     cache_capacity: int = 64
-    pin_contexts: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     retry_sleep: Any = None
     fault_plan: Any = None
@@ -263,7 +262,6 @@ class ReductionService:
                     adapter=cfg.adapter,
                     threads=cfg.threads,
                     cache_capacity=cfg.cache_capacity,
-                    pin_contexts=cfg.pin_contexts,
                     policy=cfg.retry,
                     fault_plan=cfg.fault_plan,
                 ),),
@@ -288,7 +286,6 @@ class ReductionService:
                 cache_capacity=cfg.cache_capacity,
                 policy=cfg.retry,
                 sleep=cfg.retry_sleep,
-                pin_contexts=cfg.pin_contexts,
             )
             self._workers.append(worker)
             self._executors.append(

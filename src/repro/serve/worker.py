@@ -90,7 +90,6 @@ class Worker:
         cache_capacity: int = 64,
         policy: RetryPolicy | None = None,
         sleep: Callable[[float], None] | None = None,
-        pin_contexts: bool = True,
     ) -> None:
         self.wid = wid
         self.adapter = adapter
@@ -98,7 +97,6 @@ class Worker:
         self.cache = ContextCache(capacity=cache_capacity)
         self.policy = policy if policy is not None else RetryPolicy()
         self._sleep = sleep if sleep is not None else time.sleep
-        self.pin_contexts = pin_contexts
         #: batches currently dispatched to this worker (service-side
         #: least-loaded routing; mutated only from the event loop).
         self.backlog = 0
@@ -144,9 +142,7 @@ class Worker:
             return []
         self.batches_run += 1
         self.requests_run += len(payloads)
-        ctx = self.cache.get(
-            spec.context_key(op, payloads[0]), pin=self.pin_contexts
-        )
+        ctx = self.cache.get(spec.context_key(op, payloads[0]), pin=True)
         try:
             codec = ctx.object(
                 "codec",
@@ -159,8 +155,7 @@ class Worker:
                     return [(OK, v) for v in values]
             return [self._run_one(ctx, codec, spec, op, p) for p in payloads]
         finally:
-            if self.pin_contexts:
-                self.cache.release(ctx)
+            self.cache.release(ctx)
 
     # ------------------------------------------------------------------
     def _try_batch_path(self, codec, op: str, spec, payloads) -> list | None:
@@ -250,7 +245,6 @@ class ProcessWorkerConfig:
     adapter: str = "serial"
     threads: int | None = None
     cache_capacity: int = 64
-    pin_contexts: bool = True
     policy: RetryPolicy = RetryPolicy()
     fault_plan: Any = None
 
@@ -280,7 +274,6 @@ def _init_process_worker(cfg: ProcessWorkerConfig) -> None:
         get_adapter("serial"),
         cache_capacity=cfg.cache_capacity,
         policy=cfg.policy,
-        pin_contexts=cfg.pin_contexts,
     )
 
 

@@ -107,12 +107,12 @@ def read_chunk_index(blob, off: int, count: int) -> list[tuple[int, int]]:
     """``(offset, length)`` of each of the ``count`` bodies that follow
     a table of ``count`` little-endian u64 lengths at ``blob[off]``.
 
-    The one index reader of the chunk-list containers (``HPDC``,
-    ``HPST``, ``HUFP``): each writes a count, the lengths, then the
-    bodies back to back.  Nothing is sized from a declared value before
-    it is checked — the table must fit what is left of ``blob`` and the
-    bodies what is left after the table; otherwise
-    :class:`CorruptStreamError`.
+    The one index reader of the chunk-list containers (``HPST``, and
+    the read-only ``HPDC`` and ``HUFP``): each holds a count, the
+    lengths, then the bodies back to back.  Nothing is sized from a
+    declared value before it is checked — the table must fit what is
+    left of ``blob`` and the bodies what is left after the table;
+    otherwise :class:`CorruptStreamError`.
     """
     room = len(blob) - off
     if not 0 <= count <= room // 8:

@@ -65,8 +65,8 @@ class TestLeaseLifetime:
         assert cache.pool.pooled_bytes == LEASE_FLOOR
 
     def test_unpinned_user_keeps_its_buffers_until_eviction(self):
-        # ``mgard/refactor.py`` and the tuner fetch contexts with a plain
-        # get(): no release ever comes, so nothing is taken from them.
+        # Every codec pins; a caller that fetches a context with a plain
+        # get() never releases it, so nothing is taken from it.
         cache = ContextCache(capacity=1)
         ctx = cache.get("a")
         big = ctx.buffer("big", BIG)

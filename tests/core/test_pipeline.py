@@ -6,12 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    ReductionPipeline,
-    chunk_sizes_for,
-    chunked_compress,
-    chunked_decompress,
-)
+from repro.core.pipeline import ReductionPipeline, chunk_sizes_for
+from repro.core.streaming import StreamingCompressor, StreamingDecompressor
 from repro.machine.device import SimDevice
 from repro.machine.engine import Simulator, TaskKind
 from repro.perf.models import kernel_model
@@ -123,6 +119,18 @@ class TestReconstructionDag:
         res.trace.validate()
 
 
+def _rows(data, chunk_elems):
+    return [data[i : i + chunk_elems] for i in range(0, len(data), chunk_elems)]
+
+
+def _roundtrip(compressor, data, chunk_elems):
+    """Compress ``chunk_elems``-row slices into one ``HPST`` chunk list
+    and decode it back, concatenated along axis 0."""
+    stream = StreamingCompressor(compressor)
+    stream.extend(_rows(data, chunk_elems))
+    return StreamingDecompressor(compressor, stream.finalize()).concatenate()
+
+
 class TestChunkedFunctional:
     def test_chunked_equals_concatenated(self, smooth_3d):
         """Chunk-wise compression reconstructs the full array exactly
@@ -130,8 +138,7 @@ class TestChunkedFunctional:
         from repro import ZFPX
 
         z = ZFPX(rate=16)
-        blob = chunked_compress(z, smooth_3d, chunk_elems=7)
-        back = chunked_decompress(z, blob)
+        back = _roundtrip(z, smooth_3d, 7)
         assert back.shape == smooth_3d.shape
         direct = z.decompress(z.compress(smooth_3d))
         # Chunking along axis 0 changes block padding at boundaries but
@@ -144,9 +151,7 @@ class TestChunkedFunctional:
         from repro import LZ4
 
         data = (rng.integers(0, 4, size=(30, 8)) * 17).astype(np.int64)
-        lz = LZ4()
-        blob = chunked_compress(lz, data, chunk_elems=11)
-        assert np.array_equal(chunked_decompress(lz, blob), data)
+        assert np.array_equal(_roundtrip(LZ4(), data, 11), data)
 
     def test_chunk_sizes_for(self):
         assert chunk_sizes_for(10, 4) == [4, 4, 2]
@@ -160,11 +165,16 @@ class TestChunkedFunctional:
         from repro import LZ4
 
         with pytest.raises(ValueError):
-            chunked_decompress(LZ4(), b"XXXX1234")
-        # ... and so is an index that lies: a typed error, nothing sized
-        # from the declared count or lengths.
+            StreamingDecompressor(LZ4(), b"XXXX1234")
+        # The legacy ``HPDC`` layout (no version byte) still reads ...
         data = rng.integers(0, 4, size=(22, 8)).astype(np.int64)
-        b = chunked_compress(LZ4(), data, chunk_elems=11)   # two chunks
+        parts = [LZ4().compress(rows) for rows in _rows(data, 11)]
+        b = (b"HPDC" + struct.pack("<I2Q", 2, *map(len, parts))
+             + b"".join(parts))
+        assert np.array_equal(
+            StreamingDecompressor(LZ4(), b).concatenate(), data)
+        # ... and an index that lies is a typed error, nothing sized
+        # from the declared count or lengths.
         table = 8
         malformed = {
             "count-2**31": b[:4] + struct.pack("<I", 2**31) + b[8:],
@@ -176,7 +186,7 @@ class TestChunkedFunctional:
             tracemalloc.start()
             try:
                 with pytest.raises(CorruptStreamError):
-                    chunked_decompress(LZ4(), blob)
+                    StreamingDecompressor(LZ4(), blob).concatenate()
                     pytest.fail(f"{case} was accepted")
                 _, peak = tracemalloc.get_traced_memory()
             finally:

@@ -66,6 +66,7 @@ class TestZeroAllocSteadyState:
         h.compress_keys(keys, 64)
         h.compress_keys(keys, 64)
         ctx = h._key_context(keys.shape, keys.dtype, 64)
+        h.cache.release(ctx)
         before = ctx.alloc_count
         assert before > 0
         h.compress_keys(keys, 64)

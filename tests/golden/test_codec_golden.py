@@ -31,10 +31,8 @@ from repro.compressors.baselines.lz4 import LZ4
 from repro.compressors.baselines.sz import SZ
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.mgard import MGARDX
-from repro.compressors.mgard.refactor import MGARDRefactor, RefactoredData
 from repro.compressors.zfp import ZFPX, ZFPAccuracy, ZFPEmbedded, ZFPPrecision
 from repro.core.config import ErrorMode
-from repro.core.pipeline import chunked_compress, chunked_decompress
 from repro.core.streaming import StreamingCompressor, StreamingDecompressor
 from repro.io.bp import BPFile
 from repro.progressive.archive import make_retrieve_request, parse_retrieve_request
@@ -221,18 +219,16 @@ def _cusz(data) -> str:
     return _sha([blob], [codec.decompress(blob)])
 
 
-def _mgrf(data) -> str:
-    """Refactored hierarchy: full retrieval and the coarsest two levels."""
-    driver = MGARDRefactor()
-    blob = driver.refactor(data).tobytes()
-    back = RefactoredData.frombytes(blob)
-    return _sha([blob], [driver.retrieve(back), driver.retrieve(back, 2)])
-
-
 def _hpdc(data) -> str:
-    """Chunks of 8 rows, the last one short."""
-    blob = chunked_compress(ZFPX(rate=8), data, 8)
-    return _sha([blob], [chunked_decompress(ZFPX(), blob)])
+    """Chunks of 8 rows, the last one short, in the legacy ``HPDC``
+    chunk list (a container no writer produces any more)."""
+    parts = [ZFPX(rate=8).compress(data[i : i + 8])
+             for i in range(0, len(data), 8)]
+    blob = b"".join([
+        b"HPDC", struct.pack(f"<I{len(parts)}Q", len(parts), *map(len, parts)),
+        *parts,
+    ])
+    return _sha([blob], [StreamingDecompressor(ZFPX(), blob).concatenate()])
 
 
 def _hpst(data) -> str:
@@ -291,7 +287,6 @@ def _container_cases() -> dict:
     payload = f4.tobytes()[:999]
     return {
         "cusz-f4-odd3d": (_cusz, (f4,), {}),
-        "mgrf-f8-odd3d": (_mgrf, (f8,), {}),
         "hpdc-f4-odd3d": (_hpdc, (f4,), {}),
         "hpst-f4-odd3d": (_hpst, (f4,), {}),
         "bp5x-f8-odd3d": (_bp5x, (f8,), {}),

@@ -135,7 +135,7 @@ def test_failed_retrieve_writes_nothing(tmp_path, stream):
     src = tmp_path / "field.hpgx"
     src.write_bytes(blob[:-5])  # truncated mid-segment
     out = tmp_path / "out.npy"
-    with pytest.raises(TruncatedSegmentError):
+    with pytest.raises(SystemExit, match="archive data truncated"):
         main(["retrieve", str(src), str(out)])
     assert not out.exists()
 

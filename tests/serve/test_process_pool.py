@@ -116,7 +116,7 @@ def test_process_worker_entry_points_run_without_a_pool():
     try:
         _init_process_worker(ProcessWorkerConfig(
             adapter="serial", threads=None, cache_capacity=8,
-            pin_contexts=True, policy=worker_mod.RetryPolicy(),
+            policy=worker_mod.RetryPolicy(),
             fault_plan=None,
         ))
         spec = CodecSpec("zfp-x", rate=8.0)

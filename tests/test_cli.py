@@ -52,13 +52,13 @@ def test_info(field_file, tmp_path, capsys):
 
 def test_refactor_retrieve_cycle(field_file, tmp_path, capsys):
     src, data = field_file
-    mgrf = tmp_path / "f.mgrf"
+    hpgx = tmp_path / "f.hpgx"
     out = tmp_path / "coarse.npy"
-    assert main(["refactor", str(src), str(mgrf), "--precision", "1e-7"]) == 0
-    assert main(["retrieve", str(mgrf), str(out), "--levels", "2"]) == 0
+    assert main(["refactor", str(src), str(hpgx), "--eb", "1e-5"]) == 0
+    assert main(["retrieve", str(hpgx), str(out), "--resolution", "2"]) == 0
     coarse = np.load(out)
     assert coarse.shape == data.shape
-    assert main(["retrieve", str(mgrf), str(out)]) == 0  # full retrieval
+    assert main(["retrieve", str(hpgx), str(out)]) == 0  # full retrieval
     full = np.load(out)
     assert np.max(np.abs(full - data)) < 1e-4 * np.ptp(data)
 
@@ -125,10 +125,9 @@ OPTION_SETS = {
                                     "--mode", "--rate", "--tolerance"},
     "decompress": _TRACE | _DEVICE | {"--sanitize"},
     "info": set(),
-    "refactor": _TRACE | {"--precision", "--progressive", "--eb", "--mode",
-                          "--bits-per-plane", "--max-planes", "--store",
-                          "--aggregators"},
-    "retrieve": _TRACE | {"--levels", "--error-bound", "--resolution"},
+    "refactor": _TRACE | {"--eb", "--mode", "--bits-per-plane", "--max-planes",
+                          "--store", "--aggregators"},
+    "retrieve": _TRACE | {"--error-bound", "--resolution"},
     "campaign": _TRACE | {"--adapter", "--method", "--eb", "--mode", "--rate",
                           "--ranks", "--chunk-elems", "--faults", "--resume",
                           "--checkpoint-every"},

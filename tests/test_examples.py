@@ -29,5 +29,5 @@ def test_examples_inventory():
         "adaptive_pipeline",
         "campaign_io",
         "multi_gpu_scaling",
-        "progressive_retrieval",
+        "progressive_preview",
     } <= names

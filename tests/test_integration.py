@@ -92,13 +92,14 @@ def test_simulated_platform_end_to_end():
 def test_chunked_pipeline_functional_equivalence(tmp_path):
     """Compressing in pipeline chunks and storing each chunk reproduces
     the field within the same bound as whole-array compression."""
-    from repro.core.pipeline import chunked_compress, chunked_decompress
+    from repro import StreamingCompressor, StreamingDecompressor
 
     data = load("e3sm", (16, 24, 32))
     cfg = Config(error_bound=1e-3, error_mode=ErrorMode.REL)
     comp = MGARDX(cfg)
-    blob = chunked_compress(comp, data, chunk_elems=4)
-    back = chunked_decompress(comp, blob)
+    stream = StreamingCompressor(comp)
+    stream.extend(data[i : i + 4] for i in range(0, len(data), 4))
+    back = StreamingDecompressor(comp, stream.finalize()).concatenate()
     # Per-chunk relative bounds are per-chunk ranges; globally the error
     # stays within the bound computed on the global range.
     assert np.max(np.abs(back - data)) <= 1e-3 * np.ptp(data) * 2
