@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Surviving faults: an injected-failure campaign with checkpoint/restart.
+"""Surviving faults: an injected-failure campaign that restarts.
 
 At the paper's §VII scale (1,024 Frontier nodes for hours) faults are
 routine, so this example runs a reduction campaign under deterministic
@@ -9,8 +9,9 @@ fire and shows the recovery machinery end to end:
 2. a seeded :class:`FaultPlan` injects device-batch faults, silent
    payload corruption, a flaky transport, a rank drop-out — and kills
    the whole campaign after a few chunks (a simulated SIGKILL);
-3. ``run(resume=True)`` restarts from the checkpoint, never
-   recompresses a finished chunk, and the final output is
+3. ``run(resume=True)`` continues after the last chunk committed to
+   the BP output (the only copy on disk), never recompresses a
+   committed chunk, and the final output is
    **byte-identical** to the uninterrupted run;
 4. the always-on metrics show every injected fault was recovered.
 
@@ -75,7 +76,7 @@ def main() -> None:
         raise AssertionError("the kill schedule should have fired")
     except CampaignKilled as kill:
         print(f"faulty run:  killed after {kill.completed_chunks} chunks "
-              f"(checkpoint on disk)")
+              f"(committed to final/data.0)")
 
     # --- 3. resume: continued faults, no kill ------------------------
     resume_plan = FaultPlan(seed=3, device_batch_rate=0.2, corrupt_rate=0.2,
@@ -83,8 +84,8 @@ def main() -> None:
     res = make_runner(data, workdir / "faulty", plan=resume_plan).run(
         resume=True
     )
-    print(f"resumed run: {res.resumed_chunks} chunks adopted from the "
-          f"checkpoint, {res.completed_this_run} recompressed")
+    print(f"resumed run: {res.resumed_chunks} chunks kept from the "
+          f"output, {res.completed_this_run} recompressed")
     print(f"             digest {res.output_digest[:16]}…")
     assert res.resumed_chunks >= 3          # nothing finished was redone
     assert res.output_digest == clean.output_digest

@@ -216,13 +216,12 @@ def cmd_campaign(args) -> int:
         chunk_elems=args.chunk_elems,
         adapter_family=args.adapter or "serial",
         plan=plan,
-        checkpoint_every=args.checkpoint_every,
     )
     try:
         result = runner.run(resume=args.resume)
     except CampaignKilled as exc:
-        print(f"campaign killed: {exc.completed_chunks} chunks checkpointed "
-              f"in {args.outdir}; rerun with --resume to continue")
+        print(f"campaign killed: {exc.completed_chunks} chunks committed "
+              f"to {args.outdir}; rerun with --resume to continue")
         return 3
     print(
         f"{args.input}: {result.total_chunks} chunks on {args.ranks} ranks "
@@ -642,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_device_parent(), after_run],
     )
     cp.add_argument("input", help="input .npy array (chunked along axis 0)")
-    cp.add_argument("outdir", help="campaign directory (checkpoints + output)")
+    cp.add_argument("outdir",
+                    help="campaign directory (manifest.json + final/ output)")
     cp.add_argument("--method", default="mgard-x",
                     choices=["mgard-x", "zfp-x", "sz", "huffman-x", "lz4"])
     cp.add_argument("--eb", type=float, default=1e-3)
@@ -656,9 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--faults", default=None, metavar="PLAN.json",
                     help="fault-plan JSON (see the faultplan command)")
     cp.add_argument("--resume", action="store_true",
-                    help="resume from the directory's checkpoint")
-    cp.add_argument("--checkpoint-every", type=int, default=4,
-                    help="manifest save cadence in chunks")
+                    help="resume after the last good record in the output")
     cp.set_defaults(func=cmd_campaign, tolerance=None)
 
     fp = sub.add_parser("faultplan", help="write a fault-plan JSON")

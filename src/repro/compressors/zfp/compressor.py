@@ -85,26 +85,29 @@ def rate_for_error_bound(error_bound: float, dtype=np.float32, ndim: int = 3) ->
     return planes + (1 + E_BITS[dtype]) / bs
 
 
-def analyze(batch: np.ndarray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+def analyze(batch: np.ndarray, ndim: int,
+            exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Block-major floats ``(n, 4, ..)`` to sequency-ordered ``(coeffs,
     emax)``, coefficient-major ``(4**ndim, n)`` like every kernel between
-    here and the records: one transpose each way."""
+    here and the records: one transpose each way.  ``exact`` is
+    :func:`to_fixed_point`'s."""
     n = batch.shape[0]
     with span("zfp.align", cat="zfp", blocks=n):
         flat = np.ascontiguousarray(batch.reshape(n, -1).T)
         emax = block_exponents(flat)
-        iblocks = to_fixed_point(flat, emax)
+        iblocks = to_fixed_point(flat, emax, exact)
     with span("zfp.transform", cat="zfp", blocks=n):
         return fwd_transform(iblocks, ndim), emax
 
 
-def synthesize(coeffs: np.ndarray, emax: np.ndarray, ndim: int, dtype) -> np.ndarray:
+def synthesize(coeffs: np.ndarray, emax: np.ndarray, ndim: int, dtype,
+               exact: bool = False) -> np.ndarray:
     """Invert :func:`analyze`: coefficients back to blocks ``(n, 4, ..)``."""
     n = coeffs.shape[1]
     with span("zfp.transform", cat="zfp", blocks=n):
         iblocks = inv_transform(coeffs, ndim)
     with span("zfp.align", cat="zfp", blocks=n):
-        flat = from_fixed_point(iblocks, emax, dtype)
+        flat = from_fixed_point(iblocks, emax, dtype, exact)
         return np.ascontiguousarray(flat.T).reshape((n,) + (4,) * ndim)
 
 

@@ -39,34 +39,50 @@ def block_exponents(blocks: np.ndarray) -> np.ndarray:
     return np.clip(emax, -bias + 1, bias)
 
 
-def to_fixed_point(blocks: np.ndarray, emax: np.ndarray) -> np.ndarray:
+def to_fixed_point(blocks: np.ndarray, emax: np.ndarray,
+                   exact: bool = False) -> np.ndarray:
     """Scale each block by ``2^(q - emax)`` and truncate to int64.
 
     Values satisfy ``|x| < 2^q`` afterwards, so the decorrelating
     transform's bounded amplification stays inside 64-bit integers.
+    The scale exponent is clamped at 1023, which flushes float64 blocks
+    under ``2^(q - 1023)``; ``exact`` scales those blocks in two exact
+    power-of-two steps instead (fix-accuracy mode, whose tolerance is a
+    guarantee — the fixed-rate and fixed-precision streams keep the
+    clamp).
     """
     dtype = np.dtype(blocks.dtype)
     if dtype not in Q_BITS:
         raise TypeError(f"unsupported dtype {dtype}; use float32/float64")
     q = Q_BITS[dtype]
-    # Clamp the scale exponent into float64 range: all-zero blocks carry
-    # the minimum exponent, where the scale value is irrelevant (0 · s).
-    exp = np.minimum(q - emax, 1023)
-    scale = np.ldexp(np.ones_like(emax, dtype=np.float64), exp)
+    exp = q - emax
+    scale = np.ldexp(np.ones_like(emax, dtype=np.float64), np.minimum(exp, 1023))
     # One pass: the product is formed in float64 and truncated on store.
     out = np.empty(blocks.shape, dtype=np.int64)
     np.multiply(blocks, scale, out=out, dtype=np.float64, casting="unsafe")
+    big = exp > 1023
+    if exact and big.any():
+        step = blocks[:, big].astype(np.float64) * 2.0**1023
+        out[:, big] = step * np.ldexp(1.0, exp[big] - 1023)
     return out
 
 
 def from_fixed_point(
-    iblocks: np.ndarray, emax: np.ndarray, dtype: np.dtype
+    iblocks: np.ndarray, emax: np.ndarray, dtype: np.dtype,
+    exact: bool = False,
 ) -> np.ndarray:
     """Invert :func:`to_fixed_point` (up to the truncation)."""
     dtype = np.dtype(dtype)
     q = Q_BITS[dtype]
-    exp = np.maximum(emax - q, -1074)
-    scale = np.ldexp(np.ones_like(emax, dtype=np.float64), exp)
+    exp = emax - q
+    scale = np.ldexp(np.ones_like(emax, dtype=np.float64),
+                     np.maximum(exp, -1074))
     out = np.empty(iblocks.shape, dtype=dtype)
     np.multiply(iblocks, scale, out=out, dtype=np.float64, casting="unsafe")
+    # The mirror of the exact two-step scale: an exact step into range,
+    # then one rounding multiply.
+    tiny = exp < -1074
+    if exact and tiny.any():
+        step = iblocks[:, tiny] * np.ldexp(1.0, exp[tiny] + 64)
+        out[:, tiny] = step * 2.0**-64
     return out

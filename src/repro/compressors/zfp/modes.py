@@ -79,6 +79,12 @@ class ZFPAccuracy:
         coeffs, emax = analyze(batch, ndim)
 
         kept = planes_for_tolerance(emax, self.tolerance, ndim, dtype)
+        # Blocks whose fixed-point scale hit the clamp are redone with
+        # the exact two-step scale when they keep planes; the rest code
+        # no planes, so their records stay as the clamp left them.
+        redo = (kept > 0) & (Q_BITS[dtype] - emax > 1023)
+        if redo.any():
+            coeffs[:, redo] = analyze(batch[redo], ndim, exact=True)[0]
         # All-zero blocks need no planes.
         kept[~np.any(coeffs != 0, axis=0)] = 0
 
@@ -137,7 +143,7 @@ class ZFPAccuracy:
             coeffs[:, idx] = c
             emax[idx] = e
 
-        return unblockize(synthesize(coeffs, emax, ndim, dtype), grid, tuple(shape))
+        return unblockize(synthesize(coeffs, emax, ndim, dtype, exact=True), grid, tuple(shape))
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)

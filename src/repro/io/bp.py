@@ -19,10 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.util import atomic_write_bytes
+from repro.util import CorruptStreamError, atomic_write_bytes, stream_errors
 
 _MAGIC = b"BP5X"
 _VERSION = 1
+_HEAD = struct.Struct("<BI")        # version, variable count
+_LENS = struct.Struct("<HBBB")      # name/dtype/operator lengths, ndim
+_TAIL = struct.Struct("<QI")        # payload length, payload CRC32
+
+#: Bytes ahead of the first record: magic, version, variable count.
+HEADER_SIZE = len(_MAGIC) + _HEAD.size
 
 _OPERATORS: dict[str, Callable[[], object]] = {}
 
@@ -149,61 +155,28 @@ class BPFile:
         of loading the whole subfile (the progressive-retrieval path).
         """
         spans: dict[str, tuple[int, int]] = {}
-        off = 4 + struct.calcsize("<BI")
+        off = HEADER_SIZE
         for var in self.variables.values():
-            name_b = var.name.encode("utf-8")
-            off += struct.calcsize("<HBBB")
-            off += len(name_b) + len(var.dtype.encode("ascii"))
-            off += len(var.operator.encode("ascii"))
-            off += 8 * len(var.shape)
-            off += struct.calcsize("<QI")
+            off += _meta_size(var)
             spans[var.name] = (off, len(var.payload))
             off += len(var.payload)
         return spans
 
     # -- (de)serialization ---------------------------------------------------
     def tobytes(self) -> bytes:
-        parts = [_MAGIC, struct.pack("<BI", _VERSION, len(self.variables))]
+        parts = [header(len(self.variables))]
         for var in self.variables.values():
-            name_b = var.name.encode("utf-8")
-            dts = var.dtype.encode("ascii")
-            op = var.operator.encode("ascii")
-            parts.append(
-                struct.pack("<HBBB", len(name_b), len(dts), len(op), len(var.shape))
-            )
-            parts.append(name_b + dts + op)
-            parts.append(struct.pack(f"<{len(var.shape)}q", *var.shape))
-            parts.append(struct.pack("<QI", len(var.payload), var.crc))
-            parts.append(var.payload)
+            parts.extend(record_parts(var))
         return b"".join(parts)
 
     @classmethod
     def frombytes(cls, blob: bytes) -> "BPFile":
-        if blob[:4] != _MAGIC:
-            raise ValueError("not a BP5X container (bad magic)")
-        version, nvars = struct.unpack_from("<BI", blob, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported BP5X version {version}")
-        off = 4 + struct.calcsize("<BI")
+        nvars = parse_header(blob)
+        off = HEADER_SIZE
         bp = cls()
         for _ in range(nvars):
-            nlen, dlen, olen, ndim = struct.unpack_from("<HBBB", blob, off)
-            off += struct.calcsize("<HBBB")
-            name = blob[off : off + nlen].decode("utf-8")
-            off += nlen
-            dtype = blob[off : off + dlen].decode("ascii")
-            off += dlen
-            operator = blob[off : off + olen].decode("ascii")
-            off += olen
-            shape = struct.unpack_from(f"<{ndim}q", blob, off)
-            off += 8 * ndim
-            plen, crc = struct.unpack_from("<QI", blob, off)
-            off += struct.calcsize("<QI")
-            payload = blob[off : off + plen]
-            off += plen
-            if zlib.crc32(payload) != crc:
-                raise ValueError(f"CRC mismatch for variable {name!r}")
-            bp.variables[name] = BPVariable(name, tuple(shape), dtype, operator, payload)
+            var, off = parse_record(blob, off)
+            bp.variables[var.name] = var
         return bp
 
     def save(self, path) -> int:
@@ -229,6 +202,70 @@ class BPFile:
     def compression_ratio(self) -> float:
         stored = self.stored_bytes
         return self.original_bytes / stored if stored else float("inf")
+
+
+def header(nvars: int) -> bytes:
+    """The container header announcing ``nvars`` records."""
+    return _MAGIC + _HEAD.pack(_VERSION, nvars)
+
+
+def parse_header(blob) -> int:
+    """Variable count of a container; ValueError when not a BP5X header."""
+    if bytes(blob[:4]) != _MAGIC:
+        raise ValueError("not a BP5X container (bad magic)")
+    if len(blob) < HEADER_SIZE:
+        raise CorruptStreamError("corrupt stream: truncated BP5X header")
+    version, nvars = _HEAD.unpack_from(blob, 4)
+    if version != _VERSION:
+        raise ValueError(f"unsupported BP5X version {version}")
+    return nvars
+
+
+def _meta_size(var: BPVariable) -> int:
+    return (_LENS.size + len(var.name.encode("utf-8")) + len(var.dtype)
+            + len(var.operator) + 8 * len(var.shape) + _TAIL.size)
+
+
+def record_parts(var: BPVariable) -> list[bytes]:
+    """One variable's record, as the pieces :meth:`BPFile.tobytes` joins."""
+    name_b = var.name.encode("utf-8")
+    dts = var.dtype.encode("ascii")
+    op = var.operator.encode("ascii")
+    return [
+        _LENS.pack(len(name_b), len(dts), len(op), len(var.shape)),
+        name_b + dts + op,
+        struct.pack(f"<{len(var.shape)}q", *var.shape),
+        _TAIL.pack(len(var.payload), var.crc),
+        var.payload,
+    ]
+
+
+@stream_errors
+def parse_record(blob, off: int) -> tuple[BPVariable, int]:
+    """The record at ``blob[off]`` and the offset just past it.
+
+    The one record parser: :meth:`BPFile.frombytes` loops over it, and a
+    resumed campaign walks its output with it.  A record cut short or
+    failing its payload CRC raises :class:`CorruptStreamError`.
+    """
+    nlen, dlen, olen, ndim = _LENS.unpack_from(blob, off)
+    off += _LENS.size
+    name = bytes(blob[off : off + nlen]).decode("utf-8")
+    off += nlen
+    dtype = bytes(blob[off : off + dlen]).decode("ascii")
+    off += dlen
+    operator = bytes(blob[off : off + olen]).decode("ascii")
+    off += olen
+    shape = struct.unpack_from(f"<{ndim}q", blob, off)
+    off += 8 * ndim
+    plen, crc = _TAIL.unpack_from(blob, off)
+    off += _TAIL.size
+    if plen > len(blob) - off:
+        raise CorruptStreamError(f"corrupt stream: variable {name!r} truncated")
+    payload = bytes(blob[off : off + plen])
+    if zlib.crc32(payload) != crc:
+        raise CorruptStreamError(f"CRC mismatch for variable {name!r}")
+    return BPVariable(name, tuple(shape), dtype, operator, payload), off + plen
 
 
 _register_defaults()

@@ -21,6 +21,26 @@ from repro.trace.tracer import TRACER as _TRACER, span
 from repro.util import atomic_write_json
 
 
+def write_index(path, records, num_aggregators: int = 1) -> None:
+    """Write ``path/index.json``: each variable's subfile and payload span.
+
+    ``records`` yields ``(name, rank, subfile, (offset, nbytes))``.  The
+    span lets a reader fetch one payload with a single ranged read
+    (progressive retrieval never loads subfile bytes it does not need).
+    Call it after the subfiles are durable: the index is written last,
+    by fsync-and-rename, so it only ever names bytes that are on disk.
+    """
+    variables = {
+        f"{name}@{rank}": {"subfile": subfile, "rank": rank, "name": name,
+                           "span": list(extent)}
+        for name, rank, subfile, extent in records
+    }
+    atomic_write_json(
+        Path(path) / "index.json",
+        {"aggregators": num_aggregators, "variables": variables},
+    )
+
+
 class BPWriter:
     """Aggregating writer: ``put`` from any rank, ``close`` to flush.
 
@@ -39,7 +59,7 @@ class BPWriter:
         self.path = Path(path)
         self.num_aggregators = num_aggregators
         self._files = [BPFile() for _ in range(num_aggregators)]
-        self._index: dict[str, dict] = {}
+        self._index: dict[str, tuple[str, int, int]] = {}
         self._closed = False
 
     def _agg_of(self, rank: int) -> int:
@@ -62,7 +82,7 @@ class BPWriter:
             self._files[agg].put(
                 key, data, operator=operator, compressor=compressor
             )
-        self._index[key] = {"subfile": agg, "rank": rank, "name": name}
+        self._index[key] = (name, rank, agg)
 
     def put_reduced(
         self, name: str, payload: bytes, shape, dtype, operator: str, rank: int = 0
@@ -74,20 +94,7 @@ class BPWriter:
         with span("io.put_reduced", cat="io", var=name, rank=rank,
                   nbytes=len(payload), operator=operator):
             self._files[agg].put_reduced(key, payload, shape, dtype, operator)
-        self._index[key] = {"subfile": agg, "rank": rank, "name": name}
-
-    def stored_crc(self, name: str, rank: int = 0) -> int:
-        """CRC32 of the payload currently held for ``name`` @ ``rank``.
-
-        Read-back verification hook for resilient write paths: compare
-        against the CRC of the payload you handed to :meth:`put_reduced`
-        to detect corruption introduced in transit.
-        """
-        key = f"{name}@{rank}"
-        entry = self._index.get(key)
-        if entry is None:
-            raise KeyError(f"no variable {key!r} buffered")
-        return self._files[entry["subfile"]].variables[key].crc
+        self._index[key] = (name, rank, agg)
 
     def close(self) -> dict:
         """Flush subfiles + index; returns size statistics."""
@@ -95,21 +102,15 @@ class BPWriter:
             raise RuntimeError("writer already closed")
         self.path.mkdir(parents=True, exist_ok=True)
         stored = 0
-        # Pin each payload's byte span inside its subfile so readers can
-        # fetch one variable with a single ranged read (progressive
-        # retrieval never loads subfile bytes it does not need).
-        for i, bp in enumerate(self._files):
-            for key, extent in bp.payload_spans().items():
-                self._index[key]["span"] = list(extent)
+        spans = [bp.payload_spans() for bp in self._files]
         with span("io.flush", cat="io", subfiles=self.num_aggregators):
-            # Subfiles first, index last, each via fsync-and-rename: the
-            # index only ever names subfiles that were durably written,
-            # and a kill mid-flush leaves no torn file behind.
             for i, bp in enumerate(self._files):
                 stored += bp.save(self.path / f"data.{i}")
-            atomic_write_json(
-                self.path / "index.json",
-                {"aggregators": self.num_aggregators, "variables": self._index},
+            write_index(
+                self.path,
+                ((name, rank, agg, spans[agg][key])
+                 for key, (name, rank, agg) in self._index.items()),
+                self.num_aggregators,
             )
         self._closed = True
         original = sum(bp.original_bytes for bp in self._files)

@@ -20,16 +20,13 @@ Modules
 ``adapter``
     :class:`FaultyAdapter` (injects device faults) and
     :class:`ResilientAdapter` (retry + breaker + demotion to serial).
-``transport``
-    :class:`FaultyTransport` (lossy/corrupting writes) and
-    :class:`VerifiedWriter` (CRC read-back + retry).
-``checkpoint``
-    :class:`CheckpointManager` / :class:`CampaignManifest` — atomic,
-    self-validating campaign state.
 ``campaign``
     :class:`CampaignRunner` — the integrated fault-tolerant scale-out
-    runner with ``run(resume=True)`` restart, byte-identical to an
-    uninterrupted run.
+    runner.  Its BP output is its only durable store: chunks are
+    appended in id order, each verified by read-back, and
+    ``run(resume=True)`` continues after the last good record,
+    byte-identical to an uninterrupted run.  :class:`CampaignManifest`
+    holds the campaign's identity and per-rank progress.
 
 Observability: injections, retries and degradations surface as
 ``hpdr_faults_injected_total``, ``hpdr_retries_total`` and
@@ -43,16 +40,12 @@ from repro.resilience.adapter import (
     resilient_adapter,
 )
 from repro.resilience.campaign import (
+    CampaignManifest,
     CampaignResult,
     CampaignRunner,
+    cmm_digest,
     output_digest,
     reconstruct,
-)
-from repro.resilience.checkpoint import (
-    CampaignManifest,
-    CheckpointManager,
-    cmm_digest,
-    payload_digest,
 )
 from repro.resilience.errors import (
     AdapterTimeoutFault,
@@ -66,7 +59,6 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, plan_for_system
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, retry_call
-from repro.resilience.transport import FaultyTransport, VerifiedWriter
 
 __all__ = [
     "AdapterTimeoutFault",
@@ -74,24 +66,20 @@ __all__ = [
     "CampaignManifest",
     "CampaignResult",
     "CampaignRunner",
-    "CheckpointManager",
     "CircuitBreaker",
     "CorruptPayloadFault",
     "DeviceBatchFault",
     "FaultInjector",
     "FaultPlan",
     "FaultyAdapter",
-    "FaultyTransport",
     "InjectedFault",
     "RankDropout",
     "ResilienceExhausted",
     "ResilientAdapter",
     "RetryPolicy",
     "TransportFault",
-    "VerifiedWriter",
     "cmm_digest",
     "output_digest",
-    "payload_digest",
     "plan_for_system",
     "reconstruct",
     "resilient_adapter",

@@ -36,7 +36,6 @@ from repro.core.config import ErrorMode
 from repro.core.streaming import StreamingCompressor, StreamingDecompressor
 from repro.io.bp import BPFile
 from repro.progressive.archive import make_retrieve_request, parse_retrieve_request
-from repro.resilience.checkpoint import CheckpointManager
 
 DIGESTS = Path(__file__).with_name("codec_digests.json")
 
@@ -248,15 +247,6 @@ def _bp5x(data) -> str:
     return _sha([blob], [back.get("raw"), back.get("packed")])
 
 
-def _hpck(payload: bytes) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        manager = CheckpointManager(tmp)
-        manager.write_chunk(3, payload)
-        blob = manager.chunk_path(3).read_bytes()
-        assert manager.read_chunk(3) == payload
-    return _sha([blob], [])
-
-
 def _hprq(archive: bytes) -> str:
     blobs = [
         make_retrieve_request(archive, eps=2.0**-10),
@@ -290,7 +280,6 @@ def _container_cases() -> dict:
         "hpdc-f4-odd3d": (_hpdc, (f4,), {}),
         "hpst-f4-odd3d": (_hpst, (f4,), {}),
         "bp5x-f8-odd3d": (_bp5x, (f8,), {}),
-        "hpck-999": (_hpck, (payload,), {}),
         "hprq-999": (_hprq, (payload,), {}),
         "hpdr-f4-odd3d": (_hpdr, (f4,), {}),
     }

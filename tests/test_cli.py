@@ -129,8 +129,7 @@ OPTION_SETS = {
                           "--store", "--aggregators"},
     "retrieve": _TRACE | {"--error-bound", "--resolution"},
     "campaign": _TRACE | {"--adapter", "--method", "--eb", "--mode", "--rate",
-                          "--ranks", "--chunk-elems", "--faults", "--resume",
-                          "--checkpoint-every"},
+                          "--ranks", "--chunk-elems", "--faults", "--resume"},
     "faultplan": {"--seed", "--system", "--nodes", "--hours",
                   "--device-batch-rate", "--timeout-rate", "--corrupt-rate",
                   "--transport-rate", "--drop-rank", "--drop-after-chunks",
@@ -178,6 +177,17 @@ def test_codec_commands_take_no_tune_flag(command, field_file, tmp_path,
         main([command, str(src), str(tmp_path / "out"), "--tune", "auto"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_campaign_takes_no_checkpoint_every_flag(field_file, tmp_path,
+                                                 capsys):
+    src, _ = field_file
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", str(src), str(tmp_path / "c"),
+              "--checkpoint-every", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_tune_writes_one_service_entry(tmp_path, capsys):
