@@ -21,27 +21,33 @@ from the shell:
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 
 import numpy as np
 
-from repro.util import atomic_write_bytes
+from repro.container import Header
+from repro.util import CorruptStreamError, atomic_write_bytes, stream_errors
 
-_ENVELOPE_MAGIC = b"HPDR"
+#: what ``compress --method`` takes, and the names an envelope may carry.
+_METHODS = ("mgard-x", "zfp-x", "zfp-accuracy", "sz", "huffman-x", "lz4")
+#: method-name length; then the name and the codec's stream.
+_ENVELOPE = Header(b"HPDR", None, "B", "HPDR")
+#: the progressive format ``repro refactor`` wrote before ``HPGX``.
+_RETIRED_MGRF = Header(b"MGRF", None, "", "MGRF")
 
 
 def _envelope(method: str, payload: bytes) -> bytes:
     m = method.encode("ascii")
-    return _ENVELOPE_MAGIC + struct.pack("<B", len(m)) + m + payload
+    return _ENVELOPE.pack(len(m)) + m + payload
 
 
+@stream_errors
 def _open_envelope(blob: bytes) -> tuple[str, bytes]:
-    if blob[:4] != _ENVELOPE_MAGIC:
-        raise ValueError("not an HPDR container (bad magic)")
-    (mlen,) = struct.unpack_from("<B", blob, 4)
-    method = blob[5 : 5 + mlen].decode("ascii")
-    return method, blob[5 + mlen :]
+    (mlen,), r = _ENVELOPE.open(blob)
+    method = bytes(r.take(mlen)).decode("ascii")
+    if method not in _METHODS:
+        raise CorruptStreamError(f"corrupt stream: unknown method {method!r}")
+    return method, r.take(r.remaining)
 
 
 def _build_compressor(method: str, args, adapter=None):
@@ -179,7 +185,7 @@ def cmd_retrieve(args) -> int:
                          f"index.json, not a BP store")
     if src.is_file():
         with open(src, "rb") as f:
-            if f.read(4) == b"MGRF":
+            if _RETIRED_MGRF.matches(f.read(4)):
                 raise SystemExit(
                     "retrieve: MGRF streams are no longer readable; "
                     "re-run `repro refactor` on the source array")
@@ -581,9 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     c.add_argument("input")
     c.add_argument("output")
-    c.add_argument("--method", default="mgard-x",
-                   choices=["mgard-x", "zfp-x", "zfp-accuracy", "sz",
-                            "huffman-x", "lz4"])
+    c.add_argument("--method", default="mgard-x", choices=_METHODS)
     c.add_argument("--eb", type=float, default=1e-3,
                    help="error bound (lossy methods)")
     c.add_argument("--mode", default="rel", choices=["rel", "abs"])

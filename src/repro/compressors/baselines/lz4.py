@@ -16,10 +16,13 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+from repro.container import Header, pack_meta
 from repro.util import stream_errors
 
-_MAGIC = b"LZ4X"
-_VERSION = 1
+#: dtype-string length, ndim; then dtype, shape, and the two sizes.
+_HEADER = Header(b"LZ4X", 1, "BB", "LZ4X")
+_SIZES = struct.Struct("<QQ")   # raw length, block length
 _MIN_MATCH = 4
 _WINDOW = 0xFFFF
 _HASH_LOG = 16
@@ -151,38 +154,25 @@ class LZ4:
     def compress(self, data: np.ndarray | bytes) -> bytes:
         if isinstance(data, (bytes, bytearray, memoryview)):
             raw = bytes(data)
-            dts, shape = "|u1", (len(raw),)
+            dtype, shape = np.dtype(np.uint8), (len(raw),)
         else:
             arr = np.ascontiguousarray(data)
             raw = arr.tobytes()
-            dts, shape = arr.dtype.str, arr.shape
+            dtype, shape = arr.dtype, arr.shape
         body = compress_block(raw)
-        dtb = dts.encode("ascii")
-        header = (
-            _MAGIC
-            + struct.pack("<BBB", _VERSION, len(dtb), len(shape))
-            + dtb
-            + struct.pack(f"<{len(shape)}q", *shape)
-            + struct.pack("<QQ", len(raw), len(body))
-        )
-        return header + body
+        return b"".join([
+            _HEADER.pack(len(dtype.str), len(shape)),
+            pack_meta(dtype, shape),
+            _SIZES.pack(len(raw), len(body)),
+            body,
+        ])
 
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        if blob[:4] != _MAGIC:
-            raise ValueError("not an LZ4X stream (bad magic)")
-        off = 4
-        version, dts_len, ndim = struct.unpack_from("<BBB", blob, off)
-        if version != _VERSION:
-            raise ValueError(f"unsupported LZ4X version {version}")
-        off += 3
-        dtype = np.dtype(bytes(blob[off : off + dts_len]).decode("ascii"))
-        off += dts_len
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
-        raw_len, body_len = struct.unpack_from("<QQ", blob, off)
-        off += 16
-        raw = decompress_block(blob[off : off + body_len], raw_len)
+        (dts_len, ndim), r = _HEADER.open(blob)
+        dtype, shape = r.meta(dts_len, ndim)
+        raw_len, body_len = r.unpack(_SIZES)
+        raw = decompress_block(r.take(body_len), raw_len)
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:

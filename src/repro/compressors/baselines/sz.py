@@ -19,17 +19,22 @@ rounded across it (``tests/compressors/test_sz.py`` pins both sides).
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
+from repro.container import Header, pack_meta
 from repro.core.config import Config, ErrorMode
 from repro.compressors.huffman import HuffmanX
+from repro.compressors.huffman.compressor import key_count
 from repro.compressors.mgard.quantize import from_symbols, to_symbols
-from repro.util import stream_errors
+from repro.util import CorruptStreamError, stream_errors
 
-_MAGIC = b"CUSZ"
-_VERSION = 1
+#: dtype-string length, ndim; then dtype and shape.
+_HEADER = Header(b"CUSZ", 1, "BB", "SZ")
+#: abs bound, dict size, outlier count, payload length.
+_BODY = struct.Struct("<dIQQ")
 
 
 def lorenzo_forward(xq: np.ndarray) -> np.ndarray:
@@ -82,37 +87,29 @@ class SZ:
         huff = HuffmanX(adapter=self.adapter)
         payload = huff.compress_keys(symbols, self.dict_size)
 
-        dts = np.dtype(data.dtype).str.encode("ascii")
-        header = (
-            _MAGIC
-            + struct.pack("<BBB", _VERSION, len(dts), data.ndim)
-            + dts
-            + struct.pack(f"<{data.ndim}q", *data.shape)
-            + struct.pack("<dIQQ", abs_eb, self.dict_size, outliers.size, len(payload))
-            + outliers.astype(np.int64).tobytes()
-        )
-        return header + payload
+        return b"".join([
+            _HEADER.pack(len(data.dtype.str), data.ndim),
+            pack_meta(data.dtype, data.shape),
+            _BODY.pack(abs_eb, self.dict_size, outliers.size, len(payload)),
+            outliers.astype(np.int64).tobytes(),
+            payload,
+        ])
 
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        if blob[:4] != _MAGIC:
-            raise ValueError("not an SZ stream (bad magic)")
-        off = 4
-        version, dts_len, ndim = struct.unpack_from("<BBB", blob, off)
-        if version != _VERSION:
-            raise ValueError(f"unsupported SZ version {version}")
-        off += 3
-        dtype = np.dtype(bytes(blob[off : off + dts_len]).decode("ascii"))
-        off += dts_len
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
-        abs_eb, dict_size, noutliers, payload_len = struct.unpack_from("<dIQQ", blob, off)
-        off += struct.calcsize("<dIQQ")
-        outliers = np.frombuffer(blob, dtype=np.int64, count=noutliers, offset=off).copy()
-        off += 8 * noutliers
+        (dts_len, ndim), r = _HEADER.open(blob)
+        dtype, shape = r.meta(dts_len, ndim)
+        abs_eb, _dict_size, noutliers, payload_len = r.unpack(_BODY)
+        outliers = r.array("<i8", noutliers)
+        payload = r.take(payload_len)
+        # The Lorenzo inverse runs over the shape: it must be what the
+        # payload codes.
+        if key_count(payload) != math.prod(shape):
+            raise CorruptStreamError(f"corrupt stream: shape {shape} does not "
+                                     "match the coded residuals")
 
         huff = HuffmanX(adapter=self.adapter)
-        symbols = huff.decompress_keys(blob[off : off + payload_len])
+        symbols = huff.decompress_keys(payload)
         delta = from_symbols(symbols, outliers).reshape(shape)
         xq = lorenzo_inverse(delta)
         return (xq.astype(np.float64) * (2.0 * abs_eb)).astype(dtype)

@@ -24,12 +24,14 @@ same memory (CMM, paper Section III-B).
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from typing import Sequence
 
 import numpy as np
 
+from repro.container import Header, Reader, pack_meta, read_chunk_index
 from repro.core.abstractions import global_pipeline, locality
 from repro.core.context import ContextCache
 from repro.core.functor import FnDomain, LocalityFunctor
@@ -43,12 +45,20 @@ from repro.compressors.huffman.codebook import (
     MAX_CODE_LENGTH,
     Codebook,
     build_codebook,
+    canonical_codes,
 )
 from repro.trace.tracer import count_bytes, span
-from repro.util import hot_path, read_chunk_index, stream_errors
+from repro.util import CorruptStreamError, hot_path, stream_errors
 
-_MAGIC = b"HUFX"
-_VERSION = 1
+#: dtype-string length, ndim, alphabet, key count, chunk, payload length,
+#: stored code lengths; then dtype and shape.
+_HEADER = Header(b"HUFX", 1, "BHIQIQI", "Huffman-X")
+#: The byte API's prefix: the caller's dtype and shape, then ``HUFX``.
+_BYTES = Header(b"", None, "BH", "Huffman-X")
+#: The legacy chunk list of ``HUFX`` bodies (read, never written).
+_SEGMENTS = Header(b"HUFP", 1, "I", "Huffman-X")
+_U32 = struct.Struct("<I")
+_RUN = np.dtype("<u2, u1")     # run length, code length
 
 #: Which ``int32`` half of a native ``int64`` holds its low 32 bits.
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
@@ -79,33 +89,27 @@ def _rle_encode(lengths: np.ndarray) -> bytes:
     run_counts = np.full(run_values.size, 0xFFFF, dtype=np.uint16)
     last = np.cumsum(pieces) - 1
     run_counts[last] = (counts - (pieces - 1) * 0xFFFF).astype(np.uint16)
-    packed = np.empty(run_values.size, dtype=np.dtype("<u2, u1"))
+    packed = np.empty(run_values.size, dtype=_RUN)
     packed["f0"] = run_counts
     packed["f1"] = run_values
-    rle = struct.pack("<I", run_values.size) + packed.tobytes()
+    rle = _U32.pack(run_values.size) + packed.tobytes()
     if len(rle) < len(raw):
         return b"\x01" + rle
     return b"\x00" + raw
 
 
-def _rle_decode(blob: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
-    """Invert :func:`_rle_encode`; returns (lengths, bytes consumed)."""
-    mode = blob[offset]
-    pos = offset + 1
-    if mode == 0:
-        out = np.frombuffer(blob, dtype=np.uint8, count=count, offset=pos).copy()
-        return out, 1 + count
-    (nruns,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    packed = np.frombuffer(blob, dtype=np.dtype("<u2, u1"), count=nruns, offset=pos)
-    pos += 3 * nruns
+def _rle_decode(r: Reader, count: int) -> np.ndarray:
+    """Invert :func:`_rle_encode`: the ``count`` lengths at the cursor."""
+    if r.take(1)[0] == 0:       # the mode byte: raw lengths
+        return r.array(np.uint8, count)
+    (nruns,) = r.unpack(_U32)
+    packed = r.array(_RUN, nruns)
     counts = packed["f0"].astype(np.int64)
     if int(counts.sum()) != count:
         raise ValueError(
             f"corrupt RLE length table: {int(counts.sum())} != {count}"
         )
-    out = np.repeat(packed["f1"], counts)
-    return out, pos - offset
+    return np.repeat(packed["f1"], counts)
 
 
 class _EncodeFunctor(LocalityFunctor):
@@ -400,35 +404,20 @@ class HuffmanX:
         parsed = [self._deserialize(b) for b in blobs]
         if not parsed:
             return []
-        shape, dtype, num_symbols, n = parsed[0][:4]
-        chunk_size = parsed[0][7]
-        for p in parsed[1:]:
-            if (p[0], p[1], p[2], p[3], p[7]) != (
-                shape, dtype, num_symbols, n, chunk_size
-            ):
-                raise ValueError(
-                    "decompress_keys_batch requires uniform stream "
-                    "geometry (shape/dtype/alphabet/chunking)"
-                )
+        geometry = {(p[0], p[1], p[2], p[3], p[5].size, p[7]) for p in parsed}
+        if len(geometry) > 1:
+            raise ValueError(
+                "decompress_keys_batch requires uniform stream "
+                "geometry (shape/dtype/alphabet/chunking)"
+            )
+        ((shape, dtype, num_symbols, n, nchunks, chunk_size),) = geometry
         if n == 0:
             return [np.zeros(shape, dtype=dtype) for _ in parsed]
-
-        nchunks = parsed[0][5].size
         rem = n - (nchunks - 1) * chunk_size
-        if not 1 <= rem <= chunk_size:
-            raise ValueError(
-                f"corrupt stream: {n} symbols cannot fill {nchunks} chunks "
-                f"of {chunk_size}"
-            )
-        for p in parsed:
-            if p[5].size != nchunks:
-                raise ValueError(
-                    "decompress_keys_batch requires uniform chunk counts"
-                )
-            if int(p[5].max()) > 8 * p[6].size:
-                raise ValueError(
-                    "corrupt stream: chunk offset past the payload"
-                )
+        if nchunks == 1:
+            # The decode rows are sized by the chunk: a lone chunk is
+            # its ``n`` keys, whatever (larger) chunk the header names.
+            chunk_size = rem
 
         ctx = self._key_context(shape, dtype, num_symbols)
         try:
@@ -627,7 +616,8 @@ class HuffmanX:
                     f"{m} vs {meta}"
                 )
         keys_list = [p[0] for p in prepared]
-        header = _pack_meta(*meta)
+        dtype, shape = meta
+        header = _BYTES.pack(len(dtype.str), len(shape)) + pack_meta(dtype, shape)
         blobs = [header + body
                  for body in self.compress_keys_batch(keys_list, 256)]
         # Byte API only: key-level calls stay uncounted, so MGARD's
@@ -644,43 +634,33 @@ class HuffmanX:
         :meth:`compress_batch` produces); ``ValueError`` otherwise, and
         callers fall back per stream.
         """
-        metas = [_unpack_meta(b) for b in blobs]
-        if not metas:
+        opened = [_open_bytes(b) for b in blobs]
+        if not opened:
             return []
-        dtype_str, shape, _ = metas[0]
-        for m in metas[1:]:
-            if m[:2] != (dtype_str, shape):
+        dtype, shape, _ = opened[0]
+        for o in opened[1:]:
+            if o[:2] != (dtype, shape):
                 raise ValueError(
                     "decompress_batch requires uniform stream headers"
                 )
-        bodies = [b[m[2]:] for b, m in zip(blobs, metas)]
-        if all(body[:4] == _MAGIC for body in bodies):
+        bodies = [o[2] for o in opened]
+        if all(_HEADER.matches(body) for body in bodies):
             keys_list = self.decompress_keys_batch(bodies)
         else:   # a legacy container among them: stream by stream
             keys_list = [self._decompress_segments(body) for body in bodies]
-        return [
-            k.astype(np.uint8).view(np.dtype(dtype_str)).reshape(shape)
-            for k in keys_list
-        ]
+        return [k.astype(np.uint8).view(dtype).reshape(shape) for k in keys_list]
 
     def _decompress_segments(self, body: bytes) -> np.ndarray:
         """Read the legacy ``HUFP`` body: a table of ``HUFX`` streams
         coding consecutive ranges of one input (a bare ``HUFX`` body is
         its own only segment).  Nothing writes ``HUFP`` any more; blobs
         stored by earlier versions stay readable."""
-        if body[:4] == _MAGIC:
+        if _HEADER.matches(body):
             return self.decompress_keys(body).reshape(-1)
-        if body[:4] != b"HUFP":
-            raise ValueError("not a Huffman-X stream (bad magic)")
-        version, nseg = struct.unpack_from("<BI", body, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported Huffman-X version {version}")
-        index = read_chunk_index(body, 4 + struct.calcsize("<BI"), nseg)
-        if not index or sum(index[-1]) != len(body):
-            raise ValueError("corrupt stream: segment lengths do not fill it")
+        (nseg,), r = _SEGMENTS.open(body)
         return np.concatenate([
             self.decompress_keys(body[off : off + length]).reshape(-1)
-            for off, length in index
+            for off, length in read_chunk_index(r, nseg)
         ])
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
@@ -700,29 +680,17 @@ class HuffmanX:
         payload: np.ndarray,
         chunk_size: int,
     ) -> bytes:
-        dts = np.dtype(dtype).str.encode("ascii")
         # Trailing unused symbols need no stored lengths, and the rest is
         # run-length coded — this keeps small-alphabet streams (constant
         # fields, tiny inputs) compact.
         nz = np.flatnonzero(book.lengths)
         stored = int(nz[-1]) + 1 if nz.size else 0
         parts = [
-            _MAGIC,
-            struct.pack(
-                "<BBHIQIQI",
-                _VERSION,
-                len(dts),
-                len(shape),
-                num_symbols,
-                n,
-                chunk_size,
-                payload.size,
-                stored,
-            ),
-            dts,
-            struct.pack(f"<{len(shape)}q", *shape),
+            _HEADER.pack(len(np.dtype(dtype).str), len(shape), num_symbols, n,
+                         chunk_size, payload.size, stored),
+            pack_meta(dtype, shape),
             _rle_encode(book.lengths[:stored]),
-            struct.pack("<I", chunk_offsets.size),
+            _U32.pack(chunk_offsets.size),
             chunk_offsets.astype(np.uint64).tobytes(),
             payload.tobytes(),
         ]
@@ -735,69 +703,63 @@ class HuffmanX:
         *stream's* chunking, deliberately **not** written back to
         ``self.chunk_size`` — decoding a foreign stream must not change
         how this instance encodes.
+
+        Every code is at least one bit, so the payload bounds the key
+        count, the shape must be that count and the chunks must tile it.
+        The code-length table holds the ``stored`` lengths the bytes
+        carry (the symbols past them are unused): the declared alphabet
+        sizes nothing.
         """
-        if blob[:4] != _MAGIC:
-            raise ValueError("not a Huffman-X stream (bad magic)")
-        off = 4
-        (
-            version, dts_len, ndim, num_symbols, n, chunk_size, payload_len, stored,
-        ) = struct.unpack_from("<BBHIQIQI", blob, off)
-        if version != _VERSION:
-            raise ValueError(f"unsupported Huffman-X version {version}")
-        off += struct.calcsize("<BBHIQIQI")
-        dtype = np.dtype(bytes(blob[off : off + dts_len]).decode("ascii"))
-        off += dts_len
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
-        lengths = np.zeros(num_symbols, dtype=np.uint8)
-        head, consumed = _rle_decode(blob, off, stored)
-        lengths[:stored] = head
-        off += consumed
+        (dts_len, ndim, num_symbols, n, chunk_size, payload_len, stored), r = (
+            _HEADER.open(blob)
+        )
+        dtype, shape = r.meta(dts_len, ndim)
+        if stored > num_symbols:
+            raise CorruptStreamError(f"corrupt stream: {stored} code lengths "
+                                     f"for {num_symbols} symbols")
+        lengths = _rle_decode(r, stored)
         if lengths.size and int(lengths.max()) > MAX_CODE_LENGTH:
             raise ValueError(
                 f"corrupt stream: code length {int(lengths.max())} exceeds "
                 f"the {MAX_CODE_LENGTH}-bit limit of length-limited "
                 f"codebooks (decode windows support at most 24 bits)"
             )
-        (nchunks,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        chunk_offsets = np.frombuffer(
-            blob, dtype=np.uint64, count=nchunks, offset=off
-        ).copy()
-        off += 8 * nchunks
-        payload = np.frombuffer(blob, dtype=np.uint8, count=payload_len, offset=off)
-        from repro.compressors.huffman.codebook import canonical_codes
-
+        (nchunks,) = r.unpack(_U32)
+        chunk_offsets = r.array("<u8", nchunks)
+        payload = r.array(np.uint8, payload_len)
+        if (n > 8 * payload_len or math.prod(shape) != n
+                or n and not 0 < n - (nchunks - 1) * chunk_size <= chunk_size):
+            raise CorruptStreamError(
+                f"corrupt stream: {n} keys of shape {shape} in {nchunks} "
+                f"chunks of {chunk_size} and a {payload_len}-byte payload"
+            )
+        if nchunks and int(chunk_offsets.max()) > 8 * payload_len:
+            raise CorruptStreamError(
+                "corrupt stream: chunk offset past the payload"
+            )
         book = Codebook(codes=canonical_codes(lengths), lengths=lengths)
         return (
-            tuple(shape), dtype, num_symbols, n, book, chunk_offsets, payload,
+            shape, dtype, num_symbols, n, book, chunk_offsets, payload,
             chunk_size,
         )
 
 
-def _as_keys(data) -> tuple[np.ndarray, tuple[str, tuple[int, ...]]]:
-    """Any input as flat uint8 keys plus its ``(dtype string, shape)``."""
+def key_count(blob) -> int:
+    """The key count a ``HUFX`` stream declares, from its header alone."""
+    return _HEADER.open(blob)[0][3]
+
+
+def _as_keys(data) -> tuple[np.ndarray, tuple[np.dtype, tuple[int, ...]]]:
+    """Any input as flat uint8 keys plus its ``(dtype, shape)``."""
     if isinstance(data, (bytes, bytearray, memoryview)):
         arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        return arr, ("|u1", (arr.size,))
+        return arr, (arr.dtype, (arr.size,))
     arr = np.ascontiguousarray(data)
-    return arr.reshape(-1).view(np.uint8), (arr.dtype.str, arr.shape)
+    return arr.reshape(-1).view(np.uint8), (arr.dtype, arr.shape)
 
 
-def _pack_meta(dtype_str: str, shape: tuple[int, ...]) -> bytes:
-    dts = dtype_str.encode("ascii")
-    return (
-        struct.pack("<BH", len(dts), len(shape))
-        + dts
-        + struct.pack(f"<{len(shape)}q", *shape)
-    )
-
-
-def _unpack_meta(blob: bytes) -> tuple[str, tuple[int, ...], int]:
-    dts_len, ndim = struct.unpack_from("<BH", blob, 0)
-    off = struct.calcsize("<BH")
-    dtype_str = bytes(blob[off : off + dts_len]).decode("ascii")
-    off += dts_len
-    shape = struct.unpack_from(f"<{ndim}q", blob, off)
-    off += 8 * ndim
-    return dtype_str, tuple(shape), off
+def _open_bytes(blob) -> tuple[np.dtype, tuple[int, ...], bytes]:
+    """The byte API's ``(dtype, shape, body)``."""
+    (dts_len, ndim), r = _BYTES.open(blob)
+    dtype, shape = r.meta(dts_len, ndim)
+    return dtype, shape, r.take(r.remaining)

@@ -15,9 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.container import Header, pack_meta
 from repro.core.config import Config
 from repro.core.context import ContextCache
 from repro.compressors.huffman import HuffmanX
+from repro.compressors.huffman.compressor import key_count
 from repro.compressors.mgard.decompose import (
     decompose,
     level_factors,
@@ -33,10 +35,12 @@ from repro.compressors.mgard.quantize import (
     to_symbols,
 )
 from repro.trace.tracer import count_bytes, span
-from repro.util import stream_errors
+from repro.util import CorruptStreamError, stream_errors
 
-_MAGIC = b"MGRX"
-_VERSION = 1
+#: lossless flag, dtype-string length, ndim; then dtype and shape.
+_HEADER = Header(b"MGRX", 1, "BBB", "MGARD-X")
+#: abs bound, kappa, dict size, bin count, outlier count, payload length.
+_BODY = struct.Struct("<ddIIQQ")
 
 #: Largest ``|value| / bin`` a stream is written for.  Past float64's
 #: mantissa the coefficients cannot resolve a bin, and a little further
@@ -284,51 +288,33 @@ class MGARDX:
         self, dtype, shape, abs_eb, kappa, bins, outliers, payload: bytes
     ) -> bytes:
         """Assemble one ``MGRX`` stream."""
-        dts = np.dtype(dtype).str.encode("ascii")
-        header = (
-            _MAGIC
-            + struct.pack(
-                "<BBBB",
-                _VERSION,
-                1 if self.config.lossless == "huffman" else 0,
-                len(dts),
-                len(shape),
-            )
-            + dts
-            + struct.pack(f"<{len(shape)}q", *shape)
-            + struct.pack("<ddIIQQ", abs_eb, kappa, self.dict_size,
-                          bins.size, outliers.size, len(payload))
-            + bins.astype(np.float64).tobytes()
-            + outliers.astype(np.int64).tobytes()
-        )
-        return header + payload
+        lossless = 1 if self.config.lossless == "huffman" else 0
+        return b"".join([
+            _HEADER.pack(lossless, len(np.dtype(dtype).str), len(shape)),
+            pack_meta(dtype, shape),
+            _BODY.pack(abs_eb, kappa, self.dict_size, bins.size,
+                       outliers.size, len(payload)),
+            bins.astype(np.float64).tobytes(),
+            outliers.astype(np.int64).tobytes(),
+            payload,
+        ])
 
     # ------------------------------------------------------------------
     @staticmethod
     def _parse_stream(blob: bytes):
         """Parse one ``MGRX`` stream into
-        ``(lossless, dtype, shape, bins, outliers, payload)``."""
-        if blob[:4] != _MAGIC:
-            raise ValueError("not an MGARD-X stream (bad magic)")
-        off = 4
-        version, lossless, dts_len, ndim = struct.unpack_from("<BBBB", blob, off)
-        if version != _VERSION:
-            raise ValueError(f"unsupported MGARD-X version {version}")
-        off += 4
-        dtype = np.dtype(bytes(blob[off : off + dts_len]).decode("ascii"))
-        off += dts_len
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
-        abs_eb, kappa, dict_size, nbins, noutliers, payload_len = struct.unpack_from(
-            "<ddIIQQ", blob, off
-        )
-        off += struct.calcsize("<ddIIQQ")
-        bins = np.frombuffer(blob, dtype=np.float64, count=nbins, offset=off).copy()
-        off += 8 * nbins
-        outliers = np.frombuffer(blob, dtype=np.int64, count=noutliers, offset=off).copy()
-        off += 8 * noutliers
-        payload = blob[off : off + payload_len]
-        return lossless, dtype, tuple(shape), bins, outliers, payload
+        ``(lossless, dtype, shape, bins, outliers, payload)``; the shape
+        sizes the hierarchy, so it must be what the payload codes."""
+        (lossless, dts_len, ndim), r = _HEADER.open(blob)
+        dtype, shape = r.meta(dts_len, ndim)
+        *_, nbins, noutliers, payload_len = r.unpack(_BODY)
+        bins = r.array("<f8", nbins)
+        outliers = r.array("<i8", noutliers)
+        payload = r.take(payload_len)
+        if (key_count(payload) if lossless else len(payload) // 4) != math.prod(shape):
+            raise CorruptStreamError(f"corrupt stream: shape {shape} does not "
+                                     "match the coded coefficients")
+        return lossless, dtype, shape, bins, outliers, payload
 
     def decompress(self, blob: bytes, coords=None) -> np.ndarray:
         return self.decompress_batch([blob], coords=coords)[0]
@@ -368,11 +354,6 @@ class MGARDX:
                     )
                 else:
                     rows = [np.frombuffer(p[5], dtype=np.int32) for p in parsed]
-                for row in rows:
-                    if row.size != bounds[-1]:
-                        raise ValueError(
-                            f"stream length {row.size} != expected {bounds[-1]}"
-                        )
                 qflat = from_symbols(rows, [p[4] for p in parsed])
 
             with span("mgard.dequantize", cat="mgard", symbols=int(qflat.size),

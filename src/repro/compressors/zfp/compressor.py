@@ -9,11 +9,11 @@ and need no global coordination for serialization.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Sequence
 
 import numpy as np
 
+from repro.container import Header, pack_shape
 from repro.core.abstractions import block_grid, blockize, unblockize
 from repro.core.context import ContextCache
 from repro.core.functor import LocalityFunctor
@@ -28,9 +28,8 @@ from repro.compressors.zfp.transform import fwd_transform, inv_transform
 from repro.trace.tracer import count_bytes, span
 from repro.util import stream_errors
 
-_MAGIC = b"ZFPX"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBBBdI")
+#: float64 flag, ndim, rate, record bits; then the shape.
+_HEADER = Header(b"ZFPX", 1, "BBdI", "ZFP-X")
 
 
 def check_input(dtype: np.dtype, ndim: int, who: str = "ZFP-X") -> None:
@@ -45,23 +44,20 @@ def record_bits(rate: float, ndim: int, dtype) -> int:
     return max(int(round(rate * 4**ndim)), 1 + E_BITS[np.dtype(dtype)])
 
 
-def pack_header(magic: bytes, dtype: np.dtype, shape, rate: float, maxbits: int) -> bytes:
-    """Stream header shared by the fixed-rate codecs (ZFP-X, embedded)."""
-    return _HEADER.pack(
-        magic, _VERSION, int(dtype == np.float64), len(shape), rate, maxbits
-    ) + struct.pack(f"<{len(shape)}q", *shape)
-
-
-def unpack_header(blob, magic: bytes, who: str = "ZFP-X"):
-    """``(dtype, shape, maxbits, offset of the records)`` of a stream."""
-    got, version, is64, ndim, _rate, maxbits = _HEADER.unpack_from(blob, 0)
-    if got != magic:
-        raise ValueError(f"not a {who} stream (bad magic)")
-    if version != _VERSION:
-        raise ValueError(f"unsupported {who} version {version}")
-    shape = struct.unpack_from(f"<{ndim}q", blob, _HEADER.size)
+def open_records(header: Header, blob):
+    """``(dtype, shape, maxbits, records)`` of a fixed-rate stream, the
+    records a ``(nblocks, record bytes)`` view: every block has one, so
+    the shape is checked against the bytes before a block is decoded."""
+    (is64, ndim, _rate, maxbits), r = header.open(blob)
     dtype = np.dtype(np.float64 if is64 else np.float32)
-    return dtype, shape, maxbits, _HEADER.size + 8 * ndim
+    check_input(dtype, ndim, header.who)
+    shape = r.shape(ndim)
+    if maxbits < 1 + E_BITS[dtype]:
+        raise ValueError(f"corrupt stream: {maxbits}-bit block records")
+    rec_bytes = -(-maxbits // 8)
+    nblocks = math.prod(-(-n // 4) for n in shape)
+    records = r.array(np.uint8, nblocks * rec_bytes)
+    return dtype, shape, maxbits, records.reshape(nblocks, rec_bytes)
 
 
 def rate_for_error_bound(error_bound: float, dtype=np.float32, ndim: int = 3) -> float:
@@ -242,7 +238,9 @@ class ZFPX:
         finally:
             self.cache.release(ctx)
         with span("zfp.serialize", cat="zfp", nblocks=n * nblocks, arrays=n):
-            header = pack_header(_MAGIC, dtype, shape, self.rate, maxbits)
+            header = _HEADER.pack(
+                int(dtype == np.float64), ndim, self.rate, maxbits
+            ) + pack_shape(shape)
             per_array = records.reshape(n, nblocks, -1)
             blobs = [header + per_array[i].tobytes() for i in range(n)]
         count_bytes("zfp", n * first.nbytes, sum(len(b) for b in blobs))
@@ -259,21 +257,23 @@ class ZFPX:
         blobs = list(blobs)
         if not blobs:
             return []
-        dtype, shape, maxbits, off = unpack_header(blobs[0], _MAGIC)
-        header = blobs[0][:off]
+        dtype, shape, maxbits, first = open_records(_HEADER, blobs[0])
+        off = _HEADER.size + 8 * len(shape)
+        header = bytes(blobs[0][:off])
         for b in blobs[1:]:
             if bytes(b[:off]) != header:
                 raise ValueError(
                     "decompress_batch requires uniform stream headers"
                 )
-        rec_bytes = -(-maxbits // 8)
+        nblocks, rec_bytes = first.shape
         grid_shape = block_grid(shape, (4,) * len(shape))
-        nblocks = int(np.prod(grid_shape))
         n = len(blobs)
 
-        ctx = self.cache.get(("zfp", tuple(shape), dtype.str, maxbits), pin=True)
+        ctx = self.cache.get(("zfp", shape, dtype.str, maxbits), pin=True)
         try:
-            size = nblocks * rec_bytes
+            # Sized by the first stream's checked records; a short twin
+            # fails its view before a byte is copied.
+            size = first.size
             records = ctx.scratch("records", n * size, np.uint8).reshape(n, size)
             with span("zfp.gather", cat="zfp", arrays=n, blocks=n * nblocks):
                 for i, b in enumerate(blobs):

@@ -18,20 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.container import Header, pack_shape
 from repro.core.abstractions import blockize, unblockize
 from repro.compressors.zfp.bitplane import INTPREC, from_negabinary, to_negabinary
 from repro.compressors.zfp.compressor import (
     analyze,
     check_input,
-    pack_header,
+    open_records,
     record_bits,
     synthesize,
-    unpack_header,
 )
 from repro.compressors.zfp.fixedpoint import E_BIAS, E_BITS
 from repro.util import stream_errors
 
-_MAGIC = b"ZFPE"
+#: ZFP-X's header under its own magic.
+_HEADER = Header(b"ZFPE", 1, "BBdI", "ZFP-embedded")
 
 
 class BitWriter:
@@ -211,26 +212,26 @@ class ZFPEmbedded:
                 w._bits.extend(inner._bits)
             records.append(w.tobytes(pad_to_bits=rec_bytes * 8))
 
-        header = pack_header(_MAGIC, dtype, data.shape, self.rate, maxbits)
+        header = _HEADER.pack(
+            int(dtype == np.float64), ndim, self.rate, maxbits
+        ) + pack_shape(data.shape)
         return header + b"".join(records)
 
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        dtype, shape, maxbits, off = unpack_header(blob, _MAGIC, "ZFP-embedded")
+        dtype, shape, maxbits, records = open_records(_HEADER, blob)
         ndim = len(shape)
         e_bits = E_BITS[dtype]
         bias = E_BIAS[dtype]
         width = INTPREC[dtype]
         bs = 4**ndim
-        rec_bytes = (maxbits + 7) // 8
         grid = tuple(-(-n // 4) for n in shape)
-        nblocks = int(np.prod(grid))
+        nblocks = records.shape[0]
 
         neg = np.zeros((nblocks, bs), dtype=np.uint64)
         emax = np.full(nblocks, -bias, dtype=np.int32)
         for b in range(nblocks):
-            rec = blob[off + b * rec_bytes : off + (b + 1) * rec_bytes]
-            r = BitReader(rec)
+            r = BitReader(records[b])
             if r.read_bit():
                 emax[b] = r.read_bits(e_bits) - bias
                 neg[b] = decode_block_embedded(

@@ -17,18 +17,20 @@ near-orthogonal transform and the negabinary bitplane coder.
 
 from __future__ import annotations
 
-import struct
+import math
 
 import numpy as np
 
+from repro.container import Header, pack_shape
 from repro.core.abstractions import blockize, unblockize
 from repro.compressors.zfp.bitplane import INTPREC, decode_blocks, encode_blocks
 from repro.compressors.zfp.compressor import ZFPX, analyze, check_input, synthesize
 from repro.compressors.zfp.fixedpoint import E_BITS, Q_BITS
 from repro.util import stream_errors
 
-_MAGIC = b"ZFPA"
-_VERSION = 1
+#: float64 flag, ndim, tolerance; then the shape, one plane count per
+#: block, and the variable-size records.
+_HEADER = Header(b"ZFPA", 1, "BBd", "ZFP fix-accuracy")
 
 
 def planes_for_tolerance(
@@ -97,10 +99,9 @@ class ZFPAccuracy:
             for j, block_id in enumerate(idx):
                 records[block_id] = recs[j].tobytes()
 
-        header = struct.pack(
-            "<4sBBBd", _MAGIC, _VERSION, 1 if dtype == np.float64 else 0, ndim,
-            self.tolerance,
-        ) + struct.pack(f"<{ndim}q", *data.shape)
+        header = _HEADER.pack(
+            1 if dtype == np.float64 else 0, ndim, self.tolerance
+        ) + pack_shape(data.shape)
         counts = kept.astype(np.uint8).tobytes()
         payload = b"".join(records)  # type: ignore[arg-type]
         return header + counts + payload
@@ -108,25 +109,21 @@ class ZFPAccuracy:
     # ------------------------------------------------------------------
     @stream_errors
     def decompress(self, blob: bytes) -> np.ndarray:
-        magic, version, is64, ndim, tolerance = struct.unpack_from("<4sBBBd", blob, 0)
-        if magic != _MAGIC:
-            raise ValueError("not a ZFP fix-accuracy stream (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        off = struct.calcsize("<4sBBBd")
-        shape = struct.unpack_from(f"<{ndim}q", blob, off)
-        off += 8 * ndim
+        (is64, ndim, _tolerance), r = _HEADER.open(blob)
         dtype = np.dtype(np.float64 if is64 else np.float32)
+        check_input(dtype, ndim, _HEADER.who)
+        shape = r.shape(ndim)
         e_bits = E_BITS[dtype]
         bs = 4**ndim
         grid = tuple(-(-n // 4) for n in shape)
-        nblocks = int(np.prod(grid))
+        nblocks = math.prod(grid)
 
-        kept = np.frombuffer(blob, dtype=np.uint8, count=nblocks, offset=off
-                             ).astype(np.int64)
-        off += nblocks
+        # One plane count per block, then every record: both checked
+        # against the bytes present before a block is decoded.
+        kept = r.array(np.uint8, nblocks).astype(np.int64)
         rec_bytes = (1 + e_bits + kept * bs + 7) // 8
-        offsets = np.concatenate([[0], np.cumsum(rec_bytes)]) + off
+        body = r.array(np.uint8, int(rec_bytes.sum()))
+        offsets = np.concatenate([[0], np.cumsum(rec_bytes)])
 
         coeffs = np.zeros((bs, nblocks), dtype=np.int64)
         emax = np.full(nblocks, 0, dtype=np.int32)
@@ -134,11 +131,7 @@ class ZFPAccuracy:
             idx = np.flatnonzero(kept == k)
             maxbits = 1 + e_bits + int(k) * bs
             nb = (maxbits + 7) // 8
-            recs = np.stack([
-                np.frombuffer(blob, dtype=np.uint8, count=nb,
-                              offset=int(offsets[i]))
-                for i in idx
-            ])
+            recs = np.stack([body[offsets[i] : offsets[i] + nb] for i in idx])
             c, e = decode_blocks(recs, maxbits, bs, dtype)
             coeffs[:, idx] = c
             emax[idx] = e

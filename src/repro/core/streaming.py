@@ -20,13 +20,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.util import read_chunk_index, stream_errors
+from repro.container import Header, read_chunk_index
 
-_MAGIC = b"HPST"
-_VERSION = 1
+#: chunk count; then one u64 length per chunk and the chunks.
+_HEADER = Header(b"HPST", 1, "I", "HPST")
 #: the same chunk list without a version byte, as older releases wrote
-#: it (``HPDC | u32 count | u64 lengths | bodies``); read, never written.
-_LEGACY_MAGIC = b"HPDC"
+#: it; read, never written.
+_LEGACY = Header(b"HPDC", None, "I", "HPDC")
 
 
 class StreamingCompressor:
@@ -78,11 +78,9 @@ class StreamingCompressor:
     def finalize(self) -> bytes:
         """Seal the stream into one container (chunks stay independent)."""
         self._finalized = True
-        parts = [_MAGIC, struct.pack("<BI", _VERSION, len(self._chunks))]
-        for blob in self._chunks:
-            parts.append(struct.pack("<Q", len(blob)))
-        parts.extend(self._chunks)
-        return b"".join(parts)
+        lengths = [len(blob) for blob in self._chunks]
+        return b"".join([_HEADER.pack(len(lengths)),
+                         struct.pack(f"<{len(lengths)}Q", *lengths), *self._chunks])
 
 
 class StreamingDecompressor:
@@ -91,20 +89,8 @@ class StreamingDecompressor:
     def __init__(self, compressor, blob: bytes) -> None:
         self.compressor = compressor
         self._blob = blob
-        self._offsets = self._parse_index(blob)
-
-    @staticmethod
-    @stream_errors
-    def _parse_index(blob: bytes) -> list[tuple[int, int]]:
-        if blob[:4] == _LEGACY_MAGIC:   # no version byte
-            (nchunks,) = struct.unpack_from("<I", blob, 4)
-            return read_chunk_index(blob, 8, nchunks)
-        if blob[:4] != _MAGIC:
-            raise ValueError("not an HPDR stream container (bad magic)")
-        version, nchunks = struct.unpack_from("<BI", blob, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported stream version {version}")
-        return read_chunk_index(blob, 4 + struct.calcsize("<BI"), nchunks)
+        (nchunks,), r = (_LEGACY if _LEGACY.matches(blob) else _HEADER).open(blob)
+        self._offsets = read_chunk_index(r, nchunks)
 
     def __len__(self) -> int:
         return len(self._offsets)

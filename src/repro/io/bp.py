@@ -12,23 +12,22 @@ bytes`` / ``decompress(bytes) -> ndarray`` participates.
 
 from __future__ import annotations
 
+import math
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.container import Header, Reader, check_crc, crc32, pack_shape
 from repro.util import CorruptStreamError, atomic_write_bytes, stream_errors
 
-_MAGIC = b"BP5X"
-_VERSION = 1
-_HEAD = struct.Struct("<BI")        # version, variable count
+_HEADER = Header(b"BP5X", 1, "I", "BP5X")   # variable count
 _LENS = struct.Struct("<HBBB")      # name/dtype/operator lengths, ndim
 _TAIL = struct.Struct("<QI")        # payload length, payload CRC32
 
 #: Bytes ahead of the first record: magic, version, variable count.
-HEADER_SIZE = len(_MAGIC) + _HEAD.size
+HEADER_SIZE = _HEADER.size
 
 _OPERATORS: dict[str, Callable[[], object]] = {}
 
@@ -79,11 +78,11 @@ class BPVariable:
 
     @property
     def crc(self) -> int:
-        return zlib.crc32(self.payload)
+        return crc32(self.payload)
 
     @property
     def nbytes_original(self) -> int:
-        return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
 
     @property
     def nbytes_stored(self) -> int:
@@ -139,6 +138,9 @@ class BPFile:
             raise KeyError(f"no variable {name!r}; have {sorted(self.variables)}")
         var = self.variables[name]
         if var.operator == "none":
+            if len(var.payload) != var.nbytes_original:
+                raise CorruptStreamError(f"corrupt stream: {len(var.payload)} "
+                                         f"raw bytes for {name!r} of {var.shape}")
             return np.frombuffer(var.payload, dtype=np.dtype(var.dtype)).reshape(
                 var.shape
             ).copy()
@@ -206,19 +208,12 @@ class BPFile:
 
 def header(nvars: int) -> bytes:
     """The container header announcing ``nvars`` records."""
-    return _MAGIC + _HEAD.pack(_VERSION, nvars)
+    return _HEADER.pack(nvars)
 
 
 def parse_header(blob) -> int:
-    """Variable count of a container; ValueError when not a BP5X header."""
-    if bytes(blob[:4]) != _MAGIC:
-        raise ValueError("not a BP5X container (bad magic)")
-    if len(blob) < HEADER_SIZE:
-        raise CorruptStreamError("corrupt stream: truncated BP5X header")
-    version, nvars = _HEAD.unpack_from(blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported BP5X version {version}")
-    return nvars
+    """Variable count of a container (CorruptStreamError if not BP5X)."""
+    return _HEADER.open(blob)[0][0]
 
 
 def _meta_size(var: BPVariable) -> int:
@@ -234,7 +229,7 @@ def record_parts(var: BPVariable) -> list[bytes]:
     return [
         _LENS.pack(len(name_b), len(dts), len(op), len(var.shape)),
         name_b + dts + op,
-        struct.pack(f"<{len(var.shape)}q", *var.shape),
+        pack_shape(var.shape),
         _TAIL.pack(len(var.payload), var.crc),
         var.payload,
     ]
@@ -248,24 +243,16 @@ def parse_record(blob, off: int) -> tuple[BPVariable, int]:
     resumed campaign walks its output with it.  A record cut short or
     failing its payload CRC raises :class:`CorruptStreamError`.
     """
-    nlen, dlen, olen, ndim = _LENS.unpack_from(blob, off)
-    off += _LENS.size
-    name = bytes(blob[off : off + nlen]).decode("utf-8")
-    off += nlen
-    dtype = bytes(blob[off : off + dlen]).decode("ascii")
-    off += dlen
-    operator = bytes(blob[off : off + olen]).decode("ascii")
-    off += olen
-    shape = struct.unpack_from(f"<{ndim}q", blob, off)
-    off += 8 * ndim
-    plen, crc = _TAIL.unpack_from(blob, off)
-    off += _TAIL.size
-    if plen > len(blob) - off:
-        raise CorruptStreamError(f"corrupt stream: variable {name!r} truncated")
-    payload = bytes(blob[off : off + plen])
-    if zlib.crc32(payload) != crc:
-        raise CorruptStreamError(f"CRC mismatch for variable {name!r}")
-    return BPVariable(name, tuple(shape), dtype, operator, payload), off + plen
+    r = Reader(blob, off)
+    nlen, dlen, olen, ndim = r.unpack(_LENS)
+    name = bytes(r.take(nlen)).decode("utf-8")
+    dtype = r.dtype(dlen).str
+    operator = bytes(r.take(olen)).decode("ascii")
+    shape = r.shape(ndim)
+    plen, crc = r.unpack(_TAIL)
+    payload = bytes(r.take(plen))
+    check_crc(payload, crc, f"variable {name!r}")
+    return BPVariable(name, shape, dtype, operator, payload), r.off
 
 
 _register_defaults()

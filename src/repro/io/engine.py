@@ -18,7 +18,7 @@ import numpy as np
 from repro.io.bp import BPFile
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import TRACER as _TRACER, span
-from repro.util import atomic_write_json
+from repro.util import CorruptStreamError, atomic_write_json
 
 
 def write_index(path, records, num_aggregators: int = 1) -> None:
@@ -197,6 +197,10 @@ class BPReader:
         with span("io.read_payload", cat="io", var=name, rank=rank,
                   nbytes=nbytes):
             with open(self.path / f"data.{entry['subfile']}", "rb") as f:
+                if not 0 <= offset <= offset + nbytes <= os.fstat(f.fileno()).st_size:
+                    raise CorruptStreamError(
+                        f"corrupt stream: span {extent} of {key!r} runs "
+                        "past its subfile")
                 f.seek(offset)
                 payload = f.read(nbytes)
         if _TRACER.enabled:

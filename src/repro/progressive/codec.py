@@ -27,11 +27,11 @@ byte-identical to ``MGARDX(config).decompress(compress(data))``.
 from __future__ import annotations
 
 import math
-import zlib
 from typing import Any
 
 import numpy as np
 
+from repro.container import crc32
 from repro.core.config import Config
 from repro.core.context import ContextCache
 from repro.progressive.errors import MalformedIndexError
@@ -234,7 +234,7 @@ class ProgressiveMGARD:
                     )
                 records.append(SegmentRecord(
                     seq=len(records), group=g, shift=int(shift),
-                    offset=offset, nbytes=len(seg), crc=zlib.crc32(seg),
+                    offset=offset, nbytes=len(seg), crc=crc32(seg),
                     error_bound=err,
                 ))
                 segments.append(seg)

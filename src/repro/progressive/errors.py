@@ -2,7 +2,8 @@
 
 Every error subclasses :class:`ProgressiveError` (itself a
 ``ValueError``) so callers can catch the whole family, while tests and
-the serve transport distinguish the concrete kinds by name:
+the serve transport distinguish the concrete kinds by name (the first
+three are also each a :class:`~repro.util.CorruptStreamError`):
 
 * :class:`MalformedIndexError` — the segment index is structurally
   invalid (bad magic/version, missing fields, non-contiguous byte
@@ -18,20 +19,22 @@ the serve transport distinguish the concrete kinds by name:
 
 from __future__ import annotations
 
+from repro.util import CorruptStreamError
+
 
 class ProgressiveError(ValueError):
     """Base class for progressive-retrieval failures."""
 
 
-class MalformedIndexError(ProgressiveError):
+class MalformedIndexError(ProgressiveError, CorruptStreamError):
     """The segment index is structurally invalid."""
 
 
-class TruncatedSegmentError(ProgressiveError):
+class TruncatedSegmentError(ProgressiveError, CorruptStreamError):
     """A segment's bytes end before its recorded length."""
 
 
-class SegmentCRCError(ProgressiveError):
+class SegmentCRCError(ProgressiveError, CorruptStreamError):
     """A segment's bytes fail its index record's CRC32."""
 
 

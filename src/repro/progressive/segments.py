@@ -30,24 +30,26 @@ path quantized.
 
 from __future__ import annotations
 
-import struct
-import zlib
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Any
 
 import numpy as np
 
+from repro.container import Header, check_crc
 from repro.progressive.errors import (
     BoundUnreachableError,
     MalformedIndexError,
+    ProgressiveError,
     SegmentCRCError,
     TruncatedSegmentError,
 )
 
-_SEG_MAGIC = b"HSEG"
-_SEG_VERSION = 1
-_SEG_HEADER = struct.Struct("<4sBBHIIQ")  # magic ver group shift count nout plen
+#: group, shift, code count, outlier count, payload length; then the
+#: payload and the outliers.
+_HEADER = Header(b"HSEG", 1, "BHIIQ", "segment",
+                 short=TruncatedSegmentError, bad=MalformedIndexError)
 
 INDEX_FORMAT = "hpdr-progressive"
 INDEX_VERSION = 1
@@ -135,9 +137,8 @@ def encode_segments(
     for (shift, plane), (_symbols, outliers), payload in zip(
         planes, coded, payloads
     ):
-        header = _SEG_HEADER.pack(
-            _SEG_MAGIC, _SEG_VERSION, group, shift, plane.size,
-            outliers.size, len(payload),
+        header = _HEADER.pack(
+            group, shift, plane.size, outliers.size, len(payload)
         )
         segments.append(header + payload + outliers.tobytes())
     return segments
@@ -150,36 +151,15 @@ def encode_segment(
     return encode_segments(group, [(shift, plane)], huffman, dict_size)[0]
 
 
-def _parse_segment(
-    seq: int, blob: bytes | memoryview
-) -> tuple[int, int, int, memoryview, np.ndarray]:
+def _parse_segment(seq: int, blob: bytes | memoryview) -> tuple[Any, ...]:
     """Header and length checks -> (group, shift, count, payload, outliers)."""
-    if len(blob) < _SEG_HEADER.size:
-        raise TruncatedSegmentError(
-            f"segment {seq} header truncated: {len(blob)} < "
-            f"{_SEG_HEADER.size} bytes"
-        )
-    magic, version, group, shift, count, nout, plen = _SEG_HEADER.unpack_from(
-        blob, 0
-    )
-    if magic != _SEG_MAGIC:
-        raise MalformedIndexError(
-            f"segment {seq}: bad segment magic {bytes(magic)!r}"
-        )
-    if version != _SEG_VERSION:
-        raise MalformedIndexError(
-            f"segment {seq}: unsupported segment version {version}"
-        )
-    need = _SEG_HEADER.size + plen + 8 * nout
-    if len(blob) < need:
-        raise TruncatedSegmentError(
-            f"segment {seq} truncated: {len(blob)} < {need} bytes"
-        )
-    payload = memoryview(blob)[_SEG_HEADER.size : _SEG_HEADER.size + plen]
-    outliers = np.frombuffer(
-        blob, dtype=np.int64, count=nout, offset=_SEG_HEADER.size + plen
-    )
-    return int(group), int(shift), int(count), payload, outliers
+    try:
+        (group, shift, count, nout, plen), r = _HEADER.open(memoryview(blob))
+        payload = r.take(plen)
+        outliers = r.array("<i8", nout)
+    except ProgressiveError as exc:
+        raise type(exc)(f"segment {seq}: {exc}") from exc
+    return group, shift, count, payload, outliers
 
 
 def decode_segments(
@@ -282,11 +262,8 @@ class SegmentRecord:
                 f"segment {self.seq}: got {len(blob)} bytes, "
                 f"record says {self.nbytes}"
             )
-        if zlib.crc32(blob) != self.crc:
-            raise SegmentCRCError(
-                f"segment {self.seq}: CRC mismatch (bytes corrupted "
-                "in storage or transit)"
-            )
+        check_crc(blob, self.crc, f"segment {self.seq} (bytes corrupted "
+                  "in storage or transit)", SegmentCRCError)
 
 
 @dataclass
@@ -439,6 +416,12 @@ class SegmentIndex:
             np.dtype(self.dtype)
         except TypeError as exc:
             raise MalformedIndexError(f"bad dtype {self.dtype!r}") from exc
+        # A reader sizes its grid from the shape: every code costs at
+        # least one bit of its group's first segment.
+        if (min(self.shape, default=0) < 1
+                or math.prod(self.shape) > 8 * self.total_bytes):
+            raise MalformedIndexError(f"shape {self.shape} does not fit "
+                                      f"{self.total_bytes} segment bytes")
         offset = 0
         last_group = -1
         for k, rec in enumerate(self.records):

@@ -33,13 +33,13 @@ import json
 import os
 import queue
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.adapters.base import get_adapter
+from repro.container import crc32
 from repro.io.bp import HEADER_SIZE, BPVariable, header, parse_header, \
     parse_record, record_parts
 from repro.io.engine import write_index
@@ -376,7 +376,7 @@ class CampaignRunner:
         the read-back against the CRC of the payload we meant to write.
         """
         site = f"chunk[{cid}]"
-        want = zlib.crc32(payload)
+        want = crc32(payload)
 
         def attempt():
             outgoing = payload

@@ -15,11 +15,15 @@ Usage (e.g. in a downstream package's test suite)::
 
 from __future__ import annotations
 
-from typing import Any
+import time
+import tracemalloc
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.core.functor import FnDomain, FnLocality
+from repro.util import CorruptStreamError
 
 
 class AdapterConformanceError(AssertionError):
@@ -637,3 +641,101 @@ def check_progressive(
         _require(index.floor <= abs_eb,
                  f"{name}: stream floor {index.floor:.3e} exceeds the "
                  f"configured absolute bound {abs_eb:.3e}")
+
+
+# ----------------------------------------------------------------------
+# Stream-format robustness
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FormatReport:
+    """What :func:`check_format` tried and the worst of it."""
+
+    mutations: int       #: mutated inputs decoded (truncations included)
+    slowest_s: float     #: wall time of the slowest one
+    slowest: str         #: which one it was
+    peak_bytes: int      #: largest traced peak of any one decode
+    limit_bytes: int     #: the bound that peak was held to
+
+
+def _mutations(blob: bytes) -> Iterator[tuple[str, bytes, bool]]:
+    """``(name, input, is_truncation)``: every cut, then four values
+    for every byte (bit 0 and bit 7 flipped, 0x00, 0xFF)."""
+    for cut in range(len(blob)):
+        yield f"cut at {cut}", blob[:cut], True
+    for i, byte in enumerate(blob):
+        for name, value in (("bit 0", byte ^ 0x01), ("bit 7", byte ^ 0x80),
+                            ("0x00", 0x00), ("0xFF", 0xFF)):
+            if value != byte:
+                yield (f"byte {i} {name}",
+                       blob[:i] + bytes([value]) + blob[i + 1:], False)
+
+
+def _traced(decode: Callable[[bytes], Any],
+            blob: bytes) -> tuple[Exception | None, int]:
+    """``decode(blob)``'s exception (or None) and the traced memory it
+    allocated at its peak, over what was live before the call."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        # A mutated value field decodes to garbage that may overflow.
+        with np.errstate(all="ignore"):
+            decode(blob)
+        error = None
+    except Exception as exc:  # noqa: BLE001 - judged by the caller
+        error = exc
+    return error, tracemalloc.get_traced_memory()[1] - before
+
+
+def check_format(
+    decode: Callable[[bytes], Any],
+    blob: bytes,
+    *,
+    memory_factor: float = 4.0,
+    memory_slack: int = 1 << 20,
+) -> FormatReport:
+    """Fuzz one stream format from one valid stream.
+
+    ``decode`` parses a stream end to end (``codec.decompress``, say);
+    ``blob`` is a stream it accepts.  The harness tries every
+    truncation and, at every byte, a flip of bit 0, a flip of bit 7, a
+    0x00 and a 0xFF — the last is how a lying length or an oversize
+    declaration is tried without knowing the layout.  Each input must
+    decode or raise :class:`~repro.util.CorruptStreamError`, and a
+    truncation must never decode.  Each decode's tracemalloc peak must
+    stay within ``memory_factor`` times the valid stream's plus
+    ``memory_slack`` bytes.  Bind ``decode`` to a fresh codec: the
+    baseline is its first, cold call.
+
+    Raises :class:`AdapterConformanceError` on the first violation and
+    returns a :class:`FormatReport` otherwise.  No timer is asserted;
+    the report names the slowest input.
+    """
+    blob = bytes(blob)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        error, base = _traced(decode, blob)
+        _require(error is None, f"the valid stream does not decode: {error!r}")
+        limit = int(memory_factor * base) + memory_slack
+        count, slowest, slowest_s, worst = 0, "", 0.0, 0
+        for name, mutated, truncated in _mutations(blob):
+            start = time.perf_counter()
+            error, peak = _traced(decode, mutated)
+            elapsed = time.perf_counter() - start
+            count += 1
+            if elapsed > slowest_s:
+                slowest, slowest_s = name, elapsed
+            worst = max(worst, peak)
+            if error is not None and not isinstance(error, CorruptStreamError):
+                raise AdapterConformanceError(
+                    f"{name}: {type(error).__name__}: {error}"
+                ) from error
+            _require(error is not None or not truncated,
+                     f"{name}: a truncated stream decoded")
+            _require(peak <= limit,
+                     f"{name}: peak {peak} B over the {limit} B bound")
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return FormatReport(count, slowest_s, slowest, worst, limit)

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.container import crc32
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.tune.knobs import TuningKey
 from repro.util import atomic_write_bytes
@@ -98,7 +98,7 @@ class TuneEntry:
 def _entries_crc(entries: dict[str, Any]) -> int:
     canonical = json.dumps(entries, sort_keys=True,
                            separators=(",", ":")).encode("utf-8")
-    return zlib.crc32(canonical) & 0xFFFFFFFF
+    return crc32(canonical)
 
 
 def _record_bytes(entries: dict[str, Any]) -> bytes:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 import struct
@@ -101,31 +100,6 @@ def atomic_write_json(path, obj, fsync: bool = True) -> int:
     return atomic_write_bytes(
         path, json.dumps(obj, sort_keys=True).encode("utf-8"), fsync=fsync
     )
-
-
-def read_chunk_index(blob, off: int, count: int) -> list[tuple[int, int]]:
-    """``(offset, length)`` of each of the ``count`` bodies that follow
-    a table of ``count`` little-endian u64 lengths at ``blob[off]``.
-
-    The one index reader of the chunk-list containers (``HPST``, and
-    the read-only ``HPDC`` and ``HUFP``): each holds a count, the
-    lengths, then the bodies back to back.  Nothing is sized from a
-    declared value before it is checked — the table must fit what is
-    left of ``blob`` and the bodies what is left after the table;
-    otherwise :class:`CorruptStreamError`.
-    """
-    room = len(blob) - off
-    if not 0 <= count <= room // 8:
-        raise CorruptStreamError(
-            f"corrupt stream: an index of {count} chunks in {max(room, 0)} bytes"
-        )
-    lengths = struct.unpack_from(f"<{count}Q", blob, off)
-    off += 8 * count
-    if sum(lengths) > len(blob) - off:
-        raise CorruptStreamError(
-            "corrupt stream: chunk lengths run past the end of the container"
-        )
-    return list(zip(itertools.accumulate(lengths, initial=off), lengths))
 
 
 def stream_errors(fn):

@@ -19,7 +19,6 @@ import pytest
 from repro import HuffmanX
 from repro.adapters import get_adapter
 from repro.check import SanitizingAdapter, assert_steady_state
-from repro.compressors.huffman.compressor import _pack_meta
 from repro.util import CorruptStreamError
 
 SEG = 1 << 16
@@ -72,6 +71,12 @@ def test_steady_state_under_sanitizer(rng, threads):
 # ----------------------------------------------------------------------
 # Legacy reader
 # ----------------------------------------------------------------------
+def _byte_meta(nbytes: int) -> bytes:
+    """The byte API's prefix for ``nbytes`` uint8 values: dtype-string
+    length and ndim, then ``|u1`` and the one dimension."""
+    return struct.pack("<BH", 3, 1) + b"|u1" + struct.pack("<q", nbytes)
+
+
 def _parts(segments) -> list[bytes]:
     return [HuffmanX().compress_keys(s, 256) for s in segments]
 
@@ -82,7 +87,7 @@ def _hufp(segments, count=None, lengths=None) -> bytes:
     count = len(parts) if count is None else count
     lengths = [len(p) for p in parts] if lengths is None else lengths
     return b"".join([
-        _pack_meta("|u1", (sum(s.size for s in segments),)),
+        _byte_meta(sum(s.size for s in segments)),
         b"HUFP", struct.pack("<BI", 1, count),
         struct.pack(f"<{len(lengths)}Q", *lengths), *parts,
     ])
@@ -105,7 +110,7 @@ def test_legacy_container_decodes_single_and_batched(halves):
                    for out in codec.decompress_batch(mixed))
 
 
-TABLE = len(_pack_meta("|u1", (0,))) + 4 + 5    # offset of the length table
+TABLE = len(_byte_meta(0)) + 4 + 5    # offset of the length table
 #: name -> blob from the two segments and their true coded lengths (a, b)
 HOSTILE = {
     "count-0": lambda h, a, b: _hufp(h, count=0),

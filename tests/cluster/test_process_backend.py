@@ -19,7 +19,6 @@ from repro.serve import BatchLimits, ServiceConfig
 DATA = np.arange(1024, dtype=np.float32).reshape(32, 32)
 
 
-@pytest.mark.timing_sensitive
 def test_process_backend_roundtrips_and_drains():
     async def run():
         cfg = ClusterConfig(

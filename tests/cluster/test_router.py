@@ -221,7 +221,6 @@ def test_all_shards_dead_raises_no_healthy_shards():
     _run(run())
 
 
-@pytest.mark.timing_sensitive
 def test_health_loop_adopts_dead_shard_without_traffic():
     async def run():
         cfg = _quick_config(shards=2, breaker_threshold=1,
@@ -229,13 +228,14 @@ def test_health_loop_adopts_dead_shard_without_traffic():
         async with ClusterService(cfg) as cs:
             victim = cs.owner("compress", SPEC, DATA)
             cs.kill_shard(victim)
-            for _ in range(200):
-                if victim not in cs.alive_shards:
-                    break
-                await asyncio.sleep(0.01)
-            assert victim not in cs.alive_shards, (
-                "the health prober never adopted the dead shard"
-            )
+
+            async def adopted() -> None:
+                while victim in cs.alive_shards:
+                    await asyncio.sleep(0.01)
+
+            # A cap, not a budget: the prober runs every 10 ms, but a
+            # loaded host may take seconds to schedule it.
+            await asyncio.wait_for(adopted(), timeout=30)
             # The survivor now owns the range; traffic flows on.
             blob = await cs.compress(SPEC, DATA)
             assert bytes(blob) == bytes(SPEC.build().compress(DATA))

@@ -1,65 +1,13 @@
-"""Shared fixtures and the flaky-test quarantine for the HPDR suite."""
+"""Shared fixtures for the HPDR suite."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-from _pytest.runner import runtestprotocol
 
 from repro.adapters import get_adapter
 
 ADAPTER_FAMILIES = ["serial", "openmp", "cuda", "hip", "sycl"]
-
-# -- flaky quarantine -------------------------------------------------------
-# Tests marked ``timing_sensitive`` depend on scheduler or wall-clock
-# behaviour (soak budgets, health-probe intervals, subprocess spawn).
-# On a loaded single-core CI runner they can fail spuriously; the
-# quarantine grants exactly ONE retry and reports every rerun so a test
-# that needs its retry is visible, not silently green.
-
-#: nodeids that failed once and were rerun (pass or fail).
-_RERUNS: list[str] = []
-
-
-def pytest_runtest_protocol(item, nextitem):
-    if item.get_closest_marker("timing_sensitive") is None:
-        return None
-    item.ihook.pytest_runtest_logstart(
-        nodeid=item.nodeid, location=item.location
-    )
-    reports = runtestprotocol(item, nextitem=nextitem, log=False)
-    if any(r.failed for r in reports):
-        _RERUNS.append(item.nodeid)
-        item._initrequest()  # fresh fixture state for the clean rerun
-        reports = runtestprotocol(item, nextitem=nextitem, log=False)
-    for report in reports:
-        item.ihook.pytest_runtest_logreport(report=report)
-    item.ihook.pytest_runtest_logfinish(
-        nodeid=item.nodeid, location=item.location
-    )
-    return True
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _RERUNS:
-        return
-    terminalreporter.section("flaky quarantine")
-    terminalreporter.line(
-        f"{len(_RERUNS)} timing_sensitive test(s) failed once and were "
-        "retried:"
-    )
-    for nodeid in _RERUNS:
-        terminalreporter.line(f"  RERUN {nodeid}")
-    summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary:
-        with open(summary, "a", encoding="utf-8") as fh:
-            fh.write(
-                f"\n### Flaky quarantine: {len(_RERUNS)} rerun(s)\n\n"
-            )
-            for nodeid in _RERUNS:
-                fh.write(f"- `{nodeid}`\n")
 
 
 @pytest.fixture

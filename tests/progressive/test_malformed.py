@@ -34,14 +34,6 @@ def stream():
     return data, index, segments
 
 
-def test_truncated_archive_header(stream):
-    _data, index, segments = stream
-    blob = archive_bytes(index, segments)
-    for cut in (0, 3, 8):
-        with pytest.raises(TruncatedSegmentError):
-            parse_archive_index(blob[:cut])
-
-
 def test_bad_archive_magic(stream):
     _data, index, segments = stream
     blob = archive_bytes(index, segments)

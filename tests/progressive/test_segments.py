@@ -100,14 +100,6 @@ def test_segment_roundtrip():
     assert np.array_equal(back, plane)
 
 
-def test_segment_truncation_raises_typed_error():
-    huffman = HuffmanX()
-    blob = encode_segment(0, 0, np.arange(64, dtype=np.int64), huffman, 4096)
-    for cut in (0, 5, len(blob) // 2, len(blob) - 1):
-        with pytest.raises(TruncatedSegmentError):
-            decode_segment(blob[:cut], huffman)
-
-
 def test_segment_bad_magic_raises():
     huffman = HuffmanX()
     blob = encode_segment(0, 0, np.arange(8, dtype=np.int64), huffman, 4096)

@@ -116,7 +116,6 @@ def test_non_finite_tile_is_a_typed_refusal_not_a_bad_stream(error_mode):
     asyncio.run(run())
 
 
-@pytest.mark.timing_sensitive
 def test_remote_overload_maps_to_service_overloaded(monkeypatch):
     import threading
 
@@ -127,11 +126,13 @@ def test_remote_overload_maps_to_service_overloaded(monkeypatch):
     # Hold the first request inside the worker so it deterministically
     # occupies the single admission slot (idle-flush dispatches it
     # immediately, so timing alone can no longer keep it in flight).
+    entered = threading.Event()
     release = threading.Event()
     original = worker_mod.Worker.run_batch
 
     def slow_run_batch(self, flush):
-        release.wait(timeout=10)
+        entered.set()
+        release.wait(timeout=30)
         return original(self, flush)
 
     monkeypatch.setattr(worker_mod.Worker, "run_batch", slow_run_batch)
@@ -146,7 +147,8 @@ def test_remote_overload_maps_to_service_overloaded(monkeypatch):
             c1 = await BlastClient.connect(host, port)
             c2 = await BlastClient.connect(host, port)
             first = asyncio.ensure_future(c1.compress(spec, data))
-            await asyncio.sleep(0.02)  # first request occupies the one slot
+            # The first request is inside the worker: it holds the slot.
+            assert await asyncio.to_thread(entered.wait, 30)
             with pytest.raises(ServiceOverloaded) as exc:
                 await c2.compress(spec, data)
             assert exc.value.limit == 1

@@ -1,36 +1,32 @@
 """Soak/stress: >=1k mixed-codec requests, zero-alloc steady state.
 
-Budgeted at ~60 s of wall clock and compatible with ``HPDR_SAN=1``
-(the service builds its adapters through ``get_adapter``, so the
-sanitizer wraps them automatically).  The zero-alloc claim is the CMM
-one: after warm-up waves, the worker's ContextCache accounting must not
-move — pinned serve contexts, codec buffers and the batch-staging
-scratch are all at their high-water marks.
+The claims are exactly-once delivery and the CMM's zero-alloc steady
+state, not a wall-clock budget (throughput is the benchmark's job).
+Compatible with ``HPDR_SAN=1``: the service builds its adapters through
+``get_adapter``, so the sanitizer wraps them automatically.  After
+warm-up waves, the worker's ContextCache accounting must not move —
+pinned serve contexts, codec buffers and the batch-staging scratch are
+all at their high-water marks.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
-import pytest
 
 from repro.check import assert_steady_state
 from repro.serve import BatchLimits, CodecSpec, ReductionService, ServiceConfig
 
 #: requests per wave (compress + decompress halves).
 _WAVE = 48
-#: hard floor the issue pins.
+#: requests the soak serves at least.
 _MIN_REQUESTS = 1000
-#: soft wall-clock budget (seconds).
-_BUDGET_S = 60.0
 
 SPECS = [CodecSpec("zfp-x", rate=8.0), CodecSpec("huffman-x"),
          CodecSpec("lz4")]
 
 
-@pytest.mark.timing_sensitive
 def test_soak_mixed_traffic_zero_alloc_steady_state():
     rng = np.random.default_rng(5)
     payloads = {
@@ -40,7 +36,6 @@ def test_soak_mixed_traffic_zero_alloc_steady_state():
         for s in SPECS
     }
     loop = asyncio.new_event_loop()
-    started = time.monotonic()
     requests = 0
     try:
         cfg = ServiceConfig(
@@ -71,11 +66,8 @@ def test_soak_mixed_traffic_zero_alloc_steady_state():
         worker_cache = svc.workers[0].cache
         assert_steady_state(run_wave, worker_cache, warmup=3, reps=3)
 
-        # Soak to the request floor within the wall-clock budget.
+        # Soak to the request floor.
         while requests < _MIN_REQUESTS:
-            assert time.monotonic() - started < _BUDGET_S, (
-                f"soak exceeded {_BUDGET_S}s with only {requests} requests"
-            )
             run_wave()
 
         stats = svc.stats

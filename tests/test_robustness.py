@@ -1,63 +1,206 @@
-"""Stream-robustness: corrupt/truncated inputs fail cleanly.
+"""Stream robustness: hostile bytes fail one way, in bounded memory.
 
-A data-reduction library sits in I/O paths; malformed bytes must raise
-``ValueError``-family errors, never crash the interpreter or return
-silently wrong data.
+A data-reduction library sits in I/O paths, so every stream parser
+refuses damaged bytes with :class:`~repro.util.CorruptStreamError` —
+never another exception type, never a ``MemoryError`` from a size the
+stream declared, never silently wrong data.  :func:`repro.testing.
+check_format` holds every format to that at every offset; the named
+cases below are the holes it found, pinned one by one.
 """
+
+import argparse
+import struct
 
 import numpy as np
 import pytest
 
-from repro import Config, ErrorMode, LZ4, MGARDX, SZ, ZFPX, HuffmanX
+from repro import LZ4, MGARDX, SZ, ZFPX, Config, ErrorMode, HuffmanX
+from repro.cli import _build_compressor, _envelope, _open_envelope
+from repro.compressors.zfp.embedded import ZFPEmbedded
+from repro.compressors.zfp.modes import ZFPAccuracy
+from repro.core.streaming import StreamingCompressor, StreamingDecompressor
 from repro.io.bp import BPFile
+from repro.progressive import (
+    ProgressiveMGARD,
+    ProgressiveRetriever,
+    archive_bytes,
+    make_retrieve_request,
+    parse_archive_index,
+    parse_retrieve_request,
+)
+from repro.progressive.archive import slice_segments
+from repro.progressive.segments import decode_segment, encode_segment
+from repro.testing import check_format
+from repro.util import CorruptStreamError
 
-ACCEPTABLE = (ValueError, KeyError, IndexError, struct_err := __import__("struct").error)
-
-
-@pytest.fixture(scope="module")
-def streams(rng=np.random.default_rng(0)):
-    data = rng.normal(size=(12, 12)).astype(np.float32)
-    cfg = Config(error_bound=1e-3, error_mode=ErrorMode.REL)
-    out = {
-        "mgard": (MGARDX(cfg), MGARDX(cfg).compress(data)),
-        "zfp": (ZFPX(rate=12), ZFPX(rate=12).compress(data)),
-        "sz": (SZ(cfg), SZ(cfg).compress(data)),
-        "huffman": (HuffmanX(), HuffmanX().compress(data)),
-        "lz4": (LZ4(), LZ4().compress(data)),
-    }
-    return out
-
-
-@pytest.mark.parametrize("name", ["mgard", "zfp", "sz", "huffman", "lz4"])
-def test_truncated_stream_raises(streams, name):
-    comp, blob = streams[name]
-    for cut in (8, len(blob) // 3, len(blob) - 3):
-        with pytest.raises(ACCEPTABLE):
-            comp.decompress(blob[:cut])
+#: the stream the findings below were read on
+DATA = np.random.default_rng(0).normal(size=(12, 12)).astype(np.float32)
+#: what the harness fuzzes: a decode under tracemalloc costs ~10x one
+#: without, so every stream is kept to a few hundred bytes
+TILE = DATA[:6, :6].copy()
+CFG = Config(error_bound=1e-3, error_mode=ErrorMode.REL)
+KEYS = np.random.default_rng(1).integers(0, 9, size=64)
 
 
-@pytest.mark.parametrize("name", ["mgard", "zfp", "sz", "huffman", "lz4"])
-def test_wrong_magic_raises(streams, name):
-    comp, blob = streams[name]
-    with pytest.raises(ACCEPTABLE):
-        comp.decompress(b"ZZZZ" + blob[4:])
+def _flip(blob: bytes, byte: int, bit: int = 7) -> bytes:
+    out = bytearray(blob)
+    out[byte] ^= 1 << bit
+    return bytes(out)
 
 
-def test_cross_codec_streams_rejected(streams):
+def _chunk_list(magic_and_version: bytes, bodies: list[bytes]) -> bytes:
+    """A chunk list: tag, u32 count, u64 lengths, the bodies."""
+    return (magic_and_version + struct.pack("<I", len(bodies))
+            + struct.pack(f"<{len(bodies)}Q", *map(len, bodies))
+            + b"".join(bodies))
+
+
+def _hufp() -> bytes:
+    """A legacy ``HUFP`` byte-API blob: the byte API's prefix for 64
+    uint8 values, then two ``HUFX`` segments."""
+    halves = [KEYS[:32].astype(np.uint8), KEYS[32:].astype(np.uint8)]
+    parts = [HuffmanX().compress_keys(h, 256) for h in halves]
+    meta = struct.pack("<BH", 3, 1) + b"|u1" + struct.pack("<q", KEYS.size)
+    return meta + _chunk_list(b"HUFP\x01", parts)
+
+
+def _streaming(blob):
+    return list(StreamingDecompressor(ZFPX(rate=4), blob))
+
+
+def _bp(blob):
+    bp = BPFile.frombytes(blob)
+    return [bp.get(name) for name, var in bp.variables.items()
+            if var.operator == "none"]
+
+
+def _bp_blob(data) -> bytes:
+    bp = BPFile()
+    bp.put("x", data[:2], operator="none")
+    bp.put("y", data[2:], operator="zfp-x", compressor=ZFPX(rate=4))
+    return bp.tobytes()
+
+
+def _archive(data) -> bytes:
+    index, segments = ProgressiveMGARD(
+        Config(error_bound=1e-2), max_planes=1
+    ).refactor(data[:3].copy())
+    return archive_bytes(index, segments)
+
+
+def _hpst(data) -> bytes:
+    compressor = StreamingCompressor(ZFPX(rate=4))
+    compressor.extend(np.split(data, 2))
+    return compressor.finalize()
+
+
+def _hpdc(data) -> bytes:
+    """The legacy chunk list: ``HPST``'s layout without a version byte."""
+    return _chunk_list(b"HPDC", [ZFPX(rate=4).compress(part)
+                                 for part in np.split(data, 2)])
+
+
+def _request(blob):
+    """An ``HPRQ`` parsed whole: its parameters, then every segment of
+    the archive it carries."""
+    _eps, _resolution, archive = parse_retrieve_request(blob)
+    index, base = parse_archive_index(archive)
+    return slice_segments(archive, base, index.records)
+
+
+def _envelope_decode(blob):
+    method, payload = _open_envelope(blob)
+    return _build_compressor(method, argparse.Namespace()).decompress(payload)
+
+
+#: format -> (data) -> (one valid stream, a decoder on a fresh codec)
+FORMATS = {
+    "MGRX": lambda d: (MGARDX(CFG).compress(d), MGARDX(CFG).decompress),
+    "ZFPX": lambda d: (ZFPX(rate=12).compress(d), ZFPX(rate=12).decompress),
+    "ZFPE": lambda d: (ZFPEmbedded(rate=12).compress(d),
+                       ZFPEmbedded(rate=12).decompress),
+    "ZFPA": lambda d: (ZFPAccuracy(1e-3).compress(d),
+                       ZFPAccuracy(1e-3).decompress),
+    "HUFX-keys": lambda d: (HuffmanX().compress_keys(KEYS, 16),
+                            HuffmanX().decompress_keys),
+    "HUFX-bytes": lambda d: (HuffmanX().compress(d), HuffmanX().decompress),
+    "HUFP": lambda d: (_hufp(), HuffmanX().decompress),
+    "CUSZ": lambda d: (SZ(CFG).compress(d), SZ(CFG).decompress),
+    "LZ4X": lambda d: (LZ4().compress(d), LZ4().decompress),
+    "HPST": lambda d: (_hpst(d), _streaming),
+    "HPDC": lambda d: (_hpdc(d), _streaming),
+    "BP5X": lambda d: (_bp_blob(d), _bp),
+    "HSEG": lambda d: (encode_segment(1, 2, KEYS - 4, HuffmanX(), 64),
+                       lambda b, h=HuffmanX(): decode_segment(b, h)),
+    "HPGX": lambda d: (_archive(d), ProgressiveRetriever().retrieve),
+    "HPRQ": lambda d: (make_retrieve_request(_archive(d)), _request),
+    "HPDR": lambda d: (_envelope("lz4", LZ4().compress(d[:2])),
+                       _envelope_decode),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_check_format(name):
+    blob, decode = FORMATS[name](TILE)
+    report = check_format(decode, blob)
+    assert report.mutations > len(blob)
+
+
+# ----------------------------------------------------------------------
+# Declared sizes the parent allocated from (bit 7 of the byte named)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name, byte", [
+    ("MGRX", 14),        # the first dimension
+    ("ZFPX", 22),        # the first dimension
+    ("ZFPE", 22),        # the first dimension
+])
+def test_oversize_shape_is_refused(name, byte):
+    blob, decode = FORMATS[name](DATA)
+    with pytest.raises(CorruptStreamError):
+        decode(_flip(blob, byte))
+
+
+@pytest.mark.parametrize("name, byte", [
+    ("HUFX-bytes", 33),  # the alphabet size of the HUFX body
+    ("CUSZ", 65),        # the alphabet size of the HUFX payload
+])
+def test_oversize_alphabet_sizes_nothing(name, byte):
+    """The code-length table holds the lengths the stream stores, so an
+    alphabet of 2**31 more symbols decodes what it always did."""
+    blob, decode = FORMATS[name](DATA)
+    assert np.array_equal(decode(_flip(blob, byte)), decode(blob))
+
+
+def test_truncated_embedded_stream_is_refused():
+    """The embedded reader used to decode missing records as zeros."""
+    blob, decode = FORMATS["ZFPE"](DATA)
+    with pytest.raises(CorruptStreamError):
+        decode(blob[:-1])
+
+
+def test_bp_bad_magic_is_a_corrupt_stream():
+    with pytest.raises(CorruptStreamError, match="bad magic"):
+        BPFile.frombytes(b"ZZZZ" + _bp_blob(TILE)[4:])
+
+
+# ----------------------------------------------------------------------
+# Named cases
+# ----------------------------------------------------------------------
+def test_cross_codec_streams_rejected():
     """Feeding one codec's stream to another must fail, not misdecode."""
-    mgard, mgard_blob = streams["mgard"]
-    zfp, zfp_blob = streams["zfp"]
-    with pytest.raises(ACCEPTABLE):
-        mgard.decompress(zfp_blob)
-    with pytest.raises(ACCEPTABLE):
-        zfp.decompress(mgard_blob)
+    mgard_blob, mgard = FORMATS["MGRX"](DATA)
+    zfp_blob, zfp = FORMATS["ZFPX"](DATA)
+    with pytest.raises(CorruptStreamError):
+        mgard(zfp_blob)
+    with pytest.raises(CorruptStreamError):
+        zfp(mgard_blob)
 
 
-def test_bp_truncation(streams, rng=np.random.default_rng(1)):
+def test_bp_truncation(rng=np.random.default_rng(1)):
     bp = BPFile()
     bp.put("x", rng.normal(size=(16,)))
     blob = bp.tobytes()
-    with pytest.raises(ACCEPTABLE):
+    with pytest.raises(CorruptStreamError):
         BPFile.frombytes(blob[: len(blob) // 2])
 
 
@@ -66,16 +209,16 @@ def test_bitflip_in_payload_detected_by_bp_crc(rng=np.random.default_rng(2)):
     bp.put("x", rng.normal(size=(64,)))
     blob = bytearray(bp.tobytes())
     blob[-10] ^= 0x40
-    with pytest.raises(ValueError, match="CRC"):
+    with pytest.raises(CorruptStreamError, match="CRC"):
         BPFile.frombytes(bytes(blob))
 
 
-def test_mgard_stream_length_mismatch_detected(streams):
+def test_mgard_stream_length_mismatch_detected():
     """Tampering with the MGARD header's shape must be caught by the
     coefficient-count consistency check."""
-    comp, blob = streams["mgard"]
+    blob, decode = FORMATS["MGRX"](DATA)
     mutated = bytearray(blob)
     # shape starts after magic(4)+BBBB(4)+dtype string('<f4' = 3 bytes)
     mutated[11] = 99  # change first dim 12 -> 99
-    with pytest.raises(ACCEPTABLE):
-        comp.decompress(bytes(mutated))
+    with pytest.raises(CorruptStreamError, match="coded coefficients"):
+        decode(bytes(mutated))

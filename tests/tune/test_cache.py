@@ -160,30 +160,34 @@ def test_put_rejects_non_entry(cache):
 # Concurrent-writer atomicity: real processes racing put(); a reader
 # polling throughout must never observe a torn or invalid file.
 # ---------------------------------------------------------------------------
-def _writer(path, codec, n):
+def _writer(path, codec, n, start):
     sys.path.insert(0, "src")
     from repro.tune import TuneEntry, TuningCache, TuningKey
 
     cache = TuningCache(path)
+    start.wait()
     for i in range(n):
         key = TuningKey(codec, "<f4", (3, 4096), f"cpu{i}")
         cache.put(key, TuneEntry(config={"adapter": "serial", "threads": 1},
                                  cost_s=0.001 * (i + 1)))
 
 
-@pytest.mark.timing_sensitive
 def test_concurrent_writers_never_tear(tmp_path):
     path = tmp_path / "tuning.json"
     ctx = multiprocessing.get_context("spawn")
+    start = ctx.Event()
     writers = [
-        ctx.Process(target=_writer, args=(str(path), codec, 20))
+        ctx.Process(target=_writer, args=(str(path), codec, 20, start))
         for codec in ("zfp-x", "mgard-x")
     ]
     for w in writers:
         w.start()
     reader = TuningCache(path)
     invalid_before = _invalid_count()
-    reads = 0
+    # The reader is polling before either writer writes a byte.
+    reader.load()
+    reads = 1
+    start.set()
     while any(w.is_alive() for w in writers):
         if path.exists():
             reader.load()
