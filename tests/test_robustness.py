@@ -5,7 +5,8 @@ refuses damaged bytes with :class:`~repro.util.CorruptStreamError` —
 never another exception type, never a ``MemoryError`` from a size the
 stream declared, never silently wrong data.  :func:`repro.testing.
 check_format` holds every format to that at every offset; the named
-cases below are the holes it found, pinned one by one.
+cases below pin the holes it found and each codec's truncation and
+bad-magic cases one by one.
 """
 
 import argparse
@@ -186,6 +187,26 @@ def test_bp_bad_magic_is_a_corrupt_stream():
 # ----------------------------------------------------------------------
 # Named cases
 # ----------------------------------------------------------------------
+#: codec -> its format above
+CODECS = {"mgard": "MGRX", "zfp": "ZFPX", "sz": "CUSZ",
+          "huffman": "HUFX-bytes", "lz4": "LZ4X"}
+
+
+@pytest.mark.parametrize("name", list(CODECS))
+def test_truncated_stream_raises(name):
+    blob, decode = FORMATS[CODECS[name]](DATA)
+    for cut in (8, len(blob) // 3, len(blob) - 3):
+        with pytest.raises(CorruptStreamError):
+            decode(blob[:cut])
+
+
+@pytest.mark.parametrize("name", list(CODECS))
+def test_wrong_magic_raises(name):
+    blob, decode = FORMATS[CODECS[name]](DATA)
+    with pytest.raises(CorruptStreamError):
+        decode(b"ZZZZ" + blob[4:])
+
+
 def test_cross_codec_streams_rejected():
     """Feeding one codec's stream to another must fail, not misdecode."""
     mgard_blob, mgard = FORMATS["MGRX"](DATA)
