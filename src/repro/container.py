@@ -81,18 +81,19 @@ class Reader:
         return shape
 
     def dtype(self, dts_len: int) -> np.dtype:
-        """A dtype string; it must name a numeric dtype."""
+        """A dtype string; any string ``np.dtype`` parses."""
         raw = bytes(self.take(dts_len))
         try:
-            dtype = np.dtype(raw.decode("ascii"))
+            return np.dtype(raw.decode("ascii"))
         except (TypeError, ValueError, SyntaxError) as exc:
             raise self.short(f"corrupt stream: bad dtype {raw!r}") from exc
-        if dtype.kind not in _NUMERIC_KINDS:
-            raise self.short(f"corrupt stream: dtype {raw!r} is not numeric")
-        return dtype
 
     def meta(self, dts_len: int, ndim: int) -> tuple[np.dtype, tuple[int, ...]]:
-        return self.dtype(dts_len), self.shape(ndim)
+        """A codec's dtype, which must be numeric, and shape."""
+        dtype = self.dtype(dts_len)
+        if dtype.kind not in _NUMERIC_KINDS:
+            raise self.short(f"corrupt stream: dtype {dtype.str!r} is not numeric")
+        return dtype, self.shape(ndim)
 
 
 def pack_shape(shape: tuple[int, ...]) -> bytes:

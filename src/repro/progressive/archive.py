@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 from typing import Any
 
@@ -96,18 +95,21 @@ def read_archive_prefix(
 ) -> tuple[SegmentIndex, list[SegmentRecord], list[bytes]]:
     """Open an HPGX file and read **only** the planned byte ranges.
 
-    Returns ``(index, plan, segments)``.  The file is mapped, not read:
-    the header, the index and the planned segments are the only bytes
-    copied out of it, never the tail a bounded request does not need,
-    and the file's length bounds every size its header declares.
+    Returns ``(index, plan, segments)``; the file reads are the header,
+    the index, and one contiguous range covering the prefix — never the
+    tail segments a bounded request does not need.  No read asks for
+    more than the file holds; a short one is a ``TruncatedSegmentError``.
     """
     with open(path, "rb") as f:
-        if not os.fstat(f.fileno()).st_size:
-            raise TruncatedSegmentError(f"archive header truncated: {path} is empty")
-        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as blob:
-            index, base = parse_archive_index(blob)
-            plan = index.plan(eps=eps, resolution=resolution, strict=strict)
-            return index, plan, slice_segments(blob, base, plan)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_ARCHIVE.size)
+        (index_len,), _ = _ARCHIVE.open(head)
+        index, base = parse_archive_index(head + f.read(min(index_len, size)))
+        plan = index.plan(eps=eps, resolution=resolution, strict=strict)
+        start = plan[0].offset if plan else 0   # ``region``'s segment offset
+        f.seek(base + start)
+        region = f.read(min(sum(rec.nbytes for rec in plan), size))
+    return index, plan, slice_segments(region, -start, plan)
 
 
 # ----------------------------------------------------------------------

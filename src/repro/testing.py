@@ -686,13 +686,13 @@ def _traced(decode: Callable[[bytes], Any],
     return error, tracemalloc.get_traced_memory()[1] - before
 
 
-def check_format(
-    decode: Callable[[bytes], Any],
-    blob: bytes,
-    *,
-    memory_factor: float = 4.0,
-    memory_slack: int = 1 << 20,
-) -> FormatReport:
+#: A mutated decode's traced peak may reach this many times the valid
+#: stream's, plus ``_PEAK_SLACK`` bytes.
+_PEAK_FACTOR = 4
+_PEAK_SLACK = 1 << 20
+
+
+def check_format(decode: Callable[[bytes], Any], blob: bytes) -> FormatReport:
     """Fuzz one stream format from one valid stream.
 
     ``decode`` parses a stream end to end (``codec.decompress``, say);
@@ -702,8 +702,7 @@ def check_format(
     declaration is tried without knowing the layout.  Each input must
     decode or raise :class:`~repro.util.CorruptStreamError`, and a
     truncation must never decode.  Each decode's tracemalloc peak must
-    stay within ``memory_factor`` times the valid stream's plus
-    ``memory_slack`` bytes.  Bind ``decode`` to a fresh codec: the
+    stay within 4 times the valid stream's plus 1 MiB.  Bind ``decode`` to a fresh codec: the
     baseline is its first, cold call.
 
     Raises :class:`AdapterConformanceError` on the first violation and
@@ -717,7 +716,7 @@ def check_format(
     try:
         error, base = _traced(decode, blob)
         _require(error is None, f"the valid stream does not decode: {error!r}")
-        limit = int(memory_factor * base) + memory_slack
+        limit = _PEAK_FACTOR * base + _PEAK_SLACK
         count, slowest, slowest_s, worst = 0, "", 0.0, 0
         for name, mutated, truncated in _mutations(blob):
             start = time.perf_counter()

@@ -28,8 +28,10 @@ from repro.progressive import (
     make_retrieve_request,
     parse_archive_index,
     parse_retrieve_request,
+    read_archive_prefix,
 )
 from repro.progressive.archive import slice_segments
+from repro.progressive.errors import TruncatedSegmentError
 from repro.progressive.segments import decode_segment, encode_segment
 from repro.testing import check_format
 from repro.util import CorruptStreamError
@@ -182,6 +184,42 @@ def test_truncated_embedded_stream_is_refused():
 def test_bp_bad_magic_is_a_corrupt_stream():
     with pytest.raises(CorruptStreamError, match="bad magic"):
         BPFile.frombytes(b"ZZZZ" + _bp_blob(TILE)[4:])
+
+
+@pytest.mark.parametrize("data", [
+    np.array(["ab", "c"]),
+    np.arange(3).astype("M8[ns]"),
+    np.zeros(2, dtype="|V8"),
+], ids=["str", "datetime", "void"])
+def test_bp_raw_variable_of_any_dtype_round_trips(data):
+    """A raw variable stores any dtype; only a codec's stream must be numeric."""
+    bp = BPFile()
+    bp.put("x", data)
+    back = BPFile.frombytes(bp.tobytes()).get("x")
+    assert back.dtype == data.dtype and back.tobytes() == data.tobytes()
+
+
+def test_progressive_truncation_keeps_its_error_type():
+    """The progressive error names cross the TCP hop, so a cut segment
+    or archive header is a ``TruncatedSegmentError`` in particular."""
+    huffman = HuffmanX()
+    segment = encode_segment(0, 0, np.arange(64, dtype=np.int64), huffman, 4096)
+    for cut in (0, 5, len(segment) // 2, len(segment) - 1):
+        with pytest.raises(TruncatedSegmentError):
+            decode_segment(segment[:cut], huffman)
+    archive = _archive(TILE)
+    for cut in (0, 3, 8):
+        with pytest.raises(TruncatedSegmentError):
+            parse_archive_index(archive[:cut])
+
+
+@pytest.mark.parametrize("keep", [12, -1], ids=["index", "segments"])
+def test_truncated_archive_file_is_refused_before_reading(tmp_path, keep):
+    """A file read checks each declared span against the file's length."""
+    path = tmp_path / "cut.hpgx"
+    path.write_bytes(_archive(TILE)[:keep])
+    with pytest.raises(TruncatedSegmentError, match="truncated"):
+        read_archive_prefix(path)
 
 
 # ----------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_put_rejects_non_entry(cache):
 # Concurrent-writer atomicity: real processes racing put(); a reader
 # polling throughout must never observe a torn or invalid file.
 # ---------------------------------------------------------------------------
-def _writer(path, codec, n, start):
+def _writer(path, codec, n, start, seen):
     sys.path.insert(0, "src")
     from repro.tune import TuneEntry, TuningCache, TuningKey
 
@@ -170,14 +170,18 @@ def _writer(path, codec, n, start):
         key = TuningKey(codec, "<f4", (3, 4096), f"cpu{i}")
         cache.put(key, TuneEntry(config={"adapter": "serial", "threads": 1},
                                  cost_s=0.001 * (i + 1)))
+        if i == 0:
+            # Hold the rest of the writes until the reader has read the
+            # file once, so at least one read lands mid-race.
+            seen.wait(30)
 
 
 def test_concurrent_writers_never_tear(tmp_path):
     path = tmp_path / "tuning.json"
     ctx = multiprocessing.get_context("spawn")
-    start = ctx.Event()
+    start, seen = ctx.Event(), ctx.Event()
     writers = [
-        ctx.Process(target=_writer, args=(str(path), codec, 20, start))
+        ctx.Process(target=_writer, args=(str(path), codec, 20, start, seen))
         for codec in ("zfp-x", "mgard-x")
     ]
     for w in writers:
@@ -186,12 +190,13 @@ def test_concurrent_writers_never_tear(tmp_path):
     invalid_before = _invalid_count()
     # The reader is polling before either writer writes a byte.
     reader.load()
-    reads = 1
     start.set()
+    reads = 0
     while any(w.is_alive() for w in writers):
         if path.exists():
             reader.load()
             reads += 1
+            seen.set()
     for w in writers:
         w.join()
         assert w.exitcode == 0
