@@ -7,8 +7,7 @@ project call graph (:mod:`~repro.check.static.callgraph`) — with three
 rule packs on top:
 
 * **async** (HPL101–HPL104) — event-loop safety of :mod:`repro.serve`;
-* **lifetime** (HPL201–HPL203) — CMM buffer pin/release discipline and
-  shared-memory reference trust;
+* **lifetime** (HPL201–HPL202) — CMM buffer pin/release discipline;
 * **interproc** (HPL301–HPL302) — HPL001/HPL003 extended through the
   call graph from every ``@hot_path`` root.
 

@@ -71,8 +71,7 @@ class ModuleUnit:
         self.suppressions = parse_suppressions(source)
         self.parents: dict[ast.AST, ast.AST] = {}
         #: local name → dotted origin ("np" → "numpy",
-        #: "sleep" → "time.sleep", "SharedMemory" →
-        #: "multiprocessing.shared_memory.SharedMemory").
+        #: "sleep" → "time.sleep").
         self.imports: dict[str, str] = {}
         self.functions: dict[str, FuncInfo] = {}
         self.classes: dict[str, ast.ClassDef] = {}

@@ -11,7 +11,7 @@ Pack registry::
 
     core        HPL001–HPL004  (syntactic, always on)
     async       HPL101–HPL104  (repro.serve async-safety)
-    lifetime    HPL201–HPL203  (CMM buffer lifetime, shm trust)
+    lifetime    HPL201–HPL202  (CMM buffer lifetime)
     interproc   HPL301–HPL302  (hot-path rules through the call graph)
 """
 

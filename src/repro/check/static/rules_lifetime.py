@@ -1,4 +1,4 @@
-"""HPL2xx — CMM buffer-lifetime and shared-memory-trust rules.
+"""HPL2xx — CMM buffer-lifetime rules.
 
 =======  ==============================================================
 HPL201   a ``ctx.buffer()``/``ctx.scratch()`` view escapes its
@@ -9,9 +9,6 @@ HPL201   a ``ctx.buffer()``/``ctx.scratch()`` view escapes its
 HPL202   a context-derived value is used after a possible
          ``release()``/``evict()``/``invalidate()``/``clear()`` on
          *some* CFG path (forward may-analysis over the function CFG)
-HPL203   ``SharedMemory(name=...)`` attached from peer-supplied input
-         with no validation (no guarding raise) before the attach —
-         a malformed reference maps arbitrary segments
 =======  ==============================================================
 
 Value tracking is name-based: roots are context variables obtained via
@@ -37,7 +34,6 @@ __all__ = ["check_module", "RULES"]
 RULES: dict[str, str] = {
     "HPL201": "CMM buffer view escapes its pin/release region",
     "HPL202": "context value used after a possible release/evict on a path",
-    "HPL203": "shared-memory segment attached from unvalidated peer input",
 }
 
 _BUFFER_METHODS = {"buffer", "scratch"}
@@ -384,72 +380,8 @@ def _check_use_after_release(unit: ModuleUnit, fn, vmap: _ValueMap,
 
 
 # ---------------------------------------------------------------------------
-# HPL203 — unvalidated shared-memory attach
-# ---------------------------------------------------------------------------
-def _is_shm_attach(unit: ModuleUnit, call: ast.Call) -> bool:
-    qual = unit.qualified_name(call.func)
-    if qual is None or not qual.endswith("SharedMemory"):
-        return False
-    for kw in call.keywords:
-        if kw.arg == "create" and isinstance(kw.value, ast.Constant) \
-                and bool(kw.value.value):
-            return False
-    return True
-
-
-def _attach_name_arg(call: ast.Call) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == "name":
-            return kw.value
-    return call.args[0] if call.args else None
-
-
-def _check_shm_attach(unit: ModuleUnit, fn, emitter: Emitter) -> None:
-    args = getattr(fn, "args", None)
-    params = {a.arg for a in (*args.posonlyargs, *args.args,
-                              *args.kwonlyargs)} if args else set()
-    params.discard("self")
-    if not params:
-        return
-    # One-level taint: locals assigned from a parameter's field/subscript.
-    tainted = set(params)
-    for node in _walk_excluding_defs(fn):
-        named = _single_name_target(node)
-        if not named:
-            continue
-        name, value = named
-        base = _base_name(value)
-        if base in tainted and isinstance(
-                value, (ast.Subscript, ast.Attribute, ast.Call, ast.Name)):
-            tainted.add(name)
-    raise_lines = [n.lineno for n in _walk_excluding_defs(fn)
-                   if isinstance(n, ast.Raise)]
-    for node in _walk_excluding_defs(fn):
-        if not isinstance(node, ast.Call) or not _is_shm_attach(unit, node):
-            continue
-        name_arg = _attach_name_arg(node)
-        if name_arg is None:
-            continue
-        uses_taint = any(
-            isinstance(n, ast.Name) and n.id in tainted
-            for n in ast.walk(name_arg)
-        )
-        if not uses_taint:
-            continue
-        validated = any(line < node.lineno for line in raise_lines)
-        if not validated:
-            emitter.emit(
-                node, "HPL203",
-                "SharedMemory attached from peer-supplied reference "
-                "with no validation before the attach",
-                "validate name/offset/nbytes (raise ProtocolError on "
-                "bad input) before mapping — see ShmRegistry.resolve",
-            )
-
-
-# ---------------------------------------------------------------------------
 def check_module(unit: ModuleUnit) -> list[Finding]:
-    """Run HPL201–HPL203 over one module."""
+    """Run HPL201–HPL202 over one module."""
     emitter = Emitter(unit)
     for fn in _functions(unit):
         vmap = _ValueMap(fn)
@@ -457,5 +389,4 @@ def check_module(unit: ModuleUnit) -> list[Finding]:
             _check_escapes(unit, fn, vmap, emitter)
         if vmap.ctx_vars:
             _check_use_after_release(unit, fn, vmap, emitter)
-        _check_shm_attach(unit, fn, emitter)
     return emitter.findings

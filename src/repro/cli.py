@@ -271,11 +271,10 @@ def cmd_faultplan(args) -> int:
     return 0
 
 
-def _service_config(args, *, pool: bool = False, **fields):
+def _service_config(args, **fields):
     """The ``ServiceConfig`` the service flags of serve/cluster/blast describe.
 
-    ``pool`` honours ``--processes`` (worker processes instead of
-    threads); ``fields`` are the settings only some commands expose.
+    ``fields`` are the settings only some commands expose.
     """
     from repro.serve import BatchLimits, ServiceConfig
 
@@ -283,17 +282,18 @@ def _service_config(args, *, pool: bool = False, **fields):
               "max_latency_s": args.max_latency_ms / 1e3}
     if hasattr(args, "max_bytes"):
         limits["max_bytes"] = args.max_bytes
-    processes = args.processes if pool else None
-    return ServiceConfig(
-        limits=BatchLimits(**limits),
-        workers=processes or args.workers,
-        adapter=args.adapter or "serial",
-        threads=args.threads,
-        process=bool(processes),
-        tune=args.tune,
-        tuning_cache=args.tuning_cache,
-        **fields,
-    )
+    try:
+        return ServiceConfig(
+            limits=BatchLimits(**limits),
+            workers=args.workers,
+            adapter=args.adapter or "serial",
+            threads=args.threads,
+            tune=args.tune,
+            tuning_cache=args.tuning_cache,
+            **fields,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _cluster_config(args, **fields):
@@ -347,7 +347,7 @@ def cmd_serve(args) -> int:
     """Run the HPDR-Serve micro-batching service on a TCP socket."""
     from repro.serve import ReductionService
 
-    cfg = _service_config(args, pool=True, max_pending=args.max_pending)
+    cfg = _service_config(args, max_pending=args.max_pending)
 
     def banner(svc, host, port) -> str:
         tuned = svc.config
@@ -358,7 +358,7 @@ def cmd_serve(args) -> int:
                   flush=True)
         return (
             f"serving on {host}:{port} adapter={cfg.adapter} "
-            f"workers={cfg.workers}{' (processes)' if cfg.process else ''} "
+            f"workers={cfg.workers} "
             f"max_batch={cfg.limits.max_batch} "
             f"deadline={cfg.limits.max_latency_s * 1e3:g}ms "
             f"max_pending={cfg.max_pending}"
@@ -432,8 +432,7 @@ def cmd_blast(args) -> int:
             svc = cluster = await ClusterService(
                 _cluster_config(args, service=_service_config(args))).start()
         elif args.selfhost:
-            svc = await ReductionService(
-                _service_config(args, pool=True)).start()
+            svc = await ReductionService(_service_config(args)).start()
         if svc is not None:
             server = await serve_tcp(svc, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
@@ -450,7 +449,7 @@ def cmd_blast(args) -> int:
             kill_task = asyncio.get_running_loop().create_task(killer())
         try:
             report = await run_blast(
-                lambda i: BlastClient.connect(host, port, use_shm=args.shm),
+                lambda i: BlastClient.connect(host, port),
                 clients=args.clients,
                 requests_per_client=args.requests,
                 specs=specs,
@@ -691,9 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="TCP port (0 = ephemeral, printed at startup)")
     sv.add_argument("--workers", type=int, default=1,
                     help="batch-execution workers (each with its own CMM cache)")
-    sv.add_argument("--processes", type=int, default=None, metavar="N",
-                    help="run N worker *processes* instead of threads "
-                         "(escapes the GIL for CPU-bound codec stages)")
     sv.add_argument("--max-batch", type=int, default=16,
                     help="flush a batch at this many requests")
     sv.add_argument("--max-bytes", type=int, default=4 << 20,
@@ -772,12 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the decompress half of each round-trip")
     bl.add_argument("--workers", type=int, default=1,
                     help="(selfhost) service workers")
-    bl.add_argument("--processes", type=int, default=None, metavar="N",
-                    help="(selfhost) run N worker *processes* instead of "
-                         "threads")
-    bl.add_argument("--shm", action="store_true",
-                    help="stage request payloads in shared memory instead "
-                         "of the socket (local servers only)")
     bl.add_argument("--max-batch", type=int, default=16,
                     help="(selfhost) service flush size")
     bl.add_argument("--max-latency-ms", type=float, default=2.0,

@@ -9,23 +9,18 @@ These are *functional* reimplementations of the released GPU tools:
 * :class:`~repro.compressors.baselines.mgard_gpu.MGARDGPU` and
   :class:`~repro.compressors.baselines.zfp_cuda.ZFPCUDA` — the same
   maths as MGARD-X / ZFP-X (the paper implements all pipelines "based
-  on their published algorithm designs") but carrying the *legacy
-  execution profile*: per-call allocations (no CMM) and no overlapped
-  pipeline, which is what the performance studies compare.
+  on their published algorithm designs"); MGARD-GPU also keeps no CMM
+  context across calls.
 """
 
 from repro.compressors.baselines.sz import SZ
 from repro.compressors.baselines.lz4 import LZ4
 from repro.compressors.baselines.mgard_gpu import MGARDGPU
 from repro.compressors.baselines.zfp_cuda import ZFPCUDA
-from repro.compressors.baselines.profile import ExecutionProfile, LEGACY_PROFILE, HPDR_PROFILE
 
 __all__ = [
     "SZ",
     "LZ4",
     "MGARDGPU",
     "ZFPCUDA",
-    "ExecutionProfile",
-    "LEGACY_PROFILE",
-    "HPDR_PROFILE",
 ]

@@ -1,14 +1,12 @@
-"""MGARD-GPU baseline: release-version execution profile.
+"""MGARD-GPU baseline: release-version runtime behaviour.
 
 The paper implements MGARD-X "based on the published algorithm designs"
 of MGARD-GPU — the maths is shared; the difference is runtime behaviour.
-This wrapper therefore reuses the MGARD-X transform but:
-
-* disables context caching (fresh :class:`ContextCache` with capacity 1
-  that is cleared after every call → every invocation reallocates), and
-* carries the legacy execution profile used by the simulator benches
-  (no overlapped pipeline, per-call allocations, ``mgard-gpu`` kernel
-  throughputs).
+This wrapper therefore reuses the MGARD-X transform but disables context
+caching (fresh :class:`ContextCache` with capacity 1 that is cleared
+after every call → every invocation reallocates).  The
+simulator takes its ``mgard-gpu`` behaviour (no overlapped pipeline,
+per-call allocations) from :data:`repro.bench.methods.EVAL_METHODS`.
 """
 
 from __future__ import annotations
@@ -17,19 +15,11 @@ import numpy as np
 
 from repro.core.config import Config
 from repro.core.context import ContextCache
-from repro.compressors.baselines.profile import ExecutionProfile
 from repro.compressors.mgard.compressor import MGARDX
 
 
 class MGARDGPU(MGARDX):
-    """Legacy-profile MGARD (functional twin of MGARD-X)."""
-
-    profile = ExecutionProfile(
-        name="mgard-gpu",
-        kernel="mgard-gpu",
-        context_caching=False,
-        overlapped_pipeline=False,
-    )
+    """Release-version MGARD (functional twin of MGARD-X)."""
 
     def __init__(self, config: Config | None = None, adapter=None, **kwargs) -> None:
         super().__init__(config=config, adapter=adapter,

@@ -1,24 +1,16 @@
-"""ZFP-CUDA baseline: release-version execution profile over ZFP maths.
+"""ZFP-CUDA baseline: release-version fixed-rate ZFP over ZFP maths.
 
 Same fixed-rate codec as ZFP-X (the transform is defined by the zfp
-specification, so the bitstreams agree); distinct runtime profile for
-the performance studies: per-call allocations and no overlapped
-pipeline, with ``zfp-cuda`` kernel throughputs — and, as in the paper's
-evaluation, no HIP build (the perf model raises for MI250X).
+specification, so the bitstreams agree).  The simulator takes its
+``zfp-cuda`` behaviour (per-call allocations, no overlapped pipeline)
+from :data:`repro.bench.methods.EVAL_METHODS`; as in the paper's
+evaluation, there is no HIP build (the perf model raises for MI250X).
 """
 
 from __future__ import annotations
 
-from repro.compressors.baselines.profile import ExecutionProfile
 from repro.compressors.zfp.compressor import ZFPX
 
 
 class ZFPCUDA(ZFPX):
-    """Legacy-profile fixed-rate ZFP (functional twin of ZFP-X)."""
-
-    profile = ExecutionProfile(
-        name="zfp-cuda",
-        kernel="zfp-cuda",
-        context_caching=False,
-        overlapped_pipeline=False,
-    )
+    """Release-version fixed-rate ZFP (functional twin of ZFP-X)."""

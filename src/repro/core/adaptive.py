@@ -16,7 +16,6 @@ steady state where copy time exactly hides under compute time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.core.pipeline import PipelineResult, ReductionPipeline
 from repro.machine.device import SimDevice
@@ -36,41 +35,6 @@ class AdaptiveConfig:
             raise ValueError("initial_chunk must be positive")
         if self.min_chunk < 1:
             raise ValueError("min_chunk must be positive")
-
-    @classmethod
-    def from_tuning(cls, config: Mapping[str, Any]) -> "AdaptiveConfig":
-        """Build Algorithm 4's tunables from an auto-tuner configuration.
-
-        The feedback tuner (:mod:`repro.tune`) searches ``chunk_bytes``
-        (the leading-chunk size) instead of trusting the a-priori
-        roofline pick; unrecognized keys (adapter/threads/codec knobs)
-        are simply not Algorithm 4's business and are ignored.
-        """
-        kwargs: dict[str, Any] = {}
-        if "chunk_bytes" in config:
-            kwargs["initial_chunk"] = int(config["chunk_bytes"])
-        if "max_chunk_bytes" in config:
-            kwargs["max_chunk"] = int(config["max_chunk_bytes"])
-        return cls(**kwargs)
-
-
-def tuned_schedule(
-    total_bytes: int,
-    model: KernelModel,
-    tuning_config: Mapping[str, Any],
-    ratio: float = 4.0,
-) -> list[int]:
-    """Chunk schedule seeded by a learned configuration.
-
-    The measurement-driven counterpart of :func:`adaptive_schedule`'s
-    pure-model form: the tuner supplies the starting chunk it observed
-    to win, Algorithm 4 still governs the growth to steady state.
-    """
-    return adaptive_schedule(
-        total_bytes, model,
-        config=AdaptiveConfig.from_tuning(tuning_config),
-        ratio=ratio,
-    )
 
 
 def bottleneck_chunk(model: KernelModel, ratio: float = 4.0) -> int:

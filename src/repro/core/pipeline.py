@@ -172,26 +172,6 @@ class ReductionPipeline:
 
             self._injector = FaultInjector(fault_plan)
 
-    @classmethod
-    def from_tuning(
-        cls,
-        device: SimDevice,
-        model: KernelModel,
-        tuning_config,
-        **kwargs,
-    ) -> "ReductionPipeline":
-        """Build a pipeline as a learned configuration dictates.
-
-        The auto-tuner's parameterized fusion entry point: a
-        ``stage_split`` key toggles fused-vs-split kernel tasks (the
-        only pipeline-shape knob that is byte-neutral — it reshapes the
-        schedule, never the data).  Explicit ``kwargs`` win over the
-        tuned value; unrelated tuner keys are ignored.
-        """
-        if "stage_split" in tuning_config:
-            kwargs.setdefault("stage_split", bool(tuning_config["stage_split"]))
-        return cls(device, model, **kwargs)
-
     def _maybe_retry_kernel(self, queue, chunk: int, label: str) -> None:
         """Model kernel re-execution when the fault plan strikes."""
         if self._injector is None:

@@ -79,7 +79,9 @@ async def run_blast(
     targets).  Each client issues ``requests_per_client`` requests,
     cycling through ``specs``; with ``roundtrip`` each request is a
     compress followed by a decompress of the produced stream (two
-    service calls, one latency sample covering both).  ``verify``
+    service calls, one latency sample covering both).  ``completed``,
+    ``rps`` and the percentiles cover answered requests only; a request
+    that raised counts in ``errors`` alone.  ``verify``
     additionally checks the lossless specs' round-trips for exact
     equality and counts mismatches — the load generator doubles as an
     end-to-end correctness probe.
@@ -125,14 +127,15 @@ async def run_blast(
                                     )
                                 ):
                                     mismatches += 1
-                        break
                     except ServiceOverloaded:
                         rejected += 1
                         await asyncio.sleep(overload_backoff_s)
+                        continue
                     except Exception:
-                        errors += 1
-                        break
-                latencies.append(time.perf_counter() - t0)
+                        errors += 1  # failed: neither counted nor timed
+                    else:
+                        latencies.append(time.perf_counter() - t0)
+                    break
         finally:
             await client.close()
 

@@ -45,15 +45,10 @@ dictionary lookup:
   bounded table before any JSON is parsed: identical bytes resolve to
   the same read-only :class:`_Header` and, for a request, the
   :class:`CodecSpec` already validated from it.  A header that does
-  not parse, whose spec does not validate or that names a
-  shared-memory window is never kept.  Every table holds at most
-  ``INTERN_MAX_ENTRIES`` headers of at most ``INTERN_MAX_HEADER_BYTES``
-  each and belongs to one connection, so a peer can neither grow one
-  nor reach another peer's;
-* **local clients** — an optional shared-memory channel
-  (:mod:`repro.serve.shm`) replaces the request body with a
-  ``{"name", "offset", "nbytes"}`` header reference into a client-owned
-  segment the server maps directly.
+  not parse or whose spec does not validate is never kept.  Every
+  table holds at most ``INTERN_MAX_ENTRIES`` headers of at most
+  ``INTERN_MAX_HEADER_BYTES`` each and belongs to one connection, so a
+  peer can neither grow one nor reach another peer's.
 
 Each connection is handled **sequentially** (one request in flight per
 connection); concurrency — and therefore micro-batching — comes from
@@ -82,7 +77,6 @@ from repro.serve.errors import (
     ServiceOverloaded,
     ShardOverloaded,
 )
-from repro.serve.shm import ShmArena, ShmRegistry
 from repro.serve.spec import CodecSpec
 
 _MAGIC = b"HPDS"
@@ -141,8 +135,7 @@ class _Header(dict):
 def _parse_header(raw: bytes) -> tuple[_Header, bool]:
     """Decode one header; the flag says whether it may be interned.
 
-    Not interned: a header naming a shared-memory window (the reference
-    is per request) and one whose spec does not validate — the handler
+    Not interned: a header whose spec does not validate — the handler
     validates that one again and answers with the typed error, every
     time it arrives.
     """
@@ -153,13 +146,12 @@ def _parse_header(raw: bytes) -> tuple[_Header, bool]:
     if not isinstance(parsed, dict):
         raise ProtocolError("frame header must be a JSON object")
     header = _Header(parsed)
-    keep = "shm" not in header
     if "spec" in header:
         try:
             header.spec = CodecSpec(**header["spec"])
         except (TypeError, ValueError):
-            keep = False
-    return header, keep
+            return header, False
+    return header, True
 
 
 class FrameAssembler:
@@ -321,14 +313,13 @@ def _response_head(heads: dict, form: tuple) -> bytes:
     return head
 
 
-def _decode_payload(header: dict, raw, shm: ShmRegistry | None = None) -> Any:
+def _decode_payload(header: dict, raw) -> Any:
     """Materialize a payload without copying: arrays alias ``raw`` (the
-    receive buffer or a mapped shared-memory window)."""
-    ref = header.get("shm")
-    if ref is not None:
-        if shm is None:
-            raise ProtocolError("shared-memory payloads not accepted here")
-        raw = shm.resolve(ref)
+    receive buffer)."""
+    if "shm" in header:
+        # An old client named a shared-memory window and sent no body:
+        # refuse the request rather than serve the empty body.
+        raise ValueError("shared-memory payloads are not served; send the body inline")
     form = header.get("form")
     if form == "blob":
         return raw
@@ -358,7 +349,6 @@ def _raise_remote(header: dict) -> None:
 async def _handle_connection(service, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
     assembler = FrameAssembler()
-    shm = ShmRegistry()
     heads: dict[tuple, bytes] = {}  # this connection's response heads
     try:
         while True:
@@ -377,7 +367,7 @@ async def _handle_connection(service, reader: asyncio.StreamReader,
                     spec = header.spec
                     if spec is None:  # absent or invalid: raise what is wrong with it
                         spec = CodecSpec(**header["spec"])
-                    payload = _decode_payload(header, raw, shm=shm)
+                    payload = _decode_payload(header, raw)
                     value = await service.submit(op, spec, payload)
             except asyncio.CancelledError:
                 raise
@@ -401,16 +391,10 @@ async def _handle_connection(service, reader: asyncio.StreamReader,
                 form, out = _encode_payload(value)
                 _write_frame(writer, _response_head(heads, form), out)
                 del value, out
-            # Drop payload references eagerly: a shared-memory window (or
-            # an array aliasing it) left bound in this frame would keep
-            # the segment's pages pinned past ``shm.close()``.
-            del header, raw, frame
-            payload = None
             await writer.drain()
     except (ProtocolError, ConnectionError):
         pass  # drop the misbehaving/vanished connection
     finally:
-        shm.close()
         # Close without awaiting: the transport finishes asynchronously,
         # and awaiting here races loop shutdown (spurious cancellation).
         writer.close()
@@ -435,29 +419,19 @@ async def serve_tcp(service, host: str = "127.0.0.1",
 
 
 class BlastClient:
-    """One sequential client connection to a served reduction service.
-
-    With ``use_shm=True`` (local servers only) request bodies travel
-    through a client-owned shared-memory arena instead of the socket;
-    responses always return inline.
-    """
+    """One sequential client connection to a served reduction service."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 arena: ShmArena | None = None) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        self._arena = arena
         self._assembler = FrameAssembler()
         self._heads: dict[tuple, bytes] = {}  # this connection's request heads
 
     @classmethod
-    async def connect(cls, host: str, port: int,
-                      use_shm: bool = False,
-                      shm_bytes: int = 1 << 20) -> "BlastClient":
+    async def connect(cls, host: str, port: int) -> "BlastClient":
         reader, writer = await asyncio.open_connection(host, port)
-        arena = ShmArena(shm_bytes) if use_shm else None
-        return cls(reader, writer, arena)
+        return cls(reader, writer)
 
     async def _exchange(self, head: dict | bytes, body) -> tuple[_Header, memoryview]:
         """Send one frame and return the ok reply to it (a view into the
@@ -473,15 +447,8 @@ class BlastClient:
 
     async def request(self, op: str, spec: CodecSpec, payload: Any) -> Any:
         form, raw = _encode_payload(payload)
-        if self._arena is not None:
-            # The window reference differs per request: not interned.
-            head: dict | bytes = {"op": op, "spec": dataclasses.asdict(spec),
-                                  **_form_fields(form),
-                                  "shm": self._arena.stage(raw)}
-            raw = b""
-        else:
-            head = _request_head(self._heads, op, spec, form)
-        resp, out = await self._exchange(head, raw)
+        resp, out = await self._exchange(
+            _request_head(self._heads, op, spec, form), raw)
         # The caller owns what it gets back: one copy out of the receive
         # buffer, which the next reply overwrites.
         return _decode_payload(resp, bytes(out))
@@ -507,8 +474,6 @@ class BlastClient:
         )
 
     async def close(self) -> None:
-        if self._arena is not None:
-            self._arena.close()
         self._writer.close()
         try:
             await self._writer.wait_closed()

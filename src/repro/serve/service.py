@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Collection
@@ -54,14 +53,7 @@ from repro.resilience.policy import RetryPolicy
 from repro.serve.batcher import BatchLimits, Flush, MicroBatchPlanner
 from repro.serve.errors import ServiceClosed, ServiceOverloaded
 from repro.serve.spec import CodecSpec, payload_nbytes
-from repro.serve.worker import (
-    ERR,
-    OK,
-    ProcessWorkerConfig,
-    Worker,
-    _init_process_worker,
-    _run_payloads_in_process,
-)
+from repro.serve.worker import OK, Worker
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import TRACER as _TRACER, span
 
@@ -75,7 +67,9 @@ _LATENCY_BUCKETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0)
 class ServiceConfig:
     """Knobs of one :class:`ReductionService` instance.
 
-    ``adapter``/``threads`` pick the worker device; ``fault_plan`` (a
+    ``workers`` is the number of worker threads, each with its own
+    adapter and CMM cache.  ``adapter``/``threads`` pick the worker
+    device (``threads`` only with ``openmp``); ``fault_plan`` (a
     :class:`~repro.resilience.faults.FaultPlan`) wraps every worker
     adapter in a fault injector — the hook the fault-under-load suite
     drives.  ``retry_sleep`` is injectable so tests pay no wall-clock
@@ -91,13 +85,6 @@ class ServiceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     retry_sleep: Any = None
     fault_plan: Any = None
-    #: run workers as pool *processes* instead of threads — escapes the
-    #: GIL for CPU-bound codec stages.  Each process owns the same stack
-    #: a thread worker gets (adapter, retry, serial-fallback degradation,
-    #: private CMM cache); batches cross the boundary as pickled
-    #: payloads, so process mode trades per-request copy overhead for
-    #: true parallel codec execution.
-    process: bool = False
     #: consult the tuning cache at startup: ``off`` (never), ``auto`` /
     #: ``force`` (rewrite limits + worker device from the cached
     #: service-level entry before any worker is built — see
@@ -113,11 +100,8 @@ class ServiceConfig:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.process and self.retry_sleep is not None:
-            raise ValueError(
-                "retry_sleep is not injectable across process workers "
-                "(callables do not pickle); use thread workers in tests"
-            )
+        if self.threads is not None and self.adapter != "openmp":
+            raise ValueError("--threads only applies to --adapter openmp")
         if self.tune not in ("off", "auto", "force"):
             raise ValueError(
                 f"tune must be off|auto|force, got {self.tune!r}"
@@ -207,7 +191,6 @@ class ReductionService:
         self._planner = MicroBatchPlanner(self.config.limits)
         self._workers: list[Worker] = []
         self._executors: list[ThreadPoolExecutor] = []
-        self._pool: ProcessPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._timer: asyncio.TimerHandle | None = None
         self._timer_when: float | None = None
@@ -241,38 +224,19 @@ class ReductionService:
         self._idle.set()
         if self.config.tune != "off":
             # Consult the tuning cache before any worker exists, so the
-            # tuned limits and worker device apply to thread and process
-            # workers alike (the pool initializer below reads them from
-            # this same config).  Local import: the service must not
-            # depend on the tuner unless tuning is requested.
+            # tuned limits and worker device apply to every worker.
+            # Local import: the service must not depend on the tuner
+            # unless tuning is requested.
             from repro.tune import apply_service_tuning
 
             self.config = apply_service_tuning(self.config)
             self._planner = MicroBatchPlanner(self.config.limits)
         cfg = self.config
-        if cfg.process:
-            # One pool, ``workers`` processes; each builds its own
-            # Worker in the initializer (spawn keeps the children free
-            # of the parent's event loop and executor threads).
-            self._pool = ProcessPoolExecutor(
-                max_workers=cfg.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_process_worker,
-                initargs=(ProcessWorkerConfig(
-                    adapter=cfg.adapter,
-                    threads=cfg.threads,
-                    cache_capacity=cfg.cache_capacity,
-                    policy=cfg.retry,
-                    fault_plan=cfg.fault_plan,
-                ),),
-            )
-            self._started = True
-            return self
         from repro.adapters import get_adapter
 
         for wid in range(cfg.workers):
             kwargs = {}
-            if cfg.adapter == "openmp" and cfg.threads is not None:
+            if cfg.threads is not None:
                 kwargs["num_threads"] = cfg.threads
             adapter = get_adapter(cfg.adapter, **kwargs)
             if cfg.fault_plan is not None:
@@ -459,22 +423,6 @@ class ReductionService:
             with span("serve.flush", cat="serve", reason=flush.reason,
                       n=len(flush.items), nbytes=flush.nbytes):
                 pass
-        if self._pool is not None:
-            first = flush.items[0]
-            # Payloads cross the pickle boundary; a memoryview (the
-            # zero-copy TCP/shm receive path) must be materialized —
-            # the process hop copies regardless.
-            payloads = [
-                bytes(r.payload) if isinstance(r.payload, memoryview)
-                else r.payload
-                for r in flush.items
-            ]
-            fut = self._loop.run_in_executor(
-                self._pool, _run_payloads_in_process,
-                first.op, first.spec, payloads,
-            )
-            fut.add_done_callback(partial(self._deliver_process, flush.items))
-            return
         idx = min(range(len(self._workers)),
                   key=lambda i: self._workers[i].backlog)
         worker = self._workers[idx]
@@ -484,15 +432,6 @@ class ReductionService:
         )
         fut.add_done_callback(partial(self._deliver, worker))
 
-    def _deliver_process(self, items: list, fut: asyncio.Future) -> None:
-        """Answer a batch completed by a pool process."""
-        try:
-            outs = fut.result()
-            results = [(r, tag, value) for r, (tag, value) in zip(items, outs)]
-        except Exception as exc:  # pool broke or the job failed to pickle
-            results = [(r, ERR, exc) for r in items]
-        self._answer(results)
-
     def _deliver(self, worker: Worker, fut: asyncio.Future) -> None:
         """Answer every request of a completed batch (event-loop thread)."""
         worker.backlog -= 1
@@ -500,9 +439,6 @@ class ReductionService:
             results = fut.result()
         except Exception:  # pragma: no cover - worker.run_batch never raises
             results = []
-        self._answer(results)
-
-    def _answer(self, results: list) -> None:
         now = self._loop.time()
         for req, tag, value in results:
             if req.future.done():
@@ -548,9 +484,6 @@ class ReductionService:
             executor.shutdown(wait=True)
         for worker in self._workers:
             worker.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._closed = True
         if _TRACER.enabled:
             with span("serve.drain", cat="serve",

@@ -36,9 +36,7 @@ Execution of one flush:
 
 from __future__ import annotations
 
-import pickle
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.context import ContextCache
@@ -134,9 +132,7 @@ class Worker:
     def run_payloads(self, op: str, spec, payloads: list) -> list[tuple[str, Any]]:
         """Execute one homogeneous batch of payloads; ``(tag, value)``
         per payload, in order.  The request-free core of
-        :meth:`run_batch` — also the unit of work shipped to process
-        pools, where ``_Request`` objects (holding asyncio futures)
-        cannot cross the pickle boundary.
+        :meth:`run_batch`.
         """
         if not payloads:
             return []
@@ -225,73 +221,3 @@ class Worker:
         self.adapter.close()
         self.fallback_adapter.close()
         self.cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# Process-pool execution (GIL escape for CPU-bound codec stages)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProcessWorkerConfig:
-    """Picklable recipe for one pool process's :class:`Worker`.
-
-    Carried through the pool initializer so every process builds the
-    same stack the in-process workers get — adapter, optional fault
-    injector, retry policy, degradation fallback, and a private CMM
-    cache (processes share nothing, so no locking is ever needed).
-    ``retry_sleep`` has no process-mode equivalent: callables do not
-    pickle, and backoff in a pool process is real wall-clock anyway.
-    """
-
-    adapter: str = "serial"
-    threads: int | None = None
-    cache_capacity: int = 64
-    policy: RetryPolicy = RetryPolicy()
-    fault_plan: Any = None
-
-
-#: the process-local Worker, created once per pool process.
-_PROCESS_WORKER: Worker | None = None
-
-
-def _init_process_worker(cfg: ProcessWorkerConfig) -> None:
-    """Pool initializer: build this process's Worker from the recipe."""
-    global _PROCESS_WORKER
-    import os
-
-    from repro.adapters import get_adapter
-
-    kwargs = {}
-    if cfg.adapter == "openmp" and cfg.threads is not None:
-        kwargs["num_threads"] = cfg.threads
-    adapter = get_adapter(cfg.adapter, **kwargs)
-    if cfg.fault_plan is not None:
-        from repro.resilience.adapter import FaultyAdapter
-
-        adapter = FaultyAdapter(adapter, cfg.fault_plan)
-    _PROCESS_WORKER = Worker(
-        os.getpid(),
-        adapter,
-        get_adapter("serial"),
-        cache_capacity=cfg.cache_capacity,
-        policy=cfg.policy,
-    )
-
-
-def _run_payloads_in_process(op: str, spec, payloads: list) -> list[tuple[str, Any]]:
-    """Pool job: run one batch on the process-local Worker.
-
-    Error values must survive the return pickle; an exception whose
-    state does not round-trip is replaced by a ``RuntimeError`` carrying
-    its type and message (the request still fails with a useful error
-    instead of poisoning the whole pool future).
-    """
-    outs = _PROCESS_WORKER.run_payloads(op, spec, payloads)
-    safe = []
-    for tag, value in outs:
-        if tag == ERR:
-            try:
-                pickle.loads(pickle.dumps(value))
-            except Exception:
-                value = RuntimeError(f"{type(value).__name__}: {value}")
-        safe.append((tag, value))
-    return safe

@@ -260,7 +260,6 @@ def check_service(
     threads: int | None = None,
     rng: np.random.Generator | None = None,
     workers: int = 1,
-    process: bool = False,
     service_factory: Any | None = None,
     include_retrieve: bool = True,
 ) -> None:
@@ -269,9 +268,8 @@ def check_service(
     For every codec and batch size, submits that many concurrent
     requests to a :class:`~repro.serve.service.ReductionService` on
     ``adapter`` and requires each response to be **byte-identical** to a
-    fresh single-shot codec call: micro-batching, context reuse, worker
-    routing — and, with ``process=True``, the multi-process worker pool
-    and its pickle boundary — must never change a stream.  Decompressing the served
+    fresh single-shot codec call: micro-batching, context reuse and
+    worker routing must never change a stream.  Decompressing the served
     streams through the service must likewise reproduce the single-shot
     arrays exactly.
 
@@ -360,7 +358,6 @@ def check_service(
                 adapter=adapter,
                 threads=threads,
                 workers=workers,
-                process=process,
             )
             async with factory(cfg) as svc:
                 got_blobs = await asyncio.gather(
@@ -388,7 +385,6 @@ def check_service(
                 adapter=adapter,
                 threads=threads,
                 workers=workers,
-                process=process,
             )
             async with factory(cfg) as svc:
                 got = await asyncio.gather(

@@ -120,7 +120,8 @@ class TuningKey:
     The four components are the cache file's key format.  The entries
     this package writes are service-level (:meth:`for_service`): the
     reserved codec name ``__service__`` with a wildcard dtype/shape and
-    the worker mode baked into ``backend``.
+    ``serve-thread-<machine class>`` as ``backend`` (the ``thread``
+    part keeps the keys older caches were written under).
     """
 
     codec: str
@@ -146,12 +147,10 @@ class TuningKey:
         return cls(codec, dtype, shape_class, backend)
 
     @classmethod
-    def for_service(cls, *, process: bool = False,
-                    backend: str | None = None) -> "TuningKey":
+    def for_service(cls, *, backend: str | None = None) -> "TuningKey":
         """Service-level key (micro-batch limits, worker device)."""
-        mode = "process" if process else "thread"
         base = backend if backend is not None else backend_id()
-        return cls(SERVICE_CODEC, "*", (0, 0), f"serve-{mode}-{base}")
+        return cls(SERVICE_CODEC, "*", (0, 0), f"serve-thread-{base}")
 
 
 #: reserved codec name for service-level (micro-batch) entries.

@@ -183,7 +183,7 @@ def apply_service_tuning(cfg: Any) -> Any:
     if getattr(cfg, "tune", "off") == "off":
         return cfg
     cache = TuningCache(cfg.tuning_cache)
-    key = TuningKey.for_service(process=bool(getattr(cfg, "process", False)))
+    key = TuningKey.for_service()
     entry = cache.get(key)
     space = service_knob_space()
     if entry is None or not space.contains(entry.config):
@@ -273,7 +273,6 @@ def service_runner(
 def tune_service(
     cache: TuningCache,
     *,
-    process: bool = False,
     seed: int = 0,
     budget: int | None = 8,
     clients: int = 16,
@@ -282,7 +281,7 @@ def tune_service(
     """Learn (and persist) the service-level micro-batch entry."""
     space = service_knob_space()
     tuner = AutoTuner(space, seed=seed, budget=budget)
-    key = TuningKey.for_service(process=process)
+    key = TuningKey.for_service()
     return tuner.tune(
         key,
         service_runner(clients=clients,

@@ -73,7 +73,7 @@ class TestSuppressionParsing:
         assert any("HPL999" in w for w in result.warnings)
 
     def test_known_new_pack_id_does_not_warn(self):
-        src = "x = 1  # hpdrlint: disable=HPL203 — trusted peer\n"
+        src = "x = 1  # hpdrlint: disable=HPL202 — released on purpose\n"
         assert unknown_suppression_ids(src, ALL_RULES) == []
 
 
@@ -256,5 +256,5 @@ class TestTreeGate:
         assert seen == set(ALL_RULES)
         assert {
             "HPL001", "HPL101", "HPL102", "HPL103", "HPL104",
-            "HPL201", "HPL202", "HPL203", "HPL301", "HPL302",
+            "HPL201", "HPL202", "HPL301", "HPL302",
         } <= seen

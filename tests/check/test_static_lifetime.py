@@ -1,4 +1,4 @@
-"""Seeded-defect tests for the buffer-lifetime pack (HPL201–HPL203)."""
+"""Seeded-defect tests for the buffer-lifetime pack (HPL201–HPL202)."""
 
 from repro.check.static import analyze_source
 
@@ -92,39 +92,3 @@ class TestHPL202UseAfterRelease:
         )
         assert _rules(src) == []
 
-
-class TestHPL203UnvalidatedShmAttach:
-    def test_attach_from_peer_ref_without_validation(self):
-        src = (
-            "from multiprocessing import shared_memory\n"
-            "def resolve(ref):\n"
-            "    return shared_memory.SharedMemory(name=ref['name'])\n"
-        )
-        assert "HPL203" in _rules(src)
-
-    def test_attach_from_derived_name_without_validation(self):
-        src = (
-            "from multiprocessing import shared_memory\n"
-            "def resolve(ref):\n"
-            "    name = ref['name']\n"
-            "    return shared_memory.SharedMemory(name=name)\n"
-        )
-        assert "HPL203" in _rules(src)
-
-    def test_validated_attach_ok(self):
-        src = (
-            "from multiprocessing import shared_memory\n"
-            "def resolve(ref):\n"
-            "    if not isinstance(ref.get('name'), str):\n"
-            "        raise ValueError('bad shm ref')\n"
-            "    return shared_memory.SharedMemory(name=ref['name'])\n"
-        )
-        assert _rules(src) == []
-
-    def test_create_true_is_not_an_attach(self):
-        src = (
-            "from multiprocessing import shared_memory\n"
-            "def make(n):\n"
-            "    return shared_memory.SharedMemory(create=True, size=n)\n"
-        )
-        assert _rules(src) == []

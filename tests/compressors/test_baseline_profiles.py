@@ -1,28 +1,10 @@
-"""Legacy execution profiles of the baseline wrappers."""
+"""The release-version baseline wrappers: functional twins of the HPDR codecs."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import Config, ErrorMode
-from repro.compressors.baselines import (
-    HPDR_PROFILE,
-    LEGACY_PROFILE,
-    MGARDGPU,
-    ZFPCUDA,
-)
-from repro.compressors.baselines.profile import profile_for
-
-
-def test_profiles_distinguish_runtime_behaviour():
-    assert HPDR_PROFILE.context_caching and HPDR_PROFILE.overlapped_pipeline
-    assert not LEGACY_PROFILE.context_caching
-    assert not LEGACY_PROFILE.overlapped_pipeline
-
-
-def test_profile_for_convention():
-    assert profile_for("mgard-x").context_caching
-    assert not profile_for("cusz").context_caching
-    assert profile_for("zfp-x").overlapped_pipeline
+from repro.compressors.baselines import MGARDGPU, ZFPCUDA
 
 
 def test_mgard_gpu_same_maths_as_mgard_x(smooth_2d):

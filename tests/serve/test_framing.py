@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import BlastClient, CodecSpec, serve_tcp
+from repro.serve import BlastClient, CodecSpec, ReductionService, ServiceConfig, serve_tcp
 from repro.serve.errors import ProtocolError
 from repro.serve.net import (
     _MAGIC,
@@ -53,7 +53,6 @@ from repro.serve.net import (
     _response_head,
     _write_frame,
 )
-from repro.serve.shm import ShmArena, ShmRegistry
 
 
 def _frame(raw_header: bytes, payload: bytes = b"") -> bytes:
@@ -179,6 +178,12 @@ def test_assembler_rejects_bad_preamble_eagerly(preamble):
         assembler.next_frame()
 
 
+def test_preamble_struct_is_stable():
+    """The wire preamble is a public contract: 17 bytes, little-endian."""
+    assert _PREAMBLE.size == 17
+    assert _PREAMBLE.pack(_MAGIC, _VERSION, 0, 0)[:4] == b"HPDS"
+
+
 def test_assembler_rejects_unparseable_header():
     bad = _PREAMBLE.pack(_MAGIC, _VERSION, 4, 0) + b"\xff\xfe\x00{"
     assembler = FrameAssembler()
@@ -224,12 +229,11 @@ def test_encode_decode_are_zero_copy():
 def test_decode_rejects_unknown_form_and_unexpected_shm():
     with pytest.raises(ProtocolError):
         _decode_payload({"form": "tensor"}, b"")
-    with pytest.raises(ProtocolError):
+    # A shared-memory reference from an old client: nothing is mapped,
+    # and the empty inline body is not served in place of the payload.
+    with pytest.raises(ValueError, match="send the body inline"):
         _decode_payload(
-            {"form": "blob", "shm": {"name": "x", "offset": 0, "nbytes": 1}},
-            b"",
-            shm=None,
-        )
+            {"form": "blob", "shm": {"name": "x", "offset": 0, "nbytes": 1}}, b"")
 
 
 # -- header interning ---------------------------------------------------------
@@ -245,11 +249,8 @@ _VALID_HEADERS = st.one_of(
     # longer than an interned header may be
     st.builds(lambda n: {"op": "compress", "spec": _SPEC_FIELDS, "pad": "x" * n},
               st.integers(INTERN_MAX_HEADER_BYTES - 150, INTERN_MAX_HEADER_BYTES + 50)),
-    # a spec that does not validate, a reference into shared memory
+    # a spec that does not validate
     st.builds(lambda name: {"op": "compress", "spec": {"name": name}}, st.text(max_size=8)),
-    st.builds(lambda off: {"op": "compress", "spec": _SPEC_FIELDS, "form": "blob",
-                           "shm": {"name": "seg", "offset": off, "nbytes": 1}},
-              st.integers(0, 10 ** 6)),
 )
 _MALFORMED_HEADERS = st.one_of(
     st.binary(max_size=40),
@@ -264,8 +265,8 @@ _MALFORMED_HEADERS = st.one_of(
 def test_parse_table_never_passes_its_bound(heads, copies):
     """However many distinct headers a peer sends — valid, oversized,
     malformed — the table holds at most INTERN_MAX_ENTRIES of at most
-    INTERN_MAX_HEADER_BYTES each, and only headers that parsed, whose
-    spec validated and that name no shared-memory window."""
+    INTERN_MAX_HEADER_BYTES each, and only headers that parsed and whose
+    spec validated."""
     assembler = FrameAssembler()
     table = assembler._headers
     for i in range(copies):  # each drawn header in ``copies`` distinct spellings
@@ -285,7 +286,6 @@ def test_parse_table_never_passes_its_bound(heads, copies):
             assert len(table) <= INTERN_MAX_ENTRIES
     for raw, header in table.items():
         assert len(raw) <= INTERN_MAX_HEADER_BYTES
-        assert "shm" not in header
         assert ("spec" in header) == (header.spec is not None)
 
 
@@ -319,41 +319,26 @@ def test_encode_tables_never_pass_their_bound(keys, copies):
 
 
 def test_same_header_bytes_decode_independently():
-    """Two payloads under one header, then the same fields with an shm
-    reference: each decodes to its own data and the interned header is
-    handed out unchanged."""
+    """Payloads under one header each decode to their own data, and the
+    interned header is handed out unchanged."""
     fields = {"op": "compress", "spec": _SPEC_FIELDS,
               "form": "array", "dtype": "<f4", "shape": [4, 4]}
     raw = _encode_header(fields)
     a = np.arange(16, dtype=np.float32).reshape(4, 4)
     b = a[::-1].copy() * 3
-    arena, registry = ShmArena(), ShmRegistry()
-    try:
-        assembler = FrameAssembler()
-        assembler.feed(_frame(raw, a.tobytes()) + _frame(raw, b.tobytes()))
-        h1, p1 = assembler.next_frame()
-        got_a = _decode_payload(h1, p1).copy()
-        h2, p2 = assembler.next_frame()
-        got_b = _decode_payload(h2, p2).copy()
-        assert h2 is h1 and h1.spec == _SPEC
-        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    assembler = FrameAssembler()
+    assembler.feed(_frame(raw, a.tobytes()) + _frame(raw, b.tobytes()))
+    h1, p1 = assembler.next_frame()
+    got_a = _decode_payload(h1, p1).copy()
+    h2, p2 = assembler.next_frame()
+    got_b = _decode_payload(h2, p2).copy()
+    assert h2 is h1 and h1.spec == _SPEC
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
 
-        c = a + 100
-        via_shm = _encode_header({**fields, "shm": arena.stage(c.tobytes())})
-        assembler.feed(_frame(via_shm))
-        h3, p3 = assembler.next_frame()
-        assert len(p3) == 0 and h3 is not h1 and via_shm not in assembler._headers
-        got_c = _decode_payload(h3, p3, shm=registry)
-        assert np.array_equal(got_c, c)
-        del got_c
-
-        assembler.feed(_frame(raw, a.tobytes()))
-        h4, p4 = assembler.next_frame()
-        assert h4 is h1 and dict(h4) == fields  # no "shm" leaked into the cached dict
-        assert np.array_equal(_decode_payload(h4, p4), a)
-    finally:
-        registry.close()
-        arena.close()
+    assembler.feed(_frame(raw, a.tobytes()))
+    h3, p3 = assembler.next_frame()
+    assert h3 is h1 and dict(h3) == fields
+    assert np.array_equal(_decode_payload(h3, p3), a)
 
 
 class _Echo:
@@ -402,6 +387,47 @@ def test_invalid_spec_is_answered_with_the_same_error_every_time():
     assert err["status"] == "err" and err["kind"] == "ValueError"
     assert "no-such-codec" in err["message"]
     assert ok.endswith(b"abc") and b'"status":"ok"' in ok
+
+
+def test_old_client_shm_reference_is_answered_and_the_connection_survives():
+    """Frames from an old client that name a shared-memory window and
+    send an empty body: the server maps nothing, answers each with a
+    typed error — the blob one too, whose empty body lz4 would happily
+    compress — and serves the next ordinary request on the connection."""
+    data = np.arange(16, dtype=np.float32).reshape(4, 4)
+    window = {"name": "hpdr-old-client", "offset": 0, "nbytes": data.nbytes}
+    old = [
+        {"op": "compress", "spec": _SPEC_FIELDS, "form": "array",
+         "dtype": "<f4", "shape": [4, 4], "shm": window},
+        {"op": "compress", "spec": dataclasses.asdict(CodecSpec("lz4")),
+         "form": "blob", "shm": window},
+    ]
+
+    async def run():
+        async with ReductionService(ServiceConfig()) as svc:
+            server = await serve_tcp(svc)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *server.sockets[0].getsockname()[:2])
+                replies = []
+                for header in old:
+                    _write_frame(writer, header, b"")
+                    await writer.drain()
+                    replies.append(await _read_raw_frame(reader))
+                client = BlastClient(reader, writer)
+                blob = await client.compress(_SPEC, data)
+                await client.close()
+                return replies, blob
+            finally:
+                server.close()
+                await server.wait_closed()
+
+    replies, blob = asyncio.run(asyncio.wait_for(run(), 30))
+    for reply in replies:
+        hlen = _PREAMBLE.unpack_from(reply)[2]
+        err = json.loads(reply[_PREAMBLE.size:_PREAMBLE.size + hlen])
+        assert err["status"] == "err" and err["kind"] == "ValueError"
+    assert blob == _SPEC.build().compress(data)
 
 
 def test_client_recovers_replies_at_arbitrary_chunk_splits(monkeypatch):

@@ -268,3 +268,27 @@ def test_run_blast_in_process_and_tcp_agree_on_verification():
         assert report["mismatches"] == 0
         assert report["rps"] > 0
         assert report["p99_ms"] >= report["p95_ms"] >= report["p50_ms"] > 0
+
+
+def test_run_blast_counts_only_answered_requests():
+    """A request that raised is an error, not a completion: with one of
+    two specs always failing, ``completed == total - errors``."""
+    good, bad = CodecSpec("lz4"), CodecSpec("zfp-x", rate=8.0)
+
+    class EchoUnlessBad:
+        async def request(self, op, spec, payload):
+            if spec == bad:
+                raise RuntimeError("this spec always fails")
+            return payload
+
+        async def close(self):
+            pass
+
+    async def make_client(i):
+        return EchoUnlessBad()
+
+    report = asyncio.run(run_blast(make_client, clients=2, requests_per_client=5,
+                                   specs=[good, bad], verify=True))
+    assert report["errors"] == 5
+    assert report["completed"] == 2 * 5 - report["errors"]
+    assert report["mismatches"] == 0

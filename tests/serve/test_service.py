@@ -32,6 +32,13 @@ def _cfg(**kw):
     return ServiceConfig(limits=limits, **kw)
 
 
+@pytest.mark.parametrize("adapter", ["serial", "cuda"])
+def test_threads_without_openmp_refused(adapter):
+    with pytest.raises(ValueError, match="--threads only applies to --adapter openmp"):
+        ServiceConfig(adapter=adapter, threads=2)
+    assert ServiceConfig(adapter="openmp", threads=2).threads == 2
+
+
 def test_roundtrip_matches_single_shot():
     spec = CodecSpec("zfp-x", rate=8.0)
     data = _data()

@@ -4,9 +4,7 @@ The contract under test: a service started with ``tune="auto"``
 consults the injected tuning cache *before* building any worker — a
 hit rewrites the micro-batch limits and worker device, a miss (or a
 cache written by a different schema version) leaves the config exactly
-as handed in and the service still serves correctly.  Both worker
-backends are covered: the process lane crosses the spawn-pickle
-boundary the cluster shards rely on.
+as handed in and the service still serves correctly.
 """
 
 import asyncio
@@ -34,10 +32,10 @@ TUNED = {
 }
 
 
-def seed_cache(path, *, process):
+def seed_cache(path):
     cache = TuningCache(path)
     cache.put(
-        TuningKey.for_service(process=process),
+        TuningKey.for_service(),
         TuneEntry(config=dict(TUNED), cost_s=0.5, default_cost_s=0.9,
                   digest="d", source="test"),
     )
@@ -60,13 +58,10 @@ def run_service(cfg):
     return started_cfg
 
 
-@pytest.mark.parametrize("process", [False, True],
-                         ids=["thread", "process"])
-def test_hit_rewrites_limits_and_device(tmp_path, process):
+def test_hit_rewrites_limits_and_device(tmp_path):
     assert service_knob_space().contains(TUNED)
-    seed_cache(tmp_path / "t.json", process=process)
-    cfg = ServiceConfig(tune="auto", tuning_cache=str(tmp_path / "t.json"),
-                        process=process)
+    seed_cache(tmp_path / "t.json")
+    cfg = ServiceConfig(tune="auto", tuning_cache=str(tmp_path / "t.json"))
     started = run_service(cfg)
     assert started.limits.max_batch == 64
     assert started.limits.max_bytes == 16 << 20
@@ -74,14 +69,11 @@ def test_hit_rewrites_limits_and_device(tmp_path, process):
     assert started.adapter == "serial"
 
 
-@pytest.mark.parametrize("process", [False, True],
-                         ids=["thread", "process"])
-def test_miss_leaves_config_untouched(tmp_path, process):
+def test_miss_leaves_config_untouched(tmp_path):
     before = REGISTRY.counter(
         "hpdr_tune_cache_misses_total").value(codec="__service__")
     cfg = ServiceConfig(tune="auto",
-                        tuning_cache=str(tmp_path / "absent.json"),
-                        process=process)
+                        tuning_cache=str(tmp_path / "absent.json"))
     started = run_service(cfg)
     assert started.limits == BatchLimits()
     assert started.adapter == "serial"
@@ -89,17 +81,15 @@ def test_miss_leaves_config_untouched(tmp_path, process):
         "hpdr_tune_cache_misses_total").value(codec="__service__") > before
 
 
-@pytest.mark.parametrize("process", [False, True],
-                         ids=["thread", "process"])
-def test_stale_schema_version_falls_back(tmp_path, process):
+def test_stale_schema_version_falls_back(tmp_path):
     path = tmp_path / "t.json"
-    seed_cache(path, process=process)
+    seed_cache(path)
     record = json.loads(path.read_text())
     record["version"] = CACHE_VERSION + 1  # written by a future repro
     path.write_text(json.dumps(record))
 
     invalid_before = REGISTRY.counter("hpdr_tune_cache_invalid_total").total()
-    cfg = ServiceConfig(tune="auto", tuning_cache=str(path), process=process)
+    cfg = ServiceConfig(tune="auto", tuning_cache=str(path))
     started = run_service(cfg)
     assert started.limits == BatchLimits()  # defaults, not the stale entry
     assert REGISTRY.counter(
@@ -107,20 +97,16 @@ def test_stale_schema_version_falls_back(tmp_path, process):
 
 
 def test_off_never_touches_the_cache(tmp_path):
-    seed_cache(tmp_path / "t.json", process=False)
+    seed_cache(tmp_path / "t.json")
     cfg = ServiceConfig(tune="off", tuning_cache=str(tmp_path / "t.json"))
     started = run_service(cfg)
     assert started.limits == BatchLimits()
 
 
-def test_wrong_worker_mode_is_a_miss(tmp_path):
-    # A thread-mode entry must not leak into a process-mode service:
-    # the worker mode is part of the tuning key.
-    seed_cache(tmp_path / "t.json", process=False)
-    cfg = ServiceConfig(tune="auto", tuning_cache=str(tmp_path / "t.json"),
-                        process=True)
-    started = run_service(cfg)
-    assert started.limits == BatchLimits()
+def test_service_key_keeps_the_thread_spelling():
+    # Caches written while the service had a second worker mode still
+    # hit: the one service key is the thread key it was then.
+    assert str(TuningKey.for_service(backend="x")) == "__service__|*|0x0|serve-thread-x"
 
 
 def test_bad_tune_mode_rejected():

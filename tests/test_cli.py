@@ -112,6 +112,15 @@ def test_blast_bad_shape_rejected():
         main(["blast", "--selfhost", "--shape", "banana"])
 
 
+@pytest.mark.parametrize("where", ["--selfhost", "--cluster"])
+def test_threads_without_openmp_refused(where):
+    """As on compress/decompress: --threads is refused, not ignored,
+    unless the adapter is openmp (serve and cluster build their service
+    config the same way; blast is the one that returns)."""
+    with pytest.raises(SystemExit, match="--threads only applies to --adapter openmp"):
+        main(["blast", where, "--threads", "2", "--clients", "1", "--requests", "1"])
+
+
 _TRACE = {"--trace", "--metrics"}
 _DEVICE = {"--adapter", "--threads"}
 _TUNE = {"--tune", "--tuning-cache"}
@@ -135,13 +144,13 @@ OPTION_SETS = {
                   "--transport-rate", "--drop-rank", "--drop-after-chunks",
                   "--kill-after-chunks"},
     "serve": _TRACE | _DEVICE | _TUNE | _SERVICE | {
-        "--host", "--port", "--processes", "--max-bytes", "--max-pending"},
+        "--host", "--port", "--max-bytes", "--max-pending"},
     "cluster": _TRACE | _DEVICE | _TUNE | _SERVICE | _SHARDS | {
         "--host", "--port", "--max-pending", "--vnodes"},
     "blast": _DEVICE | _TUNE | _SERVICE | _SHARDS | {
         "--host", "--port", "--selfhost", "--clients", "--requests",
         "--codec", "--rate", "--eb", "--shape", "--seed", "--verify",
-        "--compress-only", "--processes", "--shm", "--cluster", "--kill-one",
+        "--compress-only", "--cluster", "--kill-one",
         "--kill-after-ms"},
     "tune": _TRACE | {"--tuning-cache", "--seed", "--budget", "--clients"},
     "datasets": set(),
