@@ -46,7 +46,8 @@ def _kernels(rng):
         return rng.normal(size=(nbytes // (32 * n * 8), 32, n))
 
     return (
-        ("huffman.encode", _EncodeFunctor(codes, lengths), keys),
+        # 11-bit codes fold four to an item, as the coder would.
+        ("huffman.encode", _EncodeFunctor(codes, lengths, group=4), keys),
         ("mgard.tridiag", _GroupedIterative(factors._sweeps), vectors),
     )
 

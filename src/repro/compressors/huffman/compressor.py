@@ -15,8 +15,8 @@ decompression parallelizes across chunks (the vectorized decoder steps
 one symbol at a time across *all* chunks simultaneously).
 
 Steady-state compression performs zero runtime memory management: every
-working buffer — the padded key batch, code/length planes, prefix-sum
-offsets, and the bitstream word buffer — lives in a
+working buffer — the padded key batch, the merged code/end planes, the
+slab scratch and the bitstream word buffer — lives in a
 :class:`~repro.core.context.ReductionContext` keyed by the input
 characteristics, so repeated reductions of same-shaped data reuse the
 same memory (CMM, paper Section III-B).
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +36,9 @@ from repro.core.context import ContextCache
 from repro.core.functor import FnDomain, LocalityFunctor
 from repro.compressors.huffman.bitstream import (
     PAYLOAD_SLACK,
+    SLAB,
     codes_per_field,
-    merge_codes,
-    pack_bits,
+    pack_ends,
 )
 from repro.compressors.huffman.codebook import (
     MAX_CODE_LENGTH,
@@ -59,9 +58,6 @@ _BYTES = Header(b"", None, "BH", "Huffman-X")
 _SEGMENTS = Header(b"HUFP", 1, "I", "Huffman-X")
 _U32 = struct.Struct("<I")
 _RUN = np.dtype("<u2, u1")     # run length, code length
-
-#: Which ``int32`` half of a native ``int64`` holds its low 32 bits.
-_LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 #: The decoder keeps a window per payload *bit* while the payload has
 #: at most this many bytes per decode step (DESIGN.md §3.1 has the sweep).
@@ -113,47 +109,67 @@ def _rle_decode(r: Reader, count: int) -> np.ndarray:
 
 
 class _EncodeFunctor(LocalityFunctor):
-    """Locality stage: map each key in a chunk to (code << 8) | length.
+    """Locality stage: fold each ``group`` adjacent keys of a chunk into
+    one ``(code, length)`` item, returned as ``(nblocks, 2, chunk //
+    group)`` uint64 (codes, then lengths).
 
-    The codebook is fused into a single lookup table so each key costs
-    one gather; callers split the planes back out with shift/mask.  An
-    optional reduction context supplies persistent output scratch to an
-    apply handed the whole launch (``ngroups`` chunks), so the steady
-    state allocates nothing.  An apply handed part of it — an adapter
-    fanning the launch out across threads, the sanitizer's shadow pass —
-    writes to memory of its own: concurrent applies share nothing, and
-    what a context holds never depends on which thread ran which part.
+    ``group`` strided gathers from the code table join codes as ``(code
+    << length) | next`` (the bits they occupy back to back), a slab of
+    chunks at a time so the gather scratch stays :data:`SLAB` items
+    long.  Handed the whole launch (``ngroups`` chunks) it writes context
+    scratch, so the steady state allocates nothing.  Handed part of it —
+    an adapter fanning the launch out, the sanitizer's shadow pass — it
+    writes memory of its own: concurrent applies share nothing, and what
+    a context holds never depends on which thread ran which part.
     """
 
     name = "huffman.encode"
     bytes_per_element = 10.0
     reuses_output = True
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        lengths: np.ndarray,
-        ctx=None,
-        ngroups: int = 0,
-    ) -> None:
-        self._lut = (codes.astype(np.uint32) << np.uint32(8)) | lengths.astype(
-            np.uint32
-        )
+    def __init__(self, codes: np.ndarray, lengths: np.ndarray, group: int,
+                 ctx=None, ngroups: int = 0) -> None:
+        self._codes = codes.astype(np.uint64)
+        self._lens = lengths.astype(np.uint64)
+        self._group = group
         self._ctx = ctx
         self._ngroups = ngroups
 
-    @hot_path(reason="Locality encode stage; one gather per key")
+    @hot_path(reason="Locality encode stage; group gathers per item")
     def apply(self, blocks: np.ndarray) -> np.ndarray:
-        flat = blocks.reshape(-1)
-        if self._ctx is not None and blocks.shape[0] == self._ngroups:
-            out = self._ctx.scratch("enc.out", flat.size, np.uint32)
+        nblocks, chunk = blocks.shape
+        g = self._group
+        per = chunk // g
+        rows = max(1, min(nblocks, SLAB // per))
+        step = rows * per
+        if self._ctx is not None and nblocks == self._ngroups:
+            items = self._ctx.scratch("enc.items", 2 * nblocks * per, np.uint64)
+            slab = self._ctx.scratch("enc.slab", 3 * step, np.uint64)
         else:
             # hpdrlint: disable=HPL001 — part of a launch, or no context
-            out = np.empty(flat.size, dtype=np.uint32)
-        # Key range was validated by the histogram stage; "clip" skips a
-        # second bounds-check pass.
-        np.take(self._lut, flat, out=out, mode="clip")
-        return out.reshape(blocks.shape)
+            own = np.empty(2 * nblocks * per + 3 * step, dtype=np.uint64)
+            items, slab = own[: 2 * nblocks * per], own[2 * nblocks * per :]
+        items = items.reshape(2, nblocks, per)
+        for r in range(0, nblocks, rows):
+            keys = blocks[r : r + rows]
+            code, length = items[0, r : r + rows], items[1, r : r + rows]
+            k = code.size
+            idx = slab[:k].view(np.intp).reshape(code.shape)
+            c = slab[step : step + k].reshape(code.shape)
+            l = slab[2 * step : 2 * step + k].reshape(code.shape)
+            # Key range was validated by the histogram stage; "clip"
+            # skips a second bounds-check pass.
+            np.copyto(idx, keys[:, 0::g], casting="unsafe")
+            self._codes.take(idx, out=code, mode="clip")
+            self._lens.take(idx, out=length, mode="clip")
+            for j in range(1, g):
+                np.copyto(idx, keys[:, j::g], casting="unsafe")
+                self._codes.take(idx, out=c, mode="clip")
+                self._lens.take(idx, out=l, mode="clip")
+                np.left_shift(code, l, out=code)
+                np.bitwise_or(code, c, out=code)
+                np.add(length, l, out=length)
+        return items.transpose(1, 0, 2)
 
 
 class HuffmanX:
@@ -225,9 +241,9 @@ class HuffmanX:
         A batch of N is byte-identical to N batches of one.  The
         codebooks stay per-item (they are data-dependent), but every
         array stage fuses across the batch: one offset-bincount histogram,
-        one Locality encode gather over per-item lookup tables laid side
-        by side, one 2-D prefix-sum serialize pass, and one
-        :func:`~repro.compressors.huffman.bitstream.pack_bits` call over
+        one Locality encode launch through per-item lookup tables laid
+        side by side, one 2-D prefix-sum serialize pass, and one
+        :func:`~repro.compressors.huffman.bitstream.pack_ends` call over
         word-aligned per-item bit ranges.  Raises ``ValueError`` on
         non-uniform inputs (callers fall back to per-item execution).
         """
@@ -261,7 +277,6 @@ class HuffmanX:
             self.cache.release(ctx)
 
     def _compress_keys(self, keys_list, num_symbols: int, ctx) -> list[bytes]:
-        adapter = self.adapter
         shape, dtype = keys_list[0].shape, keys_list[0].dtype
         nbatch = len(keys_list)
         n = keys_list[0].size
@@ -303,15 +318,20 @@ class HuffmanX:
                   keys=n, batch=nbatch):
 
             def _counts(flat_keys: np.ndarray) -> np.ndarray:
-                return np.bincount(
-                    flat_keys, minlength=nbatch * num_symbols
-                ).astype(np.int64)
+                # Blockwise, bincount's intp cast of the keys stays small;
+                # a block at least the histogram's length adds cheaply.
+                counts = np.zeros(nbatch * num_symbols, dtype=np.int64)
+                step = max(SLAB, counts.size)
+                for at in range(0, flat_keys.size, step):
+                    counts += np.bincount(flat_keys[at : at + step],
+                                          minlength=counts.size)
+                return counts
 
             freqs = global_pipeline(
                 staged,
                 FnDomain(_counts, name="huffman.histogram",
                          bytes_per_element=staged.itemsize + 4),
-                adapter=adapter,
+                adapter=self.adapter,
             )
             freqs[staged2d[:, -1]] -= m - n
 
@@ -321,71 +341,93 @@ class HuffmanX:
                 build_codebook(f) for f in freqs.reshape(nbatch, num_symbols)
             ]
 
-        # encode: one Locality launch through the concatenated tables.
+        payloads = self._encode(
+            staged2d, n, chunk,
+            np.concatenate([b.codes for b in books]),
+            np.concatenate([b.lengths for b in books]), ctx,
+        )
+        return [
+            self._serialize(shape, dtype, num_symbols, n, book, offsets,
+                            payload, chunk)
+            for book, (payload, offsets) in zip(books, payloads)
+        ]
+
+    def _encode(self, staged2d, n: int, chunk: int, lut_codes, lut_lens,
+                ctx) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Encode and serialize: each row of ``staged2d`` (keys into the
+        concatenated code table, ``n`` of them edge-padded to whole
+        chunks) becomes its payload — a view of ``ctx`` memory — and its
+        chunk bit offsets."""
+        nbatch, m = staged2d.shape
+        nchunks = m // chunk
+        # encode: one Locality launch through the concatenated tables
+        # folds every ``group`` adjacent codes into one item.
+        # Concatenation is associative, so the items pack to the bits
+        # their codes would.
+        group = codes_per_field(int(lut_lens.max()), chunk)
+        per = chunk // group      # items per chunk
+        mg = m // group           # items per row
         with span("huffman.encode", cat="huffman", keys=n, chunk=chunk,
                   batch=nbatch):
-            enc = locality(
-                staged,
-                _EncodeFunctor(
-                    np.concatenate([b.codes for b in books]),
-                    np.concatenate([b.lengths for b in books]),
-                    ctx=ctx, ngroups=nbatch * nchunks,
-                ),
+            out = locality(
+                staged2d.reshape(-1),
+                _EncodeFunctor(lut_codes, lut_lens, group, ctx=ctx,
+                               ngroups=nbatch * nchunks),
                 block_shape=(chunk,),
-                adapter=adapter,
+                adapter=self.adapter,
                 pad_mode="edge",
                 reassemble=False,
                 ctx=ctx,
-            )  # (nbatch * nchunks, chunk) uint32, (code << 8) | length
-        enc.reshape(nbatch, m)[:, n:] = 0  # padding tails write no bits
-        longest = max(b.max_length for b in books)
-        group = codes_per_field(longest, chunk)
-        assert group * longest <= 64
-        codes, lens = merge_codes(enc.reshape(-1), group, ctx)
-        mg = m // group  # pack items per batch item
+            )  # (nbatch * nchunks, 2, per) uint64: codes, lengths
+        items = ctx.scratch("enc.items", 2 * nbatch * mg, np.uint64)
+        items = items.reshape(2, nbatch, mg)
+        if not np.may_share_memory(out, items):
+            # A fanned-out launch: its parts came back in their own memory.
+            items.reshape(2, nbatch * nchunks, per)[...] = out.transpose(1, 0, 2)
+        codes, lens = items
+        if m != n:
+            # The padding tail repeats each row's last key and writes no
+            # bits: items wholly in it become empty, and the one item
+            # the true end cuts keeps its real codes (the high bits).
+            items[:, :, -(-n // group):] = 0
+            if n % group:
+                cut = (group - n % group) * lut_lens[staged2d[:, -1]].astype(
+                    np.uint64)
+                codes[:, n // group] >>= cut
+                lens[:, n // group] -= cut
 
-        # serialize: one 2-D prefix-sum pass (DEM), then a single
-        # pack_bits over per-item word-aligned bit ranges.  Item i's
-        # payload starts at word ``wbase[i]``; codes never spill past a
-        # word-aligned item end (their high spill at the boundary is
-        # zero), so each item's byte slice equals its solo pack.
-        def _offsets(lengths: np.ndarray) -> np.ndarray:
-            off = ctx.scratch("enc.offsets", lengths.size, np.int64)
-            off2d = off.reshape(nbatch, mg)
-            np.cumsum(lengths.reshape(nbatch, mg), axis=1, out=off2d)
-            np.subtract(off2d, lengths.reshape(nbatch, mg), out=off2d)
-            return off
+        # serialize: one 2-D prefix-sum pass (DEM) turns each item's
+        # length into where it ends, in place; then a single pack over
+        # per-row word-aligned bit ranges.  Row i's payload starts at
+        # word ``wbase[i]``; codes never spill past a word-aligned row
+        # end, so each row's byte slice equals its solo pack.
+        def _ends(lengths: np.ndarray) -> np.ndarray:
+            return np.cumsum(lengths, axis=1, out=lengths)
 
         with span("huffman.serialize", cat="huffman", keys=n, batch=nbatch):
-            offsets = global_pipeline(
-                lens,
-                FnDomain(_offsets, name="huffman.serialize",
+            ends = global_pipeline(
+                lens.view(np.int64),
+                FnDomain(_ends, name="huffman.serialize",
                          bytes_per_element=16.0),
-                adapter=adapter,
+                adapter=self.adapter,
             )
-            off2d = offsets.reshape(nbatch, mg)
-            totals = off2d[:, -1] + lens.reshape(nbatch, mg)[:, -1]  # bits per item
-            chunk_offsets = off2d[:, :: chunk // group].astype(np.uint64)
-            assert chunk_offsets.shape == (nbatch, nchunks)
+            totals = ends[:, -1].copy()  # bits per row
+            chunk_offsets = np.zeros((nbatch, nchunks), dtype=np.uint64)
+            chunk_offsets[:, 1:] = ends[:, per - 1 :: per][:, :-1]
             nwords = (totals + 63) >> 6
             wbase = np.concatenate([[0], np.cumsum(nwords)[:-1]])
-            off2d += (wbase << 6)[:, None]
-            packed = pack_bits(
-                codes, lens, total_bits=int(wbase[-1] * 64 + totals[-1]),
-                offsets=offsets, ctx=ctx,
+            ends += (wbase << 6)[:, None]
+            packed = pack_ends(
+                codes.reshape(-1), ends.reshape(-1),
+                ctx.scratch("enc.words", int(wbase[-1] + nwords[-1]) + 2,
+                            np.uint64),
+                ctx.scratch("enc.slab", 3 * SLAB, np.uint64),
             )
-
-        blobs = []
-        for i, book in enumerate(books):
-            start = int(wbase[i]) * 8
-            nbytes = (int(totals[i]) + 7) >> 3
-            blobs.append(
-                self._serialize(
-                    shape, dtype, num_symbols, n, book, chunk_offsets[i],
-                    packed[start : start + nbytes], chunk,
-                )
-            )
-        return blobs
+        return [
+            (packed[8 * int(wbase[i]) :][: (int(totals[i]) + 7) >> 3],
+             chunk_offsets[i])
+            for i in range(nbatch)
+        ]
 
     def decompress_keys(self, blob: bytes) -> np.ndarray:
         """Invert :meth:`compress_keys`; returns the original key array."""
@@ -444,15 +486,16 @@ class HuffmanX:
         width = max(1, max(b.max_length for b in books))
         tsize = 1 << width
 
-        # Per-stream combined (length << 32) | symbol tables, side by
-        # side: one gather per decoded symbol instead of two.
-        comb = ctx.scratch("dec.comb", nbatch * tsize, np.int64)
-        comb2d = comb.reshape(nbatch, tsize)
+        # Per-stream symbol and length tables, side by side: symbols in
+        # the key dtype (the decoded plane is no wider than the keys),
+        # lengths in int64 like the positions they advance.
+        syms = ctx.scratch("dec.syms", nbatch * tsize, dtype)
+        lens = ctx.scratch("dec.lens", nbatch * tsize, np.int64)
         for i, book in enumerate(books):
             sym_table, len_table, _ = book.decode_table(width)
-            np.copyto(comb2d[i], len_table)
-            comb2d[i] <<= 32
-            comb2d[i] |= sym_table
+            np.copyto(syms[i * tsize : (i + 1) * tsize], sym_table,
+                      casting="unsafe")
+            np.copyto(lens[i * tsize : (i + 1) * tsize], len_table)
 
         # Concatenate the payloads, each followed by its own slack zero
         # bytes (so a stream's windows read exactly what they read when
@@ -474,13 +517,12 @@ class HuffmanX:
         # has yet to write instead of holding ``dec.win`` beside it.
         per_bit = starts[-1] <= _PER_BIT_BYTES_PER_STEP * chunk_size
         lanes = nchunks * nbatch
+        plane = chunk_size * lanes * dtype.itemsize
         room = ctx.scratch(
-            "dec.out",
-            max(chunk_size * lanes, (nwin + 1) // 2 if per_bit else 0),
-            np.int64,
+            "dec.out", max(plane, 4 * nwin if per_bit else 0), np.uint8
         )
         if per_bit:
-            win = room.view(np.uint32)[:nwin]
+            win = room[: 4 * nwin].view(np.uint32)
         else:
             win = ctx.scratch("dec.win", nwin, np.int64)
         np.copyto(win, conc[:nwin])
@@ -498,10 +540,10 @@ class HuffmanX:
         for i, p in enumerate(parsed):
             np.copyto(pos2d[:, i], p[5], casting="unsafe")
             pos2d[:, i] += 8 * starts[i]
-        entries = room[: chunk_size * lanes]
-        out = entries.reshape(chunk_size, lanes)
+        decoded = room[:plane].view(dtype)
+        out = decoded.reshape(chunk_size, lanes)
         b, s, w = (ctx.scratch(f"dec.scr{i}", lanes, np.int64) for i in range(3))
-        table = None  # one stream: window values index ``comb`` directly
+        table = None  # one stream: window values index the tables directly
         if nbatch > 1:
             table = ctx.scratch("dec.table", lanes, np.int64)
             table2d = table.reshape(nchunks, nbatch)
@@ -510,7 +552,7 @@ class HuffmanX:
 
         wshift = 32 - width
         wmask = tsize - 1
-        idx = w     # what indexes ``comb``
+        idx = w     # what indexes the tables
         if per_bit:
             # The ``width``-bit window at every bit: eight phase shifts
             # of the byte windows (the uint16 store keeps the low 16
@@ -547,25 +589,22 @@ class HuffmanX:
                 np.bitwise_and(w, wmask, out=w)
             if table is not None:
                 np.add(w, table, out=idx)
-            comb.take(idx, out=row, mode="clip")
-            np.right_shift(row, 32, out=s)
+            syms.take(idx, out=row, mode="clip")
+            lens.take(idx, out=s, mode="clip")
             np.add(pos, s, out=pos)
 
-        # The symbols are the low int32 halves of the gathered entries.
         # Results must leave context memory (the context may be evicted
         # and poisoned after release): one allocation per stream, filled
-        # chunk-major a block of steps at a time so the transposing cast
+        # chunk-major a block of steps at a time so the transposing copy
         # works within the cache.
-        low = entries.view(np.int32).reshape(chunk_size, nchunks, nbatch, 2)[
-            ..., _LOW_HALF
-        ]
+        steps = decoded.reshape(chunk_size, nchunks, nbatch)
         results = []
         for i in range(nbatch):
             # hpdrlint: disable=HPL001 — result handed to the caller
             keys = np.empty((nchunks, chunk_size), dtype=dtype)
             for j in range(0, chunk_size, _TRANSPOSE_STEPS):
                 block = slice(j, j + _TRANSPOSE_STEPS)
-                keys[:, block] = low[block, :, i].T
+                keys[:, block] = steps[block, :, i].T
             results.append(keys.reshape(-1)[:n].reshape(shape))
         return results
 
@@ -648,7 +687,8 @@ class HuffmanX:
             keys_list = self.decompress_keys_batch(bodies)
         else:   # a legacy container among them: stream by stream
             keys_list = [self._decompress_segments(body) for body in bodies]
-        return [k.astype(np.uint8).view(dtype).reshape(shape) for k in keys_list]
+        return [k.astype(np.uint8, copy=False).view(dtype).reshape(shape)
+                for k in keys_list]
 
     def _decompress_segments(self, body: bytes) -> np.ndarray:
         """Read the legacy ``HUFP`` body: a table of ``HUFX`` streams
@@ -692,7 +732,7 @@ class HuffmanX:
             _rle_encode(book.lengths[:stored]),
             _U32.pack(chunk_offsets.size),
             chunk_offsets.astype(np.uint64).tobytes(),
-            payload.tobytes(),
+            payload,    # join copies it out of context memory
         ]
         return b"".join(parts)
 
@@ -758,8 +798,11 @@ def _as_keys(data) -> tuple[np.ndarray, tuple[np.dtype, tuple[int, ...]]]:
     return arr.reshape(-1).view(np.uint8), (arr.dtype, arr.shape)
 
 
-def _open_bytes(blob) -> tuple[np.dtype, tuple[int, ...], bytes]:
-    """The byte API's ``(dtype, shape, body)``."""
+def _open_bytes(blob) -> tuple[np.dtype, tuple[int, ...], memoryview]:
+    """The byte API's ``(dtype, shape, body)``; the body of a ``bytes``
+    blob is a view, not a copy."""
+    if isinstance(blob, bytes):
+        blob = memoryview(blob)
     (dts_len, ndim), r = _BYTES.open(blob)
     dtype, shape = r.meta(dts_len, ndim)
     return dtype, shape, r.take(r.remaining)

@@ -1,7 +1,7 @@
 """The fast kernels equal the reference kernels bit for bit.
 
-The key coder packs word-sized groups of codes and builds its code
-lengths over Python lists; the multilevel operators index with slices;
+The key coder folds word-sized groups of codes as it gathers them, packs
+them by where they end, and builds its code lengths over Python lists; the multilevel operators index with slices;
 the ZFP kernels lift coefficient-major batches in place and transpose
 bits inside 64-bit words.  ``_reference_kernels`` keeps what they
 replaced: a one-node-at-a-time tree merge and Kraft repair, a
@@ -20,11 +20,7 @@ from hypothesis import strategies as st
 
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.huffman import compressor as huffman_codec
-from repro.compressors.huffman.bitstream import (
-    codes_per_field,
-    merge_codes,
-    pack_bits,
-)
+from repro.compressors.huffman.bitstream import codes_per_field, pack_bits
 from repro.compressors.huffman.codebook import (
     MAX_CODE_LENGTH,
     huffman_code_lengths,
@@ -113,49 +109,69 @@ def test_code_lengths_for_one_symbol_and_a_full_alphabet():
 # ---------------------------------------------------------------------------
 # Bit packing
 # ---------------------------------------------------------------------------
-def _context():
-    return ContextCache().get(("oracle",))
+def _fused_pack(streams, chunk, n=None):
+    """What the key coder does with ``len(streams)`` rows: one Locality
+    launch gathers and folds each group of codes, then the prefix sum
+    and the pack.  Each stream is ``(codes, lengths)``, one symbol per
+    key; its first ``n`` keys (default all) are edge-padded to whole
+    chunks.  Returns each row's payload and chunk bit offsets."""
+    n = len(streams[0][0]) if n is None else n
+    m = -(-n // chunk) * chunk
+    lut_codes = np.concatenate([np.asarray(c, dtype=np.uint16) for c, _ in streams])
+    lut_lens = np.concatenate([np.asarray(l, dtype=np.uint8) for _, l in streams])
+    staged = np.empty((len(streams), m), dtype=np.int64)
+    for i, (codes, _) in enumerate(streams):
+        staged[i, :n] = np.arange(n) + sum(len(c) for c, _ in streams[:i])
+    staged[:, n:] = staged[:, n - 1 : n]
+    codec = HuffmanX()
+    ctx = codec.cache.get(("oracle",), pin=True)
+    try:
+        rows = codec._encode(staged, n, chunk, lut_codes, lut_lens, ctx)
+        return [(payload.copy(), offsets.copy()) for payload, offsets in rows]
+    finally:
+        codec.cache.release(ctx)
 
 
-def _grouped_pack(codes, lengths, group):
-    """What the Huffman coder does: merge, prefix-sum, pack."""
-    ctx = _context()
-    enc = (np.asarray(codes, dtype=np.uint32) << np.uint32(8)) | np.asarray(
-        lengths, dtype=np.uint32
-    )
-    merged, lens = merge_codes(enc, group, ctx)
-    assert merged.dtype == np.uint64 and lens.dtype == np.int64
-    assert merged.size == lens.size == enc.size // group
-    offsets = np.cumsum(lens) - lens
-    return pack_bits(merged, lens, offsets=offsets, ctx=ctx).copy(), offsets
+def _assert_packs_like_the_reference(streams, chunk, n=None):
+    n = len(streams[0][0]) if n is None else n
+    for (codes, lengths), (got, offsets) in zip(
+        streams, _fused_pack(streams, chunk, n)
+    ):
+        assert got.tobytes() == reference_pack_bits(codes[:n], lengths[:n]).tobytes()
+        # Chunk starts are group starts: the stored offsets do not move.
+        ungrouped = np.cumsum(lengths[:n]) - np.asarray(lengths[:n])
+        assert np.array_equal(offsets, ungrouped[::chunk])
 
 
 @st.composite
 def code_streams(draw):
-    """Codes of 0..max_length bits, a whole number of chunks of them."""
+    """One or three streams of codes of 0..max_length bits over a whole
+    number of chunks, or over an edge-padded tail of one."""
     max_length = draw(st.integers(1, 16))
     chunk = draw(st.sampled_from([1, 2, 4, 6, 8, 12, 64, 300]))
     count = chunk * draw(st.integers(1, 5))
-    lengths = draw(st.lists(st.integers(0, max_length), min_size=count, max_size=count))
-    seed = draw(st.integers(0, 2**32 - 1))
-    values = np.random.default_rng(seed).integers(0, 1 << 16, size=count)
-    codes = [int(v) & ((1 << l) - 1) for v, l in zip(values, lengths)]
-    return codes, lengths, max_length, chunk
+    n = count if draw(st.booleans()) else draw(st.integers(1, count))
+    streams = []
+    for _ in range(draw(st.sampled_from([1, 3]))):
+        lengths = draw(st.lists(st.integers(0, max_length), min_size=count,
+                                max_size=count))
+        seed = draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).integers(0, 1 << 16, size=count)
+        codes = [int(v) & ((1 << l) - 1) for v, l in zip(values, lengths)]
+        streams.append((codes, lengths))
+    return streams, max_length, chunk, n
 
 
 @settings(max_examples=200, deadline=None)
-@given(stream=code_streams())
-def test_grouped_packing_matches_bit_by_bit(stream):
-    codes, lengths, max_length, chunk = stream
+@given(case=code_streams())
+@example(case=([([5, 3, 1] * 4, [16, 2, 16] * 4)], 16, 4, 9))   # cut mid-group
+@example(case=([([1] * 12, [1] * 12)] * 3, 1, 12, 7))           # group of 4
+def test_grouped_packing_matches_bit_by_bit(case):
+    streams, max_length, chunk, n = case
     group = codes_per_field(max_length, chunk)
     assert group * max_length <= 64 and chunk % group == 0
     assert group & (group - 1) == 0
-    want = reference_pack_bits(codes, lengths)
-    got, offsets = _grouped_pack(codes, lengths, group)
-    assert got.tobytes() == want.tobytes()
-    # Chunk starts are group starts: the stored offsets do not move.
-    ungrouped = np.cumsum(lengths) - np.asarray(lengths)
-    assert np.array_equal(offsets[:: chunk // group], ungrouped[::chunk])
+    _assert_packs_like_the_reference(streams, chunk, n)
 
 
 @pytest.mark.parametrize("max_length, chunk, group", [
@@ -169,24 +185,26 @@ def test_group_is_the_largest_power_of_two_that_fits_and_divides(
 
 
 def test_groups_ending_on_word_boundaries():
-    """Four 16-bit codes fill a 64-bit field exactly: the merged code
-    shifts by zero into its field, lands on a word boundary, and its
-    high spill is empty — as is the spill of the stream's last code."""
+    """Four 16-bit codes fill a 64-bit field exactly: every item ends on
+    a word boundary, so its own word takes nothing and the word before
+    takes all of it — as does the stream's last item."""
     rng = np.random.default_rng(64)
     codes = rng.integers(0, 1 << 16, size=4 * 40).tolist()
-    lengths = [16] * len(codes)
-    got, offsets = _grouped_pack(codes, lengths, 4)
-    assert (offsets % 64 == 0).all()
-    assert got.tobytes() == reference_pack_bits(codes, lengths).tobytes()
+    _assert_packs_like_the_reference([(codes, [16] * len(codes))], 8)
 
 
 def test_all_padding_groups_write_nothing():
-    """A chunk's edge padding has length 0 and code 0; a group made only
-    of padding merges to length 0 and must not shift by 64."""
+    """Zero-length codes carry code 0, and an item made only of them
+    ends where the one before it did.  Past the true end the edge
+    padding repeats the last key: those items are emptied, and the item
+    the end cuts keeps only its real codes."""
     codes = [5, 1, 2, 3] + [0] * 12
     lengths = [3, 1, 2, 2] + [0] * 12
-    got, _ = _grouped_pack(codes, lengths, 4)
-    assert got.tobytes() == reference_pack_bits(codes, lengths).tobytes()
+    _assert_packs_like_the_reference([(codes, lengths)], 16)
+    for chunk in (4, 8):
+        for n in (3, 4, 5, 6):
+            _assert_packs_like_the_reference([(codes[:8], lengths[:8])] * 3,
+                                             chunk, n)
 
 
 def test_pack_bits_takes_codes_up_to_64_bits():

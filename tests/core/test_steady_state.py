@@ -7,12 +7,15 @@ contexts.  These tests pin that property for all three codecs, and pin
 the safety/accounting contracts of :class:`ContextCache` eviction.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Config, ErrorMode, HuffmanX, MGARDX, ZFPX
+from repro.adapters.serial import SerialAdapter
 from repro.check.cmm import assert_steady_state
 from repro.core.context import (
     LEASE_FLOOR,
@@ -20,6 +23,7 @@ from repro.core.context import (
     ContextCache,
     UseAfterEvictError,
 )
+from repro.data import gaussian_random_field, nyx_like
 
 
 def _steady_state_events(codec, data):
@@ -75,6 +79,53 @@ class TestZeroAllocSteadyState:
         assert ctx._blocks
         assert all(b.size < LEASE_FLOOR for b in ctx._blocks.values())
         assert h.cache.pool.pooled_bytes >= keys.nbytes
+
+
+MB = 1 << 20
+
+
+def _traced_peak(fn):
+    """``fn()`` and the most memory it had allocated at once beyond
+    what was live when it started (tracemalloc: NumPy arrays included)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    """A warm key coder holds only planes whose data is live: merged
+    code/end items, the packed words, one decode plane no wider than
+    the keys.  The serial adapter is built directly so ``HPDR_SAN=1``
+    adds no shadow copies to what tracemalloc sees."""
+
+    def test_huffman_byte_round_trip(self):
+        # direct_field's lossless variable: quarter-integer values of a
+        # Gaussian random field, 64^3 float32 = 1 MB.
+        data = np.round(
+            gaussian_random_field((64, 64, 64), -2.0, seed=2) * 4
+        ).astype(np.float32)
+        codec = HuffmanX(adapter=SerialAdapter())
+        for _ in range(2):
+            blob = codec.compress(data)
+            assert np.array_equal(codec.decompress(blob), data)
+        blob, compress_peak = _traced_peak(lambda: codec.compress(data))
+        back, decompress_peak = _traced_peak(lambda: codec.decompress(blob))
+        assert np.array_equal(back, data)
+        assert codec.cache.live_bytes <= 12 * MB
+        assert compress_peak <= 2.5 * MB
+        assert decompress_peak <= 1.5 * MB     # the 1 MB result included
+
+    def test_mgard_round_trip(self):
+        data = nyx_like((64, 64, 64), seed=2)
+        codec = MGARDX(Config(error_bound=1e-3, error_mode=ErrorMode.REL),
+                       adapter=SerialAdapter())
+        for _ in range(2):
+            codec.decompress(codec.compress(data))
+        assert codec.cache.live_bytes <= 15 * MB
 
 
 class TestLaunchWidth:
