@@ -24,6 +24,7 @@ same memory (CMM, paper Section III-B).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from typing import Sequence
@@ -59,9 +60,20 @@ _SEGMENTS = Header(b"HUFP", 1, "I", "Huffman-X")
 _U32 = struct.Struct("<I")
 _RUN = np.dtype("<u2, u1")     # run length, code length
 
-#: The decoder keeps a window per payload *bit* while the payload has
-#: at most this many bytes per decode step (DESIGN.md §3.1 has the sweep).
+#: A payload of at most this many bytes per decode step decodes by jumps
+#: over per-bit planes (DESIGN.md §3.1 has the sweep).
 _PER_BIT_BYTES_PER_STEP = 50
+
+#: 0-d operands of the per-byte step (NumPy converts a Python int on
+#: every call): ``>> 3``, ``& 7``, and per width ``32 - width``, mask.
+_THREE, _SEVEN = np.array(3, dtype=np.int64), np.array(7, dtype=np.int64)
+_WSHIFT = [np.array(32 - w, dtype=np.int64) for w in range(MAX_CODE_LENGTH + 1)]
+_WMASK = [np.array((1 << w) - 1, dtype=np.int64)
+          for w in range(MAX_CODE_LENGTH + 1)]
+
+#: Bits per slab of the jump planes' passes, and a slab's bit offsets.
+_JUMP_SLAB = SLAB // 2
+_RAMP = np.arange(_JUMP_SLAB, dtype=np.intp)
 
 #: Decode steps moved per transposing copy of the decoder's step-major
 #: output into a chunk-major result (64 rows keep both sides in cache).
@@ -455,11 +467,10 @@ class HuffmanX:
         ((shape, dtype, num_symbols, n, nchunks, chunk_size),) = geometry
         if n == 0:
             return [np.zeros(shape, dtype=dtype) for _ in parsed]
-        rem = n - (nchunks - 1) * chunk_size
         if nchunks == 1:
             # The decode rows are sized by the chunk: a lone chunk is
             # its ``n`` keys, whatever (larger) chunk the header names.
-            chunk_size = rem
+            chunk_size = n
 
         ctx = self._key_context(shape, dtype, num_symbols)
         try:
@@ -468,14 +479,14 @@ class HuffmanX:
             with span("huffman.decode", cat="huffman", keys=n,
                       chunks=nchunks, batch=len(parsed)):
                 return self._decode_chunks(
-                    ctx, parsed, chunk_size, nchunks, rem, n, shape, dtype
+                    ctx, parsed, chunk_size, nchunks, n, shape, dtype
                 )
         finally:
             self.cache.release(ctx)
 
     @hot_path(reason="vectorized symbol loop; zero-alloc via dec.* scratch")
     def _decode_chunks(
-        self, ctx, parsed, chunk_size, nchunks, rem, n, shape, dtype
+        self, ctx, parsed, chunk_size, nchunks, n, shape, dtype
     ) -> list[np.ndarray]:
         nbatch = len(parsed)
         books = [p[4] for p in parsed]
@@ -486,11 +497,23 @@ class HuffmanX:
         width = max(1, max(b.max_length for b in books))
         tsize = 1 << width
 
+        # Short payloads decode by jumps (``_decode_by_jumps``): ``runs``
+        # runs of ``span`` steps a lane; the per-byte loop is one run.
+        starts = list(itertools.accumulate(
+            (p.size + PAYLOAD_SLACK for p in payloads), initial=0))
+        per_bit = starts[-1] <= _PER_BIT_BYTES_PER_STEP * chunk_size
+        span = 1 << round(math.log2(chunk_size) / 2) if per_bit else chunk_size
+        runs = -(-chunk_size // span)
+        lens_dtype = np.min_scalar_type(width * span) if per_bit else np.int64
+        lanes = nchunks * nbatch
+
         # Per-stream symbol and length tables, side by side: symbols in
         # the key dtype (the decoded plane is no wider than the keys),
-        # lengths in int64 like the positions they advance.
+        # lengths in int64 like the positions they advance, or in the
+        # dtype of the jump plane they fill (``span`` codes of at most
+        # ``width`` bits each).
         syms = ctx.scratch("dec.syms", nbatch * tsize, dtype)
-        lens = ctx.scratch("dec.lens", nbatch * tsize, np.int64)
+        lens = ctx.scratch("dec.lens", nbatch * tsize, lens_dtype)
         for i, book in enumerate(books):
             sym_table, len_table, _ = book.decode_table(width)
             np.copyto(syms[i * tsize : (i + 1) * tsize], sym_table,
@@ -498,26 +521,20 @@ class HuffmanX:
             np.copyto(lens[i * tsize : (i + 1) * tsize], len_table)
 
         # Concatenate the payloads, each followed by its own slack zero
-        # bytes (so a stream's windows read exactly what they read when
-        # it is decoded alone), and precompute the 32-bit big-endian
-        # window starting at every byte: the loop then needs one int64
-        # gather where four byte-gathers plus widening shifts would run
-        # per step.
-        starts = [0]
-        for p in payloads:
-            starts.append(starts[-1] + p.size + PAYLOAD_SLACK)
+        # bytes, and precompute the 32-bit big-endian window starting at
+        # every byte: the loop then needs one int64 gather where four
+        # byte-gathers plus widening shifts would run per step.  A lane
+        # reads only its own stream: a window starting past ``last[i]``,
+        # stream i's slack, reads zero, as when the stream is alone.
+        last = [at + p.size for at, p in zip(starts, payloads)]
         conc = ctx.scratch("dec.payload", starts[-1], np.uint8)
         for at, p in zip(starts, payloads):
             conc[at : at + p.size] = p
             conc[at + p.size : at + p.size + PAYLOAD_SLACK] = 0
         nwin = starts[-1] - PAYLOAD_SLACK + 1
-        # A short payload gets a window per *bit* below; its byte
-        # windows are dead once that table is built, so they borrow
-        # (as uint32: four bytes fill one) the output rows the loop
-        # has yet to write instead of holding ``dec.win`` beside it.
-        per_bit = starts[-1] <= _PER_BIT_BYTES_PER_STEP * chunk_size
-        lanes = nchunks * nbatch
-        plane = chunk_size * lanes * dtype.itemsize
+        # A per-bit path's byte windows are dead once its planes are
+        # built, so they borrow (as uint32) the rows it has yet to write.
+        plane = span * runs * lanes * dtype.itemsize
         room = ctx.scratch(
             "dec.out", max(plane, 4 * nwin if per_bit else 0), np.uint8
         )
@@ -530,81 +547,37 @@ class HuffmanX:
             win <<= 8
             win |= conc[byte : byte + nwin]
 
-        # Lanes are chunk-major (lane = c*nbatch + i): every stream's
-        # short last chunk is among the final nbatch lanes, so "still
-        # active" is one slice.  ``pos`` is a lane's bit position in
-        # the concatenated payload; ``out`` is step-major, so each
-        # step's gather lands in its final, contiguous row.
-        pos = ctx.scratch("dec.pos", lanes, np.int64)
-        pos2d = pos.reshape(nchunks, nbatch)
+        # Lanes are chunk-major (lane = c*nbatch + i).  ``pos`` is a
+        # lane's bit position in the concatenated payload; ``out`` is
+        # step-major, so each step's gather lands in a contiguous row.
+        pos = ctx.scratch("dec.pos", runs * lanes, np.int64)
+        pos2d = pos[:lanes].reshape(nchunks, nbatch)
         for i, p in enumerate(parsed):
             np.copyto(pos2d[:, i], p[5], casting="unsafe")
             pos2d[:, i] += 8 * starts[i]
         decoded = room[:plane].view(dtype)
-        out = decoded.reshape(chunk_size, lanes)
-        b, s, w = (ctx.scratch(f"dec.scr{i}", lanes, np.int64) for i in range(3))
-        table = None  # one stream: window values index the tables directly
-        if nbatch > 1:
-            table = ctx.scratch("dec.table", lanes, np.int64)
-            table2d = table.reshape(nchunks, nbatch)
-            for i in range(nbatch):
-                table2d[:, i] = i * tsize
-
-        wshift = 32 - width
-        wmask = tsize - 1
-        idx = w     # what indexes the tables
         if per_bit:
-            # The ``width``-bit window at every bit: eight phase shifts
-            # of the byte windows (the uint16 store keeps the low 16
-            # bits, the mask the low ``width``), so a step gathers its
-            # window by ``pos`` alone.  A position clipped past the end
-            # reads the last stream's zero slack through either source.
-            bits = ctx.scratch("dec.bits", 8 * nwin, np.uint16)
-            bits2d = bits.reshape(nwin, 8)
-            for phase in range(8):
-                np.right_shift(win, wshift - phase, out=bits2d[:, phase],
-                               casting="unsafe")
-            np.bitwise_and(bits, wmask, out=bits)
-            win = bits
-            idx = w = ctx.scratch("dec.bitw", lanes, np.uint16)
-            if table is not None:
-                idx = b
-        for step in range(chunk_size):
-            if step == rem:
-                # Only the last chunk of each stream can run short.
-                if nchunks == 1:
-                    break
-                pos, b, s, w, idx = (a[:-nbatch] for a in (pos, b, s, w, idx))
-                out = out[:, :-nbatch]
-                table = None if table is None else table[:-nbatch]
-            row = out[step]
-            if per_bit:
-                win.take(pos, out=w, mode="clip")
-            else:
-                np.right_shift(pos, 3, out=b)
-                win.take(b, out=w, mode="clip")
-                np.bitwise_and(pos, 7, out=s)
-                np.subtract(wshift, s, out=s)
-                np.right_shift(w, s, out=w)
-                np.bitwise_and(w, wmask, out=w)
-            if table is not None:
-                np.add(w, table, out=idx)
-            syms.take(idx, out=row, mode="clip")
-            lens.take(idx, out=s, mode="clip")
-            np.add(pos, s, out=pos)
+            _decode_by_jumps(ctx, decoded.reshape(span, runs * lanes),
+                             pos.reshape(runs, lanes), win, syms, lens,
+                             starts, last, width)
+        else:
+            _decode_by_steps(ctx, decoded.reshape(span, lanes), pos, win,
+                             syms, lens, last, width)
 
         # Results must leave context memory (the context may be evicted
         # and poisoned after release): one allocation per stream, filled
         # chunk-major a block of steps at a time so the transposing copy
-        # works within the cache.
-        steps = decoded.reshape(chunk_size, nchunks, nbatch)
+        # works within the cache.  Step ``r*span + j`` is row j of run r.
+        steps = decoded.reshape(span, runs, nchunks, nbatch)
+        block = min(span, _TRANSPOSE_STEPS)
         results = []
         for i in range(nbatch):
             # hpdrlint: disable=HPL001 — result handed to the caller
             keys = np.empty((nchunks, chunk_size), dtype=dtype)
-            for j in range(0, chunk_size, _TRANSPOSE_STEPS):
-                block = slice(j, j + _TRANSPOSE_STEPS)
-                keys[:, block] = steps[block, :, i].T
+            for at in range(0, chunk_size, block):
+                r, j = divmod(at, span)
+                stop = min(at + block, chunk_size)
+                keys[:, at:stop] = steps[j : j + stop - at, r, :, i].T
             results.append(keys.reshape(-1)[:n].reshape(shape))
         return results
 
@@ -618,10 +591,10 @@ class HuffmanX:
         on low-entropy streams; ``self.chunk_size`` stays the upper
         bound.  Below ~32 K symbols the floor is what a decoder pays:
         256 steps over 16-64 lanes are all call overhead, which is why
-        :meth:`_decode_chunks` gathers such a stream's windows from a
-        per-bit table (four array calls a step instead of ten).  The
-        stream records the choice, so decoders need no knowledge of
-        this heuristic.
+        :meth:`_decode_chunks` decodes such a stream by jumps over
+        per-bit planes (about ``2 sqrt(chunk)`` steps instead of
+        ``chunk``).  The stream records the choice, so decoders need no
+        knowledge of this heuristic.
         """
         target = max(1.0, (2.0 * n) ** 0.5)
         chunk = 1 << max(0, round(float(np.log2(target))))
@@ -787,6 +760,103 @@ class HuffmanX:
 def key_count(blob) -> int:
     """The key count a ``HUFX`` stream declares, from its header alone."""
     return _HEADER.open(blob)[0][3]
+
+
+@hot_path(reason="per-byte symbol loop of the key decoder")
+def _decode_by_steps(ctx, out, pos, win, syms, lens, last, width):
+    """Decode ``out.shape[0]`` steps over the lanes from ``win``, the
+    32-bit window at every byte: nine calls a step, two more in a batch
+    (table bases, a clamp to the lane's own stream).  A short last chunk
+    decodes past its end like the rest; the read-out drops those steps."""
+    b, s, w = (ctx.scratch(f"dec.scr{i}", pos.size, np.int64) for i in range(3))
+    table, bound = _batch_lanes(ctx, pos.size, syms.size // len(last), last)
+    wshift, wmask = _WSHIFT[width], _WMASK[width]
+    for row in out:
+        np.right_shift(pos, _THREE, out=b)
+        win.take(b, out=w, mode="clip")
+        np.bitwise_and(pos, _SEVEN, out=s)
+        np.subtract(wshift, s, out=s)
+        np.right_shift(w, s, out=w)
+        np.bitwise_and(w, wmask, out=w)
+        if table is not None:
+            np.add(w, table, out=w)
+        syms.take(w, out=row, mode="clip")
+        lens.take(w, out=s, mode="clip")
+        np.add(pos, s, out=pos)
+        if bound is not None:
+            np.minimum(pos, bound, out=pos)
+
+
+@hot_path(reason="jump-schedule symbol loop of the key decoder")
+def _decode_by_jumps(ctx, out, pos, win, syms, lens, starts, last, width):
+    """Decode ``(runs, lanes)`` runs of ``span`` steps into ``out``,
+    ``(span, runs * lanes)``; ``pos[0]`` holds the lanes' start bits.
+
+    ``bits`` is the window at every payload bit, ``jump`` how far the
+    code there moves a lane, then (``log2 span`` doublings) how far
+    ``span`` codes do; ``runs - 1`` gathers find each run's start, and
+    ``span`` four-call steps decode all runs.  Windows past a stream's
+    slack read zero and move nothing (a code crosses at most 16 of its
+    32 bits).  A short last chunk decodes past its end, unread."""
+    span, nbits, tsize = out.shape[0], 8 * win.size, syms.size // len(last)
+    seg = [8 * at for at in starts[:-1]] + [nbits]    # each stream's bits
+    # One leased block: a slab's index and hop, the windows, the jumps.
+    step, k = min(_JUMP_SLAB, nbits), lens.itemsize
+    sizes = [0, 8 * step, k * step, 2 * nbits, k * nbits]
+    cuts = list(itertools.accumulate(sizes))
+    block = ctx.scratch("dec.bits", cuts[-1], np.uint8)
+    idx, hop, bits, jump = (block[a:b].view(t) for a, b, t in zip(
+        cuts, cuts[1:], (np.intp, lens.dtype, np.uint16, lens.dtype)))
+    for phase in range(8):      # uint16 keeps the low 16 bits of each
+        np.right_shift(win, 32 - width - phase, casting="unsafe",
+                       out=bits.reshape(win.size, 8)[:, phase])
+    np.bitwise_and(bits, tsize - 1, out=bits)
+    for i in range(len(last)):
+        for at in range(seg[i], seg[i + 1], step):
+            m = min(step, seg[i + 1] - at)
+            np.copyto(idx[:m], bits[at : at + m])
+            lens[i * tsize :].take(idx[:m], out=jump[at : at + m],
+                                   mode="clip")
+        bits[8 * last[i] : seg[i + 1]] = jump[8 * last[i] : seg[i + 1]] = 0
+    # Doubling in place, a slab at a time in rising order: every target
+    # is at or past its source, so it still holds the last round's value.
+    for _ in range(span.bit_length() - 1):
+        for at in range(0, nbits, step):
+            here = jump[at : at + step]
+            m = here.size
+            np.add(_RAMP[:m], here, out=idx[:m])
+            jump[at:].take(idx[:m], out=hop[:m], mode="clip")
+            np.add(here, hop[:m], out=here)
+    moved = ctx.scratch("dec.hop", pos.shape[1], jump.dtype)
+    for r in range(1, pos.shape[0]):
+        jump.take(pos[r - 1], out=moved, mode="clip")
+        np.add(pos[r - 1], moved, out=pos[r])
+    pos = pos.reshape(-1)
+    w = ctx.scratch("dec.bitw", pos.size, np.uint16)
+    s = ctx.scratch("dec.scr1", pos.size, lens.dtype)
+    table, bound = _batch_lanes(ctx, pos.size, tsize, last)
+    entry = w if table is None else ctx.scratch("dec.scr0", pos.size, np.int64)
+    for row in out:
+        bits.take(pos, out=w, mode="clip")
+        if table is not None:
+            np.add(w, table, out=entry)
+        syms.take(entry, out=row, mode="clip")
+        lens.take(entry, out=s, mode="clip")
+        np.add(pos, s, out=pos)
+        if bound is not None:
+            np.minimum(pos, bound, out=pos)
+
+
+def _batch_lanes(ctx, n: int, tsize: int, last):
+    """Per batch lane (of stream ``lane % nbatch``): its table's base, and
+    the first bit of its stream's slack, where windows read zero."""
+    if len(last) == 1:
+        return None, None
+    table, bound = ctx.scratch("dec.table", 2 * n, np.int64).reshape(2, -1)
+    for i, at in enumerate(last):
+        table[i :: len(last)] = i * tsize
+        bound[i :: len(last)] = 8 * at
+    return table, bound
 
 
 def _as_keys(data) -> tuple[np.ndarray, tuple[np.dtype, tuple[int, ...]]]:

@@ -122,7 +122,9 @@ class _ThomasFunctor(IterativeFunctor):
 
     Forward/backward recurrences are sequential along each vector (the
     reason Algorithm 1 needs the Iterative abstraction) and vectorized
-    across the vectors in a group.
+    across the vectors in a group: each step is one contiguous row of a
+    sweep-major ``(n, nvec)`` copy, and each coefficient a 0-d array (a
+    NumPy scalar is converted on every call).
     """
 
     name = "mgard.tridiag"
@@ -135,25 +137,32 @@ class _ThomasFunctor(IterativeFunctor):
         self._w[0] = 0.0
         if c.size:
             self._w[1:] = c / dprime[:-1]
+        self._coef = [tuple(map(np.asarray, v)) for v in (self._w, c, dprime)]
 
     @hot_path(reason="Thomas sweeps dominate the mgard correction solve")
     def apply(self, vectors: np.ndarray) -> np.ndarray:
-        n = vectors.shape[1]
+        nvec, n = vectors.shape
         if n != self._dprime.size:
             raise ValueError(
                 f"vector length {n} != factored system size {self._dprime.size}"
             )
         # The sweep updates in place; the copy keeps apply() pure so the
         # iterative staging buffer can be reused across vector groups.
+        # It is the transpose, plus one scratch row for the products.
         # hpdrlint: disable=HPL001 — purity copy required by the contract
-        x = np.array(vectors, dtype=np.float64, copy=True)
-        w, c, dp = self._w, self._c, self._dprime
+        x = np.empty((n + 1, nvec), dtype=np.float64)
+        np.copyto(x[:n], vectors.T)
+        rows, t = list(x[:n]), x[n]
+        w, c, dp = self._coef
         for i in range(1, n):
-            x[:, i] -= w[i] * x[:, i - 1]
-        x[:, n - 1] /= dp[n - 1]
+            np.multiply(w[i], rows[i - 1], out=t)
+            np.subtract(rows[i], t, out=rows[i])
+        np.divide(rows[-1], dp[-1], out=rows[-1])
         for i in range(n - 2, -1, -1):
-            x[:, i] = (x[:, i] - c[i] * x[:, i + 1]) / dp[i]
-        return x
+            np.multiply(c[i], rows[i + 1], out=t)
+            np.subtract(rows[i], t, out=rows[i])
+            np.divide(rows[i], dp[i], out=rows[i])
+        return x[:n].T
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Each function here is the slow, obviously-right formulation the source
 tree used before the key coder, the multilevel operators and the ZFP
-block kernels were rewritten around fewer array passes.  ``test_kernel_oracles.py`` asserts
+block kernels were rewritten around fewer array passes (or, for the key
+decoder and the Thomas sweep, around fewer array calls).  ``test_kernel_oracles.py`` asserts
 the fast kernels equal them bit for bit; nothing in ``src/`` imports
 this module.
 """
@@ -93,6 +94,27 @@ def reference_pack_bits(codes, lengths) -> np.ndarray:
     return np.packbits(np.array(bits, dtype=np.uint8))
 
 
+def reference_decode_keys(book, payload, offsets, n: int, chunk: int):
+    """One ``HUFX`` stream's ``n`` keys, decoded alone one step at a time
+    across its chunks: each lane reads the ``width`` bits at its bit
+    position, most significant first and zero past the payload's end,
+    looks the window up in the codebook's table and moves on by the
+    code's length."""
+    width = max(1, book.max_length)
+    symbols, lengths, _ = book.decode_table(width)
+    bits = np.concatenate([np.unpackbits(np.asarray(payload, dtype=np.uint8)),
+                           np.zeros(width, dtype=np.uint8)])
+    weights = 1 << np.arange(width - 1, -1, -1)
+    pos = np.asarray(offsets, dtype=np.int64).copy()
+    keys = np.zeros((pos.size, chunk), dtype=np.int64)
+    for step in range(chunk):
+        at = np.minimum(pos, bits.size - width)
+        window = bits[at[:, None] + np.arange(width)] @ weights
+        keys[:, step] = symbols[window]
+        pos += lengths[window]
+    return keys.reshape(-1)[:n]
+
+
 # ---------------------------------------------------------------------------
 # MGARD: 1-D operators through explicit index arrays
 # ---------------------------------------------------------------------------
@@ -152,6 +174,24 @@ def reference_prolong(b: np.ndarray, level, axis: int) -> np.ndarray:
         + _bshape(level.wr, v.ndim) * out[right_idx]
     )
     return np.moveaxis(out, 0, axis)
+
+
+def reference_thomas_solve(dprime, c, vectors: np.ndarray) -> np.ndarray:
+    """Prefactored Thomas sweeps over ``(nvec, n)`` vectors, one column
+    of the row-major copy per recurrence step."""
+    n = vectors.shape[1]
+    w = np.empty_like(dprime)
+    w[0] = 0.0
+    if c.size:
+        w[1:] = c / dprime[:-1]
+    x = np.array(vectors, dtype=np.float64, copy=True)
+    dp = dprime
+    for i in range(1, n):
+        x[:, i] -= w[i] * x[:, i - 1]
+    x[:, n - 1] /= dp[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[:, i] = (x[:, i] - c[i] * x[:, i + 1]) / dp[i]
+    return x
 
 
 # ---------------------------------------------------------------------------

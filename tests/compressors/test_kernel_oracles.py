@@ -23,10 +23,18 @@ from repro.compressors.huffman import compressor as huffman_codec
 from repro.compressors.huffman.bitstream import codes_per_field, pack_bits
 from repro.compressors.huffman.codebook import (
     MAX_CODE_LENGTH,
+    build_codebook,
     huffman_code_lengths,
 )
+from repro.adapters import get_adapter
 from repro.compressors.mgard.hierarchy import DimHierarchy
-from repro.compressors.mgard.ops1d import lerp_fill, mass_apply, prolong, restrict
+from repro.compressors.mgard.ops1d import (
+    TridiagFactors,
+    lerp_fill,
+    mass_apply,
+    prolong,
+    restrict,
+)
 from repro.compressors.mgard.quantize import from_symbols, to_symbols
 from repro.compressors.zfp.bitplane import INTPREC, decode_blocks, encode_blocks
 from repro.compressors.zfp.fixedpoint import (
@@ -42,6 +50,7 @@ from repro.util import CorruptStreamError
 from ._reference_kernels import (
     reference_block_exponents,
     reference_decode_blocks,
+    reference_decode_keys,
     reference_encode_blocks,
     reference_from_fixed_point,
     reference_from_symbols,
@@ -53,6 +62,7 @@ from ._reference_kernels import (
     reference_pack_bits,
     reference_prolong,
     reference_restrict,
+    reference_thomas_solve,
     reference_to_fixed_point,
     reference_to_symbols,
     reference_tree_depths,
@@ -326,6 +336,74 @@ def test_window_source_switches_on_payload_bytes_per_step(slack):
     assert np.array_equal(bit_table[0], keys)
 
 
+
+
+def _key_blob(book, n, chunk, payload, offsets, num_symbols):
+    """A ``HUFX`` stream with the given chunking, chunk offsets and
+    payload bytes, whatever they decode to."""
+    return HuffmanX()._serialize((n,), np.dtype(np.int64), num_symbols, n,
+                                 book, offsets, payload, chunk)
+
+
+@pytest.mark.parametrize("payload", ["random", "ones"])
+@pytest.mark.parametrize("nbatch", [1, 3])
+@pytest.mark.parametrize("steps", [1, 2, 3, 16, 17, 64, 255, 256, 300, 1024])
+def test_jump_schedule_matches_the_step_loop(steps, nbatch, payload):
+    """Streams of ``steps``-symbol chunks — one short chunk alone, or
+    three with a short last one — under codebooks whose longest code is
+    1..16 bits, over payload bytes no encoder wrote and chunk offsets
+    anywhere in the payload, its end included.  Both window sources
+    decode every stream, in a batch and alone, to the keys a step-by-step
+    decode of that stream alone reads."""
+    rng = np.random.default_rng(steps * 10 + nbatch)
+    num_symbols = MAX_CODE_LENGTH + 1
+    for depth in range(1, MAX_CODE_LENGTH + 1):
+        nchunks = int(rng.integers(1, 4))
+        n = (nchunks - 1) * steps + int(rng.integers(1, steps + 1))
+        size = -(-n // 8) + int(rng.integers(0, 64))
+        blobs, want = [], []
+        for j in range(nbatch):
+            freqs = np.zeros(num_symbols, dtype=np.int64)
+            used = max(1, depth - j) + 1
+            freqs[rng.permutation(num_symbols)[:used]] = _fibonacci(used)
+            book = build_codebook(freqs)
+            body = (rng.integers(0, 256, size=size) if payload == "random"
+                    else np.full(size, 255)).astype(np.uint8)
+            offsets = np.sort(rng.integers(0, 8 * size + 1, size=nchunks))
+            offsets[-1] = 8 * size if j == 1 else offsets[-1]
+            offsets = offsets.astype(np.uint64)
+            blobs.append(_key_blob(book, n, steps, body, offsets, num_symbols))
+            want.append(reference_decode_keys(book, body, offsets, n, steps))
+
+        def decode(codec):
+            return (codec.decompress_keys_batch(blobs)
+                    + [codec.decompress_keys(b) for b in blobs])
+
+        for got in _through_both_sources(decode):
+            assert _same_outcome(got, want + want), (depth, n)
+
+
+@pytest.mark.parametrize("payload", ["random", "ones"])
+@pytest.mark.parametrize("seed", range(20))
+def test_corrupt_members_decode_the_same_alone_and_in_a_batch(seed, payload):
+    """A lane that runs off its stream's end reads zero windows of its
+    own, never the next stream's bytes through its own table.  (Skewed
+    keys, so all-ones windows are long codes that overrun the slack.)"""
+    rng = np.random.default_rng(seed)
+    codec = HuffmanX(chunk_size=64)
+    depth = int(rng.integers(4, MAX_CODE_LENGTH + 1))
+    skewed = np.repeat(np.arange(depth + 1), _fibonacci(depth + 1))
+    keys = [rng.permutation(np.resize(skewed, 1000)) for _ in range(2)]
+    blobs = []
+    for blob in codec.compress_keys_batch(keys, depth + 1):
+        size = codec._deserialize(blob)[6].size
+        tail = (rng.integers(0, 256, size=size) if payload == "random"
+                else np.full(size, 255)).astype(np.uint8).tobytes()
+        blobs.append(blob[: len(blob) - size] + tail)
+    alone = [codec.decompress_keys(b) for b in blobs]
+    assert _same_outcome(codec.decompress_keys_batch(blobs), alone)
+
+
 def test_decoder_refuses_a_chunk_offset_past_the_payload():
     """Positions never start negative or past the end, so what either
     window source reads there cannot differ."""
@@ -430,6 +508,37 @@ def test_operators_leave_their_input_alone():
     restrict(mass_apply(u, level, 1), level, 1)
     prolong(_coarse(level, u, 1), level, 1)
     assert u.tobytes() == before
+
+
+
+
+@pytest.mark.parametrize("adapter", ["serial", "strict", "openmp"])
+@pytest.mark.parametrize("nvec", [1, 7, 64, 1089])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 64])
+def test_thomas_solve_matches_the_row_major_sweep(n, nvec, adapter):
+    """The sweep-major solve on a non-uniform grid, through every way an
+    adapter runs its groups (``openmp`` fanned out to two threads), over
+    signed zeros and magnitudes near 1e300."""
+    rng = np.random.default_rng(n * 10_000 + nvec)
+    factors = TridiagFactors.from_coords(
+        np.cumsum(rng.uniform(0.05, 3.0, size=n)))
+    b = rng.normal(size=(nvec, n))
+    b[rng.random(b.shape) < 0.2] = -0.0
+    b[rng.random(b.shape) < 0.1] = 0.0
+    b[rng.random(b.shape) < 0.2] *= 1e300
+    if adapter == "openmp":
+        run = get_adapter("openmp", num_threads=2)
+        getattr(run, "inner", run).FANOUT_FLOOR = 0
+    else:
+        run = get_adapter("serial", strict=adapter == "strict")
+    try:
+        want = (b / factors.dprime[0] if n == 1 else
+                reference_thomas_solve(factors.dprime, factors.c, b))
+        for axis, data in ((1, b), (0, np.ascontiguousarray(b.T))):
+            got = factors.solve_along(data, axis, adapter=run, group_size=16)
+            assert np.moveaxis(got, axis, 1).tobytes() == want.tobytes()
+    finally:
+        run.close()
 
 
 # ---------------------------------------------------------------------------
