@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.container import Header, pack_meta
 from repro.core.config import Config
-from repro.core.context import ContextCache
+from repro.core.context import ContextCache, ReductionContext
 from repro.compressors.huffman import HuffmanX
 from repro.compressors.huffman.compressor import key_count
 from repro.compressors.mgard.decompose import (
@@ -46,6 +47,14 @@ _BODY = struct.Struct("<ddIIQQ")
 #: mantissa the coefficients cannot resolve a bin, and a little further
 #: the quantized code overflows int64 — refused, not written as garbage.
 _MAX_CODE = 2.0**52
+
+
+class Grid(NamedTuple):
+    """One grid's pinned CMM context and the metadata exact to it."""
+
+    ctx: ReductionContext
+    hierarchy: Hierarchy
+    factors: list
 
 
 class MGARDX:
@@ -96,34 +105,39 @@ class MGARDX:
         self._huffman = HuffmanX(adapter=adapter, context_cache=self.cache)
 
     # ------------------------------------------------------------------
-    def _context(
-        self,
-        shape: tuple[int, ...],
-        dtype: np.dtype,
-        coords: tuple[np.ndarray, ...] | None = None,
-    ):
-        """One pinned context per shape/dtype/grid/config, whatever the
-        batch width: hierarchy and factors are exact to the key, and
-        working memory grows to the widest launch the context has run.
-        Callers release it in a ``finally``."""
+    @contextmanager
+    def grid(self, shape: tuple[int, ...], dtype, coords=None) -> Iterator[Grid]:
+        """The pinned context of one grid, released on exit.
+
+        Keyed by shape, dtype and coords alone: hierarchy, factors and
+        geometry depend on nothing else (bins travel in the stream), so
+        every bound, batch width and the progressive writer and reader
+        share one context per grid.  Working memory grows to the widest
+        launch the context has run.
+        """
+        coords = self._check_coords(coords, shape)
         coords_key = (
             None
             if coords is None
             else tuple(hash(c.tobytes()) for c in coords)
         )
-        key = ("mgard", coords_key) + self.config.cache_key(shape, dtype)
+        key = ("mgard", tuple(shape), np.dtype(dtype).str, coords_key)
         # The pin protects the context while the nested Huffman coder
         # opens its own contexts in the shared cache (a tight-capacity
         # cache would otherwise evict — and poison — ours mid-call).
         ctx = self.cache.get(key, pin=True)
-        hierarchy = ctx.object("hierarchy", lambda: Hierarchy(shape, coords))
-        factors = ctx.object(
-            "factors",
-            lambda: [
-                level_factors(hierarchy, l) for l in range(hierarchy.total_levels)
-            ],
-        )
-        return ctx, hierarchy, factors
+        try:
+            hierarchy = ctx.object("hierarchy", lambda: Hierarchy(shape, coords))
+            factors = ctx.object(
+                "factors",
+                lambda: [
+                    level_factors(hierarchy, l)
+                    for l in range(hierarchy.total_levels)
+                ],
+            )
+            yield Grid(ctx, hierarchy, factors)
+        finally:
+            self.cache.release(ctx)
 
     @staticmethod
     def _check_coords(
@@ -227,20 +241,29 @@ class MGARDX:
             f"could not satisfy error bound {abs_eb} after tightening"
         )
 
-    def _compress(self, datas: list[np.ndarray], coords, kappa: float) -> list[bytes]:
+    @contextmanager
+    def quantized(
+        self, datas: Sequence[np.ndarray], coords=None, kappa: float | None = None
+    ) -> Iterator[tuple[Grid, tuple[float, ...], np.ndarray, list[np.ndarray]]]:
+        """Front half of compression over a batch of uniform arrays.
+
+        Validates, resolves each lane's absolute bound, refuses a bound
+        finer than float64 resolves at the data's magnitude, decomposes
+        and quantizes.  Yields ``(grid, abs_ebs, bins, qgroups)`` —
+        ``bins`` is ``(N, groups)``, each of ``qgroups`` an ``(N, size)``
+        int64 plane, finest group first — while the grid's context is
+        still pinned.
+        """
+        kappa = self.kappa if kappa is None else kappa
         first, nbatch = datas[0], len(datas)
         ebs, peaks = zip(*(self._absolute_bound(d) for d in datas))
-        coords = self._check_coords(coords, first.shape)
-        ctx, hierarchy, factors = self._context(
-            first.shape, first.dtype, coords
-        )
-        try:
+        with self.grid(first.shape, first.dtype, coords) as grid:
             with span("mgard.decompose", cat="mgard",
                       nbytes=int(first.nbytes) * nbatch,
-                      levels=hierarchy.total_levels, batch=nbatch):
+                      levels=grid.hierarchy.total_levels, batch=nbatch):
                 coeffs, coarsest = decompose(
-                    datas, hierarchy, adapter=self.adapter,
-                    factors_per_level=factors, ctx=ctx,
+                    datas, grid.hierarchy, adapter=self.adapter,
+                    factors_per_level=grid.factors, ctx=grid.ctx,
                 )
             groups = coeffs + [coarsest.reshape(nbatch, -1)]
 
@@ -257,11 +280,41 @@ class MGARDX:
                             f"for more than float64's 52-bit mantissa holds"
                         )
                 qgroups = quantize_levels(groups, bins, adapter=self.adapter)
+            yield grid, ebs, bins, qgroups
+
+    def dequantize(self, qgroups: list[np.ndarray], bins: np.ndarray) -> list[np.ndarray]:
+        """Codes back to bin centres, with or without a batch axis."""
+        return dequantize_levels(qgroups, bins, adapter=self.adapter)
+
+    def recomposed(
+        self, grid: Grid, qgroups: list[np.ndarray], bins: np.ndarray, dtype
+    ) -> list[np.ndarray]:
+        """Back half of decompression: ``(N, size)`` code planes per
+        group and ``(N, groups)`` bins to ``N`` independent arrays."""
+        nbatch = len(bins)
+        hierarchy = grid.hierarchy
+        with span("mgard.dequantize", cat="mgard", batch=nbatch):
+            groups = self.dequantize(qgroups, bins)
+        with span("mgard.recompose", cat="mgard",
+                  levels=hierarchy.total_levels, batch=nbatch):
+            coarsest = groups[-1].reshape(
+                (nbatch,) + hierarchy.shape_at(hierarchy.total_levels)
+            )
+            out = recompose(
+                groups[:-1], coarsest, hierarchy, adapter=self.adapter,
+                factors_per_level=grid.factors, ctx=grid.ctx,
+            )
+            # recompose's result aliases context memory;
+            # astype(copy=True) hands the caller independent arrays.
+            return [lane.astype(dtype, copy=True) for lane in out]
+
+    def _compress(self, datas: list[np.ndarray], coords, kappa: float) -> list[bytes]:
+        first = datas[0]
+        with self.quantized(datas, coords, kappa) as (_, ebs, bins, qgroups):
+            with span("mgard.encode", cat="mgard"):
                 symbols, outliers = to_symbols(
                     np.concatenate(qgroups, axis=1), self.dict_size
                 )
-
-            with span("mgard.encode", cat="mgard", symbols=int(symbols.size)):
                 if self.config.lossless == "huffman":
                     payloads = self._huffman.compress_keys_batch(
                         list(symbols), self.dict_size
@@ -271,7 +324,7 @@ class MGARDX:
                         row.astype(np.int32).tobytes() for row in symbols
                     ]
 
-            with span("mgard.serialize", cat="mgard", batch=nbatch):
+            with span("mgard.serialize", cat="mgard", batch=len(datas)):
                 return [
                     self._serialize_stream(
                         first.dtype, first.shape, eb, kappa, lane_bins,
@@ -281,8 +334,6 @@ class MGARDX:
                         ebs, bins, outliers, payloads
                     )
                 ]
-        finally:
-            self.cache.release(ctx)
 
     def _serialize_stream(
         self, dtype, shape, abs_eb, kappa, bins, outliers, payload: bytes
@@ -336,18 +387,8 @@ class MGARDX:
                 raise ValueError(
                     "decompress_batch requires uniform stream headers"
                 )
-        nbatch = len(parsed)
-        coords = self._check_coords(coords, shape)
-        ctx, hierarchy, factors = self._context(shape, dtype, coords)
-        try:
-            sizes = [
-                hierarchy.num_coefficients(l)
-                for l in range(hierarchy.total_levels)
-            ]
-            sizes.append(math.prod(hierarchy.shape_at(hierarchy.total_levels)))
-            bounds = np.cumsum([0] + sizes)
-
-            with span("mgard.decode", cat="mgard", batch=nbatch):
+        with self.grid(shape, dtype, coords) as grid:
+            with span("mgard.decode", cat="mgard", batch=len(parsed)):
                 if lossless:
                     rows = self._huffman.decompress_keys_batch(
                         [p[5] for p in parsed]
@@ -355,33 +396,14 @@ class MGARDX:
                 else:
                     rows = [np.frombuffer(p[5], dtype=np.int32) for p in parsed]
                 qflat = from_symbols(rows, [p[4] for p in parsed])
-
-            with span("mgard.dequantize", cat="mgard", symbols=int(qflat.size),
-                      batch=nbatch):
                 # Split the flat streams back into per-level groups.
+                bounds = np.cumsum([0] + grid.hierarchy.group_sizes())
                 qgroups = [
-                    qflat[:, bounds[i] : bounds[i + 1]]
-                    for i in range(len(sizes))
+                    qflat[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])
                 ]
-                groups = dequantize_levels(
-                    qgroups, np.stack([p[3] for p in parsed]),
-                    adapter=self.adapter,
-                )
-
-            with span("mgard.recompose", cat="mgard",
-                      levels=hierarchy.total_levels, batch=nbatch):
-                coarsest = groups[-1].reshape(
-                    (nbatch,) + hierarchy.shape_at(hierarchy.total_levels)
-                )
-                out = recompose(
-                    groups[:-1], coarsest, hierarchy, adapter=self.adapter,
-                    factors_per_level=factors, ctx=ctx,
-                )
-                # recompose's result aliases context memory;
-                # astype(copy=True) hands the caller independent arrays.
-                return [lane.astype(dtype, copy=True) for lane in out]
-        finally:
-            self.cache.release(ctx)
+            return self.recomposed(
+                grid, qgroups, np.stack([p[3] for p in parsed]), dtype
+            )
 
     # ------------------------------------------------------------------
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:

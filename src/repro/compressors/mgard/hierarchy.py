@@ -15,6 +15,7 @@ every call is part of the allocation overhead the paper eliminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,3 +149,9 @@ class Hierarchy:
         fine = np.prod([self.shape_at(level)[i] for i in range(len(self.shape))])
         coarse = np.prod(self.shape_at(level + 1))
         return int(fine - coarse)
+
+    def group_sizes(self) -> list[int]:
+        """Values per quantization group, finest first: each step's
+        coefficients, then the coarsest approximation."""
+        sizes = [self.num_coefficients(l) for l in range(self.total_levels)]
+        return sizes + [math.prod(self.shape_at(self.total_levels))]

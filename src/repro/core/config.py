@@ -1,9 +1,15 @@
-"""Framework configuration: error-bound modes and compression settings."""
+"""Framework configuration: error-bound modes and compression settings.
+
+A :class:`Config` says what a lossy codec must guarantee (bound, mode)
+and whether it codes losslessly afterwards.  It does not key the
+Context Memory Model: a context depends on the grid alone (shape, dtype,
+coords), so every bound shares it.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,29 +28,16 @@ class ErrorMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Config:
-    """Immutable reduction configuration.
-
-    The tuple form (:meth:`cache_key`) keys the Context Memory Model's
-    hash map: two reduction calls with equal keys can share a cached
-    context (buffers, hierarchy, codebooks).
-    """
+    """Immutable reduction configuration."""
 
     error_bound: float = 1e-4
     error_mode: ErrorMode = ErrorMode.REL
-    #: ZFP fixed-rate mode: compressed bits per value.
-    rate: float = 8.0
-    #: Huffman symbol width for quantized coefficients.
-    huffman_bits: int = 16
     #: Lossless stage toggle for lossy pipelines.
     lossless: str = "huffman"
-    #: Adapter name: serial | openmp | cuda | hip.
-    adapter: str = "serial"
 
     def __post_init__(self) -> None:
         if self.error_bound <= 0:
             raise ValueError(f"error_bound must be positive, got {self.error_bound}")
-        if self.rate <= 0 or self.rate > 64:
-            raise ValueError(f"rate must be in (0, 64], got {self.rate}")
         if self.lossless not in ("huffman", "none"):
             raise ValueError(f"lossless must be huffman|none, got {self.lossless!r}")
 
@@ -58,16 +51,3 @@ class Config:
         if value_range == 0.0:
             return self.error_bound  # constant field: any bound is satisfiable
         return self.error_bound * value_range
-
-    def cache_key(self, shape: tuple[int, ...], dtype: np.dtype) -> tuple:
-        """Hashable CMM key for a (config, shape, dtype) combination."""
-        return (
-            self.error_bound,
-            self.error_mode.value,
-            self.rate,
-            self.huffman_bits,
-            self.lossless,
-            self.adapter,
-            tuple(shape),
-            np.dtype(dtype).str,
-        )

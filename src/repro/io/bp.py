@@ -60,6 +60,9 @@ def _register_defaults() -> None:
     register_operator("zfp-accuracy", lambda: ZFPAccuracy(tolerance=1e-3))
     register_operator("zfp-x", ZFPX)
     register_operator("huffman-x", HuffmanX)
+    # The CLI and service names; the paper's baseline names stay readable.
+    register_operator("sz", SZ)
+    register_operator("lz4", LZ4)
     register_operator("cusz", SZ)
     register_operator("nvcomp-lz4", LZ4)
     register_operator("mgard-gpu", MGARDGPU)

@@ -559,14 +559,16 @@ def reconstruct(workdir, make_compressor=None,
                 adapter_family: str = "serial") -> np.ndarray:
     """Decode a completed campaign's output back into one array.
 
-    Reads the final BP directory written by :class:`CampaignRunner`,
-    decompresses every chunk with a fresh compressor and concatenates
-    along axis 0.
+    Reads the final BP directory written by :class:`CampaignRunner` and
+    concatenates the chunks along axis 0.  Each chunk decodes through
+    the operator its record names, unless ``make_compressor`` is given:
+    then one compressor it builds on ``adapter_family`` decodes every
+    chunk.
     """
     from repro.io.engine import BPReader
 
-    make_compressor = make_compressor or _default_compressor
-    comp = make_compressor(get_adapter(adapter_family))
+    comp = (make_compressor(get_adapter(adapter_family))
+            if make_compressor is not None else None)
     reader = BPReader(Path(workdir) / "final")
     pieces = []
     for key in sorted(reader.variables()):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -566,11 +567,16 @@ def check_progressive(
        ``<= eps`` while **strictly fewer** bytes than the full stream
        are fetched;
     4. the full stream's recorded floor satisfies the configured
-       absolute bound.
+       absolute bound;
+    5. **refusal parity** — over a hostile set (a bound finer than
+       float64 resolves at the data's magnitude, NaN, ±inf, an integer
+       dtype, 0-d input), ``refactor`` raises exactly when
+       ``MGARDX.compress`` does, with the same exception type, and no
+       ``RuntimeWarning`` escapes either.
 
     Raises :class:`AdapterConformanceError` on the first violation.
     """
-    from repro import Config, MGARDX, ProgressiveMGARD
+    from repro import Config, ErrorMode, MGARDX, ProgressiveMGARD
     from repro.progressive import ProgressiveRetriever, archive_bytes
 
     if datasets is None:
@@ -583,7 +589,7 @@ def check_progressive(
         archive = archive_bytes(index, segments)
 
         # 1. Full prefix == one-shot decompression, byte for byte.
-        oneshot = MGARDX(config, adapter=adapter, dict_size=codec.dict_size)
+        oneshot = MGARDX(config, adapter=adapter, dict_size=codec.mgard.dict_size)
         want = oneshot.decompress(oneshot.compress(data))
         got, report = retriever.retrieve(archive)
         _require(got.dtype == want.dtype and got.tobytes() == want.tobytes(),
@@ -637,6 +643,41 @@ def check_progressive(
         _require(index.floor <= abs_eb,
                  f"{name}: stream floor {index.floor:.3e} exceeds the "
                  f"configured absolute bound {abs_eb:.3e}")
+
+    # 5. Both front doors refuse the same input the same way.
+    finite = np.random.default_rng(0).standard_normal((9, 11))
+    tight = Config(error_bound=1e-6, error_mode=ErrorMode.ABS)
+    hostile = [
+        ("magnitude-1e12", tight,
+         np.random.default_rng(0).standard_normal((16, 16)) * 1e12),
+        *((f"{bad}", config, np.where(finite > 1.5, bad, finite))
+          for bad in (np.nan, np.inf, -np.inf)),
+        ("int32", config, np.arange(64, dtype=np.int32).reshape(8, 8)),
+        ("0-d", config, np.array(1.5)),
+    ]
+    for name, cfg, data in hostile:
+        want, warned = _refusal(
+            lambda: MGARDX(cfg, adapter=adapter).compress(data))
+        got, also = _refusal(
+            lambda: ProgressiveMGARD(cfg, adapter=adapter).refactor(data))
+        _require(not warned + also,
+                 f"{name}: RuntimeWarning escaped: {warned + also}")
+        _require(got is want,
+                 f"{name}: refactor raised {got}, MGARDX.compress {want}")
+
+
+def _refusal(call: Callable[[], Any]) -> tuple[type | None, list[str]]:
+    """``call()``'s exception type (None if it returned) and the
+    ``RuntimeWarning`` messages it emitted."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            call()
+            raised = None
+        except Exception as exc:  # noqa: BLE001 - compared by the caller
+            raised = type(exc)
+    return raised, [str(w.message) for w in seen
+                    if issubclass(w.category, RuntimeWarning)]
 
 
 # ----------------------------------------------------------------------

@@ -37,13 +37,6 @@ def test_invalid_error_bound():
         Config(error_bound=-1.0)
 
 
-def test_invalid_rate():
-    with pytest.raises(ValueError):
-        Config(rate=0)
-    with pytest.raises(ValueError):
-        Config(rate=100)
-
-
 def test_invalid_lossless():
     with pytest.raises(ValueError):
         Config(lossless="zstd")

@@ -140,14 +140,3 @@ def test_array_objects_count_as_held_bytes():
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         ContextCache(capacity=0)
-
-
-def test_config_cache_key_distinguishes_settings():
-    from repro.core.config import Config, ErrorMode
-
-    base = Config(error_bound=1e-3)
-    assert base.cache_key((4, 4), np.float32) == base.cache_key((4, 4), np.float32)
-    assert base.cache_key((4, 4), np.float32) != base.cache_key((4, 4), np.float64)
-    assert base.cache_key((4, 4), np.float32) != base.cache_key((4, 5), np.float32)
-    other = Config(error_bound=1e-4)
-    assert base.cache_key((4, 4), np.float32) != other.cache_key((4, 4), np.float32)

@@ -75,7 +75,7 @@ class TestOperators:
         assert back.shape == data.shape
 
     def test_all_default_operators_registered(self):
-        for name in ("mgard-x", "zfp-x", "huffman-x", "cusz",
+        for name in ("mgard-x", "zfp-x", "huffman-x", "sz", "lz4", "cusz",
                      "nvcomp-lz4", "mgard-gpu", "zfp-cuda"):
             assert get_operator(name) is not None
 

@@ -123,26 +123,35 @@ def test_bytes_fetched_counter_always_on():
     assert counter.value(source="blob") == before + report.bytes_fetched
 
 
-def test_reader_and_writer_share_one_context():
+def test_reader_and_writer_share_one_context(monkeypatch):
     """Hierarchy, factors and level geometry depend on the grid alone
-    (bins travel in the index), so a reader finds what the writer built
-    whatever bound the writer was configured with.  Keyed on the
-    writer's Config, every retrieve rebuilt them and pushed one more
+    (bins travel in the stream and the index), so the one-shot codec at
+    any bound, the progressive writer and the reader find one context
+    per grid, and its hierarchy is built once.  Keyed on the Config,
+    every bound and each front end rebuilt them and pushed one more
     entry through the LRU."""
+    from repro.compressors.mgard import compressor
     from repro.core.context import ContextCache
 
+    built = []
+
+    class CountingHierarchy(compressor.Hierarchy):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(compressor, "Hierarchy", CountingHierarchy)
     cache = ContextCache()
     data = default_progressive_datasets()[2][1]
+    for eb in (1e-2, 1e-4):
+        codec = MGARDX(Config(error_bound=eb), context_cache=cache)
+        codec.decompress(codec.compress(data))
     writer = ProgressiveMGARD(Config(error_bound=3e-3), context_cache=cache)
     index, segments = writer.refactor(data)
     reader = ProgressiveRetriever(context_cache=cache)
-    lookups = cache.hits, cache.misses
     back, _ = reader.retrieve(archive_bytes(index, segments))
     assert back.shape == data.shape
-    progressive = [c for c in cache.contexts() if c.key[0] == "progressive"]
-    assert [c.key for c in progressive] == [
-        ("progressive", data.shape, data.dtype.str)]
-    # The retrieve's own context lookup hit; whatever it missed is the
-    # nested Huffman decode's, which is keyed on stream lengths.
-    assert cache.hits > lookups[0]
-    assert "hierarchy" in progressive[0] and "factors" in progressive[0]
+    mgard = [c for c in cache.contexts() if c.key[0] == "mgard"]
+    assert len(mgard) == 1
+    assert "hierarchy" in mgard[0] and "factors" in mgard[0]
+    assert built == [data.shape]

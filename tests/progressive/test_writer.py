@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro import Config, ProgressiveMGARD
+from repro import MGARDX, Config, ProgressiveMGARD
 from repro.adapters.serial import SerialAdapter
 from repro.compressors.mgard.decompose import decompose
 from repro.compressors.mgard.hierarchy import Hierarchy
@@ -71,6 +72,22 @@ def test_non_finite_input_is_refused(bad, mode, rng):
     codec = ProgressiveMGARD(Config(error_bound=1e-3, error_mode=mode))
     with pytest.raises(ValueError, match="finite"):
         codec.refactor(data)
+
+
+def test_bound_float64_cannot_resolve_is_refused_like_one_shot():
+    """A 1e12-magnitude field at an absolute bound of 1e-6 asks for more
+    than float64's mantissa: both front doors refuse it, with the same
+    error and without a cast warning, instead of writing an archive
+    whose full prefix is off by ~1e12."""
+    data = np.random.default_rng(0).standard_normal((16, 16)) * 1e12
+    config = Config(error_bound=1e-6, error_mode=ErrorMode.ABS)
+    with pytest.raises(ValueError) as one_shot:
+        MGARDX(config).compress(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as progressive:
+            ProgressiveMGARD(config).refactor(data)
+    assert str(progressive.value) == str(one_shot.value)
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), ()])

@@ -60,6 +60,31 @@ def test_clean_campaign(tmp_path):
     assert np.abs(out - data).max() < 0.1  # rate-8 ZFP tolerance
 
 
+@pytest.mark.parametrize("method", ["mgard-x", "zfp-x", "sz", "huffman-x", "lz4"])
+def test_reconstruct_reads_each_chunk_through_its_recorded_operator(
+        method, tmp_path):
+    """Every ``repro campaign --method`` reads back without naming a
+    compressor: each chunk decodes through the tag its record carries,
+    as the compressor that wrote it would decode it."""
+    from argparse import Namespace
+
+    from repro.cli import _build_compressor
+
+    args = Namespace(eb=1e-3, mode="rel", rate=None, tolerance=None)
+
+    def make(adapter):
+        return _build_compressor(method, args, adapter=adapter)
+
+    data = _data()
+    _runner(data, tmp_path / "c", ranks=2, make_compressor=make,
+            method=method).run()
+    got = reconstruct(tmp_path / "c")
+    want = reconstruct(tmp_path / "c", make_compressor=make)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if method in ("huffman-x", "lz4"):
+        assert got.tobytes() == data.tobytes()
+
+
 def test_rank_count_does_not_change_bytes(tmp_path):
     data = _data()
     digests = {
