@@ -51,7 +51,7 @@ from repro.cluster.errors import NoHealthyShards, ShardDied
 from repro.cluster.hashring import DEFAULT_VNODES, HashRing, route_key
 from repro.cluster.shard import InProcShard, ProcessShard
 from repro.resilience.errors import ResilienceExhausted
-from repro.resilience.policy import CircuitBreaker, RetryPolicy
+from repro.resilience.policy import CircuitBreaker, RetryPolicy, retry_step
 from repro.serve.errors import (
     ServiceClosed,
     ServiceOverloaded,
@@ -372,16 +372,13 @@ class ClusterService:
                         with Span(_TRACER, "cluster.failover", "cluster",
                                   {"shard": sid, "attempt": attempt}):
                             pass
-                    if attempt >= policy.max_attempts:
+                    try:
+                        delay = retry_step(policy, attempt,
+                                           "cluster.forward", exc)
+                    except ResilienceExhausted:
                         self.stats.errors += 1
-                        raise ResilienceExhausted(
-                            "cluster.forward", attempt, exc
-                        ) from exc
-                    _METRICS.counter(
-                        "hpdr_retries_total",
-                        "recovery re-attempts performed",
-                    ).inc(site="cluster.forward")
-                    await asyncio.sleep(policy.delay(attempt))
+                        raise
+                    await asyncio.sleep(delay)
                 except ServiceOverloaded as exc:
                     # The shard's own admission control fired (shared
                     # shard, or raced slots): surface as typed

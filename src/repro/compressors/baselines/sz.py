@@ -78,6 +78,8 @@ class SZ:
         data = np.ascontiguousarray(data)
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"SZ supports float32/float64, got {data.dtype}")
+        if data.size == 0:
+            raise ValueError(f"SZ needs a non-empty array, got shape {data.shape}")
         abs_eb = self.config.absolute_bound(data)
         twice = 2.0 * abs_eb
 

@@ -32,11 +32,16 @@ from repro.util import stream_errors
 _HEADER = Header(b"ZFPX", 1, "BBdI", "ZFP-X")
 
 
-def check_input(dtype: np.dtype, ndim: int, who: str = "ZFP-X") -> None:
+def check_input(dtype: np.dtype, shape: tuple[int, ...],
+                who: str = "ZFP-X") -> None:
+    """Refuse what no ZFP mode codes: another dtype, a rank outside 1-4,
+    or an empty array."""
     if dtype not in INTPREC:
         raise TypeError(f"{who} supports float32/float64, got {dtype}")
-    if not 1 <= ndim <= 4:
-        raise ValueError(f"{who} supports 1-4 dimensions, got {ndim}")
+    if not 1 <= len(shape) <= 4:
+        raise ValueError(f"{who} supports 1-4 dimensions, got {len(shape)}")
+    if 0 in shape:
+        raise ValueError(f"{who} needs a non-empty array, got shape {shape}")
 
 
 def record_bits(rate: float, ndim: int, dtype) -> int:
@@ -50,8 +55,8 @@ def open_records(header: Header, blob):
     the shape is checked against the bytes before a block is decoded."""
     (is64, ndim, _rate, maxbits), r = header.open(blob)
     dtype = np.dtype(np.float64 if is64 else np.float32)
-    check_input(dtype, ndim, header.who)
     shape = r.shape(ndim)
+    check_input(dtype, shape, header.who)
     if maxbits < 1 + E_BITS[dtype]:
         raise ValueError(f"corrupt stream: {maxbits}-bit block records")
     rec_bytes = -(-maxbits // 8)
@@ -207,7 +212,7 @@ class ZFPX:
         dtype = np.dtype(first.dtype)
         shape = first.shape
         ndim = first.ndim
-        check_input(dtype, ndim)
+        check_input(dtype, shape)
         for a in arrays[1:]:
             if a.shape != shape or a.dtype != dtype:
                 raise ValueError(

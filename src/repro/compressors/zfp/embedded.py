@@ -187,7 +187,7 @@ class ZFPEmbedded:
         data = np.ascontiguousarray(data)
         dtype = np.dtype(data.dtype)
         ndim = data.ndim
-        check_input(dtype, ndim, "ZFP-embedded")
+        check_input(dtype, data.shape, _HEADER.who)
         e_bits = E_BITS[dtype]
         bias = E_BIAS[dtype]
         width = INTPREC[dtype]

@@ -73,7 +73,7 @@ class ZFPAccuracy:
         data = np.asarray(data, order="C")   # a 0-d input stays 0-d: refused
         dtype = np.dtype(data.dtype)
         ndim = data.ndim
-        check_input(dtype, ndim, "fix-accuracy")
+        check_input(dtype, data.shape, _HEADER.who)
         bs = 4**ndim
         e_bits = E_BITS[dtype]
 
@@ -111,8 +111,8 @@ class ZFPAccuracy:
     def decompress(self, blob: bytes) -> np.ndarray:
         (is64, ndim, _tolerance), r = _HEADER.open(blob)
         dtype = np.dtype(np.float64 if is64 else np.float32)
-        check_input(dtype, ndim, _HEADER.who)
         shape = r.shape(ndim)
+        check_input(dtype, shape, _HEADER.who)
         e_bits = E_BITS[dtype]
         bs = 4**ndim
         grid = tuple(-(-n // 4) for n in shape)

@@ -5,9 +5,8 @@ Layers (bottom-up, Fig. 2):
 * :mod:`repro.core.functor` — the kernel interface reduction algorithms
   implement.
 * :mod:`repro.core.abstractions` — the four parallelization abstractions
-  (Locality, Iterative, Map&Process, Global pipeline).
-* :mod:`repro.core.execution` — the Group and Domain Execution Models
-  (GEM/DEM) with multi-stage fusion, and the Table I mapping.
+  (Locality, Iterative, Map&Process, Global pipeline), each launched on
+  the execution model Table I gives it (GEM or DEM).
 * :mod:`repro.core.context` — the Context Memory Model (CMM): hash-map
   cached reduction contexts with persistent buffers.
 * :mod:`repro.core.pipeline` — the Host-Device Execution Model pipeline
@@ -23,17 +22,10 @@ from repro.core.functor import (
     LocalityFunctor,
 )
 from repro.core.abstractions import (
-    Abstraction,
     global_pipeline,
     iterative,
     locality,
     map_and_process,
-)
-from repro.core.execution import (
-    DEM,
-    GEM,
-    ABSTRACTION_TO_MODEL,
-    ExecutionModel,
 )
 from repro.core.context import ContextCache, ReductionContext
 
@@ -44,15 +36,10 @@ __all__ = [
     "LocalityFunctor",
     "IterativeFunctor",
     "DomainFunctor",
-    "Abstraction",
     "locality",
     "iterative",
     "map_and_process",
     "global_pipeline",
-    "GEM",
-    "DEM",
-    "ExecutionModel",
-    "ABSTRACTION_TO_MODEL",
     "ContextCache",
     "ReductionContext",
 ]

@@ -19,7 +19,6 @@ mapping (Locality/Iterative → GEM, Map&Process/Global → DEM).
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Any, Callable, Sequence
 
@@ -33,15 +32,6 @@ from repro.core.functor import (
     LocalityFunctor,
 )
 from repro.util import move_axis
-
-
-class Abstraction(enum.Enum):
-    """The four abstractions, for the Table I mapping in execution.py."""
-
-    LOCALITY = "locality"
-    ITERATIVE = "iterative"
-    MAP_AND_PROCESS = "map_and_process"
-    GLOBAL = "global"
 
 
 def _default_adapter() -> Any:

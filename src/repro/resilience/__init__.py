@@ -15,7 +15,8 @@ Modules
     :func:`plan_for_system` derives rates from a machine model's MTBF.
 ``policy``
     :class:`RetryPolicy` (jitter-free exponential backoff),
-    :class:`CircuitBreaker`, and :func:`retry_call` with typed
+    :class:`CircuitBreaker`, :func:`retry_step` (one failed attempt's
+    accounting and backoff) and :func:`retry_call` with typed
     :class:`ResilienceExhausted` on a dry budget.
 ``adapter``
     :class:`FaultyAdapter` (injects device faults) and
@@ -58,7 +59,7 @@ from repro.resilience.errors import (
     TransportFault,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, plan_for_system
-from repro.resilience.policy import CircuitBreaker, RetryPolicy, retry_call
+from repro.resilience.policy import CircuitBreaker, RetryPolicy, retry_call, retry_step
 
 __all__ = [
     "AdapterTimeoutFault",
@@ -84,4 +85,5 @@ __all__ = [
     "reconstruct",
     "resilient_adapter",
     "retry_call",
+    "retry_step",
 ]

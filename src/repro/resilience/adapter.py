@@ -11,9 +11,10 @@ delegating, so a retried call re-executes the whole batch on intact
 state.  :class:`ResilientAdapter` retries per the policy and, when a
 call's budget is exhausted or its circuit breaker opens, *demotes* the
 device: all further work routes to the fallback adapter (serial by
-default — the "most compatible processor" of §II-B).  Portability makes
-demotion safe: every backend produces bit-identical streams, so a
-campaign that lost a device finishes with identical bytes, only slower.
+default — the "most compatible processor" of §II-B) for the wrapper's
+lifetime.  Portability makes demotion safe: every backend produces
+bit-identical streams, so a campaign rank or a serve worker that lost
+its device finishes with identical bytes, only slower.
 
 Both wrappers satisfy the full :class:`~repro.adapters.base.DeviceAdapter`
 contract (``map_tasks``, ``synchronize``), so any
@@ -159,6 +160,12 @@ class ResilientAdapter(_DelegatingAdapter):
 
     def synchronize(self) -> None:
         self._active().synchronize()
+
+    def close(self) -> None:
+        """Release the primary and the fallback adapter."""
+        self.inner.close()
+        if self.fallback is not None:
+            self.fallback.close()
 
 
 def resilient_adapter(

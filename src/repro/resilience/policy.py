@@ -114,6 +114,30 @@ class CircuitBreaker:
         self._open = False
 
 
+def retry_step(
+    policy: RetryPolicy, attempt: int, site: str, exc: BaseException
+) -> float:
+    """Account for failed attempt ``attempt`` at ``site``; return the
+    backoff to wait before the next one.
+
+    Raises :class:`ResilienceExhausted` when the budget is spent.
+    Otherwise counts the retry on ``hpdr_retries_total`` and records a
+    ``resilience.retry`` span.  The one retry step of :func:`retry_call`
+    (which sleeps on the delay) and of the cluster router (which awaits
+    it).
+    """
+    if attempt >= policy.max_attempts:
+        raise ResilienceExhausted(site, attempt, exc) from exc
+    _METRICS.counter(
+        "hpdr_retries_total", "recovery re-attempts performed"
+    ).inc(site=site)
+    if _TRACER.enabled:
+        with Span(_TRACER, "resilience.retry", "resilience",
+                  {"site": site, "attempt": attempt}):
+            pass
+    return policy.delay(attempt)
+
+
 def retry_call(
     fn: Callable[[], object],
     policy: RetryPolicy | None = None,
@@ -142,16 +166,7 @@ def retry_call(
             last = exc
             if on_failure is not None:
                 on_failure(exc)
-            if attempt >= policy.max_attempts:
-                raise ResilienceExhausted(site, attempt, exc) from exc
-            _METRICS.counter(
-                "hpdr_retries_total", "recovery re-attempts performed"
-            ).inc(site=site)
-            if _TRACER.enabled:
-                with Span(_TRACER, "resilience.retry", "resilience",
-                          {"site": site, "attempt": attempt}):
-                    pass
-            sleep(policy.delay(attempt))
+            sleep(retry_step(policy, attempt, site, exc))
         else:
             if on_success is not None:
                 on_success()

@@ -21,9 +21,11 @@ Guarantees:
   beyond it :meth:`submit` raises a typed
   :class:`~repro.serve.errors.ServiceOverloaded` *before* queueing, so
   shed load costs no worker time (backpressure, not collapse);
-* **fault isolation** — per-request retry via
-  :class:`~repro.resilience.policy.RetryPolicy` with degradation to a
-  serial fallback codec: one poisoned request never fails its batch;
+* **fault isolation** — each worker recovers through its
+  :class:`~repro.resilience.adapter.ResilientAdapter` (per-launch retry,
+  circuit breaker, demotion to the serial adapter), and a batch that
+  raises is re-run one request at a time: one poisoned request never
+  fails its batch;
 * **graceful drain** — :meth:`close` stops admission, flushes every
   open batch, waits for in-flight work, then releases worker pools.
 
@@ -69,11 +71,14 @@ class ServiceConfig:
 
     ``workers`` is the number of worker threads, each with its own
     adapter and CMM cache.  ``adapter``/``threads`` pick the worker
-    device (``threads`` only with ``openmp``); ``fault_plan`` (a
-    :class:`~repro.resilience.faults.FaultPlan`) wraps every worker
-    adapter in a fault injector — the hook the fault-under-load suite
-    drives.  ``retry_sleep`` is injectable so tests pay no wall-clock
-    for backoff.
+    device (``threads`` only with ``openmp``).  ``retry``,
+    ``retry_sleep`` and ``fault_plan`` feed each worker's adapter chain,
+    ``FaultyAdapter(plan) → ResilientAdapter(retry, fallback=serial)``:
+    ``retry`` is the per-launch budget, ``retry_sleep`` the backoff
+    sleeper (injectable so tests pay no wall-clock), and ``fault_plan``
+    (a :class:`~repro.resilience.faults.FaultPlan`) the fault injector —
+    the hook the fault-under-load suite drives.  A worker demoted to
+    serial stays there until the service restarts.
     """
 
     limits: BatchLimits = field(default_factory=BatchLimits)

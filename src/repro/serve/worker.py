@@ -1,14 +1,13 @@
-"""Batch execution workers: pinned CMM contexts, retry, degradation.
+"""Batch execution workers: pinned CMM contexts, fault isolation.
 
 Each :class:`Worker` owns
 
-* one device adapter (optionally wrapped in a
+* one device adapter wrapped once in a
+  :class:`~repro.resilience.adapter.ResilientAdapter` (over a
   :class:`~repro.resilience.adapter.FaultyAdapter` when the service is
   configured with a fault plan — the chaos hook the fault-under-load
-  tests use);
-* one serial **fallback** adapter, never fault-wrapped: the "most
-  compatible processor" requests degrade to when their retry budget is
-  exhausted;
+  tests use), with the serial **fallback** adapter, never fault-wrapped,
+  as its demotion target: the "most compatible processor";
 * one :class:`~repro.core.context.ContextCache` shared by every codec
   instance the worker builds, so the steady state under load performs
   zero runtime memory management (paper III-B applied to traffic);
@@ -16,34 +15,33 @@ Each :class:`Worker` owns
   are serialized, which is what makes sharing its cache and codec
   instances safe without per-call locking.
 
+Recovery is the adapter's, per launch, exactly as for a campaign rank:
+a faulted launch is retried under the policy, and an exhausted launch
+or an open circuit breaker demotes the worker to its fallback until the
+service restarts.  An error raised outside a launch (stream parsing,
+input validation) is the request's own and is answered at once.
+
 Execution of one flush:
 
 1. pin the serve context for the batch's ``(codec, dtype,
    shape-class)`` key — the codec objects it holds survive cache
    pressure for the duration of the batch;
 2. try the codec's **vectorized batch entry point**
-   (``compress_batch``/``decompress_batch``) under the retry policy —
-   one launch for the whole batch (this is where micro-batching beats
-   single-shot throughput);
-3. on any batch-path failure, fall back to per-request execution:
-   each request runs under its own
-   :func:`~repro.resilience.policy.retry_call`, and a request whose
-   budget is exhausted **degrades to the serial fallback codec**
-   instead of failing its batch.  Only a request that fails on the
-   fallback too is answered with its error — every other request in
-   the batch is unaffected.
+   (``compress_batch``/``decompress_batch``) — one launch for the whole
+   batch (this is where micro-batching beats single-shot throughput);
+3. if that raises, run each request once on its own and answer each
+   failure as that request's error: a poisoned request never fails its
+   batchmates.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from repro.core.context import ContextCache
-from repro.resilience.errors import ResilienceExhausted
-from repro.resilience.policy import RetryPolicy, retry_call
+from repro.resilience.adapter import ResilientAdapter
+from repro.resilience.policy import RetryPolicy
 from repro.serve.batcher import Flush
-from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import span
 
 #: outcome tags a worker attaches to each request of a batch.
@@ -68,12 +66,25 @@ def _apply(codec: Any, op: str, payload: Any) -> Any:
     return codec.decompress(payload)
 
 
-def _apply_batch(codec: Any, op: str, payloads: list[Any]) -> Any:
-    """Vectorized batch entry point, or None when the codec lacks one."""
+def _apply_batch(codec: Any, op: str, payloads: list[Any]) -> list | None:
+    """All answers of the vectorized batch entry point, or None when the
+    codec lacks one, the call raised, or it lost answers (the
+    exactly-once contract)."""
     fn = getattr(codec, f"{op}_batch", None)
     if fn is None:
         return None
-    return fn(payloads)
+    try:
+        values = fn(payloads)
+    except Exception:
+        return None
+    return values if len(values) == len(payloads) else None
+
+
+def _apply_one(codec: Any, op: str, payload: Any) -> tuple[str, Any]:
+    try:
+        return (OK, _apply(codec, op, payload))
+    except Exception as exc:
+        return (ERR, exc)
 
 
 class Worker:
@@ -90,17 +101,15 @@ class Worker:
         sleep: Callable[[float], None] | None = None,
     ) -> None:
         self.wid = wid
-        self.adapter = adapter
-        self.fallback_adapter = fallback_adapter
+        self.adapter = ResilientAdapter(
+            adapter, fallback=fallback_adapter, policy=policy, sleep=sleep
+        )
         self.cache = ContextCache(capacity=cache_capacity)
-        self.policy = policy if policy is not None else RetryPolicy()
-        self._sleep = sleep if sleep is not None else time.sleep
         #: batches currently dispatched to this worker (service-side
         #: least-loaded routing; mutated only from the event loop).
         self.backlog = 0
         self.batches_run = 0
         self.requests_run = 0
-        self.degradations = 0
 
     # ------------------------------------------------------------------
     def run_batch(self, flush: Flush) -> list[tuple[Any, str, Any]]:
@@ -146,78 +155,15 @@ class Worker:
                                    context_cache=self.cache),
             )
             if len(payloads) > 1:
-                values = self._try_batch_path(codec, op, spec, payloads)
+                values = _apply_batch(codec, op, payloads)
                 if values is not None:
                     return [(OK, v) for v in values]
-            return [self._run_one(ctx, codec, spec, op, p) for p in payloads]
+            return [_apply_one(codec, op, p) for p in payloads]
         finally:
             self.cache.release(ctx)
 
     # ------------------------------------------------------------------
-    def _try_batch_path(self, codec, op: str, spec, payloads) -> list | None:
-        """One vectorized launch for the whole batch, under retry.
-
-        Returns None when the codec has no batch entry point or the
-        batch path failed (injected fault schedules that outlast the
-        retry budget, or a poisoned request) — the caller then degrades
-        to per-request execution, which isolates the failure.
-        """
-        try:
-            values = retry_call(
-                lambda: _apply_batch(codec, op, payloads),
-                self.policy,
-                site=f"serve.{spec.name}.batch",
-                sleep=self._sleep,
-            )
-        except Exception:
-            return None
-        if values is not None and len(values) != len(payloads):
-            # A batch entry point that loses answers violates the
-            # exactly-once contract; treat as no fast path.
-            return None
-        return values
-
-    def _run_one(self, ctx, codec, spec, op: str, payload) -> tuple[str, Any]:
-        """Per-request execution: retry, then degrade to serial fallback."""
-        site = f"serve.{spec.name}"
-        try:
-            return (OK, retry_call(
-                lambda: _apply(codec, op, payload),
-                self.policy,
-                site=site,
-                sleep=self._sleep,
-            ))
-        except ResilienceExhausted:
-            return self._degraded(ctx, spec, op, payload, site)
-        except Exception as exc:
-            return (ERR, exc)
-
-    def _degraded(self, ctx, spec, op: str, payload, site: str) -> tuple[str, Any]:
-        """Serial-fallback execution for one exhausted request.
-
-        Portability makes this loss-free: every HPDR backend produces
-        bit-identical streams, so the degraded answer matches what the
-        primary device would have produced.
-        """
-        self.degradations += 1
-        _METRICS.counter(
-            "hpdr_degradations_total",
-            "devices demoted to their fallback adapter",
-        ).inc(family="serve")
-        with span("serve.degrade", cat="serve", worker=self.wid, site=site):
-            try:
-                fallback = ctx.object(
-                    "fallback_codec",
-                    lambda: spec.build(adapter=self.fallback_adapter,
-                                       context_cache=self.cache),
-                )
-                return (OK, _apply(fallback, op, payload))
-            except Exception as exc:
-                return (ERR, exc)
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release adapter resources (thread pools) and poison the cache."""
+        """Release both adapters (thread pools) and poison the cache."""
         self.adapter.close()
-        self.fallback_adapter.close()
         self.cache.clear()

@@ -303,4 +303,5 @@ def test_failover_spans_emitted_when_tracing():
     finally:
         trace.disable()
     assert "cluster.failover" in names
+    assert "resilience.retry" in names
     assert "cluster.adopt" in names

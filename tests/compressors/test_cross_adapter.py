@@ -85,3 +85,24 @@ class TestCrossDecode:
         a = ZFPX(rate=10, adapter=strict).compress(field)
         b = ZFPX(rate=10, adapter=batched).compress(field)
         assert a == b
+
+
+@pytest.mark.parametrize("family", FAMILIES + ["sycl"])
+def test_empty_array_is_refused_the_same_way_on_every_backend(family):
+    """Every ZFP mode and SZ refuse an empty array with a ValueError that
+    names the codec, as MGARD-X does, whatever the backend."""
+    from repro.compressors.zfp.embedded import ZFPEmbedded
+    from repro.compressors.zfp.modes import ZFPAccuracy, ZFPPrecision
+
+    adapter = get_adapter(family)
+    codecs = [
+        ("ZFP-X", ZFPX(adapter=adapter)),
+        ("ZFP fix-accuracy", ZFPAccuracy(1e-3, adapter=adapter)),
+        ("ZFP-embedded", ZFPEmbedded(adapter=adapter)),
+        ("ZFP-X", ZFPPrecision(16, adapter=adapter)),  # fixed-rate ZFP-X
+        ("SZ", SZ(adapter=adapter)),
+    ]
+    for who, codec in codecs:
+        for shape in [(0,), (4, 0), (3, 0, 5)]:
+            with pytest.raises(ValueError, match=f"^{who}.* non-empty"):
+                codec.compress(np.zeros(shape, np.float32))

@@ -1,80 +1,36 @@
-"""Execution models (GEM/DEM) and the Table I mapping."""
+"""Paper Table I, read off what the abstractions actually launch."""
 
-import numpy as np
-import pytest
-
-from repro.core.abstractions import Abstraction
-from repro.core.execution import (
-    ABSTRACTION_TO_MODEL,
-    DEM,
-    GEM,
-    ExecutionModel,
-    model_for,
+from repro.adapters import get_adapter
+from repro.core.abstractions import (
+    global_pipeline,
+    iterative,
+    locality,
+    map_and_process,
 )
-from repro.core.functor import FnLocality
+from repro.core.functor import FnDomain, FnIterative, FnLocality
 
 
-def test_table1_mapping_matches_paper():
+def test_table1_mapping_matches_paper(rng):
     """Table I: Locality/Iterative → GEM; Map&Process/Global → DEM."""
-    assert model_for(Abstraction.LOCALITY) is ExecutionModel.GEM
-    assert model_for(Abstraction.ITERATIVE) is ExecutionModel.GEM
-    assert model_for(Abstraction.MAP_AND_PROCESS) is ExecutionModel.DEM
-    assert model_for(Abstraction.GLOBAL) is ExecutionModel.DEM
-
-
-def test_table1_resource_mapping_strings():
-    assert ABSTRACTION_TO_MODEL[Abstraction.LOCALITY][1] == "block -> group"
-    assert ABSTRACTION_TO_MODEL[Abstraction.ITERATIVE][1] == "B vectors -> group"
-
-
-def test_gem_single_stage(serial_adapter, rng):
-    batch = rng.normal(size=(4, 3))
-    gem = GEM(serial_adapter, [FnLocality(lambda b: b + 1, "inc")])
-    assert np.allclose(gem.run(batch), batch + 1)
-
-
-def test_gem_multi_stage_fusion(serial_adapter, rng):
-    """Fused stages behave exactly like sequential application."""
-    batch = rng.normal(size=(5, 4))
-    s1 = FnLocality(lambda b: b * 2, "dbl")
-    s2 = FnLocality(lambda b: b - 1, "dec")
-    gem = GEM(serial_adapter, [s1, s2])
-    assert np.allclose(gem.run(batch), batch * 2 - 1)
-
-
-def test_gem_fused_name_and_cost():
-    s1 = FnLocality(lambda b: b, "a", bytes_per_element=4)
-    s2 = FnLocality(lambda b: b, "b", bytes_per_element=6)
-    from repro.adapters import get_adapter
-
-    gem = GEM(get_adapter("serial"), [s1, s2])
-    assert gem._fused.name == "a+b"
-    assert gem._fused.bytes_per_element == 10
-
-
-def test_gem_requires_stages(serial_adapter):
-    with pytest.raises(ValueError):
-        GEM(serial_adapter, [])
-
-
-def test_dem_stage_order(serial_adapter):
-    dem = DEM(serial_adapter, [lambda d: d + "b", lambda d: d + "c"], name="abc")
-    assert dem.run("a") == "abc"
-
-
-def test_dem_requires_stages(serial_adapter):
-    with pytest.raises(ValueError):
-        DEM(serial_adapter, [])
-
-
-def test_gem_on_all_adapters_identical(rng):
-    from repro.adapters import get_adapter
-
-    batch = rng.normal(size=(6, 8))
-    stages = [FnLocality(lambda b: np.sqrt(np.abs(b)), "sqrt")]
-    results = [
-        GEM(get_adapter(fam), stages).run(batch)
-        for fam in ("serial", "openmp", "cuda", "hip")
-    ]
-    for r in results[1:]:
-        assert np.array_equal(results[0], r)
+    data = rng.normal(size=(8, 8))
+    launches = {
+        "locality": lambda a: locality(
+            data, FnLocality(lambda b: b, "locality"), (4, 4), adapter=a),
+        "iterative": lambda a: iterative(
+            data, FnIterative(lambda v: v, "iterative"), adapter=a),
+        "map_and_process": lambda a: map_and_process(
+            data, lambda d: [d[:4], d[4:]], lambda s, i: s, adapter=a),
+        "global_pipeline": lambda a: global_pipeline(
+            data, FnDomain(lambda d: d, name="global_pipeline"), adapter=a),
+    }
+    models = {}
+    for name, launch in launches.items():
+        adapter = get_adapter("cuda")
+        launch(adapter)
+        models[name] = [rec.model for rec in adapter.trace]
+    assert models == {
+        "locality": ["GEM"],
+        "iterative": ["GEM"],
+        "map_and_process": ["DEM"],
+        "global_pipeline": ["DEM"],
+    }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adapters.base import get_adapter
+from repro.adapters.base import _DelegatingAdapter, get_adapter
 from repro.compressors.zfp.compressor import ZFPX
 from repro.resilience.adapter import (
     FaultyAdapter,
@@ -149,3 +149,17 @@ def test_compressed_stream_identical_under_faults():
             sleep=lambda s: None,
         )
         assert ZFPX(rate=8.0, adapter=chain).compress(data) == clean
+
+
+def test_close_releases_primary_and_fallback():
+    closed = []
+
+    class _Closing(_DelegatingAdapter):
+        family = "closing"
+
+        def close(self):
+            closed.append(self)
+
+    primary, fallback = (_Closing(get_adapter("serial")) for _ in range(2))
+    ResilientAdapter(primary, fallback=fallback).close()
+    assert closed == [primary, fallback]

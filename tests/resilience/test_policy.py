@@ -10,7 +10,12 @@ from repro.resilience.errors import (
     DeviceBatchFault,
     ResilienceExhausted,
 )
-from repro.resilience.policy import CircuitBreaker, RetryPolicy, retry_call
+from repro.resilience.policy import (
+    CircuitBreaker,
+    RetryPolicy,
+    retry_call,
+    retry_step,
+)
 from repro.trace.metrics import REGISTRY
 
 
@@ -118,6 +123,20 @@ def test_retry_on_is_configurable():
     out = retry_call(flaky, RetryPolicy(max_attempts=3),
                      retry_on=(KeyError,), sleep=lambda s: None)
     assert out == "ok" and len(calls) == 2
+
+
+def test_retry_step_counts_and_returns_the_delay_until_the_budget_is_spent():
+    counter = REGISTRY.counter("hpdr_retries_total")
+    before = counter.value(site="s.step")
+    policy = RetryPolicy(max_attempts=3, base_delay_s=0.01)
+    fault = DeviceBatchFault("s.step")
+    assert [retry_step(policy, a, "s.step", fault) for a in (1, 2)] == \
+        [0.01, 0.02]
+    assert counter.value(site="s.step") == before + 2
+    with pytest.raises(ResilienceExhausted) as ei:
+        retry_step(policy, 3, "s.step", fault)
+    assert ei.value.__cause__ is fault
+    assert counter.value(site="s.step") == before + 2
 
 
 def test_callbacks_feed_the_breaker():

@@ -3,8 +3,9 @@
 The acceptance check is the same metrics query the campaign runner
 uses — every injected fault must surface as exactly one retry on
 ``hpdr_retries_total`` — plus the stronger serving guarantee: responses
-under a fault storm are byte-identical to a fault-free run (retry
-re-executes on intact state; exhaustion degrades to the serial
+under a fault storm are byte-identical to a fault-free run (a worker
+recovers through its ``ResilientAdapter``: a retry re-executes the
+launch on intact state, and exhaustion demotes the worker to the serial
 fallback, which is byte-identical by portability).
 """
 
@@ -14,9 +15,11 @@ import asyncio
 
 import numpy as np
 
+from repro.adapters import get_adapter
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.serve import BatchLimits, CodecSpec, ReductionService, ServiceConfig
+from repro.serve.worker import ERR, OK, Worker
 from repro.trace.metrics import REGISTRY as METRICS
 
 SPECS = [CodecSpec("zfp-x", rate=8.0), CodecSpec("mgard-x"),
@@ -88,8 +91,8 @@ def test_fault_free_run_injects_nothing():
 
 
 def test_poisoned_request_degrades_not_fails():
-    """A request whose retry budget dies degrades to the fallback codec
-    and still gets the right answer; batchmates are unaffected."""
+    """A launch whose retry budget dies demotes the worker to its serial
+    fallback; every request still gets the right answer."""
     data = np.ones((16, 16), dtype=np.float32)
     spec = CodecSpec("zfp-x", rate=8.0)
     want = spec.build().compress(data)
@@ -106,15 +109,39 @@ def test_poisoned_request_degrades_not_fails():
             blobs = await asyncio.gather(
                 *(svc.compress(spec, data) for _ in range(4))
             )
-            degradations = sum(w.degradations for w in svc.workers)
+            demoted = [w.adapter.degraded for w in svc.workers]
             stats = svc.stats
-        return blobs, degradations, stats
+        return blobs, demoted, stats
 
     degr0 = METRICS.counter("hpdr_degradations_total").total()
-    blobs, degradations, stats = asyncio.run(run())
+    blobs, demoted, stats = asyncio.run(run())
     assert all(b == want for b in blobs), (
         "degraded responses must be byte-identical (portability)"
     )
     assert stats.errors == 0
-    assert degradations > 0
+    assert all(demoted)
     assert METRICS.counter("hpdr_degradations_total").total() > degr0
+
+
+def test_corrupt_stream_is_the_clients_error_not_a_device_fault():
+    """A truncated stream fails while it is parsed, outside any launch:
+    it is answered at once with its own error, sleeps through no
+    backoff, and neither demotes the worker nor fails its batchmates."""
+    spec = CodecSpec("zfp-x", rate=8.0)
+    good = [spec.build().compress(p) for p in _payloads()[:7]]
+    bad = good[0][: len(good[0]) // 2]
+    sleeps: list[float] = []
+    worker = Worker(0, get_adapter("serial"), get_adapter("serial"),
+                    sleep=sleeps.append)
+    degr0 = METRICS.counter("hpdr_degradations_total").total()
+    try:
+        alone = worker.run_payloads("decompress", spec, [bad])
+        batch = worker.run_payloads("decompress", spec,
+                                    good[:3] + [bad] + good[3:])
+    finally:
+        worker.close()
+    assert sleeps == []
+    assert [tag for tag, _ in alone] == [ERR]
+    assert [tag for tag, _ in batch] == [OK] * 3 + [ERR] + [OK] * 4
+    assert METRICS.counter("hpdr_degradations_total").total() == degr0
+    assert not worker.adapter.degraded
