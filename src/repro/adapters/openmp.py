@@ -15,11 +15,16 @@ costs more to hand to the pool than to run, so a launch fans out into
 ``min(threads, groups, nbytes // FANOUT_FLOOR)`` chunks and runs on the
 caller's thread when that is one.  The stream never shows which: chunk
 boundaries are group boundaries either way.
+
+A launch or task list issued from one of the adapter's own pool threads
+(a ``map_tasks`` task that launches a kernel) also runs on that thread:
+its chunks would queue behind the very tasks waiting for them.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,6 +36,16 @@ from repro.trace.tracer import TRACER as _TRACER
 
 #: pool queue-depth histogram buckets (tasks submitted per fan-out).
 _DEPTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+
+#: Per thread: the token of the adapter whose pool the thread belongs
+#: to (unset on every other thread).  A token, not the adapter, so a
+#: pool thread holds no reference that would keep its adapter alive.
+_POOL_THREAD = threading.local()
+
+
+def _enter_pool(token: object) -> None:
+    _POOL_THREAD.token = token
 
 
 def _observe_queue_depth(depth: int, kind: str) -> None:
@@ -71,7 +86,18 @@ class OpenMPAdapter(DeviceAdapter):
         # One persistent pool per adapter instance: repeated reduction
         # calls must not pay thread spawn costs (the CMM philosophy
         # applied to execution resources).
-        self._pool = ThreadPoolExecutor(max_workers=num_threads) if num_threads > 1 else None
+        self._token = object()
+        self._pool = (
+            ThreadPoolExecutor(max_workers=num_threads, initializer=_enter_pool,
+                               initargs=(self._token,))
+            if num_threads > 1 else None
+        )
+
+    def _inline(self) -> bool:
+        """Run on the calling thread: no pool, or the caller is one of
+        the pool's own threads (a nested fan-out would wait on chunks
+        queued behind the task that is waiting)."""
+        return self._pool is None or getattr(_POOL_THREAD, "token", None) is self._token
 
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
         ngroups = batch.shape[0] if batch.ndim >= 1 else 0
@@ -80,7 +106,7 @@ class OpenMPAdapter(DeviceAdapter):
         nchunks = min(
             self.num_threads, ngroups, batch.nbytes // max(1, self.FANOUT_FLOOR)
         )
-        if nchunks <= 1 or self._pool is None:
+        if nchunks <= 1 or self._inline():
             with self.gem_span(functor, batch):
                 out = functor.apply(batch)
             self._record(functor, "GEM", int(batch.size))
@@ -104,7 +130,7 @@ class OpenMPAdapter(DeviceAdapter):
 
     def map_tasks(self, fn, items) -> list:
         items = list(items)
-        if self._pool is None or len(items) <= 1:
+        if len(items) <= 1 or self._inline():
             return [fn(item) for item in items]
         if _TRACER.enabled:
             _observe_queue_depth(len(items), kind="task")

@@ -446,7 +446,9 @@ class HuffmanX:
         return self.decompress_keys_batch([blob])[0]
 
     @stream_errors
-    def decompress_keys_batch(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
+    def decompress_keys_batch(
+        self, blobs: Sequence[bytes], out: Sequence[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
         """Decompress N uniform ``HUFX`` streams with one fused decode loop.
 
         The streams must agree on shape, dtype, alphabet and chunking
@@ -454,6 +456,11 @@ class HuffmanX:
         ``ValueError`` and callers fall back per stream.  One stream's
         chunks are the lanes of a batch of one, all streams' chunks the
         lanes of a wider one: the results are the same arrays.
+
+        ``out``, one writable C-contiguous array of the key count per
+        stream, receives the keys (cast as an assignment casts) in place
+        of newly allocated results — a caller's planned buffer; the
+        results are then reshaped views of it.
         """
         parsed = [self._deserialize(b) for b in blobs]
         if not parsed:
@@ -465,6 +472,12 @@ class HuffmanX:
                 "geometry (shape/dtype/alphabet/chunking)"
             )
         ((shape, dtype, num_symbols, n, nchunks, chunk_size),) = geometry
+        if out is not None and (len(out) != len(parsed) or any(
+            o.size != n or not o.flags.c_contiguous for o in out
+        )):
+            raise ValueError(
+                f"out needs {len(parsed)} C-contiguous arrays of {n} keys"
+            )
         if n == 0:
             return [np.zeros(shape, dtype=dtype) for _ in parsed]
         if nchunks == 1:
@@ -478,15 +491,16 @@ class HuffmanX:
             # decode loop stays allocation-free under tracing too.
             with span("huffman.decode", cat="huffman", keys=n,
                       chunks=nchunks, batch=len(parsed)):
-                return self._decode_chunks(
-                    ctx, parsed, chunk_size, nchunks, n, shape, dtype
+                keys = self._decode_chunks(
+                    ctx, parsed, chunk_size, nchunks, n, dtype, out
                 )
+            return [k.reshape(shape) for k in keys]
         finally:
             self.cache.release(ctx)
 
     @hot_path(reason="vectorized symbol loop; zero-alloc via dec.* scratch")
     def _decode_chunks(
-        self, ctx, parsed, chunk_size, nchunks, n, shape, dtype
+        self, ctx, parsed, chunk_size, nchunks, n, dtype, out
     ) -> list[np.ndarray]:
         nbatch = len(parsed)
         books = [p[4] for p in parsed]
@@ -508,11 +522,15 @@ class HuffmanX:
         lanes = nchunks * nbatch
 
         # Per-stream symbol and length tables, side by side: symbols in
-        # the key dtype (the decoded plane is no wider than the keys),
-        # lengths in int64 like the positions they advance, or in the
-        # dtype of the jump plane they fill (``span`` codes of at most
-        # ``width`` bits each).
-        syms = ctx.scratch("dec.syms", nbatch * tsize, dtype)
+        # the narrowest unsigned dtype that holds the alphabet, or the
+        # key dtype if that is no wider (the decoded plane is as narrow
+        # as it can be; the read-out widens), lengths in int64 like the
+        # positions they advance, or in the dtype of the jump plane they
+        # fill (``span`` codes of at most ``width`` bits each).
+        sym_dtype = np.min_scalar_type(max(parsed[0][2] - 1, 0))
+        if sym_dtype.itemsize >= dtype.itemsize:
+            sym_dtype = dtype
+        syms = ctx.scratch("dec.syms", nbatch * tsize, sym_dtype)
         lens = ctx.scratch("dec.lens", nbatch * tsize, lens_dtype)
         for i, book in enumerate(books):
             sym_table, len_table, _ = book.decode_table(width)
@@ -522,10 +540,11 @@ class HuffmanX:
 
         # Concatenate the payloads, each followed by its own slack zero
         # bytes, and precompute the 32-bit big-endian window starting at
-        # every byte: the loop then needs one int64 gather where four
-        # byte-gathers plus widening shifts would run per step.  A lane
-        # reads only its own stream: a window starting past ``last[i]``,
-        # stream i's slack, reads zero, as when the stream is alone.
+        # every byte (uint32, four bytes a payload byte): the loop then
+        # needs one gather where four byte-gathers plus shifts would run
+        # per step.  A lane reads only its own stream: a window starting
+        # past ``last[i]``, stream i's slack, reads zero, as when the
+        # stream is alone.
         last = [at + p.size for at, p in zip(starts, payloads)]
         conc = ctx.scratch("dec.payload", starts[-1], np.uint8)
         for at, p in zip(starts, payloads):
@@ -534,14 +553,14 @@ class HuffmanX:
         nwin = starts[-1] - PAYLOAD_SLACK + 1
         # A per-bit path's byte windows are dead once its planes are
         # built, so they borrow (as uint32) the rows it has yet to write.
-        plane = span * runs * lanes * dtype.itemsize
+        plane = span * runs * lanes * sym_dtype.itemsize
         room = ctx.scratch(
             "dec.out", max(plane, 4 * nwin if per_bit else 0), np.uint8
         )
         if per_bit:
             win = room[: 4 * nwin].view(np.uint32)
         else:
-            win = ctx.scratch("dec.win", nwin, np.int64)
+            win = ctx.scratch("dec.win", nwin, np.uint32)
         np.copyto(win, conc[:nwin])
         for byte in range(1, 4):
             win <<= 8
@@ -555,7 +574,7 @@ class HuffmanX:
         for i, p in enumerate(parsed):
             np.copyto(pos2d[:, i], p[5], casting="unsafe")
             pos2d[:, i] += 8 * starts[i]
-        decoded = room[:plane].view(dtype)
+        decoded = room[:plane].view(sym_dtype)
         if per_bit:
             _decode_by_jumps(ctx, decoded.reshape(span, runs * lanes),
                              pos.reshape(runs, lanes), win, syms, lens,
@@ -565,21 +584,30 @@ class HuffmanX:
                              syms, lens, last, width)
 
         # Results must leave context memory (the context may be evicted
-        # and poisoned after release): one allocation per stream, filled
-        # chunk-major a block of steps at a time so the transposing copy
-        # works within the cache.  Step ``r*span + j`` is row j of run r.
+        # and poisoned after release): each stream's keys go to its
+        # ``out`` array, or to one allocated now (after the decode's own
+        # temporaries are gone), filled chunk-major a block of steps at
+        # a time so the transposing (and widening) copy works within the
+        # cache.  Step ``r*span + j`` is row j of run r; a short last
+        # chunk is ``tail`` keys.
+        if out is None:
+            # hpdrlint: disable=HPL001 — results handed to the caller
+            out = [np.empty(n, dtype=dtype) for _ in range(nbatch)]
+        out = [o.reshape(-1) for o in out]
         steps = decoded.reshape(span, runs, nchunks, nbatch)
         block = min(span, _TRANSPOSE_STEPS)
-        results = []
-        for i in range(nbatch):
-            # hpdrlint: disable=HPL001 — result handed to the caller
-            keys = np.empty((nchunks, chunk_size), dtype=dtype)
+        full, tail = divmod(n, chunk_size)
+        for i, keys in enumerate(out):
+            body = keys[: full * chunk_size].reshape(full, chunk_size)
+            short = keys[full * chunk_size :]
             for at in range(0, chunk_size, block):
                 r, j = divmod(at, span)
                 stop = min(at + block, chunk_size)
-                keys[:, at:stop] = steps[j : j + stop - at, r, :, i].T
-            results.append(keys.reshape(-1)[:n].reshape(shape))
-        return results
+                body[:, at:stop] = steps[j : j + stop - at, r, :full, i].T
+                if at < tail:
+                    stop = min(stop, tail)
+                    short[at:stop] = steps[j : j + stop - at, r, full, i]
+        return out
 
     def _effective_chunk(self, n: int) -> int:
         """Chunk size actually used for ``n`` symbols.
@@ -769,14 +797,15 @@ def _decode_by_steps(ctx, out, pos, win, syms, lens, last, width):
     (table bases, a clamp to the lane's own stream).  A short last chunk
     decodes past its end like the rest; the read-out drops those steps."""
     b, s, w = (ctx.scratch(f"dec.scr{i}", pos.size, np.int64) for i in range(3))
+    g = ctx.scratch("dec.gather", pos.size, win.dtype)
     table, bound = _batch_lanes(ctx, pos.size, syms.size // len(last), last)
     wshift, wmask = _WSHIFT[width], _WMASK[width]
     for row in out:
         np.right_shift(pos, _THREE, out=b)
-        win.take(b, out=w, mode="clip")
+        win.take(b, out=g, mode="clip")
         np.bitwise_and(pos, _SEVEN, out=s)
         np.subtract(wshift, s, out=s)
-        np.right_shift(w, s, out=w)
+        np.right_shift(g, s, out=w)     # widens the window to int64
         np.bitwise_and(w, wmask, out=w)
         if table is not None:
             np.add(w, table, out=w)

@@ -24,8 +24,7 @@ from repro.compressors.mgard.hierarchy import DimHierarchy, Hierarchy
 from repro.compressors.mgard.ops1d import (
     interp_weights,
     lerp_fill,
-    mass_apply,
-    restrict,
+    mass_trans,
     TridiagFactors,
 )
 from repro.compressors.mgard.decompose import decompose, recompose
@@ -37,8 +36,7 @@ __all__ = [
     "Hierarchy",
     "interp_weights",
     "lerp_fill",
-    "mass_apply",
-    "restrict",
+    "mass_trans",
     "TridiagFactors",
     "decompose",
     "recompose",

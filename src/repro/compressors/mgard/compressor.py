@@ -56,6 +56,12 @@ class Grid(NamedTuple):
     hierarchy: Hierarchy
     factors: list
 
+    def split(self, plane: np.ndarray) -> list[np.ndarray]:
+        """An ``(N, size)`` plane of all groups as per-group ``(N,
+        group size)`` views, finest group first."""
+        bounds = np.cumsum([0] + self.hierarchy.group_sizes())
+        return [plane[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
 
 class MGARDX:
     """HPDR multilevel error-bounded lossy compressor.
@@ -244,15 +250,15 @@ class MGARDX:
     @contextmanager
     def quantized(
         self, datas: Sequence[np.ndarray], coords=None, kappa: float | None = None
-    ) -> Iterator[tuple[Grid, tuple[float, ...], np.ndarray, list[np.ndarray]]]:
+    ) -> Iterator[tuple[Grid, tuple[float, ...], np.ndarray, np.ndarray]]:
         """Front half of compression over a batch of uniform arrays.
 
         Validates, resolves each lane's absolute bound, refuses a bound
         finer than float64 resolves at the data's magnitude, decomposes
-        and quantizes.  Yields ``(grid, abs_ebs, bins, qgroups)`` —
-        ``bins`` is ``(N, groups)``, each of ``qgroups`` an ``(N, size)``
-        int64 plane, finest group first — while the grid's context is
-        still pinned.
+        and quantizes.  Yields ``(grid, abs_ebs, bins, qflat)`` —
+        ``bins`` is ``(N, groups)``, ``qflat`` the ``(N, coefficients)``
+        int64 codes of every group, finest first (``grid.split`` cuts it
+        into groups) — while the grid's context is still pinned.
         """
         kappa = self.kappa if kappa is None else kappa
         first, nbatch = datas[0], len(datas)
@@ -279,42 +285,55 @@ class MGARDX:
                             f"{peak:g}: a bin of {lane_bins.min():g} asks "
                             f"for more than float64's 52-bit mantissa holds"
                         )
-                qgroups = quantize_levels(groups, bins, adapter=self.adapter)
-            yield grid, ebs, bins, qgroups
+                # The codes land in one plane: the symbol mapping reads
+                # it whole, without a concatenated copy.
+                qflat = np.empty(
+                    (nbatch, sum(g.shape[-1] for g in groups)), np.int64
+                )
+                quantize_levels(groups, bins, adapter=self.adapter,
+                                out=grid.split(qflat))
+            yield grid, ebs, bins, qflat
 
     def dequantize(self, qgroups: list[np.ndarray], bins: np.ndarray) -> list[np.ndarray]:
         """Codes back to bin centres, with or without a batch axis."""
         return dequantize_levels(qgroups, bins, adapter=self.adapter)
 
     def recomposed(
-        self, grid: Grid, qgroups: list[np.ndarray], bins: np.ndarray, dtype
+        self, grid: Grid, qflat: np.ndarray, bins: np.ndarray, dtype
     ) -> list[np.ndarray]:
-        """Back half of decompression: ``(N, size)`` code planes per
-        group and ``(N, groups)`` bins to ``N`` independent arrays."""
+        """Back half of decompression: the ``(N, coefficients)`` int64
+        codes of every group (finest first) and ``(N, groups)`` bins to
+        ``N`` independent arrays.
+
+        The codes are consumed: their plane carries the dequantized
+        coefficients into the recomposition, and then the finest grid.
+        """
         nbatch = len(bins)
         hierarchy = grid.hierarchy
         with span("mgard.dequantize", cat="mgard", batch=nbatch):
-            groups = self.dequantize(qgroups, bins)
+            groups = dequantize_levels(grid.split(qflat), bins,
+                                       adapter=self.adapter, in_place=True)
         with span("mgard.recompose", cat="mgard",
                   levels=hierarchy.total_levels, batch=nbatch):
             coarsest = groups[-1].reshape(
                 (nbatch,) + hierarchy.shape_at(hierarchy.total_levels)
             )
+            # The groups partition the grid's nodes, so the plane is
+            # exactly one float64 grid per lane.
             out = recompose(
                 groups[:-1], coarsest, hierarchy, adapter=self.adapter,
                 factors_per_level=grid.factors, ctx=grid.ctx,
+                out=qflat.view(np.float64).reshape((nbatch,) + hierarchy.shape),
             )
-            # recompose's result aliases context memory;
+            # recompose's result aliases the plane or context memory;
             # astype(copy=True) hands the caller independent arrays.
             return [lane.astype(dtype, copy=True) for lane in out]
 
     def _compress(self, datas: list[np.ndarray], coords, kappa: float) -> list[bytes]:
         first = datas[0]
-        with self.quantized(datas, coords, kappa) as (_, ebs, bins, qgroups):
+        with self.quantized(datas, coords, kappa) as (_, ebs, bins, qflat):
             with span("mgard.encode", cat="mgard"):
-                symbols, outliers = to_symbols(
-                    np.concatenate(qgroups, axis=1), self.dict_size
-                )
+                symbols, outliers = to_symbols(qflat, self.dict_size)
                 if self.config.lossless == "huffman":
                     payloads = self._huffman.compress_keys_batch(
                         list(symbols), self.dict_size
@@ -389,20 +408,22 @@ class MGARDX:
                 )
         with self.grid(shape, dtype, coords) as grid:
             with span("mgard.decode", cat="mgard", batch=len(parsed)):
+                # One planned plane carries the chain: keys are decoded
+                # into it, turned into codes in place, and dequantized
+                # in place by ``recomposed``.
+                qflat = grid.ctx.scratch(
+                    "decode.codes", len(parsed) * math.prod(shape), np.int64
+                ).reshape(len(parsed), -1)
                 if lossless:
-                    rows = self._huffman.decompress_keys_batch(
-                        [p[5] for p in parsed]
+                    self._huffman.decompress_keys_batch(
+                        [p[5] for p in parsed], out=list(qflat)
                     )
                 else:
-                    rows = [np.frombuffer(p[5], dtype=np.int32) for p in parsed]
-                qflat = from_symbols(rows, [p[4] for p in parsed])
-                # Split the flat streams back into per-level groups.
-                bounds = np.cumsum([0] + grid.hierarchy.group_sizes())
-                qgroups = [
-                    qflat[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])
-                ]
+                    for row, p in zip(qflat, parsed):
+                        row[:] = np.frombuffer(p[5], dtype=np.int32)
+                from_symbols(qflat, [p[4] for p in parsed], in_place=True)
             return self.recomposed(
-                grid, qgroups, np.stack([p[3] for p in parsed]), dtype
+                grid, qflat, np.stack([p[3] for p in parsed]), dtype
             )
 
     # ------------------------------------------------------------------

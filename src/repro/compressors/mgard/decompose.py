@@ -25,12 +25,7 @@ import math
 import numpy as np
 
 from repro.compressors.mgard.hierarchy import Hierarchy
-from repro.compressors.mgard.ops1d import (
-    TridiagFactors,
-    lerp_fill,
-    mass_apply,
-    restrict,
-)
+from repro.compressors.mgard.ops1d import TridiagFactors, lerp_fill, mass_trans
 
 
 def _coarse_selector(hierarchy: Hierarchy, level: int):
@@ -108,7 +103,7 @@ def _correction(
     dims = hierarchy.active_dims(level)
     for d in dims:
         lvl = hierarchy.dim_level(d, level)
-        corr = restrict(mass_apply(corr, lvl, d + lead), lvl, d + lead)
+        corr = mass_trans(corr, lvl, d + lead)
     for d in dims:
         corr = factors[d].solve_along(corr, axis=d + lead, adapter=adapter,
                                       ctx=ctx)
@@ -121,11 +116,29 @@ def _grid(ctx, name: str, shape: tuple[int, ...]) -> np.ndarray:
     Borrowed as *scratch*: the leading batch axis is a launch width that
     varies from call to call under one context, and scratch capacity only
     grows to the widest launch seen — a width change is neither a rebind
-    (SAN-CTX) nor, past the high-water mark, an allocation.
+    (SAN-CTX) nor, past the high-water mark, an allocation.  The same
+    property lets one name serve every level: a grid that dies inside its
+    level borrows :data:`LEVEL_SLOT`, sized by the finest level.
     """
     if ctx is None:
         return np.empty(shape, dtype=np.float64)
     return ctx.scratch(name, math.prod(shape), np.float64).reshape(shape)
+
+
+#: The one working grid whose life is a single level: the
+#: interpolant-then-coefficients grid of a decomposition level and the
+#: scattered coefficients of a recomposition level.  Neither survives
+#: its level, and decomposition and recomposition never interleave, so
+#: all of them share one slot; the slot is retired at the end of each
+#: level (poisoned under ``HPDR_SAN=1``).
+LEVEL_SLOT = "level.mc"
+
+
+def _retire(ctx, name: str) -> None:
+    """End the life of a :func:`_grid`'s contents (see
+    :meth:`~repro.core.context.ReductionContext.retire`)."""
+    if ctx is not None:
+        ctx.retire(name)
 
 
 def decompose(
@@ -173,12 +186,12 @@ def decompose(
             else level_factors(hierarchy, level)
         )
         shape = batch + hierarchy.shape_at(level)
-        approx = _grid(ctx, f"decompose.approx.{level}", shape)
-        np.copyto(approx, current)
+        # The interpolant, then (in place) the coefficients u - approx.
+        mc = _grid(ctx, LEVEL_SLOT, shape)
+        np.copyto(mc, current)
         for d in dims:
-            lerp_fill(approx, hierarchy.dim_level(d, level), d + lead)
-        mc = _grid(ctx, f"decompose.mc.{level}", shape)
-        np.subtract(current, approx, out=mc)
+            lerp_fill(mc, hierarchy.dim_level(d, level), d + lead)
+        np.subtract(current, mc, out=mc)
         selector, fine_idx = _level_geometry(hierarchy, level, ctx)
         level_coeffs = _grid(
             ctx, f"decompose.coeffs.{level}", batch + (fine_idx.size,)
@@ -187,6 +200,7 @@ def decompose(
         coeffs.append(level_coeffs)
         corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx,
                            lead=lead)
+        _retire(ctx, LEVEL_SLOT)
         current = current[(Ellipsis,) + selector] + corr
     return coeffs, current
 
@@ -207,6 +221,7 @@ def recompose_levels(
     adapter=None,
     factors_per_level: list[dict[int, TridiagFactors]] | None = None,
     ctx=None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run recomposition levels ``start, start-1, ..., stop``.
 
@@ -218,7 +233,10 @@ def recompose_levels(
     resume from it instead of recomposing them again (the progressive
     writer does).  With ``ctx`` the result aliases the context's
     ``recompose.new.<stop>`` buffer, which stays intact until level
-    ``stop`` runs again through the same context.
+    ``stop`` runs again through the same context.  ``out`` (float64,
+    the result's shape) takes the place of that buffer; it may hold the
+    coefficients themselves, since a level reads its own before it
+    writes its grid and coarser levels have run by then.
 
     A level whose coefficients are all ``+0.0`` issues no mass / restrict
     / solve launches: the correction of zeros is exactly ``+0.0``
@@ -232,7 +250,6 @@ def recompose_levels(
         level_coeffs = np.asarray(coeffs[level], dtype=np.float64)
         shape = current.shape[:lead] + hierarchy.shape_at(level)
         selector, fine_idx = _level_geometry(hierarchy, level, ctx)
-        new = _zeroed(ctx, f"recompose.new.{level}", shape)
         mc: np.ndarray | float = 0.0
         if level_coeffs.view(np.int64).any():   # any bit set: not all +0.0
             factors = (
@@ -240,15 +257,21 @@ def recompose_levels(
                 if factors_per_level is not None
                 else level_factors(hierarchy, level)
             )
-            mc = _zeroed(ctx, f"recompose.mc.{level}", shape)
+            mc = _zeroed(ctx, LEVEL_SLOT, shape)
             mc.reshape(shape[:lead] + (-1,))[..., fine_idx] = level_coeffs
             current = current - _correction(
                 mc, hierarchy, level, factors, adapter, ctx=ctx, lead=lead
             )
+        if level == stop and out is not None:
+            new = out
+            new[...] = 0.0
+        else:
+            new = _zeroed(ctx, f"recompose.new.{level}", shape)
         new[(Ellipsis,) + selector] = current
         for d in hierarchy.active_dims(level):
             lerp_fill(new, hierarchy.dim_level(d, level), d + lead)
         new += mc
+        _retire(ctx, LEVEL_SLOT)
         current = new
     return current
 
@@ -260,6 +283,7 @@ def recompose(
     adapter=None,
     factors_per_level: list[dict[int, TridiagFactors]] | None = None,
     ctx=None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact inverse of :func:`decompose` (also when ``coarsest`` and the
     coefficient planes carry a leading batch axis; see its lane-identity
@@ -267,7 +291,8 @@ def recompose(
 
     With ``ctx`` the per-level grids come from persistent context
     buffers; the returned array then aliases context memory (callers
-    copy or cast before handing it out).
+    copy or cast before handing it out).  ``out`` receives the finest
+    grid, as in :func:`recompose_levels`.
     """
     if len(coeffs) != hierarchy.total_levels:
         raise ValueError(
@@ -276,5 +301,5 @@ def recompose(
     return recompose_levels(
         coeffs, np.asarray(coarsest, dtype=np.float64).copy(), hierarchy,
         hierarchy.total_levels - 1, adapter=adapter,
-        factors_per_level=factors_per_level, ctx=ctx,
+        factors_per_level=factors_per_level, ctx=ctx, out=out,
     )

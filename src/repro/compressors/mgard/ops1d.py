@@ -6,11 +6,10 @@ tensor product, so N-D behaviour is the composition of 1-D passes):
 * :func:`lerp_fill` — overwrite fine-only nodes with the linear
   interpolation of their coarse neighbors (the ``lerp`` kernel of
   Algorithm 1, line 6).
-* :func:`mass_apply` — multiply by the piecewise-linear FEM mass matrix
-  of the fine grid (tridiagonal, non-uniform spacing).
-* :func:`restrict` — apply the interpolation transpose P^T, folding fine
-  values into coarse positions.  ``mass_apply`` + ``restrict`` is the
-  paper's ``mass_trans`` kernel (line 8).
+* :func:`mass_trans` — multiply by the piecewise-linear FEM mass matrix
+  of the fine grid (tridiagonal, non-uniform spacing), then apply the
+  interpolation transpose P^T, folding fine values into coarse
+  positions: the paper's ``mass_trans`` kernel (line 8).
 * :class:`TridiagFactors` — prefactored Thomas solver for the coarse
   mass matrix (line 9); the sweep is sequential per vector, so it runs
   under the Iterative abstraction.
@@ -49,53 +48,63 @@ def lerp_fill(u: np.ndarray, level: DimLevel, axis: int) -> None:
     v[1:stop:2] = t
 
 
-def mass_apply(u: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
-    """Fine-grid mass matrix along ``axis`` (non-uniform spacing).
+def _mass_rows(v, h, first: int, count: int, out, tmp) -> None:
+    """Interior mass-matrix rows ``first, first + 2, ...`` (``count`` of
+    them) of ``v`` into ``out``, with ``tmp`` (same shape) as scratch.
 
-    Row i: ``(h_{i-1}(u_{i-1} + 2u_i) + h_i(2u_i + u_{i+1})) / 6`` with
-    single-sided boundary rows.  ``u`` is a float64 working grid: the
-    interior rows accumulate in place in the result, which rounds
-    exactly where the expression does only when no cast intervenes.
+    Row i: ``(h_{i-1}(u_{i-1} + 2u_i) + h_i(2u_i + u_{i+1})) / 6``, each
+    bracket and product rounded exactly as written: ``2u_i`` is exact,
+    so computing it once per bracket changes no bit.
+    """
+    stop = first + 2 * count
+    mid = v[first:stop:2]
+    np.multiply(mid, 2.0, out=out)
+    np.add(v[first - 1 : stop - 1 : 2], out, out=out)
+    np.multiply(h[first - 1 : stop - 1 : 2], out, out=out)
+    np.multiply(mid, 2.0, out=tmp)
+    tmp += v[first + 1 : stop + 1 : 2]
+    np.multiply(h[first:stop:2], tmp, out=tmp)
+    out += tmp
+    out /= 6.0
+
+
+def mass_trans(u: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
+    """Fine-grid mass matrix, then the interpolation transpose P^T,
+    along ``axis``: fine → coarse size (the paper's ``mass_trans``).
+
+    The mass matrix is tridiagonal with non-uniform spacing — row i is
+    ``(h_{i-1}(u_{i-1} + 2u_i) + h_i(2u_i + u_{i+1})) / 6`` with
+    single-sided boundary rows — and P^T keeps the coarse rows and folds
+    each fine-only row into its neighbours:
+    ``b_j = y[coarse_j] + wl_j·y_f(j) + wr_{j-1}·y_f(j-1)``, the left
+    contributions added before the right ones.  So the coarse rows of
+    the mass product go straight into the result and only the fine-only
+    rows — half the grid — are held; every element sees the same
+    operations in the same order as the two passes composed, so the
+    result is bit-equal to them.  ``u`` is a float64 working grid and is
+    only read.
     """
     v = move_axis(u, axis, 0)
     nd = v.ndim
-    hL = _bshape(level.h, nd)       # h_i between node i and i+1
-    y = np.empty_like(v)
-    # interior rows 1..n-2; 2u_i is shared by both brackets
-    mid = y[1:-1]
-    twice = 2.0 * v[1:-1]
-    np.add(v[:-2], twice, out=mid)
-    np.multiply(hL[:-1], mid, out=mid)
-    twice += v[2:]
-    np.multiply(hL[1:], twice, out=twice)
-    mid += twice
-    mid /= 6.0
-    y[0] = hL[0] * (2.0 * v[0] + v[1]) / 6.0
-    y[-1] = hL[-1] * (v[-2] + 2.0 * v[-1]) / 6.0
-    return move_axis(y, 0, axis)
-
-
-def restrict(y: np.ndarray, level: DimLevel, axis: int) -> np.ndarray:
-    """Interpolation transpose P^T along ``axis``: fine → coarse size.
-
-    ``b_j = y[coarse_j] + wl_j·y_f(j) + wr_{j-1}·y_f(j-1)``, the left
-    contributions added before the right ones; each coarse node has at
-    most one fine-only neighbour on either side, so two slice updates
-    are the whole scatter.
-    """
-    v = move_axis(y, axis, 0)
-    nd = v.ndim
+    h = _bshape(level.h, nd)        # h_i between node i and i+1
     nf = level.nf
-    # Allocated in y's own axis order, so the result stays C-contiguous
+    # Allocated in u's own axis order, so the result stays C-contiguous
     # for the next dimension's pass.
     b = np.empty((level.n_coarse,) + v.shape[1:], dtype=v.dtype)
-    evens = v[0::2]
-    b[: evens.shape[0]] = evens
-    if level.n % 2 == 0:
-        b[-1] = v[-1]               # the appended last node
-    yf = v[1 : 2 * nf : 2]
-    b[0:nf] += _bshape(level.wl, nd) * yf
-    b[1 : nf + 1] += _bshape(level.wr, nd) * yf
+    # Interior even rows 2, 4, ... land at coarse positions 1, 2, ...;
+    # the first and last nodes are the boundary rows (the last node is
+    # coarse whether n is odd or even).
+    neven = (v.shape[0] - 2) // 2
+    yf = np.empty((nf,) + v.shape[1:], dtype=v.dtype)
+    tmp = np.empty((max(nf, neven),) + v.shape[1:], dtype=v.dtype)
+    _mass_rows(v, h, 2, neven, b[1 : 1 + neven], tmp[:neven])
+    b[0] = h[0] * (2.0 * v[0] + v[1]) / 6.0
+    b[-1] = h[-1] * (v[-2] + 2.0 * v[-1]) / 6.0
+    _mass_rows(v, h, 1, nf, yf, tmp[:nf])
+    np.multiply(_bshape(level.wl, nd), yf, out=tmp[:nf])
+    b[0:nf] += tmp[:nf]
+    np.multiply(_bshape(level.wr, nd), yf, out=yf)
+    b[1 : nf + 1] += yf
     return move_axis(b, 0, axis)
 
 

@@ -61,22 +61,36 @@ def level_bins(
     return 2.0 * eps
 
 
+#: Codes dequantized per call when :func:`dequantize_levels` works in
+#: place: NumPy stages an operand that overlaps the result, so the chunk
+#: bounds that copy (256 KB a lane) instead of letting it span a group.
+_IN_PLACE_CHUNK = 1 << 15
+
+
 def quantize_levels(
     groups: list[np.ndarray],
     bins: np.ndarray,
     adapter=None,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Quantize each coefficient group with its own bin (Map&Process).
 
     Groups may carry a leading batch axis — ``(N, size)`` planes with
     ``(N, L)`` bins, one row of bins per lane: lane ``i`` is quantized
-    exactly as ``quantize_levels`` would quantize it alone.
+    exactly as ``quantize_levels`` would quantize it alone.  ``out``, one
+    int64 array per group (views of one plane, say), receives the codes
+    instead of new arrays.
     """
     if len(groups) != bins.shape[-1]:
         raise ValueError(f"{len(groups)} groups but {bins.shape[-1]} bins")
 
     def _q(group: np.ndarray, i: int) -> np.ndarray:
-        return np.round(group / bins[..., i : i + 1]).astype(np.int64)
+        scaled = group / bins[..., i : i + 1]
+        if out is None:
+            return np.round(scaled).astype(np.int64)
+        np.round(scaled, out=scaled)
+        np.copyto(out[i], scaled, casting="unsafe")
+        return out[i]
 
     return map_and_process(groups, lambda g: list(g), _q, adapter=adapter)
 
@@ -85,14 +99,27 @@ def dequantize_levels(
     qgroups: list[np.ndarray],
     bins: np.ndarray,
     adapter=None,
+    in_place: bool = False,
 ) -> list[np.ndarray]:
     """Invert :func:`quantize_levels` (to bin centers), with or without
-    its leading batch axis."""
+    its leading batch axis.
+
+    ``in_place`` reuses each int64 group's memory for its float64 bin
+    centres (the results are views of it) — for a caller whose codes
+    die here — a chunk at a time, so no group-sized plane is made.
+    """
     if len(qgroups) != bins.shape[-1]:
         raise ValueError(f"{len(qgroups)} groups but {bins.shape[-1]} bins")
 
     def _dq(group: np.ndarray, i: int) -> np.ndarray:
-        return group.astype(np.float64) * bins[..., i : i + 1]
+        if not in_place:
+            return group.astype(np.float64) * bins[..., i : i + 1]
+        centres = group.view(np.float64)
+        for lo in range(0, group.shape[-1], _IN_PLACE_CHUNK):
+            hi = lo + _IN_PLACE_CHUNK
+            np.multiply(group[..., lo:hi], bins[..., i : i + 1],
+                        out=centres[..., lo:hi])
+        return centres
 
     return map_and_process(qgroups, lambda g: list(g), _dq, adapter=adapter)
 
@@ -113,7 +140,8 @@ def to_symbols(
     if dict_size < 2:
         raise ValueError(f"dict_size must be >= 2, got {dict_size}")
     z = q.astype(np.int64)  # the one working copy: zigzag, then symbols
-    sign = z >> 63
+    sign = np.right_shift(z, 63, out=np.empty(z.shape, np.int8),
+                          casting="unsafe")    # 0 or -1: a byte holds it
     z <<= 1
     z ^= sign               # zigzag: 0,-1,1,-2,2… → 0,1,2,3,4…
     escaped = z >= dict_size - 1
@@ -129,10 +157,15 @@ def to_symbols(
     return z, np.split(outliers, np.cumsum(per_lane)[:-1])
 
 
-def from_symbols(symbols, outliers) -> np.ndarray:
+def from_symbols(symbols, outliers, in_place: bool = False) -> np.ndarray:
     """Invert :func:`to_symbols`; ``N`` symbol rows with a list of ``N``
-    outlier arrays come back as one ``(N, size)`` plane."""
-    q = np.array(symbols, dtype=np.int64)   # the one working copy
+    outlier arrays come back as one ``(N, size)`` plane.
+
+    ``in_place`` turns ``symbols``, then an int64 plane, into the codes
+    (and returns it) instead of working on a copy.
+    """
+    # the one working copy, unless the caller's plane is
+    q = symbols if in_place else np.array(symbols, dtype=np.int64)
     lanes = [outliers] if q.ndim == 1 else outliers
     n_escaped = 0
     for row, lane in zip(np.atleast_2d(q), lanes, strict=True):
@@ -142,7 +175,8 @@ def from_symbols(symbols, outliers) -> np.ndarray:
         n_escaped += n
     escaped = q == 0 if n_escaped else None
     q -= 1
-    sign = q & 1
+    sign = np.bitwise_and(q, 1, out=np.empty(q.shape, np.int8),
+                          casting="unsafe")
     np.negative(sign, out=sign)
     q >>= 1
     q ^= sign               # zigzag inverse

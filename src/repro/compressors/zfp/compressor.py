@@ -234,11 +234,14 @@ class ZFPX:
                 (n * nblocks,) + block_shape
             )
             with span("zfp.blockize", cat="zfp", arrays=n, blocks=n * nblocks):
-                for i, a in enumerate(arrays):
-                    blockize(
-                        a, block_shape, pad_mode="edge",
-                        out=batch[i * nblocks:(i + 1) * nblocks],
-                    )
+                # One call for the flush: the arrays stacked on a leading
+                # axis of blocks one deep, whose C-order block walk is
+                # each array's own walk, array after array.
+                stacked = arrays[0][None] if n == 1 else np.stack(arrays)
+                blockize(
+                    stacked, (1,) + block_shape, pad_mode="edge",
+                    out=batch.reshape((n * nblocks, 1) + block_shape),
+                )
             records = self._launch(_ZfpEncodeFunctor(ndim, maxbits, dtype), batch)
         finally:
             self.cache.release(ctx)
@@ -289,12 +292,10 @@ class ZFPX:
             )
         finally:
             self.cache.release(ctx)
-        return [
-            unblockize(
-                blocks[i * nblocks:(i + 1) * nblocks], grid_shape, tuple(shape)
-            )
-            for i in range(n)
-        ]
+        return list(unblockize(
+            blocks.reshape((n * nblocks, 1) + blocks.shape[1:]),
+            (n,) + grid_shape, (n,) + tuple(shape),
+        ))
 
     # -- reporting helpers ------------------------------------------------
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:

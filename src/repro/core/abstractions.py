@@ -289,12 +289,13 @@ def iterative(
     ngroups = -(-nvec // group_size)
     padded_n = ngroups * group_size
     if ctx is not None:
-        # The shape tag keeps one buffer per distinct problem size, so
-        # pipelines that sweep several sizes per call (MGARD's level
-        # hierarchy) still reach a zero-alloc steady state.
-        shape_tag = "x".join(map(str, moved.shape))
+        # Keyed by the functor and the staging shape, not by the axis:
+        # the buffer dies with the launch, so the solves along every
+        # axis of one cube share it, while pipelines that sweep several
+        # sizes per call (MGARD's level hierarchy) keep one per size and
+        # still reach a zero-alloc steady state without rebinds.
         vectors = ctx.buffer(
-            f"iterative.{functor.name}.{axis}.{shape_tag}.vectors",
+            f"iterative.{functor.name}.{padded_n}x{n}.vectors",
             (padded_n, n),
             data.dtype,
         )

@@ -55,7 +55,9 @@ holds is poisoned (floats become NaN, integer bytes ``0xA5``) and any
 further ``buffer``/``scratch``/``object`` call raises
 :class:`UseAfterEvictError`.  Under ``HPDR_SAN=1`` a leased block is
 also poisoned as it is *released*, so a view kept past its call reads
-poison straight away instead of whatever the next borrower writes.
+poison straight away instead of whatever the next borrower writes; and
+a slot that buffers of disjoint lifetimes share inside one call is
+poisoned as each life ends (:meth:`ReductionContext.retire`).
 Reductions that must survive cache pressure pin their context for the
 duration of the call; pinned contexts are skipped by the LRU scan.
 """
@@ -321,6 +323,21 @@ class ReductionContext:
             whole = block.size - block.size % dtype.itemsize
             buf = self._views[name] = block[:whole].view(dtype)
             return buf[:size]
+
+    def retire(self, name: str) -> None:
+        """End the life of the named buffer's contents; its block stays
+        bound for the next borrower under the same name.
+
+        A slot shared by buffers whose lives do not overlap (one working
+        grid per level, all levels) is retired as each life ends.  Under
+        ``HPDR_SAN=1`` that poisons it, so a view kept past its life
+        reads NaN/``0xA5`` at once instead of the next life's data;
+        otherwise it does nothing.
+        """
+        with self._lock:
+            view = self._views.get(name)
+            if view is not None and self._pool.poison_on_release:
+                _poison(view)
 
     def object(self, name: str, builder: Callable[[], Any]) -> Any:
         """Return the cached object, building it on first use."""

@@ -99,9 +99,10 @@ class ProgressiveMGARD:
         data = np.asarray(data, order="C")  # ascontiguousarray promotes 0-d
         with span("progressive.refactor", cat="progressive",
                   nbytes=int(data.nbytes)):
-            with self.mgard.quantized([data]) as (grid, (abs_eb,), bins, qgroups):
+            with self.mgard.quantized([data]) as (grid, (abs_eb,), bins, qflat):
                 return self._emit(
-                    data, abs_eb, bins[0], [q[0] for q in qgroups], grid
+                    data, abs_eb, bins[0], [q[0] for q in grid.split(qflat)],
+                    grid,
                 )
 
     def _emit(
@@ -209,7 +210,8 @@ class ProgressiveMGARD:
                     f"index names {ngroups} groups; shape {shape} "
                     f"decomposes into {len(sizes)}"
                 )
-            qhat = [np.zeros((1, n), dtype=np.int64) for n in sizes]
+            qflat = np.zeros((1, sum(sizes)), dtype=np.int64)
+            qhat = grid.split(qflat)
             with span("progressive.reconstruct", cat="progressive",
                       segments=len(segments)):
                 views = [memoryview(blob) for blob in segments]
@@ -232,5 +234,5 @@ class ProgressiveMGARD:
                         )
                     qhat[mi][0] += plane << np.int64(shift)
                 bins = np.asarray(index.bins, dtype=np.float64)
-                (out,) = self.mgard.recomposed(grid, qhat, bins[None], dtype)
+                (out,) = self.mgard.recomposed(grid, qflat, bins[None], dtype)
                 return out

@@ -147,6 +147,35 @@ def test_bytes_do_not_show_the_floor(ngroups, nbytes):
     assert got.tobytes() == want.tobytes()
 
 
+def test_launch_from_a_pool_task_runs_inline_instead_of_deadlocking(adapter):
+    """Two tasks on a two-thread pool, each launching a batch that would
+    fan out: the chunks would queue behind the tasks waiting for them,
+    so a launch made on a pool thread runs there."""
+    batch = _bytes(8, 4 * FLOOR)
+
+    def task(i):
+        functor = _Recording()
+        out = adapter.execute_group_batch(functor, batch)
+        assert np.array_equal(out, batch)
+        return [ident for ident, _ in functor.calls], threading.get_ident()
+
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.extend(adapter.map_tasks(task, [0, 1])),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        # Unblock the pool before failing: cancelling the queued chunks
+        # lets the waiting tasks return, so the process can still exit.
+        adapter._pool.shutdown(wait=False, cancel_futures=True)
+        pytest.fail("a launch from inside map_tasks did not return in 10 s")
+    assert len(results) == 2
+    for launch_threads, task_thread in results:
+        assert launch_threads == [task_thread]
+
+
 @pytest.fixture(scope="module")
 def serial_streams():
     data = np.random.default_rng(3).normal(size=(64, 64, 64)).astype(np.float32)

@@ -164,6 +164,12 @@ def reference_restrict(y: np.ndarray, level, axis: int) -> np.ndarray:
     return np.moveaxis(b, 0, axis)
 
 
+def reference_mass_trans(u: np.ndarray, level, axis: int) -> np.ndarray:
+    """The paper's ``mass_trans`` as the two passes it fuses: the full
+    fine-grid mass product, then the restriction."""
+    return reference_restrict(reference_mass_apply(u, level, axis), level, axis)
+
+
 def reference_prolong(b: np.ndarray, level, axis: int) -> np.ndarray:
     v = np.moveaxis(b, axis, 0)
     left_idx, right_idx, _, _ = _neighbours(level)

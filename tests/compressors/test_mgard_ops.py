@@ -1,4 +1,5 @@
-"""MGARD 1-D operators: lerp, mass matrix, restriction, Thomas solver."""
+"""MGARD 1-D operators: lerp, mass matrix + restriction (``mass_trans``),
+prolongation, Thomas solver."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from repro.compressors.mgard.hierarchy import DimHierarchy
 from repro.compressors.mgard.ops1d import (
     TridiagFactors,
     lerp_fill,
-    mass_apply,
+    mass_trans,
     prolong,
-    restrict,
 )
 
 
@@ -52,33 +52,43 @@ class TestLerpFill:
         assert u[1] == pytest.approx(1.0)  # 0 + 0.25 * (4 - 0)
 
 
+def prolongation_matrix(lvl) -> np.ndarray:
+    """Dense interpolation P (fine x coarse), column by column."""
+    return np.stack(
+        [prolong(e, lvl, 0) for e in np.eye(lvl.n_coarse)], axis=1
+    )
+
+
 class TestMassApply:
+    """``mass_trans`` is the mass matrix followed by P^T."""
+
     def test_matches_dense_matrix(self, rng):
         for n in (5, 8, 13):
             d = DimHierarchy(n)
             lvl = d.level(0)
             u = rng.normal(size=n)
-            y = mass_apply(u, lvl, 0)
-            assert np.allclose(y, mass_matrix(lvl.coords) @ u)
+            b = mass_trans(u, lvl, 0)
+            dense = prolongation_matrix(lvl).T @ mass_matrix(lvl.coords)
+            assert np.allclose(b, dense @ u)
 
     def test_along_second_axis(self, rng):
         d = DimHierarchy(7)
         lvl = d.level(0)
         u = rng.normal(size=(3, 7))
-        y = mass_apply(u, lvl, 1)
-        M = mass_matrix(lvl.coords)
-        assert np.allclose(y, u @ M.T)
+        b = mass_trans(u, lvl, 1)
+        dense = prolongation_matrix(lvl).T @ mass_matrix(lvl.coords)
+        assert np.allclose(b, u @ dense.T)
 
 
 class TestRestrictProlong:
     def test_restrict_is_prolong_transpose(self, rng):
-        """⟨P^T y, b⟩ = ⟨y, P b⟩ — adjointness on random vectors."""
+        """⟨P^T M y, b⟩ = ⟨M y, P b⟩ — adjointness on random vectors."""
         d = DimHierarchy(11)
         lvl = d.level(0)
         y = rng.normal(size=11)
         b = rng.normal(size=lvl.n_coarse)
-        lhs = np.dot(restrict(y, lvl, 0), b)
-        rhs = np.dot(y, prolong(b, lvl, 0))
+        lhs = np.dot(mass_trans(y, lvl, 0), b)
+        rhs = np.dot(mass_matrix(lvl.coords) @ y, prolong(b, lvl, 0))
         assert lhs == pytest.approx(rhs)
 
     def test_prolong_shape(self, rng):
@@ -89,9 +99,9 @@ class TestRestrictProlong:
     def test_restrict_multi_axis(self, rng):
         d0, d1 = DimHierarchy(9), DimHierarchy(7)
         u = rng.normal(size=(9, 7))
-        r0 = restrict(u, d0.level(0), 0)
+        r0 = mass_trans(u, d0.level(0), 0)
         assert r0.shape == (5, 7)
-        r01 = restrict(r0, d1.level(0), 1)
+        r01 = mass_trans(r0, d1.level(0), 1)
         assert r01.shape == (5, 4)
 
 

@@ -16,7 +16,9 @@ from repro.compressors.mgard.decompose import (
     recompose_levels,
 )
 from repro.compressors.mgard.hierarchy import Hierarchy
-from repro.compressors.mgard.ops1d import lerp_fill, mass_apply, restrict
+from repro.compressors.mgard.ops1d import lerp_fill
+
+from ._reference_kernels import reference_mass_trans
 
 
 def _reference_recompose(coeffs, coarsest, h):
@@ -38,7 +40,7 @@ def _reference_recompose(coeffs, coarsest, h):
         corr = mc
         for d in dims:
             lvl = h.dim_level(d, level)
-            corr = restrict(mass_apply(corr, lvl, d), lvl, d)
+            corr = reference_mass_trans(corr, lvl, d)
         for d in dims:
             corr = factors[d].solve_along(corr, axis=d)
         new[selector] = current - corr

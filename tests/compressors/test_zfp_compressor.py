@@ -147,3 +147,22 @@ class TestAdapterPortability:
         blob = ZFPX(rate=20, adapter=get_adapter("hip")).compress(data)
         back = ZFPX(rate=20, adapter=get_adapter("serial")).decompress(blob)
         assert np.max(np.abs(back - data)) < 1e-4 * np.ptp(data)
+
+
+@pytest.mark.parametrize("shape,n", [((32, 32), 8), ((30, 33), 8),
+                                     ((12, 9, 7), 1), ((12, 9, 7), 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_is_blockized_whole_and_matches_one_at_a_time(shape, n, dtype):
+    """The flush is blockized and unblockized in one call each (a padded
+    edge included): every stream and every decoded array is the one a
+    batch of one gives."""
+    rng = np.random.default_rng(n * 100 + len(shape))
+    arrays = [rng.normal(size=shape).astype(dtype) for _ in range(n)]
+    codec = ZFPX(rate=10)
+    blobs = codec.compress_batch(arrays)
+    assert blobs == [codec.compress(a) for a in arrays]
+    backs = codec.decompress_batch(blobs)
+    for back, blob in zip(backs, blobs):
+        want = codec.decompress(blob)
+        assert back.shape == shape and back.dtype == dtype
+        assert back.tobytes() == want.tobytes()
