@@ -110,15 +110,20 @@ def dequantize_levels(
     """
     if len(qgroups) != bins.shape[-1]:
         raise ValueError(f"{len(qgroups)} groups but {bins.shape[-1]} bins")
+    # Codes already turned into centres, per group: an adapter that
+    # retries a failed launch (``ResilientAdapter``) must resume there,
+    # not read centres as codes.  A chunk is written whole or not at all.
+    done: dict[int, int] = {}
 
     def _dq(group: np.ndarray, i: int) -> np.ndarray:
         if not in_place:
             return group.astype(np.float64) * bins[..., i : i + 1]
         centres = group.view(np.float64)
-        for lo in range(0, group.shape[-1], _IN_PLACE_CHUNK):
+        for lo in range(done.get(i, 0), group.shape[-1], _IN_PLACE_CHUNK):
             hi = lo + _IN_PLACE_CHUNK
             np.multiply(group[..., lo:hi], bins[..., i : i + 1],
                         out=centres[..., lo:hi])
+            done[i] = hi
         return centres
 
     return map_and_process(qgroups, lambda g: list(g), _dq, adapter=adapter)

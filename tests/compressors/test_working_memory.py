@@ -24,6 +24,8 @@ from repro.compressors.mgard.decompose import LEVEL_SLOT, decompose, recompose
 from repro.compressors.mgard.hierarchy import Hierarchy
 from repro.core.context import ContextCache
 from repro.data import gaussian_random_field
+from repro.resilience import ResilientAdapter
+from repro.resilience.errors import DeviceBatchFault
 
 MB = 1e6
 _REL = Config(error_bound=1e-3, error_mode=ErrorMode.REL)
@@ -104,6 +106,35 @@ def test_huffman_decode_of_a_megabyte_stays_in_budget():
     pooled, _ = blocks.warm_call(lambda: codec.decompress(blob))
     assert pooled <= 5.0, f"decode bound {pooled:.2f} MB of blocks"
     assert codec.decompress(blob).tobytes() == data.tobytes()
+
+
+class _FailsAfterFirstGroup(SerialAdapter):
+    """Fails its first Map&Process launch after running the first
+    subset, as a device that aborts a launch part-way would."""
+
+    armed = False
+
+    def execute_domain(self, functor, data):
+        if self.armed and functor.name == "map_and_process":
+            self.armed = False
+            functor.apply(data[:1])
+            raise DeviceBatchFault("dem.map_and_process", "aborted part-way")
+        return super().execute_domain(functor, data)
+
+
+def test_a_retried_dequantize_launch_resumes_instead_of_rescaling(field):
+    """The planned decompress chain dequantizes in place; a launch the
+    resilient adapter retries after it converted a group must not read
+    those bin centres as codes again."""
+    blob = MGARDX(_REL).compress(field)
+    want = MGARDX(_REL).decompress(blob)
+    device = _FailsAfterFirstGroup()
+    codec = MGARDX(_REL, adapter=ResilientAdapter(
+        device, fallback=None, sleep=lambda s: None))
+    device.armed = True
+    got = codec.decompress(blob)
+    assert not device.armed                 # the fault did fire
+    assert got.tobytes() == want.tobytes()
 
 
 def _spy_on_slot(ctx, name):
