@@ -39,7 +39,8 @@ from repro.compressors.huffman.bitstream import (
     PAYLOAD_SLACK,
     SLAB,
     codes_per_field,
-    pack_ends,
+    item_row,
+    pack_items,
 )
 from repro.compressors.huffman.codebook import (
     MAX_CODE_LENGTH,
@@ -122,8 +123,9 @@ def _rle_decode(r: Reader, count: int) -> np.ndarray:
 
 class _EncodeFunctor(LocalityFunctor):
     """Locality stage: fold each ``group`` adjacent keys of a chunk into
-    one ``(code, length)`` item, returned as ``(nblocks, 2, chunk //
-    group)`` uint64 (codes, then lengths).
+    one ``(code, length)`` item.  A chunk's row of the ``(nblocks,
+    item_row(per))`` uint64 result holds its ``per = chunk // group``
+    item codes, then their lengths as bytes: 9 bytes an item.
 
     ``group`` strided gathers from the code table join codes as ``(code
     << length) | next`` (the bits they occupy back to back), a slab of
@@ -142,7 +144,7 @@ class _EncodeFunctor(LocalityFunctor):
     def __init__(self, codes: np.ndarray, lengths: np.ndarray, group: int,
                  ctx=None, ngroups: int = 0) -> None:
         self._codes = codes.astype(np.uint64)
-        self._lens = lengths.astype(np.uint64)
+        self._lens = lengths.astype(np.uint8)
         self._group = group
         self._ctx = ctx
         self._ngroups = ngroups
@@ -152,36 +154,48 @@ class _EncodeFunctor(LocalityFunctor):
         nblocks, chunk = blocks.shape
         g = self._group
         per = chunk // g
+        width = item_row(per)
         rows = max(1, min(nblocks, SLAB // per))
         step = rows * per
         if self._ctx is not None and nblocks == self._ngroups:
-            items = self._ctx.scratch("enc.items", 2 * nblocks * per, np.uint64)
-            slab = self._ctx.scratch("enc.slab", 3 * step, np.uint64)
+            items = self._ctx.scratch("enc.items", nblocks * width, np.uint64)
+            slab = self._ctx.scratch("enc.slab", 4 * step, np.uint64)
         else:
             # hpdrlint: disable=HPL001 — part of a launch, or no context
-            own = np.empty(2 * nblocks * per + 3 * step, dtype=np.uint64)
-            items, slab = own[: 2 * nblocks * per], own[2 * nblocks * per :]
-        items = items.reshape(2, nblocks, per)
+            own = np.empty(nblocks * width + 4 * step, dtype=np.uint64)
+            items, slab = own[: nblocks * width], own[nblocks * width :]
+        items = items.reshape(nblocks, width)
+        lens = items[:, per:].view(np.uint8)
+        if per % 8:
+            lens[:, per:] = 0       # a row's spare length bytes
         for r in range(0, nblocks, rows):
             keys = blocks[r : r + rows]
-            code, length = items[0, r : r + rows], items[1, r : r + rows]
-            k = code.size
-            idx = slab[:k].view(np.intp).reshape(code.shape)
-            c = slab[step : step + k].reshape(code.shape)
-            l = slab[2 * step : 2 * step + k].reshape(code.shape)
+            shape = (keys.shape[0], per)
+            k = keys.shape[0] * per
+            # The slab's planes: gather index, one key's codes, the
+            # joined codes, and (as bytes) one key's lengths and their
+            # sum.  Contiguous, so the gathers write them directly and
+            # the ufuncs run flat; the chunk rows take one copy each.
+            idx = slab[:k].view(np.intp).reshape(shape)
+            c = slab[step : step + k].reshape(shape)
+            code = slab[2 * step : 2 * step + k].reshape(shape)
+            byte = slab[3 * step : 4 * step].view(np.uint8)
+            l, total = byte[:k].reshape(shape), byte[step : step + k].reshape(shape)
             # Key range was validated by the histogram stage; "clip"
             # skips a second bounds-check pass.
             np.copyto(idx, keys[:, 0::g], casting="unsafe")
             self._codes.take(idx, out=code, mode="clip")
-            self._lens.take(idx, out=length, mode="clip")
+            self._lens.take(idx, out=total, mode="clip")
             for j in range(1, g):
                 np.copyto(idx, keys[:, j::g], casting="unsafe")
                 self._codes.take(idx, out=c, mode="clip")
                 self._lens.take(idx, out=l, mode="clip")
                 np.left_shift(code, l, out=code)
                 np.bitwise_or(code, c, out=code)
-                np.add(length, l, out=length)
-        return items.transpose(1, 0, 2)
+                np.add(total, l, out=total)      # at most 64 bits
+            np.copyto(items[r : r + rows, :per], code)
+            np.copyto(lens[r : r + rows, :per], total)
+        return items
 
 
 class HuffmanX:
@@ -254,9 +268,9 @@ class HuffmanX:
         codebooks stay per-item (they are data-dependent), but every
         array stage fuses across the batch: one offset-bincount histogram,
         one Locality encode launch through per-item lookup tables laid
-        side by side, one 2-D prefix-sum serialize pass, and one
-        :func:`~repro.compressors.huffman.bitstream.pack_ends` call over
-        word-aligned per-item bit ranges.  Raises ``ValueError`` on
+        side by side, and one serialize pass: per-chunk bit counts, then
+        one :func:`~repro.compressors.huffman.bitstream.pack_items` call
+        over word-aligned per-item bit ranges.  Raises ``ValueError`` on
         non-uniform inputs (callers fall back to per-item execution).
         """
         keys_list = [np.ascontiguousarray(k) for k in keys_list]
@@ -309,11 +323,16 @@ class HuffmanX:
         # writes no bits).  A batch of one has one table at base 0, so
         # the caller's keys index it as they are — no widening copy
         # (8 MB of int64 for a 1 MB byte input), only the padding.
+        # Staged keys take the narrowest unsigned dtype of the tables
+        # (uint16 for a few 4,096-symbol planes); the histogram and the
+        # encode gathers widen a slab at a time.  The name carries the
+        # dtype: it follows the batch width, which varies under one key.
         flat = keys_list[0].reshape(-1)
+        narrow = np.min_scalar_type(nbatch * num_symbols - 1)
         if nbatch > 1:
-            staged = ctx.scratch("enc.keys", nbatch * m, np.int64)
+            staged = ctx.scratch(f"enc.keys.{narrow.str}", nbatch * m, narrow)
         elif m != n:
-            staged = ctx.scratch("enc.keys_padded", m, dtype)
+            staged = ctx.scratch("enc.keys_padded", m, narrow)
         else:
             staged = flat
         staged2d = staged.reshape(nbatch, m)
@@ -378,10 +397,9 @@ class HuffmanX:
         # their codes would.
         group = codes_per_field(int(lut_lens.max()), chunk)
         per = chunk // group      # items per chunk
-        mg = m // group           # items per row
         with span("huffman.encode", cat="huffman", keys=n, chunk=chunk,
                   batch=nbatch):
-            out = locality(
+            items = locality(
                 staged2d.reshape(-1),
                 _EncodeFunctor(lut_codes, lut_lens, group, ctx=ctx,
                                ngroups=nbatch * nchunks),
@@ -390,50 +408,52 @@ class HuffmanX:
                 pad_mode="edge",
                 reassemble=False,
                 ctx=ctx,
-            )  # (nbatch * nchunks, 2, per) uint64: codes, lengths
-        items = ctx.scratch("enc.items", 2 * nbatch * mg, np.uint64)
-        items = items.reshape(2, nbatch, mg)
-        if not np.may_share_memory(out, items):
-            # A fanned-out launch: its parts came back in their own memory.
-            items.reshape(2, nbatch * nchunks, per)[...] = out.transpose(1, 0, 2)
-        codes, lens = items
+            )  # (nbatch * nchunks, item_row(per)) uint64
+        # (row, chunk, item) views of the codes and their lengths
+        codes = items[:, :per].reshape(nbatch, nchunks, per)
+        lens = items[:, per:].view(np.uint8)[:, :per].reshape(nbatch, nchunks, per)
         if m != n:
-            # The padding tail repeats each row's last key and writes no
-            # bits: items wholly in it become empty, and the one item
-            # the true end cuts keeps its real codes (the high bits).
-            items[:, :, -(-n // group):] = 0
+            # The padding tail, all in the last chunk, repeats each row's
+            # last key and writes no bits: items wholly in it become
+            # empty, and the one item the true end cuts keeps its real
+            # codes (the high bits).
+            last = (nchunks - 1) * per      # the last chunk's first item
+            codes[:, -1, -(-n // group) - last :] = 0
+            lens[:, -1, -(-n // group) - last :] = 0
             if n % group:
                 cut = (group - n % group) * lut_lens[staged2d[:, -1]].astype(
                     np.uint64)
-                codes[:, n // group] >>= cut
-                lens[:, n // group] -= cut
+                codes[:, -1, n // group - last] >>= cut
+                lens[:, -1, n // group - last] -= cut.astype(np.uint8)
 
-        # serialize: one 2-D prefix-sum pass (DEM) turns each item's
-        # length into where it ends, in place; then a single pack over
-        # per-row word-aligned bit ranges.  Row i's payload starts at
-        # word ``wbase[i]``; codes never spill past a word-aligned row
-        # end, so each row's byte slice equals its solo pack.
-        def _ends(lengths: np.ndarray) -> np.ndarray:
-            return np.cumsum(lengths, axis=1, out=lengths)
-
-        with span("huffman.serialize", cat="huffman", keys=n, batch=nbatch):
-            ends = global_pipeline(
-                lens.view(np.int64),
-                FnDomain(_ends, name="huffman.serialize",
-                         bytes_per_element=16.0),
-                adapter=self.adapter,
-            )
-            totals = ends[:, -1].copy()  # bits per row
+        # serialize (DEM): per-chunk bit counts give the chunk offsets and
+        # each row's length, then one pack over per-row word-aligned bit
+        # ranges turns lengths into ends a slab at a time.  Row i's
+        # payload starts at word ``wbase[i]``; codes never spill past a
+        # word-aligned row end, so each row's byte slice equals its solo
+        # pack.
+        def _pack(_items: np.ndarray):
+            chunk_bits = lens.sum(axis=2, dtype=np.uint64)
+            totals = chunk_bits.sum(axis=1)  # bits per row
             chunk_offsets = np.zeros((nbatch, nchunks), dtype=np.uint64)
-            chunk_offsets[:, 1:] = ends[:, per - 1 :: per][:, :-1]
+            np.cumsum(chunk_bits[:, :-1], axis=1, out=chunk_offsets[:, 1:])
             nwords = (totals + 63) >> 6
-            wbase = np.concatenate([[0], np.cumsum(nwords)[:-1]])
-            ends += (wbase << 6)[:, None]
-            packed = pack_ends(
-                codes.reshape(-1), ends.reshape(-1),
+            wbase = np.zeros(nbatch, dtype=np.uint64)
+            np.cumsum(nwords[:-1], out=wbase[1:])
+            packed = pack_items(
+                codes, lens, wbase << 6,
                 ctx.scratch("enc.words", int(wbase[-1] + nwords[-1]) + 2,
                             np.uint64),
-                ctx.scratch("enc.slab", 3 * SLAB, np.uint64),
+                ctx.scratch("enc.slab", 3 * max(SLAB, per), np.uint64),
+            )
+            return packed, totals, chunk_offsets, wbase
+
+        with span("huffman.serialize", cat="huffman", keys=n, batch=nbatch):
+            packed, totals, chunk_offsets, wbase = global_pipeline(
+                items,
+                FnDomain(_pack, name="huffman.serialize",
+                         bytes_per_element=9.0),
+                adapter=self.adapter,
             )
         return [
             (packed[8 * int(wbase[i]) :][: (int(totals[i]) + 7) >> 3],

@@ -255,10 +255,12 @@ class MGARDX:
 
         Validates, resolves each lane's absolute bound, refuses a bound
         finer than float64 resolves at the data's magnitude, decomposes
-        and quantizes.  Yields ``(grid, abs_ebs, bins, qflat)`` —
+        and quantizes.  Yields ``(grid, abs_ebs, bins, qflat, groups)`` —
         ``bins`` is ``(N, groups)``, ``qflat`` the ``(N, coefficients)``
         int64 codes of every group, finest first (``grid.split`` cuts it
-        into groups) — while the grid's context is still pinned.
+        into groups), and ``groups`` the float64 ``(N, group size)``
+        coefficients they quantize, whose life ends here: the caller may
+        reuse their memory — while the grid's context is still pinned.
         """
         kappa = self.kappa if kappa is None else kappa
         first, nbatch = datas[0], len(datas)
@@ -292,11 +294,7 @@ class MGARDX:
                 )
                 quantize_levels(groups, bins, adapter=self.adapter,
                                 out=grid.split(qflat))
-            yield grid, ebs, bins, qflat
-
-    def dequantize(self, qgroups: list[np.ndarray], bins: np.ndarray) -> list[np.ndarray]:
-        """Codes back to bin centres, with or without a batch axis."""
-        return dequantize_levels(qgroups, bins, adapter=self.adapter)
+            yield grid, ebs, bins, qflat, groups
 
     def recomposed(
         self, grid: Grid, qflat: np.ndarray, bins: np.ndarray, dtype
@@ -331,7 +329,7 @@ class MGARDX:
 
     def _compress(self, datas: list[np.ndarray], coords, kappa: float) -> list[bytes]:
         first = datas[0]
-        with self.quantized(datas, coords, kappa) as (_, ebs, bins, qflat):
+        with self.quantized(datas, coords, kappa) as (_, ebs, bins, qflat, _):
             with span("mgard.encode", cat="mgard"):
                 symbols, outliers = to_symbols(qflat, self.dict_size)
                 if self.config.lossless == "huffman":

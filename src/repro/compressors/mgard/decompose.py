@@ -59,16 +59,21 @@ def _level_geometry(hierarchy: Hierarchy, level: int, ctx=None):
     """``(selector, fine_idx)`` for a level, CMM-cached when ``ctx`` given.
 
     ``fine_idx`` are the flat C-order indices of the fine (non-coarse)
-    nodes — the positions whose multilevel coefficients the level emits.
-    Both are pure functions of the hierarchy, so repeated reductions
-    reuse them instead of rebuilding full-grid boolean masks.
+    nodes — the positions whose multilevel coefficients the level emits —
+    in the narrowest unsigned dtype that indexes the level's grid (an
+    idle context holds them for every level).  Both are pure functions
+    of the hierarchy, so repeated reductions reuse them instead of
+    rebuilding full-grid boolean masks.
     """
 
     def _build_selector():
         return _coarse_selector(hierarchy, level)
 
     def _build_fine_idx():
-        return np.flatnonzero(~_coarse_mask(hierarchy, level).ravel())
+        mask = _coarse_mask(hierarchy, level).ravel()
+        return np.flatnonzero(~mask).astype(
+            np.min_scalar_type(max(mask.size - 1, 0))
+        )
 
     if ctx is None:
         return _build_selector(), _build_fine_idx()
@@ -76,6 +81,26 @@ def _level_geometry(hierarchy: Hierarchy, level: int, ctx=None):
         ctx.object(f"geometry.selector.{level}", _build_selector),
         ctx.object(f"geometry.fine_idx.{level}", _build_fine_idx),
     )
+
+
+#: Fine nodes per gather/scatter pass: the narrow ``fine_idx`` widens to
+#: intp a slab at a time, not for the whole level.
+_SLAB = 1 << 15
+
+
+def _gather_fine(grid: np.ndarray, fine_idx: np.ndarray, out: np.ndarray) -> None:
+    """``out[..., i] = grid[..., fine_idx[i]]`` over flattened grids."""
+    for lo in range(0, fine_idx.size, _SLAB):
+        # "clip": the indices are in range by construction, and "raise"
+        # would stage ``out`` in a copy.
+        np.take(grid, fine_idx[lo : lo + _SLAB], axis=-1,
+                out=out[..., lo : lo + _SLAB], mode="clip")
+
+
+def _scatter_fine(grid: np.ndarray, fine_idx: np.ndarray, values: np.ndarray) -> None:
+    """``grid[..., fine_idx[i]] = values[..., i]`` over flattened grids."""
+    for lo in range(0, fine_idx.size, _SLAB):
+        grid[..., fine_idx[lo : lo + _SLAB]] = values[..., lo : lo + _SLAB]
 
 
 def level_factors(hierarchy: Hierarchy, level: int) -> dict[int, TridiagFactors]:
@@ -130,7 +155,8 @@ def _grid(ctx, name: str, shape: tuple[int, ...]) -> np.ndarray:
 #: scattered coefficients of a recomposition level.  Neither survives
 #: its level, and decomposition and recomposition never interleave, so
 #: all of them share one slot; the slot is retired at the end of each
-#: level (poisoned under ``HPDR_SAN=1``).
+#: level (poisoned under ``HPDR_SAN=1``).  Between recompositions the
+#: progressive writer measures a prefix in it.
 LEVEL_SLOT = "level.mc"
 
 
@@ -196,7 +222,7 @@ def decompose(
         level_coeffs = _grid(
             ctx, f"decompose.coeffs.{level}", batch + (fine_idx.size,)
         )
-        np.take(mc.reshape(batch + (-1,)), fine_idx, axis=-1, out=level_coeffs)
+        _gather_fine(mc.reshape(batch + (-1,)), fine_idx, level_coeffs)
         coeffs.append(level_coeffs)
         corr = _correction(mc, hierarchy, level, factors, adapter, ctx=ctx,
                            lead=lead)
@@ -258,7 +284,7 @@ def recompose_levels(
                 else level_factors(hierarchy, level)
             )
             mc = _zeroed(ctx, LEVEL_SLOT, shape)
-            mc.reshape(shape[:lead] + (-1,))[..., fine_idx] = level_coeffs
+            _scatter_fine(mc.reshape(shape[:lead] + (-1,)), fine_idx, level_coeffs)
             current = current - _correction(
                 mc, hierarchy, level, factors, adapter, ctx=ctx, lead=lead
             )

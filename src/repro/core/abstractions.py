@@ -276,7 +276,8 @@ def iterative(
 
     ``ctx`` supplies the persistent vector-batch buffer (CMM): the
     axis-move gather and group padding then reuse cached memory and the
-    steady state allocates nothing for the batch.
+    steady state allocates nothing for the batch.  The functor must not
+    return its input: the staging is retired when the launch returns.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
@@ -288,16 +289,14 @@ def iterative(
 
     ngroups = -(-nvec // group_size)
     padded_n = ngroups * group_size
+    slot = f"iterative.{functor.name}.vectors"
     if ctx is not None:
-        # Keyed by the functor and the staging shape, not by the axis:
-        # the buffer dies with the launch, so the solves along every
-        # axis of one cube share it, while pipelines that sweep several
-        # sizes per call (MGARD's level hierarchy) keep one per size and
-        # still reach a zero-alloc steady state without rebinds.
-        vectors = ctx.buffer(
-            f"iterative.{functor.name}.{padded_n}x{n}.vectors",
-            (padded_n, n),
-            data.dtype,
+        # One slot per functor, whatever the axis or staging shape: the
+        # buffer dies with its launch, so every solve of a call (every
+        # axis of every level of MGARD's hierarchy) shares one block,
+        # which grows to the largest staging and is retired below.
+        vectors = ctx.scratch(slot, padded_n * n, data.dtype).reshape(
+            padded_n, n
         )
         np.copyto(vectors[:nvec].reshape(moved.shape), moved)
         if padded_n != nvec:
@@ -309,6 +308,8 @@ def iterative(
             vectors = np.concatenate([vectors, pad], axis=0)
     groups = vectors.reshape(ngroups, group_size, n)
     out = adapter.execute_group_batch(_GroupedIterative(functor), groups)
+    if ctx is not None:
+        ctx.retire(slot)
     out = out.reshape(padded_n, n)[:nvec]
     return move_axis(out.reshape(*lead_shape, n), -1, axis)
 

@@ -34,8 +34,8 @@ from typing import Any
 import numpy as np
 
 from repro.compressors.mgard.compressor import MGARDX, Grid
-from repro.compressors.mgard.decompose import recompose_levels
-from repro.compressors.mgard.quantize import DEFAULT_KAPPA
+from repro.compressors.mgard.decompose import LEVEL_SLOT, recompose_levels
+from repro.compressors.mgard.quantize import DEFAULT_KAPPA, dequantize_levels
 from repro.container import crc32
 from repro.core.config import Config
 from repro.core.context import ContextCache
@@ -43,12 +43,31 @@ from repro.progressive.errors import MalformedIndexError
 from repro.progressive.segments import (
     SegmentIndex,
     SegmentRecord,
-    decode_segments,
+    iter_segments,
     encode_segments,
     split_planes,
 )
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import TRACER as _TRACER, span
+from repro.util import hot_path
+
+
+@hot_path(reason="runs once per emitted segment over the whole field")
+def prefix_error(recon: np.ndarray, data: np.ndarray, diff: np.ndarray) -> float:
+    """Max abs error of a reconstructed prefix, as a reader measures it.
+
+    ``recon`` (float64) is rounded to ``data``'s dtype, as the reader's
+    result is, then both are compared in float64 in ``diff`` (float64
+    scratch of ``data``'s shape).  ``max(max d, -min d)`` is ``max|d|``
+    bit for bit (``+ 0.0`` turns a ``-0.0`` maximum into ``abs``'s
+    ``+0.0``), and NaN or inf anywhere comes back as NaN or inf.
+    """
+    if recon.dtype == data.dtype:
+        np.subtract(recon, data, out=diff)
+    else:
+        np.positive(recon, out=diff, dtype=data.dtype)
+        np.subtract(diff, data, out=diff)
+    return max(float(diff.max()), -float(diff.min())) + 0.0
 
 
 class ProgressiveMGARD:
@@ -99,15 +118,17 @@ class ProgressiveMGARD:
         data = np.asarray(data, order="C")  # ascontiguousarray promotes 0-d
         with span("progressive.refactor", cat="progressive",
                   nbytes=int(data.nbytes)):
-            with self.mgard.quantized([data]) as (grid, (abs_eb,), bins, qflat):
+            with self.mgard.quantized([data]) as (
+                grid, (abs_eb,), bins, qflat, coeffs,
+            ):
                 return self._emit(
                     data, abs_eb, bins[0], [q[0] for q in grid.split(qflat)],
-                    grid,
+                    [c[0] for c in coeffs], grid,
                 )
 
     def _emit(
         self, data: np.ndarray, abs_eb: float, bins: np.ndarray,
-        qgroups: list, grid: Grid,
+        qgroups: list, coeffs: list, grid: Grid,
     ) -> tuple[SegmentIndex, list[bytes]]:
         """Split codes into segments, measuring each prefix's error.
 
@@ -119,14 +140,16 @@ class ProgressiveMGARD:
         levels and their arithmetic are the reader's, so the measured
         error is still the error a reader achieves.
         """
-        mgard, hierarchy = self.mgard, grid.hierarchy
+        mgard, hierarchy, ctx = self.mgard, grid.hierarchy, grid.ctx
         ngroups = len(qgroups)
         coarsest_shape = hierarchy.shape_at(hierarchy.total_levels)
         kw = {"adapter": mgard.adapter, "factors_per_level": grid.factors,
-              "ctx": grid.ctx}
-        data64 = data.astype(np.float64)
-        qhat = [np.zeros_like(q) for q in qgroups]
-        groups = [np.zeros(q.size) for q in qgroups]  # qhat, dequantized
+              "ctx": ctx}
+        # Only the group being emitted has coefficients: coarser ones are
+        # folded into ``done``, and finer ones are empty planes, which
+        # the recomposition passes over without reading.
+        empty = np.zeros(0, dtype=np.float64)
+        levels = [empty] * ngroups
         done: np.ndarray | None = None
         segments: list[bytes] = []
         records: list[SegmentRecord] = []
@@ -140,20 +163,34 @@ class ProgressiveMGARD:
             )
             # One key-coder launch per stage for the whole group.
             coded = encode_segments(g, planes, self._huffman, mgard.dict_size)
+            # The group's codes are dead once split (a lone plane is the
+            # codes themselves): their memory accumulates the planes again.
+            qhat = qgroups[mi]
+            if len(planes) > 1:
+                qhat[...] = 0
+            # The quantized coefficients are dead too: the group's bin
+            # centres take their place.
+            centres = coeffs[mi].view(np.int64)
             for (shift, plane), seg in zip(planes, coded):
-                qhat[mi] += plane << np.int64(shift)
-                (groups[mi],) = mgard.dequantize([qhat[mi]], bins[mi : mi + 1])
+                if len(planes) > 1:
+                    plane <<= np.int64(shift)
+                    qhat += plane
+                np.copyto(centres, qhat)
+                (levels[mi],) = dequantize_levels(
+                    [centres], bins[mi : mi + 1], adapter=mgard.adapter,
+                    in_place=True,
+                )
                 if done is None:  # first group: the coarsest approximation
-                    approx = groups[mi].reshape(coarsest_shape)
+                    approx = levels[mi].reshape(coarsest_shape)
                 else:
                     approx = recompose_levels(
-                        groups, done, hierarchy, mi, mi, **kw
+                        levels, done, hierarchy, mi, mi, **kw
                     )
-                # Rounded to the stored dtype, as the reader's result is.
-                recon = recompose_levels(
-                    groups, approx, hierarchy, mi - 1, **kw
-                ).astype(data.dtype, copy=False)
-                err = float(np.max(np.abs(recon.astype(np.float64) - data64)))
+                recon = recompose_levels(levels, approx, hierarchy, mi - 1, **kw)
+                # The level slot is free between recompositions.
+                diff = ctx.scratch(LEVEL_SLOT, data.size, np.float64)
+                err = prefix_error(recon, data, diff.reshape(data.shape))
+                ctx.retire(LEVEL_SLOT)
                 if not math.isfinite(err):
                     raise ValueError(
                         "progressive MGARD needs finite data (measured "
@@ -166,6 +203,7 @@ class ProgressiveMGARD:
                 ))
                 segments.append(seg)
                 offset += len(seg)
+            levels[mi] = empty
             done = approx
         index = SegmentIndex(
             dtype=data.dtype.str, shape=tuple(data.shape), ngroups=ngroups,
@@ -219,7 +257,7 @@ class ProgressiveMGARD:
                     rec.check_crc(view)
                 # Checked bytes only: each group's planes decode fused.
                 for rec, (group, shift, plane) in zip(
-                    index.records, decode_segments(views, self._huffman)
+                    index.records, iter_segments(views, self._huffman)
                 ):
                     if group != rec.group or shift != rec.shift:
                         raise MalformedIndexError(
@@ -232,7 +270,8 @@ class ProgressiveMGARD:
                             f"segment {rec.seq} carries {plane.size} codes, "
                             f"group {group} holds {sizes[mi]}"
                         )
-                    qhat[mi][0] += plane << np.int64(shift)
+                    plane <<= np.int64(shift)   # decoded for us alone
+                    qhat[mi][0] += plane
                 bins = np.asarray(index.bins, dtype=np.float64)
                 (out,) = self.mgard.recomposed(grid, qflat, bins[None], dtype)
                 return out

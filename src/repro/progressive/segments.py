@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -78,21 +78,22 @@ def split_planes(
     The planes are coarsest-first and their shifted sum reconstructs
     ``q`` exactly (see module docstring).  At least one plane (shift 0)
     is always produced so every group is represented in the stream.
+    The last plane is the final residual; a lone plane is ``q`` itself
+    (for contiguous int64 codes), not a copy.
     """
     q = np.ascontiguousarray(q, dtype=np.int64)
     max_abs = int(np.abs(q).max()) if q.size else 0
     shifts = plane_shifts(max_abs, bits_per_plane, max_planes)
     planes: list[tuple[int, np.ndarray]] = []
-    r = q.copy()
-    for shift in shifts:
-        if shift:
-            half = np.int64(1) << np.int64(shift - 1)
-            t = (r + half) >> np.int64(shift)
-            r = r - (t << np.int64(shift))
-        else:
-            t = r
-            r = np.zeros_like(r)
+    r = q
+    for shift in shifts[:-1]:
+        s = np.int64(shift)
+        t = r + (np.int64(1) << (s - np.int64(1)))
+        t >>= s
+        rest = np.left_shift(t, s)
+        r = np.subtract(r, rest, out=rest)
         planes.append((shift, t))
+    planes.append((0, r))
     return planes
 
 
@@ -181,10 +182,21 @@ def decode_segments(
     payload does not decode, :class:`MalformedIndexError` on a bad
     magic/version.
     """
+    return list(iter_segments(blobs, huffman))
+
+
+def iter_segments(
+    blobs: list[bytes | memoryview], huffman: Any
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """:func:`decode_segments`, one group's run at a time: only the run
+    being consumed is decoded.  Every header is checked before the first
+    plane is yielded.  The planes are the caller's own (int64, no other
+    reference), to reuse as it likes.
+    """
     from repro.compressors.mgard.quantize import from_symbols
 
     parsed = [_parse_segment(seq, blob) for seq, blob in enumerate(blobs)]
-    out: list[tuple[int, int, np.ndarray]] = []
+    seq = 0
     for _group, members in groupby(parsed, key=lambda header: header[0]):
         run = list(members)
         try:
@@ -196,11 +208,12 @@ def decode_segments(
         for (group, shift, count, payload, outliers), symbols in zip(
             run, decoded
         ):
-            seq = len(out)
             try:
                 if symbols is None:
                     symbols = huffman.decompress_keys(payload)
-                plane = from_symbols(symbols, outliers)
+                # The decoded keys are fresh: int64 ones become the codes.
+                plane = from_symbols(symbols, outliers,
+                                     in_place=symbols.dtype == np.int64)
             except ValueError as exc:
                 raise TruncatedSegmentError(
                     f"segment {seq} payload corrupt: {exc}"
@@ -210,8 +223,8 @@ def decode_segments(
                     f"segment {seq} decoded {plane.size} codes, header "
                     f"says {count}"
                 )
-            out.append((group, shift, plane))
-    return out
+            yield group, shift, plane
+            seq += 1
 
 
 def decode_segment(

@@ -1,10 +1,14 @@
-"""Per-call working memory of MGARD-X and Huffman-X, pinned.
+"""Per-call working memory of MGARD-X, Huffman-X and the progressive
+archive, pinned.
 
-Working memory is sized by buffer lifetime: a grid that dies inside its
-level shares one slot with every other level's, the Thomas staging is
-shared by the three axes of a cube, the key decoder's window is 4 bytes
-a payload byte, and the MGARD-X decompress chain (keys → codes →
-coefficients) runs in one planned plane.  Two figures per call:
+Working memory is sized by buffer lifetime and width: a grid that dies
+inside its level shares one slot with every other level's, the Thomas
+staging is one slot for every solve of a call, level geometry and staged
+keys are as narrow as their ranges, a coder item is 9 bytes, the key
+decoder's window is 4 bytes a payload byte, the MGARD-X decompress chain
+(keys → codes → coefficients) runs in one planned plane, and the
+progressive writer measures each prefix in the level slot.  Two figures
+per call:
 
 * the pooled blocks bound to contexts at the call's high-water mark
   (block capacities, every context of the cache, small blocks that stay
@@ -18,12 +22,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import Config, ErrorMode, HuffmanX, MGARDX
+from repro import Config, ErrorMode, HuffmanX, MGARDX, ProgressiveMGARD
 from repro.adapters import SerialAdapter
 from repro.compressors.mgard.decompose import LEVEL_SLOT, decompose, recompose
 from repro.compressors.mgard.hierarchy import Hierarchy
 from repro.core.context import ContextCache
-from repro.data import gaussian_random_field
+from repro.data import gaussian_random_field, nyx_like
 from repro.resilience import ResilientAdapter
 from repro.resilience.errors import DeviceBatchFault
 
@@ -108,6 +112,45 @@ def test_huffman_decode_of_a_megabyte_stays_in_budget():
     assert codec.decompress(blob).tobytes() == data.tobytes()
 
 
+def test_progressive_refactor_and_reconstruct_stay_in_budget():
+    """A 48x48x57 NYX-like density at relative 1e-4 (an ``archive_rw``
+    field): the refactor binds at most 8.5 MB of blocks and draws at
+    most 6 MB of transients (a Thomas block per staging shape, int64
+    staged keys and four full-size temporaries per measured prefix bound
+    10.4 MB and drew 9.0 MB); a full reconstruct draws at most 4 MB (all
+    decoded planes at once, each copied and shifted, drew 5.2 MB)."""
+    data = nyx_like((48, 48, 57), seed=7057)
+    cache = ContextCache()
+    blocks = _BoundBlocks(cache)
+    codec = ProgressiveMGARD(Config(error_bound=1e-4, error_mode=ErrorMode.REL),
+                             adapter=SerialAdapter(), context_cache=cache)
+    index, segments = codec.refactor(data)
+    pooled, transient = blocks.warm_call(lambda: codec.refactor(data))
+    assert pooled <= 8.5, f"refactor bound {pooled:.2f} MB of blocks"
+    assert transient <= 6.0, f"refactor drew {transient:.2f} MB of transients"
+    pooled, transient = blocks.warm_call(
+        lambda: codec.reconstruct(index, segments))
+    assert pooled <= 4.0, f"reconstruct bound {pooled:.2f} MB of blocks"
+    assert transient <= 4.0, f"reconstruct drew {transient:.2f} MB of transients"
+
+
+def test_huffman_encode_of_three_key_planes_stays_in_budget():
+    """Three 131 K-key planes of a 4,096-symbol alphabet (a progressive
+    group) stage as uint16 and fold into 9-byte items: at most 4 MB of
+    pooled blocks (int64 staging and 16-byte items bound 7.3 MB)."""
+    rng = np.random.default_rng(7057)
+    planes = [np.minimum(np.abs(rng.normal(size=48 * 48 * 57) * 40), 4095)
+              .astype(np.int64) for _ in range(3)]
+    cache = ContextCache()
+    blocks = _BoundBlocks(cache)
+    codec = HuffmanX(adapter=SerialAdapter(), context_cache=cache)
+    pooled, _ = blocks.warm_call(lambda: codec.compress_keys_batch(planes, 4096))
+    assert pooled <= 4.0, f"encode bound {pooled:.2f} MB of blocks"
+    blobs = codec.compress_keys_batch(planes, 4096)
+    for blob, keys in zip(blobs, planes):
+        assert np.array_equal(codec.decompress_keys(blob), keys)
+
+
 class _FailsAfterFirstGroup(SerialAdapter):
     """Fails its first Map&Process launch after running the first
     subset, as a device that aborts a launch part-way would."""
@@ -183,3 +226,34 @@ def test_a_view_kept_past_its_level_reads_poison_under_san(monkeypatch, san):
     cache.release(ctx)
     if san == "1":
         assert np.isnan(level0).all()
+
+
+THOMAS_SLOT = "iterative.mgard.tridiag.vectors"
+
+
+@pytest.mark.parametrize("san", ["1", "0"])
+def test_a_view_kept_past_its_solve_reads_poison_under_san(monkeypatch, san):
+    """The Thomas staging slot is retired as each solve returns: under
+    ``HPDR_SAN=1`` a view kept from an earlier solve reads NaN by the
+    time the next solve borrows the slot, and NaN stays after the
+    release; without it retiring costs nothing."""
+    monkeypatch.setenv("HPDR_SAN", san)
+    cache = ContextCache()
+    ctx = cache.get("grid", pin=True)
+    hierarchy = Hierarchy((17, 9, 5))
+    data = np.random.default_rng(1).normal(size=hierarchy.shape)
+    views, poisoned_at_borrow = _spy_on_slot(ctx, THOMAS_SLOT)
+    coeffs, coarsest = decompose(data, hierarchy, ctx=ctx)
+    assert len(views) > hierarchy.total_levels   # a solve per axis and level
+    first = views[0]
+    if san == "1":
+        assert poisoned_at_borrow == [True] * len(views)
+        assert np.isnan(first).all()
+    else:
+        assert not np.isnan(first).any()
+    # The solves' results never alias the slot: still exact.
+    back = recompose(coeffs, coarsest, hierarchy, ctx=ctx)
+    assert np.allclose(back, data, rtol=0, atol=1e-12)
+    cache.release(ctx)
+    if san == "1":
+        assert np.isnan(first).all()
