@@ -274,26 +274,29 @@ def cmd_faultplan(args) -> int:
 def _service_config(args, **fields):
     """The ``ServiceConfig`` the service flags of serve/cluster/blast describe.
 
-    ``fields`` are the settings only some commands expose.
+    ``fields`` are the settings only some commands expose.  A flag left
+    unset (``None``) keeps the ``ServiceConfig``/``BatchLimits`` default.
     """
     from repro.serve import BatchLimits, ServiceConfig
 
+    ms = args.max_latency_ms
     limits = {"max_batch": args.max_batch,
-              "max_latency_s": args.max_latency_ms / 1e3}
-    if hasattr(args, "max_bytes"):
-        limits["max_bytes"] = args.max_bytes
+              "max_bytes": getattr(args, "max_bytes", None),
+              "max_latency_s": None if ms is None else ms / 1e3}
     try:
         return ServiceConfig(
-            limits=BatchLimits(**limits),
-            workers=args.workers,
+            limits=BatchLimits(**_given(limits)),
             adapter=args.adapter or "serial",
             threads=args.threads,
-            tune=args.tune,
-            tuning_cache=args.tuning_cache,
-            **fields,
+            **_given({"workers": args.workers, **fields}),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
+
+
+def _given(settings: dict) -> dict:
+    """``settings`` without the flags left unset."""
+    return {k: v for k, v in settings.items() if v is not None}
 
 
 def _cluster_config(args, **fields):
@@ -350,12 +353,6 @@ def cmd_serve(args) -> int:
     cfg = _service_config(args, max_pending=args.max_pending)
 
     def banner(svc, host, port) -> str:
-        tuned = svc.config
-        if tuned is not cfg:
-            print(f"tuned ({cfg.tune}): adapter={tuned.adapter} "
-                  f"max_batch={tuned.limits.max_batch} "
-                  f"deadline={tuned.limits.max_latency_s * 1e3:g}ms",
-                  flush=True)
         return (
             f"serving on {host}:{port} adapter={cfg.adapter} "
             f"workers={cfg.workers} "
@@ -491,24 +488,6 @@ def cmd_blast(args) -> int:
     return 1 if (report["errors"] or report["mismatches"]) else 0
 
 
-def cmd_tune(args) -> int:
-    """Learn (and persist) the service micro-batch entry under load."""
-    from repro.tune import TuningCache, tune_service
-
-    cache = TuningCache(args.tuning_cache)
-    print(f"tuning cache: {cache.path}")
-    report = tune_service(cache, seed=args.seed, budget=args.budget,
-                          clients=args.clients)
-    print(f"  service: {report.speedup:.2f}x ({report.evaluations} evals, "
-          f"{report.rejected} rejected by the byte guard)")
-    print("\nlearned table:")
-    print(cache.table())
-    print(f"\nthe service entry "
-          f"{'beat' if report.improved else 'kept'} the hand-tuned defaults; "
-          f"every persisted config is byte-identical to them")
-    return 0
-
-
 def cmd_datasets(_args) -> int:
     from repro.data.registry import DATASETS
 
@@ -518,22 +497,6 @@ def cmd_datasets(_args) -> int:
         print(f"{spec.name:<6} {spec.field:<8} {dims:<24} "
               f"{spec.dtype:<8} {spec.full_size_label}")
     return 0
-
-
-def _add_tune_flags(sp, what: str) -> None:
-    """``--tune``/``--tuning-cache`` on the commands that start a service."""
-    sp.add_argument("--tune", default="off", choices=["auto", "off", "force"],
-                    help=f"consult the tuning cache for {what}: auto uses a "
-                         f"cached entry, force re-tunes first, off (default) "
-                         f"uses hand-tuned defaults; tuned runs are "
-                         f"byte-identical to defaults")
-    _add_tuning_cache_flag(sp)
-
-
-def _add_tuning_cache_flag(sp) -> None:
-    sp.add_argument("--tuning-cache", default=None, metavar="PATH",
-                    help="tuning-cache file (default: $HPDR_TUNE_CACHE or "
-                         "~/.cache/hpdr/tuning.json)")
 
 
 def _observe_parent(after: str, viewer: str = "") -> argparse.ArgumentParser:
@@ -567,6 +530,23 @@ def _device_parent(adapter: str | None = None, threads: str | None = None,
     return p
 
 
+def _service_parent() -> argparse.ArgumentParser:
+    """Parent parser for the service flags of serve/cluster/blast.
+
+    Unset, each keeps the ``ServiceConfig``/``BatchLimits`` default (on
+    cluster they set every shard's service; on blast, the selfhosted one).
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--workers", type=int, default=None,
+                   help="batch-execution workers (each with its own CMM cache)")
+    p.add_argument("--max-batch", type=int, default=None,
+                   help="flush a batch at this many requests "
+                        "(default: the admission limit)")
+    p.add_argument("--max-latency-ms", type=float, default=None,
+                   help="flush a batch this long after its first request")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -576,6 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     after_run = _observe_parent("the run")
     after_drain = _observe_parent("draining")
     omp_threads = "worker threads (openmp adapter)"
+    service = _service_parent()
 
     c = sub.add_parser("compress", help="compress a .npy array", parents=[
         _device_parent(
@@ -683,22 +664,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser(
         "serve", help="run the micro-batching reduction service (TCP)",
-        parents=[_device_parent(threads=omp_threads), after_drain],
+        parents=[_device_parent(threads=omp_threads), service, after_drain],
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=0,
                     help="TCP port (0 = ephemeral, printed at startup)")
-    sv.add_argument("--workers", type=int, default=1,
-                    help="batch-execution workers (each with its own CMM cache)")
-    sv.add_argument("--max-batch", type=int, default=16,
-                    help="flush a batch at this many requests")
-    sv.add_argument("--max-bytes", type=int, default=4 << 20,
+    sv.add_argument("--max-bytes", type=int, default=None,
                     help="flush a batch at this many payload bytes")
-    sv.add_argument("--max-latency-ms", type=float, default=2.0,
-                    help="flush a batch this long after its first request")
-    sv.add_argument("--max-pending", type=int, default=256,
+    sv.add_argument("--max-pending", type=int, default=None,
                     help="admission limit (beyond it requests are rejected)")
-    _add_tune_flags(sv, "service batch limits and adapter")
     sv.set_defaults(func=cmd_serve)
 
     cl = sub.add_parser(
@@ -706,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run N service shards behind the consistent-hash router (TCP)",
         parents=[
             _device_parent(threads="worker threads per shard (openmp adapter)"),
-            after_drain,
+            service, after_drain,
         ],
     )
     cl.add_argument("--host", default="127.0.0.1")
@@ -719,26 +693,20 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--backend", default="process",
                     choices=["task", "process"],
                     help="shard backend: in-loop tasks or real subprocesses")
-    cl.add_argument("--workers", type=int, default=1,
-                    help="batch-execution workers per shard")
-    cl.add_argument("--max-batch", type=int, default=16,
-                    help="per-shard batch flush size")
-    cl.add_argument("--max-latency-ms", type=float, default=2.0,
-                    help="per-shard batch flush deadline")
-    cl.add_argument("--max-pending", type=int, default=256,
+    cl.add_argument("--max-pending", type=int, default=None,
                     help="per-shard service admission limit")
     cl.add_argument("--shard-max-pending", type=int, default=None,
                     help="router-side admission slice per shard "
                          "(default: --max-pending)")
     cl.add_argument("--vnodes", type=int, default=64,
                     help="virtual nodes per shard on the hash ring")
-    _add_tune_flags(cl, "per-shard batch limits and adapter")
     cl.set_defaults(func=cmd_cluster)
 
     bl = sub.add_parser(
         "blast", help="closed-loop load generator for a served service",
         parents=[_device_parent(adapter="(selfhost) service adapter",
-                                threads="(selfhost) openmp worker threads")],
+                                threads="(selfhost) openmp worker threads"),
+                 service],
     )
     bl.add_argument("--host", default="127.0.0.1")
     bl.add_argument("--port", type=int, default=None,
@@ -766,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check lossless round-trips for exact equality")
     bl.add_argument("--compress-only", action="store_true",
                     help="skip the decompress half of each round-trip")
-    bl.add_argument("--workers", type=int, default=1,
-                    help="(selfhost) service workers")
-    bl.add_argument("--max-batch", type=int, default=16,
-                    help="(selfhost) service flush size")
-    bl.add_argument("--max-latency-ms", type=float, default=2.0,
-                    help="(selfhost) service flush deadline")
     bl.add_argument("--cluster", action="store_true",
                     help="selfhost a sharded cluster front door and blast it")
     bl.add_argument("--shards", type=int, default=4,
@@ -788,23 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "drill; the blast must still finish error-free")
     bl.add_argument("--kill-after-ms", type=float, default=150.0,
                     help="(cluster) delay before the --kill-one kill")
-    _add_tune_flags(bl, "(selfhost) service batch limits and adapter")
     bl.set_defaults(func=cmd_blast)
-
-    tn = sub.add_parser(
-        "tune",
-        help="tune the service micro-batch limits under load and persist "
-             "the learned entry",
-        parents=[_observe_parent("the campaign")],
-    )
-    _add_tuning_cache_flag(tn)
-    tn.add_argument("--seed", type=int, default=0,
-                    help="search seed (same seed => same proposal sequence)")
-    tn.add_argument("--budget", type=int, default=None,
-                    help="max configurations evaluated")
-    tn.add_argument("--clients", type=int, default=16,
-                    help="closed-loop clients in the probe blast")
-    tn.set_defaults(func=cmd_tune)
 
     ds = sub.add_parser("datasets", help="print the Table III inventory")
     ds.set_defaults(func=cmd_datasets)

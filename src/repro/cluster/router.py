@@ -78,12 +78,6 @@ class ClusterConfig:
     admission slice per shard (defaults to the shard service's own
     ``max_pending``, so the router sheds load the shard would have
     shed, without the round-trip).
-
-    Auto-tuning: the per-shard config's ``tune``/``tuning_cache``
-    fields ride into every shard unchanged (task shards in-process,
-    process shards across the spawn pickle), so each shard's
-    ``ReductionService.start()`` consults the same tuning cache — one
-    learned service entry configures the whole cluster.
     """
 
     shards: int = 2

@@ -42,12 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
+#: the service's default admission limit (``ServiceConfig.max_pending``)
+#: and so the default flush count: no size flush splits a wave of
+#: requests that admission let in.  The byte cap stops runaway batches,
+#: and the deadline and idle flush decide when a smaller batch goes.
+ADMISSION_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class BatchLimits:
     """Flush bounds for the micro-batcher."""
 
-    max_batch: int = 16
+    max_batch: int = ADMISSION_LIMIT
     max_bytes: int = 4 << 20
     max_latency_s: float = 0.002
 
@@ -56,7 +62,7 @@ class BatchLimits:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {self.max_bytes}")
-        if self.max_latency_s < 0:
+        if not self.max_latency_s >= 0:  # refuses NaN too
             raise ValueError(
                 f"max_latency_s must be >= 0, got {self.max_latency_s}"
             )

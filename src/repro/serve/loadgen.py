@@ -5,9 +5,9 @@ object exposing ``request(op, spec, payload)`` — the in-process
 :class:`~repro.serve.service.ReductionService` (via a tiny shim) or a
 remote :class:`~repro.serve.net.BlastClient` — and reports throughput
 plus latency percentiles.  The same harness backs the ``repro blast``
-CLI, the ``repro tune`` probe and the nightly cluster soak
-(``benchmarks/cluster_soak.py``); committed throughput numbers come
-from ``benchmarks/e2e/``, which drives its own clients.
+CLI and the nightly cluster soak (``benchmarks/cluster_soak.py``);
+committed throughput numbers come from ``benchmarks/e2e/``, which
+drives its own clients.
 
 Closed-loop means each client issues its next request only after the
 previous answer arrives: concurrency equals the client count, and

@@ -52,7 +52,8 @@ from typing import Any, Collection
 import numpy as np
 
 from repro.resilience.policy import RetryPolicy
-from repro.serve.batcher import BatchLimits, Flush, MicroBatchPlanner
+from repro.serve.batcher import (ADMISSION_LIMIT, BatchLimits, Flush,
+                                 MicroBatchPlanner)
 from repro.serve.errors import ServiceClosed, ServiceOverloaded
 from repro.serve.spec import CodecSpec, payload_nbytes
 from repro.serve.worker import OK, Worker
@@ -82,7 +83,7 @@ class ServiceConfig:
     """
 
     limits: BatchLimits = field(default_factory=BatchLimits)
-    max_pending: int = 256
+    max_pending: int = ADMISSION_LIMIT
     workers: int = 1
     adapter: str = "serial"
     threads: int | None = None
@@ -90,15 +91,10 @@ class ServiceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     retry_sleep: Any = None
     fault_plan: Any = None
-    #: consult the tuning cache at startup: ``off`` (never), ``auto`` /
-    #: ``force`` (rewrite limits + worker device from the cached
-    #: service-level entry before any worker is built — see
-    #: :func:`repro.tune.apply_service_tuning`).  A miss, stale schema
-    #: or corrupt cache leaves this config exactly as written.
+    #: only ``"off"``: the service tuner was replaced by the default
+    #: flush count (:data:`~repro.serve.batcher.ADMISSION_LIMIT`).  Kept
+    #: so callers that still pass ``tune="off"`` run unchanged.
     tune: str = "off"
-    #: tuning-cache path (None = the default user cache).  A plain
-    #: string so the config pickles into spawned process shards.
-    tuning_cache: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -107,9 +103,10 @@ class ServiceConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.threads is not None and self.adapter != "openmp":
             raise ValueError("--threads only applies to --adapter openmp")
-        if self.tune not in ("off", "auto", "force"):
+        if self.tune != "off":
             raise ValueError(
-                f"tune must be off|auto|force, got {self.tune!r}"
+                f"tune={self.tune!r}: the service tuner was removed; "
+                f"the flush count defaults to the admission limit"
             )
 
 
@@ -227,15 +224,6 @@ class ReductionService:
         self._loop = asyncio.get_running_loop()
         self._idle = asyncio.Event()
         self._idle.set()
-        if self.config.tune != "off":
-            # Consult the tuning cache before any worker exists, so the
-            # tuned limits and worker device apply to every worker.
-            # Local import: the service must not depend on the tuner
-            # unless tuning is requested.
-            from repro.tune import apply_service_tuning
-
-            self.config = apply_service_tuning(self.config)
-            self._planner = MicroBatchPlanner(self.config.limits)
         cfg = self.config
         from repro.adapters import get_adapter
 

@@ -403,122 +403,6 @@ def check_service(
 
 
 # ----------------------------------------------------------------------
-# Auto-tuner conformance
-# ----------------------------------------------------------------------
-def check_tuner(
-    strategy_factory: Any | None = None,
-    seed: int = 7,
-    budget: int = 24,
-) -> None:
-    """Conformance suite for tuning strategies and the AutoTuner contract.
-
-    Three properties every search strategy (and the tuner driving it)
-    must hold, checked on a synthetic knob space with a known cost
-    surface — no codecs, no wall clock, fully deterministic:
-
-    1. **determinism** — two strategies built with the same seed,
-       driven by the same costs, propose the *identical* configuration
-       sequence.  A tuner whose trajectory depends on anything but
-       ``(seed, costs)`` cannot be replayed or debugged;
-    2. **bounds** — every proposed configuration stays inside the knob
-       space: only declared knobs, only declared values;
-    3. **byte identity** — a full :class:`~repro.tune.AutoTuner` run
-       against a runner whose digest *changes* for some configs never
-       persists (or reports best) a config whose output bytes differ
-       from the default config's, no matter how fast it claims to be.
-
-    ``strategy_factory(space, seed=...)`` swaps the strategy under
-    test; the default is :class:`~repro.tune.CoordinateDescent`.
-    Raises :class:`AdapterConformanceError` on the first violation.
-    """
-    from repro.tune import (
-        AutoTuner,
-        CoordinateDescent,
-        Knob,
-        KnobSpace,
-        Measurement,
-        TuningKey,
-    )
-
-    factory = (CoordinateDescent if strategy_factory is None
-               else strategy_factory)
-    space = KnobSpace((
-        Knob("alpha", (1, 2, 4, 8), 4),
-        Knob("beta", ("x", "y", "z"), "y"),
-        Knob("gamma", (0.5, 1.0, 2.0), 1.0),
-    ))
-
-    def cost(config: dict) -> float:
-        # Convex-ish surface with a unique optimum at alpha=8, beta=z.
-        penalty = {"x": 0.4, "y": 0.2, "z": 0.0}[config["beta"]]
-        return 1.0 / float(config["alpha"]) + penalty + 0.1 * float(
-            config["gamma"]
-        )
-
-    # 1 + 2: identical proposal sequences, all inside the space.
-    traces: list[list[tuple]] = []
-    for _ in range(2):
-        strat = factory(space, seed=seed)
-        trace: list[tuple] = []
-        for _ in range(budget):
-            if strat.done:
-                break
-            config = strat.ask()
-            _require(space.contains(config),
-                     f"strategy proposed a config outside the knob space: "
-                     f"{config}")
-            trace.append(tuple(sorted(config.items())))
-            strat.tell(config, cost(config))
-        traces.append(trace)
-    _require(traces[0] == traces[1],
-             "strategy is not deterministic: same seed and same costs "
-             "produced different proposal sequences")
-    _require(len(traces[0]) > 1,
-             "strategy gave up after a single proposal")
-
-    # 3: byte-different configs must never be persisted or win.
-    # ``gamma`` is the trap: any value but the default flips the digest
-    # while looking 10x faster — exactly the config an unguarded tuner
-    # would fall for.
-    class _ByteTrapRunner:
-        def __call__(self, config: dict) -> Measurement:
-            changed = config["gamma"] != 1.0
-            return Measurement(
-                config=dict(config),
-                seconds=0.01 if changed else cost(config),
-                digest="trap" if changed else "baseline",
-            )
-
-    class _RecordingCache:
-        def __init__(self) -> None:
-            self.puts: list = []
-
-        def put(self, key, entry) -> None:
-            self.puts.append((key, entry))
-
-    cache = _RecordingCache()
-    tuner = AutoTuner(space, seed=seed, budget=budget)
-    report = tuner.tune(
-        TuningKey("conformance", "<f4", (2, 64), "test"),
-        _ByteTrapRunner(), cache=cache, source="check_tuner",
-    )
-    _require(report.best_config["gamma"] == 1.0,
-             "tuner accepted a config whose output bytes differ from the "
-             "default's (the byte-identity guard is broken)")
-    _require(report.digest == "baseline",
-             "tuner's winning digest is not the default config's digest")
-    _require(report.rejected > 0,
-             "tuner never rejected the byte-changing trap configs — the "
-             "guard was not exercised")
-    for _key, entry in cache.puts:
-        _require(entry.digest == "baseline",
-                 "tuner persisted an entry whose digest differs from the "
-                 "default config's output")
-        _require(entry.config.get("gamma", 1.0) == 1.0,
-                 "tuner persisted a byte-changing config")
-
-
-# ----------------------------------------------------------------------
 # Progressive-retrieval conformance
 # ----------------------------------------------------------------------
 def default_progressive_datasets() -> list[tuple[str, np.ndarray]]:

@@ -55,12 +55,10 @@ from repro.trace.tracer import (
     SpanEvent,
     TRACER,
     Tracer,
-    add_sink,
     clear,
     disable,
     enable,
     enabled,
-    remove_sink,
     span,
     traced,
 )
@@ -160,7 +158,6 @@ __all__ = [
     "TIME_BUCKETS",
     "TRACER",
     "Tracer",
-    "add_sink",
     "chrome_events",
     "clear",
     "counter",
@@ -173,7 +170,6 @@ __all__ = [
     "histogram",
     "load_chrome",
     "metrics",
-    "remove_sink",
     "render_prometheus",
     "render_spans",
     "reset",

@@ -143,12 +143,6 @@ class Tracer:
         #: wall-clock (epoch ns) matching perf_counter origin, taken at
         #: enable() — lets exporters produce absolute timestamps.
         self.epoch_ns = 0
-        #: measurement sinks: callables invoked with each committed
-        #: SpanEvent.  Consumers (the auto-tuner's MeasurementSink, live
-        #: dashboards) see spans as they complete instead of polling
-        #: snapshot().  Tuple, swapped atomically, so _commit iterates
-        #: without holding the lock.
-        self._sinks: tuple = ()
 
     # -- control -------------------------------------------------------
     def enable(self, clear: bool = False) -> None:
@@ -164,24 +158,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self.events.clear()
-
-    # -- sinks ---------------------------------------------------------
-    def add_sink(self, sink) -> None:
-        """Register ``sink(event)`` to receive every committed span.
-
-        Sinks fire on whatever thread closes the span, after the event
-        is appended; a sink must be fast and must not raise (exceptions
-        are swallowed so instrumentation can never break the traced
-        code).  Registering an already-registered sink is a no-op.
-        """
-        with self._lock:
-            if sink not in self._sinks:
-                self._sinks = self._sinks + (sink,)
-
-    def remove_sink(self, sink) -> None:
-        """Unregister a sink; missing sinks are ignored."""
-        with self._lock:
-            self._sinks = tuple(s for s in self._sinks if s is not sink)
 
     # -- recording -----------------------------------------------------
     def span(self, name: str, cat: str = "host", **args):
@@ -203,11 +179,6 @@ class Tracer:
             "span duration per stage",
             buckets=_STAGE_BUCKETS,
         ).observe(event.dur_ns / 1e9, stage=event.name)
-        for sink in self._sinks:
-            try:
-                sink(event)
-            except Exception:
-                pass  # a broken sink must never break the traced code
 
     # -- inspection ----------------------------------------------------
     def snapshot(self) -> list[SpanEvent]:
@@ -244,16 +215,6 @@ def disable() -> None:
 
 def clear() -> None:
     TRACER.clear()
-
-
-def add_sink(sink) -> None:
-    """Register a span sink on the process-wide tracer."""
-    TRACER.add_sink(sink)
-
-
-def remove_sink(sink) -> None:
-    """Unregister a span sink from the process-wide tracer."""
-    TRACER.remove_sink(sink)
 
 
 def span(name: str, cat: str = "host", **args):

@@ -171,5 +171,9 @@ def test_limits_validation():
         BatchLimits(max_bytes=0)
     with pytest.raises(ValueError):
         BatchLimits(max_latency_s=-1.0)
+    # A NaN deadline is never due: the flush timer would re-arm at once
+    # and spin the event loop.
+    with pytest.raises(ValueError, match="max_latency_s must be >= 0"):
+        BatchLimits(max_latency_s=float("nan"))
     with pytest.raises(ValueError):
         MicroBatchPlanner().add("k", _Item(0, 1), -1, now=0.0)

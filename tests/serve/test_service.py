@@ -256,6 +256,32 @@ def test_service_config_validation():
         ServiceConfig(workers=0)
 
 
+@pytest.mark.parametrize("mode", ["auto", "force"])
+def test_tune_is_refused_by_name(mode):
+    assert ServiceConfig(tune="off").tune == "off"
+    with pytest.raises(ValueError, match="service tuner was removed"):
+        ServiceConfig(tune=mode)
+
+
+def test_default_config_answers_a_wave_in_one_batch():
+    """With the default limits, no size flush splits a wave that
+    admission let in: 32 same-spec requests in one tick are one batch."""
+    spec = CodecSpec("zfp-x", rate=8.0)
+    data = _data()
+    want = spec.build().compress(data)
+
+    async def run():
+        async with ReductionService(ServiceConfig()) as svc:
+            blobs = await asyncio.gather(
+                *(svc.compress(spec, data) for _ in range(32)))
+            return blobs, svc.stats
+
+    blobs, stats = asyncio.run(run())
+    assert all(b == want for b in blobs)
+    assert stats.batches == 1
+    assert stats.mean_batch_size == 32.0
+
+
 def test_codec_spec_validation_and_keys():
     with pytest.raises(ValueError):
         CodecSpec("gzip")

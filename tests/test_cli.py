@@ -121,9 +121,15 @@ def test_threads_without_openmp_refused(where):
         main(["blast", where, "--threads", "2", "--clients", "1", "--requests", "1"])
 
 
+@pytest.mark.parametrize("where", ["--selfhost", "--cluster"])
+def test_nan_flush_deadline_refused(where):
+    with pytest.raises(SystemExit, match="max_latency_s must be >= 0"):
+        main(["blast", where, "--max-latency-ms", "nan", "--clients", "1",
+              "--requests", "1"])
+
+
 _TRACE = {"--trace", "--metrics"}
 _DEVICE = {"--adapter", "--threads"}
-_TUNE = {"--tune", "--tuning-cache"}
 _SERVICE = {"--workers", "--max-batch", "--max-latency-ms"}
 _SHARDS = {"--shards", "--replicas", "--backend", "--shard-max-pending"}
 
@@ -143,16 +149,15 @@ OPTION_SETS = {
                   "--device-batch-rate", "--timeout-rate", "--corrupt-rate",
                   "--transport-rate", "--drop-rank", "--drop-after-chunks",
                   "--kill-after-chunks"},
-    "serve": _TRACE | _DEVICE | _TUNE | _SERVICE | {
+    "serve": _TRACE | _DEVICE | _SERVICE | {
         "--host", "--port", "--max-bytes", "--max-pending"},
-    "cluster": _TRACE | _DEVICE | _TUNE | _SERVICE | _SHARDS | {
+    "cluster": _TRACE | _DEVICE | _SERVICE | _SHARDS | {
         "--host", "--port", "--max-pending", "--vnodes"},
-    "blast": _DEVICE | _TUNE | _SERVICE | _SHARDS | {
+    "blast": _DEVICE | _SERVICE | _SHARDS | {
         "--host", "--port", "--selfhost", "--clients", "--requests",
         "--codec", "--rate", "--eb", "--shape", "--seed", "--verify",
         "--compress-only", "--cluster", "--kill-one",
         "--kill-after-ms"},
-    "tune": _TRACE | {"--tuning-cache", "--seed", "--budget", "--clients"},
     "datasets": set(),
 }
 
@@ -178,16 +183,6 @@ def test_subcommand_option_set(command):
     assert options - {"-h", "--help"} == OPTION_SETS[command]
 
 
-@pytest.mark.parametrize("command", ["compress", "refactor"])
-def test_codec_commands_take_no_tune_flag(command, field_file, tmp_path,
-                                          capsys):
-    src, _ = field_file
-    with pytest.raises(SystemExit) as exc:
-        main([command, str(src), str(tmp_path / "out"), "--tune", "auto"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-
-
 def test_campaign_takes_no_checkpoint_every_flag(field_file, tmp_path,
                                                  capsys):
     src, _ = field_file
@@ -197,13 +192,3 @@ def test_campaign_takes_no_checkpoint_every_flag(field_file, tmp_path,
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
-
-
-def test_tune_writes_one_service_entry(tmp_path, capsys):
-    from repro.tune import SERVICE_CODEC, TuningCache, TuningKey
-
-    path = tmp_path / "tuning.json"
-    assert main(["tune", "--tuning-cache", str(path), "--budget", "2",
-                 "--clients", "4"]) == 0
-    (key,) = TuningCache(path).load()
-    assert TuningKey.parse(key).codec == SERVICE_CODEC
