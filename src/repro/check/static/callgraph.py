@@ -51,10 +51,6 @@ class FuncInfo:
     is_hot: bool = False
 
     @property
-    def is_async(self) -> bool:
-        return isinstance(self.node, ast.AsyncFunctionDef)
-
-    @property
     def name(self) -> str:
         return self.node.name
 
@@ -123,16 +119,6 @@ class ModuleUnit:
         cur: ast.AST | None = node
         while cur is not None:
             if isinstance(cur, ast.ClassDef):
-                return cur
-            cur = self.parents.get(cur)
-        return None
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        cur: ast.AST | None = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return cur
             cur = self.parents.get(cur)
         return None

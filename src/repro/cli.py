@@ -25,11 +25,10 @@ import sys
 
 import numpy as np
 
+from repro.compressors import CODECS, build_codec
 from repro.container import Header
 from repro.util import CorruptStreamError, atomic_write_bytes, stream_errors
 
-#: what ``compress --method`` takes, and the names an envelope may carry.
-_METHODS = ("mgard-x", "zfp-x", "zfp-accuracy", "sz", "huffman-x", "lz4")
 #: method-name length; then the name and the codec's stream.
 _ENVELOPE = Header(b"HPDR", None, "B", "HPDR")
 #: the progressive format ``repro refactor`` wrote before ``HPGX``.
@@ -45,36 +44,26 @@ def _envelope(method: str, payload: bytes) -> bytes:
 def _open_envelope(blob: bytes) -> tuple[str, bytes]:
     (mlen,), r = _ENVELOPE.open(blob)
     method = bytes(r.take(mlen)).decode("ascii")
-    if method not in _METHODS:
+    if method not in CODECS:
         raise CorruptStreamError(f"corrupt stream: unknown method {method!r}")
     return method, r.take(r.remaining)
 
 
-def _build_compressor(method: str, args, adapter=None):
-    """Build the compressor ``args`` describe.
+def _adapter(args):
+    """The adapter ``--adapter``/``--threads``/``--sanitize`` select;
+    None leaves the codec's default."""
+    from repro import get_adapter
 
-    ``adapter`` overrides the CLI-selected device adapter — the campaign
-    runner uses this to hand each rank its own resilient adapter chain
-    while reusing all method/bound plumbing.
-    """
-    from repro import Config, ErrorMode, LZ4, MGARDX, SZ, ZFPX, get_adapter
-
-    sanitize = bool(getattr(args, "sanitize", False))
-    if adapter is not None:
-        sanitize = False  # explicit override wins; no sanitizer re-wrap
-    elif getattr(args, "adapter", None):
-        kwargs = {}
-        threads = getattr(args, "threads", None)
-        if threads is not None:
-            if args.adapter != "openmp":
-                raise SystemExit("--threads only applies to --adapter openmp")
-            kwargs["num_threads"] = threads
+    adapter = None
+    if args.adapter:
+        if args.threads is not None and args.adapter != "openmp":
+            raise SystemExit("--threads only applies to --adapter openmp")
+        kwargs = {} if args.threads is None else {"num_threads": args.threads}
         adapter = get_adapter(args.adapter, **kwargs)
-    elif sanitize:
-        adapter = get_adapter("serial")
-    if sanitize:
+    if args.sanitize:
         from repro.check import SANITIZABLE_FAMILIES, SanitizingAdapter
 
+        adapter = adapter or get_adapter("serial")
         if adapter.family not in SANITIZABLE_FAMILIES:
             raise SystemExit(
                 f"--sanitize supports {'/'.join(SANITIZABLE_FAMILIES)} "
@@ -82,34 +71,26 @@ def _build_compressor(method: str, args, adapter=None):
             )
         if not isinstance(adapter, SanitizingAdapter):
             adapter = SanitizingAdapter(adapter)
-    mode = ErrorMode.ABS if getattr(args, "mode", "rel") == "abs" else ErrorMode.REL
-    eb = getattr(args, "eb", 1e-3)
-    cfg = Config(error_bound=eb, error_mode=mode)
-    if method == "mgard-x":
-        return MGARDX(cfg, adapter=adapter)
-    if method == "sz":
-        return SZ(cfg, adapter=adapter)
-    if method == "zfp-x":
-        rate = getattr(args, "rate", None)
-        if rate is None:
-            rate = 16.0
-        return ZFPX(rate=rate, adapter=adapter)
-    if method == "zfp-accuracy":
-        from repro import ZFPAccuracy
+    return adapter
 
-        return ZFPAccuracy(tolerance=getattr(args, "tolerance", 1e-3) or 1e-3)
-    if method == "huffman-x":
-        from repro import HuffmanX
 
-        return HuffmanX(adapter=adapter)
-    if method == "lz4":
-        return LZ4()
-    raise SystemExit(f"unknown method {method!r}")
+def _codec(method: str, args, adapter=None):
+    """Codec ``method`` on ``adapter`` (the campaign hands each rank its
+    own) or the one ``args`` select.  An unset flag takes the table's
+    default, except ``--rate``: 16 bits/value here."""
+    params = _given({"error_bound": args.eb, "error_mode": args.mode,
+                     "rate": 16.0 if args.rate is None else args.rate,
+                     "tolerance": args.tolerance})
+    try:
+        return build_codec(method, params,
+                           adapter if adapter is not None else _adapter(args))
+    except ValueError as exc:
+        raise SystemExit(f"{method}: {exc}")
 
 
 def cmd_compress(args) -> int:
     data = np.load(args.input)
-    comp = _build_compressor(args.method, args)
+    comp = _codec(args.method, args)
     payload = comp.compress(data)
     blob = _envelope(args.method, payload)
     atomic_write_bytes(args.output, blob)
@@ -124,7 +105,7 @@ def cmd_decompress(args) -> int:
     with open(args.input, "rb") as f:
         blob = f.read()
     method, payload = _open_envelope(blob)
-    comp = _build_compressor(method, args)
+    comp = _codec(method, args)
     data = comp.decompress(payload)
     np.save(args.output, np.asarray(data))
     print(f"{args.input} ({method}) -> {args.output} "
@@ -216,7 +197,7 @@ def cmd_campaign(args) -> int:
     runner = CampaignRunner(
         data,
         args.outdir,
-        make_compressor=lambda ad: _build_compressor(args.method, args, adapter=ad),
+        make_compressor=lambda ad: _codec(args.method, args, adapter=ad),
         method=args.method,
         ranks=args.ranks,
         chunk_elems=args.chunk_elems,
@@ -410,7 +391,10 @@ def cmd_blast(args) -> int:
 
         specs = mixed_specs()
     else:
-        specs = [CodecSpec(args.codec, error_bound=args.eb, rate=args.rate)]
+        try:
+            specs = [CodecSpec(args.codec, error_bound=args.eb, rate=args.rate)]
+        except ValueError as exc:
+            raise SystemExit(f"blast: {exc}")
     try:
         shape = tuple(int(s) for s in args.shape.split("x"))
     except ValueError:
@@ -567,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     c.add_argument("input")
     c.add_argument("output")
-    c.add_argument("--method", default="mgard-x", choices=_METHODS)
+    c.add_argument("--method", default="mgard-x", choices=list(CODECS))
     c.add_argument("--eb", type=float, default=1e-3,
                    help="error bound (lossy methods)")
     c.add_argument("--mode", default="rel", choices=["rel", "abs"])
@@ -627,8 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("input", help="input .npy array (chunked along axis 0)")
     cp.add_argument("outdir",
                     help="campaign directory (manifest.json + final/ output)")
-    cp.add_argument("--method", default="mgard-x",
-                    choices=["mgard-x", "zfp-x", "sz", "huffman-x", "lz4"])
+    cp.add_argument("--method", default="mgard-x", choices=list(CODECS))
     cp.add_argument("--eb", type=float, default=1e-3)
     cp.add_argument("--mode", default="rel", choices=["rel", "abs"])
     cp.add_argument("--rate", type=float, default=None,
@@ -719,8 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     bl.add_argument("--requests", type=int, default=50,
                     help="round-trips per client")
     bl.add_argument("--codec", default="zfp-x",
-                    choices=["mgard-x", "zfp-x", "huffman-x", "lz4", "sz",
-                             "mixed"],
+                    choices=[*CODECS, "mixed"],
                     help="codec under load; 'mixed' drives the full "
                          "mixed-spec roster (spreads over cluster shards)")
     bl.add_argument("--rate", type=float, default=8.0,

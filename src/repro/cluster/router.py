@@ -264,10 +264,6 @@ class ClusterService:
     def alive_shards(self) -> frozenset[str]:
         return self._ring.nodes
 
-    @property
-    def shard_ids(self) -> list[str]:
-        return sorted(self._groups)
-
     def owner(self, op: str, spec: CodecSpec, payload: Any) -> str:
         """Shard currently owning this request's hash range."""
         return self._ring.lookup(route_key(spec, op, payload))

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.container import Header, Reader, pack_meta, read_chunk_index
+from repro.container import Header, Reader, pack_meta
 from repro.core.abstractions import global_pipeline, locality
 from repro.core.context import ContextCache
 from repro.core.functor import FnDomain, LocalityFunctor
@@ -56,8 +56,8 @@ from repro.util import CorruptStreamError, hot_path, stream_errors
 _HEADER = Header(b"HUFX", 1, "BHIQIQI", "Huffman-X")
 #: The byte API's prefix: the caller's dtype and shape, then ``HUFX``.
 _BYTES = Header(b"", None, "BH", "Huffman-X")
-#: The legacy chunk list of ``HUFX`` bodies (read, never written).
-_SEGMENTS = Header(b"HUFP", 1, "I", "Huffman-X")
+#: The segmented byte container earlier releases wrote, refused by name.
+_RETIRED_HUFP = Header(b"HUFP", None, "", "HUFP")
 _U32 = struct.Struct("<I")
 _RUN = np.dtype("<u2, u1")     # run length, code length
 
@@ -704,25 +704,12 @@ class HuffmanX:
                     "decompress_batch requires uniform stream headers"
                 )
         bodies = [o[2] for o in opened]
-        if all(_HEADER.matches(body) for body in bodies):
-            keys_list = self.decompress_keys_batch(bodies)
-        else:   # a legacy container among them: stream by stream
-            keys_list = [self._decompress_segments(body) for body in bodies]
+        if any(_RETIRED_HUFP.matches(body) for body in bodies):
+            raise CorruptStreamError("corrupt stream: HUFP (the segmented "
+                                     "Huffman-X container) is a retired format")
+        keys_list = self.decompress_keys_batch(bodies)
         return [k.astype(np.uint8, copy=False).view(dtype).reshape(shape)
                 for k in keys_list]
-
-    def _decompress_segments(self, body: bytes) -> np.ndarray:
-        """Read the legacy ``HUFP`` body: a table of ``HUFX`` streams
-        coding consecutive ranges of one input (a bare ``HUFX`` body is
-        its own only segment).  Nothing writes ``HUFP`` any more; blobs
-        stored by earlier versions stay readable."""
-        if _HEADER.matches(body):
-            return self.decompress_keys(body).reshape(-1)
-        (nseg,), r = _SEGMENTS.open(body)
-        return np.concatenate([
-            self.decompress_keys(body[off : off + length]).reshape(-1)
-            for off, length in read_chunk_index(r, nseg)
-        ])
 
     def compression_ratio(self, data: np.ndarray, blob: bytes) -> float:
         return data.nbytes / len(blob)

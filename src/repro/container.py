@@ -1,9 +1,8 @@
 """How a stream is framed: the one reader every binary format parses with.
 
-A stream starts with a magic tag, a version byte (the CLI envelope and
-the legacy ``HPDC`` chunk list have none) and fixed little-endian
-fields; :class:`Header` packs them and, on the way back, checks length,
-magic and version, in that order.  The sections after it are read with
+A stream starts with a magic tag, a version byte (the CLI envelope has
+none) and fixed little-endian fields; :class:`Header` packs them and,
+on the way back, checks length, magic and version, in that order.  The sections after it are read with
 a :class:`Reader`, a cursor that refuses to run past its buffer.
 
 **The size rule.** No parser allocates or leases from a declared size
@@ -19,7 +18,6 @@ one format framed elsewhere.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import zlib
 from typing import Any
@@ -147,17 +145,6 @@ class Header:
                 f"unsupported {self.who} version {blob[len(self.magic)]}")
         fields = self.fields.unpack_from(blob, len(self._prefix))
         return fields, Reader(blob, self.size, self.short)
-
-
-def read_chunk_index(reader: Reader, count: int) -> list[tuple[int, int]]:
-    """``(offset, length)`` of the ``count`` bodies after a table of
-    ``count`` u64 lengths at the cursor — the index of the chunk lists
-    (``HPST``, ``HPDC``, ``HUFP``).  The bodies must fill the buffer."""
-    lengths = reader.array("<u8", count).tolist()
-    if sum(lengths) != reader.remaining:
-        raise reader.short(f"corrupt stream: chunk lengths sum to "
-                           f"{sum(lengths)}, {reader.remaining} bytes follow")
-    return list(zip(itertools.accumulate(lengths, initial=reader.off), lengths))
 
 
 def crc32(data: Any) -> int:

@@ -15,18 +15,19 @@ out-of-core analysis.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.container import Header, read_chunk_index
+from repro.container import Header
+from repro.util import CorruptStreamError
 
 #: chunk count; then one u64 length per chunk and the chunks.
 _HEADER = Header(b"HPST", 1, "I", "HPST")
-#: the same chunk list without a version byte, as older releases wrote
-#: it; read, never written.
-_LEGACY = Header(b"HPDC", None, "I", "HPDC")
+#: the unversioned chunk list earlier releases wrote, refused by name.
+_RETIRED_HPDC = Header(b"HPDC", None, "", "HPDC")
 
 
 class StreamingCompressor:
@@ -89,8 +90,17 @@ class StreamingDecompressor:
     def __init__(self, compressor, blob: bytes) -> None:
         self.compressor = compressor
         self._blob = blob
-        (nchunks,), r = (_LEGACY if _LEGACY.matches(blob) else _HEADER).open(blob)
-        self._offsets = read_chunk_index(r, nchunks)
+        if _RETIRED_HPDC.matches(blob):
+            raise CorruptStreamError("corrupt stream: HPDC (the unversioned "
+                                     "chunk list) is a retired format")
+        (nchunks,), r = _HEADER.open(blob)
+        # One u64 length per chunk; the chunks fill the rest of the blob.
+        lengths = r.array("<u8", nchunks).tolist()
+        if sum(lengths) != r.remaining:
+            raise CorruptStreamError(f"corrupt stream: chunk lengths sum to "
+                                     f"{sum(lengths)}, {r.remaining} bytes follow")
+        self._offsets = list(zip(itertools.accumulate(lengths, initial=r.off),
+                                 lengths))
 
     def __len__(self) -> int:
         return len(self._offsets)

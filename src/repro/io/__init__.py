@@ -12,7 +12,7 @@
   simulations behind Figs. 15, 17 and 18.
 """
 
-from repro.io.bp import BPFile, BPVariable, register_operator, get_operator
+from repro.io.bp import BPFile, BPVariable
 from repro.io.engine import BPWriter, BPReader
 from repro.io.steps import StepReader, StepWriter
 from repro.io.filesystem import io_time, effective_bandwidth
@@ -27,8 +27,6 @@ from repro.io.parallel import (
 __all__ = [
     "BPFile",
     "BPVariable",
-    "register_operator",
-    "get_operator",
     "BPWriter",
     "BPReader",
     "StepWriter",

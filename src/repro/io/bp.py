@@ -6,8 +6,9 @@ and a CRC32 over the payload.  Reading a variable transparently inverts
 the operator — the integration point the paper uses: HPDR compressors
 plug into the ADIOS2 write/read path as operators.
 
-Operators register by name, so any object with ``compress(ndarray) ->
-bytes`` / ``decompress(bytes) -> ndarray`` participates.
+Operator tags are codec-table names (:mod:`repro.compressors`); any
+object with ``compress(ndarray) -> bytes`` / ``decompress(bytes) ->
+ndarray`` takes part when passed as ``compressor``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from repro.compressors import build_codec
 from repro.container import Header, Reader, check_crc, crc32, pack_shape
 from repro.util import CorruptStreamError, atomic_write_bytes, stream_errors
 
@@ -28,46 +29,6 @@ _TAIL = struct.Struct("<QI")        # payload length, payload CRC32
 
 #: Bytes ahead of the first record: magic, version, variable count.
 HEADER_SIZE = _HEADER.size
-
-_OPERATORS: dict[str, Callable[[], object]] = {}
-
-
-def register_operator(name: str, factory: Callable[[], object]) -> None:
-    """Register a reduction operator factory under ``name``."""
-    _OPERATORS[name] = factory
-
-
-def get_operator(name: str):
-    if name not in _OPERATORS:
-        raise KeyError(
-            f"no reduction operator {name!r} registered; known: {sorted(_OPERATORS)}"
-        )
-    return _OPERATORS[name]()
-
-
-def _register_defaults() -> None:
-    from repro.compressors.mgard.compressor import MGARDX
-    from repro.compressors.zfp.compressor import ZFPX
-    from repro.compressors.huffman.compressor import HuffmanX
-    from repro.compressors.baselines.sz import SZ
-    from repro.compressors.baselines.lz4 import LZ4
-    from repro.compressors.baselines.mgard_gpu import MGARDGPU
-    from repro.compressors.baselines.zfp_cuda import ZFPCUDA
-
-    from repro.compressors.zfp.modes import ZFPAccuracy
-
-    register_operator("mgard-x", MGARDX)
-    register_operator("zfp-accuracy", lambda: ZFPAccuracy(tolerance=1e-3))
-    register_operator("zfp-x", ZFPX)
-    register_operator("huffman-x", HuffmanX)
-    # The CLI and service names; the paper's baseline names stay readable.
-    register_operator("sz", SZ)
-    register_operator("lz4", LZ4)
-    register_operator("cusz", SZ)
-    register_operator("nvcomp-lz4", LZ4)
-    register_operator("mgard-gpu", MGARDGPU)
-    register_operator("zfp-cuda", ZFPCUDA)
-
 
 @dataclass
 class BPVariable:
@@ -108,14 +69,15 @@ class BPFile:
     ) -> BPVariable:
         """Store a variable, reducing it with ``operator`` if not 'none'.
 
-        ``compressor`` overrides the registry instance (to carry a
-        configured error bound); its class must match the operator tag.
+        ``compressor`` overrides the tag's codec at its table defaults
+        (to carry a configured error bound); it must write the tag's
+        streams.
         """
         data = np.ascontiguousarray(data)
         if operator == "none":
             payload = data.tobytes()
         else:
-            comp = compressor if compressor is not None else get_operator(operator)
+            comp = compressor if compressor is not None else build_codec(operator)
             payload = comp.compress(data)
         var = BPVariable(name, data.shape, data.dtype.str, operator, payload)
         self.variables[name] = var
@@ -147,7 +109,7 @@ class BPFile:
             return np.frombuffer(var.payload, dtype=np.dtype(var.dtype)).reshape(
                 var.shape
             ).copy()
-        comp = compressor if compressor is not None else get_operator(var.operator)
+        comp = compressor if compressor is not None else build_codec(var.operator)
         out = comp.decompress(var.payload)
         return np.asarray(out).reshape(var.shape)
 
@@ -256,6 +218,3 @@ def parse_record(blob, off: int) -> tuple[BPVariable, int]:
     payload = bytes(r.take(plen))
     check_crc(payload, crc, f"variable {name!r}")
     return BPVariable(name, shape, dtype, operator, payload), r.off
-
-
-_register_defaults()

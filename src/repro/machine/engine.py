@@ -264,11 +264,6 @@ class Simulator:
             self._resources.append(r)
         return r
 
-    def register_queue(self, q: SimQueue) -> SimQueue:
-        if q not in self._queues:
-            self._queues.append(q)
-        return q
-
     def submit(
         self,
         name: str,

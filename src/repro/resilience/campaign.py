@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.adapters.base import get_adapter
+from repro.compressors import build_codec
 from repro.container import crc32
 from repro.io.bp import HEADER_SIZE, BPVariable, header, parse_header, \
     parse_record, record_parts
@@ -58,14 +59,6 @@ from repro.trace.tracer import Span, TRACER as _TRACER
 from repro.util import atomic_write_json
 
 MANIFEST_VERSION = 2
-
-
-def _default_compressor(adapter):
-    from repro.core.config import Config, ErrorMode
-    from repro.compressors.mgard.compressor import MGARDX
-
-    return MGARDX(Config(error_bound=1e-3, error_mode=ErrorMode.REL),
-                  adapter=adapter)
 
 
 def cmm_digest(cache) -> str:
@@ -279,10 +272,11 @@ class CampaignRunner:
     workdir:
         Campaign directory (``manifest.json`` + ``final/`` output).
     make_compressor:
-        ``callable(adapter) -> compressor``; defaults to MGARD-X at
-        rel-1e-3.  Called once per rank so each rank owns its contexts.
+        ``callable(adapter) -> compressor``; defaults to the ``method``
+        codec at rel-1e-3.  Called once per rank so each rank owns its
+        contexts.
     method:
-        Operator tag recorded in the BP output (and the fingerprint).
+        Codec-table name: each record's operator tag (and fingerprint).
     ranks:
         Simulated rank count (threads via :func:`repro.mpi_sim.run_ranks`).
     chunk_elems:
@@ -321,7 +315,9 @@ class CampaignRunner:
             raise ValueError("data must have a non-empty leading axis")
         self.workdir = Path(workdir)
         self.manifest_path = self.workdir / "manifest.json"
-        self.make_compressor = make_compressor or _default_compressor
+        self.make_compressor = make_compressor or (
+            lambda adapter: build_codec(method, {"error_bound": 1e-3},
+                                        adapter))
         self.method = method
         self.ranks = ranks
         self.chunk_elems = chunk_elems

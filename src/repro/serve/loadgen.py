@@ -26,6 +26,7 @@ from typing import Awaitable, Callable, Sequence
 
 import numpy as np
 
+from repro.compressors import CODECS
 from repro.serve.errors import ServiceOverloaded
 from repro.serve.service import percentile
 from repro.serve.spec import CodecSpec
@@ -96,7 +97,6 @@ async def run_blast(
     if not specs:
         raise ValueError("specs must be non-empty")
     payloads = payloads if payloads is not None else default_payloads(specs)
-    lossless = {"huffman-x", "lz4"}  # exact round-trip expected
 
     latencies: list[float] = []
     rejected = 0
@@ -121,7 +121,7 @@ async def run_blast(
                             if verify:
                                 restored = np.asarray(back)
                                 if restored.shape != data.shape or (
-                                    spec.name in lossless
+                                    CODECS[spec.name].lossless
                                     and not np.array_equal(
                                         restored.astype(data.dtype), data
                                     )

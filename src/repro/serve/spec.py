@@ -20,13 +20,12 @@ two keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Hashable
 
 import numpy as np
 
-#: codec names the service accepts (the CLI envelope vocabulary).
-SERVABLE_CODECS = ("mgard-x", "zfp-x", "huffman-x", "lz4", "sz")
+from repro.compressors import CODECS, build_codec, codec_key
 
 #: request operations.  ``retrieve`` takes an ``HPRQ`` envelope (see
 #: :mod:`repro.progressive.archive`) and answers with the bounded
@@ -94,24 +93,12 @@ class CodecSpec:
         # The spec is frozen, so its key tuple never changes: compute it
         # once here instead of on every batch_key() call (the service
         # builds a batch key per admitted request).
-        object.__setattr__(self, "_key", self._compute_key())
+        object.__setattr__(self, "_key", codec_key(self.name, vars(self)))
 
     # ------------------------------------------------------------------
     def key(self) -> tuple[Hashable, ...]:
         """Minimal parameter tuple identifying this configuration."""
         return self._key
-
-    def _compute_key(self) -> tuple[Hashable, ...]:
-        if self.name == "zfp-x":
-            return (self.name, self.rate)
-        if self.name == "huffman-x":
-            return (self.name, self.chunk_size)
-        if self.name == "lz4":
-            return (self.name,)
-        # mgard-x / sz: error-bounded codecs.
-        if self.name == "mgard-x":
-            return (self.name, self.error_bound, self.error_mode, self.dict_size)
-        return (self.name, self.error_bound, self.error_mode)
 
     def build(self, adapter: Any = None, context_cache: Any = None) -> Any:
         """Instantiate the codec on ``adapter`` sharing ``context_cache``.
@@ -121,22 +108,7 @@ class CodecSpec:
         handed the worker's shared cache so their working buffers
         persist across batches.
         """
-        from repro import Config, ErrorMode, HuffmanX, LZ4, MGARDX, SZ, ZFPX
-
-        if self.name == "zfp-x":
-            return ZFPX(rate=self.rate, adapter=adapter,
-                        context_cache=context_cache)
-        if self.name == "huffman-x":
-            return HuffmanX(adapter=adapter, chunk_size=self.chunk_size,
-                            context_cache=context_cache)
-        if self.name == "lz4":
-            return LZ4(adapter=adapter)
-        mode = ErrorMode.ABS if self.error_mode == "abs" else ErrorMode.REL
-        cfg = Config(error_bound=self.error_bound, error_mode=mode)
-        if self.name == "mgard-x":
-            return MGARDX(cfg, adapter=adapter, context_cache=context_cache,
-                          dict_size=self.dict_size)
-        return SZ(cfg, adapter=adapter)
+        return build_codec(self.name, vars(self), adapter, context_cache)
 
     # ------------------------------------------------------------------
     def batch_key(self, op: str, payload) -> tuple[Hashable, ...]:
@@ -155,3 +127,11 @@ class CodecSpec:
             return ("serve",) + self.key() + (arr.dtype.str,
                                               shape_class(arr.shape))
         return ("serve",) + self.key() + ("blob", (1, size_class(len(payload))))
+
+
+#: codec names the service accepts: the table's codecs whose parameters
+#: are all :class:`CodecSpec` fields.
+SERVABLE_CODECS = tuple(
+    name for name, codec in CODECS.items()
+    if set(codec.params) <= {f.name for f in fields(CodecSpec)}
+)

@@ -156,9 +156,8 @@ def _check_codec_batch_paths(adapter, rng) -> None:
     (``getattr(codec, f"{op}_batch")``), so any codec that grows one is
     automatically held to the contract on every backend.
     """
-    from repro import Config, ErrorMode, HuffmanX, MGARDX, ZFPX
+    from repro.compressors import build_codec
 
-    cfg = Config(error_bound=1e-2, error_mode=ErrorMode.REL)
     floats = [
         np.ascontiguousarray(rng.standard_normal((12, 16)).astype(np.float32))
         for _ in range(5)
@@ -167,16 +166,12 @@ def _check_codec_batch_paths(adapter, rng) -> None:
         rng.integers(0, 48, size=3000, dtype=np.int64).astype(np.uint8).tobytes()
         for _ in range(5)
     ]
-    cases = [
-        ("mgard-x", lambda: MGARDX(cfg, adapter=adapter), floats,
-         floats[0][:6, :6]),
-        ("zfp-x", lambda: ZFPX(rate=8, adapter=adapter), floats,
-         floats[0][:6, :6]),
-        ("huffman-x", lambda: HuffmanX(adapter=adapter), blobs_in,
-         blobs_in[0][:17]),
-    ]
-    for name, build, payloads, odd in cases:
-        codec = build()
+    for name, payloads, odd in [
+        ("mgard-x", floats, floats[0][:6, :6]),
+        ("zfp-x", floats, floats[0][:6, :6]),
+        ("huffman-x", blobs_in, blobs_in[0][:17]),
+    ]:
+        codec = build_codec(name, {"error_bound": 1e-2}, adapter)
         if getattr(codec, "compress_batch", None) is None:
             continue
         want = [codec.compress(p) for p in payloads]
@@ -227,19 +222,16 @@ def _check_real_kernels(adapter, rng) -> None:
     """The acid test: full reduction streams must be byte-identical —
     on a tile, and on a 256 KB field, large enough that a backend which
     let its own width into the stream would show it."""
-    from repro import Config, ErrorMode, HuffmanX, MGARDX, ZFPX
+    from repro import HuffmanX
+    from repro.compressors import build_codec
 
-    cfg = Config(error_bound=1e-3, error_mode=ErrorMode.REL)
-    builders = {
-        "MGARD-X": lambda a: MGARDX(cfg, adapter=a),
-        "ZFP-X": lambda a: ZFPX(rate=10, adapter=a),
-        "Huffman-X": lambda a: HuffmanX(adapter=a),
-    }
+    params = {"error_bound": 1e-3, "rate": 10}
     for shape in ((12, 16), (256, 256)):
         data = rng.normal(size=shape).astype(np.float32)
-        for name, build in builders.items():
+        for name in ("mgard-x", "zfp-x", "huffman-x"):
             _require(
-                build(None).compress(data) == build(adapter).compress(data),
+                build_codec(name, params).compress(data)
+                == build_codec(name, params, adapter).compress(data),
                 f"{name} stream of a {data.nbytes}-byte field differs on "
                 "this backend",
             )

@@ -186,9 +186,6 @@ class Tracer:
         with self._lock:
             return list(self.events)
 
-    def total_ns(self, name: str) -> int:
-        return sum(e.dur_ns for e in self.snapshot() if e.name == name)
-
     def names(self) -> list[str]:
         seen: dict[str, None] = {}
         for e in self.snapshot():

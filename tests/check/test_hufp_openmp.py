@@ -1,13 +1,14 @@
-"""The Huffman-X byte path on forced thread counts, and the legacy reader.
+"""The Huffman-X byte path on forced thread counts, and the retired
+``HUFP`` container.
 
 ``HUFP`` was a second byte container: above 128 KiB a multi-threaded
 adapter split the input into up to ``threads`` segments of at least
 64 KiB (``SEG``), each a ``HUFX`` stream of its own.  Nothing writes it
-any more.  The sizes where the writer used to change its segment count
-now pin the opposite property — the blob is the serial blob whatever the
-thread count — with every adapter wrapped in :class:`SanitizingAdapter`;
-the container itself survives as input, so the reader's checks are
-pinned against hostile headers.
+and nothing reads it any more.  The sizes where the writer used to
+change its segment count now pin the opposite property — the blob is the
+serial blob whatever the thread count — with every adapter wrapped in
+:class:`SanitizingAdapter`; a stored ``HUFP`` blob, hostile header or
+not, is refused by name in bounded memory.
 """
 
 import struct
@@ -69,7 +70,7 @@ def test_steady_state_under_sanitizer(rng, threads):
 
 
 # ----------------------------------------------------------------------
-# Legacy reader
+# The retired container
 # ----------------------------------------------------------------------
 def _byte_meta(nbytes: int) -> bytes:
     """The byte API's prefix for ``nbytes`` uint8 values: dtype-string
@@ -99,15 +100,15 @@ def halves():
     return [keys[:4096], keys[4096:]]
 
 
-def test_legacy_container_decodes_single_and_batched(halves):
+def test_legacy_container_refused_single_and_batched(halves):
     blob = _hufp(halves)
     want = np.concatenate(halves)
     for codec in (HuffmanX(), HuffmanX(adapter=_san_openmp(2))):
-        assert np.array_equal(codec.decompress(blob), want)
-        # A batch holding a legacy body goes down the per-stream path.
-        mixed = [blob, codec.compress(want)]
-        assert all(np.array_equal(out, want)
-                   for out in codec.decompress_batch(mixed))
+        with pytest.raises(CorruptStreamError, match="HUFP .*retired"):
+            codec.decompress(blob)
+        # A batch holding a retired body is refused whole.
+        with pytest.raises(CorruptStreamError, match="HUFP .*retired"):
+            codec.decompress_batch([blob, codec.compress(want)])
 
 
 TABLE = len(_byte_meta(0)) + 4 + 5    # offset of the length table

@@ -92,6 +92,19 @@ def test_route_key_separates_mixed_roster():
     assert len(keys) == len(mixed_specs())
 
 
+def test_mixed_roster_keys_are_pinned():
+    """The ring hashes these tuples, so a changed value or type moves a
+    spec's traffic to another shard."""
+    want = [
+        ("zfp-x", 8.0), ("huffman-x", 1024), ("lz4",), ("sz", 1e-3, "rel"),
+        ("zfp-x", 16.0), ("huffman-x", 4096), ("sz", 1e-2, "rel"),
+        ("zfp-x", 4.0), ("mgard-x", 1e-3, "rel", 4096), ("huffman-x", 512),
+        ("sz", 1e-4, "rel"), ("zfp-x", 32.0), ("mgard-x", 1e-2, "rel", 4096),
+        ("huffman-x", 2048), ("mgard-x", 1e-4, "rel", 4096), ("zfp-x", 2.0),
+    ]
+    assert [repr(s.key()) for s in mixed_specs()] == [repr(k) for k in want]
+
+
 def test_route_key_compress_vs_decompress_differ():
     spec = mixed_specs(1)[0]
     arr = np.zeros((16, 16), dtype=np.float32)

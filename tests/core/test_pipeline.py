@@ -166,18 +166,21 @@ class TestChunkedFunctional:
 
         with pytest.raises(ValueError):
             StreamingDecompressor(LZ4(), b"XXXX1234")
-        # The legacy ``HPDC`` layout (no version byte) still reads ...
+        # The retired ``HPDC`` layout (no version byte) is refused by name ...
         data = rng.integers(0, 4, size=(22, 8)).astype(np.int64)
         parts = [LZ4().compress(rows) for rows in _rows(data, 11)]
-        b = (b"HPDC" + struct.pack("<I2Q", 2, *map(len, parts))
-             + b"".join(parts))
-        assert np.array_equal(
-            StreamingDecompressor(LZ4(), b).concatenate(), data)
-        # ... and an index that lies is a typed error, nothing sized
-        # from the declared count or lengths.
-        table = 8
+        legacy = (b"HPDC" + struct.pack("<I2Q", 2, *map(len, parts))
+                  + b"".join(parts))
+        with pytest.raises(CorruptStreamError, match="HPDC .*retired"):
+            StreamingDecompressor(LZ4(), legacy)
+        # ... and an ``HPST`` index that lies is a typed error, nothing
+        # sized from the declared count or lengths.
+        stream = StreamingCompressor(LZ4())
+        stream.extend(_rows(data, 11))
+        b = stream.finalize()
+        table = 9
         malformed = {
-            "count-2**31": b[:4] + struct.pack("<I", 2**31) + b[8:],
+            "count-2**31": b[:5] + struct.pack("<I", 2**31) + b[table:],
             "length-2**60": b[:table] + struct.pack("<Q", 2**60) + b[table + 8:],
             "cut-in-table": b[: table + 12],
             "cut-in-last-chunk": b[:-5],

@@ -36,6 +36,7 @@ from repro.core.config import ErrorMode
 from repro.core.streaming import StreamingCompressor, StreamingDecompressor
 from repro.io.bp import BPFile
 from repro.progressive.archive import make_retrieve_request, parse_retrieve_request
+from repro.util import CorruptStreamError
 
 DIGESTS = Path(__file__).with_name("codec_digests.json")
 
@@ -105,8 +106,8 @@ def _hufx_keys(keys, num_symbols: int, **kwargs) -> str:
 
 
 def _hufp(data) -> str:
-    """Two independently coded segments (``HUFP``, a container no writer
-    produces any more), decoded on both adapters."""
+    """Two independently coded segments in ``HUFP``, a retired container:
+    both adapters refuse it by name, so only the stream is pinned."""
     keys = data.reshape(-1).view(np.uint8)
     half = -(-keys.size // 2 // 1024) * 1024    # chunk-aligned, as written
     parts = [HuffmanX().compress_keys(k, 256) for k in (keys[:half], keys[half:])]
@@ -117,8 +118,11 @@ def _hufp(data) -> str:
         b"HUFP", struct.pack("<BI", 1, 2),
         struct.pack("<2Q", *map(len, parts)), *parts,
     ])
-    par = HuffmanX(adapter=get_adapter("openmp", num_threads=2))
-    return _sha([blob], [par.decompress(blob), HuffmanX().decompress(blob)])
+    for codec in (HuffmanX(adapter=get_adapter("openmp", num_threads=2)),
+                  HuffmanX()):
+        with pytest.raises(CorruptStreamError, match="HUFP .*retired"):
+            codec.decompress(blob)
+    return _sha([blob], [])
 
 
 def _mgrx(data, mode: ErrorMode, coords=None) -> str:
@@ -219,15 +223,17 @@ def _cusz(data) -> str:
 
 
 def _hpdc(data) -> str:
-    """Chunks of 8 rows, the last one short, in the legacy ``HPDC``
-    chunk list (a container no writer produces any more)."""
+    """Chunks of 8 rows, the last one short, in the retired ``HPDC``
+    chunk list: refused by name, so only the stream is pinned."""
     parts = [ZFPX(rate=8).compress(data[i : i + 8])
              for i in range(0, len(data), 8)]
     blob = b"".join([
         b"HPDC", struct.pack(f"<I{len(parts)}Q", len(parts), *map(len, parts)),
         *parts,
     ])
-    return _sha([blob], [StreamingDecompressor(ZFPX(), blob).concatenate()])
+    with pytest.raises(CorruptStreamError, match="HPDC .*retired"):
+        StreamingDecompressor(ZFPX(), blob)
+    return _sha([blob], [])
 
 
 def _hpst(data) -> str:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Config, ErrorMode, MGARDX
-from repro.io.bp import BPFile, get_operator, register_operator
+from repro.compressors import ALIASES, CODECS
+from repro.io.bp import BPFile
 
 
 class TestRawVariables:
@@ -71,17 +72,26 @@ class TestOperators:
         bp = BPFile()
         data = smooth_2d.astype(np.float32)
         bp.put("v", data, operator="zfp-x")
-        back = bp.get("v")  # registry default instance
+        back = bp.get("v")  # the codec table's zfp-x at its defaults
         assert back.shape == data.shape
 
-    def test_all_default_operators_registered(self):
-        for name in ("mgard-x", "zfp-x", "huffman-x", "sz", "lz4", "cusz",
-                     "nvcomp-lz4", "mgard-gpu", "zfp-cuda"):
-            assert get_operator(name) is not None
+    def test_all_default_operators_registered(self, smooth_2d):
+        """Every table name and every paper-baseline alias is a tag."""
+        assert set(ALIASES.values()) <= set(CODECS)
+        data = smooth_2d.astype(np.float32)
+        for name in (*CODECS, *ALIASES):
+            bp = BPFile()
+            bp.put("v", data, operator=name)
+            back = BPFile.frombytes(bp.tobytes()).get("v")
+            assert back.shape == data.shape, name
 
-    def test_unknown_operator(self):
-        with pytest.raises(KeyError):
-            get_operator("blosc")
+    def test_unknown_operator(self, smooth_2d):
+        bp = BPFile()
+        with pytest.raises(KeyError, match="blosc"):
+            bp.put("v", smooth_2d, operator="blosc")
+        bp.put_reduced("v", b"", smooth_2d.shape, smooth_2d.dtype, "blosc")
+        with pytest.raises(KeyError, match="blosc"):
+            bp.get("v")
 
     def test_lossless_operator_exact(self, rng):
         bp = BPFile()

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.compressors import CODECS, build_codec
 from repro.io.bp import HEADER_SIZE
 from repro.resilience import (
     CampaignKilled,
@@ -60,20 +61,15 @@ def test_clean_campaign(tmp_path):
     assert np.abs(out - data).max() < 0.1  # rate-8 ZFP tolerance
 
 
-@pytest.mark.parametrize("method", ["mgard-x", "zfp-x", "sz", "huffman-x", "lz4"])
+@pytest.mark.parametrize("method", list(CODECS))
 def test_reconstruct_reads_each_chunk_through_its_recorded_operator(
         method, tmp_path):
     """Every ``repro campaign --method`` reads back without naming a
     compressor: each chunk decodes through the tag its record carries,
     as the compressor that wrote it would decode it."""
-    from argparse import Namespace
-
-    from repro.cli import _build_compressor
-
-    args = Namespace(eb=1e-3, mode="rel", rate=None, tolerance=None)
 
     def make(adapter):
-        return _build_compressor(method, args, adapter=adapter)
+        return build_codec(method, {"error_bound": 1e-3}, adapter)
 
     data = _data()
     _runner(data, tmp_path / "c", ranks=2, make_compressor=make,
@@ -81,8 +77,16 @@ def test_reconstruct_reads_each_chunk_through_its_recorded_operator(
     got = reconstruct(tmp_path / "c")
     want = reconstruct(tmp_path / "c", make_compressor=make)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    if method in ("huffman-x", "lz4"):
+    if CODECS[method].lossless:
         assert got.tobytes() == data.tobytes()
+
+
+def test_default_compressor_is_the_method_codec(tmp_path):
+    """Without ``make_compressor`` the campaign writes the codec its
+    ``method`` names, so every record's tag matches its stream."""
+    res = _runner(_data(), tmp_path / "c", ranks=2, method="zfp-x",
+                  make_compressor=None).run()
+    assert res.output_digest == DIGEST_64x8
 
 
 def test_rank_count_does_not_change_bytes(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _envelope, _open_envelope, main
+from repro.resilience.campaign import reconstruct
 
 
 @pytest.fixture
@@ -91,6 +92,30 @@ def test_zfp_accuracy_mode(field_file, tmp_path):
     assert main(["decompress", str(hpdr), str(back)]) == 0
     restored = np.load(back)
     assert np.max(np.abs(restored - data)) <= 0.01
+
+
+def test_zfp_accuracy_zero_tolerance_refused(field_file, tmp_path):
+    """``--tolerance 0`` reaches ZFP accuracy mode, which refuses it;
+    only an absent flag takes the default tolerance."""
+    src, _ = field_file
+    out = tmp_path / "out.hpdr"
+    with pytest.raises(SystemExit, match="tolerance must be positive"):
+        main(["compress", str(src), str(out), "--method", "zfp-accuracy",
+              "--tolerance", "0"])
+    assert not out.exists()
+
+
+def test_campaign_takes_every_table_method(field_file, tmp_path, capsys):
+    src, data = field_file
+    assert main(["campaign", str(src), str(tmp_path / "c"), "--method",
+                 "zfp-accuracy", "--ranks", "2", "--chunk-elems", "8"]) == 0
+    assert np.max(np.abs(reconstruct(tmp_path / "c") - data)) <= 1e-3
+
+
+def test_blast_refuses_an_unservable_codec():
+    with pytest.raises(SystemExit, match="servable"):
+        main(["blast", "--selfhost", "--codec", "zfp-accuracy",
+              "--clients", "1", "--requests", "1"])
 
 
 def test_blast_selfhost_roundtrip(capsys):

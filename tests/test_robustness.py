@@ -9,14 +9,14 @@ cases below pin the holes it found and each codec's truncation and
 bad-magic cases one by one.
 """
 
-import argparse
 import struct
 
 import numpy as np
 import pytest
 
 from repro import LZ4, MGARDX, SZ, ZFPX, Config, ErrorMode, HuffmanX
-from repro.cli import _build_compressor, _envelope, _open_envelope
+from repro.cli import _envelope, _open_envelope
+from repro.compressors import build_codec
 from repro.compressors.zfp.embedded import ZFPEmbedded
 from repro.compressors.zfp.modes import ZFPAccuracy
 from repro.core.streaming import StreamingCompressor, StreamingDecompressor
@@ -113,7 +113,7 @@ def _request(blob):
 
 def _envelope_decode(blob):
     method, payload = _open_envelope(blob)
-    return _build_compressor(method, argparse.Namespace()).decompress(payload)
+    return build_codec(method).decompress(payload)
 
 
 #: format -> (data) -> (one valid stream, a decoder on a fresh codec)
@@ -127,11 +127,9 @@ FORMATS = {
     "HUFX-keys": lambda d: (HuffmanX().compress_keys(KEYS, 16),
                             HuffmanX().decompress_keys),
     "HUFX-bytes": lambda d: (HuffmanX().compress(d), HuffmanX().decompress),
-    "HUFP": lambda d: (_hufp(), HuffmanX().decompress),
     "CUSZ": lambda d: (SZ(CFG).compress(d), SZ(CFG).decompress),
     "LZ4X": lambda d: (LZ4().compress(d), LZ4().decompress),
     "HPST": lambda d: (_hpst(d), _streaming),
-    "HPDC": lambda d: (_hpdc(d), _streaming),
     "BP5X": lambda d: (_bp_blob(d), _bp),
     "HSEG": lambda d: (encode_segment(1, 2, KEYS - 4, HuffmanX(), 64),
                        lambda b, h=HuffmanX(): decode_segment(b, h)),
@@ -147,6 +145,22 @@ def test_check_format(name):
     blob, decode = FORMATS[name](TILE)
     report = check_format(decode, blob)
     assert report.mutations > len(blob)
+
+
+#: retired format -> (one stream of it, the reader that used to take it)
+RETIRED = {
+    "HUFP": lambda d: (_hufp(), HuffmanX().decompress),
+    "HPDC": lambda d: (_hpdc(d), _streaming),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_format_is_refused_by_name(name):
+    """``HUFP`` and ``HPDC`` were read but never written; a stored one is
+    a corrupt stream whose error names the format."""
+    blob, decode = RETIRED[name](TILE)
+    with pytest.raises(CorruptStreamError, match=f"{name} .*retired format"):
+        decode(blob)
 
 
 # ----------------------------------------------------------------------
