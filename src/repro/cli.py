@@ -190,8 +190,11 @@ def cmd_retrieve(args) -> int:
 
 def cmd_campaign(args) -> int:
     """Fault-tolerant chunked campaign with checkpoint/restart."""
+    from repro import get_adapter
     from repro.resilience import CampaignKilled, CampaignRunner, FaultPlan
 
+    # A bad codec parameter exits here, before any output exists.
+    _codec(args.method, args, adapter=get_adapter("serial"))
     data = np.load(args.input)
     plan = FaultPlan.load(args.faults) if args.faults else None
     runner = CampaignRunner(

@@ -10,7 +10,7 @@ encode                Locality (GEM) — chunk per group
 serialize             Global pipeline (DEM) — prefix sums
 ====================  =====================================
 
-The bitstream is chunked: per-chunk bit offsets are embedded so
+The bitstream is chunked: per-chunk bit counts are embedded so
 decompression parallelizes across chunks (the vectorized decoder steps
 one symbol at a time across *all* chunks simultaneously).
 
@@ -52,8 +52,10 @@ from repro.trace.tracer import count_bytes, span
 from repro.util import CorruptStreamError, hot_path, stream_errors
 
 #: dtype-string length, ndim, alphabet, key count, chunk, payload length,
-#: stored code lengths; then dtype and shape.
-_HEADER = Header(b"HUFX", 1, "BHIQIQI", "Huffman-X")
+#: stored code lengths; then dtype and shape.  Version 1 (read only)
+#: stored uint64 chunk offsets where version 2 stores bit counts.
+_HEADER = Header(b"HUFX", 2, "BHIQIQI", "Huffman-X")
+_HEADER_V1 = Header(b"HUFX", 1, "BHIQIQI", "Huffman-X")
 #: The byte API's prefix: the caller's dtype and shape, then ``HUFX``.
 _BYTES = Header(b"", None, "BH", "Huffman-X")
 #: The segmented byte container earlier releases wrote, refused by name.
@@ -79,6 +81,15 @@ _RAMP = np.arange(_JUMP_SLAB, dtype=np.intp)
 #: Decode steps moved per transposing copy of the decoder's step-major
 #: output into a chunk-major result (64 rows keep both sides in cache).
 _TRANSPOSE_STEPS = 64
+
+
+#: The largest chunk whose bit count fits the uint32 chunk table.
+_MAX_CHUNK = 0xFFFFFFFF // MAX_CODE_LENGTH
+
+
+def _count_dtype(chunk: int) -> np.dtype:
+    """The bit-count dtype of a version-2 stream cut at ``chunk`` keys."""
+    return np.dtype("<u2" if chunk * MAX_CODE_LENGTH <= 0xFFFF else "<u4")
 
 
 def _rle_encode(lengths: np.ndarray) -> bytes:
@@ -207,8 +218,8 @@ class HuffmanX:
         Device adapter (defaults to serial).  It schedules the stages;
         the stream does not depend on it.
     chunk_size:
-        Symbols per encoding chunk — the Locality block size and the
-        decode-parallelism grain.
+        Most symbols per encoding chunk (at most ``_MAX_CHUNK``) — the
+        Locality block size and the decode-parallelism grain.
     context_cache:
         Optional CMM cache; codebooks are *not* cached (they depend on
         the data), but all working buffers are: after a warm-up call,
@@ -221,8 +232,8 @@ class HuffmanX:
         chunk_size: int = 1024,
         context_cache: ContextCache | None = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        if not 1 <= chunk_size <= _MAX_CHUNK:
+            raise ValueError(f"chunk_size must be in [1, {_MAX_CHUNK}], got {chunk_size}")
         self.adapter = adapter
         self.chunk_size = chunk_size
         self.cache = context_cache if context_cache is not None else ContextCache()
@@ -378,9 +389,9 @@ class HuffmanX:
             np.concatenate([b.lengths for b in books]), ctx,
         )
         return [
-            self._serialize(shape, dtype, num_symbols, n, book, offsets,
+            self._serialize(shape, dtype, num_symbols, n, book, chunk_bits,
                             payload, chunk)
-            for book, (payload, offsets) in zip(books, payloads)
+            for book, (payload, chunk_bits) in zip(books, payloads)
         ]
 
     def _encode(self, staged2d, n: int, chunk: int, lut_codes, lut_lens,
@@ -388,7 +399,7 @@ class HuffmanX:
         """Encode and serialize: each row of ``staged2d`` (keys into the
         concatenated code table, ``n`` of them edge-padded to whole
         chunks) becomes its payload — a view of ``ctx`` memory — and its
-        chunk bit offsets."""
+        chunk bit counts."""
         nbatch, m = staged2d.shape
         nchunks = m // chunk
         # encode: one Locality launch through the concatenated tables
@@ -426,17 +437,15 @@ class HuffmanX:
                 codes[:, -1, n // group - last] >>= cut
                 lens[:, -1, n // group - last] -= cut.astype(np.uint8)
 
-        # serialize (DEM): per-chunk bit counts give the chunk offsets and
-        # each row's length, then one pack over per-row word-aligned bit
-        # ranges turns lengths into ends a slab at a time.  Row i's
+        # serialize (DEM): per-chunk bit counts (what the stream stores)
+        # give each row's length, then one pack over per-row word-aligned
+        # bit ranges turns lengths into ends a slab at a time.  Row i's
         # payload starts at word ``wbase[i]``; codes never spill past a
         # word-aligned row end, so each row's byte slice equals its solo
         # pack.
         def _pack(_items: np.ndarray):
             chunk_bits = lens.sum(axis=2, dtype=np.uint64)
             totals = chunk_bits.sum(axis=1)  # bits per row
-            chunk_offsets = np.zeros((nbatch, nchunks), dtype=np.uint64)
-            np.cumsum(chunk_bits[:, :-1], axis=1, out=chunk_offsets[:, 1:])
             nwords = (totals + 63) >> 6
             wbase = np.zeros(nbatch, dtype=np.uint64)
             np.cumsum(nwords[:-1], out=wbase[1:])
@@ -446,10 +455,10 @@ class HuffmanX:
                             np.uint64),
                 ctx.scratch("enc.slab", 3 * max(SLAB, per), np.uint64),
             )
-            return packed, totals, chunk_offsets, wbase
+            return packed, totals, chunk_bits, wbase
 
         with span("huffman.serialize", cat="huffman", keys=n, batch=nbatch):
-            packed, totals, chunk_offsets, wbase = global_pipeline(
+            packed, totals, chunk_bits, wbase = global_pipeline(
                 items,
                 FnDomain(_pack, name="huffman.serialize",
                          bytes_per_element=9.0),
@@ -457,7 +466,7 @@ class HuffmanX:
             )
         return [
             (packed[8 * int(wbase[i]) :][: (int(totals[i]) + 7) >> 3],
-             chunk_offsets[i])
+             chunk_bits[i])
             for i in range(nbatch)
         ]
 
@@ -633,20 +642,21 @@ class HuffmanX:
         """Chunk size actually used for ``n`` symbols.
 
         The vectorized decoder runs ``chunk`` sequential steps over
-        ``n/chunk``-element arrays, so per-step dispatch overhead is
-        minimized around ``chunk ≈ sqrt(n)``.  The floor of 256 keeps
-        the 8-byte-per-chunk offset table small relative to the payload
-        on low-entropy streams; ``self.chunk_size`` stays the upper
-        bound.  Below ~32 K symbols the floor is what a decoder pays:
-        256 steps over 16-64 lanes are all call overhead, which is why
-        :meth:`_decode_chunks` decodes such a stream by jumps over
-        per-bit planes (about ``2 sqrt(chunk)`` steps instead of
+        ``n/chunk``-element arrays: a quarter of ``sqrt(2n)`` (a power
+        of two) gives it four times the lanes of the call-overhead
+        optimum, where wider steps stop paying (DESIGN.md §3.1).  The
+        floor of 64 keeps the 2-byte bit-count table at a quarter bit
+        per key on low-entropy streams; ``self.chunk_size`` stays the
+        upper bound.  Below ~16 K symbols the floor is what a decoder
+        pays: 64 steps over at most 256 lanes are call overhead, which
+        is why :meth:`_decode_chunks` decodes such a stream by jumps
+        over per-bit planes (about ``2 sqrt(chunk)`` steps instead of
         ``chunk``).  The stream records the choice, so decoders need no
         knowledge of this heuristic.
         """
         target = max(1.0, (2.0 * n) ** 0.5)
-        chunk = 1 << max(0, round(float(np.log2(target))))
-        return max(1, min(self.chunk_size, max(256, chunk)))
+        chunk = 1 << max(0, round(float(np.log2(target))) - 2)
+        return max(1, min(self.chunk_size, max(64, chunk)))
 
     # ------------------------------------------------------------------
     # Byte-level lossless API (arbitrary arrays/buffers)
@@ -724,7 +734,7 @@ class HuffmanX:
         num_symbols: int,
         n: int,
         book: Codebook,
-        chunk_offsets: np.ndarray,
+        chunk_bits: np.ndarray,
         payload: np.ndarray,
         chunk_size: int,
     ) -> bytes:
@@ -738,8 +748,8 @@ class HuffmanX:
                          chunk_size, payload.size, stored),
             pack_meta(dtype, shape),
             _rle_encode(book.lengths[:stored]),
-            _U32.pack(chunk_offsets.size),
-            chunk_offsets.astype(np.uint64).tobytes(),
+            _U32.pack(chunk_bits.size),
+            chunk_bits.astype(_count_dtype(chunk_size)).tobytes(),
             payload,    # join copies it out of context memory
         ]
         return b"".join(parts)
@@ -758,8 +768,9 @@ class HuffmanX:
         carry (the symbols past them are unused): the declared alphabet
         sizes nothing.
         """
+        header = _header(blob)
         (dts_len, ndim, num_symbols, n, chunk_size, payload_len, stored), r = (
-            _HEADER.open(blob)
+            header.open(blob)
         )
         dtype, shape = r.meta(dts_len, ndim)
         if stored > num_symbols:
@@ -773,7 +784,9 @@ class HuffmanX:
                 f"codebooks (decode windows support at most 24 bits)"
             )
         (nchunks,) = r.unpack(_U32)
-        chunk_offsets = r.array("<u8", nchunks)
+        v1 = header is _HEADER_V1
+        chunk_offsets = r.array("<u8" if v1 else _count_dtype(chunk_size),
+                                nchunks)
         payload = r.array(np.uint8, payload_len)
         if (n > 8 * payload_len or math.prod(shape) != n
                 or n and not 0 < n - (nchunks - 1) * chunk_size <= chunk_size):
@@ -781,6 +794,12 @@ class HuffmanX:
                 f"corrupt stream: {n} keys of shape {shape} in {nchunks} "
                 f"chunks of {chunk_size} and a {payload_len}-byte payload"
             )
+        if not v1:      # bit counts: the offsets are their prefix sums
+            ends = np.cumsum(chunk_offsets, dtype=np.uint64)
+            if -(-int(ends.max(initial=0)) // 8) != payload_len:
+                raise CorruptStreamError("corrupt stream: chunk bit counts "
+                                         f"disagree with {payload_len} bytes")
+            chunk_offsets = ends - chunk_offsets
         if nchunks and int(chunk_offsets.max()) > 8 * payload_len:
             raise CorruptStreamError(
                 "corrupt stream: chunk offset past the payload"
@@ -792,9 +811,14 @@ class HuffmanX:
         )
 
 
+def _header(blob) -> Header:
+    """The ``HUFX`` header a stream's version byte names (2 unless 1)."""
+    return _HEADER_V1 if bytes(blob[4:5]) == b"\x01" else _HEADER
+
+
 def key_count(blob) -> int:
     """The key count a ``HUFX`` stream declares, from its header alone."""
-    return _HEADER.open(blob)[0][3]
+    return _header(blob).open(blob)[0][3]
 
 
 @hot_path(reason="per-byte symbol loop of the key decoder")

@@ -105,6 +105,15 @@ class TestRoundTrip:
         back = HuffmanX(chunk_size=4096).decompress_keys(blob)
         assert np.array_equal(back, keys)
 
+    def test_chunk_under_the_rule_need_not_be_a_power_of_two(self, rng):
+        """A cap under the rule's pick is the chunk: 100 keys, which
+        8-bit codes' groups of 8 do not divide (the packer takes 4)."""
+        keys = rng.integers(0, 256, size=100_003).astype(np.int64)
+        h = HuffmanX(chunk_size=100)
+        blob = h.compress_keys(keys, 256)
+        assert h._deserialize(blob)[7] == 100
+        assert np.array_equal(h.decompress_keys(blob), keys)
+
     def test_decompress_does_not_mutate_chunk_size(self, rng):
         keys = rng.integers(0, 8, size=5000).astype(np.int64)
         blob = HuffmanX(chunk_size=128).compress_keys(keys, 8)
@@ -116,6 +125,31 @@ class TestRoundTrip:
         assert len(HuffmanX(chunk_size=4096).compress_keys(keys, 8)) == len(
             h.compress_keys(keys, 8)
         )
+
+    def test_chunk_size_must_fit_the_chunk_table(self):
+        """A chunk's bit count (at most 16 bits a key) is stored as a
+        uint32: a chunk whose count might not fit is refused up front."""
+        from repro.compressors.huffman.compressor import _MAX_CHUNK
+
+        assert HuffmanX(chunk_size=_MAX_CHUNK).chunk_size == _MAX_CHUNK
+        for bad in (0, _MAX_CHUNK + 1):
+            with pytest.raises(ValueError, match="chunk_size"):
+                HuffmanX(chunk_size=bad)
+
+    def test_wide_chunks_store_uint32_counts(self, rng):
+        """Past 4,095 keys a chunk's count may not fit 16 bits: the
+        decoder reads a uint32 table, named by the chunk field alone."""
+        keys = rng.integers(0, 16, size=6000).astype(np.int64)
+        h = HuffmanX()
+        narrow = h.compress_keys(keys, 16)
+        book, payload = h._deserialize(narrow)[4:7:2]
+        lengths = book.lengths.astype(np.int64)[keys]
+        counts = np.array([lengths[:5000].sum(), lengths[5000:].sum()])
+        wide = h._serialize((6000,), keys.dtype, 16, 6000, book, counts,
+                            payload, 5000)
+        assert wide[wide.index(payload.tobytes()) - 8 :][:8] == (
+            counts.astype("<u4").tobytes())
+        assert np.array_equal(h.decompress_keys(wide), keys)
 
     def test_overlong_code_length_rejected(self):
         from repro.compressors.huffman.codebook import MAX_CODE_LENGTH, Codebook

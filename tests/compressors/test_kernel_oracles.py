@@ -11,6 +11,7 @@ bit per byte.  Equality is on raw bytes, so the sign of every zero is
 part of the contract.
 """
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -66,6 +67,9 @@ from ._reference_kernels import (
     reference_to_symbols,
     reference_tree_depths,
 )
+
+#: A ``HUFX`` version-1 key stream (uint64 chunk offsets), 1,000 keys.
+V1_KEYS = Path(__file__).parents[1] / "golden" / "v1" / "hufx-keys-1000.bin"
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +127,7 @@ def _fused_pack(streams, chunk, n=None):
     launch gathers and folds each group of codes, then the prefix sum
     and the pack.  Each stream is ``(codes, lengths)``, one symbol per
     key; its first ``n`` keys (default all) are edge-padded to whole
-    chunks.  Returns each row's payload and chunk bit offsets."""
+    chunks.  Returns each row's payload and chunk bit counts."""
     n = len(streams[0][0]) if n is None else n
     m = -(-n // chunk) * chunk
     lut_codes = np.concatenate([np.asarray(c, dtype=np.uint16) for c, _ in streams])
@@ -136,20 +140,22 @@ def _fused_pack(streams, chunk, n=None):
     ctx = codec.cache.get(("oracle",), pin=True)
     try:
         rows = codec._encode(staged, n, chunk, lut_codes, lut_lens, ctx)
-        return [(payload.copy(), offsets.copy()) for payload, offsets in rows]
+        return [(payload.copy(), counts.copy()) for payload, counts in rows]
     finally:
         codec.cache.release(ctx)
 
 
 def _assert_packs_like_the_reference(streams, chunk, n=None):
     n = len(streams[0][0]) if n is None else n
-    for (codes, lengths), (got, offsets) in zip(
+    for (codes, lengths), (got, counts) in zip(
         streams, _fused_pack(streams, chunk, n)
     ):
         assert got.tobytes() == reference_pack_bits(codes[:n], lengths[:n]).tobytes()
-        # Chunk starts are group starts: the stored offsets do not move.
+        # Chunk starts are group starts: the stored counts sum to the
+        # offsets of the chunks' first codes, and to the stream's bits.
         ungrouped = np.cumsum(lengths[:n]) - np.asarray(lengths[:n])
-        assert np.array_equal(offsets, ungrouped[::chunk])
+        assert np.array_equal(np.cumsum(counts) - counts, ungrouped[::chunk])
+        assert int(counts.sum()) == sum(lengths[:n])
 
 
 @st.composite
@@ -338,10 +344,12 @@ def test_window_source_switches_on_payload_bytes_per_step(slack):
 
 
 def _key_blob(book, n, chunk, payload, offsets, num_symbols):
-    """A ``HUFX`` stream with the given chunking, chunk offsets and
+    """A ``HUFX`` stream with the given chunking, chunk offsets (sorted,
+    stored as the counts between them and the payload's end) and
     payload bytes, whatever they decode to."""
+    counts = np.diff(offsets, append=np.uint64(8 * payload.size))
     return HuffmanX()._serialize((n,), np.dtype(np.int64), num_symbols, n,
-                                 book, offsets, payload, chunk)
+                                 book, counts, payload, chunk)
 
 
 @pytest.mark.parametrize("payload", ["random", "ones"])
@@ -351,9 +359,9 @@ def test_jump_schedule_matches_the_step_loop(steps, nbatch, payload):
     """Streams of ``steps``-symbol chunks — one short chunk alone, or
     three with a short last one — under codebooks whose longest code is
     1..16 bits, over payload bytes no encoder wrote and chunk offsets
-    anywhere in the payload, its end included.  Both window sources
-    decode every stream, in a batch and alone, to the keys a step-by-step
-    decode of that stream alone reads."""
+    (past the first) anywhere in the payload, its end included.  Both
+    window sources decode every stream, in a batch and alone, to the
+    keys a step-by-step decode of that stream alone reads."""
     rng = np.random.default_rng(steps * 10 + nbatch)
     num_symbols = MAX_CODE_LENGTH + 1
     for depth in range(1, MAX_CODE_LENGTH + 1):
@@ -370,6 +378,7 @@ def test_jump_schedule_matches_the_step_loop(steps, nbatch, payload):
                     else np.full(size, 255)).astype(np.uint8)
             offsets = np.sort(rng.integers(0, 8 * size + 1, size=nchunks))
             offsets[-1] = 8 * size if j == 1 else offsets[-1]
+            offsets[0] = 0      # where a stored count table starts
             offsets = offsets.astype(np.uint64)
             blobs.append(_key_blob(book, n, steps, body, offsets, num_symbols))
             want.append(reference_decode_keys(book, body, offsets, n, steps))
@@ -405,10 +414,17 @@ def test_corrupt_members_decode_the_same_alone_and_in_a_batch(seed, payload):
 
 def test_decoder_refuses_a_chunk_offset_past_the_payload():
     """Positions never start negative or past the end, so what either
-    window source reads there cannot differ."""
+    window source reads there cannot differ: a version-2 chunk count
+    that overruns the payload is refused, as is a version-1 offset past
+    it."""
     codec = HuffmanX()
-    keys = np.arange(3000) % 7
-    blob = bytearray(codec.compress_keys(keys, 7))
+    blob = bytearray(codec.compress_keys(np.arange(3000) % 7, 7))
+    parsed = codec._deserialize(bytes(blob))
+    at = len(blob) - parsed[6].size - 2 * parsed[5].size  # the first count
+    blob[at : at + 2] = (0xFFFF).to_bytes(2, "little")
+    with pytest.raises(CorruptStreamError, match="chunk bit counts disagree"):
+        codec.decompress_keys(bytes(blob))
+    blob = bytearray(V1_KEYS.read_bytes())
     parsed = codec._deserialize(bytes(blob))
     at = len(blob) - parsed[6].size - 8      # the last chunk's offset
     for bad in (8 * parsed[6].size + 1, 1 << 63):

@@ -109,11 +109,11 @@ def test_bad_input_exits_with_a_message(make_input, message, tmp_path):
     assert not out.exists()
 
 
-#: SHA-256 of the HPGX archive ``refactor --progressive --eb 1e-4``
-#: wrote for ``_integer_field()`` before refactoring became the only
-#: path: dropping the flag changes no byte.
+#: SHA-256 of the HPGX archive ``refactor --eb 1e-4`` writes for
+#: ``_integer_field()``: its segments carry ``HUFX`` version-2 key
+#: streams (the version-1 archive differed only in their chunk tables).
 REFACTOR_EB_1E4_SHA256 = (
-    "42ed31a223539480bd0055db8c046bc7f05957bd8466fdbea52ad96d37863a98"
+    "43834b918294040ca127912a67b9db365b36bf195bf08920750956afcadbb099"
 )
 
 

@@ -232,7 +232,8 @@ def test_hostile_segment_in_a_fused_run_is_named(stream, forge, error):
 
 
 @pytest.mark.parametrize("recode", [
-    lambda seg: _recode(seg, huffman=HuffmanX(chunk_size=128)),
+    # A chunk under the 64-key floor the segment's own stream was cut at.
+    lambda seg: _recode(seg, huffman=HuffmanX(chunk_size=32)),
     lambda seg: _recode(seg, dict_size=512),
 ], ids=["chunking", "alphabet"])
 def test_run_the_key_coder_will_not_fuse_decodes_segment_by_segment(stream, recode):

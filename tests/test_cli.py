@@ -112,6 +112,18 @@ def test_campaign_takes_every_table_method(field_file, tmp_path, capsys):
     assert np.max(np.abs(reconstruct(tmp_path / "c") - data)) <= 1e-3
 
 
+def test_campaign_refuses_a_bad_parameter_before_writing(field_file, tmp_path):
+    """The codec is built once before any rank starts: a parameter it
+    refuses is compress's one-line message, and no output is left."""
+    src, _ = field_file
+    out = tmp_path / "c"
+    with pytest.raises(SystemExit, match="zfp-x: rate must be in") as exc:
+        main(["campaign", str(src), str(out), "--method", "zfp-x",
+              "--rate", "0"])
+    assert "\n" not in str(exc.value)
+    assert not out.exists()
+
+
 def test_blast_refuses_an_unservable_codec():
     with pytest.raises(SystemExit, match="servable"):
         main(["blast", "--selfhost", "--codec", "zfp-accuracy",

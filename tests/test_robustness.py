@@ -10,6 +10,7 @@ bad-magic cases one by one.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,63 @@ def test_truncated_archive_file_is_refused_before_reading(tmp_path, keep):
     path.write_bytes(_archive(TILE)[:keep])
     with pytest.raises(TruncatedSegmentError, match="truncated"):
         read_archive_prefix(path)
+
+
+# ----------------------------------------------------------------------
+# HUFX version 2: a table of per-chunk bit counts
+# ----------------------------------------------------------------------
+def _count_table(blob: bytes) -> tuple[int, int]:
+    """A 3,000-key stream's table: where its u32 length field is, and
+    how many uint16 counts follow it (then the payload)."""
+    parsed = HuffmanX()._deserialize(blob)
+    nchunks = parsed[5].size
+    return len(blob) - parsed[6].size - 2 * nchunks - 4, nchunks
+
+
+def _with_counts(blob: bytes, change) -> bytes:
+    at, nchunks = _count_table(blob)
+    counts = np.frombuffer(blob, "<u2", nchunks, at + 4).astype(np.int64)
+    change(counts)
+    return blob[: at + 4] + counts.astype("<u2").tobytes() + blob[
+        at + 4 + 2 * nchunks :]
+
+
+def _with_length_field(blob: bytes, delta: int) -> bytes:
+    at, nchunks = _count_table(blob)
+    return blob[:at] + struct.pack("<I", nchunks + delta) + blob[at + 4 :]
+
+
+def _overrun(counts):
+    counts[0] = 0xFFFF          # the sum runs past 8 * payload_len
+
+
+def _short(counts):
+    counts[0] -= 8              # the sum stops a byte before the end
+
+
+@pytest.mark.parametrize("forge", [
+    lambda b: _with_counts(b, _overrun),
+    lambda b: _with_counts(b, _short),
+    lambda b: b[: _count_table(b)[0] + 4 + _count_table(b)[1]],
+    lambda b: _with_length_field(b, 1),
+    lambda b: _with_length_field(b, -1),
+    lambda b: _with_length_field(b, 0xFFFFFFFF - _count_table(b)[1]),
+], ids=["over", "short", "truncated", "longer", "shorter", "huge"])
+def test_hostile_chunk_table_is_refused(forge):
+    """Counts that do not end in the payload's last byte, a table cut
+    short, and a table length other than the chunks the key count and
+    chunk field make: each is a corrupt stream, in bounded memory."""
+    codec = HuffmanX()
+    blob = codec.compress_keys(np.arange(3000) % 7, 7)
+    assert blob[4] == 2 and _count_table(blob)[1] > 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            codec.decompress_keys(forge(blob))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ----------------------------------------------------------------------
