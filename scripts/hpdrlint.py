@@ -7,14 +7,11 @@ Usage:
     ... --packs core,async                                 # subset of packs
     ... --list-rules                                       # rule table by pack
     ... --sarif out.sarif                                  # SARIF 2.1.0 report
-    ... --write-baseline                                   # grandfather tree
     ... --max-seconds 10                                   # perf guard
 
-Exit status: 0 when clean, 1 when any non-baselined finding is reported
-(CI gates on this), 2 on usage errors.  Suppress a deliberate violation
-inline with ``# hpdrlint: disable=HPL001 — reason`` on the offending
-line; grandfather a backlog with ``--write-baseline`` (the shipped
-baseline is empty and expected to stay that way).
+Exit status: 0 when clean, 1 when any finding is reported (CI gates on
+this), 2 on usage errors.  Suppress a deliberate violation inline with
+``# hpdrlint: disable=HPL001 — reason`` on the offending line.
 """
 
 from __future__ import annotations
@@ -33,13 +30,8 @@ from repro.check.static import (  # noqa: E402
     ALL_RULES,
     RULE_PACKS,
     analyze_paths,
-    load_baseline,
-    partition_findings,
-    write_baseline,
     write_sarif,
 )
-
-DEFAULT_BASELINE = REPO_ROOT / ".hpdrlint-baseline.json"
 
 
 def _usage_error(message: str) -> int:
@@ -103,15 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write a SARIF 2.1.0 report to PATH",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline file of grandfathered findings (default: "
-             ".hpdrlint-baseline.json at the repo root, if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
         help="fail (exit 1) if the analysis takes longer than S seconds",
     )
@@ -137,8 +120,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         paths = [REPO_ROOT / "src" / "repro"]
 
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
-
     start = time.perf_counter()
     result = analyze_paths(paths, packs=packs)
     elapsed = time.perf_counter() - start
@@ -146,39 +127,20 @@ def main(argv: list[str] | None = None) -> int:
     for warning in result.warnings:
         print(f"hpdrlint: warning: {warning}", file=sys.stderr)
 
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings, REPO_ROOT)
-        print(
-            f"hpdrlint: wrote {len(result.findings)} finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-
-    fresh = result.findings
-    known_count = 0
-    if baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            return _usage_error(f"cannot read baseline: {exc}")
-        fresh, known = partition_findings(result.findings, baseline, REPO_ROOT)
-        known_count = len(known)
-
     if args.sarif:
         rules = {
             rid: desc
             for pack in packs
             for rid, desc in RULE_PACKS[pack].items()
         }
-        write_sarif(Path(args.sarif), fresh, rules, REPO_ROOT)
+        write_sarif(Path(args.sarif), result.findings, rules, REPO_ROOT)
 
     status = 0
-    if fresh:
-        print(format_findings(fresh))
+    if result.findings:
+        print(format_findings(result.findings))
         status = 1
     else:
-        suffix = f" ({known_count} baselined)" if known_count else ""
-        print(f"hpdrlint: clean{suffix} [{elapsed:.2f}s]")
+        print(f"hpdrlint: clean [{elapsed:.2f}s]")
 
     if args.max_seconds is not None and elapsed > args.max_seconds:
         print(

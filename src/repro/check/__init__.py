@@ -5,7 +5,9 @@ Two modes (DESIGN.md §3.2):
 * runtime sanitizer — :class:`SanitizingAdapter` ("tsan mode",
   ``HPDR_SAN=1`` / ``--sanitize``), plus the CMM steady-state checks in
   :mod:`repro.check.cmm`;
-* static lint — :func:`lint_paths` (``scripts/hpdrlint.py``).
+* static analysis — :mod:`repro.check.static` (``scripts/hpdrlint.py``):
+  four rule packs on one parse per file; :class:`Finding` and
+  :func:`format_findings` are what every pack reports.
 
 This package is imported lazily by the adapters layer: when
 ``HPDR_SAN`` is unset nothing here loads, so the tooling costs zero on
@@ -21,7 +23,7 @@ from repro.check.errors import (
     SteadyStateLeakError,
     UseAfterEvictError,
 )
-from repro.check.lint import Finding, format_findings, lint_paths, lint_source
+from repro.check.lint import Finding, format_findings
 from repro.check.sanitizer import (
     SANITIZABLE_FAMILIES,
     SanitizingAdapter,
@@ -43,8 +45,6 @@ __all__ = [
     "assert_steady_state",
     "check_not_poisoned",
     "format_findings",
-    "lint_paths",
-    "lint_source",
     "sanitize_enabled",
     "wrap_if_enabled",
 ]

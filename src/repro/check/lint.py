@@ -1,7 +1,10 @@
-"""hpdrlint — static allocation/typing lint for HPDR kernel code.
+"""hpdrlint ``core`` pack — the allocation/typing rules for HPDR kernels.
 
-AST-based, zero third-party dependencies, run via ``scripts/hpdrlint.py``
-or :func:`lint_paths`.  Rules:
+This module holds the pack's rule tables, the :class:`Finding` every
+pack reports and :func:`format_findings`.  The rules run in
+:mod:`repro.check.static.rules_core`, on the same parse as the other
+packs; run them with ``scripts/hpdrlint.py`` or
+:func:`repro.check.static.analyze_paths`.  Rules:
 
 =======  =============================================================
 HPL001   per-call allocation (``np.empty``/``np.zeros``/``np.array``/
@@ -20,17 +23,14 @@ HPL004   a ``Functor`` subclass whose ``apply``/``__call__`` does not
 Suppression: a finding is dropped when ``# hpdrlint: disable=<RULE>
 [,<RULE>…] — reason`` (or ``disable=all``) appears on any line the
 offending node spans, on the first line of its enclosing statement, or
-on the comment line directly above either.  Suppressions are deliberate
+on the comment line directly above either.  Every pack honours this
+contract (:mod:`repro.check.static.report`).  Suppressions are deliberate
 and auditable — the rule id stays greppable at the call site.
 """
 
 from __future__ import annotations
 
-import ast
-import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
 
 RULES: dict[str, str] = {
     "HPL001": "allocation inside @hot_path (use ctx.buffer()/ctx.scratch())",
@@ -38,10 +38,6 @@ RULES: dict[str, str] = {
     "HPL003": "ufunc without out= inside @hot_path (allocates per call)",
     "HPL004": "Functor subclass breaks the apply(data) calling convention",
 }
-
-#: the syntactic rules above form the ``core`` pack; the dataflow packs
-#: (HPL1xx/2xx/3xx) live in :mod:`repro.check.static`.
-CORE_PACK = "core"
 
 #: numpy namespace calls that allocate a fresh array.
 _NP_ALLOC = {
@@ -73,9 +69,6 @@ _FUNCTOR_BASES = {
     "Functor", "LocalityFunctor", "IterativeFunctor", "DomainFunctor",
 }
 
-_SUPPRESS_RE = re.compile(r"#\s*hpdrlint:\s*disable=([A-Za-z0-9_,\s-]+)")
-
-
 @dataclass(frozen=True)
 class Finding:
     path: str
@@ -90,255 +83,6 @@ class Finding:
             f"{self.path}:{self.line}:{self.col}: {self.rule} "
             f"{self.message}  [fix: {self.hint}]"
         )
-
-
-def _suppressions(source: str) -> dict[int, set[str]]:
-    """Line number (1-based) → set of suppressed rule ids (or {'all'})."""
-    out: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _SUPPRESS_RE.search(line)
-        if m:
-            rules = {
-                tok.strip().upper()
-                for tok in m.group(1).replace(" ", ",").split(",")
-                if tok.strip()
-            }
-            out[lineno] = rules
-    return out
-
-
-def parse_suppressions(source: str) -> dict[int, set[str]]:
-    """Public alias of the suppression-comment parser (line → rule ids)."""
-    return _suppressions(source)
-
-
-def is_suppressed(
-    suppress: dict[int, set[str]], rule: str, lines: Iterable[int]
-) -> bool:
-    """True when ``rule`` is disabled on any of ``lines``."""
-    for line in lines:
-        rules = suppress.get(line)
-        if rules and ("ALL" in rules or rule in rules):
-            return True
-    return False
-
-
-def unknown_suppression_ids(
-    source: str, known: Iterable[str]
-) -> list[tuple[int, str]]:
-    """``(line, rule_id)`` for suppression comments naming unknown rules.
-
-    A typo in a suppression (``disable=HPL0001``) silently suppresses
-    nothing while looking like it does — the CLI surfaces these as
-    warnings instead of letting them pass unnoticed.
-    """
-    known_upper = {k.upper() for k in known} | {"ALL"}
-    out: list[tuple[int, str]] = []
-    for lineno, rules in _suppressions(source).items():
-        for rule in sorted(rules):
-            if rule not in known_upper:
-                out.append((lineno, rule))
-    return out
-
-
-def _is_hot_decorator(dec: ast.expr) -> bool:
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(target, ast.Name):
-        return target.id == "hot_path"
-    if isinstance(target, ast.Attribute):
-        return target.attr == "hot_path"
-    return False
-
-
-class _FileLinter:
-    def __init__(self, path: Path, source: str) -> None:
-        self.path = path
-        self.source = source
-        self.findings: list[Finding] = []
-        self.suppress = _suppressions(source)
-        self.np_aliases: set[str] = set()
-        self._stmt_line = 0
-        self.tree = ast.parse(source, filename=str(path))
-        self._collect_imports()
-        self.hot_funcs = self._collect_hot_functions()
-        self.is_kernel_module = bool(self.hot_funcs)
-
-    def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        self.np_aliases.add(alias.asname or "numpy")
-
-    def _collect_hot_functions(self) -> set[ast.AST]:
-        hot: set[ast.AST] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_is_hot_decorator(d) for d in node.decorator_list):
-                    hot.add(node)
-        return hot
-
-    # -- emission --------------------------------------------------------
-    def _emit(self, node: ast.AST, rule: str, message: str, hint: str) -> None:
-        lineno = getattr(node, "lineno", 1)
-        end = getattr(node, "end_lineno", lineno) or lineno
-        lines = set(range(lineno, end + 1))
-        lines.update((lineno - 1, self._stmt_line, self._stmt_line - 1))
-        for line in lines:
-            rules = self.suppress.get(line)
-            if rules and ("ALL" in rules or rule in rules):
-                return
-        self.findings.append(
-            Finding(
-                path=str(self.path),
-                line=lineno,
-                col=getattr(node, "col_offset", 0) + 1,
-                rule=rule,
-                message=message,
-                hint=hint,
-            )
-        )
-
-    # -- call classification ---------------------------------------------
-    def _np_func_name(self, call: ast.Call) -> str | None:
-        """'zeros' for ``np.zeros(...)`` under any numpy import alias."""
-        f = call.func
-        if (
-            isinstance(f, ast.Attribute)
-            and isinstance(f.value, ast.Name)
-            and f.value.id in self.np_aliases
-        ):
-            return f.attr
-        return None
-
-    def _has_kwarg(self, call: ast.Call, name: str) -> bool:
-        return any(kw.arg == name for kw in call.keywords)
-
-    def _check_call(self, call: ast.Call, hot: bool) -> None:
-        np_name = self._np_func_name(call)
-        if np_name is not None:
-            if hot and np_name in _NP_ALLOC:
-                self._emit(
-                    call, "HPL001",
-                    f"np.{np_name}() allocates on a @hot_path",
-                    "draw the buffer from ctx.buffer()/ctx.scratch() once, "
-                    "reuse it across calls",
-                )
-            elif (
-                self.is_kernel_module
-                and np_name in _NP_DTYPE_DEFAULTED
-                and not self._has_kwarg(call, "dtype")
-            ):
-                # In hot functions HPL001 already covers the call; the
-                # dtype rule catches kernel-module setup code.
-                self._emit(
-                    call, "HPL002",
-                    f"np.{np_name}() without dtype= defaults to float64",
-                    "pass an explicit dtype= matching the kernel's "
-                    "working precision",
-                )
-            if (
-                hot
-                and np_name in _NP_UFUNC_OUT
-                and not self._has_kwarg(call, "out")
-            ):
-                self._emit(
-                    call, "HPL003",
-                    f"np.{np_name}() without out= allocates per call",
-                    "pass out= targeting a context-owned buffer",
-                )
-        elif hot and isinstance(call.func, ast.Attribute):
-            if call.func.attr == "astype" and any(
-                kw.arg == "copy"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-                for kw in call.keywords
-            ):
-                return  # astype(..., copy=False) casts without allocating
-            if call.func.attr in _METHOD_ALLOC:
-                self._emit(
-                    call, "HPL001",
-                    f".{call.func.attr}() allocates on a @hot_path",
-                    "hoist the conversion/copy out of the hot path or "
-                    "write into a context-owned buffer",
-                )
-
-    # -- HPL004: functor calling convention ------------------------------
-    def _check_functor_class(self, cls: ast.ClassDef) -> None:
-        base_names = set()
-        for base in cls.bases:
-            if isinstance(base, ast.Name):
-                base_names.add(base.id)
-            elif isinstance(base, ast.Attribute):
-                base_names.add(base.attr)
-        if not base_names & _FUNCTOR_BASES:
-            return
-        for item in cls.body:
-            if (
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name in ("apply", "__call__")
-            ):
-                a = item.args
-                required = (
-                    len(a.posonlyargs) + len(a.args) - len(a.defaults)
-                )
-                required_kwonly = sum(
-                    1 for d in a.kw_defaults if d is None
-                )
-                # self + data = exactly 2 required positional params, no
-                # required keyword-only params: adapters call
-                # functor.apply(batch) positionally.
-                if required != 2 or required_kwonly:
-                    self._emit(
-                        item, "HPL004",
-                        f"{cls.name}.{item.name} requires "
-                        f"{required - 1} data argument(s) "
-                        f"(+{required_kwonly} required kwonly); adapters "
-                        f"call {item.name}(data) with exactly one",
-                        "make the signature (self, data, *, extras_with_"
-                        "defaults) and bind configuration in __init__",
-                    )
-
-    # -- traversal --------------------------------------------------------
-    def run(self) -> list[Finding]:
-        self._walk(self.tree, hot=False)
-        return self.findings
-
-    def _walk(self, node: ast.AST, hot: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                self._stmt_line = child.lineno
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._walk(child, hot=hot or child in self.hot_funcs)
-            elif isinstance(child, ast.ClassDef):
-                self._check_functor_class(child)
-                self._walk(child, hot=hot)
-            else:
-                if isinstance(child, ast.Call):
-                    self._check_call(child, hot)
-                self._walk(child, hot)
-
-
-def lint_source(path: Path | str, source: str) -> list[Finding]:
-    """Lint one module's source text."""
-    return _FileLinter(Path(path), source).run()
-
-
-def _iter_py_files(paths: Iterable[Path | str]) -> Iterator[Path]:
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            yield from sorted(p.rglob("*.py"))
-        else:
-            yield p
-
-
-def lint_paths(paths: Iterable[Path | str]) -> list[Finding]:
-    """Lint files and directories (recursively); returns all findings."""
-    findings: list[Finding] = []
-    for file in _iter_py_files(paths):
-        findings.extend(lint_source(file, file.read_text(encoding="utf-8")))
-    return findings
 
 
 def format_findings(findings: list[Finding]) -> str:

@@ -1,28 +1,25 @@
 """HPDR-Statica: interprocedural static analysis for HPDR contracts.
 
-The package grows the syntactic linter (:mod:`repro.check.lint`) into a
-real analysis core — per-function CFGs (:mod:`~repro.check.static.cfg`),
-a forward-dataflow engine (:mod:`~repro.check.static.dataflow`), and a
-project call graph (:mod:`~repro.check.static.callgraph`) — with three
-rule packs on top:
+One front end — each file parsed once into a
+:class:`~repro.check.static.callgraph.ModuleUnit` (import table, parent
+map, suppressions, hot functions) — feeds per-function CFGs
+(:mod:`~repro.check.static.cfg`), a forward-dataflow engine
+(:mod:`~repro.check.static.dataflow`), a project call graph
+(:mod:`~repro.check.static.callgraph`), and four rule packs:
 
+* **core** (HPL001–HPL004) — allocations, implicit float64 and
+  ``out=``-less ufuncs in ``@hot_path`` code, the functor calling
+  convention (rule tables in :mod:`repro.check.lint`);
 * **async** (HPL101–HPL104) — event-loop safety of :mod:`repro.serve`;
 * **lifetime** (HPL201–HPL202) — CMM buffer pin/release discipline;
 * **interproc** (HPL301–HPL302) — HPL001/HPL003 extended through the
   call graph from every ``@hot_path`` root.
 
 Entry points: :func:`analyze_paths` / :func:`analyze_source`; SARIF
-output via :mod:`~repro.check.static.sarif`; grandfathering via
-:mod:`~repro.check.static.baseline`.  Driven by
+output via :mod:`~repro.check.static.sarif`.  Driven by
 ``scripts/hpdrlint.py`` and the ``statica`` CI job.
 """
 
-from repro.check.static.baseline import (
-    baseline_key,
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
 from repro.check.static.callgraph import FuncInfo, ModuleUnit, ProjectIndex
 from repro.check.static.cfg import CFG, Block, build_cfg
 from repro.check.static.dataflow import ForwardAnalysis, ReachingDefs
@@ -50,11 +47,7 @@ __all__ = [
     "ReachingDefs",
     "analyze_paths",
     "analyze_source",
-    "baseline_key",
     "build_cfg",
-    "load_baseline",
-    "partition_findings",
     "to_sarif",
-    "write_baseline",
     "write_sarif",
 ]

@@ -3,7 +3,10 @@
 :class:`ModuleUnit` wraps one parsed source file with everything the
 rule packs query repeatedly: an import table (local name → dotted
 origin), a parent map (AST node → enclosing node), per-line suppression
-sets, and every function/method definition keyed by qualified name.
+sets, every ``def`` in the module, the ``@hot_path`` ones among them
+(nested ones too), and every function/method definition keyed by
+qualified name.  It is the only place a file is parsed: every pack,
+``core`` included, reads the same tree.
 
 :class:`ProjectIndex` spans the analyzed file set and resolves call
 expressions to definitions, conservatively:
@@ -25,10 +28,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from repro.check.lint import parse_suppressions
+from repro.check.static.report import parse_suppressions
 
-__all__ = ["FuncInfo", "ModuleUnit", "ProjectIndex", "qualified_call_name"]
+__all__ = [
+    "FuncInfo",
+    "ModuleUnit",
+    "ProjectIndex",
+    "qualified_call_name",
+    "walk_excluding_defs",
+]
 
 
 def _is_hot_decorator(dec: ast.expr) -> bool:
@@ -40,6 +50,18 @@ def _is_hot_decorator(dec: ast.expr) -> bool:
     return False
 
 
+def walk_excluding_defs(root: ast.AST) -> Iterator[ast.AST]:
+    """Yield descendants of ``root`` without entering nested defs."""
+    stack = list(ast.iter_child_nodes(root))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 @dataclass(eq=False)  # identity semantics: nodes are unique, sets hold them
 class FuncInfo:
     """One function or method definition inside an analyzed module."""
@@ -48,11 +70,14 @@ class FuncInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     module: "ModuleUnit"
     class_name: str | None = None
-    is_hot: bool = False
 
     @property
     def name(self) -> str:
         return self.node.name
+
+    @property
+    def is_hot(self) -> bool:
+        return self.node in self.module.hot
 
 
 class ModuleUnit:
@@ -71,6 +96,10 @@ class ModuleUnit:
         self.imports: dict[str, str] = {}
         self.functions: dict[str, FuncInfo] = {}
         self.classes: dict[str, ast.ClassDef] = {}
+        #: every def in ``ast.walk`` order, nested ones included.
+        self.defs: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
+        #: the defs decorated ``@hot_path``.
+        self.hot: set[ast.AST] = set()
         self._index()
 
     # ------------------------------------------------------------------
@@ -78,15 +107,21 @@ class ModuleUnit:
         for node in ast.walk(self.tree):
             for child in ast.iter_child_nodes(node):
                 self.parents[child] = node
-        for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.imports[alias.asname or alias.name.split(".")[0]] = \
-                        alias.name
+                    if alias.asname:
+                        self.imports[alias.asname] = alias.name
+                    else:   # ``import a.b`` binds ``a`` to module ``a``
+                        head = alias.name.split(".")[0]
+                        self.imports[head] = head
             elif isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     self.imports[alias.asname or alias.name] = \
                         f"{node.module}.{alias.name}"
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.defs.append(node)
+                if any(_is_hot_decorator(d) for d in node.decorator_list):
+                    self.hot.add(node)
             elif isinstance(node, ast.ClassDef):
                 self.classes[node.name] = node
                 for item in node.body:
@@ -96,16 +131,12 @@ class ModuleUnit:
                             qualname=f"{node.name}.{item.name}",
                             node=item, module=self,
                             class_name=node.name,
-                            is_hot=any(_is_hot_decorator(d)
-                                       for d in item.decorator_list),
                         )
                         self.functions[info.qualname] = info
         for item in self.tree.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[item.name] = FuncInfo(
                     qualname=item.name, node=item, module=self,
-                    is_hot=any(_is_hot_decorator(d)
-                               for d in item.decorator_list),
                 )
 
     # ------------------------------------------------------------------

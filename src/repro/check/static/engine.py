@@ -1,15 +1,14 @@
 """HPDR-Statica driver: parse once, run every enabled rule pack.
 
 :func:`analyze_paths` is the one entry point the CLI and tests use: it
-collects ``.py`` files, parses each into a
-:class:`~repro.check.static.callgraph.ModuleUnit`, runs the syntactic
-core pack (:mod:`repro.check.lint`) plus the enabled dataflow packs,
-and returns findings sorted by location together with suppression
-warnings (unknown rule ids in ``disable=`` comments).
+collects ``.py`` files, parses each once into a
+:class:`~repro.check.static.callgraph.ModuleUnit`, runs every enabled
+pack on those units, and returns findings sorted by location together
+with suppression warnings (unknown rule ids in ``disable=`` comments).
 
 Pack registry::
 
-    core        HPL001–HPL004  (syntactic, always on)
+    core        HPL001–HPL004  (syntactic hot-path and functor rules)
     async       HPL101–HPL104  (repro.serve async-safety)
     lifetime    HPL201–HPL202  (CMM buffer lifetime)
     interproc   HPL301–HPL302  (hot-path rules through the call graph)
@@ -21,14 +20,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.check.lint import (
-    RULES as CORE_RULES,
-    Finding,
-    lint_source,
-    unknown_suppression_ids,
+from repro.check.lint import RULES as CORE_RULES, Finding
+from repro.check.static import (
+    rules_async,
+    rules_core,
+    rules_interproc,
+    rules_lifetime,
 )
-from repro.check.static import rules_async, rules_interproc, rules_lifetime
 from repro.check.static.callgraph import ModuleUnit, ProjectIndex
+from repro.check.static.report import unknown_suppression_ids
 
 __all__ = [
     "ALL_PACKS",
@@ -74,11 +74,15 @@ def _iter_py_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             yield p
 
 
-def _run_packs(
-    units: list[ModuleUnit],
-    packs: Iterable[str],
-    result: AnalysisResult,
-) -> None:
+#: pack → its per-module check; ``async`` also has a project-wide part.
+_MODULE_CHECKS = {
+    "core": rules_core.check_module,
+    "async": rules_async.check_module,
+    "lifetime": rules_lifetime.check_module,
+}
+
+
+def _analyze(units: list[ModuleUnit], packs: Iterable[str]) -> AnalysisResult:
     enabled = set(packs)
     unknown = enabled - set(RULE_PACKS)
     if unknown:
@@ -86,17 +90,18 @@ def _run_packs(
             f"unknown pack(s) {sorted(unknown)}; choose from "
             f"{sorted(RULE_PACKS)}"
         )
-    if "core" in enabled:
-        for unit in units:
-            result.findings.extend(
-                lint_source(unit.path, unit.source)
+    result = AnalysisResult()
+    for unit in units:
+        for lineno, rule in unknown_suppression_ids(unit.suppressions,
+                                                    ALL_RULES):
+            result.warnings.append(
+                f"{unit.path}:{lineno}: unknown rule id '{rule}' in "
+                f"suppression comment (it suppresses nothing)"
             )
-    if "async" in enabled:
-        for unit in units:
-            result.findings.extend(rules_async.check_module(unit))
-    if "lifetime" in enabled:
-        for unit in units:
-            result.findings.extend(rules_lifetime.check_module(unit))
+    for pack, check in _MODULE_CHECKS.items():
+        if pack in enabled:
+            for unit in units:
+                result.findings.extend(check(unit))
     if enabled & {"async", "interproc"}:
         index = ProjectIndex()
         for unit in units:
@@ -105,6 +110,7 @@ def _run_packs(
             result.findings.extend(rules_async.check_project(index))
         if "interproc" in enabled:
             result.findings.extend(rules_interproc.check_project(index))
+    return result.sorted()
 
 
 def analyze_paths(
@@ -112,19 +118,11 @@ def analyze_paths(
     packs: Iterable[str] = ALL_PACKS,
 ) -> AnalysisResult:
     """Analyze files/directories (recursively) with the given packs."""
-    result = AnalysisResult()
-    units: list[ModuleUnit] = []
-    for file in _iter_py_files(paths):
-        source = file.read_text(encoding="utf-8")
-        unit = ModuleUnit(file, source)
-        units.append(unit)
-        for lineno, rule in unknown_suppression_ids(source, ALL_RULES):
-            result.warnings.append(
-                f"{file}:{lineno}: unknown rule id '{rule}' in suppression "
-                f"comment (it suppresses nothing)"
-            )
-    _run_packs(units, packs, result)
-    return result.sorted()
+    return _analyze(
+        [ModuleUnit(file, file.read_text(encoding="utf-8"))
+         for file in _iter_py_files(paths)],
+        packs,
+    )
 
 
 def analyze_source(
@@ -133,12 +131,4 @@ def analyze_source(
     packs: Iterable[str] = ALL_PACKS,
 ) -> AnalysisResult:
     """Analyze one in-memory module (test and tooling convenience)."""
-    result = AnalysisResult()
-    unit = ModuleUnit(Path(path), source)
-    for lineno, rule in unknown_suppression_ids(source, ALL_RULES):
-        result.warnings.append(
-            f"{path}:{lineno}: unknown rule id '{rule}' in suppression "
-            f"comment (it suppresses nothing)"
-        )
-    _run_packs([unit], packs, result)
-    return result.sorted()
+    return _analyze([ModuleUnit(Path(path), source)], packs)

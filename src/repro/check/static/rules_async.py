@@ -20,10 +20,14 @@ HPL104   a function dispatched to an executor mutates ``self`` state
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 from repro.check.lint import Finding
-from repro.check.static.callgraph import FuncInfo, ModuleUnit, ProjectIndex
+from repro.check.static.callgraph import (
+    FuncInfo,
+    ModuleUnit,
+    ProjectIndex,
+    walk_excluding_defs,
+)
 from repro.check.static.report import Emitter
 
 __all__ = ["check_module", "check_project", "RULES"]
@@ -65,23 +69,6 @@ _ASYNC_LOCK_QUALNAMES = {
 _SPAWN_ATTRS = {"create_task", "ensure_future", "run_in_executor"}
 
 
-def _walk_excluding_defs(root: ast.AST) -> "Iterator[ast.AST]":
-    """Yield descendants of ``root`` without entering nested defs."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _async_functions(unit: ModuleUnit) -> list[ast.AsyncFunctionDef]:
-    return [n for n in ast.walk(unit.tree)
-            if isinstance(n, ast.AsyncFunctionDef)]
-
-
 # ---------------------------------------------------------------------------
 # HPL101 — blocking calls in async bodies
 # ---------------------------------------------------------------------------
@@ -113,7 +100,7 @@ def _consumed_async(unit: ModuleUnit, node: ast.Call) -> bool:
 
 def _check_blocking(unit: ModuleUnit, fn: ast.AsyncFunctionDef,
                     emitter: Emitter) -> None:
-    for node in _walk_excluding_defs(fn):
+    for node in walk_excluding_defs(fn):
         if not isinstance(node, ast.Call):
             continue
         qual = unit.qualified_name(node.func)
@@ -184,7 +171,7 @@ def _check_await_under_lock(unit: ModuleUnit, fn: ast.AsyncFunctionDef,
                             emitter: Emitter,
                             sync_locks: set[str],
                             async_locks: set[str]) -> None:
-    for node in _walk_excluding_defs(fn):
+    for node in walk_excluding_defs(fn):
         if not isinstance(node, ast.With):
             continue
         held = None
@@ -205,7 +192,7 @@ def _check_await_under_lock(unit: ModuleUnit, fn: ast.AsyncFunctionDef,
                 break
         if held is None:
             continue
-        for inner in _walk_excluding_defs(node):
+        for inner in walk_excluding_defs(node):
             if isinstance(inner, ast.Await):
                 emitter.emit(
                     inner, "HPL102",
@@ -238,7 +225,7 @@ def _name_is_used(fn: ast.AST, name: str, binding: ast.AST) -> bool:
 
 def _check_fire_and_forget(unit: ModuleUnit, fn: ast.AST,
                            emitter: Emitter) -> None:
-    for node in _walk_excluding_defs(fn):
+    for node in walk_excluding_defs(fn):
         if not isinstance(node, ast.Call) or not _is_spawn_call(unit, node):
             continue
         if isinstance(unit.parents.get(node), ast.Await):
@@ -403,7 +390,7 @@ def check_project(index: ProjectIndex) -> list[Finding]:
 def check_module(unit: ModuleUnit) -> list[Finding]:
     """Run HPL101–HPL103 over one module."""
     emitter = Emitter(unit)
-    async_fns = _async_functions(unit)
+    async_fns = [n for n in unit.defs if isinstance(n, ast.AsyncFunctionDef)]
     if async_fns:
         sync_locks, async_locks = _sync_lock_names(unit)
         for fn in async_fns:
@@ -412,7 +399,7 @@ def check_module(unit: ModuleUnit) -> list[Finding]:
                                     async_locks)
             _check_fire_and_forget(unit, fn, emitter)
     # HPL103 also applies to sync functions spawning executor work.
-    for node in ast.walk(unit.tree):
+    for node in unit.defs:
         if isinstance(node, ast.FunctionDef):
             _check_fire_and_forget(unit, node, emitter)
     return emitter.findings

@@ -26,15 +26,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.check.lint import (
-    Finding,
-    _METHOD_ALLOC,
-    _NP_ALLOC,
-    _NP_UFUNC_OUT,
-    is_suppressed,
-)
-from repro.check.static.callgraph import FuncInfo, ModuleUnit, ProjectIndex
-from repro.check.static.report import Emitter
+from repro.check.lint import Finding, _METHOD_ALLOC, _NP_ALLOC, _NP_UFUNC_OUT
+from repro.check.static.callgraph import FuncInfo, ProjectIndex
+from repro.check.static.report import Emitter, suppressed
+from repro.check.static.rules_core import casts_without_copy
 
 __all__ = ["check_project", "RULES"]
 
@@ -55,18 +50,6 @@ class _Offence:
     what: str
 
 
-def _suppressed_at(unit: ModuleUnit, node: ast.AST, rules: tuple[str, ...]
-                   ) -> bool:
-    lineno = getattr(node, "lineno", 1)
-    end = getattr(node, "end_lineno", lineno) or lineno
-    lines = set(range(lineno - 1, end + 1))
-    stmt = unit.enclosing_statement(node)
-    if stmt is not None:
-        lines.update((stmt.lineno, stmt.lineno - 1))
-    return any(is_suppressed(unit.suppressions, rule, lines)
-               for rule in rules)
-
-
 def _offences_in(info: FuncInfo) -> list[_Offence]:
     """HPL001/HPL003-class sites inside one helper, suppression-aware."""
     unit = info.module
@@ -79,20 +62,18 @@ def _offences_in(info: FuncInfo) -> list[_Offence]:
             "numpy.") else None
         has_out = any(kw.arg == "out" for kw in node.keywords)
         if np_name in _NP_ALLOC:
-            if not _suppressed_at(unit, node, ("HPL001", "HPL301")):
+            if not suppressed(unit, node, "HPL001", "HPL301"):
                 out.append(_Offence("HPL301", node.lineno,
                                     f"np.{np_name}()"))
         elif np_name in _NP_UFUNC_OUT and not has_out:
-            if not _suppressed_at(unit, node, ("HPL003", "HPL302")):
+            if not suppressed(unit, node, "HPL003", "HPL302"):
                 out.append(_Offence("HPL302", node.lineno,
                                     f"np.{np_name}() without out="))
         elif isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _METHOD_ALLOC:
-            if node.func.attr == "astype" and any(
-                    kw.arg == "copy" and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is False for kw in node.keywords):
+            if node.func.attr == "astype" and casts_without_copy(node):
                 continue
-            if not _suppressed_at(unit, node, ("HPL001", "HPL301")):
+            if not suppressed(unit, node, "HPL001", "HPL301"):
                 out.append(_Offence("HPL301", node.lineno,
                                     f".{node.func.attr}()"))
     return out

@@ -21,10 +21,9 @@ produce fresh objects and drop out of tracking.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 from repro.check.lint import Finding
-from repro.check.static.callgraph import ModuleUnit
+from repro.check.static.callgraph import ModuleUnit, walk_excluding_defs
 from repro.check.static.cfg import build_cfg
 from repro.check.static.dataflow import ForwardAnalysis, State
 from repro.check.static.report import Emitter
@@ -41,25 +40,6 @@ _DERIVE_METHODS = {"buffer", "scratch", "object"}
 _VIEW_METHODS = {"view", "reshape", "ravel", "transpose", "astype"}
 _RELEASE_METHODS = {"release", "evict"}
 _CLEAR_METHODS = {"clear"}
-
-
-def _functions(
-    unit: ModuleUnit,
-) -> "Iterator[ast.FunctionDef | ast.AsyncFunctionDef]":
-    for node in ast.walk(unit.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _walk_excluding_defs(root: ast.AST) -> "Iterator[ast.AST]":
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _base_name(expr: ast.expr) -> str | None:
@@ -131,7 +111,7 @@ class _ValueMap:
             for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
                 params.add(a.arg)
         # Pass 1: context roots.
-        for node in _walk_excluding_defs(fn):
+        for node in walk_excluding_defs(fn):
             named = _single_name_target(node)
             if named and _is_cache_get(named[1]):
                 self.ctx_vars[named[0]] = "local-pin"
@@ -148,7 +128,7 @@ class _ValueMap:
         # Pass 2: derivations (iterate to chase alias chains).
         for _ in range(3):
             changed = False
-            for node in _walk_excluding_defs(fn):
+            for node in walk_excluding_defs(fn):
                 named = _single_name_target(node)
                 if not named:
                     continue
@@ -237,7 +217,7 @@ def _tracked_in(vmap: _ValueMap, expr: ast.expr) -> str | None:
 
 def _check_escapes(unit: ModuleUnit, fn: ast.AST, vmap: _ValueMap,
                    emitter: Emitter) -> None:
-    for node in _walk_excluding_defs(fn):
+    for node in walk_excluding_defs(fn):
         if isinstance(node, ast.Return) and node.value is not None:
             name = _tracked_in(vmap, node.value)
             if name is not None and vmap.buffers.get(name) == "local-pin":
@@ -313,7 +293,7 @@ def _release_effects(element: ast.AST, vmap: _ValueMap) -> tuple[set[str],
     released: set[str] = set()
     acquired: set[str] = set()
     for node in ast.walk(element) if not isinstance(element, ast.stmt) \
-            else _walk_excluding_defs(element):
+            else walk_excluding_defs(element):
         if not isinstance(node, ast.Call) \
                 or not isinstance(node.func, ast.Attribute):
             continue
@@ -383,7 +363,7 @@ def _check_use_after_release(unit: ModuleUnit, fn, vmap: _ValueMap,
 def check_module(unit: ModuleUnit) -> list[Finding]:
     """Run HPL201–HPL202 over one module."""
     emitter = Emitter(unit)
-    for fn in _functions(unit):
+    for fn in unit.defs:
         vmap = _ValueMap(fn)
         if vmap.buffers:
             _check_escapes(unit, fn, vmap, emitter)

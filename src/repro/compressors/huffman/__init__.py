@@ -15,7 +15,6 @@ The bitstream is *portable*: any adapter decodes any adapter's output
 bit-exactly.
 """
 
-from repro.compressors.huffman.histogram import histogram
 from repro.compressors.huffman.codebook import (
     Codebook,
     build_codebook,
@@ -26,7 +25,6 @@ from repro.compressors.huffman.bitstream import pack_bits, gather_windows
 from repro.compressors.huffman.compressor import HuffmanX
 
 __all__ = [
-    "histogram",
     "Codebook",
     "build_codebook",
     "canonical_codes",

@@ -22,7 +22,6 @@ quantization is disabled.
 
 from repro.compressors.mgard.hierarchy import DimHierarchy, Hierarchy
 from repro.compressors.mgard.ops1d import (
-    interp_weights,
     lerp_fill,
     mass_trans,
     TridiagFactors,
@@ -34,7 +33,6 @@ from repro.compressors.mgard.compressor import MGARDX
 __all__ = [
     "DimHierarchy",
     "Hierarchy",
-    "interp_weights",
     "lerp_fill",
     "mass_trans",
     "TridiagFactors",

@@ -27,11 +27,6 @@ from repro.core.functor import IterativeFunctor
 from repro.util import hot_path, move_axis
 
 
-def interp_weights(level: DimLevel) -> tuple[np.ndarray, np.ndarray]:
-    """Lerp weights (wl, wr) of each fine-only node's coarse neighbors."""
-    return level.wl, level.wr
-
-
 def _bshape(w: np.ndarray, ndim: int) -> np.ndarray:
     """Reshape a per-node weight vector for axis-0 broadcasting."""
     return w.reshape((-1,) + (1,) * (ndim - 1))

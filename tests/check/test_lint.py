@@ -1,4 +1,4 @@
-"""hpdrlint rule tests (seeded defects) and the clean-tree gate."""
+"""hpdrlint ``core`` pack tests (seeded defects) and the clean-tree gate."""
 
 import subprocess
 import sys
@@ -6,15 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.lint import RULES, format_findings, lint_paths, lint_source
+from repro.check.lint import RULES, format_findings
+from repro.check.static import analyze_paths, analyze_source
 
 REPO = Path(__file__).resolve().parents[2]
 
 HEADER = "import numpy as np\nfrom repro.util import hot_path\n"
 
 
+def _core(path, source):
+    return analyze_source(path, source, packs=("core",)).findings
+
+
 def _rules(src: str) -> list[str]:
-    return [f.rule for f in lint_source("seeded.py", HEADER + src)]
+    return [f.rule for f in _core("seeded.py", HEADER + src)]
 
 
 class TestHPL001Allocations:
@@ -34,6 +39,15 @@ class TestHPL001Allocations:
         src = f"@hot_path\ndef k(x, ctx):\n    return {stmt}\n"
         assert "HPL001" in _rules(src)
 
+    def test_numpy_bound_by_a_dotted_import_too(self):
+        src = (
+            "import numpy.linalg\n"
+            "@hot_path\n"
+            "def k(n):\n"
+            "    return numpy.zeros(n, dtype=np.uint8)\n"
+        )
+        assert _rules(src) == ["HPL001"]
+
     def test_same_alloc_outside_hot_path_ok(self):
         src = "def setup(x):\n    return np.array(x, dtype=np.uint8)\n"
         assert _rules(src) == []
@@ -47,6 +61,21 @@ class TestHPL001Allocations:
             "    return inner(x)\n"
         )
         assert "HPL001" in _rules(src)
+
+    def test_nested_hot_path_def_is_hot(self):
+        # A @hot_path def inside a plain function is hot, and makes the
+        # module a kernel module, although the call graph indexes only
+        # top-level functions and methods.
+        src = (
+            "def outer(x):\n"
+            "    @hot_path\n"
+            "    def k(y):\n"
+            "        return y.copy()\n"
+            "    return k(x)\n"
+            "def setup(n):\n"
+            "    return np.zeros(n)\n"
+        )
+        assert _rules(src) == ["HPL001", "HPL002"]
 
     def test_astype_copy_false_is_a_cast_not_an_alloc(self):
         src = (
@@ -182,6 +211,25 @@ class TestSuppression:
         )
         assert _rules(src) == ["HPL003"]
 
+    def test_functor_disable_goes_on_the_method(self):
+        # HPL004 anchors at the method's def: a disable there (or on
+        # the line above it) holds, one on the class line does not
+        # reach a method further down.
+        body = (
+            "    \"\"\"Doc.\"\"\"\n"
+            "    def apply(self):{0}\n"
+            "        return None\n"
+        )
+        on_class = (
+            "class Bad(Functor):  # hpdrlint: disable=HPL004 — seeded\n"
+            + body.format("")
+        )
+        on_def = "class Bad(Functor):\n" + body.format(
+            "  # hpdrlint: disable=HPL004 — seeded"
+        )
+        assert _rules(on_class) == ["HPL004"]
+        assert _rules(on_def) == []
+
     def test_disable_all(self):
         src = (
             "@hot_path\n"
@@ -195,7 +243,9 @@ class TestDriver:
     def test_tree_is_clean(self):
         # Satellite: the shipped tree must carry zero unsuppressed
         # findings (genuine fixes + documented suppressions only).
-        findings = lint_paths([REPO / "src" / "repro"])
+        findings = analyze_paths(
+            [REPO / "src" / "repro"], packs=("core",)
+        ).findings
         assert findings == [], format_findings(findings)
 
     def test_cli_exit_codes(self, tmp_path):
@@ -224,7 +274,7 @@ class TestDriver:
         assert missing.returncode == 2
 
     def test_findings_carry_location_and_hint(self):
-        findings = lint_source(
+        findings = _core(
             "seeded.py", HEADER + "@hot_path\ndef k(x):\n    return x.copy()\n"
         )
         (f,) = findings

@@ -26,6 +26,16 @@ class TestHPL101Blocking:
         )
         assert _rules(src).count("HPL101") == 2
 
+    def test_dotted_import_resolves_to_the_module(self):
+        # ``import urllib.request`` binds ``urllib``: the call below is
+        # urllib.request.urlopen, not urllib.request.request.urlopen.
+        src = (
+            "import urllib.request\n"
+            "async def f(url):\n"
+            "    return urllib.request.urlopen(url)\n"
+        )
+        assert _rules(src) == ["HPL101"]
+
     def test_coroutine_fed_to_gather_is_not_blocking(self):
         src = (
             "import asyncio\n"

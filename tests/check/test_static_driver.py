@@ -1,5 +1,6 @@
-"""Statica driver tests: suppressions, baseline, SARIF, CLI, perf."""
+"""Statica driver tests: one parse, suppressions, SARIF, CLI, perf."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -8,20 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.lint import (
-    parse_suppressions,
-    unknown_suppression_ids,
-)
 from repro.check.static import (
     ALL_PACKS,
     ALL_RULES,
     RULE_PACKS,
     analyze_paths,
     analyze_source,
-    load_baseline,
-    partition_findings,
     to_sarif,
-    write_baseline,
+)
+from repro.check.static.report import (
+    parse_suppressions,
+    unknown_suppression_ids,
 )
 from repro.check.static.sarif import SARIF_SCHEMA_URI, SARIF_VERSION
 
@@ -68,52 +66,98 @@ class TestSuppressionParsing:
 
     def test_unknown_rule_id_warns_not_silently_passes(self):
         src = "def f():\n    return 1  # hpdrlint: disable=HPL999 — bogus\n"
-        assert unknown_suppression_ids(src, ALL_RULES) == [(2, "HPL999")]
+        assert unknown_suppression_ids(
+            parse_suppressions(src), ALL_RULES
+        ) == [(2, "HPL999")]
         result = analyze_source("s.py", src)
         assert any("HPL999" in w for w in result.warnings)
 
     def test_known_new_pack_id_does_not_warn(self):
         src = "x = 1  # hpdrlint: disable=HPL202 — released on purpose\n"
-        assert unknown_suppression_ids(src, ALL_RULES) == []
+        assert unknown_suppression_ids(
+            parse_suppressions(src), ALL_RULES
+        ) == []
 
 
-class TestBaseline:
-    def test_round_trip_grandfathers_findings(self, tmp_path):
-        seeded = tmp_path / "bad.py"
-        seeded.write_text(SEEDED)
-        findings = analyze_paths([seeded]).findings
-        assert len(findings) == 1
+#: one multi-line offending call per pack, the same layout in both: a
+#: spare blank line, the statement, a line above the node, the node
+#: over two lines, and a later statement.  ``{0}``..``{5}`` mark where a
+#: suppression comment may go.
+_PLACED = {
+    "core": (
+        "HPL001",
+        "import numpy as np\n"
+        "from repro.util import hot_path\n"
+        "@hot_path\n"
+        "def k(x):\n"
+        "    {0}\n"
+        "    y = (  {1}\n"
+        "        1,  {2}\n"
+        "        x.copy(  {3}\n"
+        "        ),  {4}\n"
+        "    )\n"
+        "    return y  {5}\n",
+    ),
+    "async": (
+        "HPL101",
+        "import time\n"
+        "async def f():\n"
+        "    {0}\n"
+        "    y = (  {1}\n"
+        "        1,  {2}\n"
+        "        time.sleep(  {3}\n"
+        "        ),  {4}\n"
+        "    )\n"
+        "    return y  {5}\n",
+    ),
+}
+#: slot → whether a disable comment there suppresses the finding.
+_PLACEMENTS = {
+    "above-statement": (0, True),
+    "statement": (1, True),
+    "above-node": (2, True),
+    "node-first-line": (3, True),
+    "node-last-line": (4, True),
+    "later-statement": (5, False),
+}
 
-        bl = tmp_path / "baseline.json"
-        write_baseline(bl, findings, tmp_path)
-        loaded = load_baseline(bl)
-        fresh, known = partition_findings(findings, loaded, tmp_path)
-        assert fresh == [] and known == findings
 
-    def test_changed_line_retires_entry(self, tmp_path):
-        seeded = tmp_path / "bad.py"
-        seeded.write_text(SEEDED)
-        findings = analyze_paths([seeded]).findings
-        bl = tmp_path / "baseline.json"
-        write_baseline(bl, findings, tmp_path)
+class TestOneSuppressionContract:
+    @pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
+    def test_core_and_async_honour_the_same_placements(self, placement):
+        slot, suppresses = _PLACEMENTS[placement]
+        for pack, (rule, template) in _PLACED.items():
+            marks = [""] * 6
+            marks[slot] = f"# hpdrlint: disable={rule} — seeded"
+            src = template.format(*marks)
+            found = [f.rule for f in
+                     analyze_source("s.py", src, packs=(pack,)).findings]
+            assert found == ([] if suppresses else [rule]), (pack, src)
 
-        # Editing the offending line invalidates the content hash: the
-        # finding comes back as fresh.
-        seeded.write_text(SEEDED.replace("time.sleep(1)", "time.sleep(2)"))
-        findings2 = analyze_paths([seeded]).findings
-        fresh, known = partition_findings(
-            findings2, load_baseline(bl), tmp_path
+
+class TestOneParse:
+    def test_each_file_is_parsed_once_for_all_packs(self, tmp_path,
+                                                    monkeypatch):
+        seeded = SEEDED + (
+            "import numpy as np\n"
+            "from repro.util import hot_path\n"
+            "@hot_path\n"
+            "def k(x):\n"
+            "    return x.copy()\n"
         )
-        assert len(fresh) == 1 and known == []
+        for i in range(3):
+            (tmp_path / f"m{i}.py").write_text(seeded)
+        calls = []
+        real_parse = ast.parse
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        bl = tmp_path / "baseline.json"
-        bl.write_text('{"version": 99, "findings": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(bl)
+        def counting_parse(*args, **kwargs):
+            calls.append(args)
+            return real_parse(*args, **kwargs)
 
-    def test_shipped_baseline_is_empty(self):
-        assert load_baseline(REPO / ".hpdrlint-baseline.json") == set()
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = analyze_paths([tmp_path], packs=ALL_PACKS)
+        assert {f.rule for f in result.findings} == {"HPL001", "HPL101"}
+        assert len(calls) == 3
 
 
 class TestSarif:
@@ -216,15 +260,13 @@ class TestCLI:
         assert log["version"] == "2.1.0"
         assert len(log["runs"][0]["results"]) == 1
 
-    def test_write_baseline_then_clean(self, tmp_path):
+    def test_baseline_options_are_gone(self, tmp_path):
         seeded = tmp_path / "bad.py"
         seeded.write_text(SEEDED)
-        bl = tmp_path / "bl.json"
-        proc = _run("--baseline", str(bl), "--write-baseline", str(seeded))
-        assert proc.returncode == 0
-        proc = _run("--baseline", str(bl), str(seeded))
-        assert proc.returncode == 0
-        assert "1 baselined" in proc.stdout
+        for flag in ("--baseline=bl.json", "--write-baseline"):
+            proc = _run(flag, str(seeded))
+            assert proc.returncode == 2
+            assert "unrecognized arguments" in proc.stderr
 
     def test_unknown_suppression_warns_on_stderr(self, tmp_path):
         seeded = tmp_path / "odd.py"
@@ -236,8 +278,8 @@ class TestCLI:
 
 class TestTreeGate:
     def test_full_tree_clean_all_packs_empty_baseline(self):
-        # Acceptance: all packs over the whole tree, no baseline
-        # entries, zero findings and zero suppression warnings.
+        # Acceptance: all packs over the whole tree, nothing
+        # grandfathered, zero findings and zero suppression warnings.
         result = analyze_paths([REPO / "src" / "repro"], packs=ALL_PACKS)
         assert result.findings == [], [f.format() for f in result.findings]
         assert result.warnings == []

@@ -267,13 +267,17 @@ def _same_outcome(byte_windows, bit_table) -> bool:
 def key_streams(draw):
     """Key arrays whose longest code is ``depth`` bits (Fibonacci counts
     give a ``depth``-deep tree from under 4,200 keys), one to three of
-    them, in chunks of 16..1024 with a short or a full last chunk."""
+    them, with a short or a full last chunk.  At these sizes
+    ``_effective_chunk`` cuts every stream at 64 keys, so only chunk
+    sizes of 64 and under bind: chunks of 16, 48 and 64 keys."""
     depth = draw(st.integers(1, 16))
-    chunk_size = draw(st.sampled_from([16, 64, 300, 1024]))
+    chunk_size = draw(st.sampled_from([16, 48, 64]))
     keys = np.repeat(np.arange(depth + 1), _fibonacci(depth + 1))
     extra = draw(st.integers(0, 2 * chunk_size))
     if draw(st.booleans()):     # a full last chunk
-        extra += -(keys.size + extra) % min(chunk_size, 256)
+        writer = HuffmanX(chunk_size=chunk_size)
+        extra += -(keys.size + extra) % writer._effective_chunk(
+            keys.size + extra)
     keys = np.concatenate([keys, np.full(extra, depth)])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = [rng.permutation(keys)]
@@ -284,9 +288,22 @@ def key_streams(draw):
     return depth, chunk_size, batch
 
 
+#: 300,960 keys of a 16-deep tree at ``chunk_size=300``: the one stream
+#: long enough for ``_effective_chunk`` to pick a 256-key chunk (below
+#: 262,144 keys it picks 128 or less).
+_LONG_STREAM = (16, 300, [np.random.default_rng(5).permutation(
+    np.repeat(np.arange(17), np.array(_fibonacci(17)) * 72))])
+
+
+def test_the_long_stream_is_cut_at_256_keys():
+    depth, chunk_size, (keys,) = _LONG_STREAM
+    assert HuffmanX(chunk_size=chunk_size)._effective_chunk(keys.size) == 256
+
+
 @settings(max_examples=150, deadline=None)
 @given(stream=key_streams(), byte_api=st.booleans(), payload=st.sampled_from(
     ["as written", "random", "ones"]))
+@example(stream=_LONG_STREAM, byte_api=False, payload="as written")
 def test_both_window_sources_decode_the_same_symbols(stream, byte_api, payload):
     depth, chunk_size, batch = stream
     writer = HuffmanX(chunk_size=chunk_size)
