@@ -1,41 +1,40 @@
 """Device adapters (paper Section III-C, Table II).
 
 Adapters execute the two execution models (GEM/DEM) on a concrete
-backend:
+backend, all through :func:`get_adapter`; :func:`list_adapters` names
+the registered families:
 
-* :class:`~repro.adapters.serial.SerialAdapter` — reference
-  single-core backend; groups run one after another.
-* :class:`~repro.adapters.openmp.OpenMPAdapter` — multi-core CPU
-  backend; groups are parallelized across cores (threads — NumPy
-  releases the GIL on array kernels), each group's workload runs
+* ``serial`` (:class:`~repro.adapters.serial.SerialAdapter`) — reference
+  single-core backend; ``strict=True`` runs groups one at a time, the
+  purity oracle the tests compare against.
+* ``openmp`` (:class:`~repro.adapters.openmp.OpenMPAdapter`) —
+  multi-core CPU backend; groups are parallelized across cores (threads
+  — NumPy releases the GIL on array kernels), each group's workload runs
   sequentially for cache locality, exactly the strategy in Table II.
-* :class:`~repro.adapters.cuda_sim.CudaSimAdapter` /
-  :class:`~repro.adapters.hip_sim.HipSimAdapter` — simulated GPU
-  backends: groups map to SMs/CUs, which in NumPy terms means the whole
-  group batch executes as one vectorized call; kernel cost is recorded
-  via the memory-bound roofline (traffic / device bandwidth) for the
-  simulated trace.
+* ``cuda``, ``hip``, ``sycl``
+  (:class:`~repro.adapters.simulated.SimulatedAdapter`) — simulated
+  devices: groups map to SMs/CUs, which in NumPy terms means the whole
+  group batch executes as one vectorized call (the base adapter's
+  launch).  They differ only in the processor specs they accept.
+
+Every launch emits a ``gem.<functor>`` or ``dem.<functor>`` span while
+:mod:`repro.trace` is enabled; that is the one record of what ran.
 
 All adapters produce **bit-identical** results for the same functor —
 this is the portability guarantee the framework is named for, and it is
 enforced by the cross-adapter test suite.
 """
 
-from repro.adapters.base import DeviceAdapter, KernelRecord, get_adapter, list_adapters
+from repro.adapters.base import DeviceAdapter, get_adapter, list_adapters
 from repro.adapters.serial import SerialAdapter
 from repro.adapters.openmp import OpenMPAdapter
-from repro.adapters.cuda_sim import CudaSimAdapter
-from repro.adapters.hip_sim import HipSimAdapter
-from repro.adapters.sycl_sim import SyclSimAdapter
+from repro.adapters.simulated import SimulatedAdapter
 
 __all__ = [
     "DeviceAdapter",
-    "KernelRecord",
     "get_adapter",
     "list_adapters",
     "SerialAdapter",
     "OpenMPAdapter",
-    "CudaSimAdapter",
-    "HipSimAdapter",
-    "SyclSimAdapter",
+    "SimulatedAdapter",
 ]

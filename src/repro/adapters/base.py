@@ -2,65 +2,56 @@
 
 from __future__ import annotations
 
-import abc
-import os
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.functor import DomainFunctor, Functor
+from repro.core.functor import DomainFunctor
 from repro.machine.specs import ProcessorSpec
 from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
+from repro.util import sanitize_enabled
 
 
-@dataclass
-class KernelRecord:
-    """One simulated kernel execution in an adapter's trace."""
-
-    name: str
-    model: str          # "GEM" or "DEM"
-    n_elements: int
-    traffic_bytes: float
-    duration: float     # seconds on the simulated device
-
-
-class DeviceAdapter(abc.ABC):
+class DeviceAdapter:
     """Executes GEM and DEM on one backend.
 
-    Subclasses set :attr:`family` ("serial", "openmp", "cuda", "hip")
-    and implement the two execution entry points.  Adapters optionally
-    carry a :class:`~repro.machine.specs.ProcessorSpec`; simulated
-    adapters use it to derive kernel durations from the memory-bound
-    roofline (``traffic / mem_bandwidth``), recorded in :attr:`trace`.
+    Subclasses set :attr:`family` ("serial", "openmp", "cuda", …) and
+    override the entry points whose parallelization differs from the
+    vectorized default.  Adapters optionally carry a
+    :class:`~repro.machine.specs.ProcessorSpec` — the simulated device,
+    or the core count of a CPU.  What ran is read from the
+    ``gem.<functor>``/``dem.<functor>`` spans of :mod:`repro.trace`.
     """
 
     family: str = "abstract"
 
     def __init__(self, spec: ProcessorSpec | None = None) -> None:
         self.spec = spec
-        self.trace: list[KernelRecord] = []
 
     # -- execution models ------------------------------------------------
-    @abc.abstractmethod
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
-        """GEM: run a group-parallel functor over ``(ngroups, ...)``."""
+        """GEM: run a group-parallel functor over ``(ngroups, ...)``.
+
+        The default runs every group in one vectorized call — Table II's
+        "groups → SMs/CUs" with the whole batch in flight at once.  An
+        empty batch is returned as it is.
+        """
+        if batch.ndim < 1 or batch.shape[0] == 0:
+            return batch
+        with self.gem_span(functor, batch):
+            return functor.apply(batch)
 
     def execute_domain(self, functor: DomainFunctor, data: Any) -> Any:
         """DEM: run a whole-domain functor (with global sync between stages).
 
         The default implementation runs stages sequentially, which is
         correct for every backend (Table II: execution order maintained
-        by sequential execution / grid sync); subclasses add tracing.
+        by sequential execution / grid sync).
         """
         with self.dem_span(functor):
             for stage in functor.stages():
                 data = stage(data)
-        self._record(functor, "DEM", _n_elements(data))
         return data
-
-    def synchronize(self) -> None:
-        """Block until all backend work completes (no-op off-device)."""
 
     def close(self) -> None:
         """Release execution resources (thread pools); idempotent.
@@ -86,9 +77,8 @@ class DeviceAdapter(abc.ABC):
 
         The disabled path is one flag check returning the shared null
         span, so steady-state throughput is unaffected; enabled, the
-        span lands in ``repro.trace`` tagged with the adapter family,
-        group count and batch bytes — the real-execution counterpart of
-        the simulated :class:`KernelRecord`.
+        span lands in ``repro.trace`` as ``gem.<functor>`` tagged with
+        the adapter family, group count and batch bytes.
         """
         if not _TRACER.enabled:
             return NULL_SPAN
@@ -107,23 +97,6 @@ class DeviceAdapter(abc.ABC):
             return NULL_SPAN
         return Span(_TRACER, f"dem.{functor.name}", f"adapter.{self.family}", {})
 
-    # -- simulated tracing -------------------------------------------------
-    def _record(self, functor: Functor, model: str, n_elements: int) -> None:
-        if self.spec is None:
-            return
-        traffic = functor.cost_bytes(n_elements)
-        duration = traffic / self.spec.mem_bandwidth
-        self.trace.append(
-            KernelRecord(functor.name, model, n_elements, traffic, duration)
-        )
-
-    def simulated_time(self) -> float:
-        """Total simulated kernel seconds recorded so far."""
-        return sum(r.duration for r in self.trace)
-
-    def reset_trace(self) -> None:
-        self.trace.clear()
-
     @property
     def name(self) -> str:
         if self.spec is not None:
@@ -138,8 +111,7 @@ class _DelegatingAdapter(DeviceAdapter):
     """An adapter in front of another adapter.
 
     The whole interface forwards to ``inner`` — both execution models,
-    task mapping, synchronisation, ``close``, and (through ``spec`` and
-    ``trace``) the simulated timing record — so a wrapper overrides only
+    task mapping, ``close`` and ``spec`` — so a wrapper overrides only
     the calls it intercepts.  The one delegation base of the sanitizing,
     faulty and resilient adapters.
     """
@@ -148,16 +120,12 @@ class _DelegatingAdapter(DeviceAdapter):
         self.inner = inner
 
     spec = property(lambda self: self.inner.spec)
-    trace = property(lambda self: self.inner.trace)
 
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
         return self.inner.execute_group_batch(functor, batch)
 
     def execute_domain(self, functor: DomainFunctor, data: Any) -> Any:
         return self.inner.execute_domain(functor, data)
-
-    def synchronize(self) -> None:
-        self.inner.synchronize()
 
     def close(self) -> None:
         self.inner.close()
@@ -170,27 +138,18 @@ class _DelegatingAdapter(DeviceAdapter):
         return f"{self.family}({self.inner.name})"
 
 
-def _n_elements(data: Any) -> int:
-    if isinstance(data, np.ndarray):
-        return int(data.size)
-    if isinstance(data, (tuple, list)):
-        return sum(_n_elements(d) for d in data)
-    if isinstance(data, dict):
-        return sum(_n_elements(d) for d in data.values())
-    return 1
+_REGISTRY: dict[str, Callable[..., DeviceAdapter]] = {}
 
 
-_REGISTRY: dict[str, type] = {}
-
-
-def register_adapter(family: str, cls: type) -> None:
-    _REGISTRY[family] = cls
+def register_adapter(family: str, make: Callable[..., DeviceAdapter]) -> None:
+    """Register the constructor ``get_adapter(family, ...)`` calls."""
+    _REGISTRY[family] = make
 
 
 def get_adapter(family: str, spec: ProcessorSpec | None = None, **kwargs) -> DeviceAdapter:
     """Instantiate an adapter by family name.
 
-    ``get_adapter("cuda")`` returns a fresh :class:`CudaSimAdapter`, etc.
+    ``get_adapter("cuda")`` returns a fresh simulated V100, etc.
     Extending HPDR to a new backend = implementing a subclass and
     registering it — the paper's extensibility claim for Kokkos/SYCL.
     """
@@ -198,9 +157,9 @@ def get_adapter(family: str, spec: ProcessorSpec | None = None, **kwargs) -> Dev
     if key not in _REGISTRY:
         raise KeyError(f"unknown adapter family {family!r}; available: {sorted(_REGISTRY)}")
     adapter = _REGISTRY[key](spec=spec, **kwargs)
-    if os.environ.get("HPDR_SAN", "") not in ("", "0"):
+    if sanitize_enabled():
         # tsan mode: every serial/openmp adapter handed out is shadow-
-        # checked.  The env test guards the import so unsanitized runs
+        # checked.  The switch guards the import so unsanitized runs
         # never load repro.check.
         from repro.check.sanitizer import wrap_if_enabled
 

@@ -101,16 +101,11 @@ class OpenMPAdapter(DeviceAdapter):
 
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
         ngroups = batch.shape[0] if batch.ndim >= 1 else 0
-        if ngroups == 0:
-            return batch
         nchunks = min(
             self.num_threads, ngroups, batch.nbytes // max(1, self.FANOUT_FLOOR)
         )
         if nchunks <= 1 or self._inline():
-            with self.gem_span(functor, batch):
-                out = functor.apply(batch)
-            self._record(functor, "GEM", int(batch.size))
-            return out
+            return super().execute_group_batch(functor, batch)
         with self.gem_span(functor, batch).set(chunks=nchunks):
             if _TRACER.enabled:
                 _observe_queue_depth(nchunks, kind="gem")
@@ -124,9 +119,7 @@ class OpenMPAdapter(DeviceAdapter):
             else:
                 run = functor.apply
             results = list(self._pool.map(run, chunks))
-            out = np.concatenate(results, axis=0)
-        self._record(functor, "GEM", int(batch.size))
-        return out
+            return np.concatenate(results, axis=0)
 
     def map_tasks(self, fn, items) -> list:
         items = list(items)

@@ -27,20 +27,15 @@ class SerialAdapter(DeviceAdapter):
         self.strict = strict
 
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
-        if batch.ndim < 1 or batch.shape[0] == 0:
-            return batch
+        if not self.strict or batch.ndim < 1 or batch.shape[0] == 0:
+            return super().execute_group_batch(functor, batch)
         with self.gem_span(functor, batch):
-            if self.strict:
-                copy = getattr(functor, "reuses_output", False)
-                outs = []
-                for i in range(batch.shape[0]):
-                    out = functor.apply(batch[i : i + 1])
-                    outs.append(out.copy() if copy else out)
-                result = np.concatenate(outs, axis=0)
-            else:
-                result = functor.apply(batch)
-        self._record(functor, "GEM", int(batch.size))
-        return result
+            copy = getattr(functor, "reuses_output", False)
+            outs = []
+            for i in range(batch.shape[0]):
+                out = functor.apply(batch[i : i + 1])
+                outs.append(out.copy() if copy else out)
+            return np.concatenate(outs, axis=0)
 
 
 register_adapter(SerialAdapter.family, SerialAdapter)

@@ -30,7 +30,6 @@ intact (the perf gate refuses to run under ``HPDR_SAN``).
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 import numpy as np
@@ -38,14 +37,10 @@ import numpy as np
 from repro.adapters.base import DeviceAdapter, _DelegatingAdapter
 from repro.check.errors import HaloRaceError, ScratchAliasError
 from repro.trace.tracer import Span, TRACER as _TRACER
+from repro.util import sanitize_enabled
 
 #: Families the shadow machinery understands (real CPU concurrency).
 SANITIZABLE_FAMILIES = ("serial", "openmp")
-
-
-def sanitize_enabled() -> bool:
-    """True when the ``HPDR_SAN`` environment variable requests tsan mode."""
-    return os.environ.get("HPDR_SAN", "") not in ("", "0")
 
 
 def wrap_if_enabled(adapter: DeviceAdapter) -> DeviceAdapter:

@@ -140,6 +140,24 @@ class ModuleUnit:
                 )
 
     # ------------------------------------------------------------------
+    def info_for(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> FuncInfo:
+        """The :class:`FuncInfo` of any def in the module, nested ones
+        included (``outer.<locals>.inner``, as Python names them)."""
+        names = [node.name]
+        class_name: str | None = None
+        cur = self.parents.get(node)
+        while cur is not None and cur is not self.tree:
+            if isinstance(cur, ast.ClassDef):
+                names.append(cur.name)
+                class_name = class_name or cur.name
+            elif isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.append(f"{cur.name}.<locals>")
+            cur = self.parents.get(cur)
+        qualname = ".".join(reversed(names))
+        return self.functions.get(qualname) or FuncInfo(
+            qualname=qualname, node=node, module=self, class_name=class_name,
+        )
+
     def enclosing_statement(self, node: ast.AST) -> ast.stmt | None:
         cur: ast.AST | None = node
         while cur is not None and not isinstance(cur, ast.stmt):
@@ -285,15 +303,6 @@ class ProjectIndex:
         if target is not None:
             return target.functions.get(attr)
         return None
-
-    # ------------------------------------------------------------------
-    def hot_functions(self) -> list[FuncInfo]:
-        return [
-            info
-            for unit in self.modules
-            for info in unit.functions.values()
-            if info.is_hot
-        ]
 
 
 def qualified_call_name(call: ast.Call, unit: ModuleUnit) -> str | None:

@@ -1,10 +1,11 @@
 """HPL001–HPL004 — the syntactic ``core`` pack.
 
 The rule table and the call tables it reads live in
-:mod:`repro.check.lint`.  ``np`` means any local name the module's
-import table maps to ``numpy``; a function is hot when it, or a def
-enclosing it, carries ``@hot_path``; a module is a kernel module when
-any def in it does (HPL002).
+:mod:`repro.check.lint`.  ``np.<name>`` means any call the module's
+import table resolves to ``numpy.<name>`` (``np.zeros``,
+``numpy.zeros``, or ``zeros`` after ``from numpy import zeros``); a
+function is hot when it, or a def enclosing it, carries ``@hot_path``;
+a module is a kernel module when any def in it does (HPL002).
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from repro.check.lint import (
 from repro.check.static.callgraph import ModuleUnit
 from repro.check.static.report import Emitter
 
-__all__ = ["check_module", "casts_without_copy"]
+__all__ = ["check_module", "casts_without_copy", "numpy_name"]
+
+
+def numpy_name(unit: ModuleUnit, call: ast.Call) -> str | None:
+    """The name under ``numpy`` a call resolves to (``"zeros"``), or None."""
+    qual = unit.qualified_name(call.func)
+    if qual is not None and qual.startswith("numpy."):
+        return qual[len("numpy."):]
+    return None
 
 
 def casts_without_copy(call: ast.Call) -> bool:
@@ -39,15 +48,11 @@ def _has_kwarg(call: ast.Call, name: str) -> bool:
     return any(kw.arg == name for kw in call.keywords)
 
 
-def _check_call(call: ast.Call, hot: bool, np_aliases: set[str],
-                kernel_module: bool, emitter: Emitter) -> None:
+def _check_call(call: ast.Call, hot: bool, kernel_module: bool,
+                emitter: Emitter) -> None:
     f = call.func
-    if (
-        isinstance(f, ast.Attribute)
-        and isinstance(f.value, ast.Name)
-        and f.value.id in np_aliases
-    ):
-        np_name = f.attr
+    np_name = numpy_name(emitter.unit, call)
+    if np_name is not None:
         if hot and np_name in _NP_ALLOC:
             emitter.emit(
                 call, "HPL001",
@@ -122,9 +127,6 @@ def _check_functor_class(cls: ast.ClassDef, emitter: Emitter) -> None:
 def check_module(unit: ModuleUnit) -> list[Finding]:
     """Run HPL001–HPL004 over one module."""
     emitter = Emitter(unit)
-    np_aliases = {
-        name for name, origin in unit.imports.items() if origin == "numpy"
-    }
     kernel_module = bool(unit.hot)
 
     def walk(node: ast.AST, hot: bool) -> None:
@@ -136,8 +138,7 @@ def check_module(unit: ModuleUnit) -> list[Finding]:
                 walk(child, hot)
             else:
                 if isinstance(child, ast.Call):
-                    _check_call(child, hot, np_aliases, kernel_module,
-                                emitter)
+                    _check_call(child, hot, kernel_module, emitter)
                 walk(child, hot)
 
     walk(unit.tree, hot=False)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.check.lint import Finding, _METHOD_ALLOC, _NP_ALLOC, _NP_UFUNC_OUT
 from repro.check.static.callgraph import FuncInfo, ProjectIndex
 from repro.check.static.report import Emitter, suppressed
-from repro.check.static.rules_core import casts_without_copy
+from repro.check.static.rules_core import casts_without_copy, numpy_name
 
 __all__ = ["check_project", "RULES"]
 
@@ -57,9 +57,7 @@ def _offences_in(info: FuncInfo) -> list[_Offence]:
     for node in ast.walk(info.node):
         if not isinstance(node, ast.Call):
             continue
-        qual = unit.qualified_name(node.func)
-        np_name = qual.split(".", 1)[1] if qual and qual.startswith(
-            "numpy.") else None
+        np_name = numpy_name(unit, node)
         has_out = any(kw.arg == "out" for kw in node.keywords)
         if np_name in _NP_ALLOC:
             if not suppressed(unit, node, "HPL001", "HPL301"):
@@ -80,7 +78,14 @@ def _offences_in(info: FuncInfo) -> list[_Offence]:
 
 
 def _calls_in(info: FuncInfo) -> list[ast.Call]:
-    return [n for n in ast.walk(info.node) if isinstance(n, ast.Call)]
+    """Calls in a def, nested defs included, except those inside a
+    nested ``@hot_path`` def: that one is a root of its own."""
+    hot = info.module.hot
+    own = [n for n in ast.walk(info.node)
+           if n is not info.node and n in hot]
+    skip = {n for d in own for n in ast.walk(d)}
+    return [n for n in ast.walk(info.node)
+            if isinstance(n, ast.Call) and n not in skip]
 
 
 def check_project(index: ProjectIndex) -> list[Finding]:
@@ -94,8 +99,9 @@ def check_project(index: ProjectIndex) -> list[Finding]:
             offence_cache[key] = _offences_in(info)
         return offence_cache[key]
 
-    for hot in sorted(index.hot_functions(),
-                      key=lambda i: (str(i.module.path), i.qualname)):
+    roots = [unit.info_for(node) for unit in index.modules
+             for node in unit.defs if node in unit.hot]
+    for hot in sorted(roots, key=lambda i: (str(i.module.path), i.qualname)):
         emitter = Emitter(hot.module)
         reported: set[tuple[int, str]] = set()
         # (callee, call site in the hot body, chain of names, depth)

@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from repro.adapters import list_adapters
 from repro.compressors import CODECS, build_codec
 from repro.container import Header
 from repro.util import CorruptStreamError, atomic_write_bytes, stream_errors
@@ -508,8 +509,8 @@ def _device_parent(adapter: str | None = None, threads: str | None = None,
     off (``--adapter`` is always present).
     """
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--adapter", default=None,
-                   choices=["serial", "openmp", "cuda", "hip"], help=adapter)
+    p.add_argument("--adapter", default=None, choices=list_adapters(),
+                   help=adapter)
     if threads is not None:
         p.add_argument("--threads", type=int, default=None, help=threads)
     if sanitize is not None:

@@ -21,7 +21,7 @@ from repro.compressors.huffman.codebook import (
     canonical_codes,
     huffman_code_lengths,
 )
-from repro.compressors.huffman.bitstream import pack_bits, gather_windows
+from repro.compressors.huffman.bitstream import pack_bits
 from repro.compressors.huffman.compressor import HuffmanX
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "canonical_codes",
     "huffman_code_lengths",
     "pack_bits",
-    "gather_windows",
     "HuffmanX",
 ]

@@ -1,4 +1,4 @@
-"""Vectorized bit packing and window gathering.
+"""Vectorized bit packing.
 
 Encoding packs variable-length MSB-first codes into 64-bit words with
 no per-bit loop, the CPU analog of the paper's "each key encodes
@@ -16,9 +16,9 @@ coder's pack (:func:`pack_items`) makes each item's end from its length
 in the same slab, so the coder keeps a 1-byte length per item, not an
 8-byte end.
 
-Decoding gathers ``width``-bit windows at arbitrary bit offsets (used by
-the chunk-parallel Huffman decoder, which advances one symbol per
-vectorized step across *all chunks simultaneously*).
+Decoding lives with the chunk-parallel decoder in
+:mod:`repro.compressors.huffman.compressor`; it reads windows past a
+payload's end from :data:`PAYLOAD_SLACK` zero bytes.
 """
 
 from __future__ import annotations
@@ -157,41 +157,3 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         codes[None, None], ulen[None, None], np.zeros(1, dtype=np.uint64),
         words, slab,
     )[: (total_bits + 7) >> 3]
-
-
-@hot_path(reason="per-symbol window loads of the chunk-parallel decoder")
-def gather_windows(
-    packed: np.ndarray,
-    bit_offsets: np.ndarray,
-    width: int,
-) -> np.ndarray:
-    """Extract ``width``-bit big-endian windows at arbitrary bit offsets.
-
-    ``packed`` is the byte stream from :func:`pack_bits`.  Windows
-    extending past the stream read as zero bits (the decoder's final
-    symbols).  ``width`` must be ≤ 24 so a 4-byte load always covers the
-    window after sub-byte shifting.
-    """
-    if not 1 <= width <= 24:
-        raise ValueError(f"width must be in [1, 24], got {width}")
-    packed = np.asarray(packed, dtype=np.uint8)
-    offs = np.asarray(bit_offsets, dtype=np.int64)
-    if offs.size and offs.min() < 0:
-        raise ValueError("negative bit offset")
-    # hpdrlint: disable=HPL001 — cold path; the decoder precomputes windows
-    padded = np.concatenate([packed, np.zeros(PAYLOAD_SLACK, dtype=np.uint8)])
-    byte_idx = offs >> 3
-    np.minimum(byte_idx, packed.size, out=byte_idx)  # clamp past-end reads
-    # hpdrlint: disable=HPL001 — widening cast feeding the gather below
-    shift = (offs & 7).astype(np.uint32)
-    # The widening gathers build the window batch, which is fresh output
-    # by contract (callers mask it in place).
-    # hpdrlint: disable=HPL001 — uint8→uint32 widening gathers
-    w = (
-        (padded[byte_idx].astype(np.uint32) << 24)
-        | (padded[byte_idx + 1].astype(np.uint32) << 16)
-        | (padded[byte_idx + 2].astype(np.uint32) << 8)
-        | padded[byte_idx + 3].astype(np.uint32)
-    )
-    out = (w >> (np.uint32(32 - width) - shift)) & np.uint32((1 << width) - 1)
-    return out

@@ -19,9 +19,8 @@ import numpy as np
 
 #: Longest permitted code, in bits.  2^16-entry decode tables stay small
 #: (512 KB) while still accommodating 65 536-symbol alphabets.  Kept
-#: safely below the 24-bit window limit of
-#: :func:`repro.compressors.huffman.bitstream.gather_windows`, so a
-#: valid codebook can always be decoded with one 4-byte load.
+#: safely below the decoder's 24-bit window limit, so a valid codebook
+#: can always be decoded from one 4-byte load.
 MAX_CODE_LENGTH = 16
 
 

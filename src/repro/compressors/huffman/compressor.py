@@ -149,7 +149,6 @@ class _EncodeFunctor(LocalityFunctor):
     """
 
     name = "huffman.encode"
-    bytes_per_element = 10.0
     reuses_output = True
 
     def __init__(self, codes: np.ndarray, lengths: np.ndarray, group: int,
@@ -371,8 +370,7 @@ class HuffmanX:
 
             freqs = global_pipeline(
                 staged,
-                FnDomain(_counts, name="huffman.histogram",
-                         bytes_per_element=staged.itemsize + 4),
+                FnDomain(_counts, name="huffman.histogram"),
                 adapter=self.adapter,
             )
             freqs[staged2d[:, -1]] -= m - n
@@ -460,8 +458,7 @@ class HuffmanX:
         with span("huffman.serialize", cat="huffman", keys=n, batch=nbatch):
             packed, totals, chunk_bits, wbase = global_pipeline(
                 items,
-                FnDomain(_pack, name="huffman.serialize",
-                         bytes_per_element=9.0),
+                FnDomain(_pack, name="huffman.serialize"),
                 adapter=self.adapter,
             )
         return [

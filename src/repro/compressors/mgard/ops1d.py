@@ -132,7 +132,6 @@ class _ThomasFunctor(IterativeFunctor):
     """
 
     name = "mgard.tridiag"
-    bytes_per_element = 24.0
 
     def __init__(self, dprime: np.ndarray, c: np.ndarray) -> None:
         self._dprime = dprime

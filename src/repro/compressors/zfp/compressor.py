@@ -115,8 +115,6 @@ def synthesize(coeffs: np.ndarray, emax: np.ndarray, ndim: int, dtype,
 class _ZfpFunctor(LocalityFunctor):
     """One Locality launch over a block batch."""
 
-    bytes_per_element = 7.5
-
     def __init__(self, ndim: int, maxbits: int, dtype: np.dtype) -> None:
         self._ndim = ndim
         self._maxbits = maxbits

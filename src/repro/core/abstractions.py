@@ -250,7 +250,6 @@ class _GroupedIterative(LocalityFunctor):
     def __init__(self, inner: IterativeFunctor) -> None:
         self._inner = inner
         self.name = inner.name
-        self.bytes_per_element = inner.bytes_per_element
 
     def apply(self, groups: np.ndarray) -> np.ndarray:
         ngroups, b, n = groups.shape

@@ -65,7 +65,6 @@ duration of the call; pinned contexts are skipped by the LRU scan.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
@@ -74,6 +73,7 @@ import numpy as np
 
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import TRACER as _TRACER
+from repro.util import sanitize_enabled
 
 #: Byte pattern written over evicted integer buffers.  0xA5 is the
 #: classic heap-poison value: visually obvious in hex dumps and very
@@ -146,7 +146,7 @@ class BlockPool:
         self.on_free = on_free
         #: poison blocks as they are released (``HPDR_SAN=1``), not
         #: only what an evicted context still holds.
-        self.poison_on_release = os.environ.get("HPDR_SAN", "") not in ("", "0")
+        self.poison_on_release = sanitize_enabled()
         self.alloc_events = 0
         self.alloc_bytes_total = 0
         self.free_bytes_total = 0

@@ -11,10 +11,6 @@ strategy:
   ``(nvec, length)`` — B vectors per group (GEM).
 * :class:`DomainFunctor` receives the whole domain (DEM) and may declare
   multiple stages separated by global synchronization.
-
-Functors also carry lightweight cost metadata (bytes read/written per
-element) so simulated adapters can derive task durations without
-profiling.
 """
 
 from __future__ import annotations
@@ -28,24 +24,16 @@ import numpy as np
 class Functor(abc.ABC):
     """Base kernel interface.
 
-    ``name`` labels simulator traces; ``bytes_per_element`` feeds the
-    memory-bound cost model (reduction kernels are memory bound, per the
-    paper's Section II-B).
+    ``name`` labels the ``gem.<name>``/``dem.<name>`` launch spans.
     """
 
-    #: trace label; subclasses usually override.
+    #: span label; subclasses usually override.
     name: str = "functor"
-    #: average device-memory traffic per input element (read+write).
-    bytes_per_element: float = 8.0
     #: True when :meth:`apply` may return a view over reused scratch
     #: (e.g. CMM-backed per-thread buffers): the result is only valid
     #: until the same thread's next ``apply``, so adapters that collect
     #: several results before combining them must copy each one first.
     reuses_output: bool = False
-
-    def cost_bytes(self, n_elements: int) -> float:
-        """Simulated memory traffic for ``n_elements`` inputs."""
-        return self.bytes_per_element * n_elements
 
 
 class LocalityFunctor(Functor):
@@ -94,11 +82,9 @@ class DomainFunctor(Functor):
 class FnLocality(LocalityFunctor):
     """Adapter turning a plain callable into a :class:`LocalityFunctor`."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], name: str = "fn",
-                 bytes_per_element: float = 8.0) -> None:
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], name: str = "fn") -> None:
         self._fn = fn
         self.name = name
-        self.bytes_per_element = bytes_per_element
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         return self._fn(blocks)
@@ -107,11 +93,9 @@ class FnLocality(LocalityFunctor):
 class FnIterative(IterativeFunctor):
     """Adapter turning a plain callable into an :class:`IterativeFunctor`."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], name: str = "fn",
-                 bytes_per_element: float = 8.0) -> None:
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], name: str = "fn") -> None:
         self._fn = fn
         self.name = name
-        self.bytes_per_element = bytes_per_element
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return self._fn(vectors)
@@ -120,13 +104,11 @@ class FnIterative(IterativeFunctor):
 class FnDomain(DomainFunctor):
     """Adapter turning callables into a (possibly multi-stage) DEM functor."""
 
-    def __init__(self, *fns: Callable[[Any], Any], name: str = "fn",
-                 bytes_per_element: float = 8.0) -> None:
+    def __init__(self, *fns: Callable[[Any], Any], name: str = "fn") -> None:
         if not fns:
             raise ValueError("FnDomain needs at least one stage callable")
         self._fns = fns
         self.name = name
-        self.bytes_per_element = bytes_per_element
 
     def stages(self) -> Sequence[Callable[[Any], Any]]:
         return self._fns

@@ -17,7 +17,7 @@ bit-identical streams, so a campaign rank or a serve worker that lost
 its device finishes with identical bytes, only slower.
 
 Both wrappers satisfy the full :class:`~repro.adapters.base.DeviceAdapter`
-contract (``map_tasks``, ``synchronize``), so any
+contract (both execution models, ``map_tasks``, ``close``), so any
 compressor runs on them unmodified.
 """
 
@@ -157,9 +157,6 @@ class ResilientAdapter(_DelegatingAdapter):
     # device also stops fanning tasks out to a dead pool.
     def map_tasks(self, fn, items) -> list:
         return self._active().map_tasks(fn, items)
-
-    def synchronize(self) -> None:
-        self._active().synchronize()
 
     def close(self) -> None:
         """Release the primary and the fallback adapter."""

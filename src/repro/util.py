@@ -12,6 +12,17 @@ class CorruptStreamError(ValueError):
     """A reduction stream failed to parse (truncated or tampered)."""
 
 
+def sanitize_enabled() -> bool:
+    """True when the ``HPDR_SAN`` environment variable requests tsan mode.
+
+    The one reading of the switch: :func:`repro.adapters.get_adapter`
+    wraps CPU adapters in the shadow sanitizer, and a
+    :class:`~repro.core.context.BlockPool` poisons released blocks.
+    It lives here so neither loads :mod:`repro.check` to ask.
+    """
+    return os.environ.get("HPDR_SAN", "") not in ("", "0")
+
+
 def hot_path(fn=None, *, reason: str | None = None):
     """Mark a function/method as a zero-alloc steady-state hot path.
 

@@ -48,6 +48,36 @@ class TestHPL001Allocations:
         )
         assert _rules(src) == ["HPL001"]
 
+    @pytest.mark.parametrize(
+        "imports, call",
+        [
+            ("from numpy import zeros", "zeros(n)"),
+            ("from numpy import zeros as z", "z(n)"),
+            ("import numpy as xp", "xp.zeros(n)"),
+        ],
+    )
+    def test_numpy_name_resolved_through_the_import_table(self, imports, call):
+        """Every spelling of ``numpy.zeros`` is the same call, however
+        the module bound it."""
+        src = (
+            f"{imports}\n"
+            "@hot_path\n"
+            "def k(n):\n"
+            f"    a = {call}\n"
+            "    b = np.zeros(n, dtype=np.uint8)\n"
+            "    return a, b\n"
+        )
+        assert _rules(src) == ["HPL001", "HPL001"]
+
+    def test_numpy_ufunc_imported_by_name_needs_out(self):
+        src = (
+            "from numpy import add\n"
+            "@hot_path\n"
+            "def k(x, y):\n"
+            "    return add(x, y)\n"
+        )
+        assert _rules(src) == ["HPL003"]
+
     def test_same_alloc_outside_hot_path_ok(self):
         src = "def setup(x):\n    return np.array(x, dtype=np.uint8)\n"
         assert _rules(src) == []

@@ -139,7 +139,7 @@ class TestTransparency:
         assert sanitizing_adapter.family == inner.family
         assert sanitizing_adapter.map_tasks(abs, [-1, 2]) == [1, 2]
         assert sanitizing_adapter.name == f"san({inner.name})"
-        assert sanitizing_adapter.trace is inner.trace
+        assert sanitizing_adapter.spec is inner.spec
 
     def test_rejects_simulated_gpu_backends(self):
         with pytest.raises(ValueError, match="serial"):

@@ -139,3 +139,47 @@ class TestCallGraphHygiene:
             "    return mystery.transform(x)\n"
         )
         assert _rules(src) == []
+
+
+class TestHotRoots:
+    def test_nested_hot_def_is_a_root(self):
+        """A ``@hot_path`` def nested in another def reaches a helper's
+        allocation as a top-level one does."""
+        src = (
+            "def helper(x):\n"
+            "    return np.zeros(x.size)\n"
+            "def outer(x):\n"
+            "    @hot_path\n"
+            "    def k(y):\n"
+            "        return helper(y)\n"
+            "    return k(x)\n"
+        )
+        assert _rules(src) == ["HPL301"]
+        (msg,) = _messages(src)
+        assert msg.startswith("outer.<locals>.k() is @hot_path")
+
+    def test_nested_hot_def_in_a_hot_def_reports_once(self):
+        src = (
+            "def helper(x):\n"
+            "    return x.copy()\n"
+            "@hot_path\n"
+            "def k(x):\n"
+            "    @hot_path\n"
+            "    def inner(y):\n"
+            "        return helper(y)\n"
+            "    return inner(x)\n"
+        )
+        assert _rules(src) == ["HPL301"]
+
+    def test_nested_hot_method_helper_resolves_through_self(self):
+        src = (
+            "class K:\n"
+            "    def _tmp(self, x):\n"
+            "        return np.empty(x.size, dtype=np.uint8)\n"
+            "    def run(self, x):\n"
+            "        @hot_path\n"
+            "        def step(y):\n"
+            "            return self._tmp(y)\n"
+            "        return step(x)\n"
+        )
+        assert _rules(src) == ["HPL301"]

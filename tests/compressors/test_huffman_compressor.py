@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compressors.huffman import HuffmanX, gather_windows, pack_bits
+from repro.compressors.huffman import HuffmanX, pack_bits
 
 
 class TestBitstream:
@@ -21,31 +21,6 @@ class TestBitstream:
         out = pack_bits(np.array([7, 0, 3]), np.array([3, 0, 2]))
         # 111 then 11 → 11111xxx
         assert out[0] == 0b11111000
-
-    def test_gather_windows_roundtrip(self):
-        rng = np.random.default_rng(0)
-        lengths = rng.integers(1, 12, size=200)
-        codes = np.array([rng.integers(0, 1 << l) for l in lengths], dtype=np.uint64)
-        packed = pack_bits(codes, lengths)
-        offsets = np.cumsum(lengths) - lengths
-        win = gather_windows(packed, offsets, 16)
-        for i, (c, l) in enumerate(zip(codes, lengths)):
-            assert win[i] >> (16 - l) == c
-
-    def test_gather_past_end_reads_zero(self):
-        packed = np.array([0xFF], dtype=np.uint8)
-        win = gather_windows(packed, np.array([100]), 8)
-        assert win[0] == 0
-
-    def test_gather_bad_width(self):
-        with pytest.raises(ValueError):
-            gather_windows(np.zeros(4, dtype=np.uint8), np.array([0]), 25)
-        with pytest.raises(ValueError):
-            gather_windows(np.zeros(4, dtype=np.uint8), np.array([0]), 0)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            gather_windows(np.zeros(4, dtype=np.uint8), np.array([-1]), 8)
 
     def test_mismatched_inputs(self):
         with pytest.raises(ValueError):

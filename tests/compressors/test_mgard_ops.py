@@ -129,11 +129,11 @@ class TestTridiagSolve:
         with pytest.raises(ValueError):
             f.solve_along(rng.normal(size=4), axis=0)
 
-    def test_solve_uses_iterative_abstraction(self, rng):
+    def test_solve_uses_iterative_abstraction(self, rng, launch_spans):
         """The solve dispatches through a device adapter (GEM groups)."""
         from repro.adapters import get_adapter
 
-        adapter = get_adapter("cuda")
         f = TridiagFactors.from_coords(np.arange(9.0))
-        f.solve_along(rng.normal(size=(9, 20)), axis=0, adapter=adapter)
-        assert any(r.name == "mgard.tridiag" for r in adapter.trace)
+        f.solve_along(rng.normal(size=(9, 20)), axis=0,
+                      adapter=get_adapter("cuda"))
+        assert "gem.mgard.tridiag" in [e.name for e in launch_spans()]

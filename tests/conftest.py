@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adapters import get_adapter
+from repro.adapters import get_adapter, list_adapters
+from repro.trace.tracer import TRACER
 
-ADAPTER_FAMILIES = ["serial", "openmp", "cuda", "hip", "sycl"]
+ADAPTER_FAMILIES = list_adapters()
 
 
 @pytest.fixture
@@ -36,6 +37,24 @@ def smooth_2d():
 def any_adapter(request):
     """Parametrized over every adapter family."""
     return get_adapter(request.param)
+
+
+@pytest.fixture
+def launch_spans():
+    """Tracing on for one test.  Calling the fixture returns the launch
+    spans (``gem.<functor>``/``dem.<functor>``, category
+    ``adapter.<family>``) recorded since the last call, oldest first."""
+    was = TRACER.enabled
+    TRACER.enable(clear=True)
+
+    def take():
+        spans = [e for e in TRACER.snapshot() if e.cat.startswith("adapter.")]
+        TRACER.clear()
+        return sorted(spans, key=lambda e: e.start_ns)
+
+    yield take
+    TRACER.clear()
+    TRACER.enabled = was
 
 
 @pytest.fixture

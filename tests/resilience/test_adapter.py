@@ -24,7 +24,6 @@ from repro.trace.metrics import REGISTRY
 
 class _Square:
     name = "square"
-    bytes_per_element = 4
 
     def apply(self, groups):
         return groups * groups
@@ -133,7 +132,6 @@ def test_open_breaker_pre_demotes():
 def test_wrappers_satisfy_adapter_contract():
     chain = resilient_adapter(plan=FaultPlan(seed=1), sleep=lambda s: None)
     assert chain.map_tasks(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-    chain.synchronize()
     assert "resilient" in chain.name
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adapters import list_adapters
 from repro.cli import _envelope, _open_envelope, main
 from repro.resilience.campaign import reconstruct
 
@@ -75,6 +76,20 @@ def test_adapter_flag(field_file, tmp_path):
     hpdr = tmp_path / "out.hpdr"
     assert main(["compress", str(src), str(hpdr), "--method", "mgard-x",
                  "--adapter", "cuda"]) == 0
+
+
+@pytest.mark.parametrize("family", list_adapters())
+def test_every_registered_adapter_is_a_cli_choice(family, field_file, tmp_path):
+    """``--adapter`` offers the registry: every family compresses and
+    decompresses, to the serial adapter's bytes."""
+    src, data = field_file
+    ref, hpdr, back = (tmp_path / n for n in ("ref.hpdr", "out.hpdr", "back.npy"))
+    assert main(["compress", str(src), str(ref), "--method", "mgard-x"]) == 0
+    assert main(["compress", str(src), str(hpdr), "--method", "mgard-x",
+                 "--adapter", family]) == 0
+    assert hpdr.read_bytes() == ref.read_bytes()
+    assert main(["decompress", str(hpdr), str(back), "--adapter", family]) == 0
+    assert np.load(back).shape == data.shape
 
 
 def test_unknown_method_rejected(field_file, tmp_path):

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.adapters import get_adapter
+from repro.adapters import get_adapter, list_adapters
 from repro.adapters.serial import SerialAdapter
 from repro.testing import AdapterConformanceError, check_adapter
 from tests.conftest import fanning_openmp
 
 
-@pytest.mark.parametrize("family", ["serial", "openmp", "cuda", "hip", "sycl"])
+@pytest.mark.parametrize("family", list_adapters())
 def test_all_builtin_adapters_conform(family):
     check_adapter(get_adapter(family))
 

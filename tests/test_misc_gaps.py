@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.adapters import get_adapter
-from repro.adapters.base import _n_elements
-from repro.core.functor import FnDomain, FnLocality
 from repro.machine.engine import Simulator, TaskKind
 from repro.perf.models import _eb_factor
 
@@ -46,20 +43,6 @@ class TestEngineMisc:
         trace = sim.run()
         assert trace.overlap_ratio() == 0.0
         assert trace.hidden_copy_ratio() == 1.0
-
-
-class TestAdapterElementCounting:
-    def test_counts_arrays_tuples_dicts(self):
-        assert _n_elements(np.zeros((3, 4))) == 12
-        assert _n_elements((np.zeros(2), np.zeros(3))) == 5
-        assert _n_elements({"a": np.zeros(2), "b": [np.zeros(1)]}) == 3
-        assert _n_elements("scalar-ish") == 1
-
-    def test_dem_trace_counts_structure(self):
-        a = get_adapter("cuda")
-        data = [np.zeros(10), np.zeros(20)]
-        a.execute_domain(FnDomain(lambda d: d, name="noop"), data)
-        assert a.trace[-1].n_elements == 30
 
 
 class TestPerfEdges:
@@ -109,10 +92,6 @@ class TestPipelineEdges:
             ReductionPipeline(dev, model, num_buffers=1)
         with pytest.raises(ValueError):
             ReductionPipeline(dev, model, allocs_per_call=-1)
-
-    def test_locality_functor_wrappers_cost(self):
-        f = FnLocality(lambda b: b, "x", bytes_per_element=3.0)
-        assert f.cost_bytes(10) == 30.0
 
 
 class TestCheckDocsNamedFiles:
