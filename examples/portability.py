@@ -23,11 +23,12 @@ from repro import (
     MGARDX,
     ZFPX,
     get_adapter,
+    list_adapters,
     rate_for_error_bound,
 )
 from repro.data import xgc_like
 
-FAMILIES = ["serial", "openmp", "cuda", "hip"]
+FAMILIES = list_adapters()
 
 
 def main() -> None:

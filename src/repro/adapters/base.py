@@ -1,4 +1,4 @@
-"""Device adapter base class and registry."""
+"""Device adapter base class, the GEM partition routine and the registry."""
 
 from __future__ import annotations
 
@@ -12,12 +12,35 @@ from repro.trace.tracer import NULL_SPAN, Span, TRACER as _TRACER
 from repro.util import sanitize_enabled
 
 
+def run_parts(functor, batch: np.ndarray, nparts: int, map_parts=map) -> np.ndarray:
+    """The one partition routine of a GEM launch: every backend, and the
+    sanitizer's shadow pass, is a schedule of it — a part count and a map.
+
+    ``batch`` is split into ``min(nparts, groups)`` contiguous runs of
+    groups, ``map_parts`` applies ``functor`` to each (a result is copied
+    when the functor ``reuses_output``: the next apply may overwrite it)
+    and the results are concatenated in group order.  One part is
+    ``functor.apply(batch)`` itself.
+    """
+    ngroups = batch.shape[0]
+    nparts = min(nparts, ngroups)
+    if nparts <= 1:
+        return functor.apply(batch)
+    bounds = np.linspace(0, ngroups, nparts + 1, dtype=np.intp)
+    parts = [batch[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    apply = functor.apply
+    if getattr(functor, "reuses_output", False):
+        apply = lambda part: functor.apply(part).copy()
+    return np.concatenate(list(map_parts(apply, parts)), axis=0)
+
+
 class DeviceAdapter:
     """Executes GEM and DEM on one backend.
 
     Subclasses set :attr:`family` ("serial", "openmp", "cuda", …) and
-    override the entry points whose parallelization differs from the
-    vectorized default.  Adapters optionally carry a
+    state their GEM schedule as a part count (:meth:`gem_parts`) and a
+    map (:meth:`map_tasks`); the launch itself is :func:`run_parts`.
+    Adapters optionally carry a
     :class:`~repro.machine.specs.ProcessorSpec` — the simulated device,
     or the core count of a CPU.  What ran is read from the
     ``gem.<functor>``/``dem.<functor>`` spans of :mod:`repro.trace`.
@@ -29,17 +52,21 @@ class DeviceAdapter:
         self.spec = spec
 
     # -- execution models ------------------------------------------------
+    def gem_parts(self, batch: np.ndarray) -> int:
+        """Parts of this backend's GEM schedule: one, the whole batch."""
+        return 1
+
     def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
         """GEM: run a group-parallel functor over ``(ngroups, ...)``.
 
-        The default runs every group in one vectorized call — Table II's
-        "groups → SMs/CUs" with the whole batch in flight at once.  An
-        empty batch is returned as it is.
+        The backend's schedule is :meth:`gem_parts` parts, mapped with
+        :meth:`map_tasks`; :func:`run_parts` does the rest.  An empty
+        batch is returned as it is.
         """
         if batch.ndim < 1 or batch.shape[0] == 0:
             return batch
         with self.gem_span(functor, batch):
-            return functor.apply(batch)
+            return run_parts(functor, batch, self.gem_parts(batch), self.map_tasks)
 
     def execute_domain(self, functor: DomainFunctor, data: Any) -> Any:
         """DEM: run a whole-domain functor (with global sync between stages).
@@ -64,10 +91,10 @@ class DeviceAdapter:
     def map_tasks(self, fn, items) -> list:
         """Run ``fn`` over ``items``, preserving order.
 
-        Unlike :meth:`execute_group_batch`, tasks are opaque Python
-        callables (whole codec pipelines), not array functors.  The base
-        implementation is sequential; thread-pool adapters overlap tasks
-        whose NumPy kernels release the GIL.
+        Tasks are opaque Python callables: whole codec pipelines, or the
+        parts of a GEM launch.  The base implementation is sequential;
+        thread-pool adapters overlap tasks whose NumPy kernels release
+        the GIL.
         """
         return [fn(item) for item in items]
 
@@ -158,9 +185,9 @@ def get_adapter(family: str, spec: ProcessorSpec | None = None, **kwargs) -> Dev
         raise KeyError(f"unknown adapter family {family!r}; available: {sorted(_REGISTRY)}")
     adapter = _REGISTRY[key](spec=spec, **kwargs)
     if sanitize_enabled():
-        # tsan mode: every serial/openmp adapter handed out is shadow-
-        # checked.  The switch guards the import so unsanitized runs
-        # never load repro.check.
+        # tsan mode: every adapter handed out is shadow-checked.  The
+        # switch guards the import so unsanitized runs never load
+        # repro.check.
         from repro.check.sanitizer import wrap_if_enabled
 
         adapter = wrap_if_enabled(adapter)

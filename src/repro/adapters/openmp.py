@@ -11,10 +11,11 @@ GIL, so chunks genuinely run concurrently on multi-core hosts.
 
 Table II's premise is that a group carries a core's worth of work.  A
 launch that does not — most launches on fields of a megabyte or less —
-costs more to hand to the pool than to run, so a launch fans out into
-``min(threads, groups, nbytes // FANOUT_FLOOR)`` chunks and runs on the
-caller's thread when that is one.  The stream never shows which: chunk
-boundaries are group boundaries either way.
+costs more to hand to the pool than to run, so a launch is
+``min(threads, groups, nbytes // FANOUT_FLOOR)`` parts of
+:func:`~repro.adapters.base.run_parts`, mapped over the pool, and runs
+on the caller's thread when that is one.  The stream never shows which:
+part boundaries are group boundaries either way.
 
 A launch or task list issued from one of the adapter's own pool threads
 (a ``map_tasks`` task that launches a kernel) also runs on that thread:
@@ -48,22 +49,23 @@ def _enter_pool(token: object) -> None:
     _POOL_THREAD.token = token
 
 
-def _observe_queue_depth(depth: int, kind: str) -> None:
+def _observe_queue_depth(depth: int) -> None:
     """Record one fan-out's task count (tracing-enabled runs only)."""
     _METRICS.histogram(
         "hpdr_pool_queue_depth",
-        "tasks submitted to the thread pool per fan-out",
+        "tasks (GEM parts or map_tasks items) submitted to the thread "
+        "pool per fan-out",
         buckets=_DEPTH_BUCKETS,
-    ).observe(depth, kind=kind)
+    ).observe(depth)
 
 
 class OpenMPAdapter(DeviceAdapter):
     family = "openmp"
 
-    #: Bytes a chunk must carry before a launch is handed to the pool.
-    #: A hand-off costs the same whatever the chunk holds (queue, wake-up,
+    #: Bytes a part must carry before a launch is handed to the pool.
+    #: A hand-off costs the same whatever the part holds (queue, wake-up,
     #: result gather, concatenate) while kernel time grows with bytes, so
-    #: the rule is a byte floor: a launch fans out into as many chunks as
+    #: the rule is a byte floor: a launch fans out into as many parts as
     #: it has whole floors, and runs on the caller's thread below two.
     #: Set from the unpinned two-CPU sweep in DESIGN.md section 3.1
     #: ("What a hand-off costs"); a constant, not a knob.
@@ -95,38 +97,21 @@ class OpenMPAdapter(DeviceAdapter):
 
     def _inline(self) -> bool:
         """Run on the calling thread: no pool, or the caller is one of
-        the pool's own threads (a nested fan-out would wait on chunks
+        the pool's own threads (a nested fan-out would wait on parts
         queued behind the task that is waiting)."""
         return self._pool is None or getattr(_POOL_THREAD, "token", None) is self._token
 
-    def execute_group_batch(self, functor, batch: np.ndarray) -> np.ndarray:
-        ngroups = batch.shape[0] if batch.ndim >= 1 else 0
-        nchunks = min(
-            self.num_threads, ngroups, batch.nbytes // max(1, self.FANOUT_FLOOR)
-        )
-        if nchunks <= 1 or self._inline():
-            return super().execute_group_batch(functor, batch)
-        with self.gem_span(functor, batch).set(chunks=nchunks):
-            if _TRACER.enabled:
-                _observe_queue_depth(nchunks, kind="gem")
-            bounds = np.linspace(0, ngroups, nchunks + 1, dtype=np.intp)
-            chunks = [batch[bounds[i] : bounds[i + 1]] for i in range(nchunks)]
-            if getattr(functor, "reuses_output", False):
-                # A pool thread may run several chunks back to back;
-                # scratch-backed results must be copied before the next
-                # apply reuses the memory.
-                run = lambda chunk: functor.apply(chunk).copy()
-            else:
-                run = functor.apply
-            results = list(self._pool.map(run, chunks))
-            return np.concatenate(results, axis=0)
+    def gem_parts(self, batch: np.ndarray) -> int:
+        if self._inline():
+            return 1
+        return min(self.num_threads, batch.nbytes // max(1, self.FANOUT_FLOOR))
 
     def map_tasks(self, fn, items) -> list:
         items = list(items)
         if len(items) <= 1 or self._inline():
             return [fn(item) for item in items]
         if _TRACER.enabled:
-            _observe_queue_depth(len(items), kind="task")
+            _observe_queue_depth(len(items))
         return list(self._pool.map(fn, items))
 
     def close(self) -> None:

@@ -1,11 +1,11 @@
 """Simulated device adapter: the paper's CUDA, HIP and SYCL backends.
 
-The environment has no GPU, so "groups → SMs/CUs" (Table II) is one
-vectorized NumPy call over the entire group batch — the closest analog
-of every group executing concurrently, and :class:`DeviceAdapter`'s
-default launch.  Multi-stage GEM staging (shared memory, block sync) and
-DEM staging (grid sync, DRAM) degenerate to intermediate arrays between
-stage calls, which keeps the execution order that correctness needs.
+The environment has no GPU, so "groups → SMs/CUs" (Table II) is
+simulated by its schedule: a launch runs in ascending waves of at most
+``spec.units`` groups, one vectorized NumPy call a wave — a function of
+the spec and the batch shape alone.  GEM and DEM staging (shared memory,
+block and grid sync) degenerate to intermediate arrays between stage
+calls, which keeps the execution order that correctness needs.
 
 One class serves three families that differ only in the devices they
 drive: ``cuda`` (default V100) and ``hip`` (default MI250X) their
@@ -17,6 +17,8 @@ abstraction layer defines the numerics.
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from repro.adapters.base import DeviceAdapter, register_adapter
 from repro.machine.specs import MI250X, ProcessorSpec, V100
@@ -38,6 +40,10 @@ class SimulatedAdapter(DeviceAdapter):
                 f"the {family!r} adapter drives {family!r} devices; "
                 f"{self.spec.name} is a {self.spec.family!r} device"
             )
+
+    def gem_parts(self, batch: np.ndarray) -> int:
+        """One wave per ``spec.units`` groups."""
+        return -(-batch.shape[0] // self.spec.units)
 
 
 for _family in _DEFAULT_SPEC:

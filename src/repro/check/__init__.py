@@ -25,7 +25,6 @@ from repro.check.errors import (
 )
 from repro.check.lint import Finding, format_findings
 from repro.check.sanitizer import (
-    SANITIZABLE_FAMILIES,
     SanitizingAdapter,
     sanitize_enabled,
     wrap_if_enabled,
@@ -33,7 +32,6 @@ from repro.check.sanitizer import (
 
 __all__ = [
     "CMMWatch",
-    "SANITIZABLE_FAMILIES",
     "ContextThrashError",
     "Finding",
     "HaloRaceError",

@@ -1,12 +1,14 @@
 """HPDR-San runtime sanitizer ("tsan mode") — a wrapping device adapter.
 
-:class:`SanitizingAdapter` wraps a real backend (serial or openmp) and
-re-executes every GEM batch in *shadow*: the group batch is copied, the
-functor is applied one block-group at a time, and a per-group shadow
-write-set is derived by byte-diffing the working batch against a
-pristine snapshot after each apply.  From those write-sets it reports:
+:class:`SanitizingAdapter` wraps any backend and re-executes every GEM
+batch in *shadow*: the group batch is copied and run as
+:data:`SHADOW_PARTS` parts of the adapters' one partition routine
+(:func:`~repro.adapters.base.run_parts`), one part at a time, with a
+per-part shadow write-set derived by byte-diffing the working batch
+against a pristine snapshot after each apply.  From those write-sets it
+reports:
 
-* **SAN-RACE** — a group wrote rows it does not own (a halo race: under
+* **SAN-RACE** — a part wrote rows it does not own (a halo race: under
   concurrent execution another group reads or writes those rows), or
   the functor's output changes when the batch is partitioned
   differently (cross-block reads — results would depend on the
@@ -17,10 +19,10 @@ pristine snapshot after each apply.  From those write-sets it reports:
   results it has not yet copied.
 
 The wrapper is transparent: the *inner* adapter produces the returned
-result (and its trace records), so sanitized runs are bit-identical to
+result (and its spans), so sanitized runs are bit-identical to
 unsanitized ones — just slower.  Enable globally with ``HPDR_SAN=1``
-(``repro.adapters.get_adapter`` auto-wraps serial/openmp), per-run with
-the CLI ``--sanitize`` flag, or per-test with the ``sanitizing_adapter``
+(``repro.adapters.get_adapter`` wraps every family), per-run with the
+CLI ``--sanitize`` flag, or per-test with the ``sanitizing_adapter``
 fixture.
 
 Shadow execution costs ~3 extra batch passes per GEM call; it is never
@@ -34,26 +36,25 @@ from typing import Any
 
 import numpy as np
 
-from repro.adapters.base import DeviceAdapter, _DelegatingAdapter
+from repro.adapters.base import DeviceAdapter, _DelegatingAdapter, run_parts
 from repro.check.errors import HaloRaceError, ScratchAliasError
 from repro.trace.tracer import Span, TRACER as _TRACER
 from repro.util import sanitize_enabled
 
-#: Families the shadow machinery understands (real CPU concurrency).
-SANITIZABLE_FAMILIES = ("serial", "openmp")
+#: Parts of the shadow schedule: write-set attribution and the alias
+#: check run per part, and the purity check compares this partition
+#: with the inner adapter's.  More parts attribute a race more finely,
+#: at linearly more diff work.
+SHADOW_PARTS = 8
 
 
 def wrap_if_enabled(adapter: DeviceAdapter) -> DeviceAdapter:
     """Wrap ``adapter`` in a :class:`SanitizingAdapter` when requested.
 
-    No-op when ``HPDR_SAN`` is unset, the family has no shadow support
-    (simulated GPU backends), or the adapter is already sanitizing.
+    No-op when ``HPDR_SAN`` is unset or the adapter is already
+    sanitizing.
     """
-    if (
-        sanitize_enabled()
-        and adapter.family in SANITIZABLE_FAMILIES
-        and not isinstance(adapter, SanitizingAdapter)
-    ):
+    if sanitize_enabled() and not isinstance(adapter, SanitizingAdapter):
         return SanitizingAdapter(adapter)
     return adapter
 
@@ -66,32 +67,17 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a, b))
 
 
+class _NotBlockPreserving(Exception):
+    """A shadow part did not map n blocks to n outputs."""
+
+
 class SanitizingAdapter(_DelegatingAdapter):
-    """Shadow-memory sanitizer around a serial/openmp adapter.
+    """Shadow-memory sanitizer around any adapter; ``inner`` actually
+    executes (and records the spans)."""
 
-    Parameters
-    ----------
-    inner:
-        The adapter that actually executes (and records trace/timing).
-    max_shadow_groups:
-        Granularity of the shadow schedule.  The batch is split into at
-        most this many contiguous group-chunks; write-set attribution
-        and the alias check run per chunk, and the purity check compares
-        this partitioning against the inner adapter's.  Higher = finer
-        race attribution, linearly more diff work.
-    """
-
-    def __init__(self, inner: DeviceAdapter, max_shadow_groups: int = 8) -> None:
-        if inner.family not in SANITIZABLE_FAMILIES:
-            raise ValueError(
-                f"SanitizingAdapter supports {SANITIZABLE_FAMILIES}, "
-                f"got family {inner.family!r}"
-            )
-        if max_shadow_groups < 1:
-            raise ValueError("max_shadow_groups must be >= 1")
+    def __init__(self, inner: DeviceAdapter) -> None:
         super().__init__(inner)
         self.family = inner.family
-        self.max_shadow_groups = max_shadow_groups
         #: GEM batches checked so far (so tests can assert coverage).
         self.checked_batches = 0
 
@@ -133,7 +119,7 @@ class SanitizingAdapter(_DelegatingAdapter):
             or res_arr.ndim == 0
             or res_arr.shape[0] != batch.shape[0]
         ):
-            # Not block-count-preserving (per shadow chunk, or on the
+            # Not block-count-preserving (per shadow part, or on the
             # full batch): the abstraction layer rejects such functors
             # itself, with a clearer error than a shadow shape mismatch
             # would give.
@@ -149,12 +135,13 @@ class SanitizingAdapter(_DelegatingAdapter):
         return result
 
     def _shadow_execute(self, functor, batch: np.ndarray) -> np.ndarray | None:
-        """Per-group execution with write-set attribution.
+        """The launch as :data:`SHADOW_PARTS` parts, with write-set
+        attribution.
 
         Runs on private copies so a misbehaving functor can never
         corrupt the caller's batch through the shadow pass.  Returns
         ``None`` when the functor is not block-count-preserving (each
-        chunk must map n blocks to n outputs) — the purity comparison
+        part must map n blocks to n outputs) — the purity comparison
         is meaningless there and the abstraction layer rejects such
         functors with its own validation error.
         """
@@ -163,48 +150,45 @@ class SanitizingAdapter(_DelegatingAdapter):
         work = snap.copy()                 # the shadow's working memory
         work_rows = work.reshape(nblocks, -1).view(np.uint8)
         snap_rows = snap.reshape(nblocks, -1).view(np.uint8)
-
-        nchunks = min(nblocks, self.max_shadow_groups)
-        bounds = np.linspace(0, nblocks, nchunks + 1, dtype=np.intp)
         attributed = np.zeros(nblocks, dtype=bool)
         reuses = bool(getattr(functor, "reuses_output", False))
 
-        outs: list[np.ndarray] = []
-        prev: np.ndarray | None = None
-        for c in range(nchunks):
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            out = functor.apply(work[lo:hi])
-            out_arr = np.asarray(out)
-            if out_arr.ndim == 0 or out_arr.shape[0] != hi - lo:
-                return None
-            if (
-                prev is not None
-                and not reuses
-                and np.may_share_memory(out, prev)
-            ):
-                raise ScratchAliasError(
-                    f"functor {functor.name!r} returned memory overlapping "
-                    f"its previous apply's output (groups [{lo}:{hi}) vs the "
-                    f"chunk before) without declaring reuses_output — a "
-                    f"batching adapter would overwrite results it has not "
-                    f"yet copied"
-                )
-            prev = out
-            outs.append(np.array(out, copy=True))
+        def checked(apply, parts):
+            # Sequential, in group order: part i holds groups [lo, hi).
+            lo, prev = 0, None
+            for part in parts:
+                hi = lo + part.shape[0]
+                out = apply(part)
+                out_arr = np.asarray(out)
+                if out_arr.ndim == 0 or out_arr.shape[0] != hi - lo:
+                    raise _NotBlockPreserving
+                if prev is not None and not reuses and np.may_share_memory(out, prev):
+                    raise ScratchAliasError(
+                        f"functor {functor.name!r} returned memory overlapping "
+                        f"its previous apply's output (groups [{lo}:{hi}) vs the "
+                        f"part before) without declaring reuses_output — a "
+                        f"batching adapter would overwrite results it has not "
+                        f"yet copied"
+                    )
+                # Shadow write-set: rows whose bytes changed under this apply.
+                written = (work_rows != snap_rows).any(axis=1)
+                new_writes = written & ~attributed
+                foreign = np.flatnonzero(new_writes[:lo]).tolist() + [
+                    int(r) + hi for r in np.flatnonzero(new_writes[hi:])
+                ]
+                if foreign:
+                    raise HaloRaceError(
+                        f"functor {functor.name!r} executing groups [{lo}:{hi}) "
+                        f"wrote into foreign group rows {foreign[:8]}"
+                        f"{'…' if len(foreign) > 8 else ''} — overlapping "
+                        f"write-sets between concurrently-executed blocks "
+                        f"(halo race)"
+                    )
+                np.logical_or(attributed, written, out=attributed)
+                lo, prev = hi, out
+                yield out
 
-            # Shadow write-set: rows whose bytes changed under this apply.
-            written = (work_rows != snap_rows).any(axis=1)
-            new_writes = written & ~attributed
-            foreign = np.flatnonzero(new_writes[:lo]).tolist() + [
-                int(r) + hi for r in np.flatnonzero(new_writes[hi:])
-            ]
-            if foreign:
-                raise HaloRaceError(
-                    f"functor {functor.name!r} executing groups [{lo}:{hi}) "
-                    f"wrote into foreign group rows {foreign[:8]}"
-                    f"{'…' if len(foreign) > 8 else ''} — overlapping "
-                    f"write-sets between concurrently-executed blocks "
-                    f"(halo race)"
-                )
-            attributed |= written
-        return np.concatenate(outs, axis=0)
+        try:
+            return run_parts(functor, work, SHADOW_PARTS, checked)
+        except _NotBlockPreserving:
+            return None

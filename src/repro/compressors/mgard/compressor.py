@@ -122,11 +122,9 @@ class MGARDX:
         launch the context has run.
         """
         coords = self._check_coords(coords, shape)
-        coords_key = (
-            None
-            if coords is None
-            else tuple(hash(c.tobytes()) for c in coords)
-        )
+        # The coordinate bytes themselves: a hash of them could collide
+        # and hand two grids one hierarchy.
+        coords_key = None if coords is None else tuple(c.tobytes() for c in coords)
         key = ("mgard", tuple(shape), np.dtype(dtype).str, coords_key)
         # The pin protects the context while the nested Huffman coder
         # opens its own contexts in the shared cache (a tight-capacity

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adapters import OpenMPAdapter, get_adapter, list_adapters
+from repro.adapters import OpenMPAdapter, SimulatedAdapter, get_adapter, list_adapters
 from repro.core.functor import FnDomain, FnLocality
 from repro.machine.specs import A100, EPYC7713, MI250X, V100
 from repro.trace.tracer import TRACER
@@ -66,8 +66,29 @@ def test_strict_serial_detects_impure_functor(rng):
     batch = rng.normal(size=(6, 4))
     impure = FnLocality(lambda b: b - b.mean(), "impure")  # mean over batch!
     strict = get_adapter("serial", strict=True).execute_group_batch(impure, batch)
-    batched = get_adapter("cuda").execute_group_batch(impure, batch)
+    # Built directly: under HPDR_SAN the sanitizer would catch it first.
+    batched = SimulatedAdapter("cuda").execute_group_batch(impure, batch)
     assert not np.allclose(strict, batched)
+
+
+def test_simulated_devices_run_waves_of_their_units(rng):
+    """A launch runs in waves of at most ``spec.units`` groups, so a V100
+    (80 units) and an MI250X (220) partition 300 groups differently —
+    which a partition-dependent functor shows."""
+    batch = rng.normal(size=(300, 4))
+    results, waves = {}, {}
+    for family in ("cuda", "hip"):
+        sizes = []
+
+        def centre(b, sizes=sizes):
+            sizes.append(b.shape[0])
+            return b - b.mean()
+
+        results[family] = SimulatedAdapter(family).execute_group_batch(
+            FnLocality(centre, "centre"), batch)
+        waves[family] = sizes
+    assert waves == {"cuda": [75] * 4, "hip": [150] * 2}
+    assert not np.array_equal(results["cuda"], results["hip"])
 
 
 def test_sim_adapters_record_kernel_trace(rng, launch_spans):
@@ -116,9 +137,9 @@ def test_empty_batch_passthrough():
 
 
 def test_adapter_name():
-    assert get_adapter("cuda").name == "cuda(V100)"
-    # Under HPDR_SAN get_adapter auto-wraps CPU families in the
+    # Under HPDR_SAN get_adapter auto-wraps every family in the
     # sanitizer, which brackets the name without hiding it.
+    assert get_adapter("cuda").name in ("cuda(V100)", "san(cuda(V100))")
     assert get_adapter("serial").name in ("serial", "san(serial)")
 
 

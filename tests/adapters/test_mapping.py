@@ -37,6 +37,7 @@ def test_extensibility_via_registration():
     register_adapter("kokkos-test", KokkosLikeAdapter)
     try:
         a = get_adapter("kokkos-test")
-        assert isinstance(a, KokkosLikeAdapter)
+        # Under HPDR_SAN the new family is sanitized like every other.
+        assert isinstance(getattr(a, "inner", a), KokkosLikeAdapter)
     finally:
         _REGISTRY.pop("kokkos-test", None)

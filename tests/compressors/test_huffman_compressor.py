@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adapters import list_adapters
 from repro.compressors.huffman import HuffmanX, pack_bits
 
 
@@ -167,7 +168,7 @@ class TestByteLevel:
 
 
 class TestAdapterPortability:
-    @pytest.mark.parametrize("family", ["serial", "openmp", "cuda", "hip"])
+    @pytest.mark.parametrize("family", list_adapters())
     def test_identical_streams_across_adapters(self, family, rng):
         from repro.adapters import get_adapter
 

@@ -84,3 +84,18 @@ class TestNonUniformCompressor:
             # non-monotone coordinates rejected by the hierarchy
             bad = np.array([0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0])
             c.compress(data, coords=(bad, np.arange(8.0)))
+
+
+def test_coordinate_sets_never_share_a_context(monkeypatch, rng):
+    """The grid context is keyed by the coordinates themselves: two
+    coordinate sets whose hashes collide still get a hierarchy each."""
+    import repro.compressors.mgard.compressor as mgard_module
+
+    monkeypatch.setattr(mgard_module, "hash", lambda _: 0, raising=False)
+    data = rng.normal(size=(25, 19))
+    a = (stretched_coords(25), stretched_coords(19, 2.5))
+    b = (stretched_coords(25, 3.0), stretched_coords(19, 1.5))
+    cfg = Config(error_bound=0.02, error_mode=ErrorMode.ABS)
+    shared = MGARDX(cfg)
+    shared.compress(data, coords=a)
+    assert shared.compress(data, coords=b) == MGARDX(cfg).compress(data, coords=b)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adapters import list_adapters
 from repro.compressors.zfp import ZFPX, rate_for_error_bound
 
 
@@ -131,7 +132,7 @@ class TestRateHeuristic:
 
 
 class TestAdapterPortability:
-    @pytest.mark.parametrize("family", ["serial", "openmp", "cuda", "hip"])
+    @pytest.mark.parametrize("family", list_adapters())
     def test_bitstreams_identical(self, family, rng):
         from repro.adapters import get_adapter
 

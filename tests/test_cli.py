@@ -92,6 +92,18 @@ def test_every_registered_adapter_is_a_cli_choice(family, field_file, tmp_path):
     assert np.load(back).shape == data.shape
 
 
+@pytest.mark.parametrize("family", list_adapters())
+def test_every_registered_adapter_can_be_sanitized(family, field_file, tmp_path):
+    """``--sanitize`` wraps any ``--adapter``, and the stream is the
+    unsanitized one."""
+    src, _ = field_file
+    ref, hpdr = tmp_path / "ref.hpdr", tmp_path / "san.hpdr"
+    assert main(["compress", str(src), str(ref), "--method", "zfp-x"]) == 0
+    assert main(["compress", str(src), str(hpdr), "--method", "zfp-x",
+                 "--adapter", family, "--sanitize"]) == 0
+    assert hpdr.read_bytes() == ref.read_bytes()
+
+
 def test_unknown_method_rejected(field_file, tmp_path):
     src, _ = field_file
     with pytest.raises(SystemExit):

@@ -5,7 +5,13 @@ import pytest
 
 from repro.adapters import get_adapter, list_adapters
 from repro.adapters.serial import SerialAdapter
-from repro.testing import AdapterConformanceError, check_adapter
+from repro.core.functor import FnLocality
+from repro.testing import (
+    REFERENCE_SHAPES,
+    AdapterConformanceError,
+    _check_reference_agreement,
+    check_adapter,
+)
 from tests.conftest import fanning_openmp
 
 
@@ -55,3 +61,26 @@ def test_broken_adapter_detected_dem_order():
 
 def test_strict_serial_conforms():
     check_adapter(get_adapter("serial", strict=True))
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=["tile", "fanout"])
+@pytest.mark.parametrize(
+    "family,kwargs",
+    [pytest.param(f, {}, id=f) for f in list_adapters()]
+    + [pytest.param("openmp", {"num_threads": w}, id=f"openmp-{w}")
+       for w in (1, 2, 4, 8)],
+)
+def test_reference_check_catches_an_impure_functor(family, kwargs, shape, monkeypatch):
+    """Every block reads block 0: each schedule returns something else
+    than strict serial's one group at a time, so the reference check
+    refuses it on every backend, at a tile and past the fan-out floor.
+    (The sanitizer is held off: it would catch the probe first.)"""
+    monkeypatch.delenv("HPDR_SAN", raising=False)
+    probe = FnLocality(lambda b: b + b[:1], "probe")
+    batch = np.random.default_rng(0).normal(size=shape)
+    adapter = get_adapter(family, **kwargs)
+    try:
+        with pytest.raises(AdapterConformanceError):
+            _check_reference_agreement(adapter, batch, probe)
+    finally:
+        adapter.close()
