@@ -3,7 +3,8 @@
 :class:`ClusterService` exposes the exact request surface of a single
 :class:`~repro.serve.service.ReductionService` (``submit`` /
 ``compress`` / ``decompress`` / ``drain`` / ``close``, async context
-manager) — so :func:`repro.serve.net.serve_tcp` serves it unchanged and
+manager, and the transport's ``admit``) — so
+:func:`repro.serve.net.serve_tcp` serves it unchanged and
 :func:`repro.testing.check_service` passes byte-identically against the
 cluster front door.  Behind that surface:
 
@@ -43,6 +44,7 @@ import asyncio
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -57,8 +59,9 @@ from repro.serve.errors import (
     ServiceOverloaded,
     ShardOverloaded,
 )
-from repro.serve.service import ServiceConfig
+from repro.serve.service import Reply, ServiceConfig
 from repro.serve.spec import CodecSpec
+from repro.serve.worker import ERR, OK
 from repro.trace.metrics import REGISTRY as _METRICS
 from repro.trace.tracer import Span, TRACER as _TRACER
 
@@ -188,6 +191,7 @@ class ClusterService:
         self._groups: dict[str, _ShardGroup] = {}
         self._ring = HashRing(vnodes=config.vnodes)
         self._health_task: asyncio.Task[None] | None = None
+        self._admitted: set[asyncio.Task[Any]] = set()  # admit()'s tasks
         self._inflight = 0
         self._idle: asyncio.Event | None = None
         self._started = False
@@ -404,6 +408,26 @@ class ClusterService:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
+
+    def admit(self, op: str, spec: CodecSpec, payload: Any, reply: Reply) -> None:
+        """The transport's door: :meth:`submit`, failover included, run
+        as a task whose outcome ``reply(tag, value)`` receives.  Raises
+        :class:`ServiceClosed` at once after :meth:`close` began."""
+        if not self._started or self._closed or self._closing:
+            raise ServiceClosed("submit")
+        task = asyncio.get_running_loop().create_task(self.submit(op, spec, payload))
+        self._admitted.add(task)
+        task.add_done_callback(partial(self._answer, reply))
+
+    def _answer(self, reply: Reply, task: asyncio.Task[Any]) -> None:
+        self._admitted.discard(task)
+        if task.cancelled():
+            return
+        exc = task.exception()
+        if exc is None:
+            reply(OK, task.result())
+        else:
+            reply(ERR, exc)
 
     async def compress(self, spec: CodecSpec, data: np.ndarray) -> bytes:
         out = await self.submit("compress", spec, data)

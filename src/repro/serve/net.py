@@ -24,23 +24,17 @@ dictionary lookup:
   no ``tobytes()`` staging).  The header bytes of a request are encoded
   once per ``(op, spec, form, dtype, shape)`` and those of an ok
   response once per ``(form, dtype, shape)``;
-* **receive** — both ends read through :func:`_receive` into a
-  :class:`FrameAssembler`, the only frame parser in this module.  The
-  bytes of a frame are copied, not aliased, on their way in: the event
-  loop's ``recv`` makes a ``bytes``, ``StreamReader`` appends it to its
-  own buffer and cuts it out again for ``read()``, and ``feed`` copies
-  it into the assembler's reused ``bytearray`` — three copies of
-  at most ``RECV_CHUNK`` bytes each, kept because ``StreamReader`` also
-  provides the read-side flow control and EOF handling (receiving
-  straight into the assembler from an ``asyncio.BufferedProtocol`` was
-  measured and did not win often enough to carry its own flow-control
-  code; see CHANGES.md, PR 18).  From the assembler on nothing is
+* **receive** — each end of a connection is one ``asyncio.Protocol``
+  whose ``data_received`` feeds a :class:`FrameAssembler`, the only
+  frame parser in this module: no coroutine is resumed per frame on
+  the server, and on the client one waiter future per request.  The
+  bytes of a frame are copied once on their way in: ``feed`` copies
+  the ``bytes`` the event loop's ``recv`` made into the assembler's
+  reused ``bytearray``.  From the assembler on nothing is
   copied on the server: the payload is a ``memoryview`` window of the
   buffer and arrays reach the service as ``np.frombuffer`` aliases of
-  it, valid until the next ``feed`` — which the sequential
-  per-connection discipline puts after the response.  The client
-  copies each reply body once more, out of the buffer, because the
-  caller owns what :meth:`BlastClient.request` returns;
+  it.  The client copies each reply body once more, out of the buffer,
+  because the caller owns what :meth:`BlastClient.request` returns;
 * **headers** — the assembler looks the raw header bytes up in a
   bounded table before any JSON is parsed: identical bytes resolve to
   the same read-only :class:`_Header` and, for a request, the
@@ -50,10 +44,21 @@ dictionary lookup:
   ``INTERN_MAX_HEADER_BYTES`` each and belongs to one connection, so a
   peer can neither grow one nor reach another peer's.
 
-Each connection is handled **sequentially** (one request in flight per
+Each connection is served **sequentially** (one request in flight per
 connection); concurrency — and therefore micro-batching — comes from
 many connections, which is exactly how :mod:`repro.serve.loadgen`
-drives load.  Error responses carry the exception's class name so
+drives load.  The server admits a complete frame synchronously through
+the service's ``admit(op, spec, payload, reply)`` and writes the answer
+from the ``reply`` callback.  Flow control is the protocol's own:
+
+* while a request is in flight its payload still aliases the
+  assembler's buffer, so bytes that arrive meanwhile are held outside
+  it, and reading pauses once more than ``RECV_CHUNK`` are held;
+* while the transport has paused writing (the peer is not reading its
+  replies) no new request is admitted, and arriving bytes are held the
+  same way.
+
+Error responses carry the exception's class name so
 :class:`BlastClient` re-raises typed service errors
 (:class:`~repro.serve.errors.ServiceOverloaded`,
 :class:`~repro.serve.errors.ServiceClosed`) on the client side, letting
@@ -66,7 +71,7 @@ import asyncio
 import dataclasses
 import json
 import struct
-from typing import Any
+from typing import Any, cast
 
 import numpy as np
 
@@ -78,6 +83,7 @@ from repro.serve.errors import (
     ShardOverloaded,
 )
 from repro.serve.spec import CodecSpec
+from repro.serve.worker import ERR, OK
 
 _MAGIC = b"HPDS"
 _VERSION = 1
@@ -163,10 +169,10 @@ class FrameAssembler:
     ``next_frame`` returns ``(header, payload_view)`` where
     ``payload_view`` is a zero-copy ``memoryview`` window into the
     buffer.  A returned view stays valid until the next ``feed`` —
-    callers (the sequential connection handler) must finish the frame
-    before reading more bytes.  Preamble validation runs as soon as the
-    preamble arrives, so an invalid peer is rejected without buffering
-    its announced payload.
+    callers must finish the frame before feeding more bytes (the server
+    protocol holds what arrives meanwhile).  Preamble validation runs as
+    soon as the preamble arrives, so an invalid peer is rejected without
+    buffering its announced payload.
 
     Headers are interned per assembler: the bytes of a header seen
     before on this connection resolve to the same parsed
@@ -237,29 +243,14 @@ class FrameAssembler:
         return header, self._view[body : body + plen]
 
 
-async def _receive(reader: asyncio.StreamReader,
-                   assembler: FrameAssembler) -> tuple[_Header, memoryview] | None:
-    """The next frame of a connection — the one receive path, server and
-    client; None on clean EOF at a frame boundary."""
-    while True:
-        frame = assembler.next_frame()
-        if frame is not None:
-            return frame
-        data = await reader.read(RECV_CHUNK)
-        if not data:
-            if assembler.pending:
-                raise ProtocolError("connection closed mid-frame")
-            return None
-        assembler.feed(data)
-
-
 def _encode_header(header: dict) -> bytes:
     return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
-def _write_frame(writer: asyncio.StreamWriter, header: dict | bytes, payload) -> None:
-    """One frame, one transport write: preamble, header (a dict, or
-    bytes :func:`_encode_header` made earlier) and a body of up to
+def _write_frame(writer: Any, header: dict[str, Any] | bytes, payload: Any) -> None:
+    """One frame, one write to ``writer`` (a transport, or anything with
+    its ``write``): preamble, header (a dict, or bytes
+    :func:`_encode_header` made earlier) and a body of up to
     ``RECV_CHUNK`` bytes leave as one buffer.  A larger body is not
     worth copying and follows as its own zero-copy view."""
     raw = header if isinstance(header, bytes) else _encode_header(header)
@@ -345,113 +336,238 @@ def _raise_remote(header: dict) -> None:
     raise RemoteRequestError(kind, message)
 
 
+
+
+def _error_head(exc: BaseException) -> dict[str, Any]:
+    """The header of an error response: the exception's class name and
+    message, plus depth, limit and shard for an overload."""
+    err: dict[str, Any] = {"status": "err", "kind": type(exc).__name__,
+                           "message": str(exc)}
+    if isinstance(exc, ServiceOverloaded):
+        err["depth"] = exc.depth
+        err["limit"] = exc.limit
+        shard = getattr(exc, "shard", None)
+        if shard is not None:
+            err["shard"] = shard
+    return err
+
+
 # ---------------------------------------------------------------------------
-async def _handle_connection(service, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-    assembler = FrameAssembler()
-    heads: dict[tuple, bytes] = {}  # this connection's response heads
-    try:
-        while True:
-            frame = await _receive(reader, assembler)
-            if frame is None:
-                break
-            header, raw = frame
-            try:
-                op = header["op"]
-                if op == "ping":
-                    # Liveness probe: answered before spec parsing, so
-                    # it costs no codec work and needs no payload (the
-                    # cluster health checker's one round-trip).
-                    value = b""
-                else:
-                    spec = header.spec
-                    if spec is None:  # absent or invalid: raise what is wrong with it
-                        spec = CodecSpec(**header["spec"])
-                    payload = _decode_payload(header, raw)
-                    value = await service.submit(op, spec, payload)
-            except asyncio.CancelledError:
-                raise
-            except ProtocolError:
-                raise  # malformed peer: drop the connection, not just the request
-            except ServiceOverloaded as exc:
-                err = {
-                    "status": "err", "kind": type(exc).__name__,
-                    "message": str(exc), "depth": exc.depth, "limit": exc.limit,
-                }
-                shard = getattr(exc, "shard", None)
-                if shard is not None:
-                    err["shard"] = shard
-                _write_frame(writer, err, b"")
-            except Exception as exc:
-                _write_frame(writer, {
-                    "status": "err", "kind": type(exc).__name__,
-                    "message": str(exc),
-                }, b"")
-            else:
-                form, out = _encode_payload(value)
-                _write_frame(writer, _response_head(heads, form), out)
-                del value, out
-            await writer.drain()
-    except (ProtocolError, ConnectionError):
-        pass  # drop the misbehaving/vanished connection
-    finally:
-        # Close without awaiting: the transport finishes asynchronously,
-        # and awaiting here races loop shutdown (spurious cancellation).
-        writer.close()
+class _ServerProtocol(asyncio.Protocol):
+    """One served connection: frames in, one request in flight, answers
+    out of the service's ``reply`` callback.
 
-
-async def serve_tcp(service, host: str = "127.0.0.1",
-                    port: int = 0) -> asyncio.AbstractServer:
-    """Expose a started :class:`ReductionService` on a TCP socket.
-
-    Returns the asyncio server; ``server.sockets[0].getsockname()``
-    yields the bound address (pass ``port=0`` for an ephemeral port in
-    tests).  Close the server *before* closing the service so draining
-    covers every admitted request.
+    Bytes that arrive while a request is in flight, or while the
+    transport has paused writing, are held outside the assembler (the
+    in-flight payload aliases its buffer); reading pauses once more
+    than ``RECV_CHUNK`` of them are held, and the held bytes are fed in
+    when the connection is free again.
     """
 
-    async def handler(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await _handle_connection(service, reader, writer)
-
-    return await asyncio.start_server(handler, host, port)
-
-
-class BlastClient:
-    """One sequential client connection to a served reduction service."""
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, service: Any) -> None:
+        self._admit = service.admit
+        self._reply = self._on_reply  # bound once, passed with every request
         self._assembler = FrameAssembler()
-        self._heads: dict[tuple, bytes] = {}  # this connection's request heads
+        self._heads: dict[tuple[Any, ...], bytes] = {}  # this connection's response heads
+        self._transport: asyncio.Transport | None = None
+        self._held: list[bytes] = []
+        self._held_bytes = 0
+        self._inflight = False
+        self._write_paused = False
+        self._read_paused = False
+        self._eof = False
+        self._pumping = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A request still in flight is answered into the void.
+        self._transport = None
+        self._held.clear()
+
+    def data_received(self, data: bytes) -> None:
+        if self._inflight or self._write_paused:
+            self._held.append(data)
+            self._held_bytes += len(data)
+            if (self._held_bytes > RECV_CHUNK and not self._read_paused
+                    and self._transport is not None):
+                self._read_paused = True
+                self._transport.pause_reading()
+            return
+        self._assembler.feed(data)
+        self._pump()
+
+    def eof_received(self) -> bool:
+        # Keep the write side open: a reply may still be owed.  The
+        # connection closes once every complete frame is answered.
+        self._eof = True
+        self._pump()
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._pump()
+
+    def _pump(self) -> None:
+        """Admit complete frames one at a time while the connection is
+        free; close it at EOF or on a malformed frame."""
+        if self._pumping:
+            return  # a reply answered synchronously inside the loop below
+        self._pumping = True
+        try:
+            while not (self._inflight or self._write_paused):
+                transport = self._transport
+                if transport is None:
+                    return
+                if self._held:
+                    for data in self._held:
+                        self._assembler.feed(data)
+                    self._held.clear()
+                    self._held_bytes = 0
+                    if self._read_paused:
+                        self._read_paused = False
+                        transport.resume_reading()
+                try:
+                    frame = self._assembler.next_frame()
+                    if frame is None:
+                        if self._eof:
+                            transport.close()  # at a frame boundary or mid-frame
+                        return
+                    self._serve(*frame)
+                except ProtocolError:
+                    transport.close()  # drop the malformed peer, not the service
+                    return
+        finally:
+            self._pumping = False
+
+    def _serve(self, header: _Header, raw: memoryview) -> None:
+        try:
+            op = header["op"]
+            if op == "ping":
+                # Liveness probe: answered before spec parsing, so it
+                # costs no codec work and needs no payload (the cluster
+                # health checker's one round-trip).
+                self._on_reply(OK, b"")
+                return
+            spec = header.spec
+            if spec is None:  # absent or invalid: raise what is wrong with it
+                spec = CodecSpec(**header["spec"])
+            payload = _decode_payload(header, raw)
+            self._inflight = True
+            self._admit(op, spec, payload, self._reply)
+        except ProtocolError:
+            raise
+        except Exception as exc:
+            self._on_reply(ERR, exc)
+
+    def _on_reply(self, tag: str, value: Any) -> None:
+        self._inflight = False
+        transport = self._transport
+        if transport is None:
+            return  # the peer vanished while its request was in flight
+        if tag == OK:
+            form, out = _encode_payload(value)
+            _write_frame(transport, _response_head(self._heads, form), out)
+        else:
+            _write_frame(transport, _error_head(value), b"")
+        self._pump()
+
+
+async def serve_tcp(service: Any, host: str = "127.0.0.1",
+                    port: int = 0) -> asyncio.AbstractServer:
+    """Expose a started service on a TCP socket.
+
+    ``service`` is a :class:`ReductionService` or anything with its
+    ``admit(op, spec, payload, reply)`` (the cluster router).  Returns
+    the asyncio server; ``server.sockets[0].getsockname()`` yields the
+    bound address (pass ``port=0`` for an ephemeral port in tests).
+    Close the server *before* closing the service so draining covers
+    every admitted request.
+    """
+    loop = asyncio.get_running_loop()
+    return await loop.create_server(lambda: _ServerProtocol(service), host, port)
+
+
+class BlastClient(asyncio.Protocol):
+    """One sequential client connection to a served reduction service.
+
+    ``data_received`` resolves the one waiter of the request in flight
+    with its reply frame (the body copied out of the receive buffer).
+    """
+
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._transport: asyncio.Transport | None = None
+        self._assembler = FrameAssembler()
+        self._heads: dict[tuple[Any, ...], bytes] = {}  # this connection's request heads
+        self._waiter: asyncio.Future[tuple[_Header, bytes]] | None = None
+        self._closed: asyncio.Future[None] = self._loop.create_future()
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "BlastClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port)
+        return client
 
-    async def _exchange(self, head: dict | bytes, body) -> tuple[_Header, memoryview]:
-        """Send one frame and return the ok reply to it (a view into the
-        receive buffer, valid until the next exchange)."""
-        _write_frame(self._writer, head, body)
-        await self._writer.drain()
-        frame = await _receive(self._reader, self._assembler)
-        if frame is None:
-            raise ProtocolError("server closed the connection mid-request")
-        if frame[0].get("status") != "ok":
-            _raise_remote(frame[0])
-        return frame
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        self._assembler.feed(data)
+        waiter = self._waiter
+        if waiter is None:
+            return
+        try:
+            frame = self._assembler.next_frame()
+        except ProtocolError as exc:
+            self._fail(exc)
+            if self._transport is not None:
+                self._transport.close()
+            return
+        if frame is not None:
+            self._waiter = None
+            if not waiter.done():
+                # The caller owns what it gets back: one copy out of the
+                # receive buffer, which the next reply overwrites.
+                waiter.set_result((frame[0], bytes(frame[1])))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._transport = None
+        self._fail(exc if exc is not None else
+                   ProtocolError("server closed the connection mid-request"))
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def _fail(self, exc: BaseException) -> None:
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(exc)
+
+    async def _exchange(self, head: dict[str, Any] | bytes,
+                        body: Any) -> tuple[_Header, bytes]:
+        """Send one frame and return the ok reply to it."""
+        transport = self._transport
+        if transport is None or transport.is_closing():
+            raise ConnectionResetError("Connection lost")
+        _write_frame(transport, head, body)
+        self._waiter = waiter = self._loop.create_future()
+        try:
+            header, out = await waiter
+        finally:
+            self._waiter = None
+        if header.get("status") != "ok":
+            _raise_remote(header)
+        return header, out
 
     async def request(self, op: str, spec: CodecSpec, payload: Any) -> Any:
         form, raw = _encode_payload(payload)
         resp, out = await self._exchange(
             _request_head(self._heads, op, spec, form), raw)
-        # The caller owns what it gets back: one copy out of the receive
-        # buffer, which the next reply overwrites.
-        return _decode_payload(resp, bytes(out))
+        return _decode_payload(resp, out)
 
     async def ping(self) -> None:
         """One liveness round-trip (no spec, no payload, no codec work)."""
@@ -474,8 +590,6 @@ class BlastClient:
         )
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except ConnectionError:  # pragma: no cover
-            pass
+        if self._transport is not None:
+            self._transport.close()
+        await self._closed

@@ -2,7 +2,8 @@
 
 :class:`ReductionService` is the concurrent front end over the HPDR
 codecs: callers ``await submit(...)`` individual compress/decompress
-requests; the service groups them by :meth:`CodecSpec.batch_key
+requests (the TCP transport calls :meth:`~ReductionService.admit` with
+a reply callback instead); the service groups them by :meth:`CodecSpec.batch_key
 <repro.serve.spec.CodecSpec.batch_key>` with a deadline-based
 micro-batcher and executes whole batches on a pool of workers that
 keep pinned CMM contexts per ``(codec, dtype, shape-class)`` — the
@@ -13,12 +14,12 @@ Guarantees:
 
 * **exactly-once** — every admitted request is answered exactly once:
   with its result, with the exception its execution raised, or not at
-  all if the caller cancelled it first (the batcher then drops it);
+  all if the caller withdrew it first (the batcher then drops it);
 * **byte-stability** — a batched response is byte-for-byte identical
   to the single-shot codec call (the property/conformance suites pin
   this against every codec and adapter);
 * **admission control** — at most ``max_pending`` requests in flight;
-  beyond it :meth:`submit` raises a typed
+  beyond it :meth:`admit` (and so :meth:`submit`) raises a typed
   :class:`~repro.serve.errors.ServiceOverloaded` *before* queueing, so
   shed load costs no worker time (backpressure, not collapse);
 * **fault isolation** — each worker recovers through its
@@ -47,7 +48,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Collection
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -160,15 +161,31 @@ class ServiceStats:
         }
 
 
+#: how an admitted request is answered: ``reply(tag, value)`` with
+#: ``tag`` :data:`~repro.serve.worker.OK` and the result, or
+#: :data:`~repro.serve.worker.ERR` and the exception.
+Reply = Callable[[str, Any], None]
+
+
+def _settle(future: asyncio.Future[Any], tag: str, value: Any) -> None:
+    """The reply of a :meth:`ReductionService.submit` awaiting ``future``."""
+    if not future.done():
+        if tag == OK:
+            future.set_result(value)
+        else:
+            future.set_exception(value)
+
+
 @dataclass(slots=True)
 class _Request:
-    """One admitted request travelling through batcher and worker."""
+    """One admitted request travelling through batcher and worker;
+    ``reply`` is None once it has been answered or withdrawn."""
 
     op: str
     spec: CodecSpec
     payload: Any
     nbytes: int
-    future: asyncio.Future
+    reply: Reply | None
     submitted_at: float
     key: Any
 
@@ -266,18 +283,19 @@ class ReductionService:
         return self._inflight
 
     # -- submission -----------------------------------------------------
-    async def submit(self, op: str, spec: CodecSpec, payload) -> Any:
-        """Admit one request and await its answer.
+    def admit(self, op: str, spec: CodecSpec, payload: Any, reply: Reply) -> _Request:
+        """Admit one request; ``reply(tag, value)`` answers it later.
 
         Raises :class:`ServiceOverloaded` when the bounded queue is
-        full, :class:`ServiceClosed` after :meth:`close` began, or the
-        exception the request's execution ultimately produced.
-        Cancelling the awaiting task withdraws the request: if it has
-        not been flushed to a worker yet it is dropped entirely.
+        full and :class:`ServiceClosed` after :meth:`close` began, both
+        before anything is queued.  Otherwise the request is answered
+        exactly once, from the event loop, by one call of ``reply`` —
+        with the result, or with the exception its execution
+        ultimately produced — unless it is withdrawn first.  ``payload``
+        must stay valid until then.  Returns the admitted request (what
+        :meth:`submit` withdraws on cancellation).
         """
-        if not self._started or self._closed:
-            raise ServiceClosed("submit")
-        if self._closing:
+        if not self._started or self._closing or self._closed:
             raise ServiceClosed("submit")
         if self._inflight >= self.config.max_pending:
             self.stats.rejected += 1
@@ -293,7 +311,7 @@ class ReductionService:
             spec=spec,
             payload=payload,
             nbytes=nbytes,
-            future=loop.create_future(),
+            reply=reply,
             submitted_at=now,
             key=key,
         )
@@ -322,21 +340,40 @@ class ReductionService:
             # (checking at admission would flush the burst's first
             # request alone and desynchronize the rest).
             self._idle_check_scheduled = True
-            self._loop.call_soon(self._idle_check)
+            loop.call_soon(self._idle_check)
         self._arm_timer()
-        # Accounting lives in this finally instead of a per-future done
-        # callback: add_done_callback costs a partial, a Handle and an
-        # extra call_soon per request, all on the hot path.
+        return req
+
+    async def submit(self, op: str, spec: CodecSpec, payload: Any) -> Any:
+        """Admit one request and await its answer.
+
+        Raises what :meth:`admit` raises, or the exception the
+        request's execution ultimately produced.  Cancelling the
+        awaiting task withdraws the request: if it has not been flushed
+        to a worker yet it is dropped entirely.
+        """
+        if self._loop is None:
+            raise ServiceClosed("submit")
+        future = self._loop.create_future()
+        req = self.admit(op, spec, payload, partial(_settle, future))
         try:
-            return await req.future
+            return await future
         finally:
-            self._inflight -= 1
-            if req.future.cancelled():
-                self.stats.cancelled += 1
-                if self._planner.discard(key, req):
-                    self._arm_timer()
-            if self._inflight == 0:
-                self._idle.set()
+            if future.cancelled():
+                self._withdraw(req)
+
+    def _withdraw(self, req: _Request) -> None:
+        """Release a cancelled request's slot and drop it from its open
+        batch; a request already answered is left alone."""
+        if req.reply is None:
+            return
+        req.reply = None
+        self._inflight -= 1
+        self.stats.cancelled += 1
+        if self._planner.discard(req.key, req):
+            self._arm_timer()
+        if self._inflight == 0:
+            self._idle.set()
 
     async def compress(self, spec: CodecSpec, data: np.ndarray) -> bytes:
         return await self.submit("compress", spec, data)
@@ -397,7 +434,7 @@ class ReductionService:
 
     def _dispatch(self, flush: Flush) -> None:
         """Hand one closed batch to the least-loaded worker."""
-        flush.items = [r for r in flush.items if not r.future.done()]
+        flush.items = [r for r in flush.items if r.reply is not None]
         if not flush.items:
             return
         self.stats.batches += 1
@@ -434,8 +471,11 @@ class ReductionService:
             results = []
         now = self._loop.time()
         for req, tag, value in results:
-            if req.future.done():
-                continue  # cancelled mid-execution
+            reply = req.reply
+            if reply is None:
+                continue  # withdrawn mid-execution
+            req.reply = None
+            self._inflight -= 1
             latency = now - req.submitted_at
             self.stats.observe_latency(latency)
             if _TRACER.enabled:
@@ -446,10 +486,17 @@ class ReductionService:
                 ).observe(latency, op=req.op, codec=req.spec.name)
             if tag == OK:
                 self.stats.completed += 1
-                req.future.set_result(value)
             else:
                 self.stats.errors += 1
-                req.future.set_exception(value)
+            try:
+                reply(tag, value)
+            except Exception as exc:  # a broken reply must not cost the rest
+                self._loop.call_exception_handler({
+                    "message": "reply callback of a served request failed",
+                    "exception": exc,
+                })
+        if self._inflight == 0:
+            self._idle.set()
 
     # -- drain / shutdown -----------------------------------------------
     async def drain(self) -> None:

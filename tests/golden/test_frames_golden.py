@@ -31,6 +31,7 @@ import pytest
 from repro.serve import BlastClient, CodecSpec, serve_tcp
 from repro.serve.errors import ServiceOverloaded, ShardOverloaded
 from repro.serve.net import _PREAMBLE, FrameAssembler, _write_frame
+from repro.serve.worker import OK
 
 FRAMES = Path(__file__).with_name("frames.json")
 
@@ -138,11 +139,11 @@ class _Scripted:
 
     answer = None
 
-    async def submit(self, op, spec, payload):
+    def admit(self, op, spec, payload, reply):
         assert spec == SPEC
         if isinstance(self.answer, Exception):
             raise self.answer
-        return self.answer
+        reply(OK, self.answer)
 
 
 async def _read_one_frame(reader: asyncio.StreamReader) -> bytes:

@@ -45,6 +45,7 @@ from repro.serve.net import (
     MAX_PAYLOAD_BYTES,
     RECV_CHUNK,
     FrameAssembler,
+    RemoteRequestError,
     _decode_payload,
     _encode_header,
     _encode_payload,
@@ -53,6 +54,7 @@ from repro.serve.net import (
     _response_head,
     _write_frame,
 )
+from repro.serve.worker import OK
 
 
 def _frame(raw_header: bytes, payload: bytes = b"") -> bytes:
@@ -342,12 +344,14 @@ def test_same_header_bytes_decode_independently():
 
 
 class _Echo:
-    """A service whose reply is a copy of the request payload."""
+    """A service whose reply is a copy of the request payload, answered
+    from inside ``admit``."""
 
-    async def submit(self, op, spec, payload):
+    def admit(self, op, spec, payload, reply):
         if isinstance(payload, memoryview):
-            return bytes(payload)
-        return np.array(payload, copy=True)
+            reply(OK, bytes(payload))
+        else:
+            reply(OK, np.array(payload, copy=True))
 
 
 async def _read_raw_frame(reader: asyncio.StreamReader) -> bytes:
@@ -407,33 +411,32 @@ def test_old_client_shm_reference_is_answered_and_the_connection_survives():
         async with ReductionService(ServiceConfig()) as svc:
             server = await serve_tcp(svc)
             try:
-                reader, writer = await asyncio.open_connection(
-                    *server.sockets[0].getsockname()[:2])
-                replies = []
+                client = await BlastClient.connect(*server.sockets[0].getsockname()[:2])
+                refusals = []
                 for header in old:
-                    _write_frame(writer, header, b"")
-                    await writer.drain()
-                    replies.append(await _read_raw_frame(reader))
-                client = BlastClient(reader, writer)
+                    with pytest.raises(RemoteRequestError) as exc:
+                        await client._exchange(header, b"")
+                    refusals.append(exc.value)
                 blob = await client.compress(_SPEC, data)
                 await client.close()
-                return replies, blob
+                return refusals, blob
             finally:
                 server.close()
                 await server.wait_closed()
 
-    replies, blob = asyncio.run(asyncio.wait_for(run(), 30))
-    for reply in replies:
-        hlen = _PREAMBLE.unpack_from(reply)[2]
-        err = json.loads(reply[_PREAMBLE.size:_PREAMBLE.size + hlen])
-        assert err["status"] == "err" and err["kind"] == "ValueError"
+    refusals, blob = asyncio.run(asyncio.wait_for(run(), 30))
+    assert len(refusals) == len(old)
+    for exc in refusals:
+        assert exc.kind == "ValueError" and "shared-memory" in str(exc)
     assert blob == _SPEC.build().compress(data)
 
 
 def test_client_recovers_replies_at_arbitrary_chunk_splits(monkeypatch):
     """Client-side twin of the assembler split test: a stub server
     dribbles its reply one byte at a time, then cut in two at every
-    offset, and BlastClient returns the same array each time."""
+    offset; the client protocol's ``data_received`` feeds each piece to
+    its assembler alone, and BlastClient returns the same array each
+    time."""
     want = (np.arange(24, dtype=np.float32) - 7).reshape(2, 3, 4)
     reply = contiguous_frame(
         {"status": "ok", "form": "array", "dtype": "<f4", "shape": [2, 3, 4]},
